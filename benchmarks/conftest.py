@@ -9,18 +9,12 @@ them; rows are also echoed to stdout (visible with ``pytest -s``).
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from typing import Dict, List
+from typing import List
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: benchmark name -> {"cycles": ..., "host_seconds": ...}; written out as
-#: one consolidated BENCH_observability.json at end of session
-_BENCH_RESULTS: Dict[str, Dict[str, object]] = {}
 
 
 class TableWriter:
@@ -53,37 +47,8 @@ def table(request):
 def once(benchmark, fn, *args, **kwargs):
     """Run a heavy simulation exactly once under pytest-benchmark.
 
-    Besides the pytest-benchmark record, the simulated cycle count (when
-    the result carries one) and host wall-clock seconds are collected
-    into ``benchmarks/results/BENCH_observability.json`` -- one
-    consolidated machine-readable file per benchmark session, so
-    perf-tracking tooling reads a single artifact instead of scraping
-    pytest-benchmark's per-run output.
+    Host-performance tracking lives in ``benchmarks/xmt_bench`` (its
+    ``trajectory.jsonl``); these benchmarks reproduce the paper's rows.
     """
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                rounds=1, iterations=1, warmup_rounds=0)
-    elapsed = time.perf_counter() - start
-    _BENCH_RESULTS[benchmark.name] = {
-        "cycles": getattr(result, "cycles", None),
-        "host_seconds": round(elapsed, 4),
-    }
-    return result
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _BENCH_RESULTS:
-        return
-    payload = {"schema": "xmtsim-bench/1",
-               "benchmarks": dict(sorted(_BENCH_RESULTS.items()))}
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    # two copies: the per-session artifact next to the other results,
-    # and the repo-root trajectory file perf-trend tooling reads (the
-    # simulated cycle counts are deterministic, so cross-machine trends
-    # are meaningful; host_seconds only trends within one host)
-    for path in (os.path.join(RESULTS_DIR, "BENCH_observability.json"),
-                 os.path.join(os.path.dirname(os.path.dirname(
-                     os.path.abspath(__file__))), "BENCH_ledger.json")):
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
+                              rounds=1, iterations=1, warmup_rounds=0)

@@ -170,12 +170,11 @@ class CacheModule(Component):
         now = self.machine.scheduler.now
         stats = self.machine.stats
         obs = self.machine.obs
-        lifecycle = self.machine.lifecycle
         # release responses whose latency elapsed
         while self._delayed and self._delayed[0][0] <= now:
             _, _, pkg = heapq.heappop(self._delayed)
-            if lifecycle is not None:
-                lifecycle.response_enqueued(pkg, now, len(self.out_queue))
+            if obs is not None:
+                obs.response_enqueued(pkg, now, len(self.out_queue))
             self.out_queue.push(now, pkg)
             self.machine.icn_pending += 1
         # accept new requests
@@ -190,38 +189,31 @@ class CacheModule(Component):
                 stats.inc("cache.hit")
                 self._perform(pkg)
                 self._respond(now, pkg, self.hit_latency)
-                if lifecycle is not None:
-                    lifecycle.cache_dequeued(self, pkg, now, "hit")
-                if obs is not None:
-                    obs.cache_access(self, pkg, now, "hit")
+                outcome = "hit"
             elif line in self.pending_misses:
                 # merge with the in-flight fill (buffered concurrent requests)
                 self.misses += 1
                 stats.inc("cache.miss")
                 stats.inc("cache.mshr_merge")
                 self.pending_misses[line].append(pkg)
-                if lifecycle is not None:
-                    lifecycle.cache_dequeued(self, pkg, now, "mshr")
-                if obs is not None:
-                    obs.cache_access(self, pkg, now, "mshr")
+                outcome = "mshr"
             else:
                 self.misses += 1
                 stats.inc("cache.miss")
                 self.pending_misses[line] = [pkg]
-                if lifecycle is not None:
-                    lifecycle.cache_dequeued(self, pkg, now, "miss")
                 self.machine.dram_request(self, line, pkg.addr)
-                if obs is not None:
-                    obs.cache_access(self, pkg, now, "miss")
+                outcome = "miss"
+            if obs is not None:
+                obs.cache_dequeued(self, pkg, now, outcome)
 
     # -- DRAM fill callback -------------------------------------------------------
 
     def dram_fill(self, now: int, line: int) -> None:
         """A line fetch completed: install, write back victim, drain waiters."""
         waiters = self.pending_misses.pop(line, [])
-        lifecycle = self.machine.lifecycle
-        if lifecycle is not None:
-            lifecycle.dram_filled(self, line, now, waiters)
+        obs = self.machine.obs
+        if obs is not None:
+            obs.dram_filled(self, line, now, waiters)
         dirty = any(w.is_write or w.kind == P.PSM for w in waiters)
         fill_addr = waiters[0].addr if waiters else line << self.array._line_shift
         victim = self.array.fill(fill_addr, dirty=dirty)

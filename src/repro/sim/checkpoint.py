@@ -96,10 +96,10 @@ def save_bytes(machine: Machine) -> bytes:
 
 def _detach_unpicklables(machine: Machine):
     sched = machine.scheduler
-    detached = (machine.trace, machine.obs, machine.activity_plugins,
+    detached = (machine.obs, machine.activity_plugins,
                 machine.filter_plugins, machine.filter_hook,
                 sched.check_hook, sched._heap, sched._cancelled,
-                machine.decoded, machine.lifecycle, machine.fabric)
+                machine.decoded, machine.fabric)
     # the fabric wiring map (port on_push hooks, link metadata) is
     # transient like traces and plug-ins: detach the hooks so no bound
     # methods ride the pickle; the restored machine rewires itself
@@ -109,12 +109,11 @@ def _detach_unpicklables(machine: Machine):
     # the decode cache holds per-op handler closures (unpicklable) and
     # is pure derived state: rebuilt from the program on restore
     machine.decoded = None
-    machine.trace = None
+    # every observation consumer (traces, open JSONL streams, ...) hangs
+    # off this one attribute.  Package ``rec`` stamps are plain tuples
+    # and pickle fine: the restored machine just stops appending to them
+    # until a recorder is subscribed again
     machine.obs = None
-    # the flight recorder may hold an open JSONL stream; package ``rec``
-    # stamps are plain tuples and pickle fine, the restored machine just
-    # stops appending to them until a recorder re-attaches
-    machine.lifecycle = None
     machine.activity_plugins = []
     machine.filter_plugins = []
     machine.filter_hook = None
@@ -132,10 +131,10 @@ def _detach_unpicklables(machine: Machine):
 
 def _reattach(machine: Machine, detached) -> None:
     sched = machine.scheduler
-    (machine.trace, machine.obs, machine.activity_plugins,
+    (machine.obs, machine.activity_plugins,
      machine.filter_plugins, machine.filter_hook,
      sched.check_hook, sched._heap, sched._cancelled,
-     machine.decoded, machine.lifecycle, machine.fabric) = detached
+     machine.decoded, machine.fabric) = detached
     if machine.fabric is not None:
         machine.fabric.hook()
 

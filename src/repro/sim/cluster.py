@@ -77,11 +77,6 @@ class Cluster:
         for tick in self._tcu_ticks:
             tick(cycle)
 
-    def send_occupancy(self) -> int:
-        """Requests queued in this cluster's ICN send port right now
-        (flight-recorder contention snapshots and telemetry read this)."""
-        return len(self.send_queue)
-
     def invalidate_caches(self) -> None:
         self.ro_cache.invalidate()
         for tcu in self.tcus:

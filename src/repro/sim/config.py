@@ -62,17 +62,13 @@ class XMTConfig:
     ro_cache_hit_latency: int = 2
 
     # -- interconnection network -------------------------------------------
-    #: "sync" = clocked mesh-of-trees; "async" = GALS/asynchronous
-    #: network (Section III-F, following [39]): continuous-time
-    #: traversal independent of any clock, lower per-package energy.
-    #: May also directly name a registered ICN backend (styles fold
-    #: into backends; see :mod:`repro.sim.fabric.registry`).
-    icn_style: str = "sync"
-    #: explicit ICN backend name; "" derives it from ``icn_style``
-    #: ("sync" -> "mot", "async" -> "mot-async").  Shipped alternates:
-    #: "crossbar" (single-stage, output-port serialized) and "ring"
-    #: (unidirectional, hop-distance latency).
-    icn_backend: str = ""
+    #: ICN backend name (see :mod:`repro.sim.fabric.registry`): "mot" =
+    #: clocked mesh-of-trees; "mot-async" = GALS/asynchronous network
+    #: (Section III-F, following [39]): continuous-time traversal
+    #: independent of any clock, lower per-package energy; "crossbar"
+    #: (single-stage, output-port serialized); "ring" (unidirectional,
+    #: hop-distance latency).
+    icn_backend: str = "mot"
     #: async ICN: handshake delay per tree stage (picoseconds)
     icn_async_hop_delay_ps: int = 1000
     #: async ICN: data-dependent handshake jitter (fraction of latency)
@@ -145,19 +141,6 @@ class XMTConfig:
         fan_in = max(1, math.ceil(math.log2(max(2, self.n_cache_modules))))
         return fan_out + fan_in
 
-    def resolved_icn_backend(self) -> str:
-        """The ICN backend name the machine will instantiate.
-
-        ``icn_backend`` wins when set; otherwise the legacy style
-        strings map to their backends ("sync" -> "mot", "async" ->
-        "mot-async"), and any other ``icn_style`` is taken as a backend
-        name directly (styles fold into backends).
-        """
-        if self.icn_backend:
-            return self.icn_backend
-        return {"sync": "mot", "async": "mot-async"}.get(
-            self.icn_style, self.icn_style)
-
     def validate(self) -> None:
         if self.n_clusters < 1 or self.tcus_per_cluster < 1:
             raise ValueError("need at least one cluster and one TCU")
@@ -180,12 +163,23 @@ class XMTConfig:
         # (deferred import: the component modules self-register)
         from repro.sim.fabric.registry import validate_backend
 
-        validate_backend("icn", self.resolved_icn_backend())
+        validate_backend("icn", self.icn_backend)
         validate_backend("dram", self.dram_backend)
         validate_backend("cache_layout", self.cache_layout)
 
     def scaled(self, **overrides) -> "XMTConfig":
-        """Return a copy with overridden fields (convenience for sweeps)."""
+        """Return a copy with overridden fields (convenience for sweeps).
+
+        Every dict-shaped config source -- configuration files, queue
+        overrides, recorded manifests -- lands here, so an unknown key
+        is a ``ValueError`` naming it, never a ``TypeError`` traceback.
+        """
+        unknown = sorted(set(overrides) - {f.name for f in fields(self)})
+        if unknown:
+            hint = ("; icn_style was removed: set icn_backend to 'mot' "
+                    "(was sync) or 'mot-async' (was async)"
+                    if "icn_style" in unknown else "")
+            raise ValueError(f"unknown configuration keys: {unknown}{hint}")
         return replace(self, **overrides)
 
 
@@ -259,10 +253,6 @@ def from_file(path: str, **overrides) -> XMTConfig:
     if not isinstance(data, dict):
         raise ValueError("configuration file must contain a JSON object")
     base_name = data.pop("base", None)
-    valid = {f.name for f in fields(XMTConfig)}
-    unknown = set(data) - valid
-    if unknown:
-        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     data.update(overrides)
     if base_name is not None:
         builder = {"fpga64": fpga64, "chip1024": chip1024, "tiny": tiny}.get(
@@ -270,7 +260,7 @@ def from_file(path: str, **overrides) -> XMTConfig:
         if builder is None:
             raise ValueError(f"unknown base configuration {base_name!r}")
         return builder(**data)
-    cfg = XMTConfig(**data)
+    cfg = XMTConfig().scaled(**data)
     cfg.validate()
     return cfg
 

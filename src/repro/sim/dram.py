@@ -76,12 +76,9 @@ class DRAMPort(Component):
             self._seq += 1
             ready = now + self.latency * self.domain.period
             heapq.heappush(self._in_flight, (ready, self._seq, module, line))
-            lifecycle = self.machine.lifecycle
-            if lifecycle is not None:
-                lifecycle.dram_accepted(self, module, line, now, ready)
         obs = self.machine.obs
         if obs is not None:
-            obs.dram_access(self, line, now, ready, writeback)
+            obs.dram_accepted(self, module, line, now, ready, writeback)
 
     def tick(self, cycle: int) -> None:
         now = self.machine.scheduler.now

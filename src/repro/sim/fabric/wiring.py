@@ -67,7 +67,7 @@ class Fabric:
         cfg = self.machine.config
         return {
             "backends": {
-                "icn": cfg.resolved_icn_backend(),
+                "icn": cfg.icn_backend,
                 "dram": cfg.dram_backend,
                 "cache_layout": cfg.cache_layout,
             },

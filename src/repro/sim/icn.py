@@ -25,7 +25,7 @@ name)``) behind the same :class:`~repro.sim.fabric.Component` surface:
 All four share the injection/drain engine of :class:`Interconnect` and
 differ only in the arrival-time law (``traversal_latency`` /
 ``_arrival``), which is exactly the seam the port/link abstraction
-promises: the flight-recorder stamps, fault hooks and telemetry gauges
+promises: the observation probes, fault hooks and telemetry gauges
 live in the shared engine and hold for every backend.
 """
 
@@ -72,15 +72,14 @@ class Interconnect(Component):
         now = machine.scheduler.now
         stats = machine.stats
         obs = machine.obs
-        lifecycle = machine.lifecycle
 
         # 1. deliver packages that finished the send traversal
         to_cache = self._to_cache
         while to_cache and to_cache[0][0] <= now:
             _, _, pkg = heapq.heappop(to_cache)
             in_queue = machine.cache_modules[pkg.module].in_queue
-            if lifecycle is not None:
-                lifecycle.cache_enqueued(pkg, now, len(in_queue))
+            if obs is not None:
+                obs.cache_enqueued(pkg, now, len(in_queue))
             # the port's on_push wake-up activates the module in the
             # cache bank; no backend names the bank directly
             in_queue.push(now, pkg)
@@ -105,10 +104,8 @@ class Interconnect(Component):
                 stats.inc("icn.send")
                 arrival = self._arrival(now, pkg, "send")
                 heapq.heappush(to_cache, (arrival, pkg.seq, pkg))
-                if lifecycle is not None:
-                    lifecycle.icn_injected(pkg, now, len(to_cache))
                 if obs is not None:
-                    obs.icn_sent(pkg, now, arrival)
+                    obs.icn_injected(pkg, now, arrival, len(to_cache))
 
         # 4. drain cache-module responses into the return network
         for module in machine.cache_modules:
@@ -121,12 +118,10 @@ class Interconnect(Component):
                 stats.inc("icn.return")
                 arrival = self._arrival(now, pkg, "return")
                 heapq.heappush(to_cluster, (arrival, pkg.seq, pkg))
-                if lifecycle is not None:
-                    lifecycle.icn_returned(pkg, now, len(to_cluster))
                 if obs is not None:
-                    obs.icn_returned(pkg, now, arrival)
+                    obs.icn_returned(pkg, now, arrival, len(to_cluster))
         if obs is not None:
-            obs.icn_occupancy(len(to_cache), len(to_cluster))
+            obs.icn_ticked(len(to_cache), len(to_cluster))
 
     def idle(self) -> bool:
         return not self._to_cache and not self._to_cluster

@@ -136,22 +136,17 @@ class Machine:
             self.global_regs[index] = value
         self.stats = Stats()
         self.output: List[str] = []
-        #: flight recorder (observability/lifecycle.py); None keeps the
-        #: per-hop stamp sites on their one-attribute-test fast path,
-        #: exactly like ``obs`` and ``filter_hook``.  Set by
-        #: ``FlightRecorder.attach`` (usually via ``Observability``).
-        self.lifecycle = None
-        #: observability facade (span tracing / metrics / profiler); None
-        #: keeps every instrumentation point on its no-op fast path.  A
-        #: plain text Trace rides the same hook stream as a renderer.
+        #: the one observation attach point: every consumer (traces,
+        #: events, metrics, profiler, flight recorder, accountant) is a
+        #: subscriber on it; None keeps every probe site on its
+        #: one-attribute-test fast path
         self.obs = observability
-        self.trace = trace
         if trace is not None:
             if self.obs is None:
                 from repro.sim.observability import Observability
 
                 self.obs = Observability()
-            self.obs.attach_trace(trace)
+            self.obs.subscribe(trace)
         if self.obs is not None:
             self.obs.attach(self)
         self.halted = False
@@ -183,7 +178,7 @@ class Machine:
         #: count of packages sitting in send ports / module out-queues;
         #: lets the ICN skip its tick entirely during quiet cycles
         self.icn_pending = 0
-        self.icn = create_backend("icn", cfg.resolved_icn_backend(), self)
+        self.icn = create_backend("icn", cfg.icn_backend, self)
         self.ps_unit = PrefixSumUnit(self)
         self.spawn_unit = SpawnUnit(self)
         self.send_ports = [c.send_queue for c in self.clusters] + [self.master.send_queue]
@@ -284,13 +279,6 @@ class Machine:
     def note_progress(self) -> None:
         self.last_progress = self.scheduler.now
 
-    def count_instruction(self, u) -> None:
-        # the keys are interned on the MicroOp at decode time; this is
-        # called once per issued instruction on every processor
-        stats = self.stats.counters
-        stats[u.stat_key] += 1
-        stats[u.class_key] += 1
-
     def emit_output(self, text: str) -> None:
         self.output.append(text)
 
@@ -300,19 +288,14 @@ class Machine:
 
     def deliver_response(self, now: int, pkg) -> None:
         """ICN return network hands a response to its destination."""
-        lifecycle = self.lifecycle
-        if lifecycle is not None:
-            lifecycle.replied(pkg, now)
         if pkg.tcu_id < 0:
             self.master.deliver(now, pkg)
-            if self.obs is not None:
-                self.obs.package_replied(pkg, now)
-            return
-        if pkg.kind == "ro_fill":
-            self.clusters[pkg.cluster_id].ro_cache.fill(pkg.addr)
-        self.tcus[pkg.tcu_id].deliver(now, pkg)
+        else:
+            if pkg.kind == "ro_fill":
+                self.clusters[pkg.cluster_id].ro_cache.fill(pkg.addr)
+            self.tcus[pkg.tcu_id].deliver(now, pkg)
         if self.obs is not None:
-            self.obs.package_replied(pkg, now)
+            self.obs.replied(pkg, now)
 
     def dram_request(self, module, line: int, addr: int) -> None:
         self.dram.request(module, line, writeback=False)

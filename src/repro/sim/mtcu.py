@@ -36,6 +36,7 @@ class MasterTCU(ProcessorBase):
         self.send_queue = Port(capacity=cfg.send_queue_capacity,
                                name="master.send", layer="cluster",
                                owner=self)
+        self.send_port = self.send_queue
         self.active = True
         self.halted = False
         self.domain = None  # set by the machine
@@ -48,17 +49,6 @@ class MasterTCU(ProcessorBase):
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return True  # the Master owns private MDU/FPU units (Fig. 1)
-
-    def _push_package(self, now: int, pkg: P.Package) -> bool:
-        queue = self.send_queue
-        if queue.push(now, pkg):
-            machine = self.machine
-            machine.icn_pending += 1
-            lifecycle = machine.lifecycle
-            if lifecycle is not None:
-                lifecycle.send_enqueued(pkg, now, len(queue))
-            return True
-        return False
 
     def describe_state(self) -> dict:
         d = super().describe_state()

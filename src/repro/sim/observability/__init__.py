@@ -1,6 +1,6 @@
 """End-to-end observability for the cycle-accurate simulator.
 
-Five cooperating pieces:
+The cooperating pieces:
 
 - :mod:`~repro.sim.observability.events` -- structured span tracing of
   the package life cycle and spawn regions, exportable as JSON Lines
@@ -29,9 +29,10 @@ Five cooperating pieces:
   from a running simulation (JSONL sinks, Unix-socket publisher) and
   the ``xmt-top`` / ``xmt-campaign report`` views over the streams.
 
-The first three attach to a live machine behind one ``machine.obs``
-facade (:class:`Observability`); the last two operate on the exported
-artifacts.
+Everything that watches a live machine is a consumer subscribed on the
+one ``machine.obs`` attach point (:class:`Observability`; the probe
+vocabulary is :data:`PROBES`); the ledger, compare, explain and
+aggregate layers operate on the exported artifacts.
 """
 
 from repro.sim.observability.compare import (
@@ -52,7 +53,7 @@ from repro.sim.observability.aggregate import (
     render_campaign_report,
     render_top,
 )
-from repro.sim.observability.core import Observability
+from repro.sim.observability.core import PROBES, Observability
 from repro.sim.observability.events import EventStream, SpanEvent
 from repro.sim.observability.explain import (
     AccountingDelta,
@@ -106,6 +107,7 @@ from repro.sim.observability.telemetry import (
 
 __all__ = [
     "Observability",
+    "PROBES",
     "EventStream",
     "SpanEvent",
     "Gauge",

@@ -1,220 +1,162 @@
-"""The :class:`Observability` facade wired into one machine.
+"""The one observation spine: probes fired by the machine, consumers
+subscribed on ``machine.obs``.
 
-One object bundles the three cooperating pieces -- span tracing
-(:class:`~repro.sim.observability.events.EventStream`), the metrics
-registry (:class:`~repro.sim.observability.metrics.MetricsRegistry`) and
-the cycle profiler
-(:class:`~repro.sim.observability.profiler.CycleProfiler`) -- behind the
-single ``machine.obs`` attribute the instrumentation points check.  Any
-piece may be ``None``; a machine with ``obs is None`` pays one attribute
-test per hook site and nothing else, which is what keeps the
-all-observability-off overhead within noise of the uninstrumented
-simulator.
+The cycle-accurate components fire a fixed vocabulary of *probes*
+(:data:`PROBES`) at their port boundaries and issue slots, each behind
+the single ``machine.obs is not None`` test -- a machine without an
+:class:`Observability` pays one attribute test per site and nothing
+else.  A *consumer* is any object that defines methods named after the
+probes it wants; :meth:`Observability.subscribe` binds every probe once
+to a no-op, to the lone subscriber's method, or to a fan-out over the
+subscribers, so the components never learn who is listening and a probe
+nobody subscribed to costs one empty call.
 
-Text :class:`~repro.sim.trace.Trace` objects register here as renderers:
-they receive the same hook stream the structured events are built from
-and translate it to the paper's Section III-E text records.
+The text :class:`~repro.sim.trace.Trace`, the structured
+:class:`~repro.sim.observability.events.EventStream`, the
+:class:`~repro.sim.observability.metrics.MetricsRegistry`, the
+:class:`~repro.sim.observability.profiler.CycleProfiler`, the
+:class:`~repro.sim.observability.lifecycle.FlightRecorder` and the
+:class:`~repro.sim.observability.lifecycle.CycleAccountant` are all
+consumers; each owns the formatting of its own schema.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import difflib
+import functools
 
-from repro.sim.observability.events import EventStream
-from repro.sim.observability.metrics import MetricsRegistry
-from repro.sim.observability.profiler import CycleProfiler
+#: probe name -> (arguments, firing site).  ``depth`` is the occupancy
+#: of the queue the package is about to enter; times are picoseconds.
+PROBES = {
+    "issued": ("proc, uop",
+               "tcu.py: an instruction took the processor's issue slot"),
+    "stalled": ("proc, cause",
+                "tcu.py: the issue slot was wasted; proc.core.pc is the "
+                "blocked instruction"),
+    "send_enqueued": ("pkg, now, depth",
+                      "tcu.py/mtcu.py: pushed into the cluster/master "
+                      "send port"),
+    "icn_injected": ("pkg, now, arrival, depth",
+                     "icn.py: left a send port for the send network"),
+    "cache_enqueued": ("pkg, now, depth",
+                       "icn.py: reached its cache module's input port"),
+    "cache_dequeued": ("module, pkg, now, outcome",
+                       "cache.py: the module accepted it "
+                       "(hit | miss | mshr)"),
+    "dram_accepted": ("port, module, line, now, ready, writeback",
+                      "dram.py: a DRAM port started the transaction"),
+    "dram_filled": ("module, line, now, waiters",
+                    "cache.py: the line fetch completed for its waiters"),
+    "response_enqueued": ("pkg, now, depth",
+                          "cache.py: the response entered the module's "
+                          "output port"),
+    "icn_returned": ("pkg, now, arrival, depth",
+                     "icn.py: drained into the return network"),
+    "icn_ticked": ("in_flight_send, in_flight_return",
+                   "icn.py: end of a non-quiet network tick"),
+    "replied": ("pkg, now",
+                "machine.py: the response was delivered to its processor"),
+    "spawn_began": ("region, now, n_threads",
+                    "spawn_unit.py: the master started a spawn"),
+    "spawn_ended": ("region, now",
+                    "machine.py: every TCU parked and the master resumes"),
+}
+
+_SIGNATURES = ", ".join(f"{name}({args})"
+                        for name, (args, _site) in PROBES.items())
+
+
+def _unheard(*args) -> None:
+    """Bound to a probe nobody subscribed to."""
+
+
+def _fan_out(methods):
+    def fire(*args):
+        for method in methods:
+            method(*args)
+    return fire
+
+
+@functools.lru_cache(maxsize=None)
+def _probes_heard(cls) -> tuple:
+    """The probes ``cls`` defines methods for (checked once per class).
+
+    A class that hears nothing, or whose method name is a near miss of
+    a probe name (a typo would otherwise listen to silence), is
+    rejected with the probe list.
+    """
+    for name in dir(cls):
+        if (name.startswith("_") or name in PROBES
+                or not callable(getattr(cls, name))):
+            continue
+        close = difflib.get_close_matches(name, PROBES, n=1, cutoff=0.8)
+        if close:
+            raise ValueError(
+                f"{cls.__name__}.{name} is not a probe (did you mean "
+                f"{close[0]!r}?); probes: {_SIGNATURES}")
+    heard = tuple(name for name in PROBES
+                  if callable(getattr(cls, name, None)))
+    if not heard:
+        raise ValueError(f"{cls.__name__} defines no probe method; "
+                         f"probes: {_SIGNATURES}")
+    return heard
 
 
 class Observability:
-    """Events + metrics + profiler attached to one Machine."""
+    """The subscriber list of one machine (``machine.obs``).
 
-    def __init__(self, events: Optional[EventStream] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 profiler: Optional[CycleProfiler] = None,
+    The five keywords subscribe the stock consumers and keep them
+    reachable by name (``obs.metrics`` ...); anything else -- a
+    :class:`~repro.sim.trace.Trace`, a user-written consumer -- goes
+    through :meth:`subscribe`.
+    """
+
+    def __init__(self, events=None, metrics=None, profiler=None,
                  accounting=None, lifecycle=None):
         self.events = events
         self.metrics = metrics
         self.profiler = profiler
-        #: :class:`~repro.sim.observability.lifecycle.CycleAccountant`
-        #: fed by the issue/stall hooks below
         self.accounting = accounting
-        #: :class:`~repro.sim.observability.lifecycle.FlightRecorder`;
-        #: ``attach`` publishes it as ``machine.lifecycle`` so component
-        #: hook sites pay one attribute test, same as ``machine.obs``
         self.lifecycle = lifecycle
-        self.traces: List = []  # text renderers (Trace instances)
-        #: the live :class:`~repro.sim.observability.telemetry.
-        #: TelemetrySampler`, when one is armed (set by its ``attach``)
-        self.telemetry = None
         self.machine = None
-        self._period = 1
-        #: spawn_index -> begin time of the in-flight region
-        self._spawn_begin = {}
+        self.consumers = []
+        self._bind()
+        for consumer in (lifecycle, accounting, profiler, metrics, events):
+            if consumer is not None:
+                self.subscribe(consumer)
+
+    def subscribe(self, consumer) -> None:
+        """Register ``consumer`` for every probe its class defines a
+        method for (``ValueError`` if that is none, or a near miss)."""
+        if consumer in self.consumers:
+            return
+        _probes_heard(type(consumer))
+        self.consumers.append(consumer)
+        self._bind()
+        if self.machine is not None:
+            self._attached(consumer)
+
+    def _bind(self) -> None:
+        for name in PROBES:
+            methods = [getattr(consumer, name) for consumer in self.consumers
+                       if name in _probes_heard(type(consumer))]
+            if not methods:
+                fire = _unheard
+            elif len(methods) == 1:
+                fire = methods[0]
+            else:
+                fire = _fan_out(methods)
+            setattr(self, name, fire)
 
     def attach(self, machine) -> None:
-        """Bind to a machine (called from ``Machine.__init__``)."""
+        """Bind to a machine (``Machine.__init__`` calls this; so does a
+        driver re-subscribing after a checkpoint restore).  Consumers
+        that define ``attached(machine)`` learn the machine here."""
         self.machine = machine
-        self._period = machine.config.cluster_period
-        if self.lifecycle is not None:
-            self.lifecycle.attach(machine)
-        if self.accounting is not None:
-            self.accounting.attach(machine)
+        for consumer in self.consumers:
+            self._attached(consumer)
 
-    def attach_trace(self, trace) -> None:
-        self.traces.append(trace)
-
-    # -- processor hooks -----------------------------------------------------
-
-    def instruction_issued(self, proc, ins) -> None:
-        """An instruction occupied a processor's issue slot this cycle."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_issue(ins.index)
-        accounting = self.accounting
-        if accounting is not None:
-            accounting.on_issue(proc)
-        for trace in self.traces:
-            trace.on_issue(proc, ins)
-        events = self.events
-        if events is not None and events.instructions:
-            track = ("master" if proc.tcu_id < 0
-                     else "tcu%04d" % proc.tcu_id)
-            events.instant(ins.op, "instr", proc.machine.scheduler.now,
-                           track, args={"index": ins.index,
-                                        "src_line": ins.src_line})
-
-    def processor_stalled(self, proc, cause: str) -> None:
-        """The issue slot was wasted; ``proc.core.pc`` is the blocked
-        instruction (the profiler charges the cycle to it)."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_stall(proc.core.pc, cause)
-        accounting = self.accounting
-        if accounting is not None:
-            accounting.on_stall(proc, cause)
-
-    # -- package life cycle (TCU issue -> ICN -> cache -> DRAM -> reply) -----
-
-    def icn_sent(self, pkg, now: int, arrival: int) -> None:
-        events = self.events
-        if events is not None:
-            events.complete(pkg.kind, "icn", now, arrival - now, "icn.send",
-                            args={"seq": pkg.seq, "tcu": pkg.tcu_id,
-                                  "module": pkg.module,
-                                  "addr": pkg.addr})
-
-    def icn_returned(self, pkg, now: int, arrival: int) -> None:
-        events = self.events
-        if events is not None:
-            events.complete(pkg.kind, "icn", now, arrival - now,
-                            "icn.return",
-                            args={"seq": pkg.seq, "tcu": pkg.tcu_id,
-                                  "module": pkg.module})
-
-    def icn_occupancy(self, in_flight_send: int, in_flight_return: int) -> None:
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.set_gauge("icn.in_flight_send", in_flight_send)
-            metrics.set_gauge("icn.in_flight_return", in_flight_return)
-
-    def cache_access(self, module, pkg, now: int, outcome: str) -> None:
-        """A cache module dequeued one request (hit | miss | mshr)."""
-        events = self.events
-        if events is not None:
-            dur = (module.hit_latency * module.domain.period
-                   if outcome == "hit" else 0)
-            events.complete(f"{pkg.kind}:{outcome}", "cache", now, dur,
-                            "cache%02d" % module.module_id,
-                            args={"seq": pkg.seq, "addr": pkg.addr,
-                                  "tcu": pkg.tcu_id})
-        metrics = self.metrics
-        if metrics is not None:
-            prefix = "cache.m%02d" % module.module_id
-            metrics.set_gauge(prefix + ".in_queue", len(module.in_queue))
-            metrics.set_gauge(prefix + ".out_queue", len(module.out_queue))
-
-    def dram_access(self, port, line: int, now: int, ready: int,
-                    writeback: bool) -> None:
-        events = self.events
-        if events is not None:
-            if writeback:
-                events.instant("writeback", "dram", now,
-                               "dram%d" % port.port_id,
-                               args={"line": line})
-            else:
-                events.complete("read", "dram", now, ready - now,
-                                "dram%d" % port.port_id,
-                                args={"line": line})
-        metrics = self.metrics
-        if metrics is not None:
-            prefix = "dram.p%d" % port.port_id
-            metrics.set_gauge(prefix + ".queued", len(port.queue))
-            metrics.set_gauge(prefix + ".in_flight", len(port._in_flight))
-
-    def package_replied(self, pkg, now: int) -> None:
-        """A response reached its TCU: close the memory-request span."""
-        metrics = self.metrics
-        if metrics is not None:
-            latency_cycles = (now - pkg.issue_time) // self._period
-            metrics.histogram("mem.latency.all").observe(latency_cycles)
-            if pkg.module >= 0:
-                metrics.histogram(
-                    "mem.latency.m%02d" % pkg.module).observe(latency_cycles)
-        for trace in self.traces:
-            trace.on_response(self.machine, pkg, now)
-        events = self.events
-        if events is not None:
-            track = ("master" if pkg.tcu_id < 0 else "tcu%04d" % pkg.tcu_id)
-            events.complete(pkg.kind + ".reply", "mem", pkg.issue_time,
-                            now - pkg.issue_time, track,
-                            args={"seq": pkg.seq, "addr": pkg.addr,
-                                  "module": pkg.module,
-                                  "latency_ps": now - pkg.issue_time})
-
-    # -- spawn regions -------------------------------------------------------
-
-    def spawn_began(self, region, now: int, n_threads: int) -> None:
-        self._spawn_begin[region.spawn_index] = now
-        events = self.events
-        if events is not None:
-            src_line = \
-                self.machine.program.instructions[region.spawn_index].src_line
-            events.begin(f"spawn@line{src_line or region.spawn_index}",
-                         "spawn", now, "spawn",
-                         args={"spawn_index": region.spawn_index,
-                               "threads": n_threads})
-
-    def spawn_ended(self, region, now: int) -> None:
-        began = self._spawn_begin.pop(region.spawn_index, None)
-        events = self.events
-        src_line = \
-            self.machine.program.instructions[region.spawn_index].src_line
-        if events is not None:
-            events.end(f"spawn@line{src_line or region.spawn_index}",
-                       "spawn", now, "spawn")
-        metrics = self.metrics
-        if metrics is not None and began is not None:
-            metrics.spawn_rollup(region.spawn_index, src_line,
-                                 (now - began) // self._period)
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def recent_events(self):
-        """Ring-buffered tail of the event stream (diagnostic dumps)."""
-        if self.events is None:
-            return []
-        return [event.to_dict() for event in self.events.recent]
-
-    def gauge_values(self):
-        if self.metrics is None:
-            return {}
-        return {name: gauge.value
-                for name, gauge in sorted(self.metrics.gauges.items())}
-
-    def last_telemetry(self):
-        """The most recent telemetry frame, or ``None`` (diagnostic
-        dumps embed it so post-mortems show progress at death)."""
-        telemetry = getattr(self, "telemetry", None)
-        if telemetry is None:
-            return None
-        return telemetry.last_frame
+    def _attached(self, consumer) -> None:
+        attached = getattr(consumer, "attached", None)
+        if attached is not None:
+            attached(self.machine)

@@ -3,10 +3,11 @@
 The paper's Section III-E traces are line-oriented text; this module is
 the structured event stream underneath them.  Instrumentation points in
 the machine (TCU issue slots, the ICN, cache modules, DRAM ports, the
-spawn unit) emit :class:`SpanEvent` records -- begin/end spans, complete
-spans with a known duration, and instants -- onto one
-:class:`EventStream`.  The text :class:`~repro.sim.trace.Trace` levels
-are renderers over the same hook stream; the stream itself exports as
+spawn unit) fire probes; an :class:`EventStream` subscribed on
+``machine.obs`` turns them into :class:`SpanEvent` records -- begin/end
+spans, complete spans with a known duration, and instants.  The text
+:class:`~repro.sim.trace.Trace` levels are renderers over the same
+probes; the stream itself exports as
 
 - **JSON Lines** (one event object per line), and
 - **Chrome trace-event format**, which loads directly in Perfetto or
@@ -66,6 +67,10 @@ class SpanEvent:
                 f"@{self.ts}ps on {self.track}>")
 
 
+def _processor_track(tcu_id: int) -> str:
+    return "master" if tcu_id < 0 else "tcu%04d" % tcu_id
+
+
 class EventStream:
     """Collects span events; keeps a bounded ring of the most recent.
 
@@ -92,6 +97,7 @@ class EventStream:
         #: disable for long runs where only the memory path matters)
         self.instructions = instructions
         self.emitted = 0
+        self._program = None  # set when attached to a machine
         self.flush_every = max(1, flush_every)
         self._stream_fh: Optional[IO[str]] = None
         self._stream_owned = False
@@ -152,6 +158,64 @@ class EventStream:
 
     def end(self, name: str, cat: str, ts: int, track: str) -> None:
         self.emit(SpanEvent(name, cat, PH_END, ts, track))
+
+    # -- probes (see repro.sim.observability.core.PROBES) --------------------
+
+    def attached(self, machine) -> None:
+        self._program = machine.program
+
+    def issued(self, proc, uop) -> None:
+        if self.instructions:
+            self.instant(uop.op, "instr", proc.machine.scheduler.now,
+                         _processor_track(proc.tcu_id),
+                         args={"index": uop.index, "src_line": uop.src_line})
+
+    def icn_injected(self, pkg, now: int, arrival: int, depth: int) -> None:
+        self.complete(pkg.kind, "icn", now, arrival - now, "icn.send",
+                      args={"seq": pkg.seq, "tcu": pkg.tcu_id,
+                            "module": pkg.module, "addr": pkg.addr})
+
+    def icn_returned(self, pkg, now: int, arrival: int, depth: int) -> None:
+        self.complete(pkg.kind, "icn", now, arrival - now, "icn.return",
+                      args={"seq": pkg.seq, "tcu": pkg.tcu_id,
+                            "module": pkg.module})
+
+    def cache_dequeued(self, module, pkg, now: int, outcome: str) -> None:
+        dur = (module.hit_latency * module.domain.period
+               if outcome == "hit" else 0)
+        self.complete(f"{pkg.kind}:{outcome}", "cache", now, dur,
+                      "cache%02d" % module.module_id,
+                      args={"seq": pkg.seq, "addr": pkg.addr,
+                            "tcu": pkg.tcu_id})
+
+    def dram_accepted(self, port, module, line: int, now: int, ready: int,
+                      writeback: bool) -> None:
+        track = "dram%d" % port.port_id
+        if writeback:
+            self.instant("writeback", "dram", now, track,
+                         args={"line": line})
+        else:
+            self.complete("read", "dram", now, ready - now, track,
+                          args={"line": line})
+
+    def replied(self, pkg, now: int) -> None:
+        self.complete(pkg.kind + ".reply", "mem", pkg.issue_time,
+                      now - pkg.issue_time, _processor_track(pkg.tcu_id),
+                      args={"seq": pkg.seq, "addr": pkg.addr,
+                            "module": pkg.module,
+                            "latency_ps": now - pkg.issue_time})
+
+    def _spawn_name(self, region) -> str:
+        src_line = self._program.instructions[region.spawn_index].src_line
+        return f"spawn@line{src_line or region.spawn_index}"
+
+    def spawn_began(self, region, now: int, n_threads: int) -> None:
+        self.begin(self._spawn_name(region), "spawn", now, "spawn",
+                   args={"spawn_index": region.spawn_index,
+                         "threads": n_threads})
+
+    def spawn_ended(self, region, now: int) -> None:
+        self.end(self._spawn_name(region), "spawn", now, "spawn")
 
     # -- exports -------------------------------------------------------------
 

@@ -14,10 +14,9 @@ reaches its TCU the record is decomposed into per-hop *queue-wait vs
 service vs transit* cycles that telescope exactly to the end-to-end
 latency.  Aggregates are bounded (per-hop histograms, per-module wait
 totals, a deterministic reservoir of complete lifecycles) and each
-completed lifecycle can be streamed to JSONL like traces.  The hook
-sites test one machine attribute (``machine.lifecycle is None``) so the
-recorder-off cost matches the rest of the observability stack: one
-attribute test and nothing else.
+completed lifecycle can be streamed to JSONL like traces.  The recorder
+is a consumer subscribed on ``machine.obs`` like every other: its
+methods below are named after the probes it hears.
 
 **Cycle accounting** (:class:`CycleAccountant`): attributes every
 processor cycle to a stall taxonomy --
@@ -117,7 +116,6 @@ class FlightRecorder:
             raise ValueError("sample_every must be >= 1")
         self.capacity = capacity
         self.sample_every = sample_every
-        self.machine = None
         self._period = 1
         self._stream = stream
         self._owns_stream = False
@@ -138,21 +136,13 @@ class FlightRecorder:
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, machine) -> None:
-        """Bind to a machine: sets ``machine.lifecycle``, the attribute
-        the component hook sites test.  In-flight tracking is reset (a
+    def attached(self, machine) -> None:
+        """Bound to a machine.  In-flight tracking is reset (a
         checkpoint-restored machine carries fresh package copies whose
         old records we can no longer chase); aggregates survive."""
-        self.machine = machine
         self._period = machine.config.cluster_period
         self._outstanding.clear()
         self._dram_inflight.clear()
-        machine.lifecycle = self
-
-    def detach(self) -> None:
-        if self.machine is not None:
-            self.machine.lifecycle = None
-            self.machine = None
 
     def stream_to(self, path: str) -> None:
         """Stream every sampled lifecycle to ``path`` as JSONL."""
@@ -166,8 +156,7 @@ class FlightRecorder:
                 self._stream.close()
                 self._stream = None
 
-    # -- component hook sites (hot; every call is behind a
-    # ``machine.lifecycle is not None`` test in the component) ---------------
+    # -- probes (hot; see repro.sim.observability.core.PROBES) ---------------
 
     def send_enqueued(self, pkg, now: int, depth: int) -> None:
         """The TCU/master pushed ``pkg`` into its ICN send port."""
@@ -178,7 +167,7 @@ class FlightRecorder:
             lst = self._outstanding[pkg.tcu_id] = []
         lst.append(rec)
 
-    def icn_injected(self, pkg, now: int, depth: int) -> None:
+    def icn_injected(self, pkg, now: int, arrival: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
             rec.append((ST_ICN_SEND, now, depth))
@@ -194,7 +183,9 @@ class FlightRecorder:
             rec.append((_OUTCOME_STAGE[outcome], now, len(module.in_queue)))
 
     def dram_accepted(self, port, module, line: int, now: int,
-                      ready: int) -> None:
+                      ready: int, writeback: bool) -> None:
+        if writeback:
+            return  # no package waits on a write-back
         # depth through the port interface (``queue_depth``), not a
         # concrete attribute: banked/alternate DRAM backends report
         # their aggregate here and the stamp stays meaningful
@@ -220,7 +211,7 @@ class FlightRecorder:
         if rec is not None:
             rec.append((ST_OUT_Q, now, depth))
 
-    def icn_returned(self, pkg, now: int, depth: int) -> None:
+    def icn_returned(self, pkg, now: int, arrival: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
             rec.append((ST_ICN_RET, now, depth))
@@ -350,10 +341,6 @@ class FlightRecorder:
             return "unknown"
         return _LAYER_OF.get(lst[0][-1][0], "unknown")
 
-    def outstanding_count(self, tcu_id: int) -> int:
-        lst = self._outstanding.get(tcu_id)
-        return len(lst) if lst else 0
-
     def interval_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-layer queue-wait p50/p95 since the last call (telemetry
         frames embed this; the buffers reset every interval)."""
@@ -449,28 +436,28 @@ _CAUSE_STATIC = {
 
 
 class CycleAccountant:
-    """One cell per ``(processor, spawn_region, category)``; fed by the
-    :class:`~repro.sim.observability.core.Observability` issue/stall
-    hooks, so it costs nothing when observability is off and one
-    ``None`` test when it is on without accounting."""
+    """One cell per ``(processor, spawn_region, category)``; a consumer
+    of the ``issued``/``stalled`` probes."""
 
     def __init__(self):
         #: (tcu_id, spawn_index, category) -> cycles; spawn_index -1 is
         #: the serial section / master
         self.cells: Dict[Tuple[int, int, str], int] = {}
-        self.machine = None
+        #: the flight recorder subscribed next to us, if any: it knows
+        #: which layer a stalled TCU's oldest request is in
+        self.recorder = None
 
-    def attach(self, machine) -> None:
-        self.machine = machine
+    def attached(self, machine) -> None:
+        self.recorder = machine.obs.lifecycle
 
-    def on_issue(self, proc) -> None:
+    def issued(self, proc, uop) -> None:
         region = proc.region
         key = (proc.tcu_id,
                -1 if region is None else region.spawn_index, CAT_RETIRING)
         cells = self.cells
         cells[key] = cells.get(key, 0) + 1
 
-    def on_stall(self, proc, cause: str) -> None:
+    def stalled(self, proc, cause: str) -> None:
         cat = _CAUSE_STATIC.get(cause)
         if cat is None:
             # memory-shaped waits: "memory" (scoreboard), "store_ack",
@@ -478,11 +465,9 @@ class CycleAccountant:
             if cause == "memory" and not proc.outstanding_loads:
                 cat = CAT_SCOREBOARD
             else:
-                machine = self.machine
-                lc = machine.lifecycle if machine is not None else None
-                layer = (lc.current_layer(proc.tcu_id)
-                         if lc is not None else "unknown")
-                cat = "mem." + layer
+                recorder = self.recorder
+                cat = "mem." + (recorder.current_layer(proc.tcu_id)
+                                if recorder is not None else "unknown")
         region = proc.region
         key = (proc.tcu_id,
                -1 if region is None else region.spawn_index, cat)

@@ -124,6 +124,10 @@ class MetricsRegistry:
         self.counters: Dict[str, int] = {}
         #: spawn_index -> {"src_line", "count", "cycles"}
         self.spawn_regions: Dict[int, Dict[str, int]] = {}
+        #: spawn_index -> begin time of the in-flight region
+        self._spawn_begin: Dict[int, int] = {}
+        self._program = None
+        self._period = 1
 
     # -- accessors (get-or-create) ------------------------------------------
 
@@ -142,19 +146,56 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value) -> None:
         self.gauge(name).set(value)
 
-    def inc(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+    # -- probes (see repro.sim.observability.core.PROBES) --------------------
 
-    def spawn_rollup(self, spawn_index: int, src_line: int,
-                     cycles: int) -> None:
-        row = self.spawn_regions.get(spawn_index)
+    def attached(self, machine) -> None:
+        self._program = machine.program
+        self._period = machine.config.cluster_period
+
+    def icn_ticked(self, in_flight_send: int, in_flight_return: int) -> None:
+        self.set_gauge("icn.in_flight_send", in_flight_send)
+        self.set_gauge("icn.in_flight_return", in_flight_return)
+
+    def cache_dequeued(self, module, pkg, now: int, outcome: str) -> None:
+        prefix = "cache.m%02d" % module.module_id
+        self.set_gauge(prefix + ".in_queue", len(module.in_queue))
+        self.set_gauge(prefix + ".out_queue", len(module.out_queue))
+
+    def dram_accepted(self, port, module, line: int, now: int, ready: int,
+                      writeback: bool) -> None:
+        prefix = "dram.p%d" % port.port_id
+        self.set_gauge(prefix + ".queued", len(port.queue))
+        self.set_gauge(prefix + ".in_flight", len(port._in_flight))
+
+    def replied(self, pkg, now: int) -> None:
+        latency_cycles = (now - pkg.issue_time) // self._period
+        self.histogram("mem.latency.all").observe(latency_cycles)
+        if pkg.module >= 0:
+            self.histogram(
+                "mem.latency.m%02d" % pkg.module).observe(latency_cycles)
+
+    def spawn_began(self, region, now: int, n_threads: int) -> None:
+        self._spawn_begin[region.spawn_index] = now
+
+    def spawn_ended(self, region, now: int) -> None:
+        index = region.spawn_index
+        began = self._spawn_begin.pop(index, None)
+        if began is None:
+            return
+        row = self.spawn_regions.get(index)
         if row is None:
-            row = self.spawn_regions[spawn_index] = {
-                "src_line": src_line, "count": 0, "cycles": 0}
+            row = self.spawn_regions[index] = {
+                "src_line": self._program.instructions[index].src_line,
+                "count": 0, "cycles": 0}
         row["count"] += 1
-        row["cycles"] += cycles
+        row["cycles"] += (now - began) // self._period
 
     # -- export --------------------------------------------------------------
+
+    def gauge_values(self) -> Dict[str, Any]:
+        """Current gauge levels by name (diagnostic dumps embed them)."""
+        return {name: gauge.value
+                for name, gauge in sorted(self.gauges.items())}
 
     def to_dict(self) -> Dict[str, Any]:
         regions: List[Dict[str, Any]] = []
@@ -185,9 +226,7 @@ def export_metrics(machine) -> Dict[str, Any]:
     with the registry's gauges/histograms/rollups and the scheduler's
     own bookkeeping; the ``schema`` field versions the layout.
     """
-    obs = machine.obs
-    registry = (obs.metrics if obs is not None and obs.metrics is not None
-                else MetricsRegistry())
+    registry = getattr(machine.obs, "metrics", None) or MetricsRegistry()
     payload = registry.to_dict()
     payload["schema"] = "xmtsim-metrics/1"
     payload["config"] = {

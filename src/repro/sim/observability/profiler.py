@@ -44,12 +44,13 @@ class CycleProfiler:
         #: stall cause -> cycles, machine-wide
         self.stall_causes: Dict[str, int] = {}
 
-    # -- hooks (hot paths) ---------------------------------------------------
+    # -- probes (hot paths; see repro.sim.observability.core.PROBES) ---------
 
-    def on_issue(self, index: int) -> None:
-        self.issues[index] += 1
+    def issued(self, proc, uop) -> None:
+        self.issues[uop.index] += 1
 
-    def on_stall(self, pc: int, cause: str) -> None:
+    def stalled(self, proc, cause: str) -> None:
+        pc = proc.core.pc
         if 0 <= pc < len(self.stalls):
             self.stalls[pc] += 1
         self.stall_causes[cause] = self.stall_causes.get(cause, 0) + 1

@@ -225,16 +225,24 @@ class TelemetrySampler(Actor):
         self._prev_wall = 0.0
         self._prev_gauges: Dict[str, int] = {}
         self._finished = False
+        #: spawn_index -> begin time of the in-flight region
+        self._spawn_begin: Dict[int, int] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Bind to a machine; registers on the obs facade when present
-        so diagnostic dumps can embed the last frame."""
+        """Bind to a machine.  When it carries an ``obs`` the sampler
+        subscribes for the spawn probes (frames then name the regions in
+        flight, and diagnostic dumps find the last frame there)."""
         self.machine = machine
-        obs = getattr(machine, "obs", None)
-        if obs is not None:
-            obs.telemetry = self
+        if machine.obs is not None:
+            machine.obs.subscribe(self)
+
+    def spawn_began(self, region, now: int, n_threads: int) -> None:
+        self._spawn_begin[region.spawn_index] = now
+
+    def spawn_ended(self, region, now: int) -> None:
+        self._spawn_begin.pop(region.spawn_index, None)
 
     def arm(self, scheduler=None) -> None:
         """Start sampling: emits one ``heartbeat`` frame immediately
@@ -322,19 +330,14 @@ class TelemetrySampler(Actor):
             elif remaining <= 0:
                 eta = 0.0
 
-        active_spawns = []
-        obs = getattr(machine, "obs", None)
-        if obs is not None:
-            for spawn_index, began in sorted(obs._spawn_begin.items()):
-                active_spawns.append({"spawn_index": spawn_index,
-                                      "since_cycle": began // period})
+        active_spawns = [
+            {"spawn_index": spawn_index, "since_cycle": began // period}
+            for spawn_index, began in sorted(self._spawn_begin.items())]
 
         # flight-recorder pile-ups: per-layer queue-wait p50/p95 over the
         # lifecycles that completed during this interval
-        hops = None
-        lifecycle = getattr(machine, "lifecycle", None)
-        if lifecycle is not None:
-            hops = lifecycle.interval_summary()
+        recorder = getattr(machine.obs, "lifecycle", None)
+        hops = recorder.interval_summary() if recorder is not None else None
 
         frame: Dict[str, Any] = {
             "schema": SCHEMA_TELEMETRY,

@@ -76,10 +76,6 @@ class Package:
     def is_write(self) -> bool:
         return self.kind in (STORE, STORE_NB)
 
-    @property
-    def wants_reply_value(self) -> bool:
-        return self.kind in (LOAD, PSM, PREFETCH, RO_FILL, PS, GETVT)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"<pkg {self.kind} tcu={self.tcu_id} addr=0x{self.addr:x} "
                 f"rd={self.rd} seq={self.seq}>")

@@ -77,34 +77,6 @@ class ActivityRecorder(ActivityPlugin):
         self.sample(machine, machine.scheduler.now)
 
 
-class MetricsSampler(ActivityPlugin):
-    """Samples the observability gauges over simulated time.
-
-    Queue-occupancy gauges (ICN in-flight counts, cache-module and
-    DRAM-port queues) are levels, not counters: differencing snapshots
-    cannot recover them.  This plug-in records ``(time, {gauge: value})``
-    rows alongside a counter :class:`~repro.sim.stats.IntervalSeries`,
-    turning the end-of-run high-water marks of ``--metrics-out`` into a
-    profile over simulated time.  Requires the machine to carry an
-    :class:`~repro.sim.observability.Observability` with a metrics
-    registry; without one only the counter series is recorded.
-    """
-
-    def __init__(self, interval_cycles: int = 10_000):
-        super().__init__(interval_cycles)
-        self.series = IntervalSeries()
-        self.gauge_series: List[Tuple[int, Dict[str, int]]] = []
-
-    def sample(self, machine, time: int) -> None:
-        self.series.record(time, machine.stats.snapshot())
-        obs = machine.obs
-        if obs is not None and obs.metrics is not None:
-            self.gauge_series.append((time, obs.gauge_values()))
-
-    def finish(self, machine) -> None:
-        self.sample(machine, machine.scheduler.now)
-
-
 class FrequencyController(ActivityPlugin):
     """Programmable DVFS: calls a policy on each sample.
 

@@ -186,11 +186,17 @@ def collect(machine, reason: str) -> DiagnosticDump:
         for key, value in port.occupancy().items():
             dram[key] = dram.get(key, 0) + value
 
+    # what the subscribed consumers can add to a post-mortem: the event
+    # ring, current gauge levels, and the last telemetry frame
     obs = machine.obs
-    recent_events = obs.recent_events() if obs is not None else []
-    gauges = obs.gauge_values() if obs is not None else {}
-    telemetry = getattr(obs, "telemetry", None) if obs is not None else None
-    last_telemetry = telemetry.last_frame if telemetry is not None else None
+    events = getattr(obs, "events", None)
+    recent_events = ([event.to_dict() for event in events.recent]
+                     if events is not None else [])
+    metrics = getattr(obs, "metrics", None)
+    gauges = metrics.gauge_values() if metrics is not None else {}
+    last_telemetry = None
+    for consumer in (obs.consumers if obs is not None else ()):
+        last_telemetry = getattr(consumer, "last_frame", last_telemetry)
 
     return DiagnosticDump(
         reason=reason,

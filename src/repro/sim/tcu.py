@@ -218,7 +218,7 @@ class ProcessorBase:
         self._counters[key] += 1
         obs = self.machine.obs
         if obs is not None:
-            obs.processor_stalled(self, cause)
+            obs.stalled(self, cause)
 
     def _sources_ready(self, u: MicroOp) -> bool:
         pending = self.pending_regs
@@ -267,10 +267,19 @@ class ProcessorBase:
         self.core.regs[reg] = new
         return old, new
 
-    # -- memory-path hooks (differ between TCU and Master) ------------------------
+    # -- memory path --------------------------------------------------------------
 
     def _push_package(self, now: int, pkg: P.Package) -> bool:
-        raise NotImplementedError
+        """Enqueue on ``self.send_port`` (the cluster's ICN send port
+        for a TCU, the Master's own); False when it is full."""
+        port = self.send_port
+        if port.push(now, pkg):
+            machine = self.machine
+            machine.icn_pending += 1
+            if machine.obs is not None:
+                machine.obs.send_enqueued(pkg, now, len(port))
+            return True
+        return False
 
     def _try_local_load(self, now: int, u: MicroOp, addr: int) -> bool:
         """Service a load locally (prefetch buffer / master cache).
@@ -307,7 +316,7 @@ class ProcessorBase:
         machine = self.machine
         machine.last_progress = self._sched.now
         if machine.obs is not None:
-            machine.obs.instruction_issued(self, u)
+            machine.obs.issued(self, u)
 
     # -- dispatch ------------------------------------------------------------------
     #
@@ -592,6 +601,7 @@ class TCU(ProcessorBase):
     def __init__(self, machine, cluster, tcu_id: int, local_id: int):
         super().__init__(machine, tcu_id)
         self.cluster = cluster
+        self.send_port = cluster.send_queue
         self.local_id = local_id
         self.park_state = TCU.PARKED
         self.region = None
@@ -633,7 +643,7 @@ class TCU(ProcessorBase):
             self._counters[self._k_fu] += 1
             machine = self.machine
             if machine.obs is not None:
-                machine.obs.processor_stalled(self, "fu")
+                machine.obs.stalled(self, "fu")
             return
         self._count_issue(u)
         regs = self.core.regs
@@ -654,7 +664,7 @@ class TCU(ProcessorBase):
             self._counters[self._k_fu] += 1
             machine = self.machine
             if machine.obs is not None:
-                machine.obs.processor_stalled(self, "fu")
+                machine.obs.stalled(self, "fu")
             return
         self._count_issue(u)
         try:
@@ -667,17 +677,6 @@ class TCU(ProcessorBase):
         self.deliver(now + latency * self.cluster.domain.period,
                      ("reg", rd, value))
         self.core.pc += 1
-
-    def _push_package(self, now: int, pkg: P.Package) -> bool:
-        queue = self.cluster.send_queue
-        if queue.push(now, pkg):
-            machine = self.machine
-            machine.icn_pending += 1
-            lifecycle = machine.lifecycle
-            if lifecycle is not None:
-                lifecycle.send_enqueued(pkg, now, len(queue))
-            return True
-        return False
 
     # -- region / virtual-thread life cycle -----------------------------------------
 
@@ -702,11 +701,6 @@ class TCU(ProcessorBase):
         if self._blocking_loads and pkg.kind in (P.LOAD, P.RO_FILL, P.PSM):
             # lightweight in-order core: stall until the reply returns
             self.wait_load = True
-
-    def end_region(self) -> None:
-        self.region = None
-        self.active = False
-        self.park_state = TCU.PARKED
 
     def describe_state(self) -> dict:
         d = super().describe_state()
@@ -867,17 +861,17 @@ class TCU(ProcessorBase):
         if self.wait_store_ack:
             self._counters[self._k_store_ack] += 1
             if machine.obs is not None:
-                machine.obs.processor_stalled(self, "store_ack")
+                machine.obs.stalled(self, "store_ack")
             return
         if self.wait_load:
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
-                machine.obs.processor_stalled(self, "memory")
+                machine.obs.stalled(self, "memory")
             return
         if self.stall_until > now:
             self._counters[self._k_latency] += 1
             if machine.obs is not None:
-                machine.obs.processor_stalled(self, "latency")
+                machine.obs.stalled(self, "latency")
             return
         if self._retry is not None:
             self._issue(now)
@@ -886,20 +880,11 @@ class TCU(ProcessorBase):
         if not self._region_start <= pc < self._region_join:
             self._check_escape(pc)
         u = machine.decoded.uops[pc]
-        pending = self.pending_regs
-        if pending:
-            wr = u.wr
-            if wr >= 0 and wr in pending:
-                self._counters[self._k_memory] += 1
-                if machine.obs is not None:
-                    machine.obs.processor_stalled(self, "memory")
-                return
-            for r in u.reads:
-                if r in pending:
-                    self._counters[self._k_memory] += 1
-                    if machine.obs is not None:
-                        machine.obs.processor_stalled(self, "memory")
-                    return
+        if self.pending_regs and not self._sources_ready(u):
+            self._counters[self._k_memory] += 1
+            if machine.obs is not None:
+                machine.obs.stalled(self, "memory")
+            return
         self._handlers[u.code](now, u)
 
     def _check_escape(self, pc: int) -> None:

@@ -7,11 +7,10 @@ cycle-accurate components through which the instruction and data
 packages travel.  Traces can be limited to specific instructions in the
 assembly input and/or to specific TCUs."
 
-A :class:`Trace` is a *text renderer* over the observability hook
-stream: the machine dispatches every instruction issue and package reply
-through its :class:`~repro.sim.observability.Observability` facade,
-which feeds registered traces (this module) alongside the structured
-:class:`~repro.sim.observability.EventStream` that backs the
+A :class:`Trace` is a *text renderer* subscribed on ``machine.obs``
+like every other consumer: it hears the ``issued`` and ``replied``
+probes that also feed the structured
+:class:`~repro.sim.observability.EventStream` behind the
 machine-readable ``--trace-out`` exports.  Both views see the same
 underlying events; this one formats them for humans.
 """
@@ -65,9 +64,9 @@ class Trace:
         if self.sink is not None:
             self.sink(text)
 
-    # -- hooks called by the machine -----------------------------------------
+    # -- probes (see repro.sim.observability.core.PROBES) --------------------
 
-    def on_issue(self, proc, ins) -> None:
+    def issued(self, proc, ins) -> None:
         # cycle-accurate processors issue MicroOps; render the original
         # Instruction carried on the micro-op
         ins = getattr(ins, "ins", ins)
@@ -78,7 +77,7 @@ class Trace:
         self._emit(f"{now:>12} {who} [{ins.index:5}] "
                    f"{format_instruction(ins)}")
 
-    def on_response(self, machine, pkg, now: int) -> None:
+    def replied(self, pkg, now: int) -> None:
         if self.level != LEVEL_CYCLE:
             return
         if not self._want(pkg.tcu_id, pkg.kind):

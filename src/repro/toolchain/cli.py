@@ -757,9 +757,8 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
                 obs_facade = sim.machine.obs
 
                 def _reattach(machine):
-                    if obs_facade is not None:
-                        machine.obs = obs_facade
-                        obs_facade.attach(machine)
+                    machine.obs = obs_facade
+                    obs_facade.attach(machine)
                     if telemetry is not None:
                         # checkpoints strip sampler events too: bind to
                         # the restored machine and restart the interval
@@ -932,7 +931,7 @@ def _compare_base_config(args, baseline_manifest=None):
     if args.config is not None:
         return _CONFIGS[args.config]()
     if baseline_manifest is not None:
-        cfg = XMTConfig(**baseline_manifest["config"])
+        cfg = XMTConfig().scaled(**baseline_manifest["config"])
         cfg.validate()
         return cfg
     return _CONFIGS["fpga64"]()

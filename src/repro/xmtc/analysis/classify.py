@@ -268,16 +268,10 @@ def affine_disjoint(a: Affine, b: Affine, var: Tuple = VAR_DOLLAR) -> bool:
 
 
 class BodyInfo:
-    """Classification results for one spawn body.
+    """Classification results for one spawn body."""
 
-    ``use_affine=False`` disables the affine index analysis and falls
-    back to the flag-only reasoning of the original detector; it exists
-    so regression tests can demonstrate the precision delta.
-    """
-
-    def __init__(self, spawn: IR.SpawnIR, use_affine: bool = True):
+    def __init__(self, spawn: IR.SpawnIR):
         self.spawn = spawn
-        self.use_affine = use_affine
         self.flags: Dict[int, int] = {}
         self.exact_dollar: Set[int] = set()
         self.affine: Dict[int, Optional[Affine]] = {}
@@ -301,10 +295,7 @@ class BodyInfo:
         return self.block_guards[bi]
 
     def affine_of(self, op: Optional[IR.Operand]) -> Optional[Affine]:
-        """Affine form of an operand, or None when not provably linear
-        (or when the affine analysis is disabled)."""
-        if not self.use_affine:
-            return None
+        """Affine form of an operand, or None when not provably linear."""
         if isinstance(op, IR.Const):
             value = op.value
             if value >= 0x80000000:
@@ -346,11 +337,10 @@ class BodyInfo:
                 self._defined.add(d.id)
         self._value_flags(body)
         self._dollar_copies(body)
-        if self.use_affine:
-            self.affine = affine_table(
-                body, {self.spawn.dollar.id: Affine.var(VAR_DOLLAR)},
-                # any temp live into the body is a broadcast master value
-                is_uniform_live_in=lambda tid: True)
+        self.affine = affine_table(
+            body, {self.spawn.dollar.id: Affine.var(VAR_DOLLAR)},
+            # any temp live into the body is a broadcast master value
+            is_uniform_live_in=lambda tid: True)
         self._guard_facts(body)
 
     def _value_flags(self, body: List[IR.IRInstr]):
@@ -493,7 +483,7 @@ class BodyInfo:
                              for f in facts]
 
 
-def classify_body(spawn: IR.SpawnIR, use_affine: bool = True) -> BodyInfo:
+def classify_body(spawn: IR.SpawnIR) -> BodyInfo:
     """Analyze one spawn body; results are positional over its
     ``spawn.body`` list."""
-    return BodyInfo(spawn, use_affine=use_affine)
+    return BodyInfo(spawn)

@@ -112,8 +112,8 @@ def _compose_call(info: BodyInfo, ins: IR.Call, callee, guards, pos: int
     return composed
 
 
-def _collect_accesses(info: BodyInfo, summaries: UnitSummaries,
-                      interprocedural: bool = True) -> List[_Access]:
+def _collect_accesses(info: BodyInfo,
+                      summaries: UnitSummaries) -> List[_Access]:
     accesses: List[_Access] = []
     body = info.spawn.body
     for pos, ins in enumerate(body):
@@ -143,11 +143,10 @@ def _collect_accesses(info: BodyInfo, summaries: UnitSummaries,
                                         coordinated=False, via_call=True,
                                         line=ins.line, pos=pos))
                 continue
-            if interprocedural and info.use_affine:
-                composed = _compose_call(info, ins, callee, guards, pos)
-                if composed is not None:
-                    accesses.extend(composed)
-                    continue
+            composed = _compose_call(info, ins, callee, guards, pos)
+            if composed is not None:
+                accesses.extend(composed)
+                continue
             reads = callee.reads_serial | callee.reads_parallel
             writes = callee.writes_serial | callee.writes_parallel
             for origin in sorted(writes):
@@ -213,30 +212,22 @@ def _pair_disjoint(a: _Access, b: _Access) -> bool:
 
 
 def check_races(unit: IR.IRUnit, summaries: UnitSummaries,
-                source_file: str = "<source>", *, use_affine: bool = True,
-                interprocedural: bool = True) -> List[Diagnostic]:
-    """``use_affine=False`` / ``interprocedural=False`` restore the
-    flag-only / worst-case-call behavior of the original detector; they
-    exist for precision regression tests."""
+                source_file: str = "<source>") -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     seen: Set[Tuple] = set()
     for func in unit.functions:
         for ins in IR.walk_instrs(func.body, include_spawn_bodies=False):
             if isinstance(ins, IR.SpawnIR):
                 diags.extend(_check_region(ins, func.name, summaries,
-                                           source_file, seen,
-                                           use_affine=use_affine,
-                                           interprocedural=interprocedural))
+                                           source_file, seen))
     return diags
 
 
 def _check_region(spawn: IR.SpawnIR, func_name: str,
                   summaries: UnitSummaries, source_file: str,
-                  seen: Set[Tuple], use_affine: bool = True,
-                  interprocedural: bool = True) -> List[Diagnostic]:
-    info = classify_body(spawn, use_affine=use_affine)
-    accesses = _collect_accesses(info, summaries,
-                                 interprocedural=interprocedural)
+                  seen: Set[Tuple]) -> List[Diagnostic]:
+    info = classify_body(spawn)
+    accesses = _collect_accesses(info, summaries)
     diags: List[Diagnostic] = []
     n = len(accesses)
     for i in range(n):

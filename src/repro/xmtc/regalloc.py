@@ -117,7 +117,10 @@ def _linear_scan(intervals: List[_Interval], caller_pool: List[int],
                  callee_pool: List[int], alloc: Allocation,
                  allow_spill: bool, func: IR.IRFunc,
                  region_desc: str) -> None:
-    intervals.sort(key=lambda iv: (iv.start, iv.end))
+    # total order: the intervals were collected by iterating sets of
+    # temps, whose order varies with PYTHONHASHSEED; ties on (start,
+    # end) must not decide who gets which register
+    intervals.sort(key=lambda iv: (iv.start, iv.end, iv.temp.id))
     active: List[_Interval] = []
     free_caller = list(caller_pool)
     free_callee = list(callee_pool)

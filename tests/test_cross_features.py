@@ -53,7 +53,7 @@ def check(res):
 class TestCombinations:
     def test_parallel_calls_on_async_icn(self):
         res = Simulator(make_program(),
-                        tiny(icn_style="async", icn_async_jitter=0.5)).run(
+                        tiny(icn_backend="mot-async", icn_async_jitter=0.5)).run(
             max_cycles=20_000_000)
         check(res)
 
@@ -75,7 +75,7 @@ class TestCombinations:
     def test_sampling_on_async_icn(self):
         sampler = PhaseSampler(warmup=2)
         sim = SampledSimulator(make_program(),
-                               tiny(icn_style="async"), sampler=sampler)
+                               tiny(icn_backend="mot-async"), sampler=sampler)
         res = sim.run(max_cycles=20_000_000)
         check(res)
 
@@ -96,7 +96,7 @@ class TestCombinations:
                                                   ro_cache=True))
         prog.write_global("A", list(range(32)))
         sampler = PhaseSampler(warmup=2, resample_every=3)
-        cfg = tiny(icn_style="async", icn_async_jitter=0.3,
+        cfg = tiny(icn_backend="mot-async", icn_async_jitter=0.3,
                    prefetch_policy="lru")
         res = SampledSimulator(prog, cfg, sampler=sampler).run(
             max_cycles=20_000_000)

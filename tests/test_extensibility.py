@@ -126,7 +126,7 @@ int main() {
         from repro.xmtc.compiler import compile_source
 
         src = "int A[32]; int main() { spawn(0,31){ A[$]=A[$]+1; } return 0; }"
-        cfg = tiny(icn_style="async", icn_async_jitter=0.7)
+        cfg = tiny(icn_backend="mot-async", icn_async_jitter=0.7)
         a = Simulator(compile_source(src), cfg).run(max_cycles=2_000_000)
         b = Simulator(compile_source(src), cfg).run(max_cycles=2_000_000)
         assert a.cycles == b.cycles

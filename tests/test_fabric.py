@@ -29,7 +29,8 @@ import pytest
 from conftest import run_xmtc_cycle
 from repro.sim import checkpoint as CP
 from repro.sim.cache import HashedLayout, InterleavedLayout
-from repro.sim.config import tiny
+from repro.sim.campaign.requests import RunRequest
+from repro.sim.config import from_file, tiny
 from repro.sim.dram import BankedDRAM, BankedDRAMPort, SimpleDRAM
 from repro.sim.fabric import (
     Port,
@@ -65,7 +66,7 @@ ALTERNATES = [
     pytest.param({"icn_backend": "ring"}, id="ring"),
     pytest.param({"dram_backend": "banked"}, id="banked-dram"),
     pytest.param({"cache_layout": "interleaved"}, id="interleaved"),
-    pytest.param({"icn_style": "async"}, id="async"),
+    pytest.param({"icn_backend": "mot-async"}, id="async"),
     pytest.param({"icn_backend": "ring", "dram_backend": "banked"},
                  id="ring+banked"),
 ]
@@ -113,26 +114,33 @@ class TestRegistry:
             tiny(dram_backend="hbm3")
         with pytest.raises(ValueError, match="hashed"):
             tiny(cache_layout="striped")
-        # legacy style strings resolve through the same registry
-        with pytest.raises(ValueError, match="mot-async"):
-            tiny(icn_style="quantum")
         with pytest.raises(ValueError, match="unknown icn backend"):
             validate_backend("icn", "warp")
 
-    def test_style_strings_fold_into_backends(self):
-        # icn_style is the historical knob; it maps onto the registry
-        # ("sync" -> mot, "async" -> mot-async) and icn_backend wins
-        # when both are set
-        assert tiny().resolved_icn_backend() == "mot"
-        assert tiny(icn_style="async").resolved_icn_backend() == "mot-async"
-        assert tiny(icn_style="async",
-                    icn_backend="ring").resolved_icn_backend() == "ring"
+    def test_removed_icn_style_names_icn_backend(self, tmp_path):
+        # one way to select a backend: every dict-shaped config source
+        # that still says icn_style gets a ValueError pointing at
+        # icn_backend, never a TypeError out of the dataclass
+        assert tiny().icn_backend == "mot"
+        with pytest.raises(ValueError, match="icn_backend"):
+            tiny(icn_style="async")
+        path = tmp_path / "cfg.json"
+        path.write_text('{"base": "tiny", "icn_style": "async"}')
+        with pytest.raises(ValueError, match="icn_backend"):
+            from_file(str(path))
+        path.write_text('{"icn_style": "sync"}')
+        with pytest.raises(ValueError, match="icn_backend"):
+            from_file(str(path))
+        request = RunRequest(program="p.c", config="tiny",
+                             overrides={"icn_style": "async"})
+        with pytest.raises(ValueError, match="icn_backend"):
+            request.resolve_config()
 
     def test_machine_builds_selected_backends(self):
         program = compile_source(MEMORY_SRC)
         picks = [
             (tiny(), Interconnect, SimpleDRAM, HashedLayout),
-            (tiny(icn_style="async"), AsyncInterconnect, SimpleDRAM,
+            (tiny(icn_backend="mot-async"), AsyncInterconnect, SimpleDRAM,
              HashedLayout),
             (tiny(icn_backend="crossbar"), CrossbarInterconnect,
              SimpleDRAM, HashedLayout),
@@ -317,7 +325,7 @@ class TestStringSweepAxes:
         assert "icn_backend=ring,tcus_per_cluster=4" in labels
         ring = [r for r in requests if "ring" in r.label][0]
         assert ring.overrides["icn_backend"] == "ring"
-        assert ring.resolve_config().resolved_icn_backend() == "ring"
+        assert ring.resolve_config().icn_backend == "ring"
 
     def test_sweep_cli_renders_backend_labels(self, tmp_path, capsys):
         from repro.toolchain.cli import xmt_compare_main

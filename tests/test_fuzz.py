@@ -17,12 +17,11 @@ from repro.xmtc.fuzz import generate, run_campaign, run_seed
 SMOKE_SEEDS = range(0, 24)
 
 
-def _race_diags(source, *, use_affine=True, interprocedural=True, **opts):
+def _race_diags(source, **opts):
     options = CompileOptions(keep_intermediates=True, **opts)
     unit = compile_to_asm(source, options).ir
     summaries = compute_summaries(unit)
-    return check_races(unit, summaries, "<test>", use_affine=use_affine,
-                       interprocedural=interprocedural)
+    return check_races(unit, summaries, "<test>")
 
 
 # ------------------------------------------------------------- generator
@@ -143,10 +142,8 @@ int main() {
 
 class TestAffineUpgrade:
     def test_affine_guard_was_fp_now_clean(self):
-        # the $+1 == 3 guard singles out one thread; the flag-only
-        # detector could not see through the affine comparison
-        legacy = _race_diags(AFFINE_GUARD_SRC, use_affine=False)
-        assert any(d.check == "race.write-write" for d in legacy)
+        # the $+1 == 3 guard singles out one thread; a flag-only
+        # detector cannot see through the affine comparison
         current = _race_diags(AFFINE_GUARD_SRC)
         assert current == []
 
@@ -154,14 +151,10 @@ class TestAffineUpgrade:
         # $ and $+1 both look "private" to the flag heuristic, but the
         # affine forms overlap (delta 1, stride 1) -- a soundness hole
         # the fuzzer exposed
-        legacy = _race_diags(OVERLAP_SRC, use_affine=False)
-        assert not any(d.check.startswith("race.") for d in legacy)
         current = _race_diags(OVERLAP_SRC)
         assert any(d.check == "race.write-write" for d in current)
 
     def test_stride_pair_clean_in_both(self):
-        assert not any(d.check.startswith("race.")
-                       for d in _race_diags(STRIDE_SRC, use_affine=False))
         assert not any(d.check.startswith("race.")
                        for d in _race_diags(STRIDE_SRC))
 
@@ -195,9 +188,6 @@ int main() {
 
 class TestInterproceduralUpgrade:
     def test_private_callee_index_was_fp_now_clean(self):
-        legacy = _race_diags(CALL_PRIVATE_SRC, interprocedural=False,
-                             parallel_calls=True)
-        assert any(d.check == "race.call-effect" for d in legacy)
         current = _race_diags(CALL_PRIVATE_SRC, parallel_calls=True)
         assert not any(d.check == "race.call-effect" for d in current)
 

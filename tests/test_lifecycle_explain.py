@@ -96,14 +96,14 @@ class TestZeroOverhead:
         assert machine.parallel_active, "checkpoint missed the spawn"
 
         restored = CP.load_bytes(payload)
-        assert restored.lifecycle is None  # stripped by _detach_unpicklables
+        assert restored.obs is None  # stripped by _detach_unpicklables
         restored_result = restored.run(max_cycles=2_000_000)
         assert restored_result.cycles == reference.cycles
 
         original_result = machine.run(max_cycles=2_000_000)
         assert original_result.cycles == reference.cycles
-        assert machine.lifecycle is not None  # still attached + counting
-        assert machine.lifecycle.completed > 0
+        assert machine.obs.lifecycle is not None  # still subscribed + counting
+        assert machine.obs.lifecycle.completed > 0
 
     def test_recorder_reattach_after_restore(self):
         """A fresh recorder attached to a restored machine (whose
@@ -118,7 +118,8 @@ class TestZeroOverhead:
         payload = CP.run_with_checkpoint(machine, checkpoint_cycle=120)
         restored = CP.load_bytes(payload)
         recorder = FlightRecorder()
-        recorder.attach(restored)
+        restored.obs = Observability(lifecycle=recorder)
+        restored.obs.attach(restored)
         result = restored.run(max_cycles=2_000_000)
         assert result.cycles == reference.cycles
         # requests issued after the restore complete through the hooks

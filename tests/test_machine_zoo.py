@@ -59,8 +59,8 @@ ZOO = {
     "deep_icn": dict(icn_latency=25),
     "shallow_icn": dict(icn_latency=1),
     "wide_icn": dict(icn_width_per_cluster=4, icn_return_width=4),
-    "async_icn": dict(icn_style="async"),
-    "async_icn_jittery": dict(icn_style="async", icn_async_jitter=0.8),
+    "async_icn": dict(icn_backend="mot-async"),
+    "async_icn_jittery": dict(icn_backend="mot-async", icn_async_jitter=0.8),
     "slow_dram": dict(dram_period=9000, dram_latency=80),
     "fast_dram": dict(dram_period=1000, dram_latency=1),
     "two_dram_ports": dict(n_dram_ports=2),

@@ -126,7 +126,7 @@ class TestTraceRenderer:
         program = compile_source(SRC)
         trace = Trace(**trace_kw)
         obs = Observability(events=EventStream())
-        obs.attach_trace(trace)
+        obs.subscribe(trace)
         Simulator(program, tiny(),
                   observability=obs).run(max_cycles=2_000_000)
         return trace, obs
@@ -211,7 +211,7 @@ class TestMetrics:
 
     def test_queue_gauges_cover_icn_cache_dram(self, full_run):
         _, _, obs, _ = full_run
-        gauges = obs.gauge_values()
+        gauges = obs.metrics.gauge_values()
         assert "icn.in_flight_send" in gauges
         assert "cache.m00.in_queue" in gauges
         assert "dram.p0.queued" in gauges

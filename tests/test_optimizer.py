@@ -5,9 +5,10 @@ import pytest
 
 from conftest import opts, run_xmtc_cycle
 from repro.xmtc import ir as IR
+from repro.xmtc.analysis.cfg import split_blocks
+from repro.xmtc.analysis.dataflow import liveness, spawn_live_ins
 from repro.xmtc.compiler import CompileOptions, compile_to_asm
 from repro.xmtc.optimizer import constant_folding, copy_propagation, cse, dead_code
-from repro.xmtc.optimizer.cfg import liveness, spawn_live_ins, split_blocks
 
 
 def make_func():
