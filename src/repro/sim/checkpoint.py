@@ -87,6 +87,10 @@ def clear_pause(machine: Machine) -> None:
 
 def save_bytes(machine: Machine) -> bytes:
     """Serialize a machine's complete state to bytes."""
+    # sleeping TCUs are credited their skipped stall cycles first, so
+    # the snapshot's counters are what an always-ticking machine would
+    # hold at this cycle (the tick lists and wake heaps ride the pickle)
+    machine.settle()
     detached = _detach_unpicklables(machine)
     try:
         return pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)

@@ -9,6 +9,8 @@ back-pressures its TCUs).
 
 from __future__ import annotations
 
+import heapq
+
 from repro.isa.instructions import FU_FPU, FU_MDU
 from repro.sim.cache import ReadOnlyCache
 from repro.sim.fabric import Port
@@ -29,7 +31,14 @@ class Cluster:
             TCU(machine, self, cluster_id * cfg.tcus_per_cluster + i, i)
             for i in range(cfg.tcus_per_cluster)
         ]
-        self._tcu_ticks = [tcu.tick for tcu in self.tcus]
+        #: the TCUs ticked on the next edge, in ``local_id`` order
+        #: (send-port back-pressure and MDU/FPU arbitration depend on
+        #: it); everyone else sleeps until a delivery or a new region
+        self.awake = []
+        #: booked wake-ups ``(delivery time, local_id)``; an entry for a
+        #: TCU that is awake by then is stale and ignored
+        self.wakes = []
+        self._sched = machine.scheduler
         self.domain = None  # set by the machine
         # shared-FU arbitration state
         self._fpu_pipelined = cfg.fpu_pipelined
@@ -68,14 +77,83 @@ class Cluster:
             return True
         raise AssertionError(f"unknown shared FU {fu}")
 
-    def tick(self, cycle: int) -> None:
-        # Fast path: clusters are completely quiescent during serial
-        # sections, so skip TCU iteration entirely (this mirrors the
-        # macro-actor efficiency argument of Section III-D).
-        if not self.machine.parallel_active:
-            return
-        for tick in self._tcu_ticks:
-            tick(cycle)
+    def tick(self, cycle: int, may_sleep: bool = True) -> None:
+        """One clock edge for the TCUs that have something to do.
+
+        A TCU whose tick says "nothing but this stall until a delivery
+        arrives" leaves the tick list; a delivery books its wake-up.
+        ``may_sleep`` is False while the ``stalled`` probe has a
+        listener: its answer can change cycle by cycle, so every TCU is
+        ticked on every edge and nobody leaves the list.
+        """
+        wakes = self.wakes
+        if not may_sleep:
+            if len(self.awake) < len(self.tcus):
+                self.wake_all(cycle)
+        elif wakes and wakes[0][0] <= self._sched.now:
+            self._wake_due(cycle)
+        awake = self.awake
+        slept = False
+        for tcu in awake:
+            key = tcu.tick(cycle)
+            if key is not None and may_sleep:
+                tcu.asleep_on = key
+                tcu.slept_at = cycle
+                if tcu.inbox:  # a future-dated delivery already waits
+                    heapq.heappush(wakes, (tcu.inbox[0][0], tcu.local_id))
+                slept = True
+        if slept:
+            self.awake = [tcu for tcu in awake if tcu.asleep_on is None]
+
+    def wake_at(self, time: int, local_id: int) -> None:
+        """Book a wake-up for a sleeping TCU (deliveries may be
+        future-dated: shared-FU results, ``getvt`` answers).  An entry
+        for a TCU that is awake by then is stale and ignored."""
+        heapq.heappush(self.wakes, (time, local_id))
+
+    def _credit(self, tcu, cycle: int) -> None:
+        """Credit a sleeper the stall cycles it skipped before domain
+        cycle ``cycle`` and re-base it.  Counted in *domain cycles*,
+        never picoseconds, so retiming and clock gating stay exact."""
+        skipped = cycle - tcu.slept_at - 1
+        if tcu.asleep_on and skipped > 0:
+            self._counters[tcu.asleep_on] += skipped
+            tcu.slept_at = cycle - 1
+
+    def _wake_due(self, cycle: int) -> None:
+        wakes = self.wakes
+        now = self._sched.now
+        tcus = self.tcus
+        while wakes and wakes[0][0] <= now:
+            tcu = tcus[heapq.heappop(wakes)[1]]
+            if tcu.asleep_on is not None:
+                self._credit(tcu, cycle)
+                tcu.asleep_on = None
+        self.awake = [tcu for tcu in tcus if tcu.asleep_on is None]
+
+    def settle(self, cycle: int) -> None:
+        """Make ``Stats`` read as if every skipped cycle had been
+        ticked; nobody wakes."""
+        for tcu in self.tcus:
+            self._credit(tcu, cycle)
+
+    def wake_all(self, cycle: int) -> None:
+        """Settle and wake every sleeper (a ``stalled`` listener showed
+        up mid-run and must see every stall cycle from this edge on)."""
+        self.settle(cycle)
+        for tcu in self.tcus:
+            tcu.asleep_on = None
+        self.wakes.clear()
+        self.awake = list(self.tcus)
+
+    def start_region(self, region, master_regs) -> None:
+        """Broadcast arrival: every TCU starts the region awake, with
+        an empty inbox and no wake-up booked."""
+        self.wakes.clear()
+        for tcu in self.tcus:
+            tcu.inbox.clear()
+            tcu.start_region(region, master_regs)
+        self.awake = list(self.tcus)
 
     def invalidate_caches(self) -> None:
         self.ro_cache.invalidate()

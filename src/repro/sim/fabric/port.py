@@ -102,6 +102,10 @@ class Component:
     def attach(self, machine) -> None:
         self.machine = machine
 
+    def hook_ports(self) -> None:
+        """(Re)attach ``on_push`` wake-ups to the ports this component
+        drains; called by :meth:`Fabric.hook`.  Default: it polls."""
+
     def tick(self, cycle: int) -> None:  # pragma: no cover - protocol default
         pass
 

@@ -53,9 +53,11 @@ class Fabric:
         """(Re)attach the ``on_push`` wake-ups: a package entering a
         cache module's input port activates the module in the cache
         bank's active set, without the producer (any ICN backend)
-        naming the bank."""
+        naming the bank; a package entering a send port or a module's
+        output port tells the network that drains it."""
         for module in self.machine.cache_modules:
             module.in_queue.on_push = module.wake
+        self.machine.icn.hook_ports()
 
     def unhook(self) -> None:
         for port in self.ports:

@@ -31,11 +31,60 @@ live in the shared engine and hold for every backend.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.sim import packages as P
 from repro.sim.fabric import Component, register_backend
+
+
+class _OccupiedPorts:
+    """The ports of one network side that hold a package.
+
+    The same rule as the cache bank's active set: a port's ``on_push``
+    hook lists it, the network's tick visits only listed ports -- in
+    port order, which the ``crossbar``/``ring`` arrival laws depend on
+    -- and forgets a port once it is drained.  The list is plain data
+    and rides checkpoints; the hooks are transient fabric wiring.
+    """
+
+    def __init__(self, ports):
+        self.ports = ports
+        self._listed = [False] * len(ports)
+        self._indices: List[int] = []
+
+    def hook(self) -> None:
+        for index, port in enumerate(self.ports):
+            port.on_push = functools.partial(self._note, index)
+
+    def _note(self, index: int) -> None:
+        if not self._listed[index]:
+            self._listed[index] = True
+            self._indices.append(index)
+
+    def __bool__(self) -> bool:
+        return bool(self._indices)
+
+    def drain(self, now: int, width: int) -> Iterator[P.Package]:
+        """Pop up to ``width`` ready packages from each occupied port."""
+        indices = self._indices
+        indices.sort()
+        ports = self.ports
+        listed = self._listed
+        still = []
+        for index in indices:
+            port = ports[index]
+            for _ in range(width):
+                pkg = port.pop_ready(now)
+                if pkg is None:
+                    break
+                yield pkg
+            if len(port):
+                still.append(index)
+            else:
+                listed[index] = False
+        indices[:] = still
 
 
 @register_backend("icn", "mot")
@@ -61,6 +110,14 @@ class Interconnect(Component):
         self.domain = None  # set by the machine
         self.packages_sent = 0
         self.packages_returned = 0
+        # the ports this network drains, and which of them hold a package
+        self._send_side = _OccupiedPorts(machine.send_ports)
+        self._return_side = _OccupiedPorts(
+            [module.out_queue for module in machine.cache_modules])
+
+    def hook_ports(self) -> None:
+        self._send_side.hook()
+        self._return_side.hook()
 
     # -- per-cycle behaviour -------------------------------------------------
 
@@ -93,11 +150,8 @@ class Interconnect(Component):
             machine.note_progress()
 
         # 3. inject new requests from the cluster (and master) send ports
-        for port in machine.send_ports:
-            for _ in range(self.width_per_cluster):
-                pkg = port.pop_ready(now)
-                if pkg is None:
-                    break
+        if self._send_side:
+            for pkg in self._send_side.drain(now, self.width_per_cluster):
                 machine.icn_pending -= 1
                 pkg.module = self._route(pkg.addr)
                 self.packages_sent += 1
@@ -108,11 +162,8 @@ class Interconnect(Component):
                     obs.icn_injected(pkg, now, arrival, len(to_cache))
 
         # 4. drain cache-module responses into the return network
-        for module in machine.cache_modules:
-            for _ in range(self.return_width):
-                pkg = module.out_queue.pop_ready(now)
-                if pkg is None:
-                    break
+        if self._return_side:
+            for pkg in self._return_side.drain(now, self.return_width):
                 machine.icn_pending -= 1
                 self.packages_returned += 1
                 stats.inc("icn.return")

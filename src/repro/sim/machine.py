@@ -71,6 +71,37 @@ class CacheBank:
         self._active = survivors
 
 
+class ClusterBank:
+    """Macro-actor over all clusters: the same rule as :class:`CacheBank`
+    one level up -- nothing is visited while it has nothing to do.
+
+    A serial section costs the clusters domain this one call per edge;
+    inside a spawn only clusters with an awake TCU or a booked wake-up
+    are ticked, in cluster order (``getvt``/``ps`` queue order, package
+    sequence numbers and inbox tie-breaks all follow it).
+    """
+
+    def __init__(self, machine, clusters):
+        self.machine = machine
+        self.clusters = clusters
+
+    def tick(self, cycle: int) -> None:
+        machine = self.machine
+        if not machine.parallel_active:
+            return
+        obs = machine.obs
+        if obs is not None and obs.has_listener("stalled"):
+            # the listener's answer can change cycle by cycle (the
+            # accountant asks the flight recorder which layer a request
+            # is in), so an observed machine ticks every TCU every edge
+            for cluster in self.clusters:
+                cluster.tick(cycle, may_sleep=False)
+            return
+        for cluster in self.clusters:
+            if cluster.awake or cluster.wakes:
+                cluster.tick(cycle)
+
+
 class _PluginActor(Actor):
     """Drives one activity plug-in at its sampling interval."""
 
@@ -89,6 +120,7 @@ class _PluginActor(Actor):
     def notify(self, scheduler, time, arg):
         if self.machine.halted:
             return
+        self.machine.settle()  # samplers read the activity counters
         self.plugin.sample(self.machine, time)
         interval = self.plugin.interval_cycles * self.machine.config.cluster_period
         scheduler.schedule(interval, self, PRIO_PLUGIN)
@@ -166,6 +198,7 @@ class Machine:
         # name from the registry (config strings pick implementations)
         self.master = MasterTCU(self)
         self.clusters = [Cluster(self, i) for i in range(cfg.n_clusters)]
+        self.cluster_bank = ClusterBank(self, self.clusters)
         self.tcus = [tcu for cluster in self.clusters for tcu in cluster.tcus]
         self.cache_modules = [CacheModule(self, i) for i in range(cfg.n_cache_modules)]
         self.cache_bank = CacheBank(self, self.cache_modules)
@@ -178,10 +211,10 @@ class Machine:
         #: count of packages sitting in send ports / module out-queues;
         #: lets the ICN skip its tick entirely during quiet cycles
         self.icn_pending = 0
+        self.send_ports = [c.send_queue for c in self.clusters] + [self.master.send_queue]
         self.icn = create_backend("icn", cfg.icn_backend, self)
         self.ps_unit = PrefixSumUnit(self)
         self.spawn_unit = SpawnUnit(self)
-        self.send_ports = [c.send_queue for c in self.clusters] + [self.master.send_queue]
         #: wiring map + transient port hooks (rebuilt on checkpoint load)
         self.fabric: Optional[Fabric] = None
         self._wire_fabric()
@@ -217,8 +250,8 @@ class Machine:
 
     def _build_domains(self) -> None:
         cfg = self.config
-        cluster_components = ([self.master] + self.clusters
-                              + [self.spawn_unit, self.ps_unit])
+        cluster_components = [self.master, self.cluster_bank,
+                              self.spawn_unit, self.ps_unit]
         groups = [
             ("clusters", cfg.cluster_period, PRIO_CLUSTERS, cluster_components),
             ("cache", cfg.cache_period, PRIO_CACHE, [self.cache_bank]),
@@ -244,8 +277,10 @@ class Machine:
                 domain.add(comp)
                 comp.domain = domain
             self.domains[name] = domain
-        # cache modules live behind the bank macro-actor but still need
-        # their domain for latency conversion
+        # clusters and cache modules live behind their bank macro-actors
+        # but still need their domain for latency conversion
+        for cluster in self.clusters:
+            cluster.domain = self.domains["clusters"]
         for module in self.cache_modules:
             module.domain = self.domains["cache"]
         self.dram.domain = self.domains["dram"]
@@ -309,9 +344,16 @@ class Machine:
         self.parallel_active = True
 
     def release_tcus(self, region, master_regs) -> None:
-        for tcu in self.tcus:
-            tcu.inbox.clear()
-            tcu.start_region(region, master_regs)
+        for cluster in self.clusters:
+            cluster.start_region(region, master_regs)
+
+    def settle(self) -> None:
+        """Credit every sleeping TCU the stall cycles it has skipped so
+        far.  They are credited lazily (on wake), so anything that reads
+        ``stats`` while the machine is mid-flight calls this first."""
+        cycle = self.domains["clusters"].cycle
+        for cluster in self.clusters:
+            cluster.settle(cycle)
 
     def finish_spawn(self, resume_time: int, region) -> None:
         """All TCUs parked: end parallel mode, resume the Master."""
@@ -402,6 +444,7 @@ class Machine:
 
     def _finalize(self) -> CycleResult:
         """End-of-run bookkeeping shared by `run` and `run_resilient`."""
+        self.settle()  # a timed-out run can end with TCUs still asleep
         for plugin in self.activity_plugins:
             finish = getattr(plugin, "finish", None)
             if finish is not None:

@@ -136,6 +136,13 @@ class Observability:
         if self.machine is not None:
             self._attached(consumer)
 
+    def has_listener(self, probe: str) -> bool:
+        """Whether any subscriber hears ``probe``.  The machine asks
+        this about ``stalled``: while somebody listens, every TCU is
+        ticked every cycle; otherwise a stalled TCU sleeps and its
+        cycles are credited to ``Stats`` in one go."""
+        return getattr(self, probe) is not _unheard
+
     def _bind(self) -> None:
         for name in PROBES:
             methods = [getattr(consumer, name) for consumer in self.consumers

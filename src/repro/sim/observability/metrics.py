@@ -235,6 +235,7 @@ def export_metrics(machine) -> Dict[str, Any]:
         "n_cache_modules": machine.config.n_cache_modules,
         "n_dram_ports": machine.config.n_dram_ports,
     }
+    machine.settle()  # a run that died mid-spawn has TCUs still asleep
     payload["stats"] = machine.stats.snapshot()
     payload["scheduler"] = machine.scheduler.metrics_snapshot()
     return payload

@@ -10,6 +10,7 @@ human-readable report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -44,6 +45,9 @@ class DiagnosticDump:
     event_histogram: Dict[str, int] = field(default_factory=dict)
     #: ``describe_state()`` of the master followed by every TCU
     processors: List[Dict[str, object]] = field(default_factory=list)
+    #: the ``*.stall.*`` counters, settled: cycles slept through by
+    #: TCUs that are not being ticked are included
+    stalls: Dict[str, int] = field(default_factory=dict)
     #: ICN occupancy: in-flight both directions + send-port backlog
     icn: Dict[str, int] = field(default_factory=dict)
     #: aggregate cache-module queue occupancy
@@ -102,8 +106,17 @@ class DiagnosticDump:
             states[str(proc.get("state"))] = \
                 states.get(str(proc.get("state")), 0) + 1
         if states:
+            # parked is a state of its own; the rest is either on its
+            # cluster's tick list or asleep on one stall
+            waits = [proc.get("asleep_on") for proc in self.processors
+                     if proc.get("kind") != "master"]
+            asleep = Counter(str(cause) for cause in waits
+                             if cause not in (None, "parked"))
             lines.append("tcus: " + ", ".join(
-                f"{n} {s}" for s, n in sorted(states.items())))
+                f"{n} {s}" for s, n in sorted(states.items()))
+                + f"; {waits.count(None)} awake" + "".join(
+                f", {n} asleep on {cause}"
+                for cause, n in sorted(asleep.items())))
         shown = 0
         for proc in self.processors:
             if proc.get("kind") == "master" or proc.get("state") == "parked":
@@ -113,6 +126,9 @@ class DiagnosticDump:
             if shown >= 16:
                 lines.append("  ... (further TCUs elided)")
                 break
+        if self.stalls:
+            lines.append("stall cycles: " + ", ".join(
+                f"{k}={v}" for k, v in sorted(self.stalls.items())))
         lines.append("icn: " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.icn.items())))
         lines.append("caches: " + ", ".join(
@@ -149,7 +165,7 @@ class DiagnosticDump:
         extras = [f"{key}={proc[key]}"
                   for key in ("state", "pc", "loads", "stores",
                               "pending_regs", "inbox", "wait_load",
-                              "wait_store_ack")
+                              "wait_store_ack", "asleep_on")
                   if key in proc]
         return f"{name}: " + " ".join(extras)
 
@@ -169,6 +185,7 @@ def collect(machine, reason: str) -> DiagnosticDump:
     """Snapshot a machine into a :class:`DiagnosticDump`."""
     scheduler = machine.scheduler
     period = machine.config.cluster_period
+    machine.settle()  # the dump's counters include cycles slept through
     processors = [machine.master.describe_state()]
     processors += [tcu.describe_state() for tcu in machine.tcus]
 
@@ -207,6 +224,8 @@ def collect(machine, reason: str) -> DiagnosticDump:
         pending_events=scheduler.pending,
         event_histogram=event_histogram(scheduler),
         processors=processors,
+        stalls={key: value for key, value in machine.stats.counters.items()
+                if ".stall." in key and value},
         icn=icn,
         caches=caches,
         dram=dram,

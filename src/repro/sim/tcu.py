@@ -113,6 +113,9 @@ class ProcessorBase:
     #: active spawn region (TCUs set an instance attribute; the Master
     #: always runs the serial section) -- cycle accounting reads this
     region = None
+    #: what a processor that is not being ticked waits on (TCUs set an
+    #: instance attribute; the Master is ticked every cycle)
+    asleep_on = None
 
     def __init__(self, machine, tcu_id: int):
         self.machine = machine
@@ -151,9 +154,14 @@ class ProcessorBase:
     # -- delivery -------------------------------------------------------------
 
     def deliver(self, time: int, item: object) -> None:
+        """The one way anything reaches a processor -- replies, shared-FU
+        results, ``getvt``/``ps`` answers, prefetch fills -- and so the
+        wake signal of a sleeping TCU."""
         machine = self.machine
         machine._inbox_seq += 1
         heapq.heappush(self.inbox, (time, machine._inbox_seq, item))
+        if self.asleep_on is not None:
+            self.cluster.wake_at(time, self.local_id)
 
     def _drain_inbox(self, now: int) -> None:
         inbox = self.inbox
@@ -205,9 +213,6 @@ class ProcessorBase:
         raise AssertionError("resume delivered to a TCU")
 
     # -- helpers used by dispatch ----------------------------------------------
-
-    def _stat(self, key: str, n: int = 1) -> None:
-        self.machine.stats.inc(f"{self.kind}.{key}", n)
 
     def _stall(self, cause: str) -> None:
         """Count a wasted issue slot; the profiler charges the cycle to
@@ -588,6 +593,10 @@ class ProcessorBase:
         raise self._trap(u, "halt is a Master-only instruction")
 
 
+#: what a parked TCU is "asleep on": no counter, nothing to credit
+PARKED_KEY = ""
+
+
 class TCU(ProcessorBase):
     """One Thread Control Unit inside a cluster."""
 
@@ -625,6 +634,18 @@ class TCU(ProcessorBase):
         #: memory-model flush point: prefetches issued before the last
         #: fence must not land in the buffer (Fig. 7's staleness hazard)
         self.last_fence_time = -1
+        self._k_pf_hit = "tcu.prefetch.hit"
+        self._k_pf_pending_hit = "tcu.prefetch.pending_hit"
+        self._k_pf_late_hit = "tcu.prefetch.late_hit"
+        #: None while the cluster ticks this TCU.  Else ``tick`` said
+        #: that every further tick could only repeat one stall until a
+        #: delivery arrives, and this is the key of that stall's
+        #: counter: the cluster credits the skipped cycles to it on wake
+        #: (:data:`PARKED_KEY` for a parked TCU: nothing to credit)
+        self.asleep_on: Optional[str] = PARKED_KEY
+        #: domain cycle of the last tick accounted for (the one it fell
+        #: asleep on, moved forward whenever the cluster settles it)
+        self.slept_at = 0
 
     def domain_period(self) -> int:
         return self.cluster.domain.period
@@ -690,6 +711,7 @@ class TCU(ProcessorBase):
         self.core.pc = region.start
         self.active = True
         self.park_state = TCU.RUNNING
+        self.asleep_on = None
         self.wait_load = False
         self.prefetch_buffer.clear()
         self._pf_pending.clear()
@@ -706,6 +728,9 @@ class TCU(ProcessorBase):
         d = super().describe_state()
         d["state"] = ("running", "draining", "parked")[self.park_state]
         d["wait_load"] = self.wait_load
+        key = self.asleep_on  # None | "parked" | the stall slept on
+        d["asleep_on"] = (None if key is None
+                          else key.rsplit(".", 1)[-1] or "parked")
         return d
 
     def _issue_getvt(self, now: int, u: MicroOp) -> None:
@@ -757,7 +782,7 @@ class TCU(ProcessorBase):
             self.pending_regs.discard(rd)
             self.outstanding_loads -= 1
             self.wait_load = False
-            self._stat("prefetch.late_hit")
+            self._counters[self._k_pf_late_hit] += 1
         if pkg.addr in self._pf_cancelled:
             # superseded by this TCU's own store while in flight
             self._pf_cancelled.discard(pkg.addr)
@@ -813,7 +838,7 @@ class TCU(ProcessorBase):
             if self._pf_lru:
                 buffer.move_to_end(addr)
             self.core.write(u.rd, buffer[addr])
-            self._stat("prefetch.hit")
+            self._counters[self._k_pf_hit] += 1
             return True
         if addr in self._pf_pending:
             # the prefetch is in flight: wait for it instead of sending
@@ -824,7 +849,7 @@ class TCU(ProcessorBase):
             self.outstanding_loads += 1
             if self._blocking_loads:
                 self.wait_load = True
-            self._stat("prefetch.pending_hit")
+            self._counters[self._k_pf_pending_hit] += 1
             return True
         return False
 
@@ -836,46 +861,50 @@ class TCU(ProcessorBase):
 
     # -- the clock edge --------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> Optional[str]:
         # The hottest loop in the simulator: fetch, scoreboard and
         # dispatch are inlined here (rather than going through _issue /
         # _check_fetch / _sources_ready) to keep one TCU-cycle at a
-        # handful of attribute lookups.
+        # handful of attribute lookups.  Returns the stall key the TCU
+        # may sleep on (see ``asleep_on``), else None.
         now = self._sched.now
-        if self.inbox:
-            self._drain_inbox(now)
+        inbox = self.inbox
+        while inbox and inbox[0][0] <= now:
+            self._process_delivery(heapq.heappop(inbox)[2])
         state = self.park_state
+        machine = self.machine
         if state != TCU.RUNNING:
             if state == TCU.PARKED:
-                return
+                return PARKED_KEY
             # DRAINING
             if (not self.outstanding_loads and not self.outstanding_stores
                     and not self.pending_regs):
                 self.park_state = TCU.PARKED
                 self.active = False
-                self.machine.spawn_unit.tcu_parked()
-            else:
-                self._stall("drain")
-            return
-        machine = self.machine
+                machine.spawn_unit.tcu_parked()
+                return PARKED_KEY
+            self._counters[self._k_drain] += 1
+            if machine.obs is not None:
+                machine.obs.stalled(self, "drain")
+            return self._k_drain
         if self.wait_store_ack:
             self._counters[self._k_store_ack] += 1
             if machine.obs is not None:
                 machine.obs.stalled(self, "store_ack")
-            return
+            return self._k_store_ack
         if self.wait_load:
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
                 machine.obs.stalled(self, "memory")
-            return
+            return self._k_memory
         if self.stall_until > now:
             self._counters[self._k_latency] += 1
             if machine.obs is not None:
                 machine.obs.stalled(self, "latency")
-            return
+            return None
         if self._retry is not None:
             self._issue(now)
-            return
+            return None
         pc = self.core.pc
         if not self._region_start <= pc < self._region_join:
             self._check_escape(pc)
@@ -884,8 +913,9 @@ class TCU(ProcessorBase):
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
                 machine.obs.stalled(self, "memory")
-            return
+            return self._k_memory
         self._handlers[u.code](now, u)
+        return None
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the
