@@ -19,7 +19,9 @@ time every :class:`~repro.isa.instructions.Instruction` is decoded
 
 A :class:`DecodedProgram` wraps the micro-op list and is shared
 read-only by every TCU of a machine -- one decode per program, not per
-core.  The original :class:`Instruction` stays reachable as
+core.  It also carries the program's *blocks* (:class:`BlockTable`):
+straight-line runs of private-ALU micro-ops that both pipelines may
+execute as one generated function, formed when first executed.  The original :class:`Instruction` stays reachable as
 ``MicroOp.ins`` so traces and the disassembler render the exact text the
 assembler accepted.
 
@@ -35,16 +37,24 @@ dispatch.
 
 from __future__ import annotations
 
+import functools
 import weakref
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa import instructions as I
+from repro.isa.registers import REG_ZERO
 from repro.isa.semantics import (
     BRANCH_CONDS,
+    BRANCH_SPECS,
     FLOAT_BINOPS,
     IMM_ALIASES,
+    INT_BINOP_SPECS,
     INT_BINOPS,
+    UNOP_SPECS,
     UNOPS,
+    define_function,
+    value_expr,
 )
 
 # -- the shared opcode space ---------------------------------------------------
@@ -318,6 +328,152 @@ def decode_instruction(ins: I.Instruction) -> MicroOp:
     return decoder(ins)
 
 
+# -- basic blocks --------------------------------------------------------------
+#
+# A *block* is a maximal straight-line run of micro-ops that each take
+# exactly one issue slot and touch nothing but the issuing core's own
+# registers: private-ALU value ops, ``li`` and ``nop``, optionally
+# closed by one branch or ``j``.  Both pipelines may execute a block as
+# a single generated function ``regs -> next_pc`` instead of one
+# dispatch per instruction.  Blocks are formed on demand -- the first
+# time a pipeline is about to execute a PC (:class:`BlockTable`) --
+# never by :func:`decode_program`, and the function is generated from
+# the spec strings of :mod:`repro.isa.semantics`, the same text the
+# one-instruction callables (``MicroOp.fn``) are built from.
+
+def _value_spec(u: MicroOp) -> Optional[str]:
+    """The spec string a private-ALU value op was built from; None for
+    an op that cannot join a block (a definition registered as a bare
+    callable has no text to fuse)."""
+    if u.code == OP_ALU or u.code == OP_ALU_IMM:
+        return INT_BINOP_SPECS.get(IMM_ALIASES.get(u.op, u.op))
+    if u.code == OP_UNARY:
+        return UNOP_SPECS.get(u.op)
+    return None
+
+
+def _fusable(u: MicroOp) -> bool:
+    return u.code in (OP_LI, OP_NOP) or _value_spec(u) is not None
+
+
+def block_source(uops: List[MicroOp], next_pc: int) -> str:
+    """Python source of ``_block(r) -> next_pc`` for a block's micro-ops
+    (``next_pc`` is the fall-through PC).  Registers live in locals
+    between the first read and one store per written register at the
+    end, so a spec that traps leaves the register file untouched."""
+    lines = ["def _block(r):"]
+    local = set()
+    written: Dict[int, None] = {}
+
+    def atom(reg: int) -> str:
+        if reg == REG_ZERO:
+            return "0"
+        if reg not in local:
+            local.add(reg)
+            lines.append(f" r{reg} = r[{reg}]")
+        return f"r{reg}"
+
+    result = f" return {next_pc}"
+    for u in uops:
+        code = u.code
+        if code == OP_NOP:
+            continue
+        if code == OP_JUMP:
+            result = f" return {u.target}"
+            continue
+        if code == OP_BRANCH:
+            cond = BRANCH_SPECS[u.op].format(
+                a=atom(u.rs), b=atom(u.rt) if u.rt >= 0 else "0")
+            result = f" return {u.target} if {cond} else {next_pc}"
+            continue
+        if code == OP_LI:
+            expr = str(u.imm & 0xFFFFFFFF)
+        elif code == OP_ALU:
+            expr = value_expr(_value_spec(u), atom(u.rs), atom(u.rt))
+        elif code == OP_ALU_IMM:
+            expr = value_expr(_value_spec(u), atom(u.rs), f"({u.imm})")
+        else:  # OP_UNARY
+            expr = value_expr(_value_spec(u), atom(u.rs))
+        if u.rd == REG_ZERO:
+            lines.append(f" {expr}")  # evaluated, like the handler; dropped
+        else:
+            lines.append(f" r{u.rd} = {expr}")
+            local.add(u.rd)
+            written[u.rd] = None
+    lines += [f" r[{reg}] = r{reg}" for reg in written]
+    lines.append(result)
+    return "\n".join(lines)
+
+
+#: generated source -> function, process-wide: a program compiled again
+#: (a fresh ``Program`` per run) produces the same text and reuses the
+#: code object.  Bounded, so a long-lived process that simulates many
+#: different programs does not keep every block it ever ran.
+@functools.lru_cache(maxsize=4096)
+def _compile_block(source: str) -> Callable[[List[int]], int]:
+    return define_function(source)
+
+
+class Block:
+    """One formed block: ``n`` micro-ops starting at ``pc``.
+
+    ``regs`` is every register the block reads or writes (what a
+    scoreboard must find clear before the block can run unattended);
+    ``tally``/``op_tally`` are its per-counter-key and per-mnemonic
+    instruction counts, credited in one go when the block executes.
+    """
+
+    __slots__ = ("pc", "n", "uops", "regs", "tally", "op_tally", "fn")
+
+    def __init__(self, uops: List[MicroOp], pc: int):
+        self.pc = pc
+        self.n = len(uops)
+        self.uops = uops
+        regs = set()
+        keys: Counter = Counter()
+        for u in uops:
+            regs.update(u.reads)
+            regs.add(u.wr)
+            keys[u.stat_key] += 1
+            keys[u.class_key] += 1
+        self.regs = frozenset(regs - {REG_ZERO, -1})
+        self.tally = tuple(keys.items())
+        self.op_tally = tuple(Counter(u.op for u in uops).items())
+        #: the generated function; compiled at the first whole execution
+        self.fn: Optional[Callable[[List[int]], int]] = None
+
+    def compile(self) -> Callable[[List[int]], int]:
+        fn = self.fn = _compile_block(
+            block_source(self.uops, self.pc + self.n))
+        return fn
+
+
+class BlockTable(dict):
+    """``pc -> Block`` (``False`` where no block starts), filled in on
+    demand: looking up a PC for the first time forms its block."""
+
+    __slots__ = ("uops", "branches")
+
+    def __init__(self, uops: List[MicroOp], branches: bool):
+        super().__init__()
+        self.uops = uops
+        #: whether a branch costs one issue slot (else it ends the run
+        #: before it instead of closing the block)
+        self.branches = branches
+
+    def __missing__(self, pc: int):
+        uops = self.uops
+        n = len(uops)
+        end = pc
+        while end < n and _fusable(uops[end]):
+            end += 1
+        if end < n and (uops[end].code == OP_JUMP or
+                        (uops[end].code == OP_BRANCH and self.branches)):
+            end += 1
+        block = self[pc] = Block(uops[pc:end], pc) if end - pc >= 2 else False
+        return block
+
+
 class DecodedProgram:
     """The micro-op view of one :class:`~repro.isa.program.Program`.
 
@@ -328,13 +484,22 @@ class DecodedProgram:
     program at hand anyway.
     """
 
-    __slots__ = ("uops", "_source", "_owner", "__weakref__")
+    __slots__ = ("uops", "_source", "_owner", "_blocks", "__weakref__")
 
     def __init__(self, program) -> None:
         self.uops: List[MicroOp] = [
             decode_instruction(ins) for ins in program.instructions]
         self._source = program.instructions
         self._owner = weakref.ref(program)
+        self._blocks: Dict[bool, BlockTable] = {}
+
+    def blocks(self, branches: bool = True) -> BlockTable:
+        """The (initially empty) block table of this program, shared
+        like ``uops``; ``branches`` as in :class:`BlockTable`."""
+        table = self._blocks.get(branches)
+        if table is None:
+            table = self._blocks[branches] = BlockTable(self.uops, branches)
+        return table
 
     def fresh_for(self, program) -> bool:
         """Is this decode still valid for ``program``'s current text?"""

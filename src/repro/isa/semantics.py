@@ -53,10 +53,6 @@ def bits_to_f32(bits: int) -> float:
     return struct.unpack("<f", struct.pack("<I", bits & MASK32))[0]
 
 
-def _sra(value: int, amount: int) -> int:
-    return to_unsigned(to_signed(value) >> (amount & 31))
-
-
 def _div_trunc(a: int, b: int) -> int:
     if b == 0:
         raise TrapError("integer division by zero")
@@ -72,28 +68,97 @@ def _rem_trunc(a: int, b: int) -> int:
     return a - _div_trunc(a, b) * b
 
 
-#: Binary integer ALU/MDU operations: raw-bits x raw-bits -> raw-bits.
-INT_BINOPS = {
-    "add": lambda a, b: to_unsigned(a + b),
-    "sub": lambda a, b: to_unsigned(a - b),
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "nor": lambda a, b: to_unsigned(~(a | b)),
-    "sll": lambda a, b: to_unsigned(a << (b & 31)),
-    "srl": lambda a, b: (a & MASK32) >> (b & 31),
-    "sra": _sra,
-    "slt": lambda a, b: int(to_signed(a) < to_signed(b)),
-    "sltu": lambda a, b: int((a & MASK32) < (b & MASK32)),
-    "seq": lambda a, b: int(a == b),
-    "sne": lambda a, b: int(a != b),
-    "sle": lambda a, b: int(to_signed(a) <= to_signed(b)),
-    "sgt": lambda a, b: int(to_signed(a) > to_signed(b)),
-    "sge": lambda a, b: int(to_signed(a) >= to_signed(b)),
-    "mul": lambda a, b: to_unsigned(to_signed(a) * to_signed(b)),
-    "div": lambda a, b: to_unsigned(_div_trunc(to_signed(a), to_signed(b))),
-    "rem": lambda a, b: to_unsigned(_rem_trunc(to_signed(a), to_signed(b))),
+# -- the operational definitions, as text --------------------------------------
+#
+# Each definition is one Python expression over the operand placeholders
+# ``{a}``/``{b}``.  The per-op callables below are built from these
+# strings, and so is the straight-line code a basic block is fused into
+# (:mod:`repro.isa.decode` substitutes register locals and immediates
+# for the placeholders), so the one-instruction path and the fused path
+# evaluate the same text and cannot diverge.  An operand is substituted
+# as an atom (a name, a literal, or a parenthesised literal); helpers a
+# spec calls must live in this module.
+
+def _signed(x: str) -> str:
+    """Expression text: the 32-bit pattern ``x`` as a signed integer."""
+    return f"((({x} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+
+
+_SA, _SB = _signed("{a}"), _signed("{b}")
+
+#: Binary integer ALU/MDU operations.  The value of an op is its spec
+#: truncated to 32 bits (:func:`_define` and the block generator both
+#: append the mask).
+INT_BINOP_SPECS = {
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "nor": "~({a} | {b})",
+    "sll": "{a} << ({b} & 31)",
+    "srl": "({a} & 0xFFFFFFFF) >> ({b} & 31)",
+    "sra": f"{_SA} >> ({{b}} & 31)",
+    "slt": f"{_SA} < {_SB}",
+    "sltu": "({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF)",
+    "seq": "{a} == {b}",
+    "sne": "{a} != {b}",
+    "sle": f"{_SA} <= {_SB}",
+    "sgt": f"{_SA} > {_SB}",
+    "sge": f"{_SA} >= {_SB}",
+    "mul": f"{_SA} * {_SB}",
+    "div": f"_div_trunc({_SA}, {_SB})",
+    "rem": f"_rem_trunc({_SA}, {_SB})",
 }
+
+#: Unary operations (integer and float), same convention.
+UNOP_SPECS = {
+    "neg": f"-{_SA}",
+    "not": "~{a}",
+    "fneg": "f32_to_bits(-bits_to_f32({a}))",
+    "itof": f"f32_to_bits(float({_SA}))",
+    "ftoi": "_ftoi({a})",
+}
+
+#: Branch-condition predicates on raw 32-bit patterns (one-operand
+#: branches are handed ``b = 0``).  Truth values: no truncation.
+BRANCH_SPECS = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blez": f"{_SA} <= 0",
+    "bgtz": f"{_SA} > 0",
+    "bltz": f"{_SA} < 0",
+    "bgez": f"{_SA} >= 0",
+}
+
+
+def value_expr(spec: str, a: str, b: str = "0") -> str:
+    """Expression text of a value op applied to operand atoms."""
+    return f"({spec.format(a=a, b=b)}) & 0xFFFFFFFF"
+
+
+# Code built from spec strings is compiled under this module's file
+# name: profilers and the benchmark's per-layer tracer then charge the
+# evaluation of an operational definition -- one op or a fused block --
+# to this module, where the definition lives.
+
+def _define(params: str, body: str):
+    return eval(compile(f"lambda {params}: {body}", __file__, "eval"),
+                globals())
+
+
+def define_function(source: str):
+    """Compile one ``def`` generated from spec expressions; the helpers
+    they call resolve in this module, as they do for the callables."""
+    namespace: dict = {}
+    exec(compile(source, __file__, "exec"), globals(), namespace)
+    (function,) = namespace.values()
+    return function
+
+
+#: Binary integer ALU/MDU operations: raw-bits x raw-bits -> raw-bits.
+INT_BINOPS = {op: _define("a, b", value_expr(spec, "a", "b"))
+              for op, spec in INT_BINOP_SPECS.items()}
 
 #: Immediate-form aliases map onto the same definitions.
 IMM_ALIASES = {
@@ -133,16 +198,6 @@ FLOAT_BINOPS = {
     "fle": lambda a, b: int(bits_to_f32(a) <= bits_to_f32(b)),
 }
 
-#: Unary operations (integer and float): raw-bits -> raw-bits.
-UNOPS = {
-    "neg": lambda a: to_unsigned(-to_signed(a)),
-    "not": lambda a: to_unsigned(~a),
-    "fneg": lambda a: f32_to_bits(-bits_to_f32(a)),
-    "itof": lambda a: f32_to_bits(float(to_signed(a))),
-    "ftoi": lambda a: _ftoi(a),
-}
-
-
 def _ftoi(bits: int) -> int:
     value = bits_to_f32(bits)
     if value != value:  # NaN
@@ -154,15 +209,13 @@ def _ftoi(bits: int) -> int:
     return to_unsigned(value)
 
 
+#: Unary operations (integer and float): raw-bits -> raw-bits.
+UNOPS = {op: _define("a", value_expr(spec, "a"))
+         for op, spec in UNOP_SPECS.items()}
+
 #: Branch-condition predicates on raw 32-bit patterns.
-BRANCH_CONDS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blez": lambda a, b: to_signed(a) <= 0,
-    "bgtz": lambda a, b: to_signed(a) > 0,
-    "bltz": lambda a, b: to_signed(a) < 0,
-    "bgez": lambda a, b: to_signed(a) >= 0,
-}
+BRANCH_CONDS = {op: _define("a, b", spec.format(a="a", b="b"))
+                for op, spec in BRANCH_SPECS.items()}
 
 
 def eval_binop(op: str, a: int, b: int) -> int:
@@ -184,18 +237,36 @@ def register_binop(op: str, fn, float_unit: bool = False) -> None:
     (2) register the mnemonic with
     :func:`repro.isa.assembler.register_instruction`.  Both simulation
     modes pick the definition up automatically.
+
+    ``fn`` is either a spec string in the convention of
+    :data:`INT_BINOP_SPECS` (an expression over ``{a}``/``{b}``, its
+    value truncated to 32 bits) or a bare callable on raw bit patterns.
+    Only an integer op with a spec string can be fused into a basic
+    block; a callable -- and every float op -- runs one instruction at
+    a time and ends the block it sits in.
     """
-    table = FLOAT_BINOPS if float_unit else INT_BINOPS
-    if op in INT_BINOPS or op in FLOAT_BINOPS or op in UNOPS:
-        raise ValueError(f"opcode {op!r} already defined")
-    table[op] = fn
+    _check_undefined(op)
+    if isinstance(fn, str):
+        if not float_unit:
+            INT_BINOP_SPECS[op] = fn
+        fn = _define("a, b", value_expr(fn, "a", "b"))
+    (FLOAT_BINOPS if float_unit else INT_BINOPS)[op] = fn
 
 
 def register_unop(op: str, fn) -> None:
-    """Extension hook: define a new unary instruction's semantics."""
+    """Extension hook: define a new unary instruction's semantics
+    (a spec string over ``{a}`` or a callable; see
+    :func:`register_binop`)."""
+    _check_undefined(op)
+    if isinstance(fn, str):
+        UNOP_SPECS[op] = fn
+        fn = _define("a", value_expr(fn, "a"))
+    UNOPS[op] = fn
+
+
+def _check_undefined(op: str) -> None:
     if op in INT_BINOPS or op in FLOAT_BINOPS or op in UNOPS:
         raise ValueError(f"opcode {op!r} already defined")
-    UNOPS[op] = fn
 
 
 def check_word_addr(addr: int) -> int:

@@ -29,7 +29,6 @@ import heapq
 import pickle
 from typing import Optional
 
-from repro.isa.decode import decode_program
 from repro.sim.engine import Actor, PRIO_PLUGIN
 from repro.sim.functional import SimulationError
 from repro.sim.machine import Machine
@@ -87,9 +86,11 @@ def clear_pause(machine: Machine) -> None:
 
 def save_bytes(machine: Machine) -> bytes:
     """Serialize a machine's complete state to bytes."""
-    # sleeping TCUs are credited their skipped stall cycles first, so
-    # the snapshot's counters are what an always-ticking machine would
-    # hold at this cycle (the tick lists and wake heaps ride the pickle)
+    # TCUs that are not being ticked are credited what they skipped
+    # first (stall cycles; the instructions of a run so far), so the
+    # snapshot's counters and registers are what an always-ticking
+    # machine would hold at this cycle (the tick lists, wake heaps and
+    # resume lists ride the pickle)
     machine.settle()
     detached = _detach_unpicklables(machine)
     try:
@@ -103,7 +104,7 @@ def _detach_unpicklables(machine: Machine):
     detached = (machine.obs, machine.activity_plugins,
                 machine.filter_plugins, machine.filter_hook,
                 sched.check_hook, sched._heap, sched._cancelled,
-                machine.decoded, machine.fabric)
+                machine.decoded, machine.blocks, machine.fabric)
     # the fabric wiring map (port on_push hooks, link metadata) is
     # transient like traces and plug-ins: detach the hooks so no bound
     # methods ride the pickle; the restored machine rewires itself
@@ -112,7 +113,7 @@ def _detach_unpicklables(machine: Machine):
     machine.fabric = None
     # the decode cache holds per-op handler closures (unpicklable) and
     # is pure derived state: rebuilt from the program on restore
-    machine.decoded = None
+    machine.decoded = machine.blocks = None
     # every observation consumer (traces, open JSONL streams, ...) hangs
     # off this one attribute.  Package ``rec`` stamps are plain tuples
     # and pickle fine: the restored machine just stops appending to them
@@ -138,7 +139,7 @@ def _reattach(machine: Machine, detached) -> None:
     (machine.obs, machine.activity_plugins,
      machine.filter_plugins, machine.filter_hook,
      sched.check_hook, sched._heap, sched._cancelled,
-     machine.decoded, machine.fabric) = detached
+     machine.decoded, machine.blocks, machine.fabric) = detached
     if machine.fabric is not None:
         machine.fabric.hook()
 
@@ -152,7 +153,7 @@ def load_bytes(payload: bytes) -> Machine:
     machine.scheduler.stopped = False
     machine.pause_reason = None
     # derived state: re-decode the program (never part of the pickle)
-    machine.decoded = decode_program(machine.program)
+    machine._bind_decode()
     # re-wire the fabric: ports were detached like other transient state
     machine._wire_fabric()
     return machine

@@ -14,7 +14,7 @@ import heapq
 from repro.isa.instructions import FU_FPU, FU_MDU
 from repro.sim.cache import ReadOnlyCache
 from repro.sim.fabric import Port
-from repro.sim.tcu import TCU
+from repro.sim.tcu import RUN_KEY, TCU
 
 
 class Cluster:
@@ -38,6 +38,11 @@ class Cluster:
         #: booked wake-ups ``(delivery time, local_id)``; an entry for a
         #: TCU that is awake by then is stale and ignored
         self.wakes = []
+        #: ``(domain cycle, local_id)`` of the next real tick of every
+        #: TCU inside a run -- cycles, not picoseconds, so a run spans
+        #: retiming and gating exactly; an entry whose TCU was woken
+        #: earlier (``run_end`` no longer matches) is stale and ignored
+        self.resumes = []
         self._sched = machine.scheduler
         self.domain = None  # set by the machine
         # shared-FU arbitration state
@@ -81,17 +86,25 @@ class Cluster:
         """One clock edge for the TCUs that have something to do.
 
         A TCU whose tick says "nothing but this stall until a delivery
-        arrives" leaves the tick list; a delivery books its wake-up.
-        ``may_sleep`` is False while the ``stalled`` probe has a
-        listener: its answer can change cycle by cycle, so every TCU is
-        ticked on every edge and nobody leaves the list.
+        arrives" leaves the tick list; a delivery books its wake-up.  So
+        does a TCU whose tick says "nothing but this block's issue
+        slots" (a *run*), until the cycle after the block or a delivery,
+        whichever is first.  ``may_sleep`` is False while the
+        ``stalled`` probe has a listener: its answer can change cycle by
+        cycle, so every TCU is ticked on every edge and nobody leaves
+        the list.
         """
         wakes = self.wakes
+        resumes = self.resumes
         if not may_sleep:
             if len(self.awake) < len(self.tcus):
                 self.wake_all(cycle)
-        elif wakes and wakes[0][0] <= self._sched.now:
-            self._wake_due(cycle)
+        else:
+            if resumes and not self.machine.runs_ok:
+                self._end_runs(cycle)
+            if (wakes and wakes[0][0] <= self._sched.now
+                    or resumes and resumes[0][0] <= cycle):
+                self._wake_due(cycle)
         awake = self.awake
         slept = False
         for tcu in awake:
@@ -99,6 +112,8 @@ class Cluster:
             if key is not None and may_sleep:
                 tcu.asleep_on = key
                 tcu.slept_at = cycle
+                if key == RUN_KEY:
+                    heapq.heappush(resumes, (tcu.run_end, tcu.local_id))
                 if tcu.inbox:  # a future-dated delivery already waits
                     heapq.heappush(wakes, (tcu.inbox[0][0], tcu.local_id))
                 slept = True
@@ -112,16 +127,22 @@ class Cluster:
         heapq.heappush(self.wakes, (time, local_id))
 
     def _credit(self, tcu, cycle: int) -> None:
-        """Credit a sleeper the stall cycles it skipped before domain
-        cycle ``cycle`` and re-base it.  Counted in *domain cycles*,
-        never picoseconds, so retiming and clock gating stay exact."""
+        """Credit a sleeper what it skipped before domain cycle
+        ``cycle`` -- stall cycles, or the issue slots of a run -- and
+        re-base it.  Counted in *domain cycles*, never picoseconds, so
+        retiming and clock gating stay exact."""
+        key = tcu.asleep_on
+        if key == RUN_KEY:
+            tcu.settle_run(cycle)
+            return
         skipped = cycle - tcu.slept_at - 1
-        if tcu.asleep_on and skipped > 0:
-            self._counters[tcu.asleep_on] += skipped
+        if key and skipped > 0:
+            self._counters[key] += skipped
             tcu.slept_at = cycle - 1
 
     def _wake_due(self, cycle: int) -> None:
         wakes = self.wakes
+        resumes = self.resumes
         now = self._sched.now
         tcus = self.tcus
         while wakes and wakes[0][0] <= now:
@@ -129,11 +150,28 @@ class Cluster:
             if tcu.asleep_on is not None:
                 self._credit(tcu, cycle)
                 tcu.asleep_on = None
+        while resumes and resumes[0][0] <= cycle:
+            end, local_id = heapq.heappop(resumes)
+            tcu = tcus[local_id]
+            if tcu.asleep_on == RUN_KEY and tcu.run_end == end:
+                tcu.settle_run(cycle)
+                tcu.asleep_on = None
         self.awake = [tcu for tcu in tcus if tcu.asleep_on is None]
 
+    def _end_runs(self, cycle: int) -> None:
+        """Runs are off (an ``issued`` listener showed up and must hear
+        every instruction from this edge on): settle and wake every TCU
+        inside one."""
+        for tcu in self.tcus:
+            if tcu.asleep_on == RUN_KEY:
+                tcu.settle_run(cycle)
+                tcu.asleep_on = None
+        self.resumes.clear()
+        self.awake = [tcu for tcu in self.tcus if tcu.asleep_on is None]
+
     def settle(self, cycle: int) -> None:
-        """Make ``Stats`` read as if every skipped cycle had been
-        ticked; nobody wakes."""
+        """Make ``Stats`` and the register files read as if every
+        skipped cycle had been ticked; nobody wakes."""
         for tcu in self.tcus:
             self._credit(tcu, cycle)
 
@@ -144,12 +182,14 @@ class Cluster:
         for tcu in self.tcus:
             tcu.asleep_on = None
         self.wakes.clear()
+        self.resumes.clear()
         self.awake = list(self.tcus)
 
     def start_region(self, region, master_regs) -> None:
         """Broadcast arrival: every TCU starts the region awake, with
         an empty inbox and no wake-up booked."""
         self.wakes.clear()
+        self.resumes.clear()
         for tcu in self.tcus:
             tcu.inbox.clear()
             tcu.start_region(region, master_regs)

@@ -398,17 +398,43 @@ class FunctionalSimulator:
         return SimulationError(
             f"trap at text index {u.index} (asm line {u.line}, {u.op}): {message}")
 
+    def _run_block(self, core: CoreState, block) -> bool:
+        """Execute a whole block (:mod:`repro.isa.decode`) in one call.
+        False -- the caller steps one instruction instead -- when the
+        instruction budget has no room for all of it, so the budget
+        trips on the same instruction either way."""
+        executed = self.instructions_executed + block.n
+        if (self.max_instructions is not None
+                and executed > self.max_instructions):
+            return False
+        try:
+            core.pc = (block.fn or block.compile())(core.regs)
+        except TrapError:
+            return False  # registers untouched: stepping names the op
+        self.instructions_executed = executed
+        counts = self.instruction_counts
+        for op, count in block.op_tally:
+            counts[op] = counts.get(op, 0) + count
+        return True
+
     def _exec_serial(self, core: CoreState) -> None:
         """Serial execution on the Master until halt; spawns serialize."""
         program = self.program
         uops = self.decoded.uops
         n = len(uops)
         handlers = HANDLERS
+        # blocks hold no memory op (nothing for the sanitizer to see),
+        # but a per-instruction callback must see every instruction
+        blocks = self.decoded.blocks() if self.on_instruction is None else None
         self._current_core = core
         while not self._halted:
             pc = core.pc
             if not 0 <= pc < n:
                 raise SimulationError(f"PC out of range: {pc}")
+            if blocks is not None:
+                block = blocks[pc]
+                if block and self._run_block(core, block):
+                    continue
             u = uops[pc]
             self._bump(u)
             code = u.code
@@ -453,6 +479,7 @@ class FunctionalSimulator:
         parallel_calls = self.program.parallel_calls
         region_start = region.start
         region_join = region.join_index
+        blocks = self.decoded.blocks() if self.on_instruction is None else None
         self._current_core = tcu
         sanitizer = self.sanitizer
         if sanitizer is not None:
@@ -474,6 +501,10 @@ class FunctionalSimulator:
                         "Fig. 9)")
                 if not 0 <= pc < n:
                     raise SimulationError(f"TCU PC out of range: {pc}")
+            if blocks is not None:
+                block = blocks[pc]
+                if block and self._run_block(tcu, block):
+                    continue
             u = uops[pc]
             self._bump(u)
             code = u.code

@@ -76,8 +76,8 @@ class ClusterBank:
     one level up -- nothing is visited while it has nothing to do.
 
     A serial section costs the clusters domain this one call per edge;
-    inside a spawn only clusters with an awake TCU or a booked wake-up
-    are ticked, in cluster order (``getvt``/``ps`` queue order, package
+    inside a spawn only clusters with an awake TCU, a booked wake-up or
+    a run to resume are ticked, in cluster order (``getvt``/``ps`` queue order, package
     sequence numbers and inbox tie-breaks all follow it).
     """
 
@@ -90,7 +90,13 @@ class ClusterBank:
         if not machine.parallel_active:
             return
         obs = machine.obs
-        if obs is not None and obs.has_listener("stalled"):
+        may_sleep = obs is None or not obs.has_listener("stalled")
+        # a run is issued unattended, so nobody may be listening to
+        # ``issued`` either
+        machine.runs_ok = (may_sleep and machine.blocks is not None
+                           and (obs is None
+                                or not obs.has_listener("issued")))
+        if not may_sleep:
             # the listener's answer can change cycle by cycle (the
             # accountant asks the flight recorder which layer a request
             # is in), so an observed machine ticks every TCU every edge
@@ -98,7 +104,7 @@ class ClusterBank:
                 cluster.tick(cycle, may_sleep=False)
             return
         for cluster in self.clusters:
-            if cluster.awake or cluster.wakes:
+            if cluster.awake or cluster.wakes or cluster.resumes:
                 cluster.tick(cycle)
 
 
@@ -153,13 +159,13 @@ class Machine:
     def __init__(self, program: Program, config: Optional[XMTConfig] = None,
                  plugins=(), trace=None, observability=None):
         self.program = program
-        #: the shared decode of the program: one MicroOp per instruction,
-        #: read-only across the Master and all TCUs (decoded once here,
-        #: stripped from checkpoints and rebuilt on restore)
-        self.decoded = decode_program(program)
         self.config = config or fpga64()
         self.config.validate()
         cfg = self.config
+        self._bind_decode()
+        #: whether TCUs may take runs on this edge (set per edge by the
+        #: :class:`ClusterBank`)
+        self.runs_ok = False
 
         self.scheduler = Scheduler()
         self.memory = Memory(program.data_image)
@@ -239,6 +245,18 @@ class Machine:
         self._watchdog = Watchdog(self)
 
     # -- construction ------------------------------------------------------------
+
+    def _bind_decode(self) -> None:
+        """(Re)derive the shared decode of the program.  Stripped from
+        checkpoints like the fabric, and rebuilt on restore."""
+        #: one MicroOp per instruction, read-only across the Master and
+        #: all TCUs
+        self.decoded = decode_program(self.program)
+        cfg = self.config
+        #: the block table TCUs take runs from; None when an ALU op
+        #: costs more than one issue slot (then nothing is a block)
+        self.blocks = (self.decoded.blocks(cfg.branch_latency == 1)
+                       if cfg.alu_latency == 1 else None)
 
     def _wire_fabric(self) -> None:
         """(Re)build the wiring map and the transient port hooks.
@@ -348,9 +366,11 @@ class Machine:
             cluster.start_region(region, master_regs)
 
     def settle(self) -> None:
-        """Credit every sleeping TCU the stall cycles it has skipped so
-        far.  They are credited lazily (on wake), so anything that reads
-        ``stats`` while the machine is mid-flight calls this first."""
+        """Credit every TCU that is not being ticked what it has skipped
+        so far: stall cycles to a sleeper, executed instructions to a
+        TCU inside a run.  Both are credited lazily (on wake), so
+        anything that reads ``stats`` or a register file while the
+        machine is mid-flight calls this first."""
         cycle = self.domains["clusters"].cycle
         for cluster in self.clusters:
             cluster.settle(cycle)

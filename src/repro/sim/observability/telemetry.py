@@ -299,6 +299,7 @@ class TelemetrySampler(Actor):
 
     def build_frame(self, kind: str = "frame") -> Dict[str, Any]:
         machine = self.machine
+        machine.settle()  # count the instructions of runs in flight
         scheduler = machine.scheduler
         period = machine.config.cluster_period
         cycle = scheduler.now // period

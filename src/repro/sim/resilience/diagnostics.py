@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional
 
 from repro.sim import engine as E
@@ -51,9 +52,10 @@ class DiagnosticDump:
     #: ICN occupancy: in-flight both directions + send-port backlog
     icn: Dict[str, int] = field(default_factory=dict)
     #: aggregate cache-module queue occupancy
-    caches: Dict[str, int] = field(default_factory=dict)
-    #: aggregate DRAM port occupancy
-    dram: Dict[str, int] = field(default_factory=dict)
+    caches: Dict[str, object] = field(default_factory=dict)
+    #: aggregate DRAM port occupancy (a banked backend adds ``banks``,
+    #: the per-bank queue depths summed over the ports)
+    dram: Dict[str, object] = field(default_factory=dict)
     #: tail of the observability event stream (when tracing was on)
     recent_events: List[Dict[str, object]] = field(default_factory=list)
     #: current observability gauge values (when metrics were on)
@@ -107,7 +109,7 @@ class DiagnosticDump:
                 states.get(str(proc.get("state")), 0) + 1
         if states:
             # parked is a state of its own; the rest is either on its
-            # cluster's tick list or asleep on one stall
+            # cluster's tick list, asleep on one stall, or inside a run
             waits = [proc.get("asleep_on") for proc in self.processors
                      if proc.get("kind") != "master"]
             asleep = Counter(str(cause) for cause in waits
@@ -165,7 +167,8 @@ class DiagnosticDump:
         extras = [f"{key}={proc[key]}"
                   for key in ("state", "pc", "loads", "stores",
                               "pending_regs", "inbox", "wait_load",
-                              "wait_store_ack", "asleep_on")
+                              "wait_store_ack", "asleep_on", "run_pc",
+                              "run_left")
                   if key in proc]
         return f"{name}: " + " ".join(extras)
 
@@ -181,6 +184,18 @@ def event_histogram(scheduler) -> Dict[str, int]:
     return hist
 
 
+def _add_occupancy(total: Dict[str, object], occupancy: dict) -> None:
+    """Fold one component's occupancy snapshot into an aggregate: counts
+    add, per-slot lists (a banked DRAM port's ``banks``) add slot by
+    slot."""
+    for key, value in occupancy.items():
+        if isinstance(value, list):
+            total[key] = [a + b for a, b in zip_longest(
+                total.get(key, ()), value, fillvalue=0)]
+        else:
+            total[key] = total.get(key, 0) + value
+
+
 def collect(machine, reason: str) -> DiagnosticDump:
     """Snapshot a machine into a :class:`DiagnosticDump`."""
     scheduler = machine.scheduler
@@ -193,15 +208,13 @@ def collect(machine, reason: str) -> DiagnosticDump:
     icn["send_ports"] = sum(len(port) for port in machine.send_ports)
     icn["icn_pending"] = machine.icn_pending
 
-    caches: Dict[str, int] = {}
+    caches: Dict[str, object] = {}
     for module in machine.cache_modules:
-        for key, value in module.occupancy().items():
-            caches[key] = caches.get(key, 0) + value
+        _add_occupancy(caches, module.occupancy())
 
-    dram: Dict[str, int] = {}
+    dram: Dict[str, object] = {}
     for port in machine.dram_ports:
-        for key, value in port.occupancy().items():
-            dram[key] = dram.get(key, 0) + value
+        _add_occupancy(dram, port.occupancy())
 
     # what the subscribed consumers can add to a post-mortem: the event
     # ring, current gauge levels, and the last telemetry frame

@@ -65,6 +65,7 @@ class Watchdog(Actor):
         machine = self.machine
         if machine.halted:
             return
+        machine.settle()  # instructions of runs in flight count as progress
         if machine.last_progress == self.prev_progress:
             raise SimulationStalled(
                 f"deadlock: no instruction retired for {self.stall_cycles} "

@@ -595,6 +595,9 @@ class ProcessorBase:
 
 #: what a parked TCU is "asleep on": no counter, nothing to credit
 PARKED_KEY = ""
+#: what a TCU inside a run is "asleep on".  It names no counter: a run
+#: is issue, not stall, and settling it credits instructions
+RUN_KEY = "run"
 
 
 class TCU(ProcessorBase):
@@ -646,6 +649,15 @@ class TCU(ProcessorBase):
         #: domain cycle of the last tick accounted for (the one it fell
         #: asleep on, moved forward whenever the cluster settles it)
         self.slept_at = 0
+        #: a TCU asleep on :data:`RUN_KEY` is inside a *run*: it entered
+        #: a block at ``run_pc`` and issues one of its ops per domain
+        #: cycle without being ticked.  ``run_end`` is the cycle of its
+        #: next real tick; the last ``run_left`` ops of the block, the
+        #: ones issued on the cycles up to there, are not executed yet
+        #: (``core.pc`` is the first of them)
+        self.run_pc = 0
+        self.run_end = 0
+        self.run_left = 0
 
     def domain_period(self) -> int:
         return self.cluster.domain.period
@@ -728,10 +740,20 @@ class TCU(ProcessorBase):
         d = super().describe_state()
         d["state"] = ("running", "draining", "parked")[self.park_state]
         d["wait_load"] = self.wait_load
-        key = self.asleep_on  # None | "parked" | the stall slept on
+        key = self.asleep_on  # None | "parked" | "run" | the stall slept on
         d["asleep_on"] = (None if key is None
                           else key.rsplit(".", 1)[-1] or "parked")
+        if key == RUN_KEY:
+            d["run_pc"] = self.run_pc
+            d["run_left"] = self.run_left
         return d
+
+    def inject_register_flip(self, reg: int, bit: int) -> Tuple[int, int]:
+        # inside a run the ops issued so far are not executed yet: do
+        # that first, so the flip lands between the same two
+        # instructions as on a machine issuing them one by one
+        self.cluster.settle(self.cluster.domain.cycle)
+        return super().inject_register_flip(reg, bit)
 
     def _issue_getvt(self, now: int, u: MicroOp) -> None:
         self._count_issue(u)
@@ -908,6 +930,15 @@ class TCU(ProcessorBase):
         pc = self.core.pc
         if not self._region_start <= pc < self._region_join:
             self._check_escape(pc)
+        if machine.runs_ok:
+            block = machine.blocks[pc]
+            if block and self.pending_regs.isdisjoint(block.regs):
+                # nothing can get between this TCU and the next
+                # ``block.n`` issue slots: take them unattended
+                self.run_pc = pc
+                self.run_left = n = block.n
+                self.run_end = cycle + n
+                return RUN_KEY
         u = machine.decoded.uops[pc]
         if self.pending_regs and not self._sources_ready(u):
             self._counters[self._k_memory] += 1
@@ -916,6 +947,44 @@ class TCU(ProcessorBase):
             return self._k_memory
         self._handlers[u.code](now, u)
         return None
+
+    def settle_run(self, cycle: int) -> None:
+        """Execute the ops of the current run that were issued before
+        domain cycle ``cycle`` (one per cycle since the run began) and
+        credit them, so that the TCU reads as if it had been ticked on
+        every edge so far.  The whole block goes through its generated
+        function; a prefix -- the run was cut short by a delivery, a
+        checkpoint, a timeout, a fault, a listener -- is stepped through
+        the one-instruction handlers."""
+        left = self.run_left
+        due = left - (self.run_end - cycle)
+        if due <= 0:
+            return
+        machine = self.machine
+        core = self.core
+        if due >= left:
+            due = left
+            block = machine.blocks[core.pc]
+            if block:  # (the last op of a run cut short is no block)
+                try:
+                    core.pc = (block.fn or block.compile())(core.regs)
+                except TrapError:
+                    pass  # registers untouched: the stepper names the op
+                else:
+                    self.run_left = 0
+                    self.instructions_issued += left
+                    counters = self._counters
+                    for key, count in block.tally:
+                        counters[key] += count
+                    machine.last_progress = self._sched.now
+                    return
+        now = self._sched.now
+        uops = machine.decoded.uops
+        handlers = self._handlers
+        for _ in range(due):
+            u = uops[core.pc]
+            handlers[u.code](now, u)
+        self.run_left = left - due
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the

@@ -6,6 +6,7 @@ from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
 from repro.sim.engine import Actor, PRIO_PLUGIN
+from repro.sim.fabric import registered
 from repro.sim.functional import SimulationError
 from repro.sim.machine import Machine, Simulator
 from repro.sim.resilience import (
@@ -119,6 +120,23 @@ class TestWatchdog:
         assert dump.event_histogram
         assert set(dump.icn) >= {"in_flight_send", "in_flight_return"}
         assert "processors running" in dump.summary()
+
+    @pytest.mark.parametrize("icn", registered("icn"))
+    @pytest.mark.parametrize("dram", registered("dram"))
+    def test_budget_trip_dumps_on_every_backend(self, dram, icn):
+        """A backend's ``occupancy()`` may report per-slot lists (the
+        banked DRAM's ``banks``): the dump adds them slot by slot --
+        summing everything as an int used to end a budget trip in a
+        bare ``TypeError``."""
+        machine = _spawn_machine(dram_backend=dram, icn_backend=icn)
+        with pytest.raises(SimulationBudgetExceeded, match="50 cycles") as info:
+            machine.run(max_cycles=50)
+        dump = info.value.dump
+        assert dump.dram["queued"] >= 0
+        if dram == "banked":
+            assert len(dump.dram["banks"]) == machine.config.dram_banks
+            assert sum(dump.dram["banks"]) == dump.dram["queued"]
+        assert "dram: " in dump.format()
 
 
 class TestFaultSpecs:
