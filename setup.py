@@ -1,27 +1,9 @@
-"""Setup shim.
-
-The execution environment has no `wheel` package, so PEP-517 editable
-installs (`pip install -e .`) fail with `invalid command 'bdist_wheel'`.
-`python setup.py develop` installs the same editable egg-link without
-needing wheel; all metadata lives in pyproject.toml.
-"""
+"""Setup shim: this environment has no `wheel` package, so PEP-517
+editable installs (`pip install -e .`) fail with `invalid command
+'bdist_wheel'`; `python setup.py develop` installs the same editable
+egg-link without it.  All metadata, the nine console scripts included,
+lives in pyproject.toml."""
 
 from setuptools import setup
 
-setup(
-    # duplicated from pyproject [project.scripts]: setuptools 65's
-    # `develop` path does not materialize pyproject script entry points
-    entry_points={
-        "console_scripts": [
-            "xmtcc=repro.toolchain.cli:xmtcc_main",
-            "xmtsim=repro.toolchain.cli:xmtsim_main",
-            "xmtc-lint=repro.toolchain.cli:xmtc_lint_main",
-            "xmtc-fuzz=repro.toolchain.cli:xmtc_fuzz_main",
-            "xmt-prof=repro.toolchain.cli:xmt_prof_main",
-            "xmt-compare=repro.toolchain.cli:xmt_compare_main",
-            "xmt-campaign=repro.toolchain.cli:xmt_campaign_main",
-            "xmt-top=repro.toolchain.cli:xmt_top_main",
-            "xmt-explain=repro.toolchain.explain_cli:xmt_explain_main",
-        ]
-    }
-)
+setup()

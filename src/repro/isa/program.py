@@ -116,9 +116,15 @@ class Program:
 
     # -- memory-map I/O ----------------------------------------------------
 
+    def _global(self, name: str) -> GlobalSymbol:
+        try:
+            return self.globals_table[name]
+        except KeyError:
+            raise KeyError(f"no such global {name!r}") from None
+
     def global_addr(self, name: str) -> int:
         """Address of a named global (raises ``KeyError`` if unknown)."""
-        return self.globals_table[name].addr
+        return self._global(name).addr
 
     def write_global(self, name: str, values, base_index: int = 0) -> None:
         """Write integers into a global scalar/array in the memory map.
@@ -128,7 +134,7 @@ class Program:
         """
         from repro.isa.semantics import f32_to_bits
 
-        sym = self.globals_table[name]
+        sym = self._global(name)
         if isinstance(values, (int, float)):
             values = [values]
         values = list(values)
@@ -147,7 +153,7 @@ class Program:
 
         Returns a single value for scalars, a list otherwise.
         """
-        sym = self.globals_table[name]
+        sym = self._global(name)
         n = sym.n_words - base_index if count is None else count
         out = []
         for i in range(n):

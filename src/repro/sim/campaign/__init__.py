@@ -22,10 +22,8 @@ from repro.sim.campaign.engine import (
     CampaignResult,
     RunOutcome,
     campaign_id_for,
-    run_requests,
 )
 from repro.sim.campaign.requests import (
-    BUILTIN_CONFIGS,
     PreparedRun,
     RunBudgets,
     RunRequest,
@@ -38,7 +36,6 @@ from repro.sim.campaign.requests import (
 from repro.sim.campaign.worker import run_attempt
 
 __all__ = [
-    "BUILTIN_CONFIGS",
     "CampaignEngine",
     "CampaignResult",
     "ChaosMonkey",
@@ -55,5 +52,4 @@ __all__ = [
     "load_queue",
     "request_fingerprint",
     "run_attempt",
-    "run_requests",
 ]

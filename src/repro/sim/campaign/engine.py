@@ -328,20 +328,6 @@ class CampaignEngine:
 
     # -- preparation ---------------------------------------------------------
 
-    def _load_program(self, path: str):
-        """Compile/assemble one program (cached per distinct path)."""
-        from repro.isa.assembler import assemble
-        from repro.xmtc.compiler import compile_source
-
-        with open(path) as fh:
-            text = fh.read()
-        if path.endswith(".s") or path.endswith(".asm"):
-            program = assemble(text)
-            if self.compile_options is not None:
-                program.parallel_calls = self.compile_options.parallel_calls
-            return program, None
-        return compile_source(text, self.compile_options), text
-
     def prepare(self) -> List[PreparedRun]:
         """Load programs, resolve configs, fingerprint every request.
 
@@ -349,21 +335,26 @@ class CampaignEngine:
         malformed requests -- bad input is a campaign-level error, not a
         per-run failure.
         """
+        # deferred: the toolchain package sits above repro.sim
+        from repro.toolchain.driver import load_program
+
         programs: Dict[str, Any] = {}
         prepared: List[PreparedRun] = []
         for position, request in enumerate(self.requests):
             request.index = position
             if request.program not in programs:
-                programs[request.program] = self._load_program(
-                    request.program)
+                # compile/assemble once per distinct path
+                programs[request.program] = load_program(
+                    request.program, self.compile_options)
             program, source = programs[request.program]
             try:
                 prepared.append(PreparedRun.prepare(
                     request, program, source, self.base_config))
-            except TypeError as exc:
-                # e.g. an unknown config-override field
+            except ValueError as exc:
+                # an unknown config-override field, a value of the wrong
+                # type: say which request carried it
                 raise ValueError(
-                    f"request {request.label or position}: {exc}")
+                    f"request {request.label or position}: {exc}") from None
         return prepared
 
     def _dedup_index(self, wanted=None) -> Dict[str, RunRecord]:
@@ -884,8 +875,3 @@ class CampaignEngine:
                        error_type=error_type, error=error,
                        dump_summary=dump_summary,
                        worker_pids=pids[prep.fingerprint])
-
-
-def run_requests(requests: Sequence[RunRequest], **kwargs) -> CampaignResult:
-    """One-shot facade over :class:`CampaignEngine`."""
-    return CampaignEngine(requests, **kwargs).run()

@@ -31,7 +31,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.config import XMTConfig, chip1024, fpga64, from_file, tiny
+from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
 from repro.sim.observability.ledger import (
     canonical_json,
     fingerprint_of_manifest,
@@ -41,13 +41,10 @@ from repro.sim.observability.ledger import (
 )
 
 __all__ = [
-    "BUILTIN_CONFIGS", "RunRequest", "RunBudgets", "PreparedRun",
+    "RunRequest", "RunBudgets", "PreparedRun",
     "grid_requests", "load_queue", "dump_queue",
     "request_fingerprint", "fingerprint_of_manifest",
 ]
-
-#: built-in configuration presets addressable from a queue line
-BUILTIN_CONFIGS = {"fpga64": fpga64, "chip1024": chip1024, "tiny": tiny}
 
 SCHEMA_QUEUE = "xmt-campaign-request/1"
 
@@ -121,14 +118,10 @@ def grid_requests(program: str,
     Labels are the ``field=value`` coordinates joined with commas --
     the same labels ``xmt-compare sweep`` has always recorded, so grid
     campaigns dedup against historical sweep runs.  An empty grid is a
-    single unlabelled run of the program.
+    single unlabelled run of the program (the product of no axes is one
+    empty point).
     """
     requests: List[RunRequest] = []
-    if not axes:
-        return [RunRequest(program=program, config=config,
-                           config_file=config_file,
-                           inputs=dict(inputs or {}), seed=seed,
-                           max_cycles=max_cycles)]
     names = [name for name, _ in axes]
     for index, point in enumerate(
             itertools.product(*(values for _, values in axes))):

@@ -171,16 +171,33 @@ class XMTConfig:
         """Return a copy with overridden fields (convenience for sweeps).
 
         Every dict-shaped config source -- configuration files, queue
-        overrides, recorded manifests -- lands here, so an unknown key
-        is a ``ValueError`` naming it, never a ``TypeError`` traceback.
+        overrides, ``--vary`` axes, recorded manifests -- lands here, so
+        an unknown key or a value of the wrong type (``"four"`` clusters,
+        ``true`` for a latency; an int in a float field is fine) is a
+        ``ValueError`` naming the field, never a ``TypeError`` traceback
+        out of :meth:`validate`.
         """
-        unknown = sorted(set(overrides) - {f.name for f in fields(self)})
+        annotations = {f.name: f.type for f in fields(self)}
+        unknown = sorted(set(overrides) - set(annotations))
         if unknown:
             hint = ("; icn_style was removed: set icn_backend to 'mot' "
                     "(was sync) or 'mot-async' (was async)"
                     if "icn_style" in unknown else "")
             raise ValueError(f"unknown configuration keys: {unknown}{hint}")
+        for name, value in overrides.items():
+            kind = annotations[name]
+            # a bool is an int to isinstance, but never a count or a period
+            fits = (kind == "bool" if isinstance(value, bool)
+                    else isinstance(value, _FIELD_TYPES[kind]))
+            if not fits:
+                raise ValueError(f"configuration field {name!r} takes "
+                                 f"{kind}, got {value!r}")
         return replace(self, **overrides)
+
+
+#: field annotation -> the value types ``scaled`` lets into it
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+                "Optional[int]": (int, type(None))}
 
 
 def fpga64(**overrides) -> XMTConfig:
@@ -236,6 +253,31 @@ def chip1024(**overrides) -> XMTConfig:
     return cfg
 
 
+def tiny(**overrides) -> XMTConfig:
+    """A deliberately small configuration for fast unit tests
+    (2 clusters x 2 TCUs, 2 cache modules)."""
+    cfg = XMTConfig(
+        name="tiny",
+        n_clusters=2,
+        tcus_per_cluster=2,
+        n_cache_modules=2,
+        n_dram_ports=1,
+        cache_sets=8,
+        cache_assoc=2,
+        master_cache_sets=8,
+        dram_latency=6,
+        dram_period=2000,
+    )
+    cfg = cfg.scaled(**overrides)
+    cfg.validate()
+    return cfg
+
+
+#: the one table of built-in configurations: ``--config`` choices, the
+#: ``base`` key of a configuration file, ``config`` on a queue line
+BUILTIN_CONFIGS = {"fpga64": fpga64, "chip1024": chip1024, "tiny": tiny}
+
+
 def from_file(path: str, **overrides) -> XMTConfig:
     """Load a configuration file (JSON object of XMTConfig fields).
 
@@ -255,31 +297,10 @@ def from_file(path: str, **overrides) -> XMTConfig:
     base_name = data.pop("base", None)
     data.update(overrides)
     if base_name is not None:
-        builder = {"fpga64": fpga64, "chip1024": chip1024, "tiny": tiny}.get(
-            base_name)
+        builder = BUILTIN_CONFIGS.get(base_name)
         if builder is None:
             raise ValueError(f"unknown base configuration {base_name!r}")
         return builder(**data)
     cfg = XMTConfig().scaled(**data)
-    cfg.validate()
-    return cfg
-
-
-def tiny(**overrides) -> XMTConfig:
-    """A deliberately small configuration for fast unit tests
-    (2 clusters x 2 TCUs, 2 cache modules)."""
-    cfg = XMTConfig(
-        name="tiny",
-        n_clusters=2,
-        tcus_per_cluster=2,
-        n_cache_modules=2,
-        n_dram_ports=1,
-        cache_sets=8,
-        cache_assoc=2,
-        master_cache_sets=8,
-        dram_latency=6,
-        dram_period=2000,
-    )
-    cfg = cfg.scaled(**overrides)
     cfg.validate()
     return cfg

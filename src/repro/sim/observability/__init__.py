@@ -67,7 +67,9 @@ from repro.sim.observability.ledger import (
     Ledger,
     RunArtifacts,
     RunRecord,
+    artifact_json,
     build_manifest,
+    collect_artifacts,
     instrumented_run,
     load_manifest,
     load_run,
@@ -81,8 +83,6 @@ from repro.sim.observability.lifecycle import (
     load_accounting,
     load_lifecycle,
     read_lifecycle_stream,
-    write_accounting,
-    write_lifecycle,
 )
 from repro.sim.observability.metrics import (
     Gauge,
@@ -90,7 +90,6 @@ from repro.sim.observability.metrics import (
     MetricsRegistry,
     export_metrics,
     load_metrics,
-    write_metrics,
 )
 from repro.sim.observability.profiler import (
     CycleProfiler,
@@ -114,7 +113,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "export_metrics",
-    "write_metrics",
     "load_metrics",
     "CycleProfiler",
     "load_profile",
@@ -122,7 +120,9 @@ __all__ = [
     "Ledger",
     "RunArtifacts",
     "RunRecord",
+    "artifact_json",
     "build_manifest",
+    "collect_artifacts",
     "instrumented_run",
     "load_manifest",
     "load_run",
@@ -149,9 +149,7 @@ __all__ = [
     "FlightRecorder",
     "CycleAccountant",
     "export_accounting",
-    "write_accounting",
     "load_accounting",
-    "write_lifecycle",
     "load_lifecycle",
     "read_lifecycle_stream",
     "hop_percentiles",

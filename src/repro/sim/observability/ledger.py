@@ -66,6 +66,12 @@ def canonical_json(payload: Any) -> str:
 _canonical = canonical_json
 
 
+def artifact_json(payload: Any) -> str:
+    """The on-disk text of every ``*.json`` run artifact (the goldens
+    under ``tests/golden/observability`` pin it byte for byte)."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def program_sha256(program) -> str:
     """Content hash of what actually runs: the assembly text."""
     asm_text = getattr(program, "source", None) or "\n".join(
@@ -222,53 +228,34 @@ class RunRecord:
     def config_value(self, key: str) -> Any:
         return self.manifest["config"].get(key)
 
+    def _payload(self, name: str, loader) -> Optional[Dict[str, Any]]:
+        """``<name>.json`` of the run directory, loaded (and schema-
+        checked by ``loader``) on first use; ``None`` if not recorded."""
+        if getattr(self, "_" + name) is None and self.path is not None:
+            p = os.path.join(self.path, f"{name}.json")
+            if os.path.exists(p):
+                setattr(self, "_" + name, loader(p))
+        return getattr(self, "_" + name)
+
     def metrics(self) -> Optional[Dict[str, Any]]:
         """The run's ``xmtsim-metrics/1`` payload, if recorded."""
-        if self._metrics is not None:
-            return self._metrics
-        if self.path is not None:
-            from repro.sim.observability.metrics import load_metrics
-
-            p = os.path.join(self.path, "metrics.json")
-            if os.path.exists(p):
-                self._metrics = load_metrics(p)
-        return self._metrics
+        from repro.sim.observability.metrics import load_metrics
+        return self._payload("metrics", load_metrics)
 
     def profile(self) -> Optional[Dict[str, Any]]:
         """The run's ``xmt-prof/1`` payload, if recorded."""
-        if self._profile is not None:
-            return self._profile
-        if self.path is not None:
-            from repro.sim.observability.profiler import load_profile
-
-            p = os.path.join(self.path, "profile.json")
-            if os.path.exists(p):
-                self._profile = load_profile(p)
-        return self._profile
+        from repro.sim.observability.profiler import load_profile
+        return self._payload("profile", load_profile)
 
     def accounting(self) -> Optional[Dict[str, Any]]:
         """The run's ``xmt-accounting/1`` payload, if recorded."""
-        if self._accounting is not None:
-            return self._accounting
-        if self.path is not None:
-            from repro.sim.observability.lifecycle import load_accounting
-
-            p = os.path.join(self.path, "accounting.json")
-            if os.path.exists(p):
-                self._accounting = load_accounting(p)
-        return self._accounting
+        from repro.sim.observability.lifecycle import load_accounting
+        return self._payload("accounting", load_accounting)
 
     def lifecycle(self) -> Optional[Dict[str, Any]]:
         """The run's ``xmt-lifecycle/1`` summary, if recorded."""
-        if self._lifecycle is not None:
-            return self._lifecycle
-        if self.path is not None:
-            from repro.sim.observability.lifecycle import load_lifecycle
-
-            p = os.path.join(self.path, "lifecycle.json")
-            if os.path.exists(p):
-                self._lifecycle = load_lifecycle(p)
-        return self._lifecycle
+        from repro.sim.observability.lifecycle import load_lifecycle
+        return self._payload("lifecycle", load_lifecycle)
 
     def artifact(self, name: str) -> Optional[Dict[str, Any]]:
         """Any extra JSON artifact in the run directory (``power``,
@@ -330,8 +317,7 @@ def write_run_dir(run_dir: str, manifest: Dict[str, Any],
         payloads.append((f"{name}.json", payload))
     for name, payload in payloads:
         with open(os.path.join(run_dir, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(artifact_json(payload))
     return RunRecord(run_id=run_id, manifest=manifest, path=run_dir,
                      _metrics=metrics, _profile=profile,
                      _accounting=accounting,
@@ -508,9 +494,10 @@ class RunArtifacts:
     """Everything one instrumented run produced, pre-persistence."""
 
     manifest: Dict[str, Any]
-    metrics: Dict[str, Any]
-    profile: Dict[str, Any]
-    result: Any  # CycleResult
+    #: ``None`` when the run had no metrics registry / no profiler
+    metrics: Optional[Dict[str, Any]]
+    profile: Optional[Dict[str, Any]]
+    result: Any  # CycleResult (PartialResult for a salvaged run)
     #: ``xmt-accounting/1`` payload when cycle accounting was enabled
     accounting: Optional[Dict[str, Any]] = None
     #: extra artifacts recorded as ``<name>.json`` (``lifecycle``,
@@ -553,6 +540,38 @@ def power_profile_payload(plugin) -> Dict[str, Any]:
     return payload
 
 
+def collect_artifacts(machine, result, wall_seconds: float,
+                      **manifest_fields) -> RunArtifacts:
+    """Fold a finished machine into ledger-ready artifacts.
+
+    The one place a run becomes files-to-be: the manifest (``result``
+    supplies ``cycles``/``instructions``; ``manifest_fields`` are
+    :func:`build_manifest`'s keywords -- source, program_path, seed,
+    label, inputs, extra) plus one export per consumer subscribed on
+    ``machine.obs`` -- metrics, profile, accounting, the lifecycle
+    summary.  :func:`instrumented_run` ends here and so does
+    ``xmtsim``, so a run recorded by either has the same ``run_id``.
+    """
+    from repro.sim.observability.lifecycle import export_accounting
+    from repro.sim.observability.metrics import export_metrics
+
+    obs = machine.obs
+    return RunArtifacts(
+        manifest=build_manifest(
+            machine.program, machine.config, cycles=result.cycles,
+            instructions=result.instructions, wall_seconds=wall_seconds,
+            **manifest_fields),
+        metrics=export_metrics(machine) if obs.metrics is not None else None,
+        profile=(obs.profiler.to_data()
+                 if obs.profiler is not None else None),
+        result=result,
+        accounting=(export_accounting(machine, obs.accounting,
+                                      cycles=result.cycles)
+                    if obs.accounting is not None else None),
+        extras=({"lifecycle": obs.lifecycle.to_data()}
+                if obs.lifecycle is not None else {}))
+
+
 def instrumented_run(program, config, *, source: Optional[str] = None,
                      program_path: Optional[str] = None,
                      seed: Optional[int] = None,
@@ -591,17 +610,16 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
     from repro.sim.machine import Simulator
     from repro.sim.observability.core import Observability
     from repro.sim.observability.lifecycle import (
-        CycleAccountant, FlightRecorder, export_accounting)
-    from repro.sim.observability.metrics import MetricsRegistry, \
-        export_metrics
+        CycleAccountant, FlightRecorder)
+    from repro.sim.observability.metrics import MetricsRegistry
     from repro.sim.observability.profiler import CycleProfiler
 
-    accountant = CycleAccountant() if accounting else None
     if accounting and recorder is None:
         recorder = FlightRecorder()
     obs = Observability(metrics=MetricsRegistry(),
                         profiler=CycleProfiler(program, source=source),
-                        accounting=accountant, lifecycle=recorder)
+                        accounting=CycleAccountant() if accounting else None,
+                        lifecycle=recorder)
     sim = Simulator(program, config, observability=obs,
                     plugins=(power,) if power is not None else ())
     if telemetry is not None:
@@ -616,22 +634,10 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
     finally:
         if telemetry is not None:
             telemetry.finish()
-    wall = time.perf_counter() - start
-    manifest = build_manifest(
-        program, config, cycles=result.cycles,
-        instructions=result.instructions, wall_seconds=wall,
-        source=source, program_path=program_path, seed=seed, label=label,
-        inputs=inputs, extra=extra)
-    extras: Dict[str, Dict[str, Any]] = {}
-    if recorder is not None:
-        extras["lifecycle"] = recorder.to_data()
+    artifacts = collect_artifacts(
+        sim.machine, result, time.perf_counter() - start, source=source,
+        program_path=program_path, seed=seed, label=label, inputs=inputs,
+        extra=extra)
     if power is not None:
-        extras["power"] = power_profile_payload(power)
-    return RunArtifacts(manifest=manifest,
-                        metrics=export_metrics(sim.machine),
-                        profile=obs.profiler.to_data(),
-                        result=result,
-                        accounting=(export_accounting(
-                            sim.machine, accountant, cycles=result.cycles)
-                            if accountant is not None else None),
-                        extras=extras)
+        artifacts.extras["power"] = power_profile_payload(power)
+    return artifacts

@@ -382,11 +382,6 @@ class FlightRecorder:
         }
 
 
-def write_lifecycle(recorder: FlightRecorder, fh: IO[str]) -> None:
-    json.dump(recorder.to_data(), fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
 def load_lifecycle(path: str) -> Dict[str, Any]:
     """Load a lifecycle summary export, checking its schema version."""
     with open(path) as fh:
@@ -552,11 +547,6 @@ def export_accounting(machine, accountant: CycleAccountant,
         },
         "spawn_regions": region_rows,
     }
-
-
-def write_accounting(payload: Dict[str, Any], fh: IO[str]) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
 
 
 def load_accounting(path: str) -> Dict[str, Any]:

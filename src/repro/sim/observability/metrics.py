@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: default geometric bucket bounds (values in *cycles*): 1, 2, 4, ...
 DEFAULT_BOUNDS = tuple(2 ** k for k in range(15))
@@ -239,11 +239,6 @@ def export_metrics(machine) -> Dict[str, Any]:
     payload["stats"] = machine.stats.snapshot()
     payload["scheduler"] = machine.scheduler.metrics_snapshot()
     return payload
-
-
-def write_metrics(machine, fh: IO[str]) -> None:
-    json.dump(export_metrics(machine), fh, indent=2, sort_keys=True)
-    fh.write("\n")
 
 
 def load_metrics(path: str) -> Dict[str, Any]:

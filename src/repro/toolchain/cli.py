@@ -1,8 +1,10 @@
 """Command-line entry points: ``xmtcc`` (compiler), ``xmtsim``
 (simulator) -- the two tools of the paper's title -- plus ``xmtc-lint``
-(static analyzer), ``xmt-prof`` (profile reports), ``xmt-compare``
-(experiment ledger diffs) and ``xmt-campaign`` (fault-tolerant
-multi-run campaigns), as executables.
+(static analyzer), ``xmtc-fuzz`` (analysis soundness fuzzing),
+``xmt-prof`` (profile reports), ``xmt-explain`` (cycle-accounting
+reports), ``xmt-compare`` (experiment ledger diffs), ``xmt-campaign``
+(fault-tolerant multi-run campaigns) and ``xmt-top`` (live telemetry
+monitor), as executables.
 
     xmtcc program.c -o program.s [-O2] [--cluster 4] [--no-prefetch] ...
     xmtsim program.s [--config fpga64] [--mode cycle|functional]
@@ -14,6 +16,13 @@ multi-run campaigns), as executables.
     xmt-compare {list,diff,sweep,check} ... [--ledger DIR]
     xmt-campaign program.c --vary f=v1,v2 --workers 4 --ledger DIR
     xmt-campaign --queue runs.jsonl --workers 4 --ledger DIR
+
+Every command is a ``build_parser`` function and a handler run by
+:func:`_run`, the only place where rejected input becomes ``<prog>:
+error: <message naming the flag>`` and an exit code; handlers raise
+instead of printing and returning.  Options several commands share are
+defined once (the ``_add_*_options`` functions) and resolved once
+(:func:`_load_run`).
 
 ``xmtsim`` accepts either assembly (``.s``) or XMTC source (anything
 else), compiling the latter on the fly, so the two-step and one-step
@@ -31,15 +40,53 @@ typed per-run outcomes (MANUAL.md section 4.9).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import List, Optional
+import time
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.isa.assembler import assemble
-from repro.isa.program import Program
-from repro.sim.config import XMTConfig, chip1024, fpga64, tiny
+from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
 from repro.sim.functional import FunctionalSimulator, SimulationError
 from repro.sim.machine import Machine, Simulator
+from repro.sim.observability import (
+    CycleAccountant,
+    CycleProfiler,
+    EventStream,
+    FlightRecorder,
+    Ledger,
+    MetricsRegistry,
+    Observability,
+    artifact_json,
+    build_explain,
+    check_regressions,
+    collect_artifacts,
+    compare_runs,
+    explain_diff,
+    instrumented_run,
+    load_profile,
+    load_run,
+    render_explain,
+    render_profile,
+    render_sweep_table,
+    write_run_dir,
+)
+from repro.sim.observability.aggregate import (
+    TopSummary,
+    aggregate_campaign,
+    fold_stream,
+    render_campaign_report,
+    render_top,
+)
+from repro.sim.observability.lifecycle import SCHEMA_ACCOUNTING
+from repro.sim.observability.telemetry import (
+    JsonlSink,
+    SocketPublisher,
+    TelemetrySampler,
+    read_stream,
+)
+from repro.sim.plugins import RaceSanitizer
 from repro.sim.resilience import (
     FaultInjector,
     SimulationBudgetExceeded,
@@ -48,27 +95,81 @@ from repro.sim.resilience import (
     run_campaign,
     run_resilient,
 )
+from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.sim.trace import Trace
+from repro.toolchain.driver import apply_inputs, load_program
 from repro.xmtc.compiler import CompileOptions, compile_to_asm
 from repro.xmtc.errors import CompileError
 
-_CONFIGS = {"fpga64": fpga64, "chip1024": chip1024, "tiny": tiny}
+# -- the skeleton --------------------------------------------------------------
 
 
-def _compile_options(args) -> CompileOptions:
-    return CompileOptions(
-        opt_level=args.opt_level,
-        cluster_factor=args.cluster,
-        outline=not args.no_outline,
-        memory_fences=not args.no_fences,
-        nonblocking_stores=not args.no_nonblocking,
-        prefetch=not args.no_prefetch,
-        ro_cache=args.ro_cache,
-        parallel_calls=args.parallel_calls,
-    )
+class CliError(Exception):
+    """Input the command rejects; the message names the flag at fault.
+
+    ``code`` is the exit code (2 = bad input unless the command
+    documents another), ``kind`` the word after the program name.
+    """
+
+    def __init__(self, message: str, code: int = 2, kind: str = "error"):
+        super().__init__(message)
+        self.code = code
+        self.kind = kind
 
 
-def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
+def _message(exc: BaseException) -> str:
+    # str(KeyError) is the repr of its argument: quotes around a sentence
+    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args \
+        else str(exc)
+
+
+@contextmanager
+def _flag(name: str, *rejections: type):
+    """What the enclosed statements reject is reported under ``name``."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise  # stdout went away; no flag's fault
+    except (rejections or (OSError, ValueError, KeyError)) as exc:
+        raise CliError(f"{name}: {_message(exc)}") from exc
+
+
+def _run(build_parser: Callable[[], argparse.ArgumentParser],
+         handler: Callable[[argparse.Namespace], int],
+         argv: Optional[List[str]], compile_error_exit: int = 2) -> int:
+    """Parse, call the handler, turn rejected input into one stderr line.
+
+    Every layer below reports input it cannot accept as ``OSError``,
+    ``ValueError`` (configurations, queue lines, schemas, fault specs)
+    or ``KeyError`` (unknown globals, run ids), so those are exit 2
+    here; a ``CompileError`` exits with the command's documented code.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return handler(args)
+    except BrokenPipeError:
+        # stdout closed early (e.g. piped into head) -- not an error
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        return 0
+    except (CliError, CompileError, OSError, ValueError, KeyError) as exc:
+        if isinstance(exc, CliError):
+            kind, code = exc.kind, exc.code
+        elif isinstance(exc, CompileError):
+            kind, code = "compile error", compile_error_exit
+        else:
+            kind, code = "error", 2
+        print(f"{parser.prog}: {kind}: {_message(exc)}", file=sys.stderr)
+        return code
+
+
+# -- option groups, each defined once ---------------------------------------------
+
+
+def _add_compile_options(parser) -> None:
     parser.add_argument("-O", dest="opt_level", type=int, default=2,
                         choices=(0, 1, 2), help="optimization level")
     parser.add_argument("--cluster", type=int, default=1, metavar="K",
@@ -89,55 +190,239 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
                              "inside spawn blocks via per-TCU stacks")
 
 
-def xmtcc_main(argv: Optional[List[str]] = None) -> int:
+def _compile_options(args) -> CompileOptions:
+    return CompileOptions(
+        opt_level=args.opt_level,
+        cluster_factor=args.cluster,
+        outline=not args.no_outline,
+        memory_fences=not args.no_fences,
+        nonblocking_stores=not args.no_nonblocking,
+        prefetch=not args.no_prefetch,
+        ro_cache=args.ro_cache,
+        parallel_calls=args.parallel_calls,
+    )
+
+
+def _add_run_options(parser, *, config_help: str, set_help: str,
+                     program_help: str = "assembly (.s/.asm) or XMTC "
+                                         "source file",
+                     program_nargs: Optional[str] = None,
+                     config_default: Optional[str] = None,
+                     config_file_help: str = "JSON configuration file "
+                                             "(overrides --config)") -> None:
+    """What every run-a-program command takes: the program, its machine
+    configuration, a cycle budget, ``--set`` inputs and the compile
+    flags.  Only the wording (and xmtsim's ``--config`` default) differs
+    per command; :func:`_load_run` resolves them."""
+    parser.add_argument("program", nargs=program_nargs, help=program_help)
+    parser.add_argument("--config", default=config_default,
+                        choices=sorted(BUILTIN_CONFIGS), help=config_help)
+    parser.add_argument("--config-file", default=None, metavar="PATH",
+                        help=config_file_help)
+    parser.add_argument("--max-cycles", type=int, default=None)
+    parser.add_argument("--set", nargs=2, action="append", default=[],
+                        metavar=("GLOBAL", "VALUES"), help=set_help)
+    _add_compile_options(parser)
+
+
+def _add_report_options(parser, *, format_help: Optional[str] = None,
+                        top: Optional[int] = None,
+                        top_help: Optional[str] = None,
+                        ledger_help: Optional[str] = None,
+                        out: bool = False) -> None:
+    """``--format`` and, where the report has them, ``--top`` (default
+    ``top``), ``--ledger`` and ``--out``."""
+    parser.add_argument("--format", default="text",
+                        choices=("text", "markdown", "json"),
+                        help=format_help)
+    if top is not None:
+        parser.add_argument("--top", type=int, default=top, metavar="N",
+                            help=top_help)
+    if ledger_help is not None:
+        parser.add_argument("--ledger", default=None, metavar="DIR",
+                            help=ledger_help)
+    if out:
+        parser.add_argument("--out", default=None, metavar="FILE",
+                            help="also write the report to FILE")
+
+
+def _add_telemetry_options(parser, *, out_help: str, every_help: str,
+                           socket_help: Optional[str] = None) -> None:
+    parser.add_argument("--telemetry-out", default=None, metavar="PATH",
+                        help=out_help)
+    parser.add_argument("--telemetry-every", type=int, default=2000,
+                        metavar="CYCLES", help=every_help)
+    if socket_help is not None:
+        parser.add_argument("--telemetry-socket", default=None,
+                            metavar="PATH", help=socket_help)
+
+
+_VARY_HELP = ("sweep an XMTConfig field over values (repeatable; repeats "
+              "form the cartesian product)")
+
+
+# -- resolving them ------------------------------------------------------------------
+
+
+def _parse_values(text: str) -> List[Any]:
+    """``--set`` values: comma-separated ints (any base prefix) and
+    floats."""
+    values = [_parse_config_value(token) for token in text.split(",")]
+    for value in values:
+        if isinstance(value, (bool, str)):
+            raise ValueError(f"{value!r} is not a number")
+    return values
+
+
+def _parse_config_value(token: str):
+    """One sweep/override value: int, float, bool or bare string."""
+    token = token.strip()
+    if token.lower() in ("true", "false"):
+        return token.lower() == "true"
+    try:
+        return int(token, 0)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def _parse_vary(specs: List[str]):
+    """``--vary field=v1,v2,...`` specs -> ordered (field, values) list."""
+    axes = []
+    for spec in specs:
+        field, eq, values = spec.partition("=")
+        field = field.strip()
+        if not eq or not field or not values.strip():
+            raise CliError(f"--vary expects FIELD=V1,V2,...; got {spec!r}")
+        axes.append((field, [_parse_config_value(v)
+                             for v in values.split(",")]))
+        for value in axes[-1][1]:
+            with _flag(f"--vary {field}"):
+                XMTConfig().scaled(**{field: value})
+    return axes
+
+
+def _load_run(args, default_config: Callable[[], XMTConfig] = fpga64,
+              *, load: bool = True):
+    """Resolve the options of :func:`_add_run_options` into ``(program,
+    xmtc_source_or_None, config, inputs)``.
+
+    ``--config-file`` wins over ``--config``, which wins over
+    ``default_config``.  With ``load`` the program file is assembled or
+    compiled here and the ``--set`` inputs are written into its memory
+    map; the campaign engine loads programs itself (one queue names
+    many), so its clients pass ``load=False`` and hand ``inputs`` on.
+    """
+    inputs = {}
+    for name, text in args.set:
+        with _flag(f"--set {name}"):
+            inputs[name] = _parse_values(text)
+    if args.config_file:
+        with _flag("--config-file"):
+            config = from_file(args.config_file)
+    elif args.config is not None:
+        config = BUILTIN_CONFIGS[args.config]()
+    else:
+        config = default_config()
+    program = source = None
+    if load:
+        program, source = load_program(args.program, _compile_options(args))
+        with _flag("--set"):
+            apply_inputs(program, inputs)
+    return program, source, config, inputs
+
+
+def _write_text(flag: str, path: str, text: str) -> None:
+    with _flag(flag, OSError):
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def _resolve_run(token: str, ledger_dir: Optional[str]):
+    """A run operand of ``xmt-compare diff`` / ``xmt-explain``: a run
+    directory or manifest path, or a run-id (prefix) looked up in
+    ``--ledger``."""
+    if os.path.exists(token):
+        return load_run(token)
+    if ledger_dir is None:
+        raise CliError(f"{token!r} is not a path; pass --ledger DIR "
+                       f"to resolve run ids")
+    return Ledger(ledger_dir).load(token)
+
+
+def _progress_printer(prog: str, quiet: bool = False):
+    """The per-run progress line of ``xmt-campaign`` and ``xmt-compare
+    sweep`` (the campaign engine's ``on_outcome`` callback)."""
+    def note(outcome) -> None:
+        if quiet:
+            return
+        name = outcome.label or outcome.index
+        if outcome.status in ("ok", "cached"):
+            tag = " (cached)" if outcome.status == "cached" else ""
+            attempts = (f" [attempt {outcome.attempts}]"
+                        if outcome.attempts > 1 else "")
+            races = ""
+            if outcome.sanitizer and not outcome.sanitizer.get("clean"):
+                kinds = ",".join(outcome.sanitizer.get("kinds", []))
+                races = (f" RACES: {outcome.sanitizer.get('races')}"
+                         f" [{kinds}]")
+            print(f"{prog}: {name}: {outcome.cycles} cycles "
+                  f"({outcome.run_id}){tag}{attempts}{races}",
+                  file=sys.stderr)
+        else:
+            print(f"{prog}: {name}: {outcome.status} after "
+                  f"{outcome.attempts} "
+                  f"attempt{'s' if outcome.attempts != 1 else ''}: "
+                  f"{outcome.error_type}: {outcome.error}", file=sys.stderr)
+    return note
+
+
+# -- xmtcc ---------------------------------------------------------------------------
+
+
+def _xmtcc_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmtcc", description="XMTC optimizing compiler")
     parser.add_argument("source", help="XMTC source file")
     parser.add_argument("-o", "--output", default=None,
                         help="output assembly file (default: stdout)")
-    _add_compile_flags(parser)
+    _add_compile_options(parser)
     parser.add_argument("--dump-ir", action="store_true",
                         help="dump the optimized IR to stderr")
-    args = parser.parse_args(argv)
+    return parser
 
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"xmtcc: {exc}", file=sys.stderr)
-        return 2
+
+def _xmtcc(args) -> int:
+    with open(args.source) as fh:
+        source = fh.read()
     options = _compile_options(args)
     options.keep_intermediates = args.dump_ir
-    try:
-        result = compile_to_asm(source, options)
-    except CompileError as exc:
-        print(f"xmtcc: error: {exc}", file=sys.stderr)
-        return 1
+    result = compile_to_asm(source, options)
     if args.dump_ir:
         print(result.ir.dump(), file=sys.stderr)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(result.asm_text)
+        _write_text("-o", args.output, result.asm_text)
     else:
         sys.stdout.write(result.asm_text)
     return 0
 
 
-def xmtc_lint_main(argv: Optional[List[str]] = None) -> int:
-    """``xmtc-lint``: static race detector + memory-model linter.
+def xmtcc_main(argv: Optional[List[str]] = None) -> int:
+    """``xmtcc``: the XMTC optimizing compiler.
 
-    Exit codes: 0 = no error-severity findings, 1 = errors found,
-    2 = cannot read or compile an input.
+    Exit codes: 0 = assembly written, 1 = compile error, 2 = cannot
+    read the source or write the output.
     """
-    import json as _json
+    return _run(_xmtcc_parser, _xmtcc, argv, compile_error_exit=1)
 
-    from repro.xmtc.analysis.diagnostics import has_errors
-    from repro.xmtc.analysis.linter import (
-        check_shipped,
-        lint_dynamic,
-        lint_source,
-    )
 
+# -- xmtc-lint -----------------------------------------------------------------------
+
+
+def _lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmtc-lint",
         description="XMTC static analyzer: spawn-region race detector and "
@@ -162,63 +447,73 @@ def xmtc_lint_main(argv: Optional[List[str]] = None) -> int:
                              "xmtc-lint-expect comments")
     parser.add_argument("--quiet", action="store_true",
                         help="print only error-severity findings")
-    _add_compile_flags(parser)
-    args = parser.parse_args(argv)
+    _add_compile_options(parser)
+    return parser
+
+
+def _lint(args) -> int:
+    from repro.xmtc.analysis.diagnostics import has_errors
+    from repro.xmtc.analysis.linter import (
+        check_shipped,
+        collect_example_sources,
+        lint_dynamic,
+        lint_source,
+    )
 
     if args.check_shipped:
-        from repro.xmtc.analysis.linter import collect_example_sources
-
         for flag, value in (("--examples", args.examples),
                             ("--litmus", args.litmus)):
             if value and not os.path.isdir(value):
-                print(f"xmtc-lint: {flag}: not a directory: {value}",
-                      file=sys.stderr)
-                return 2
+                raise CliError(f"{flag}: not a directory: {value}")
         extra = (collect_example_sources(args.examples)
                  if args.examples else ())
         ok, lines = check_shipped(extra, litmus_dir=args.litmus)
         print("\n".join(lines))
         return 0 if ok else 1
     if not args.sources:
-        parser.error("no input files (or use --check-shipped)")
+        raise CliError("no input files (or use --check-shipped)")
 
     options = _compile_options(args)
     all_diags = []
     for path in args.sources:
+        with open(path) as fh:
+            source = fh.read()
         try:
-            with open(path) as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"xmtc-lint: {exc}", file=sys.stderr)
-            return 2
-        try:
-            diags = lint_source(source, options, filename=path)
+            all_diags += lint_source(source, options, filename=path)
             if args.dynamic:
-                dyn, _san = lint_dynamic(source, options, filename=path)
-                diags = diags + dyn
+                all_diags += lint_dynamic(source, options, filename=path)[0]
         except CompileError as exc:
-            print(f"xmtc-lint: error: {path}: {exc}", file=sys.stderr)
-            return 2
-        all_diags.extend(diags)
+            raise CliError(f"{path}: {exc}", kind="compile error") from exc
 
+    n_err = sum(d.severity == "error" for d in all_diags)
+    n_warn = sum(d.severity == "warning" for d in all_diags)
     if args.json:
         payload = {
             "diagnostics": [d.to_json() for d in all_diags],
-            "errors": sum(d.severity == "error" for d in all_diags),
-            "warnings": sum(d.severity == "warning" for d in all_diags),
+            "errors": n_err,
+            "warnings": n_warn,
             "notes": sum(d.severity == "note" for d in all_diags),
         }
-        print(_json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
-        shown = [d for d in all_diags
-                 if not args.quiet or d.severity == "error"]
-        for d in shown:
-            print(d.format())
-        n_err = sum(d.severity == "error" for d in all_diags)
-        n_warn = sum(d.severity == "warning" for d in all_diags)
+        for d in all_diags:
+            if not args.quiet or d.severity == "error":
+                print(d.format())
         print(f"xmtc-lint: {n_err} error(s), {n_warn} warning(s) in "
               f"{len(args.sources)} file(s)")
     return 1 if has_errors(all_diags) else 0
+
+
+def xmtc_lint_main(argv: Optional[List[str]] = None) -> int:
+    """``xmtc-lint``: static race detector + memory-model linter.
+
+    Exit codes: 0 = no error-severity findings, 1 = errors found,
+    2 = cannot read or compile an input.
+    """
+    return _run(_lint_parser, _lint, argv)
+
+
+# -- xmtc-fuzz -----------------------------------------------------------------------
 
 
 def _parse_seed_spec(spec: str) -> List[int]:
@@ -239,19 +534,7 @@ def _parse_seed_spec(spec: str) -> List[int]:
     return list(range(count))
 
 
-def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
-    """``xmtc-fuzz``: analysis soundness fuzzing over generated XMTC.
-
-    Runs every seed's program through the static analyses, the dynamic
-    race sanitizer, and the functional-vs-cycle-accurate differential,
-    classifying each static verdict as TP/FP/FN/TN against the
-    generator's planted ground truth.
-
-    Exit codes: 0 = sound and FP rate within threshold, 1 = any FN /
-    harness bug / FP rate above threshold, 2 = bad usage.
-    """
-    from repro.xmtc.fuzz.harness import run_campaign
-
+def _fuzz_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmtc-fuzz",
         description="differential soundness fuzzer for the XMTC race "
@@ -273,15 +556,18 @@ def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
                              "seed into DIR for triage")
     parser.add_argument("--quiet", action="store_true",
                         help="print only the summary")
-    args = parser.parse_args(argv)
+    return parser
 
-    try:
+
+def _fuzz(args) -> int:
+    from repro.xmtc.fuzz.generator import generate
+    from repro.xmtc.fuzz.harness import run_campaign as run_fuzz_campaign
+
+    with _flag("--seeds"):
         seeds = _parse_seed_spec(args.seeds)
-    except ValueError as exc:
-        print(f"xmtc-fuzz: --seeds: {exc}", file=sys.stderr)
-        return 2
     if args.emit_failing:
-        os.makedirs(args.emit_failing, exist_ok=True)
+        with _flag("--emit-failing", OSError):
+            os.makedirs(args.emit_failing, exist_ok=True)
 
     def note(outcome):
         interesting = outcome.verdict in ("fn", "fp", "bug")
@@ -293,17 +579,15 @@ def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
                   f"dynamic={','.join(outcome.dynamic_races) or '-'}"
                   f"{extra}")
         if interesting and args.emit_failing:
-            from repro.xmtc.fuzz.generator import generate
+            _write_text("--emit-failing",
+                        os.path.join(args.emit_failing,
+                                     f"seed-{outcome.seed}.c"),
+                        generate(outcome.seed).source)
 
-            path = os.path.join(args.emit_failing,
-                                f"seed-{outcome.seed}.c")
-            with open(path, "w") as fh:
-                fh.write(generate(outcome.seed).source)
-
-    summary = run_campaign(seeds, jsonl_path=args.out,
-                           fp_threshold=args.fp_threshold,
-                           differential=not args.no_differential,
-                           on_outcome=note)
+    with _flag("--out", OSError):
+        summary = run_fuzz_campaign(
+            seeds, jsonl_path=args.out, fp_threshold=args.fp_threshold,
+            differential=not args.no_differential, on_outcome=note)
     counts = summary["counts"]
     print(f"xmtc-fuzz: {summary['seeds']} seeds: "
           f"tp: {counts['tp']}  tn: {counts['tn']}  "
@@ -315,127 +599,38 @@ def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
     return 0 if summary["ok"] else 1
 
 
-def _parse_values(text: str):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        out.append(float(token) if "." in token else int(token, 0))
-    return out
+def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
+    """``xmtc-fuzz``: analysis soundness fuzzing over generated XMTC.
 
+    Runs every seed's program through the static analyses, the dynamic
+    race sanitizer, and the functional-vs-cycle-accurate differential,
+    classifying each static verdict as TP/FP/FN/TN against the
+    generator's planted ground truth.
 
-def _load_program(path: str, options: CompileOptions):
-    """Read and assemble/compile one program file.
-
-    Returns ``(program, xmtc_source_or_None)``; raises ``OSError`` on
-    read failures and ``CompileError`` on bad input.
+    Exit codes: 0 = sound and FP rate within threshold, 1 = any FN /
+    harness bug / FP rate above threshold, 2 = bad usage.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith((".s", ".asm")):
-        program: Program = assemble(text)
-        program.parallel_calls = options.parallel_calls
-        return program, None
-    from repro.xmtc.compiler import compile_source
-
-    return compile_source(text, options), text
+    return _run(_fuzz_parser, _fuzz, argv)
 
 
-def _write_observability(args, obs, machine) -> int:
-    """Write --trace-out/--metrics-out/--profile/--accounting-out/
-    --lifecycle-out/--explain outputs; 0 on success."""
-    import json as _json
-
-    from repro.sim.observability import render_profile, write_metrics
-
-    try:
-        if args.trace_out:
-            if obs.events.streaming:
-                # jsonl streams incrementally during the run (bounded
-                # memory); all that remains is flushing the sink
-                obs.events.close()
-                print(f"xmtsim: streamed {obs.events.emitted} jsonl "
-                      f"events to {args.trace_out}", file=sys.stderr)
-            else:
-                obs.events.write(args.trace_out, args.trace_format)
-                print(f"xmtsim: wrote {args.trace_format} trace to "
-                      f"{args.trace_out}", file=sys.stderr)
-        if args.metrics_out:
-            with open(args.metrics_out, "w") as fh:
-                write_metrics(machine, fh)
-            print(f"xmtsim: wrote metrics to {args.metrics_out}",
-                  file=sys.stderr)
-        data = obs.profiler.to_data() if obs.profiler is not None else None
-        if args.profile_out:
-            with open(args.profile_out, "w") as fh:
-                _json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"xmtsim: wrote profile to {args.profile_out}",
-                  file=sys.stderr)
-        if args.profile:
-            print(render_profile(data), file=sys.stderr)
-        accounting = None
-        if getattr(obs, "accounting", None) is not None:
-            from repro.sim.observability import export_accounting
-
-            accounting = export_accounting(machine, obs.accounting)
-            if args.accounting_out:
-                from repro.sim.observability import write_accounting
-
-                with open(args.accounting_out, "w") as fh:
-                    write_accounting(accounting, fh)
-                print(f"xmtsim: wrote cycle accounting to "
-                      f"{args.accounting_out}", file=sys.stderr)
-        recorder = getattr(obs, "lifecycle", None)
-        if recorder is not None:
-            recorder.close()
-            if args.lifecycle_out:
-                print(f"xmtsim: streamed {recorder.sampled} request "
-                      f"lifecycle(s) to {args.lifecycle_out} "
-                      f"({recorder.completed} completed)",
-                      file=sys.stderr)
-        if args.explain and accounting is not None:
-            from repro.sim.observability import (
-                build_explain,
-                export_metrics,
-                render_explain,
-            )
-
-            metrics_data = (export_metrics(machine)
-                            if obs.metrics is not None else None)
-            report = build_explain(
-                accounting,
-                lifecycle=(recorder.to_data()
-                           if recorder is not None else None),
-                metrics=metrics_data)
-            print(render_explain(report), file=sys.stderr)
-    except OSError as exc:
-        print(f"xmtsim: {exc}", file=sys.stderr)
-        return 2
-    return 0
+# -- xmtsim --------------------------------------------------------------------------
 
 
-def xmtsim_main(argv: Optional[List[str]] = None) -> int:
+def _xmtsim_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmtsim", description="cycle-accurate XMT simulator")
-    parser.add_argument("program",
-                        help="assembly (.s/.asm) or XMTC source file")
-    parser.add_argument("--config", default="fpga64",
-                        choices=sorted(_CONFIGS),
-                        help="machine configuration")
-    parser.add_argument("--config-file", default=None, metavar="PATH",
-                        help="JSON configuration file (fields of XMTConfig; "
-                             "optional 'base' key names a built-in config); "
-                             "overrides --config")
+    _add_run_options(
+        parser, config_default="fpga64", config_help="machine configuration",
+        config_file_help="JSON configuration file (fields of XMTConfig; "
+                         "optional 'base' key names a built-in config); "
+                         "overrides --config",
+        set_help="write comma-separated values into a global before the "
+                 "run (repeatable)")
     parser.add_argument("--mode", default="cycle",
                         choices=("cycle", "functional", "sampled"),
                         help="simulation mode ('sampled' = phase sampling: "
                              "cycle-accurate warm-up per spawn site, "
                              "functional fast-forward thereafter)")
-    parser.add_argument("--max-cycles", type=int, default=None)
-    parser.add_argument("--set", nargs=2, action="append", default=[],
-                        metavar=("GLOBAL", "VALUES"),
-                        help="write comma-separated values into a global "
-                             "before the run (repeatable)")
     parser.add_argument("--print-global", action="append", default=[],
                         metavar="GLOBAL",
                         help="print a global after the run (repeatable)")
@@ -494,21 +689,17 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
                           help="print the xmt-explain bottleneck report "
                                "(top-down tree, hop latencies, "
                                "contention hot spots) after the run")
-    obsgroup.add_argument("--telemetry-out", default=None, metavar="PATH",
-                          help="stream live progress frames (cycle, "
-                               "retired instructions, interval IPC, queue "
-                               "occupancy, active spawns, ETA) to PATH as "
-                               "JSONL; watch with 'xmt-top watch --follow'")
-    obsgroup.add_argument("--telemetry-every", type=int, default=2000,
-                          metavar="CYCLES",
-                          help="telemetry frame interval in cycles "
-                               "(default 2000)")
-    obsgroup.add_argument("--telemetry-socket", default=None, metavar="PATH",
-                          help="additionally publish frames on a Unix-"
-                               "domain socket at PATH ('xmt-top watch "
-                               "--socket' subscribes live); slow "
-                               "subscribers get frames dropped, the "
-                               "simulation never blocks")
+    _add_telemetry_options(
+        obsgroup,
+        out_help="stream live progress frames (cycle, retired "
+                 "instructions, interval IPC, queue occupancy, active "
+                 "spawns, ETA) to PATH as JSONL; watch with 'xmt-top "
+                 "watch --follow'",
+        every_help="telemetry frame interval in cycles (default 2000)",
+        socket_help="additionally publish frames on a Unix-domain socket "
+                    "at PATH ('xmt-top watch --socket' subscribes live); "
+                    "slow subscribers get frames dropped, the simulation "
+                    "never blocks")
     obsgroup.add_argument("--ledger", default=None, metavar="DIR",
                           help="record this run (manifest + metrics + "
                                "profile) into the experiment ledger at "
@@ -555,300 +746,145 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
                                  "giving it enables auto-recovery even "
                                  "without --checkpoint-every (rollback "
                                  "to the start of the run)")
-    _add_compile_flags(parser)
-    args = parser.parse_args(argv)
+    return parser
 
-    try:
-        program, xmtc_source = _load_program(args.program,
-                                             _compile_options(args))
-    except OSError as exc:
-        print(f"xmtsim: {exc}", file=sys.stderr)
-        return 2
-    except CompileError as exc:
-        print(f"xmtsim: compile error: {exc}", file=sys.stderr)
-        return 1
 
-    for name, values in args.set:
-        try:
-            program.write_global(name, _parse_values(values))
-        except KeyError:
-            print(f"xmtsim: no such global {name!r}", file=sys.stderr)
-            return 2
-
-    if args.config_file:
-        from repro.sim.config import from_file
-
-        try:
-            machine_config = from_file(args.config_file)
-        except (OSError, ValueError) as exc:
-            print(f"xmtsim: bad configuration file: {exc}", file=sys.stderr)
-            return 2
-    else:
-        machine_config = _CONFIGS[args.config]()
-    config_label = args.config_file or args.config
-    if args.watchdog is not None:
-        machine_config.watchdog_cycles = args.watchdog
-
-    plugins = []
-    if args.inject:
-        try:
-            specs = [parse_fault_spec(text) for text in args.inject]
-        except ValueError as exc:
-            print(f"xmtsim: {exc}", file=sys.stderr)
-            return 2
-        plugins.append(FaultInjector(specs))
-
-    if args.campaign is not None:
-        if args.mode != "cycle":
-            print("xmtsim: --campaign requires --mode cycle", file=sys.stderr)
-            return 2
-        campaign_ledger = None
-        if args.ledger:
-            from repro.sim.observability import Ledger
-
-            campaign_ledger = Ledger(args.ledger)
-        report = run_campaign(lambda: Machine(program, machine_config),
-                              args.campaign, seed=args.campaign_seed,
-                              max_cycles=args.max_cycles,
-                              ledger=campaign_ledger)
-        print(report.format())
-        if campaign_ledger is not None:
-            print(f"xmtsim: recorded golden + {args.campaign} injected "
-                  f"run(s) in ledger {args.ledger}", file=sys.stderr)
-        return 0
-
-    trace = None
-    if args.trace:
-        trace = Trace(level=args.trace, limit=args.trace_limit,
-                      sink=lambda line: print(line, file=sys.stderr))
-
-    observability = None
+def _observability_for(args, program, source):
+    """xmtsim's observability flags -> the consumers they subscribe
+    (``None`` when none was given)."""
     want_profile = args.profile or args.profile_out is not None
     want_accounting = args.explain or args.accounting_out is not None
     want_recorder = args.lifecycle_out is not None or want_accounting
-    if (args.trace_out or args.metrics_out or want_profile or args.ledger
-            or want_recorder):
-        if args.mode != "cycle":
-            print("xmtsim: --trace-out/--metrics-out/--profile/--ledger/"
-                  "--accounting-out/--lifecycle-out/--explain require "
-                  "--mode cycle", file=sys.stderr)
-            return 2
-        from repro.sim.observability import (
-            CycleAccountant,
-            CycleProfiler,
-            EventStream,
-            FlightRecorder,
-            MetricsRegistry,
-            Observability,
-        )
+    if not (args.trace_out or args.metrics_out or want_profile
+            or args.ledger or want_recorder):
+        return None
+    events = None
+    if args.trace_out:
+        with _flag("--trace-out", OSError):
+            # jsonl is an incremental sink: O(ring buffer) memory on
+            # long runs
+            events = (EventStream(retain=False, stream_to=args.trace_out)
+                      if args.trace_format == "jsonl" else EventStream())
+    recorder = None
+    if want_recorder:
+        recorder = FlightRecorder(sample_every=max(1, args.lifecycle_sample))
+        if args.lifecycle_out:
+            with _flag("--lifecycle-out", OSError):
+                recorder.stream_to(args.lifecycle_out)
+    return Observability(
+        events=events,
+        metrics=MetricsRegistry() if args.metrics_out or args.ledger else None,
+        profiler=(CycleProfiler(program, source=source)
+                  if want_profile or args.ledger else None),
+        accounting=CycleAccountant() if want_accounting else None,
+        lifecycle=recorder)
 
-        events = None
-        if args.trace_out:
-            if args.trace_format == "jsonl":
-                # incremental sink: O(ring buffer) memory on long runs
-                try:
-                    events = EventStream(retain=False,
-                                         stream_to=args.trace_out)
-                except OSError as exc:
-                    print(f"xmtsim: {exc}", file=sys.stderr)
-                    return 2
-            else:
-                events = EventStream()
-        recorder = None
-        if want_recorder:
-            recorder = FlightRecorder(
-                sample_every=max(1, args.lifecycle_sample))
-            if args.lifecycle_out:
-                try:
-                    recorder.stream_to(args.lifecycle_out)
-                except OSError as exc:
-                    print(f"xmtsim: {exc}", file=sys.stderr)
-                    return 2
-        observability = Observability(
-            events=events,
-            metrics=(MetricsRegistry()
-                     if args.metrics_out or args.ledger else None),
-            profiler=(CycleProfiler(program, source=xmtc_source)
-                      if want_profile or args.ledger else None),
-            accounting=CycleAccountant() if want_accounting else None,
-            lifecycle=recorder)
 
-    telemetry = None
-    if args.telemetry_out or args.telemetry_socket:
-        if args.mode != "cycle":
-            print("xmtsim: --telemetry-out/--telemetry-socket require "
-                  "--mode cycle", file=sys.stderr)
-            return 2
-        from repro.sim.observability.telemetry import (
-            JsonlSink,
-            SocketPublisher,
-            TelemetrySampler,
-        )
+def _telemetry_for(args):
+    if not (args.telemetry_out or args.telemetry_socket):
+        return None
+    sinks = []
+    if args.telemetry_out:
+        with _flag("--telemetry-out", OSError):
+            sinks.append(JsonlSink(args.telemetry_out))
+    if args.telemetry_socket:
+        with _flag("--telemetry-socket", OSError):
+            sinks.append(SocketPublisher(args.telemetry_socket))
+    return TelemetrySampler(
+        every_cycles=args.telemetry_every, sinks=sinks,
+        eta_cycles=args.max_cycles,
+        meta={"label": args.run_label or None,
+              "program": os.path.basename(args.program)})
 
-        sinks = []
-        try:
-            if args.telemetry_out:
-                sinks.append(JsonlSink(args.telemetry_out))
-            if args.telemetry_socket:
-                sinks.append(SocketPublisher(args.telemetry_socket))
-        except OSError as exc:
-            print(f"xmtsim: {exc}", file=sys.stderr)
-            return 2
-        telemetry = TelemetrySampler(
-            every_cycles=args.telemetry_every, sinks=sinks,
-            eta_cycles=args.max_cycles,
-            meta={"label": args.run_label or None,
-                  "program": os.path.basename(args.program)})
-        if observability is None:
-            # a bare facade lets the sampler report active spawn
-            # regions and diagnostic dumps embed the last frame
-            from repro.sim.observability import Observability
 
-            observability = Observability()
-
-    sanitizer = None
-    if args.sanitize:
-        if args.mode != "functional":
-            print("xmtsim: --sanitize requires --mode functional",
-                  file=sys.stderr)
-            return 2
-        from repro.sim.plugins import RaceSanitizer
-
-        sanitizer = RaceSanitizer()
-
-    try:
-        if args.mode == "functional":
-            result = FunctionalSimulator(program, sanitizer=sanitizer).run()
-            sys.stdout.write(result.output)
-            print(f"[functional] {result.instructions} instructions",
-                  file=sys.stderr)
-            if sanitizer is not None:
-                print(sanitizer.report(program), file=sys.stderr)
-            memory = result.memory
-        elif args.mode == "sampled":
-            from repro.sim.sampling import PhaseSampler, SampledSimulator
-
-            sampler = PhaseSampler()
-            sim = SampledSimulator(program, machine_config,
-                                   sampler=sampler, trace=trace)
-            result = sim.run(max_cycles=args.max_cycles)
-            sys.stdout.write(result.output)
-            print(f"[{config_label}, sampled] ~{result.cycles} cycles "
-                  f"(estimated)", file=sys.stderr)
-            print(sampler.report(), file=sys.stderr)
-            memory = result.memory
-            if args.stats:
-                print(result.stats.report(), file=sys.stderr)
+def _write_observability(args, obs, artifacts) -> None:
+    """Write the --trace-out/--metrics-out/--profile/--accounting-out/
+    --lifecycle-out/--explain outputs of one observed run."""
+    if args.trace_out:
+        if obs.events.streaming:
+            # streamed during the run; all that remains is the flush
+            obs.events.close()
+            print(f"xmtsim: streamed {obs.events.emitted} jsonl events to "
+                  f"{args.trace_out}", file=sys.stderr)
         else:
-            import time as _time
+            with _flag("--trace-out", OSError):
+                obs.events.write(args.trace_out, args.trace_format)
+            print(f"xmtsim: wrote {args.trace_format} trace to "
+                  f"{args.trace_out}", file=sys.stderr)
+    for flag, path, payload, what in (
+            ("--metrics-out", args.metrics_out, artifacts.metrics, "metrics"),
+            ("--profile-out", args.profile_out, artifacts.profile, "profile"),
+            ("--accounting-out", args.accounting_out, artifacts.accounting,
+             "cycle accounting")):
+        if path:
+            _write_text(flag, path, artifact_json(payload))
+            print(f"xmtsim: wrote {what} to {path}", file=sys.stderr)
+    if args.profile:
+        print(render_profile(artifacts.profile), file=sys.stderr)
+    if obs.lifecycle is not None:
+        obs.lifecycle.close()
+        if args.lifecycle_out:
+            print(f"xmtsim: streamed {obs.lifecycle.sampled} request "
+                  f"lifecycle(s) to {args.lifecycle_out} "
+                  f"({obs.lifecycle.completed} completed)", file=sys.stderr)
+    if args.explain:
+        report = build_explain(artifacts.accounting,
+                               lifecycle=artifacts.extras.get("lifecycle"),
+                               metrics=artifacts.metrics)
+        print(render_explain(report), file=sys.stderr)
 
-            sim = Simulator(program, machine_config, plugins=plugins,
-                            trace=trace, observability=observability)
-            run_started = _time.perf_counter()
-            final_machine = sim.machine
-            if telemetry is not None:
-                telemetry.attach(sim.machine)
-                telemetry.arm()
-            if args.checkpoint_every > 0 or args.max_retries is not None:
-                # rollback builds a *new* machine from the checkpoint;
-                # checkpoints strip observability, so re-attach it (the
-                # fault plug-ins stay detached on purpose: planned
-                # faults are transient and must not replay)
-                obs_facade = sim.machine.obs
 
-                def _reattach(machine):
-                    machine.obs = obs_facade
-                    obs_facade.attach(machine)
-                    if telemetry is not None:
-                        # checkpoints strip sampler events too: bind to
-                        # the restored machine and restart the interval
-                        telemetry.attach(machine)
-                        telemetry.arm()
+def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
+    """The cycle-accurate run of ``xmtsim``: plain or under
+    auto-recovery, observed or not.  Returns the final memory image."""
+    observability = _observability_for(args, program, source)
+    telemetry = _telemetry_for(args)
+    if telemetry is not None and observability is None:
+        # a bare facade lets the sampler report active spawn regions
+        # and diagnostic dumps embed the last frame
+        observability = Observability()
+    sim = Simulator(program, config, plugins=plugins, trace=trace,
+                    observability=observability)
+    machine = sim.machine
+    report = None
+    started = time.perf_counter()
+    try:
+        if telemetry is not None:
+            telemetry.attach(machine)
+            telemetry.arm()
+        if args.checkpoint_every > 0 or args.max_retries is not None:
+            # rollback builds a *new* machine from the checkpoint;
+            # checkpoints strip observability, so re-attach it (the
+            # fault plug-ins stay detached on purpose: planned faults
+            # are transient and must not replay)
+            obs = machine.obs  # --trace alone makes the machine build one
 
-                report = run_resilient(
-                    sim.machine,
-                    checkpoint_every=args.checkpoint_every,
-                    max_retries=(3 if args.max_retries is None
-                                 else args.max_retries),
-                    max_cycles=args.max_cycles,
-                    wall_limit_s=args.wall_limit,
-                    max_events=args.event_budget,
-                    reattach=_reattach if obs_facade is not None else None)
-                print(report.format(), file=sys.stderr)
-                if report.machine is not None:
-                    final_machine = report.machine
-                if not report.completed:
-                    partial = report.partial()
-                    print(f"xmtsim: {partial.format()}", file=sys.stderr)
-                    sys.stdout.write(partial.output)
-                    if observability is not None:
-                        _write_observability(args, observability,
-                                             final_machine)
-                    return 5
-                result = report.result
-            else:
-                result = sim.run(max_cycles=args.max_cycles,
-                                 wall_limit_s=args.wall_limit,
-                                 max_events=args.event_budget)
-            run_wall = _time.perf_counter() - run_started
-            sys.stdout.write(result.output)
-            print(f"[{config_label}] {result.cycles} cycles, "
-                  f"{result.instructions} instructions", file=sys.stderr)
-            memory = result.memory
-            if args.stats:
-                print(result.stats.report(), file=sys.stderr)
-            if observability is not None:
-                code = _write_observability(args, observability,
-                                            final_machine)
-                if code:
-                    return code
-            if args.ledger:
-                from repro.sim.observability import (
-                    Ledger,
-                    build_manifest,
-                    export_metrics,
-                )
+            def reattach(restored):
+                restored.obs = obs
+                obs.attach(restored)
+                if telemetry is not None:
+                    # checkpoints strip sampler events too: bind to the
+                    # restored machine and restart the interval
+                    telemetry.attach(restored)
+                    telemetry.arm()
 
-                manifest = build_manifest(
-                    program, final_machine.config, cycles=result.cycles,
-                    instructions=result.instructions,
-                    wall_seconds=run_wall, source=xmtc_source,
-                    program_path=args.program, label=args.run_label)
-                accounting_payload = None
-                if observability.accounting is not None:
-                    from repro.sim.observability import export_accounting
-
-                    accounting_payload = export_accounting(
-                        final_machine, observability.accounting,
-                        cycles=result.cycles)
-                extras = None
-                if observability.lifecycle is not None:
-                    extras = {"lifecycle":
-                              observability.lifecycle.to_data()}
-                try:
-                    record = Ledger(args.ledger).record(
-                        manifest, export_metrics(final_machine),
-                        observability.profiler.to_data(),
-                        accounting=accounting_payload, extras=extras)
-                except OSError as exc:
-                    print(f"xmtsim: {exc}", file=sys.stderr)
-                    return 2
-                print(f"xmtsim: recorded run {record.run_id} in ledger "
-                      f"{args.ledger}", file=sys.stderr)
-    except SimulationStalled as exc:
-        print(f"xmtsim: stalled: {exc}", file=sys.stderr)
-        if exc.dump is not None:
-            print(exc.dump.format(), file=sys.stderr)
-        return 3
-    except SimulationBudgetExceeded as exc:
-        print(f"xmtsim: budget exceeded: {exc}", file=sys.stderr)
-        if exc.dump is not None:
-            print(exc.dump.summary(), file=sys.stderr)
-        return 4
-    except SimulationError as exc:
-        print(f"xmtsim: runtime error: {exc}", file=sys.stderr)
-        return 1
+            report = run_resilient(
+                machine, checkpoint_every=args.checkpoint_every,
+                max_retries=(3 if args.max_retries is None
+                             else args.max_retries),
+                max_cycles=args.max_cycles, wall_limit_s=args.wall_limit,
+                max_events=args.event_budget,
+                reattach=reattach if obs is not None else None)
+            print(report.format(), file=sys.stderr)
+            if report.machine is not None:
+                machine = report.machine
+            result = report.result if report.completed else report.partial()
+        else:
+            result = sim.run(max_cycles=args.max_cycles,
+                             wall_limit_s=args.wall_limit,
+                             max_events=args.event_budget)
     finally:
+        wall = time.perf_counter() - started
         if telemetry is not None:
             # close() emits the closing "final" frame even when the run
             # ended in an exception: the stream records where it died
@@ -861,135 +897,327 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
             if dropped:
                 note += f" ({dropped} dropped for slow subscribers)"
             print(note, file=sys.stderr)
+    completed = report is None or report.completed
+    sys.stdout.write(result.output)
+    if completed:
+        print(f"[{args.config_file or args.config}] {result.cycles} cycles, "
+              f"{result.instructions} instructions", file=sys.stderr)
+        if args.stats:
+            print(result.stats.report(), file=sys.stderr)
+    artifacts = None
+    if observability is not None:
+        artifacts = collect_artifacts(
+            machine, result, wall, source=source, program_path=args.program,
+            label=args.run_label, inputs=inputs or None)
+        _write_observability(args, observability, artifacts)
+    if not completed:
+        # a salvaged run still wrote its outputs above, but is no ledger
+        # entry: its cycle count is where it died
+        raise CliError(result.format(), code=5, kind="recovery failed")
+    if args.ledger:
+        record = Ledger(args.ledger).record_artifacts(artifacts)
+        print(f"xmtsim: recorded run {record.run_id} in ledger "
+              f"{args.ledger}", file=sys.stderr)
+    return result.memory
+
+
+def _xmtsim(args) -> int:
+    cycle_only = [flag for flag, given in (
+        ("--campaign", args.campaign is not None),
+        ("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out),
+        ("--profile", args.profile), ("--profile-out", args.profile_out),
+        ("--accounting-out", args.accounting_out),
+        ("--lifecycle-out", args.lifecycle_out), ("--explain", args.explain),
+        ("--telemetry-out", args.telemetry_out),
+        ("--telemetry-socket", args.telemetry_socket),
+        ("--ledger", args.ledger)) if given]
+    if cycle_only and args.mode != "cycle":
+        raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
+    if args.sanitize and args.mode != "functional":
+        raise CliError("--sanitize requires --mode functional")
+
+    program, source, config, inputs = _load_run(args)
+    if args.watchdog is not None:
+        config.watchdog_cycles = args.watchdog
+    plugins = []
+    if args.inject:
+        with _flag("--inject"):
+            plugins.append(FaultInjector(
+                [parse_fault_spec(text) for text in args.inject]))
+
+    if args.campaign is not None:
+        ledger = Ledger(args.ledger) if args.ledger else None
+        report = run_campaign(lambda: Machine(program, config),
+                              args.campaign, seed=args.campaign_seed,
+                              max_cycles=args.max_cycles, ledger=ledger)
+        print(report.format())
+        if ledger is not None:
+            print(f"xmtsim: recorded golden + {args.campaign} injected "
+                  f"run(s) in ledger {args.ledger}", file=sys.stderr)
+        return 0
+
+    trace = None
+    if args.trace:
+        trace = Trace(level=args.trace, limit=args.trace_limit,
+                      sink=lambda line: print(line, file=sys.stderr))
+    try:
+        if args.mode == "functional":
+            sanitizer = None
+            if args.sanitize:
+                sanitizer = RaceSanitizer()
+            result = FunctionalSimulator(program, sanitizer=sanitizer).run()
+            sys.stdout.write(result.output)
+            print(f"[functional] {result.instructions} instructions",
+                  file=sys.stderr)
+            if sanitizer is not None:
+                print(sanitizer.report(program), file=sys.stderr)
+            memory = result.memory
+        elif args.mode == "sampled":
+            sampler = PhaseSampler()
+            result = SampledSimulator(program, config, sampler=sampler,
+                                      trace=trace).run(
+                                          max_cycles=args.max_cycles)
+            sys.stdout.write(result.output)
+            print(f"[{args.config_file or args.config}, sampled] "
+                  f"~{result.cycles} cycles "
+                  f"(estimated)", file=sys.stderr)
+            print(sampler.report(), file=sys.stderr)
+            if args.stats:
+                print(result.stats.report(), file=sys.stderr)
+            memory = result.memory
+        else:
+            memory = _simulate_cycle(args, program, source, config, inputs,
+                                     plugins, trace)
+    except SimulationStalled as exc:
+        print(f"xmtsim: stalled: {exc}", file=sys.stderr)
+        if exc.dump is not None:
+            print(exc.dump.format(), file=sys.stderr)
+        return 3
+    except SimulationBudgetExceeded as exc:
+        print(f"xmtsim: budget exceeded: {exc}", file=sys.stderr)
+        if exc.dump is not None:
+            print(exc.dump.summary(), file=sys.stderr)
+        return 4
+    except SimulationError as exc:
+        raise CliError(str(exc), code=1, kind="runtime error") from exc
 
     for name in args.print_global:
-        try:
-            values = program.read_global(name, memory)
-        except KeyError:
-            print(f"xmtsim: no such global {name!r}", file=sys.stderr)
-            return 2
-        print(f"{name} = {values}")
+        with _flag(f"--print-global {name}", KeyError):
+            print(f"{name} = {program.read_global(name, memory)}")
     return 0
 
 
-def _parse_config_value(token: str):
-    """One sweep/override value: int, float, bool or bare string."""
-    token = token.strip()
-    if token.lower() in ("true", "false"):
-        return token.lower() == "true"
-    try:
-        return int(token, 0)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
+def xmtsim_main(argv: Optional[List[str]] = None) -> int:
+    """``xmtsim``: the cycle-accurate (or functional, or phase-sampled)
+    simulator.
 
-
-def _parse_vary(specs: List[str]):
-    """``--vary field=v1,v2,...`` specs -> ordered (field, values) list."""
-    axes = []
-    for spec in specs:
-        field, eq, values = spec.partition("=")
-        field = field.strip()
-        if not eq or not field or not values.strip():
-            raise ValueError(f"--vary expects FIELD=V1,V2,...; got {spec!r}")
-        axes.append((field, [_parse_config_value(v)
-                             for v in values.split(",")]))
-    return axes
-
-
-def _grid(axes):
-    """Cartesian product of the vary axes as override dicts, in order."""
-    points = [{}]
-    for field, values in axes:
-        points = [dict(point, **{field: value})
-                  for point in points for value in values]
-    return points
-
-
-def _apply_globals(program, sets) -> None:
-    for name, values in sets:
-        try:
-            program.write_global(name, _parse_values(values))
-        except KeyError:
-            raise ValueError(f"no such global {name!r}") from None
-
-
-def _compare_base_config(args, baseline_manifest=None):
-    """Resolve the config for a fresh xmt-compare run.
-
-    Explicit ``--config``/``--config-file`` wins; otherwise ``check``
-    reruns under the baseline's recorded (fully resolved) config so the
-    comparison isolates the toolchain change from any config drift.
+    Exit codes: 0 = ran to completion, 1 = compile or runtime error,
+    2 = bad input, 3 = stalled/deadlocked, 4 = budget exceeded,
+    5 = recovery retries exhausted (partial result).
     """
-    if args.config_file:
-        from repro.sim.config import from_file
-
-        return from_file(args.config_file)
-    if args.config is not None:
-        return _CONFIGS[args.config]()
-    if baseline_manifest is not None:
-        cfg = XMTConfig().scaled(**baseline_manifest["config"])
-        cfg.validate()
-        return cfg
-    return _CONFIGS["fpga64"]()
+    return _run(_xmtsim_parser, _xmtsim, argv, compile_error_exit=1)
 
 
-def _resolve_run(token: str, ledger_dir: Optional[str]):
-    """A diff operand: a run directory / manifest path, or a run-id
-    (prefix) looked up in ``--ledger``."""
-    from repro.sim.observability import Ledger, load_run
-
-    if os.path.exists(token):
-        return load_run(token)
-    if ledger_dir is None:
-        raise ValueError(f"{token!r} is not a path; pass --ledger DIR "
-                         f"to resolve run ids")
-    return Ledger(ledger_dir).load(token)
+# -- xmt-prof ------------------------------------------------------------------------
 
 
-def xmt_compare_main(argv: Optional[List[str]] = None) -> int:
-    """``xmt-compare``: diff, sweep and gate ledger-recorded runs.
+def _prof_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="xmt-prof",
+        description="render xmtsim cycle profiles (gprof-style, per "
+                    "XMTC source line)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    report = sub.add_parser(
+        "report", help="print the hotspot report for a profile JSON")
+    report.add_argument("profile", help="JSON written by --profile-out")
+    report.add_argument("--top", type=int, default=20, metavar="N",
+                        help="show the N hottest source lines")
+    report.add_argument("--source", default=None, metavar="FILE",
+                        help="XMTC source to quote (overrides the text "
+                             "embedded in the profile)")
+    return parser
 
-    Exit codes: 0 = ok, 1 = regression past threshold (``check``),
-    2 = bad input (unreadable files, unknown runs, schema mismatch).
+
+def _prof(args) -> int:
+    data = load_profile(args.profile)  # ValueError: wrong schema, bad JSON
+    source = None
+    if args.source:
+        with _flag("--source", OSError):
+            with open(args.source) as fh:
+                source = fh.read()
+    print(render_profile(data, source=source, top=args.top))
+    return 0
+
+
+def xmt_prof_main(argv: Optional[List[str]] = None) -> int:
+    """``xmt-prof``: inspect profiles written by ``xmtsim --profile-out``.
+
+    Exit codes: 0 = report printed, 2 = unreadable or not a profile.
     """
-    from repro.sim.observability import Ledger, compare_runs
-    from repro.sim.observability.compare import SchemaError
+    return _run(_prof_parser, _prof, argv)
 
+
+# -- xmt-explain ---------------------------------------------------------------------
+
+
+def _explain_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="xmt-explain",
+        description="top-down bottleneck reports over recorded runs: "
+                    "cycle accounting tree, hop latency histograms, "
+                    "contention hot spots, and two-run layer attribution")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        _add_report_options(
+            p, format_help="report format", top=8,
+            top_help="rows per report section (default 8)",
+            ledger_help="resolve run-id operands in this ledger", out=True)
+
+    p_report = sub.add_parser(
+        "report", help="explain one run: top-down tree, hop latencies, "
+                       "contention")
+    p_report.add_argument("run", help="run dir, manifest.json, "
+                                      "accounting.json, or run id")
+    p_report.add_argument("--assert-exact", action="store_true",
+                          help="CI gate: fail unless every processor "
+                               "cycle is attributed exactly once and "
+                               "totals match the run cycle count")
+    add_common(p_report)
+
+    p_diff = sub.add_parser(
+        "diff", help="diff two runs: layer-attribution table and the "
+                     "layer responsible for a regression")
+    p_diff.add_argument("run_a", help="baseline run (see report)")
+    p_diff.add_argument("run_b", help="fresh run (see report)")
+    add_common(p_diff)
+    return parser
+
+
+def _explain_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
+    """Resolve one run operand into ``{"accounting", "lifecycle",
+    "metrics", "manifest"}`` (accounting required, the rest optional).
+    Besides what :func:`_resolve_run` takes, the operand may be a bare
+    ``accounting.json`` export (``xmtsim --accounting-out``)."""
+    if os.path.isfile(token) and not token.endswith("manifest.json"):
+        with open(token) as fh:
+            payload = json.load(fh)
+        if isinstance(payload, dict) \
+                and payload.get("schema") == SCHEMA_ACCOUNTING:
+            return {"accounting": payload, "lifecycle": None,
+                    "metrics": None, "manifest": None}
+        raise CliError(
+            f"{token}: not an {SCHEMA_ACCOUNTING} export (give a run "
+            f"directory, manifest.json, or accounting.json)")
+    record = _resolve_run(token, ledger_dir)
+    accounting = record.accounting()
+    if accounting is None:
+        raise CliError(
+            f"{token}: run has no accounting.json -- record it with "
+            f"'xmtsim --accounting-out --ledger' or "
+            f"'xmt-compare check --recorder --ledger'")
+    return {"accounting": accounting, "lifecycle": record.lifecycle(),
+            "metrics": record.metrics(), "manifest": record.manifest}
+
+
+def _check_exact(bundle: Dict[str, Any]) -> List[str]:
+    """The ``--assert-exact`` invariants; returns failure messages."""
+    acct = bundle["accounting"]
+    problems: List[str] = []
+    if not acct.get("exact"):
+        problems.append("accounting marked inexact by the exporter")
+    flat_total = sum(acct["machine"]["flat"].values())
+    if flat_total != acct["total_cycles"]:
+        problems.append(
+            f"category cycles sum to {flat_total}, expected "
+            f"total_cycles {acct['total_cycles']}")
+    expected = acct["cycles"] * acct["n_processors"]
+    if acct["total_cycles"] != expected:
+        problems.append(
+            f"total_cycles {acct['total_cycles']} != cycles x "
+            f"n_processors ({acct['cycles']} x {acct['n_processors']} "
+            f"= {expected})")
+    manifest = bundle.get("manifest")
+    if manifest is not None and manifest.get("cycles") != acct["cycles"]:
+        problems.append(
+            f"accounted cycles {acct['cycles']} != manifest cycles "
+            f"{manifest.get('cycles')}")
+    return problems
+
+
+def _explain(args) -> int:
+    if args.command == "report":
+        bundle = _explain_bundle(args.run, args.ledger)
+        report = build_explain(**bundle, top=args.top)
+    else:
+        report = explain_diff(_explain_bundle(args.run_a, args.ledger),
+                              _explain_bundle(args.run_b, args.ledger),
+                              top=args.top)
+    text = render_explain(report, args.format, top=args.top)
+    print(text)
+    if args.out:
+        _write_text("--out", args.out, text + "\n")
+
+    if args.command == "report" and args.assert_exact:
+        problems = _check_exact(bundle)
+        if problems:
+            for problem in problems:
+                print(f"xmt-explain: INEXACT: {problem}", file=sys.stderr)
+            return 1
+        acct = bundle["accounting"]
+        print(f"xmt-explain: exact: {acct['total_cycles']} attributed "
+              f"cycles == {acct['cycles']} cycles x "
+              f"{acct['n_processors']} processors", file=sys.stderr)
+    return 0
+
+
+def xmt_explain_main(argv: Optional[List[str]] = None) -> int:
+    """``xmt-explain``: bottleneck reports over recorded runs.
+
+    ``RUN`` is a ledger run directory, a ``manifest.json`` path, a bare
+    ``accounting.json`` export (from ``xmtsim --accounting-out``), or --
+    with ``--ledger DIR`` -- a run id prefix.  ``report`` renders one
+    run's top-down cycle tree, per-hop latency distributions and
+    contention hot spots; ``diff`` renders the layer-attribution table
+    between two runs and names the layer responsible for a cycle
+    regression.
+
+    ``--assert-exact`` is the CI contract: exit nonzero unless the
+    accounting is exhaustive and exclusive -- every per-TCU cycle
+    attributed to exactly one category, the category total equal to
+    ``cycles x n_processors``, and (when a manifest is present) the
+    accounted cycle count equal to the manifest's run cycle count.
+
+    Exit codes: 0 = ok, 1 = --assert-exact violated, 2 = bad input.
+    """
+    return _run(_explain_parser, _explain, argv)
+
+
+# -- xmt-compare ---------------------------------------------------------------------
+
+
+def _compare_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-compare",
         description="differential observability over the xmtsim "
                     "experiment ledger (see MANUAL.md section 4.7)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_compile=False):
-        p.add_argument("--ledger", default=None, metavar="DIR",
-                       help="experiment ledger directory")
+    def add_common(p):
+        _add_report_options(p, format_help="report format", top=20,
+                            top_help="rows per report section",
+                            ledger_help="experiment ledger directory")
         p.add_argument("--threshold", type=float, default=0.05,
                        metavar="REL",
                        help="relative delta below which a metric counts "
                             "as unchanged (default 0.05 = 5%%)")
-        p.add_argument("--format", default="text",
-                       choices=("text", "json", "markdown"),
-                       help="report format")
-        p.add_argument("--top", type=int, default=20, metavar="N",
-                       help="rows per report section")
-        if with_compile:
-            p.add_argument("--config", default=None,
-                           choices=sorted(_CONFIGS),
-                           help="machine configuration for fresh runs")
-            p.add_argument("--config-file", default=None, metavar="PATH",
-                           help="JSON configuration file (overrides "
-                                "--config)")
-            p.add_argument("--max-cycles", type=int, default=None)
-            p.add_argument("--set", nargs=2, action="append", default=[],
-                           metavar=("GLOBAL", "VALUES"),
-                           help="write comma-separated values into a "
-                                "global before every run (repeatable)")
-            _add_compile_flags(p)
+
+    def add_fresh_run(p):
+        _add_run_options(
+            p, config_help="machine configuration for fresh runs",
+            set_help="write comma-separated values into a global before "
+                     "every run (repeatable)")
+        add_common(p)
 
     p_list = sub.add_parser("list", help="list the runs in a ledger")
     p_list.add_argument("--ledger", required=True, metavar="DIR")
@@ -1004,24 +1232,18 @@ def xmt_compare_main(argv: Optional[List[str]] = None) -> int:
     p_sweep = sub.add_parser(
         "sweep", help="fan one program across a config grid, record "
                       "every run, and print the comparison table")
-    p_sweep.add_argument("program",
-                         help="assembly (.s/.asm) or XMTC source file")
     p_sweep.add_argument("--vary", action="append", default=[],
                          metavar="FIELD=V1,V2,...", required=True,
-                         help="sweep an XMTConfig field over values "
-                              "(repeatable; repeats form the cartesian "
-                              "product)")
+                         help=_VARY_HELP)
     p_sweep.add_argument("--workers", type=int, default=1, metavar="N",
                          help="shard the sweep across N supervised "
                               "worker processes via the campaign engine "
                               "(default 1 = in-process)")
-    add_common(p_sweep, with_compile=True)
+    add_fresh_run(p_sweep)
 
     p_check = sub.add_parser(
         "check", help="run a program fresh and gate it against a "
                       "committed baseline run (CI perf-regression gate)")
-    p_check.add_argument("program",
-                         help="assembly (.s/.asm) or XMTC source file")
     p_check.add_argument("--baseline", required=True, metavar="PATH",
                          help="baseline run directory (or its "
                               "manifest.json)")
@@ -1041,56 +1263,35 @@ def xmt_compare_main(argv: Optional[List[str]] = None) -> int:
                               "the gate; the comparison gains the layer-"
                               "attribution table when the baseline also "
                               "recorded accounting)")
-    add_common(p_check, with_compile=True)
+    add_fresh_run(p_check)
+    return parser
 
-    args = parser.parse_args(argv)
 
-    try:
-        if args.command == "list":
-            records = Ledger(args.ledger).list_runs()
-            if not records:
-                print(f"xmt-compare: no runs in {args.ledger}")
-                return 0
-            print(f"{'run id':<14} {'config':<10} {'cycles':>10}  "
-                  f"{'program':<12} label")
-            for r in records:
-                fault = r.manifest.get("fault")
-                marker = (f"  [injected {fault['site']}@{fault['cycle']}"
-                          f" -> {fault.get('outcome', '?')}]"
-                          if fault else "")
-                print(f"{r.run_id:<14} "
-                      f"{str(r.config_value('name')):<10} "
-                      f"{r.cycles:>10}  "
-                      f"{r.manifest['program']['sha256'][:10]:<12} "
-                      f"{r.manifest.get('label') or ''}{marker}")
-            return 0
-
-        if args.command == "diff":
-            rec_a = _resolve_run(args.run_a, args.ledger)
-            rec_b = _resolve_run(args.run_b, args.ledger)
-            comparison = compare_runs(rec_a, rec_b,
-                                      threshold=args.threshold)
-            print(comparison.render(args.format, top=args.top))
-            return 0
-
-        if args.command == "sweep":
-            return _compare_sweep(args)
-
-        return _compare_check(args)
-    except BrokenPipeError:
-        # stdout closed early (e.g. piped into head) -- not an error
-        try:
-            sys.stdout.close()
-        except OSError:
-            pass
+def _compare_list(args) -> int:
+    records = Ledger(args.ledger).list_runs()
+    if not records:
+        print(f"xmt-compare: no runs in {args.ledger}")
         return 0
-    except (OSError, KeyError, ValueError, CompileError) as exc:
-        # SchemaError is a ValueError: bad payloads land here too
-        kind = "schema error" if isinstance(exc, SchemaError) else "error"
-        message = (exc.args[0] if isinstance(exc, (KeyError, ValueError))
-                   and exc.args else exc)
-        print(f"xmt-compare: {kind}: {message}", file=sys.stderr)
-        return 2
+    print(f"{'run id':<14} {'config':<10} {'cycles':>10}  "
+          f"{'program':<12} label")
+    for r in records:
+        fault = r.manifest.get("fault")
+        marker = (f"  [injected {fault['site']}@{fault['cycle']}"
+                  f" -> {fault.get('outcome', '?')}]" if fault else "")
+        print(f"{r.run_id:<14} "
+              f"{str(r.config_value('name')):<10} "
+              f"{r.cycles:>10}  "
+              f"{r.manifest['program']['sha256'][:10]:<12} "
+              f"{r.manifest.get('label') or ''}{marker}")
+    return 0
+
+
+def _compare_diff(args) -> int:
+    comparison = compare_runs(_resolve_run(args.run_a, args.ledger),
+                              _resolve_run(args.run_b, args.ledger),
+                              threshold=args.threshold)
+    print(comparison.render(args.format, top=args.top))
+    return 0
 
 
 def _compare_sweep(args) -> int:
@@ -1098,32 +1299,21 @@ def _compare_sweep(args) -> int:
     (in-process by default, supervised workers with ``--workers N``)
     and render the comparison table."""
     from repro.sim.campaign import CampaignEngine, grid_requests
-    from repro.sim.observability import Ledger, render_sweep_table
 
     axes = _parse_vary(args.vary)
-    inputs = {name: _parse_values(values) for name, values in args.set}
+    _, _, config, inputs = _load_run(args, load=False)
     requests = grid_requests(args.program, axes, inputs=inputs,
                              max_cycles=args.max_cycles)
-    ledger = Ledger(args.ledger) if args.ledger else None
-
-    def note(outcome):
-        if outcome.status in ("ok", "cached"):
-            suffix = " (cached)" if outcome.status == "cached" else ""
-            print(f"xmt-compare: {outcome.label}: {outcome.cycles} cycles "
-                  f"({outcome.run_id}){suffix}", file=sys.stderr)
-        else:
-            print(f"xmt-compare: {outcome.label}: {outcome.status}: "
-                  f"{outcome.error_type}: {outcome.error}", file=sys.stderr)
-
     engine = CampaignEngine(
-        requests, ledger=ledger, base_config=_compare_base_config(args),
-        compile_options=_compile_options(args),
+        requests, ledger=Ledger(args.ledger) if args.ledger else None,
+        base_config=config, compile_options=_compile_options(args),
         workers=args.workers, serial=args.workers <= 1,
-        max_retries=0, max_cycles=args.max_cycles, on_outcome=note)
+        max_retries=0, max_cycles=args.max_cycles,
+        on_outcome=_progress_printer("xmt-compare"))
     result = engine.run()
     bad = [o for o in result.outcomes if o.status not in ("ok", "cached")]
     if bad:
-        raise ValueError(
+        raise CliError(
             f"{len(bad)} of {len(result.outcomes)} sweep run(s) failed: "
             + "; ".join(f"{o.label}: {o.error_type}: {o.error}"
                         for o in bad))
@@ -1139,15 +1329,6 @@ def _compare_sweep(args) -> int:
 
 
 def _compare_check(args) -> int:
-    from repro.sim.observability import (
-        Ledger,
-        check_regressions,
-        compare_runs,
-        instrumented_run,
-        load_run,
-        write_run_dir,
-    )
-
     # the baseline operand is a run directory unless it names the
     # manifest file itself (a not-yet-existing directory stays a
     # directory so --update-baseline can create it)
@@ -1160,15 +1341,23 @@ def _compare_check(args) -> int:
     baseline = None
     if os.path.exists(manifest_path) or not args.update_baseline:
         baseline = load_run(args.baseline)
-    program, source = _load_program(args.program, _compile_options(args))
-    _apply_globals(program, args.set)
-    config = _compare_base_config(
-        args, baseline.manifest if baseline is not None else None)
+
+    def recorded_config() -> XMTConfig:
+        # without --config/--config-file, rerun under the baseline's
+        # recorded (fully resolved) config, so the comparison isolates
+        # the toolchain change from any config drift
+        if baseline is None:
+            return fpga64()
+        config = XMTConfig().scaled(**baseline.manifest["config"])
+        config.validate()
+        return config
+
+    program, source, config, inputs = _load_run(args, recorded_config)
     artifacts = instrumented_run(
         program, config, source=source, program_path=args.program,
         label="baseline" if args.update_baseline else "fresh",
-        max_cycles=args.max_cycles,
-        accounting=getattr(args, "recorder", False))
+        max_cycles=args.max_cycles, inputs=inputs or None,
+        accounting=args.recorder)
     fresh = artifacts.as_record()
     if args.update_baseline:
         write_run_dir(baseline_dir, artifacts.manifest, artifacts.metrics,
@@ -1198,61 +1387,54 @@ def _compare_check(args) -> int:
     return 0
 
 
-def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
-    """``xmt-campaign``: fault-tolerant multi-run campaigns.
+_COMPARE = {"list": _compare_list, "diff": _compare_diff,
+            "sweep": _compare_sweep, "check": _compare_check}
 
-    Exit codes: 0 = every run ok or cached, 5 = campaign completed but
-    some runs ended failed/timeout/gave-up (partial results; the report
-    names each), 2 = bad input (unreadable program/queue, bad grid).
 
-    ``xmt-campaign report`` is a separate subcommand: it aggregates a
-    finished campaign's ``--results``/``--telemetry-out`` streams and
-    ``attempts.jsonl`` into outcome counts, per-axis percentiles and
-    retry histograms.
+def xmt_compare_main(argv: Optional[List[str]] = None) -> int:
+    """``xmt-compare``: diff, sweep and gate ledger-recorded runs.
+
+    Exit codes: 0 = ok, 1 = regression past threshold (``check``),
+    2 = bad input (unreadable files, unknown runs, schema mismatch).
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "report":
-        return _campaign_report_main(argv[1:])
+    return _run(_compare_parser, lambda args: _COMPARE[args.command](args),
+                argv)
 
-    from repro.sim.campaign import (
-        CampaignEngine,
-        ChaosMonkey,
-        grid_requests,
-        load_queue,
-    )
-    from repro.sim.observability import Ledger
 
+# -- xmt-campaign --------------------------------------------------------------------
+
+
+def _campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-campaign",
         description="fault-tolerant campaign engine: shard a sweep grid "
                     "or a JSONL run queue across supervised worker "
                     "processes with retry/backoff, ledger dedup and "
                     "typed per-run outcomes (MANUAL.md section 4.9)")
-    parser.add_argument("program", nargs="?", default=None,
-                        help="assembly (.s/.asm) or XMTC source file "
-                             "(grid mode; omit with --queue)")
+    _add_run_options(
+        parser, program_nargs="?",
+        program_help="assembly (.s/.asm) or XMTC source file (grid mode; "
+                     "omit with --queue)",
+        config_help="base machine configuration (default fpga64)",
+        set_help="write comma-separated values into a global before every "
+                 "run (repeatable; recorded in the manifest, so it is part "
+                 "of the dedup identity)")
+    parser.add_argument("--vary", action="append", default=[],
+                        metavar="FIELD=V1,V2,...", help=_VARY_HELP)
+    _add_telemetry_options(
+        parser,
+        out_help="multiplex worker telemetry frames and engine records "
+                 "(campaign-start, outcomes, stall warnings, campaign-end) "
+                 "into one JSONL stream at PATH; watch it live with "
+                 "'xmt-top watch --follow', aggregate it with "
+                 "'xmt-campaign report'",
+        every_help="worker telemetry frame interval in cycles "
+                   "(default 2000)")
     parser.add_argument("--queue", default=None, metavar="FILE",
                         help="JSONL queue of run requests (one JSON "
                              "object per line; see MANUAL 4.9)")
-    parser.add_argument("--vary", action="append", default=[],
-                        metavar="FIELD=V1,V2,...",
-                        help="sweep an XMTConfig field over values "
-                             "(repeatable; repeats form the cartesian "
-                             "product)")
-    parser.add_argument("--config", default=None, choices=sorted(_CONFIGS),
-                        help="base machine configuration (default fpga64)")
-    parser.add_argument("--config-file", default=None, metavar="PATH",
-                        help="JSON configuration file (overrides --config)")
-    parser.add_argument("--set", nargs=2, action="append", default=[],
-                        metavar=("GLOBAL", "VALUES"),
-                        help="write comma-separated values into a global "
-                             "before every run (repeatable; recorded in "
-                             "the manifest, so it is part of the dedup "
-                             "identity)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in every run manifest")
-    parser.add_argument("--max-cycles", type=int, default=None)
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes (default 2; 1 = serial "
                              "in-process execution)")
@@ -1285,17 +1467,6 @@ def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--results", default=None, metavar="PATH",
                         help="stream typed per-run outcomes to PATH as "
                              "JSONL while the campaign runs")
-    parser.add_argument("--telemetry-out", default=None, metavar="PATH",
-                        help="multiplex worker telemetry frames and "
-                             "engine records (campaign-start, outcomes, "
-                             "stall warnings, campaign-end) into one "
-                             "JSONL stream at PATH; watch it live with "
-                             "'xmt-top watch --follow', aggregate it "
-                             "with 'xmt-campaign report'")
-    parser.add_argument("--telemetry-every", type=int, default=2000,
-                        metavar="CYCLES",
-                        help="worker telemetry frame interval in cycles "
-                             "(default 2000)")
     parser.add_argument("--stall-warn", type=float, default=None,
                         metavar="SECONDS",
                         help="flag a worker that emits no telemetry "
@@ -1323,88 +1494,56 @@ def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
                              "findings in the result payload/manifest")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the per-run progress lines")
-    _add_compile_flags(parser)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _campaign(args) -> int:
+    from repro.sim.campaign import (
+        CampaignEngine,
+        ChaosMonkey,
+        grid_requests,
+        load_queue,
+    )
 
     if (args.program is None) == (args.queue is None):
-        print("xmt-campaign: give a program (grid mode) or --queue FILE, "
-              "not both", file=sys.stderr)
-        return 2
+        raise CliError("give a program (grid mode) or --queue FILE, "
+                       "not both")
     if args.queue is not None and args.vary:
-        print("xmt-campaign: --vary only applies to grid mode",
-              file=sys.stderr)
-        return 2
+        raise CliError("--vary only applies to grid mode")
 
-    try:
-        inputs = {name: _parse_values(values) for name, values in args.set}
-        if args.queue is not None:
+    _, _, config, inputs = _load_run(args, load=False)
+    if args.queue is not None:
+        with _flag("--queue"):
             requests = load_queue(args.queue)
-            if inputs:
-                for request in requests:
-                    request.inputs = dict(inputs, **request.inputs)
-        else:
-            requests = grid_requests(
-                args.program, _parse_vary(args.vary), inputs=inputs,
-                seed=args.seed, max_cycles=args.max_cycles)
-
-        base_config = None
-        if args.config_file:
-            from repro.sim.config import from_file
-
-            base_config = from_file(args.config_file)
-        elif args.config is not None:
-            base_config = _CONFIGS[args.config]()
-
-        chaos = (ChaosMonkey(kills=args.chaos_kill, seed=args.chaos_seed)
-                 if args.chaos_kill > 0 else None)
-
-        def note(outcome):
-            if args.quiet:
-                return
-            if outcome.status in ("ok", "cached"):
-                tag = " (cached)" if outcome.status == "cached" else ""
-                attempts = (f" [attempt {outcome.attempts}]"
-                            if outcome.attempts > 1 else "")
-                races = ""
-                if outcome.sanitizer and not outcome.sanitizer.get("clean"):
-                    kinds = ",".join(outcome.sanitizer.get("kinds", []))
-                    races = (f" RACES: {outcome.sanitizer.get('races')}"
-                             f" [{kinds}]")
-                print(f"xmt-campaign: {outcome.label or outcome.index}: "
-                      f"{outcome.cycles} cycles ({outcome.run_id})"
-                      f"{tag}{attempts}{races}", file=sys.stderr)
-            else:
-                print(f"xmt-campaign: {outcome.label or outcome.index}: "
-                      f"{outcome.status} after {outcome.attempts} "
-                      f"attempt{'s' if outcome.attempts != 1 else ''}: "
-                      f"{outcome.error_type}: {outcome.error}",
-                      file=sys.stderr)
-
-        engine = CampaignEngine(
-            requests,
-            ledger=Ledger(args.ledger) if args.ledger else None,
-            results_path=args.results,
-            base_config=base_config,
-            compile_options=_compile_options(args),
-            workers=args.workers,
-            serial=args.serial,
-            max_retries=args.max_retries,
-            backoff_s=args.backoff,
-            wall_budget_s=args.wall_budget,
-            event_budget=args.event_budget,
-            max_cycles=args.max_cycles,
-            attempt_deadline_s=args.attempt_deadline,
-            sanitize=args.sanitize,
-            chaos=chaos,
-            on_outcome=note,
-            telemetry_path=args.telemetry_out,
-            telemetry_every=args.telemetry_every,
-            stall_warn_s=args.stall_warn,
-            stall_kill_s=args.stall_kill)
-        result = engine.run()
-    except (OSError, ValueError, CompileError) as exc:
-        print(f"xmt-campaign: error: {exc}", file=sys.stderr)
-        return 2
+        for request in requests:
+            request.inputs = dict(inputs, **request.inputs)
+    else:
+        requests = grid_requests(
+            args.program, _parse_vary(args.vary), inputs=inputs,
+            seed=args.seed, max_cycles=args.max_cycles)
+    engine = CampaignEngine(
+        requests,
+        ledger=Ledger(args.ledger) if args.ledger else None,
+        results_path=args.results,
+        base_config=config,
+        compile_options=_compile_options(args),
+        workers=args.workers,
+        serial=args.serial,
+        max_retries=args.max_retries,
+        backoff_s=args.backoff,
+        wall_budget_s=args.wall_budget,
+        event_budget=args.event_budget,
+        max_cycles=args.max_cycles,
+        attempt_deadline_s=args.attempt_deadline,
+        sanitize=args.sanitize,
+        chaos=(ChaosMonkey(kills=args.chaos_kill, seed=args.chaos_seed)
+               if args.chaos_kill > 0 else None),
+        on_outcome=_progress_printer("xmt-campaign", args.quiet),
+        telemetry_path=args.telemetry_out,
+        telemetry_every=args.telemetry_every,
+        stall_warn_s=args.stall_warn,
+        stall_kill_s=args.stall_kill)
+    result = engine.run()
 
     print(result.format())
     if args.results:
@@ -1416,14 +1555,7 @@ def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
     return result.exit_code()
 
 
-def _campaign_report_main(argv: List[str]) -> int:
-    """``xmt-campaign report``: aggregate a finished campaign."""
-    from repro.sim.observability.aggregate import (
-        aggregate_campaign,
-        render_campaign_report,
-    )
-    from repro.sim.observability.telemetry import read_stream
-
+def _campaign_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-campaign report",
         description="aggregate campaign outcome/telemetry streams into "
@@ -1439,43 +1571,48 @@ def _campaign_report_main(argv: List[str]) -> int:
                         help="attempts.jsonl from the campaign ledger "
                              "directory (adds backoff and heartbeat-gap "
                              "histograms)")
-    parser.add_argument("--format", default="text",
-                        choices=("text", "markdown", "json"))
-    args = parser.parse_args(argv)
+    _add_report_options(parser)
+    return parser
 
+
+def _campaign_report(args) -> int:
     if not args.results and not args.telemetry:
-        print("xmt-campaign report: give --results and/or --telemetry",
-              file=sys.stderr)
-        return 2
-    try:
-        records: List[dict] = []
-        for path in (args.results, args.telemetry):
-            if path:
-                records += read_stream(path)
-        attempts = read_stream(args.attempts) if args.attempts else None
-    except OSError as exc:
-        print(f"xmt-campaign report: {exc}", file=sys.stderr)
-        return 2
+        raise CliError("give --results and/or --telemetry")
+    records: List[dict] = []
+    for path in (args.results, args.telemetry):
+        if path:
+            records += read_stream(path)
+    attempts = read_stream(args.attempts) if args.attempts else None
     report = aggregate_campaign(records, attempts)
     if not report["runs"]:
-        print("xmt-campaign report: no outcome records found",
-              file=sys.stderr)
-        return 2
+        raise CliError("no outcome records found")
     print(render_campaign_report(report, args.format))
     return 0
 
 
-def xmt_top_main(argv: Optional[List[str]] = None) -> int:
-    """``xmt-top``: live monitor over telemetry streams.
+def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
+    """``xmt-campaign``: fault-tolerant multi-run campaigns.
 
-    ``watch`` tails a growing JSONL stream (``--follow``) or subscribes
-    to a ``--telemetry-socket`` publisher and redraws a per-run table;
-    ``report`` renders the same table once from a finished stream.
-    Exit codes: 0 = ok, 2 = unreadable stream / unreachable socket.
+    Exit codes: 0 = every run ok or cached, 5 = campaign completed but
+    some runs ended failed/timeout/gave-up (partial results; the report
+    names each), 2 = bad input (unreadable program/queue, bad grid).
+
+    ``xmt-campaign report`` is a separate subcommand: it aggregates a
+    finished campaign's ``--results``/``--telemetry-out`` streams and
+    ``attempts.jsonl`` into outcome counts, per-axis percentiles and
+    retry histograms.
     """
-    from repro.sim.observability.aggregate import fold_stream, render_top
-    from repro.sim.observability.telemetry import read_stream
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "report":
+        return _run(_campaign_report_parser, _campaign_report, argv[1:])
+    return _run(_campaign_parser, _campaign, argv)
 
+
+# -- xmt-top -------------------------------------------------------------------------
+
+
+def _top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-top",
         description="live per-run progress monitor for xmtsim and "
@@ -1487,8 +1624,7 @@ def xmt_top_main(argv: Optional[List[str]] = None) -> int:
     report.add_argument("stream",
                         help="JSONL written by xmtsim/xmt-campaign "
                              "--telemetry-out")
-    report.add_argument("--format", default="text",
-                        choices=("text", "markdown", "json"))
+    _add_report_options(report)
     watch = sub.add_parser(
         "watch", help="follow a stream live and redraw the table")
     source = watch.add_mutually_exclusive_group(required=True)
@@ -1507,33 +1643,21 @@ def xmt_top_main(argv: Optional[List[str]] = None) -> int:
     watch.add_argument("--plain", action="store_true",
                        help="append snapshots instead of clearing the "
                             "screen (no ANSI; for logs and tests)")
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.command == "report":
-        try:
-            records = read_stream(args.stream)
-        except OSError as exc:
-            print(f"xmt-top: {exc}", file=sys.stderr)
-            return 2
-        if not records:
-            print(f"xmt-top: {args.stream}: no telemetry records",
-                  file=sys.stderr)
-            return 2
-        print(render_top(fold_stream(records), args.format))
-        return 0
-    return _top_watch(args)
+
+def _top(args) -> int:
+    if args.command == "watch":
+        return _top_watch(args)
+    records = read_stream(args.stream)
+    if not records:
+        raise CliError(f"{args.stream}: no telemetry records")
+    print(render_top(fold_stream(records), args.format))
+    return 0
 
 
 def _top_watch(args) -> int:
-    import json as _json
     import socket as _socket
-    import time as _time
-
-    from repro.sim.observability.aggregate import (
-        TopSummary,
-        fold_stream,
-        render_top,
-    )
 
     summary = TopSummary()
     updates = 0
@@ -1556,8 +1680,8 @@ def _top_watch(args) -> int:
             if not line:
                 continue
             try:
-                record = _json.loads(line)
-            except _json.JSONDecodeError:
+                record = json.loads(line)
+            except json.JSONDecodeError:
                 continue  # torn line from a killed writer
             if isinstance(record, dict):
                 records.append(record)
@@ -1572,93 +1696,52 @@ def _top_watch(args) -> int:
         return bool(summary.rows) and all(
             row.state in terminal for row in summary.rows.values())
 
+    def pump(read, pause: float = 0.0) -> int:
+        """Fold what ``read()`` returns -- the stream's next bytes,
+        ``b""`` for nothing new, ``None`` at its end -- and redraw."""
+        buffer = b""
+        while True:
+            data = read()
+            if data:
+                *lines, buffer = (buffer + data).split(b"\n")
+                fold_lines(line.decode("utf-8", "replace") for line in lines)
+            redraw()
+            if data is None or done():
+                return 0
+            time.sleep(pause)
+
     try:
         if args.socket:
             sock = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM)
-            try:
+            with _flag(f"--socket {args.socket}", OSError):
                 sock.connect(args.socket)
-            except OSError as exc:
-                print(f"xmt-top: {args.socket}: {exc}", file=sys.stderr)
-                return 2
             sock.settimeout(args.interval)
-            buffer = b""
+
+            def receive():
+                try:
+                    return sock.recv(65536) or None
+                except _socket.timeout:
+                    return b""
+
             with sock:
-                while True:
-                    closed = False
-                    try:
-                        data = sock.recv(65536)
-                        closed = data == b""
-                    except _socket.timeout:
-                        data = b""
-                    if data:
-                        buffer += data
-                        lines = buffer.split(b"\n")
-                        buffer = lines.pop()
-                        fold_lines(line.decode("utf-8", "replace")
-                                   for line in lines)
-                    redraw()
-                    if closed or done():
-                        return 0
-        else:
-            deadline = _time.monotonic() + 10.0
-            while not os.path.exists(args.follow):
-                if _time.monotonic() >= deadline:
-                    print(f"xmt-top: {args.follow}: no such stream",
-                          file=sys.stderr)
-                    return 2
-                _time.sleep(min(args.interval, 0.1))
-            buffer = ""
-            with open(args.follow) as fh:
-                while True:
-                    data = fh.read()
-                    if data:
-                        buffer += data
-                        lines = buffer.split("\n")
-                        buffer = lines.pop()
-                        fold_lines(lines)
-                    redraw()
-                    if done():
-                        return 0
-                    _time.sleep(args.interval)
+                return pump(receive)
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(args.follow):
+            if time.monotonic() >= deadline:
+                raise CliError(f"--follow {args.follow}: no such stream")
+            time.sleep(min(args.interval, 0.1))
+        with open(args.follow, "rb") as fh:
+            return pump(fh.read, args.interval)
     except KeyboardInterrupt:
         return 0
 
 
-def xmt_prof_main(argv: Optional[List[str]] = None) -> int:
-    """``xmt-prof``: inspect profiles written by ``xmtsim --profile-out``.
+def xmt_top_main(argv: Optional[List[str]] = None) -> int:
+    """``xmt-top``: live monitor over telemetry streams.
 
-    Exit codes: 0 = report printed, 2 = unreadable or not a profile.
+    ``watch`` tails a growing JSONL stream (``--follow``) or subscribes
+    to a ``--telemetry-socket`` publisher and redraws a per-run table;
+    ``report`` renders the same table once from a finished stream.
+    Exit codes: 0 = ok, 2 = unreadable stream / unreachable socket.
     """
-    from repro.sim.observability import load_profile, render_profile
-
-    parser = argparse.ArgumentParser(
-        prog="xmt-prof",
-        description="render xmtsim cycle profiles (gprof-style, per "
-                    "XMTC source line)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    report = sub.add_parser(
-        "report", help="print the hotspot report for a profile JSON")
-    report.add_argument("profile", help="JSON written by --profile-out")
-    report.add_argument("--top", type=int, default=20, metavar="N",
-                        help="show the N hottest source lines")
-    report.add_argument("--source", default=None, metavar="FILE",
-                        help="XMTC source to quote (overrides the text "
-                             "embedded in the profile)")
-    args = parser.parse_args(argv)
-
-    try:
-        data = load_profile(args.profile)
-    except (OSError, ValueError) as exc:
-        # ValueError covers both a wrong schema and malformed JSON
-        print(f"xmt-prof: {exc}", file=sys.stderr)
-        return 2
-    source = None
-    if args.source:
-        try:
-            with open(args.source) as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"xmt-prof: {exc}", file=sys.stderr)
-            return 2
-    print(render_profile(data, source=source, top=args.top))
-    return 0
+    return _run(_top_parser, _top, argv)

@@ -10,8 +10,9 @@ and the post-run memory image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
+from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.sim.config import XMTConfig, fpga64
 from repro.sim.functional import FunctionalSimulator
@@ -33,10 +34,29 @@ class RunOutcome:
         return self.program.read_global(name, self.result.memory, **kw)
 
 
-def _apply_inputs(program: Program, inputs: Optional[Mapping]) -> None:
-    if not inputs:
-        return
-    for name, values in inputs.items():
+def load_program(path: str,
+                 options: Optional[CompileOptions] = None
+                 ) -> Tuple[Program, Optional[str]]:
+    """Read one program file: assemble ``.s``/``.asm``, compile anything
+    else as XMTC.
+
+    Returns ``(program, xmtc_source_or_None)``; raises ``OSError`` on
+    read failures and ``CompileError`` on bad input.  Every command-line
+    tool and the campaign engine load their programs here.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if path.endswith((".s", ".asm")):
+        program = assemble(text)
+        if options is not None:
+            program.parallel_calls = options.parallel_calls
+        return program, None
+    return compile_source(text, options), text
+
+
+def apply_inputs(program: Program, inputs: Optional[Mapping]) -> None:
+    """Write ``inputs`` (global name -> value(s)) into the memory map."""
+    for name, values in (inputs or {}).items():
         program.write_global(name, values)
 
 
@@ -52,13 +72,8 @@ def compile_and_run(source: str,
     ``inputs`` maps global-variable names to values (ints/floats or
     sequences) written into the memory map before the run.
     """
-    program = compile_source(source, options)
-    _apply_inputs(program, inputs)
-    sim = Simulator(program, config or fpga64(), plugins=plugins, trace=trace)
-    result = sim.run(max_cycles=max_cycles)
-    return RunOutcome(program=program, output=result.output,
-                      cycles=result.cycles, instructions=result.instructions,
-                      result=result)
+    return run_program(compile_source(source, options), config, inputs,
+                       plugins, trace, max_cycles)
 
 
 def run_program(program: Program,
@@ -68,43 +83,12 @@ def run_program(program: Program,
                 trace=None,
                 max_cycles: Optional[int] = None) -> RunOutcome:
     """Run an already-compiled program cycle-accurately (fresh machine)."""
-    _apply_inputs(program, inputs)
+    apply_inputs(program, inputs)
     sim = Simulator(program, config or fpga64(), plugins=plugins, trace=trace)
     result = sim.run(max_cycles=max_cycles)
     return RunOutcome(program=program, output=result.output,
                       cycles=result.cycles, instructions=result.instructions,
                       result=result)
-
-
-def run_grid(program_path: str,
-             axes,
-             *,
-             config: Optional[XMTConfig] = None,
-             inputs: Optional[Dict] = None,
-             workers: int = 1,
-             ledger_dir: Optional[str] = None,
-             max_cycles: Optional[int] = None,
-             options: Optional[CompileOptions] = None):
-    """Sweep a config grid through the fault-tolerant campaign engine.
-
-    ``axes`` is an ordered list of ``(config_field, values)`` pairs;
-    the grid is their cartesian product.  With ``workers > 1`` the runs
-    are sharded across supervised worker processes; with a ledger,
-    already-recorded grid points are cache hits and a killed sweep
-    resumes where it died.  Returns the engine's
-    :class:`~repro.sim.campaign.engine.CampaignResult`.
-    """
-    from repro.sim.campaign import CampaignEngine, grid_requests
-    from repro.sim.observability.ledger import Ledger
-
-    requests = grid_requests(program_path, axes, inputs=dict(inputs or {}),
-                             max_cycles=max_cycles)
-    engine = CampaignEngine(
-        requests,
-        ledger=Ledger(ledger_dir) if ledger_dir else None,
-        base_config=config, compile_options=options,
-        workers=workers, serial=workers <= 1)
-    return engine.run()
 
 
 def run_functional(source_or_program: Union[str, Program],
@@ -116,7 +100,7 @@ def run_functional(source_or_program: Union[str, Program],
         program = source_or_program
     else:
         program = compile_source(source_or_program, options)
-    _apply_inputs(program, inputs)
+    apply_inputs(program, inputs)
     result = FunctionalSimulator(program, max_instructions=max_instructions).run()
     return RunOutcome(program=program, output=result.output,
                       cycles=0, instructions=result.instructions,

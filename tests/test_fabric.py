@@ -276,7 +276,7 @@ class TestBackendEquivalence:
     def test_explain_report_assert_exact(self, overrides, tmp_path,
                                          capsys):
         from repro.sim.observability import Ledger, instrumented_run
-        from repro.toolchain.explain_cli import xmt_explain_main
+        from repro.toolchain.cli import xmt_explain_main
 
         program = compile_source(MEMORY_SRC)
         artifacts = instrumented_run(program, tiny(**overrides),

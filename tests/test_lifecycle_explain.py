@@ -319,7 +319,7 @@ class TestExplain:
             comparison.responsible()["category"]
 
     def test_explain_cli_report_and_diff(self, tmp_path, capsys):
-        from repro.toolchain.explain_cli import xmt_explain_main
+        from repro.toolchain.cli import xmt_explain_main
 
         ledger = Ledger(str(tmp_path / "ledger"))
         rec = ledger.record_artifacts(self._artifacts(label="cli"))
@@ -337,7 +337,7 @@ class TestExplain:
         assert "layer attribution" in out.out
 
     def test_explain_cli_rejects_junk(self, tmp_path, capsys):
-        from repro.toolchain.explain_cli import xmt_explain_main
+        from repro.toolchain.cli import xmt_explain_main
 
         junk = tmp_path / "junk.json"
         junk.write_text('{"schema": "other/1"}')

@@ -38,10 +38,9 @@ from repro.sim.observability import (
     MetricsRegistry,
     Observability,
     TelemetrySampler,
+    artifact_json,
     export_accounting,
-    write_accounting,
-    write_lifecycle,
-    write_metrics,
+    export_metrics,
 )
 from repro.sim.trace import LEVEL_CYCLE, Trace
 from repro.xmtc.compiler import compile_source
@@ -114,12 +113,11 @@ def observed_run(name: str):
     artifacts = {
         f"{name}.events.jsonl": _written(obs.events.write_jsonl),
         f"{name}.chrome.json": _written(obs.events.write_chrome),
-        f"{name}.metrics.json": _written(write_metrics, machine),
+        f"{name}.metrics.json": artifact_json(export_metrics(machine)),
         f"{name}.profile.json": _written(obs.profiler.write),
-        f"{name}.accounting.json": _written(
-            write_accounting,
+        f"{name}.accounting.json": artifact_json(
             export_accounting(machine, obs.accounting, cycles=result.cycles)),
-        f"{name}.lifecycle.json": _written(write_lifecycle, recorder),
+        f"{name}.lifecycle.json": artifact_json(recorder.to_data()),
         f"{name}.trace.txt": trace.text() + "\n",
         f"{name}.telemetry.jsonl": telemetry,
     }

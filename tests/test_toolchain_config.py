@@ -99,6 +99,32 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown configuration keys"):
             from_file(str(path))
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_clusters", "four"),        # str into an int field
+        ("icn_async_jitter", "lots"),  # str into a float field
+        ("dram_latency", True),        # bool into a numeric field
+        ("icn_backend", 3),            # number into a str field
+        ("fpu_pipelined", 1),          # int into a bool field
+        ("cache_sets", 2.5),           # float into an int field
+    ])
+    def test_scaled_rejects_wrong_type_naming_the_field(self, field, value):
+        from repro.sim.config import tiny
+
+        with pytest.raises(ValueError, match=f"'{field}' takes"):
+            tiny().scaled(**{field: value})
+
+    def test_scaled_keeps_what_fits(self, tmp_path):
+        from repro.sim.config import from_file, tiny
+
+        cfg = tiny().scaled(icn_async_jitter=1, icn_latency=None,
+                            fpu_pipelined=False, icn_backend="ring")
+        assert (cfg.icn_async_jitter, cfg.icn_latency) == (1, None)
+        # a file is one more dict-shaped source: same check, same message
+        path = tmp_path / "m.json"
+        path.write_text('{"base": "tiny", "n_clusters": "four"}')
+        with pytest.raises(ValueError, match="'n_clusters' takes int"):
+            from_file(str(path))
+
     def test_cli_config_file(self, tmp_path, capsys):
         from repro.toolchain.cli import xmtsim_main
 
