@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa.semantics import to_signed
 from repro.sim import packages as P
+from repro.sim.engine import NEVER
 from repro.sim.fabric import Component, Port, register_backend
 
 
@@ -140,7 +141,8 @@ class CacheModule(Component):
         memory = self.machine.memory
         stats = self.machine.stats
         if pkg.kind in (P.LOAD, P.PREFETCH, P.RO_FILL):
-            pkg.reply = memory.load(pkg.addr)
+            if not pkg.performed:  # (a Master load overtaken by its store)
+                pkg.reply = memory.load(pkg.addr)
         elif pkg.kind in (P.STORE, P.STORE_NB):
             if not pkg.performed:
                 memory.store(pkg.addr, pkg.value)
@@ -158,11 +160,11 @@ class CacheModule(Component):
         ready = now + extra_cycles * period
         heapq.heappush(self._delayed, (ready, pkg.seq, pkg))
 
-    def wake(self) -> None:
+    def wake(self, time: int) -> None:
         """Consumer-side wake-up wired to :attr:`in_queue`'s ``on_push``
-        hook by the fabric: a package entering the port puts this
-        module in the cache bank's active set."""
-        self.machine.cache_bank.activate(self.module_id)
+        hook by the fabric: a package entering the port at ``time`` puts
+        this module in the cache bank's active set for the edge after."""
+        self.machine.cache_bank.activate(self.module_id, time + 1)
 
     # -- per-cycle behaviour ----------------------------------------------------
 
@@ -176,7 +178,6 @@ class CacheModule(Component):
             if obs is not None:
                 obs.response_enqueued(pkg, now, len(self.out_queue))
             self.out_queue.push(now, pkg)
-            self.machine.icn_pending += 1
         # accept new requests
         for _ in range(self.ports):
             pkg = self.in_queue.pop_ready(now)
@@ -201,7 +202,7 @@ class CacheModule(Component):
                 self.misses += 1
                 stats.inc("cache.miss")
                 self.pending_misses[line] = [pkg]
-                self.machine.dram_request(self, line, pkg.addr)
+                self.machine.dram.request(self, line)
                 outcome = "miss"
             if obs is not None:
                 obs.cache_dequeued(self, pkg, now, outcome)
@@ -220,14 +221,23 @@ class CacheModule(Component):
         if victim is not None and victim[1]:
             self.writebacks += 1
             self.machine.stats.inc("cache.writeback")
-            self.machine.dram_writeback(self, victim[0])
+            self.machine.dram.request(self, victim[0], writeback=True)
         for pkg in waiters:
             self._perform(pkg)
             self._respond(now, pkg, self.hit_latency)
+        self.machine.cache_bank.activate(
+            self.module_id, now + self.hit_latency * self.domain.period)
 
-    def idle(self) -> bool:
-        return (not self._delayed and not self.in_queue._items
-                and not self.pending_misses and not self.out_queue._items)
+    def ready_at(self) -> int:
+        """When a tick can next do something (the bank's ``next_work``
+        is the earliest over its active set): a queued request, or a
+        response whose latency elapses; :data:`NEVER` for a module
+        waiting only for DRAM, which :meth:`dram_fill` wakes."""
+        items = self.in_queue._items
+        work = items[0][0] + 1 if items else NEVER
+        if self._delayed and self._delayed[0][0] < work:
+            work = self._delayed[0][0]
+        return work
 
     # -- resilience hooks ---------------------------------------------------------
 

@@ -86,11 +86,11 @@ def clear_pause(machine: Machine) -> None:
 
 def save_bytes(machine: Machine) -> bytes:
     """Serialize a machine's complete state to bytes."""
-    # TCUs that are not being ticked are credited what they skipped
-    # first (stall cycles; the instructions of a run so far), so the
-    # snapshot's counters and registers are what an always-ticking
-    # machine would hold at this cycle (the tick lists, wake heaps and
-    # resume lists ride the pickle)
+    # processors that are not being ticked are credited what they
+    # skipped first (stall cycles; the instructions of a run so far), so
+    # the snapshot's counters and registers are what an always-ticking
+    # machine would hold at this cycle (the tick lists, wake heaps,
+    # resume lists and every domain's booked edge ride the pickle)
     machine.settle()
     detached = _detach_unpicklables(machine)
     try:
@@ -156,6 +156,8 @@ def load_bytes(payload: bytes) -> Machine:
     machine._bind_decode()
     # re-wire the fabric: ports were detached like other transient state
     machine._wire_fabric()
+    # the subscribers stayed behind: whoever was kept awake may sleep
+    machine.listeners_changed()
     return machine
 
 

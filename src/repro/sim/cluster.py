@@ -120,26 +120,6 @@ class Cluster:
         if slept:
             self.awake = [tcu for tcu in awake if tcu.asleep_on is None]
 
-    def wake_at(self, time: int, local_id: int) -> None:
-        """Book a wake-up for a sleeping TCU (deliveries may be
-        future-dated: shared-FU results, ``getvt`` answers).  An entry
-        for a TCU that is awake by then is stale and ignored."""
-        heapq.heappush(self.wakes, (time, local_id))
-
-    def _credit(self, tcu, cycle: int) -> None:
-        """Credit a sleeper what it skipped before domain cycle
-        ``cycle`` -- stall cycles, or the issue slots of a run -- and
-        re-base it.  Counted in *domain cycles*, never picoseconds, so
-        retiming and clock gating stay exact."""
-        key = tcu.asleep_on
-        if key == RUN_KEY:
-            tcu.settle_run(cycle)
-            return
-        skipped = cycle - tcu.slept_at - 1
-        if key and skipped > 0:
-            self._counters[key] += skipped
-            tcu.slept_at = cycle - 1
-
     def _wake_due(self, cycle: int) -> None:
         wakes = self.wakes
         resumes = self.resumes
@@ -148,7 +128,7 @@ class Cluster:
         while wakes and wakes[0][0] <= now:
             tcu = tcus[heapq.heappop(wakes)[1]]
             if tcu.asleep_on is not None:
-                self._credit(tcu, cycle)
+                tcu.settle(cycle)
                 tcu.asleep_on = None
         while resumes and resumes[0][0] <= cycle:
             end, local_id = heapq.heappop(resumes)
@@ -173,7 +153,7 @@ class Cluster:
         """Make ``Stats`` and the register files read as if every
         skipped cycle had been ticked; nobody wakes."""
         for tcu in self.tcus:
-            self._credit(tcu, cycle)
+            tcu.settle(cycle)
 
     def wake_all(self, cycle: int) -> None:
         """Settle and wake every sleeper (a ``stalled`` listener showed

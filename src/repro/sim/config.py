@@ -142,21 +142,19 @@ class XMTConfig:
         return fan_out + fan_in
 
     def validate(self) -> None:
-        if self.n_clusters < 1 or self.tcus_per_cluster < 1:
-            raise ValueError("need at least one cluster and one TCU")
-        if self.n_cache_modules < 1 or self.n_dram_ports < 1:
-            raise ValueError("need at least one cache module and DRAM port")
-        for attr in ("cluster_period", "icn_period", "cache_period", "dram_period"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive")
+        # every count, period, width and latency feeds index or
+        # wake-time arithmetic: out of range fails here, by name, not
+        # as "cannot schedule into the past" from inside a tick
+        for least, names in _LEAST.items():
+            for name in names.split():
+                value = getattr(self, name)
+                if value is not None and value < least:
+                    raise ValueError(
+                        f"{name} must be >= {least}, got {value!r}")
         if self.prefetch_policy not in ("fifo", "lru"):
             raise ValueError("prefetch_policy must be 'fifo' or 'lru'")
         if self.cache_line_words & (self.cache_line_words - 1):
             raise ValueError("cache_line_words must be a power of two")
-        if self.prefetch_buffer_size < 0:
-            raise ValueError("prefetch_buffer_size must be >= 0")
-        if self.dram_banks < 1:
-            raise ValueError("dram_banks must be >= 1")
         # backend names resolve against the fabric registry, so a typo
         # fails here with the registered alternatives listed and a
         # runtime-registered backend is accepted like a built-in
@@ -194,6 +192,22 @@ class XMTConfig:
                                  f"{kind}, got {value!r}")
         return replace(self, **overrides)
 
+
+#: smallest legal value -> the numeric fields it bounds (``validate``);
+#: 0 is "none" for a capacity or an overhead and "off" for the watchdog
+_LEAST = {
+    1: "n_clusters tcus_per_cluster n_cache_modules n_dram_ports "
+       "cluster_period icn_period cache_period dram_period alu_latency "
+       "branch_latency mdu_latency fpu_latency icn_async_hop_delay_ps "
+       "icn_width_per_cluster icn_return_width cache_sets cache_assoc "
+       "cache_line_words cache_ports master_cache_sets master_cache_assoc "
+       "dram_banks broadcast_instructions_per_cycle max_cycles",
+    0: "prefetch_buffer_size send_queue_capacity ro_cache_lines "
+       "ro_cache_hit_latency icn_async_jitter icn_latency cache_hit_latency "
+       "master_cache_hit_latency dram_latency dram_queue_capacity "
+       "spawn_start_overhead join_overhead getvt_latency ps_latency "
+       "stack_top watchdog_cycles",
+}
 
 #: field annotation -> the value types ``scaled`` lets into it
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,

@@ -23,6 +23,7 @@ import heapq
 from collections import deque
 from typing import Deque, List, Tuple
 
+from repro.sim.engine import NEVER
 from repro.sim.fabric import Component, register_backend
 
 
@@ -50,8 +51,13 @@ class DRAMPort(Component):
 
     def request(self, module, line: int, writeback: bool = False) -> None:
         """Enqueue a transaction (cache modules never see a full DRAM
-        queue stall; the queue is where reordering slack lives)."""
-        self.queue.append((module, line, writeback))
+        queue stall; the queue is where reordering slack lives) and
+        wake the port: a DRAM edge later in this timestamp accepts it."""
+        self._lane(line).append((module, line, writeback))
+        self.domain.arm(self.machine.scheduler.now)
+
+    def _lane(self, line: int) -> Deque[Tuple[object, int, bool]]:
+        return self.queue
 
     def _complete(self, now: int) -> None:
         """Finish every in-flight transaction whose data is ready."""
@@ -59,7 +65,6 @@ class DRAMPort(Component):
             _, _, module, line = heapq.heappop(self._in_flight)
             self.machine.note_progress()
             module.dram_fill(now, line)
-            self.machine.cache_bank.activate(module.module_id)
 
     def _accept(self, now: int, module, line: int, writeback: bool) -> None:
         """Consume one accept slot: start a read or retire a write-back."""
@@ -90,8 +95,14 @@ class DRAMPort(Component):
             module, line, writeback = self.queue.popleft()
             self._accept(now, module, line, writeback)
 
-    def idle(self) -> bool:
-        return not self.queue and not self._in_flight
+    def next_work(self, now: int) -> int:
+        if self.queue_depth():
+            work = now
+        elif self._in_flight:
+            work = self._in_flight[0][0]
+        else:
+            return NEVER
+        return max(work, self.stall_until)
 
     # -- resilience hooks ---------------------------------------------------
 
@@ -133,8 +144,8 @@ class BankedDRAMPort(DRAMPort):
     def bank_of(self, line: int) -> int:
         return (line // self._port_stride) % len(self.banks)
 
-    def request(self, module, line: int, writeback: bool = False) -> None:
-        self.banks[self.bank_of(line)].append((module, line, writeback))
+    def _lane(self, line: int) -> Deque[Tuple[object, int, bool]]:
+        return self.banks[self.bank_of(line)]
 
     def tick(self, cycle: int) -> None:
         now = self.machine.scheduler.now
@@ -146,9 +157,6 @@ class BankedDRAMPort(DRAMPort):
             if bank:
                 module, line, writeback = bank.popleft()
                 self._accept(now, module, line, writeback)
-
-    def idle(self) -> bool:
-        return not self._in_flight and not any(self.banks)
 
     def queue_depth(self) -> int:
         return sum(len(bank) for bank in self.banks)
@@ -186,13 +194,6 @@ class SimpleDRAM(Component):
     def components(self) -> list:
         """The clocked actors the DRAM domain ticks, in tick order."""
         return list(self.ports)
-
-    def idle(self) -> bool:
-        return all(port.idle() for port in self.ports)
-
-    def occupancy(self) -> dict:
-        return {"queued": sum(p.queue_depth() for p in self.ports),
-                "in_flight": sum(len(p._in_flight) for p in self.ports)}
 
 
 @register_backend("dram", "banked")

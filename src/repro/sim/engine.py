@@ -47,6 +47,10 @@ PRIO_DRAM = 18
 PRIO_PLUGIN = 50
 PRIO_STOP = 99
 
+#: ``next_work`` answer of a component that sleeps until it is handed
+#: work (whoever hands it over re-arms the domain, :meth:`ClockDomain.arm`)
+NEVER = 1 << 62
+
 
 class Event:
     """A scheduled notification.  Cancel by flipping :attr:`cancelled`."""
@@ -93,6 +97,9 @@ class Scheduler:
         self._seq = 0
         self._cancelled = 0
         self.now = 0
+        #: priority of the event being (or last) notified: tells a clock
+        #: domain whether its turn in the current timestamp is over
+        self.priority = 0
         self.stopped = False
         self.events_processed = 0
         self._stop_actor = _StopActor()
@@ -184,8 +191,10 @@ class Scheduler:
                 if until is not None and event.time > until:
                     heapq.heappush(heap, event)
                     self.now = until
+                    self.priority = PRIO_STOP  # every turn at ``until`` is over
                     break
                 self.now = event.time
+                self.priority = event.priority
                 event.actor.notify(self, event.time, event.arg)
                 processed += 1
                 if max_events is not None and processed >= max_events:
@@ -239,13 +248,20 @@ class ComponentActor(Actor):
 
 
 class ClockDomain(Actor):
-    """Macro-actor: iterates registered components once per clock edge.
+    """Macro-actor: iterates registered components on its clock edges.
 
     "A macro-actor contains the code for many components and iterates
-    through them at every simulated clock cycle" (Section III-D).  The
-    domain's frequency may be changed -- or the domain disabled entirely
-    -- at runtime by activity plug-ins (Section III-B); period changes
-    take effect at the next edge.
+    through them at every simulated clock cycle" (Section III-D) -- at
+    every cycle *on which one of them can do anything*.  After an edge
+    each component is asked ``next_work(now)``, the earliest time a tick
+    of it could do something (``now``: the next edge; a future time; or
+    :data:`NEVER`: not until handed work, when whoever hands it over
+    calls :meth:`arm`), and the first edge at or after the minimum is
+    booked.  Skipped edges are accounted for lazily and in whole edges
+    (:meth:`_sync`), so :attr:`cycle` reads what a domain ticking on
+    every edge would report.  The frequency may be changed -- or the
+    domain disabled entirely -- at runtime by activity plug-ins (Section
+    III-B); period changes take effect at the next edge.
     """
 
     def __init__(self, name: str, period: int, priority: int = PRIO_CLUSTERS):
@@ -255,59 +271,146 @@ class ClockDomain(Actor):
         self.period = period
         self.priority = priority
         self.components: List[Any] = []
-        #: flat list of bound ``tick`` methods, maintained by :meth:`add`
-        #: so the per-edge loop skips the attribute traversal per
-        #: component per cycle (bound methods pickle fine: checkpoints
-        #: restore them against the restored components)
+        #: flat lists of bound ``tick`` / ``next_work`` methods,
+        #: maintained by :meth:`add` so the per-edge loops skip the
+        #: attribute traversal per component per cycle (bound methods
+        #: pickle fine: checkpoints restore them against the restored
+        #: components)
         self._ticks: List[Callable[[int], None]] = []
-        self.cycle = 0
+        self._asks: List[Callable[[int], int]] = []
+        self._cycle = 0
+        #: time of the earliest edge not yet counted in ``_cycle``;
+        #: later ones follow at the period then in force
+        self._next_edge = 0
         self.enabled = True
         self.running = False
+        self._sched: Optional[Scheduler] = None
         self._next_event: Optional[Event] = None
-        #: set by the machine to observe every edge (stats hooks)
-        self.on_tick: Optional[Callable[[int], None]] = None
 
     def add(self, component: Any) -> None:
-        """Register a component exposing ``tick(cycle)``."""
+        """Register a component exposing ``tick(cycle)`` (and
+        ``next_work(now)``: without it, it is ticked on every edge)."""
         self.components.append(component)
         self._ticks.append(component.tick)
+        self._asks.append(getattr(component, "next_work", _every_edge))
 
     def start(self, scheduler: Scheduler, phase: int = 0) -> None:
         if self.running:
             return
         self.running = True
+        self._sched = scheduler
+        self._next_edge = scheduler.now + phase
         self._next_event = scheduler.schedule(phase, self, self.priority)
+
+    @property
+    def cycle(self) -> int:
+        """Edges ticked so far, skipped ones included."""
+        self._sync()
+        return self._cycle
+
+    @property
+    def booked(self) -> Optional[int]:
+        """Time of the booked next edge (None: nobody has work)."""
+        return self._next_event.time if self._next_event else None
+
+    def time_of(self, cycle: int) -> int:
+        """When ``tick(cycle)`` is due at the current period.  For
+        ``next_work`` answers: retiming and gating make the domain ask
+        again."""
+        return self._next_edge + (cycle - self._cycle) * self.period
+
+    def _sync(self) -> None:
+        """Count the edges that have passed unattended: those before
+        now, and one at now if this domain's turn in it is over."""
+        sched = self._sched
+        if sched is None or not self.running:
+            return
+        span = sched.now - self._next_edge + (self.priority < sched.priority)
+        if span > 0:
+            edges = -(-span // self.period)
+            self._next_edge += edges * self.period
+            if self.enabled:
+                self._cycle += edges
+
+    def arm(self, time: int) -> None:
+        """A component of this domain can do something at ``time``: book
+        the first uncounted edge at or after it, unless an earlier one
+        is -- the edge, and the turn within its timestamp, on which a
+        domain ticking every edge would find the work.  ``arm(0)``: the
+        next edge, whatever anyone answered."""
+        booked = self._next_event
+        if booked is not None and booked.time <= time:
+            return  # (so is every call from inside this domain's own edge)
+        if not self.running or not self.enabled:
+            return  # (``start`` / ``enable`` book the next edge)
+        self._sync()
+        edge = self._next_edge
+        if time > edge:
+            edge += -(-(time - edge) // self.period) * self.period
+        if booked is not None:
+            if booked.time <= edge:
+                return
+            self._sched.cancel(booked)
+        self._next_event = self._sched.schedule_at(edge, self, self.priority)
 
     def set_frequency_scale(self, base_period: int, scale: float) -> None:
         """Retime the domain to ``base_period / scale`` (DVFS hook)."""
         if scale <= 0:
             raise ValueError("frequency scale must be positive")
-        self.period = max(1, round(base_period / scale))
+        period = max(1, round(base_period / scale))
+        if period != self.period:
+            self._sync()  # the edges so far, and the next, keep their times
+            self.period = period
+            self.arm(0)   # answers given in cycles mean other times now
 
     def disable(self) -> None:
         """Clock-gate the domain (components stop ticking, time passes)."""
+        self._sync()
         self.enabled = False
 
     def enable(self) -> None:
-        self.enabled = True
+        if not self.enabled:
+            self._sync()
+            self.enabled = True
+            self.arm(0)
 
     def notify(self, scheduler, time, arg):
         if not self.running:
             return
-        if self.enabled:
-            cycle = self.cycle
-            for tick in self._ticks:
-                tick(cycle)
-            if self.on_tick is not None:
-                self.on_tick(cycle)
-            self.cycle += 1
-        self._next_event = scheduler.schedule(self.period, self, self.priority)
+        if time != self._next_edge:
+            self._sync()
+        if not self.enabled:
+            self._next_event = None  # gated: ``enable`` books the next edge
+            return
+        cycle = self._cycle
+        for tick in self._ticks:
+            tick(cycle)
+        self._cycle = cycle + 1
+        self._next_edge = edge = time + self.period
+        work = NEVER
+        for ask in self._asks:
+            at = ask(time)
+            if at < work:
+                work = at
+                if work <= edge:  # a busy domain: one or two calls
+                    break
+        if work >= NEVER:
+            self._next_event = None  # asleep until somebody arms it
+            return
+        if work > edge:
+            edge += -(-(work - edge) // self.period) * self.period
+        self._next_event = scheduler.schedule_at(edge, self, self.priority)
 
     def halt(self, scheduler: Scheduler) -> None:
+        self._sync()
         self.running = False
         if self._next_event is not None:
             scheduler.cancel(self._next_event)
             self._next_event = None
+
+
+def _every_edge(now: int) -> int:
+    return now
 
 
 class TimedQueue:
@@ -331,6 +434,10 @@ class TimedQueue:
 
     def full(self) -> bool:
         return self.capacity > 0 and len(self._items) >= self.capacity
+
+    def ready_at(self) -> int:
+        """Earliest time the head entry is visible (``next_work``)."""
+        return self._items[0][0] + 1 if self._items else NEVER
 
     def push(self, time: int, item: Any) -> bool:
         """Append ``item``; returns False (and drops nothing) when full."""

@@ -43,7 +43,7 @@ class Port(TimedQueue):
         if TimedQueue.push(self, time, item):
             hook = self.on_push
             if hook is not None:
-                hook()
+                hook(time)
             return True
         return False
 
@@ -83,8 +83,12 @@ class Component:
     - ``tick(cycle)`` from the owning clock domain (``clocked = False``
       components have no clock of their own and ride the cluster
       domain -- e.g. the asynchronous ICN);
-    - ``idle()`` / ``occupancy()`` for macro-actor active sets,
-      watchdog diagnostics and telemetry gauges;
+    - ``next_work(now)`` after each edge: the earliest time a tick
+      could do anything (``now`` = the next edge,
+      :data:`~repro.sim.engine.NEVER` = not until handed work, when
+      whoever hands it over calls ``domain.arm``), so that idle time
+      is skipped; ``occupancy()`` for watchdog diagnostics and
+      telemetry gauges;
     - ``attach(machine)`` at construction time;
     - the fault-injection hooks ``drop_in_flight`` /
       ``duplicate_in_flight`` / ``delay_in_flight``, which a backend
@@ -109,8 +113,8 @@ class Component:
     def tick(self, cycle: int) -> None:  # pragma: no cover - protocol default
         pass
 
-    def idle(self) -> bool:
-        return True
+    def next_work(self, now: int) -> int:
+        return now
 
     def occupancy(self) -> Dict[str, Any]:
         return {}

@@ -36,6 +36,7 @@ import heapq
 from typing import Iterator, List, Tuple
 
 from repro.sim import packages as P
+from repro.sim.engine import NEVER
 from repro.sim.fabric import Component, register_backend
 
 
@@ -53,15 +54,21 @@ class _OccupiedPorts:
         self.ports = ports
         self._listed = [False] * len(ports)
         self._indices: List[int] = []
+        self._arm = self.on_empty = None
 
-    def hook(self) -> None:
+    def hook(self, arm, on_empty=None) -> None:
+        """``arm``: the draining network's ``domain.arm``;
+        ``on_empty(index, now)``: told when a drain empties a port."""
+        self._arm = arm
+        self.on_empty = on_empty
         for index, port in enumerate(self.ports):
             port.on_push = functools.partial(self._note, index)
 
-    def _note(self, index: int) -> None:
+    def _note(self, index: int, time: int) -> None:
         if not self._listed[index]:
             self._listed[index] = True
             self._indices.append(index)
+            self._arm(time + 1)  # visible on the network's edge after
 
     def __bool__(self) -> bool:
         return bool(self._indices)
@@ -84,6 +91,8 @@ class _OccupiedPorts:
                 still.append(index)
             else:
                 listed[index] = False
+                if self.on_empty is not None:
+                    self.on_empty(index, now)
         indices[:] = still
 
 
@@ -116,15 +125,21 @@ class Interconnect(Component):
             [module.out_queue for module in machine.cache_modules])
 
     def hook_ports(self) -> None:
-        self._send_side.hook()
-        self._return_side.hook()
+        self._send_side.hook(self.domain.arm)
+        # a module that holds nothing else leaves the cache bank's
+        # active set on the bank's next tick: make sure there is one (in
+        # one domain, it is the bank's tick later on this very edge)
+        bank = self.machine.cache_bank
+        self._return_side.hook(
+            self.domain.arm,
+            bank.activate if bank.domain is not self.domain else None)
 
     # -- per-cycle behaviour -------------------------------------------------
 
     def tick(self, cycle: int) -> None:
         machine = self.machine
-        if (not self._to_cache and not self._to_cluster
-                and machine.icn_pending == 0):
+        if not (self._to_cache or self._to_cluster
+                or self._send_side or self._return_side):
             return  # quiet cycle: nothing queued anywhere on the network
         now = machine.scheduler.now
         stats = machine.stats
@@ -152,7 +167,6 @@ class Interconnect(Component):
         # 3. inject new requests from the cluster (and master) send ports
         if self._send_side:
             for pkg in self._send_side.drain(now, self.width_per_cluster):
-                machine.icn_pending -= 1
                 pkg.module = self._route(pkg.addr)
                 self.packages_sent += 1
                 stats.inc("icn.send")
@@ -164,7 +178,6 @@ class Interconnect(Component):
         # 4. drain cache-module responses into the return network
         if self._return_side:
             for pkg in self._return_side.drain(now, self.return_width):
-                machine.icn_pending -= 1
                 self.packages_returned += 1
                 stats.inc("icn.return")
                 arrival = self._arrival(now, pkg, "return")
@@ -174,8 +187,13 @@ class Interconnect(Component):
         if obs is not None:
             obs.icn_ticked(len(to_cache), len(to_cluster))
 
-    def idle(self) -> bool:
-        return not self._to_cache and not self._to_cluster
+    def next_work(self, now: int) -> int:
+        if self._send_side or self._return_side:
+            return now
+        work = self._to_cache[0][0] if self._to_cache else NEVER
+        if self._to_cluster and self._to_cluster[0][0] < work:
+            work = self._to_cluster[0][0]
+        return work
 
     # -- resilience hooks ----------------------------------------------------
 

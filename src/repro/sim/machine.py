@@ -22,6 +22,7 @@ from repro.sim.config import XMTConfig, fpga64
 from repro.sim.engine import (
     Actor,
     ClockDomain,
+    NEVER,
     PRIO_CACHE,
     PRIO_CLUSTERS,
     PRIO_DRAM,
@@ -42,8 +43,10 @@ class CacheBank:
 
     Iterating 128 idle modules every cycle dominates host time for
     serial phases (the paper's Section III-D grouping argument); the
-    bank keeps an *active set* -- a module is ticked only while it has
-    queued requests, in-flight misses or pending responses.
+    bank keeps an *active set* -- a module is ticked only while it
+    holds a package.  (A module waiting only for DRAM or for the ICN to
+    drain it keeps its place, although its ticks do nothing: DRAM
+    requests queue in the set's order.)
     """
 
     def __init__(self, machine, modules):
@@ -51,34 +54,44 @@ class CacheBank:
         self.modules = modules
         self._active = []
         self._in_active = [False] * len(modules)
+        self._work = NEVER  # earliest ``next_work`` over the active set
 
-    def activate(self, module_id: int) -> None:
+    def activate(self, module_id: int, time: int) -> None:
+        """Module ``module_id`` has something to do at ``time``."""
         if not self._in_active[module_id]:
             self._in_active[module_id] = True
             self._active.append(module_id)
+        if time < self._work:  # (else an edge by then is booked already)
+            self._work = time
+            self.domain.arm(time)
 
     def tick(self, cycle: int) -> None:
-        if not self._active:
-            return
         survivors = []
+        work = NEVER
         for module_id in self._active:
             module = self.modules[module_id]
             module.tick(cycle)
-            if module.idle():
-                self._in_active[module_id] = False
-            else:
+            at = module.ready_at()
+            if at < work:
+                work = at
+            if at < NEVER or module.pending_misses or module.out_queue._items:
                 survivors.append(module_id)
+            else:
+                self._in_active[module_id] = False
         self._active = survivors
+        self._work = work
+
+    def next_work(self, now: int) -> int:
+        return self._work
 
 
 class ClusterBank:
     """Macro-actor over all clusters: the same rule as :class:`CacheBank`
     one level up -- nothing is visited while it has nothing to do.
 
-    A serial section costs the clusters domain this one call per edge;
-    inside a spawn only clusters with an awake TCU, a booked wake-up or
-    a run to resume are ticked, in cluster order (``getvt``/``ps`` queue order, package
-    sequence numbers and inbox tie-breaks all follow it).
+    Inside a spawn only clusters with an awake TCU, a booked wake-up or
+    a run to resume are ticked, in cluster order (``getvt``/``ps`` queue
+    order, package sequence numbers and inbox tie-breaks all follow it).
     """
 
     def __init__(self, machine, clusters):
@@ -89,23 +102,27 @@ class ClusterBank:
         machine = self.machine
         if not machine.parallel_active:
             return
-        obs = machine.obs
-        may_sleep = obs is None or not obs.has_listener("stalled")
-        # a run is issued unattended, so nobody may be listening to
-        # ``issued`` either
-        machine.runs_ok = (may_sleep and machine.blocks is not None
-                           and (obs is None
-                                or not obs.has_listener("issued")))
-        if not may_sleep:
-            # the listener's answer can change cycle by cycle (the
-            # accountant asks the flight recorder which layer a request
-            # is in), so an observed machine ticks every TCU every edge
-            for cluster in self.clusters:
-                cluster.tick(cycle, may_sleep=False)
-            return
+        # a ``stalled`` listener's answer can change cycle by cycle (the
+        # accountant asks the flight recorder which layer a request is
+        # in), so an observed machine ticks every TCU on every edge
+        may_sleep = machine.may_sleep
         for cluster in self.clusters:
-            if cluster.awake or cluster.wakes or cluster.resumes:
-                cluster.tick(cycle)
+            if (not may_sleep or cluster.awake or cluster.wakes
+                    or cluster.resumes):
+                cluster.tick(cycle, may_sleep)
+
+    def next_work(self, now: int) -> int:
+        work = NEVER
+        if self.machine.parallel_active:
+            for cluster in self.clusters:
+                if cluster.awake:
+                    return now
+                if cluster.wakes:
+                    work = min(work, cluster.wakes[0][0])
+                if cluster.resumes:
+                    work = min(work,
+                               self.domain.time_of(cluster.resumes[0][0]))
+        return work
 
 
 class _PluginActor(Actor):
@@ -163,9 +180,6 @@ class Machine:
         self.config.validate()
         cfg = self.config
         self._bind_decode()
-        #: whether TCUs may take runs on this edge (set per edge by the
-        #: :class:`ClusterBank`)
-        self.runs_ok = False
 
         self.scheduler = Scheduler()
         self.memory = Memory(program.data_image)
@@ -185,6 +199,8 @@ class Machine:
 
                 self.obs = Observability()
             self.obs.subscribe(trace)
+        self.domains: Dict[str, ClockDomain] = {}
+        self.listeners_changed()
         if self.obs is not None:
             self.obs.attach(self)
         self.halted = False
@@ -214,23 +230,19 @@ class Machine:
         #: ``dram_ports`` (fault injection / telemetry / power read it)
         self.dram = create_backend("dram", cfg.dram_backend, self)
         self.dram_ports = self.dram.ports
-        #: count of packages sitting in send ports / module out-queues;
-        #: lets the ICN skip its tick entirely during quiet cycles
-        self.icn_pending = 0
         self.send_ports = [c.send_queue for c in self.clusters] + [self.master.send_queue]
         self.icn = create_backend("icn", cfg.icn_backend, self)
         self.ps_unit = PrefixSumUnit(self)
         self.spawn_unit = SpawnUnit(self)
-        #: wiring map + transient port hooks (rebuilt on checkpoint load)
-        self.fabric: Optional[Fabric] = None
-        self._wire_fabric()
 
         self.master.core.pc = program.entry
         self.master.core.write(REG_SP, cfg.stack_top)
 
         # clock domains (components iterate in priority order within a tick)
-        self.domains: Dict[str, ClockDomain] = {}
         self._build_domains()
+        #: wiring map + transient port hooks (rebuilt on checkpoint load)
+        self.fabric: Optional[Fabric] = None
+        self._wire_fabric()
 
         # plug-ins
         self.activity_plugins = []
@@ -297,8 +309,8 @@ class Machine:
             self.domains[name] = domain
         # clusters and cache modules live behind their bank macro-actors
         # but still need their domain for latency conversion
-        for cluster in self.clusters:
-            cluster.domain = self.domains["clusters"]
+        for unit in self.clusters + self.tcus:
+            unit.domain = self.domains["clusters"]
         for module in self.cache_modules:
             module.domain = self.domains["cache"]
         self.dram.domain = self.domains["dram"]
@@ -350,12 +362,6 @@ class Machine:
         if self.obs is not None:
             self.obs.replied(pkg, now)
 
-    def dram_request(self, module, line: int, addr: int) -> None:
-        self.dram.request(module, line, writeback=False)
-
-    def dram_writeback(self, module, line: int) -> None:
-        self.dram.request(module, line, writeback=True)
-
     # -- spawn/join orchestration -------------------------------------------------------
 
     def enter_parallel(self) -> None:
@@ -365,13 +371,27 @@ class Machine:
         for cluster in self.clusters:
             cluster.start_region(region, master_regs)
 
+    def listeners_changed(self) -> None:
+        """Re-read the listener rule (DESIGN 1.2 invariant 4) -- nobody
+        sleeps while ``stalled`` has a listener, nobody takes a run
+        while ``stalled`` or ``issued`` has one -- and give every domain
+        an edge to act on it.  ``Observability`` calls this whenever
+        its subscriber list or its machine changes."""
+        obs = self.obs
+        self.may_sleep = obs is None or not obs.has_listener("stalled")
+        self.runs_ok = (self.may_sleep and self.blocks is not None
+                        and (obs is None or not obs.has_listener("issued")))
+        for domain in self.domains.values():
+            domain.arm(0)
+
     def settle(self) -> None:
-        """Credit every TCU that is not being ticked what it has skipped
-        so far: stall cycles to a sleeper, executed instructions to a
-        TCU inside a run.  Both are credited lazily (on wake), so
+        """Credit every processor that is not being ticked what it has
+        skipped so far: stall cycles to a sleeper, executed instructions
+        to one inside a run.  Both are credited lazily (on wake), so
         anything that reads ``stats`` or a register file while the
         machine is mid-flight calls this first."""
         cycle = self.domains["clusters"].cycle
+        self.master.settle(cycle)
         for cluster in self.clusters:
             cluster.settle(cycle)
 

@@ -12,14 +12,17 @@ implements the memory model's ordering at spawn boundaries.
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 from repro.isa.decode import MicroOp, OP_CHKID, OP_GETVT, OP_JOIN
 from repro.isa.registers import REG_ZERO
 from repro.isa.semantics import to_signed
 from repro.sim import packages as P
 from repro.sim.cache import MasterCache
+from repro.sim.engine import NEVER
 from repro.sim.fabric import Port
 from repro.sim.functional import SimulationError
-from repro.sim.tcu import ProcessorBase
+from repro.sim.tcu import PARKED_KEY, RUN_KEY, ProcessorBase
 
 
 class MasterTCU(ProcessorBase):
@@ -39,16 +42,17 @@ class MasterTCU(ProcessorBase):
         self.send_port = self.send_queue
         self.active = True
         self.halted = False
-        self.domain = None  # set by the machine
-
-    def domain_period(self) -> int:
-        return self.domain.period
+        #: load packages sent and not yet answered, oldest first
+        self._loads_in_flight: List[P.Package] = []
 
     def cluster_id(self) -> int:
         return -1  # the master has its own ICN port
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return True  # the Master owns private MDU/FPU units (Fig. 1)
+
+    def wake_at(self, time: int) -> None:
+        self.domain.arm(time)
 
     def describe_state(self) -> dict:
         d = super().describe_state()
@@ -72,7 +76,14 @@ class MasterTCU(ProcessorBase):
             self.deliver(now + latency * self._period(), ("reg", u.rd, value))
         return True
 
+    def _apply_mem_issue(self, now: int, pkg: P.Package, u: MicroOp) -> None:
+        super()._apply_mem_issue(now, pkg, u)
+        if pkg.kind == P.LOAD:
+            self._loads_in_flight.append(pkg)
+
     def _on_load_reply(self, pkg: P.Package) -> None:
+        if pkg in self._loads_in_flight:  # (not an ``icn.dup`` clone)
+            self._loads_in_flight.remove(pkg)
         self.cache.fill(pkg.addr)
 
     def _on_store_issued(self, pkg: P.Package) -> None:
@@ -82,17 +93,23 @@ class MasterTCU(ProcessorBase):
         # Without this, a master-cache load hit could observe memory
         # before the master's own in-flight store -- violating rule 1 of
         # the memory model (same-source same-destination ordering).
-        self.machine.memory.store(pkg.addr, pkg.value)
+        # The same rule the other way: an older load of the word that
+        # has not reached its cache module takes its value first.
+        memory = self.machine.memory
+        for load in self._loads_in_flight:
+            if load.addr == pkg.addr and not load.performed:
+                load.reply = memory.load(load.addr)
+                load.performed = True
+        memory.store(pkg.addr, pkg.value)
         pkg.performed = True
 
     # -- spawn / halt / resume -----------------------------------------------------
 
-    def _issue_spawn(self, now: int, u: MicroOp) -> None:
+    def _issue_spawn(self, now: int, u: MicroOp) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
             # memory operations are ordered with respect to the beginning
             # of the spawn: drain the write buffer first
-            self._stall("spawn_drain")
-            return
+            return self._stall("spawn_drain")
         self._count_issue(u)
         machine = self.machine
         region = machine.program.region_for_spawn(self.core.pc)
@@ -127,10 +144,9 @@ class MasterTCU(ProcessorBase):
         self.core.pc = pc
         self.active = True
 
-    def _issue_halt(self, now: int, u: MicroOp) -> None:
+    def _issue_halt(self, now: int, u: MicroOp) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
-            self._stall("halt_drain")
-            return
+            return self._stall("halt_drain")
         self._count_issue(u)
         self.halted = True
         self.machine.halt(now)
@@ -138,21 +154,52 @@ class MasterTCU(ProcessorBase):
     # -- the clock edge --------------------------------------------------------------
 
     def tick(self, cycle: int) -> None:
+        """``Cluster.tick`` + ``TCU.tick`` for the one processor without
+        a cluster: asleep, it returns until :meth:`next_work` is due or
+        a listener turned up; awake, it issues, and sleeps on what the
+        slot says it may sleep on."""
         now = self._sched.now
+        machine = self.machine
+        key = self.asleep_on
+        if key is not None:
+            inbox = self.inbox  # (``next_work(now) > now``, without the call)
+            if (not (inbox and inbox[0][0] <= now) and machine.may_sleep
+                    and (key != self._k_latency or self.stall_until > now)
+                    and (key != RUN_KEY
+                         or self.run_end > cycle and machine.runs_ok)):
+                return
+            self.settle(cycle)
+            self.asleep_on = None
         if self.inbox:
             self._drain_inbox(now)
         if not self.active or self.halted:
-            return
-        if self.wait_store_ack:
-            self._stall("store_ack")
-            return
-        if self.stall_until > now:
-            self._stall("latency")
+            key = PARKED_KEY  # until the join's resume; nothing to credit
+        elif self.stall_until > now:
             # a timed stall (MDU latency, sampling fast-forward) always
             # ends; keep the watchdog quiet through long estimates
-            self.machine.note_progress()
-            return
-        self._issue(now)
+            key = self._stall("latency")
+            machine.note_progress()
+        else:
+            key = self._issue(now, cycle)
+        if key is not None and machine.may_sleep:
+            self.asleep_on = key
+            self.slept_at = cycle
+
+    def next_work(self, now: int) -> int:
+        key = self.asleep_on
+        if key is None:
+            return now
+        work = self.inbox[0][0] if self.inbox else NEVER
+        if key == RUN_KEY:
+            work = min(work, self.domain.time_of(self.run_end))
+        elif key == self._k_latency:
+            work = min(work, self.stall_until)
+        return work
+
+    def settle(self, cycle: int) -> None:
+        if self.asleep_on == self._k_latency and cycle - self.slept_at > 1:
+            self.machine.note_progress()  # as the skipped ticks would have
+        super().settle(cycle)
 
     def _check_fetch(self, pc: int) -> MicroOp:
         uops = self.machine.decoded.uops

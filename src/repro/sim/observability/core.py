@@ -135,12 +135,14 @@ class Observability:
         self._bind()
         if self.machine is not None:
             self._attached(consumer)
+            self.machine.listeners_changed()
 
     def has_listener(self, probe: str) -> bool:
         """Whether any subscriber hears ``probe``.  The machine asks
-        this about ``stalled``: while somebody listens, every TCU is
-        ticked every cycle; otherwise a stalled TCU sleeps and its
-        cycles are credited to ``Stats`` in one go."""
+        this about ``stalled`` (``Machine.listeners_changed``): while
+        somebody listens, every processor is ticked every cycle;
+        otherwise a stalled one sleeps and its cycles are credited to
+        ``Stats`` in one go."""
         return getattr(self, probe) is not _unheard
 
     def _bind(self) -> None:
@@ -162,6 +164,7 @@ class Observability:
         self.machine = machine
         for consumer in self.consumers:
             self._attached(consumer)
+        machine.listeners_changed()
 
     def _attached(self, consumer) -> None:
         attached = getattr(consumer, "attached", None)

@@ -56,5 +56,5 @@ class PrefixSumUnit:
         if len(requests) > 1:
             machine.stats.inc("psunit.combined", len(requests))
 
-    def idle(self) -> bool:
-        return not self.in_queue._items
+    def next_work(self, now: int) -> int:
+        return self.in_queue.ready_at()

@@ -44,6 +44,9 @@ class DiagnosticDump:
     pending_events: int
     #: live events grouped by priority class name
     event_histogram: Dict[str, int] = field(default_factory=dict)
+    #: clock domain -> its cycle count and the time of its booked next
+    #: edge (None: every component waits to be handed work)
+    domains: Dict[str, Dict[str, Optional[int]]] = field(default_factory=dict)
     #: ``describe_state()`` of the master followed by every TCU
     processors: List[Dict[str, object]] = field(default_factory=list)
     #: the ``*.stall.*`` counters, settled: cycles slept through by
@@ -98,6 +101,10 @@ class DiagnosticDump:
                          for k, v in sorted(self.event_histogram.items()))
         lines.append(f"pending events: {self.pending_events}"
                      + (f"  ({hist})" if hist else ""))
+        lines.append("domains: " + ", ".join(
+            f"{name} cycle {d['cycle']} next edge "
+            + ("unbooked" if d["booked"] is None else f"at {d['booked']}")
+            for name, d in self.domains.items()))
         for proc in self.processors:
             if proc.get("kind") == "master":
                 lines.append(self._proc_line(proc))
@@ -206,7 +213,6 @@ def collect(machine, reason: str) -> DiagnosticDump:
 
     icn = dict(machine.icn.occupancy())
     icn["send_ports"] = sum(len(port) for port in machine.send_ports)
-    icn["icn_pending"] = machine.icn_pending
 
     caches: Dict[str, object] = {}
     for module in machine.cache_modules:
@@ -236,6 +242,8 @@ def collect(machine, reason: str) -> DiagnosticDump:
         events_processed=scheduler.events_processed,
         pending_events=scheduler.pending,
         event_histogram=event_histogram(scheduler),
+        domains={name: {"cycle": domain.cycle, "booked": domain.booked}
+                 for name, domain in machine.domains.items()},
         processors=processors,
         stalls={key: value for key, value in machine.stats.counters.items()
                 if ".stall." in key and value},

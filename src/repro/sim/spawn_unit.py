@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.sim import packages as P
-from repro.sim.engine import TimedQueue
+from repro.sim.engine import NEVER, TimedQueue
 
 IDLE = "idle"
 BROADCASTING = "broadcasting"
@@ -105,5 +105,9 @@ class SpawnUnit:
             machine.stats.inc("spawn.getvt")
             machine.deliver_to_tcu(pkg.tcu_id, reply_time, pkg)
 
-    def idle(self) -> bool:
-        return self.state == IDLE and not self.in_queue._items
+    def next_work(self, now: int) -> int:
+        """The release of a broadcast, else a queued ``getvt`` (the
+        requesters tick in this domain, which asks after they pushed)."""
+        if self.state == BROADCASTING:
+            return self._release_time
+        return self.in_queue.ready_at() if self.state == PARALLEL else NEVER

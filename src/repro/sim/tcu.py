@@ -102,6 +102,14 @@ assert sorted(_HANDLER_NAMES_BY_CODE) == list(range(N_OPCODES)), \
 _HANDLER_NAMES: List[str] = [_HANDLER_NAMES_BY_CODE[c] for c in range(N_OPCODES)]
 
 
+#: what a parked TCU, or the Master awaiting the join, is "asleep on":
+#: no counter, nothing to credit
+PARKED_KEY = ""
+#: what a processor inside a run is "asleep on".  It names no counter: a
+#: run is issue, not stall, and settling it credits instructions
+RUN_KEY = "run"
+
+
 class ProcessorBase:
     """Issue/commit logic shared by the TCUs and the Master TCU."""
 
@@ -113,9 +121,13 @@ class ProcessorBase:
     #: active spawn region (TCUs set an instance attribute; the Master
     #: always runs the serial section) -- cycle accounting reads this
     region = None
-    #: what a processor that is not being ticked waits on (TCUs set an
-    #: instance attribute; the Master is ticked every cycle)
-    asleep_on = None
+    #: None while the processor is ticked.  Else its tick said that
+    #: every further tick could only repeat one stall until a delivery
+    #: arrives, and this is the key of that stall's counter, credited
+    #: the skipped cycles on wake (or one of the two keys above)
+    asleep_on: Optional[str] = None
+    #: the clock domain that ticks it (set by the machine)
+    domain = None
 
     def __init__(self, machine, tcu_id: int):
         self.machine = machine
@@ -130,6 +142,18 @@ class ProcessorBase:
         self.inbox: List[Tuple[int, int, object]] = []
         self._retry: Optional[Tuple[P.Package, MicroOp]] = None
         self.instructions_issued = 0
+        #: domain cycle of the last tick accounted for (the one it fell
+        #: asleep on, moved forward whenever it is settled)
+        self.slept_at = 0
+        #: a processor asleep on :data:`RUN_KEY` is inside a *run*: it
+        #: entered a block at ``run_pc`` and issues one of its ops per
+        #: domain cycle without being ticked.  ``run_end`` is the cycle
+        #: of its next real tick; the last ``run_left`` ops of the block,
+        #: the ones issued on the cycles up to there, are not executed
+        #: yet (``core.pc`` is the first of them)
+        self.run_pc = 0
+        self.run_end = 0
+        self.run_left = 0
         #: stall cause -> interned stats key ("tcu.stall.memory", ...)
         self._stall_keys: Dict[str, str] = {}
         # hot-path caches: the counter dict and scheduler live as long as
@@ -156,12 +180,12 @@ class ProcessorBase:
     def deliver(self, time: int, item: object) -> None:
         """The one way anything reaches a processor -- replies, shared-FU
         results, ``getvt``/``ps`` answers, prefetch fills -- and so the
-        wake signal of a sleeping TCU."""
+        wake signal of a sleeping one."""
         machine = self.machine
         machine._inbox_seq += 1
         heapq.heappush(self.inbox, (time, machine._inbox_seq, item))
         if self.asleep_on is not None:
-            self.cluster.wake_at(time, self.local_id)
+            self.wake_at(time)
 
     def _drain_inbox(self, now: int) -> None:
         inbox = self.inbox
@@ -214,9 +238,10 @@ class ProcessorBase:
 
     # -- helpers used by dispatch ----------------------------------------------
 
-    def _stall(self, cause: str) -> None:
+    def _stall(self, cause: str) -> str:
         """Count a wasted issue slot; the profiler charges the cycle to
-        the instruction the processor is blocked at (``core.pc``)."""
+        the instruction the processor is blocked at (``core.pc``).
+        Returns the counter's key (what a sleeper is credited on)."""
         key = self._stall_keys.get(cause)
         if key is None:
             key = self._stall_keys[cause] = f"{self.kind}.stall.{cause}"
@@ -224,6 +249,7 @@ class ProcessorBase:
         obs = self.machine.obs
         if obs is not None:
             obs.stalled(self, cause)
+        return key
 
     def _sources_ready(self, u: MicroOp) -> bool:
         pending = self.pending_regs
@@ -236,10 +262,7 @@ class ProcessorBase:
         return wr < 0 or wr not in pending
 
     def _period(self) -> int:
-        return self.domain_period()
-
-    def domain_period(self) -> int:
-        raise NotImplementedError
+        return self.domain.period
 
     def _trap(self, u, message: str) -> SimulationError:
         return SimulationError(
@@ -250,7 +273,12 @@ class ProcessorBase:
 
     def describe_state(self) -> dict:
         """Snapshot for diagnostic dumps (watchdog trips, budget trips)."""
+        key = self.asleep_on  # None | "parked" | "run" | the stall slept on
         return {
+            "asleep_on": (None if key is None
+                          else key.rsplit(".", 1)[-1] or "parked"),
+            **({"run_pc": self.run_pc, "run_left": self.run_left}
+               if key == RUN_KEY else {}),
             "kind": self.kind,
             "id": self.tcu_id,
             "pc": self.core.pc,
@@ -267,6 +295,10 @@ class ProcessorBase:
         """Fault-injection hook: flip one bit of an architectural
         register; returns ``(old, new)``.  Flipping ``$zero`` is a no-op
         (the fault is architecturally masked)."""
+        # inside a run the ops issued so far are not executed yet: do
+        # that first, so the flip lands between the same two
+        # instructions as on a machine issuing them one by one
+        self.machine.settle()
         old = self.core.regs[reg]
         new = old if reg == REG_ZERO else (old ^ (1 << bit)) & 0xFFFFFFFF
         self.core.regs[reg] = new
@@ -279,10 +311,9 @@ class ProcessorBase:
         for a TCU, the Master's own); False when it is full."""
         port = self.send_port
         if port.push(now, pkg):
-            machine = self.machine
-            machine.icn_pending += 1
-            if machine.obs is not None:
-                machine.obs.send_enqueued(pkg, now, len(port))
+            obs = self.machine.obs
+            if obs is not None:
+                obs.send_enqueued(pkg, now, len(port))
             return True
         return False
 
@@ -296,22 +327,87 @@ class ProcessorBase:
     def _check_fetch(self, pc: int) -> MicroOp:
         raise NotImplementedError
 
-    def _issue(self, now: int) -> None:
-        """Try to issue one instruction this cycle."""
+    def _issue(self, now: int, cycle: int) -> Optional[str]:
+        """Try to issue one instruction this cycle.  Returns what the
+        processor may sleep on: the key of a stall that only a delivery
+        ends, :data:`RUN_KEY` on entering a run, else None.
+        (``TCU.tick`` inlines this.)"""
         if self._retry is not None:
             pkg, u = self._retry
             if not self._push_package(now, pkg):
                 self._stall("send_queue")
-                return
+                return None
             self._retry = None
             self._apply_mem_issue(now, pkg, u)
-            return
+            return None
 
-        u = self._check_fetch(self.core.pc)
+        pc = self.core.pc
+        u = self._check_fetch(pc)
+        machine = self.machine
+        if machine.runs_ok:
+            block = machine.blocks[pc]
+            if block and self.pending_regs.isdisjoint(block.regs):
+                # nothing can get between this processor and the next
+                # ``block.n`` issue slots: take them unattended
+                self.run_pc = pc
+                self.run_left = n = block.n
+                self.run_end = cycle + n
+                return RUN_KEY
         if not self._sources_ready(u):
-            self._stall("memory")
+            return self._stall("memory")
+        return self._handlers[u.code](now, u)
+
+    def settle(self, cycle: int) -> None:
+        """Credit a sleeper what it skipped before domain cycle
+        ``cycle`` -- stall cycles, or the issue slots of a run -- and
+        re-base it.  Counted in *domain cycles*, never picoseconds, so
+        retiming and clock gating stay exact."""
+        key = self.asleep_on
+        if key == RUN_KEY:
+            self.settle_run(cycle)
             return
-        self._handlers[u.code](now, u)
+        skipped = cycle - self.slept_at - 1
+        if key and skipped > 0:
+            self._counters[key] += skipped
+            self.slept_at = cycle - 1
+
+    def settle_run(self, cycle: int) -> None:
+        """Execute the ops of the current run that were issued before
+        domain cycle ``cycle`` (one per cycle since the run began) and
+        credit them, so that the processor reads as if it had been ticked
+        on every edge so far.  The whole block goes through its generated
+        function; a prefix -- the run was cut short by a delivery, a
+        checkpoint, a timeout, a fault, a listener -- is stepped through
+        the one-instruction handlers."""
+        left = self.run_left
+        due = left - (self.run_end - cycle)
+        if due <= 0:
+            return
+        machine = self.machine
+        core = self.core
+        if due >= left:
+            due = left
+            block = machine.blocks[core.pc]
+            if block:  # (the last op of a run cut short is no block)
+                try:
+                    core.pc = (block.fn or block.compile())(core.regs)
+                except TrapError:
+                    pass  # registers untouched: the stepper names the op
+                else:
+                    self.run_left = 0
+                    self.instructions_issued += left
+                    counters = self._counters
+                    for key, count in block.tally:
+                        counters[key] += count
+                    machine.last_progress = self._sched.now
+                    return
+        now = self._sched.now
+        uops = machine.decoded.uops
+        handlers = self._handlers
+        for _ in range(due):
+            u = uops[core.pc]
+            handlers[u.code](now, u)
+        self.run_left = left - due
 
     def _count_issue(self, u: MicroOp) -> None:
         self.instructions_issued += 1
@@ -453,10 +549,9 @@ class ProcessorBase:
     def _h_setg(self, now: int, u: MicroOp) -> None:
         self._ps_common(now, u, P.PS_SET)
 
-    def _h_fence(self, now: int, u: MicroOp) -> None:
+    def _h_fence(self, now: int, u: MicroOp) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
-            self._stall("fence")
-            return
+            return self._stall("fence")
         self._count_issue(u)
         self._on_fence(now)
         self.core.pc += 1
@@ -593,13 +688,6 @@ class ProcessorBase:
         raise self._trap(u, "halt is a Master-only instruction")
 
 
-#: what a parked TCU is "asleep on": no counter, nothing to credit
-PARKED_KEY = ""
-#: what a TCU inside a run is "asleep on".  It names no counter: a run
-#: is issue, not stall, and settling it credits instructions
-RUN_KEY = "run"
-
-
 class TCU(ProcessorBase):
     """One Thread Control Unit inside a cluster."""
 
@@ -640,30 +728,19 @@ class TCU(ProcessorBase):
         self._k_pf_hit = "tcu.prefetch.hit"
         self._k_pf_pending_hit = "tcu.prefetch.pending_hit"
         self._k_pf_late_hit = "tcu.prefetch.late_hit"
-        #: None while the cluster ticks this TCU.  Else ``tick`` said
-        #: that every further tick could only repeat one stall until a
-        #: delivery arrives, and this is the key of that stall's
-        #: counter: the cluster credits the skipped cycles to it on wake
-        #: (:data:`PARKED_KEY` for a parked TCU: nothing to credit)
-        self.asleep_on: Optional[str] = PARKED_KEY
-        #: domain cycle of the last tick accounted for (the one it fell
-        #: asleep on, moved forward whenever the cluster settles it)
-        self.slept_at = 0
-        #: a TCU asleep on :data:`RUN_KEY` is inside a *run*: it entered
-        #: a block at ``run_pc`` and issues one of its ops per domain
-        #: cycle without being ticked.  ``run_end`` is the cycle of its
-        #: next real tick; the last ``run_left`` ops of the block, the
-        #: ones issued on the cycles up to there, are not executed yet
-        #: (``core.pc`` is the first of them)
-        self.run_pc = 0
-        self.run_end = 0
-        self.run_left = 0
-
-    def domain_period(self) -> int:
-        return self.cluster.domain.period
+        self.asleep_on = PARKED_KEY
 
     def cluster_id(self) -> int:
         return self.cluster.cluster_id
+
+    def wake_at(self, time: int) -> None:
+        """Book a wake-up (deliveries may be future-dated: shared-FU
+        results, ``getvt`` answers).  An entry for a TCU that is awake
+        by then is stale and ignored."""
+        wakes = self.cluster.wakes
+        if not wakes or time < wakes[0][0]:  # (else an edge is booked)
+            self.domain.arm(time)
+        heapq.heappush(wakes, (time, self.local_id))
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return self.cluster.try_issue_fu(fu, now, latency)
@@ -740,20 +817,7 @@ class TCU(ProcessorBase):
         d = super().describe_state()
         d["state"] = ("running", "draining", "parked")[self.park_state]
         d["wait_load"] = self.wait_load
-        key = self.asleep_on  # None | "parked" | "run" | the stall slept on
-        d["asleep_on"] = (None if key is None
-                          else key.rsplit(".", 1)[-1] or "parked")
-        if key == RUN_KEY:
-            d["run_pc"] = self.run_pc
-            d["run_left"] = self.run_left
         return d
-
-    def inject_register_flip(self, reg: int, bit: int) -> Tuple[int, int]:
-        # inside a run the ops issued so far are not executed yet: do
-        # that first, so the flip lands between the same two
-        # instructions as on a machine issuing them one by one
-        self.cluster.settle(self.cluster.domain.cycle)
-        return super().inject_register_flip(reg, bit)
 
     def _issue_getvt(self, now: int, u: MicroOp) -> None:
         self._count_issue(u)
@@ -925,7 +989,7 @@ class TCU(ProcessorBase):
                 machine.obs.stalled(self, "latency")
             return None
         if self._retry is not None:
-            self._issue(now)
+            self._issue(now, cycle)
             return None
         pc = self.core.pc
         if not self._region_start <= pc < self._region_join:
@@ -947,44 +1011,6 @@ class TCU(ProcessorBase):
             return self._k_memory
         self._handlers[u.code](now, u)
         return None
-
-    def settle_run(self, cycle: int) -> None:
-        """Execute the ops of the current run that were issued before
-        domain cycle ``cycle`` (one per cycle since the run began) and
-        credit them, so that the TCU reads as if it had been ticked on
-        every edge so far.  The whole block goes through its generated
-        function; a prefix -- the run was cut short by a delivery, a
-        checkpoint, a timeout, a fault, a listener -- is stepped through
-        the one-instruction handlers."""
-        left = self.run_left
-        due = left - (self.run_end - cycle)
-        if due <= 0:
-            return
-        machine = self.machine
-        core = self.core
-        if due >= left:
-            due = left
-            block = machine.blocks[core.pc]
-            if block:  # (the last op of a run cut short is no block)
-                try:
-                    core.pc = (block.fn or block.compile())(core.regs)
-                except TrapError:
-                    pass  # registers untouched: the stepper names the op
-                else:
-                    self.run_left = 0
-                    self.instructions_issued += left
-                    counters = self._counters
-                    for key, count in block.tally:
-                        counters[key] += count
-                    machine.last_progress = self._sched.now
-                    return
-        now = self._sched.now
-        uops = machine.decoded.uops
-        handlers = self._handlers
-        for _ in range(due):
-            u = uops[core.pc]
-            handlers[u.code](now, u)
-        self.run_left = left - due
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the

@@ -450,13 +450,42 @@ def _gen_program(rng: random.Random, with_spawn: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), with_spawn=st.booleans())
-def test_differential_functional_vs_cycle(seed, with_spawn):
-    src = _gen_program(random.Random(seed), with_spawn)
+def _assert_modes_agree(src: str) -> None:
     res_f = FunctionalSimulator(assemble(src), max_instructions=500_000).run()
     res_c = Simulator(assemble(src), tiny()).run(max_cycles=500_000)
     assert res_f.memory == res_c.memory, src
     assert res_f.output == res_c.output, src
     assert list(res_f.global_regs) == list(res_c.global_regs), src
+
+
+# derandomized: the examples are a fixed function of the test, so the
+# tier-1 command passes or fails the same way on every run
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), with_spawn=st.booleans())
+def test_differential_functional_vs_cycle(seed, with_spawn):
+    _assert_modes_agree(_gen_program(random.Random(seed), with_spawn))
+
+
+def test_master_store_does_not_overtake_its_older_load():
+    """Seed 944 of the differential test: ``lw $t3, 4($s7)`` misses and
+    is still on its way to the cache module when ``sw $t2, 4($s7)``
+    commits at issue.  The load must return the word as it was before
+    the store (memory-model rule 1), not the stored value."""
+    src = _gen_program(random.Random(944), with_spawn=False)
+    assert "lw $t3, 4($s7)\n    sw $t2, 4($s7)" in src
+    _assert_modes_agree(src)
+    # the hazard in four instructions
+    result = Simulator(assemble("""
+        .data
+    buf: .word 7, 0
+        .text
+    main:
+        la   $s7, buf
+        li   $t2, 31
+        lw   $t3, 0($s7)
+        sw   $t2, 0($s7)
+        sw   $t3, 4($s7)
+        halt
+    """), tiny()).run(max_cycles=10_000)
+    assert result.read_global("buf", count=2) == [31, 7]

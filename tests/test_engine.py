@@ -250,15 +250,6 @@ class TestClockDomain:
         with pytest.raises(ValueError):
             ClockDomain("d", period=0)
 
-    def test_on_tick_hook(self):
-        sched = Scheduler()
-        seen = []
-        domain = ClockDomain("d", period=10)
-        domain.on_tick = seen.append
-        domain.start(sched)
-        sched.run(until=25)
-        assert seen == [0, 1, 2]
-
 
 class TestComponentActor:
     def test_one_event_per_cycle(self):

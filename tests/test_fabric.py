@@ -187,7 +187,7 @@ class TestRegistry:
     def test_port_is_a_timed_queue_with_identity(self):
         port = Port(capacity=2, name="t.send", layer="cluster", owner=None)
         fired = []
-        port.on_push = lambda: fired.append(True)
+        port.on_push = lambda time: fired.append(True)
         assert port.push(0, "pkg")
         assert fired == [True]
         assert port.depth() == 1

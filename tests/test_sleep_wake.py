@@ -1,15 +1,23 @@
-"""Sleep/wake ticking against an always-awake oracle.
+"""Skipping idle components and idle time against always-ticking oracles.
 
-A TCU that can only repeat the same stall until a delivery arrives is
-dropped from its cluster's tick list and credited the skipped cycles
-when it wakes; a cluster with nobody awake is skipped, and the ICN
-visits only ports that hold a package.  None of that may move a single
-counter.  The oracle needs no switch: a TCU never sleeps while the
-``stalled`` probe has a listener, so subscribing a consumer that hears
-``stalled`` and does nothing keeps every TCU ticking every cycle -- the
-machine as it was before sleep/wake.  Every test below runs a program
-plain (sleeping) and listened-to (always awake) and requires the two
-to agree on everything a run can be asked about.
+A processor (TCU or Master) that can only repeat the same stall until a
+delivery arrives is not ticked and is credited the skipped cycles when
+it wakes; a cluster with nobody awake is skipped, the ICN visits only
+ports that hold a package, and a clock domain whose components all wait
+books its next edge at the earliest time one of them can do anything
+(``next_work``), accounting for the skipped edges when somebody looks.
+None of that may move a single counter.  The oracles need no switch:
+
+- :class:`AlwaysAwake` -- nobody sleeps or takes a run while the
+  ``stalled`` probe has a listener, so a consumer that hears ``stalled``
+  and does nothing keeps every processor ticking every cycle;
+- :class:`EveryEdge` -- a component with nothing to do whose
+  ``next_work`` always answers "the next edge", added to every domain,
+  makes every domain tick on every edge.
+
+Both together are the machine as it was before any skipping.  Every
+test below runs a program plain, with every edge ticked, and as it was,
+and requires them to agree on everything a run can be asked about.
 """
 
 from __future__ import annotations
@@ -21,21 +29,45 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
-from repro.sim.config import fpga64, tiny
+from repro.sim.config import chip1024, fpga64, tiny
 from repro.sim.fabric import registered
 from repro.sim.machine import Machine
 from repro.sim.observability import Observability
 from repro.sim.plugins import ActivityPlugin
 from repro.sim.resilience import FaultInjector, FaultSpec, SimulationStalled
+from repro.sim.sampling import PhaseSampler, SampledSimulator
+from repro.sim.tcu import RUN_KEY
+from repro.workloads import microbench as MB
 from repro.workloads import programs as W
 from repro.xmtc.compiler import CompileOptions, compile_source
 
 
 class AlwaysAwake:
-    """The oracle: hearing ``stalled`` keeps every TCU on the tick list."""
+    """Hearing ``stalled`` keeps every processor on the tick list."""
 
     def stalled(self, proc, cause):
         pass
+
+
+class EveryEdge:
+    """In a domain, makes it tick on every edge."""
+
+    def tick(self, cycle):
+        pass
+
+    def next_work(self, now):
+        return now
+
+
+def tick_every_edge(machine: Machine) -> Machine:
+    for domain in set(machine.domains.values()):
+        domain.add(EveryEdge())
+    return machine
+
+
+#: how a machine is built: plain; every domain ticking on every edge;
+#: that, with every processor awake as well -- the machine as it was
+PLAIN, EVERY_EDGE, AS_IT_WAS = "plain", "every-edge", "as-it-was"
 
 
 class SpawnWindows:
@@ -51,12 +83,15 @@ class SpawnWindows:
         self.windows[-1][1] = now
 
 
-def machine_for(program, config, awake: bool, plugins=()) -> Machine:
+def machine_for(program, config, awake, plugins=()) -> Machine:
+    """``awake``: one of the three kinds above (True: as it was)."""
+    kind = {False: PLAIN, True: AS_IT_WAS}.get(awake, awake)
     obs = None
-    if awake:
+    if kind == AS_IT_WAS:
         obs = Observability()
         obs.subscribe(AlwaysAwake())
-    return Machine(program, config, plugins=plugins, observability=obs)
+    machine = Machine(program, config, plugins=plugins, observability=obs)
+    return machine if kind == PLAIN else tick_every_edge(machine)
 
 
 def fingerprint(machine: Machine, result) -> dict:
@@ -69,7 +104,10 @@ def fingerprint(machine: Machine, result) -> dict:
         "memory": dict(result.memory),
         "global_regs": result.global_regs,
         "counters": dict(machine.stats.counters),
-        "events": machine.scheduler.events_processed,
+        # skipped edges are accounted for: every domain reads the edge
+        # count of one that ticked on all of them
+        "domain_cycles": {name: domain.cycle
+                          for name, domain in machine.domains.items()},
         "sent": machine.icn.packages_sent,
         "returned": machine.icn.packages_returned,
         # who won each arbitration decides which TCU runs which thread
@@ -79,25 +117,26 @@ def fingerprint(machine: Machine, result) -> dict:
 
 
 def run_both(program, config_factory, plugins_factory=lambda: ()):
-    """Fingerprints of the sleeping run and of the always-awake run."""
+    """Fingerprints of the plain run and of the two oracle runs."""
     prints = []
-    for awake in (False, True):
-        machine = machine_for(program, config_factory(), awake,
+    for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
+        machine = machine_for(program, config_factory(), kind,
                               plugins=plugins_factory())
         result = machine.run(max_cycles=5_000_000)
         prints.append(fingerprint(machine, result))
     return prints
 
 
-def assert_same(plain: dict, oracle: dict) -> None:
-    for key in plain:
-        if key == "counters":
-            drift = {name: (plain[key].get(name), oracle[key].get(name))
-                     for name in set(plain[key]) | set(oracle[key])
-                     if plain[key].get(name) != oracle[key].get(name)}
-            assert not drift, f"counter drift (sleeping, awake): {drift}"
-        else:
-            assert plain[key] == oracle[key], f"{key} differs"
+def assert_same(plain: dict, *oracles: dict) -> None:
+    for oracle in oracles:
+        for key in plain:
+            if key == "counters":
+                drift = {name: (plain[key].get(name), oracle[key].get(name))
+                         for name in set(plain[key]) | set(oracle[key])
+                         if plain[key].get(name) != oracle[key].get(name)}
+                assert not drift, f"counter drift (plain, oracle): {drift}"
+            else:
+                assert plain[key] == oracle[key], f"{key} differs"
 
 
 def build(source, inputs=None, options=None):
@@ -213,6 +252,46 @@ class TestKernels:
         assert ticks[0] * 4 < ticks[1] * 3
 
 
+#: the paper's Table I grid, on a chip1024 cut down to 8 x 4 TCUs
+MICROBENCHMARKS = {
+    "serial_memory": lambda: MB.serial_memory(60, array_words=512),
+    "serial_compute": lambda: MB.serial_compute(150),
+    "parallel_memory": lambda: MB.parallel_memory(64, 3, array_words=1024),
+    "parallel_compute": lambda: MB.parallel_compute(64, 6),
+}
+
+
+def small_chip1024(**overrides):
+    return chip1024(n_clusters=8, tcus_per_cluster=4, n_cache_modules=16,
+                    n_dram_ports=2, **overrides)
+
+
+class TestMicrobenchmarks:
+    @pytest.mark.parametrize("name", sorted(MICROBENCHMARKS))
+    def test_table1_on_cut_down_chip1024(self, name):
+        source, inputs = MICROBENCHMARKS[name]()
+        inputs = dict(inputs, **({"DATA": list(range(7, 7 + 1024))[:512]}
+                                 if name == "serial_memory" else {}))
+        assert_same(*run_both(build(source, inputs), small_chip1024))
+
+    @pytest.mark.parametrize("name, bound", [("serial_memory", 0.35),
+                                             ("serial_compute", 0.2)])
+    def test_serial_sections_really_skip_time(self, name, bound):
+        """The comparison is not vacuous: with only the Master working,
+        the plain run takes a fraction of an event per simulated cycle
+        (its runs and sleeps, and the domains that sleep with it) where
+        ticking every edge takes 4/3 -- one per clusters edge, one per
+        DRAM edge at a third of the rate."""
+        program = build(*MICROBENCHMARKS[name]())
+        per_cycle = {}
+        for kind in (PLAIN, EVERY_EDGE):
+            machine = machine_for(program, small_chip1024(), kind)
+            cycles = machine.run(max_cycles=1_000_000).cycles
+            per_cycle[kind] = machine.scheduler.events_processed / cycles
+        assert per_cycle[PLAIN] <= bound
+        assert per_cycle[EVERY_EDGE] > 1.3
+
+
 class TestStallShapes:
     @pytest.mark.parametrize("blocking", [True, False],
                              ids=["blocking-loads", "scoreboard"])
@@ -224,9 +303,9 @@ class TestStallShapes:
     def test_blocking_and_scoreboard_loads(self, source, inputs, blocking):
         options = CompileOptions(prefetch=True, prefetch_degree=8)
         program = build(source, inputs, options)
-        plain, oracle = run_both(
+        plain, *oracles = run_both(
             program, lambda: tiny(tcu_blocking_loads=blocking))
-        assert_same(plain, oracle)
+        assert_same(plain, *oracles)
         if source is PREFETCH_SRC:
             hits = sum(plain["counters"].get(f"tcu.prefetch.{kind}", 0)
                        for kind in ("hit", "pending_hit", "late_hit"))
@@ -236,10 +315,10 @@ class TestStallShapes:
                              ids=["mdu-serial", "mdu-pipelined"])
     def test_mdu_contention_same_winner(self, pipelined):
         program = build(MDU_SRC, {"A": list(range(64))})
-        plain, oracle = run_both(
+        plain, *oracles = run_both(
             program, lambda: tiny(mdu_pipelined=pipelined))
         assert plain["counters"]["tcu.stall.fu"] > 0
-        assert_same(plain, oracle)
+        assert_same(plain, *oracles)
 
 
 #: every registered backend combination (runtime-registered ones too)
@@ -260,6 +339,35 @@ class TestBackends:
         else:
             program = kernel("array_compaction")
         assert_same(*run_both(program, lambda: tiny(**overrides)))
+
+
+class TestUnequalPeriods:
+    """Every domain on its own grid: a hand-off between two domains
+    lands on the first edge of the consumer that an always-ticking
+    consumer would have seen it on -- same time, same turn within the
+    timestamp -- whichever of the two is faster."""
+
+    PERIODS = dict(cluster_period=1000, icn_period=1000, cache_period=1300,
+                   dram_period=2900)
+
+    @pytest.mark.parametrize("merge", [False, True],
+                             ids=["own-domains", "merged-domains"])
+    @pytest.mark.parametrize("dram", registered("dram"))
+    @pytest.mark.parametrize("icn", registered("icn"))
+    def test_backends(self, icn, dram, merge):
+        program = build(MIXED_SRC, MIXED_INPUTS)
+        assert_same(*run_both(program, lambda: tiny(
+            icn_backend=icn, dram_backend=dram, merge_clock_domains=merge,
+            **self.PERIODS)))
+
+    @pytest.mark.parametrize("periods", [
+        dict(icn_period=700, cache_period=1300, dram_period=2900),
+        dict(icn_period=1700, cache_period=600, dram_period=1100),
+    ], ids=["fast-icn", "fast-cache"])
+    @pytest.mark.parametrize("name", ["merge_sort", "spmv", "bfs"])
+    def test_kernels(self, name, periods):
+        assert_same(*run_both(kernel(name), lambda: tiny(
+            merge_clock_domains=False, **periods)))
 
 
 class _ThrottleAndGate(ActivityPlugin):
@@ -299,10 +407,10 @@ class TestDomainCycles:
             plugins.append(_ThrottleAndGate())
             return [plugins[-1]]
 
-        plain, oracle = run_both(
+        plain, *oracles = run_both(
             program, lambda: tiny(merge_clock_domains=merge), make_plugins)
         assert all(p.samples >= 8 and p.saw_parallel for p in plugins)
-        assert_same(plain, oracle)
+        assert_same(plain, *oracles)
 
 
 class TestCheckpoints:
@@ -339,7 +447,6 @@ class TestCheckpoints:
             # checkpointed finish exactly like the uninterrupted run
             for machine in (restored, plain):
                 got = fingerprint(machine, machine.run(max_cycles=1_000_000))
-                got["events"] = expected["events"]  # split across runs
                 assert_same(got, expected)
 
     def test_late_listener_sees_every_stall_from_its_edge_on(self):
@@ -375,8 +482,398 @@ class TestCheckpoints:
         obs.attach(restored)
         got = fingerprint(restored, restored.run(max_cycles=1_000_000))
         assert listener.n == tcu_stalls(restored) - before
-        got["events"] = expected["events"]
         assert_same(got, expected)
+
+
+# --------------------------------------------------------------------------- skipped time
+
+#: serial and memory-bound: the Master sleeps through every miss and
+#: takes the ALU work in between as runs; every domain sleeps with it
+SERIAL_SRC = """
+int DATA[512]; int OUT[2];
+int main() {
+    int idx = 3; int acc = 1;
+    for (int k = 0; k < 20; k++) {
+        int v = DATA[idx];
+        acc = (acc << 1) + v;
+        acc = acc ^ (acc >> 3);
+        acc = acc + k - 7;
+        acc = acc | (v << 2);
+        DATA[idx] = acc;
+        idx = idx + 97;
+        if (idx >= 512) idx = idx - 512;
+    }
+    OUT[0] = acc;
+    return 0;
+}
+"""
+
+
+def serial_program():
+    return build(SERIAL_SRC, {"DATA": list(range(5, 517))})
+
+
+def slow_dram(**overrides):
+    """80 clusters cycles from a DRAM accept to its data."""
+    return tiny(dram_latency=40, **overrides)
+
+
+def skipping(machine: Machine, name: str = "clusters") -> bool:
+    """Is domain ``name`` inside a skipped stretch right now?"""
+    domain = machine.domains[name]
+    return (domain.booked is None
+            or domain.booked > machine.scheduler.now + 2 * domain.period)
+
+
+def paused_at(program, config, kind, cycle: int):
+    """A machine run up to ``cycle`` and paused there, with the
+    checkpoint taken at the pause."""
+    machine = machine_for(program, config, kind)
+    payload = CP.run_with_checkpoint(machine, cycle)
+    assert payload is not None, f"halted before cycle {cycle}"
+    return machine, payload
+
+
+def cycles_where(program, config_factory, predicate, n: int = 2):
+    """The first ``n`` cycles (a few apart) at which the plain machine,
+    paused, satisfies ``predicate``."""
+    found = []
+    for cycle in range(10, 2000, 3):
+        machine, _ = paused_at(program, config_factory(), PLAIN, cycle)
+        if predicate(machine):
+            found.append(cycle)
+            if len(found) == n:
+                return found
+    raise AssertionError("the program never gets there")
+
+
+def master_sleeps_on_memory(machine: Machine) -> bool:
+    return (machine.master.asleep_on == "master.stall.memory"
+            and skipping(machine))
+
+
+def master_inside_a_run(machine: Machine) -> bool:
+    master = machine.master
+    return master.asleep_on == RUN_KEY and 0 < master.run_left < 4
+
+
+class _RetimeAndGateEverything(ActivityPlugin):
+    """Walks the clusters and the DRAM domain through a retiming, a
+    gating and back, by sample number (the same simulated instants in
+    every machine), and notes which landed in a skipped stretch."""
+
+    SCRIPT = {5: ("clusters", "scale", 0.5), 8: ("clusters", "gate", None),
+              11: ("clusters", "ungate", None), 15: ("clusters", "scale", 1.0),
+              18: ("dram", "scale", 0.4), 22: ("dram", "gate", None),
+              26: ("dram", "ungate", None), 30: ("dram", "scale", 1.0),
+              33: ("clusters", "scale", 1.7), 40: ("clusters", "scale", 1.0)}
+
+    def __init__(self):
+        super().__init__(interval_cycles=9)
+        self.samples = 0
+        self.in_a_skip = set()
+
+    def sample(self, machine, time):
+        self.samples += 1
+        name, action, scale = self.SCRIPT.get(self.samples, (None,) * 3)
+        if name is None:
+            return
+        if skipping(machine, name):
+            self.in_a_skip.add(action)
+        if action == "scale":
+            machine.set_domain_scale(name, scale)
+        elif action == "gate":
+            machine.domains[name].disable()
+        else:
+            machine.domains[name].enable()
+
+
+class TestSkippedTime:
+    """Next-event advance: what happens *inside* a stretch of edges the
+    domain never ticks must come out as if it had ticked them all."""
+
+    @pytest.mark.parametrize("merge", [False, True],
+                             ids=["own-domains", "merged-domains"])
+    def test_retime_and_gate_land_inside_a_skipped_stretch(self, merge):
+        plugins = []
+
+        def make_plugins():
+            plugins.append(_RetimeAndGateEverything())
+            return [plugins[-1]]
+
+        assert_same(*run_both(
+            serial_program(),
+            lambda: slow_dram(merge_clock_domains=merge), make_plugins))
+        assert all(p.samples >= 40 for p in plugins)
+        # plain run: the script hit skipped stretches, not busy ones
+        # (a gated domain is unbooked in every machine)
+        assert plugins[0].in_a_skip == {"scale", "gate", "ungate"}
+        assert plugins[1].in_a_skip == plugins[2].in_a_skip == {"ungate"}
+
+    @pytest.mark.parametrize("where", [master_sleeps_on_memory,
+                                       master_inside_a_run],
+                             ids=["master-sleep", "master-run"])
+    def test_checkpoint_round_trips(self, where):
+        program = serial_program()
+        reference = machine_for(program, slow_dram(), AS_IT_WAS)
+        expected = fingerprint(reference, reference.run(max_cycles=100_000))
+        for cycle in cycles_where(program, slow_dram, where):
+            plain, payload = paused_at(program, slow_dram(), PLAIN, cycle)
+            oracle, _ = paused_at(program, slow_dram(), AS_IT_WAS, cycle)
+            restored = CP.load_bytes(payload)
+            # the sleep rides the checkpoint
+            assert restored.master.asleep_on == plain.master.asleep_on
+            # the snapshot is settled: counters, registers and edge
+            # counts are the always-ticking machine's at that cycle
+            assert dict(restored.stats.counters) == \
+                dict(oracle.stats.counters), f"cycle {cycle}"
+            assert restored.master.core.regs == oracle.master.core.regs
+            assert {n: d.cycle for n, d in restored.domains.items()} == \
+                {n: d.cycle for n, d in oracle.domains.items()}
+            for machine in (restored, plain):
+                assert_same(fingerprint(machine,
+                                        machine.run(max_cycles=100_000)),
+                            expected)
+
+    @pytest.mark.parametrize("site", ["dram.stall", "icn.delay"])
+    def test_masked_fault_injected_mid_skip(self, site):
+        program = serial_program()
+        in_flight = {
+            "dram.stall": lambda m: (skipping(m) and any(
+                port._in_flight for port in m.dram_ports)),
+            "icn.delay": lambda m: bool(m.icn._to_cluster or m.icn._to_cache),
+        }[site]
+        cycle = cycles_where(
+            program, slow_dram,
+            lambda m: m.master.asleep_on is not None and in_flight(m), n=1)[0]
+        injectors = []
+
+        def make_plugins():
+            injectors.append(FaultInjector([FaultSpec(site, cycle, seed=3)]))
+            return [injectors[-1]]
+
+        plain, *oracles = run_both(program, slow_dram, make_plugins)
+        assert_same(plain, *oracles)
+        assert all(i.log and "no-op" not in i.log[0][2] for i in injectors)
+        undisturbed = run_both(program, slow_dram)[0]
+        assert plain["cycles"] > undisturbed["cycles"]  # it did delay
+
+    def test_lost_reply_stalls_at_the_same_time(self):
+        """``icn.drop`` while everything sleeps: nothing is booked any
+        more, and the watchdog -- not a domain -- finds the hang, at the
+        window the always-ticking machine finds it at."""
+        program = serial_program()
+        cycle = cycles_where(
+            program, lambda: slow_dram(watchdog_cycles=700),
+            lambda m: (m.master.asleep_on is not None
+                       and bool(m.icn._to_cluster)), n=1)[0]
+        dumps = []
+        for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
+            machine = machine_for(
+                program, slow_dram(watchdog_cycles=700), kind,
+                plugins=[FaultInjector([FaultSpec("icn.drop", cycle)])])
+            with pytest.raises(SimulationStalled, match="deadlock") as info:
+                machine.run(max_cycles=100_000)
+            dumps.append((str(info.value).splitlines()[0], info.value.dump))
+        (message, dump), *others = dumps
+        for other_message, other in others:
+            assert other_message == message
+            assert (other.time_ps, other.stalls, other.instructions) == \
+                (dump.time_ps, dump.stalls, dump.instructions)
+            assert {n: d["cycle"] for n, d in other.domains.items()} == \
+                {n: d["cycle"] for n, d in dump.domains.items()}
+        # the skipping machine's dump says who waits for what
+        assert all(d["booked"] is None for d in dump.domains.values())
+        assert dump.processors[0]["asleep_on"] == "memory"
+        text = dump.format()
+        assert [line for line in text.splitlines()
+                if line.startswith("master:") and "asleep_on=memory" in line]
+        assert "clusters cycle 1401 next edge unbooked" in text
+
+    @pytest.mark.parametrize("probe", ["stalled", "issued"])
+    def test_listener_subscribing_mid_sleep(self, probe):
+        """A listener that turns up while the Master (and every domain)
+        sleeps, or runs, hears everything from the next edge on."""
+
+        class Count:
+            n = 0
+
+        def hear(self, proc, what):
+            Count.n += proc.kind == "master"
+        listener = type("Listener", (), {probe: hear})()
+
+        program = serial_program()
+        reference = machine_for(program, slow_dram(), AS_IT_WAS)
+        expected = fingerprint(reference, reference.run(max_cycles=100_000))
+        where = (master_sleeps_on_memory if probe == "stalled"
+                 else master_inside_a_run)
+        cycle = cycles_where(program, slow_dram, where, n=1)[0]
+        machine, _ = paused_at(program, slow_dram(), PLAIN, cycle)
+
+        def heard_by_stats():
+            if probe == "issued":
+                return machine.master.instructions_issued
+            return sum(v for k, v in machine.stats.counters.items()
+                       if k.startswith("master.stall."))
+
+        machine.settle()
+        before = heard_by_stats()
+        obs = Observability()
+        obs.subscribe(listener)
+        machine.obs = obs
+        obs.attach(machine)
+        got = fingerprint(machine, machine.run(max_cycles=100_000))
+        assert Count.n == heard_by_stats() - before > 0
+        assert_same(got, expected)
+
+    def test_sampling_fast_forward(self):
+        """A fast-forwarded spawn is one long timed stall of the Master:
+        slept through, credited to ``master.stall.latency``, and the
+        watchdog stays quiet although nothing else marks progress."""
+        program = build("""
+            int A[64];
+            int rounds = 0;
+            int main() {
+                for (int r = 0; r < 12; r++) {
+                    spawn(0, 63) { A[$] = A[$] + 1; }
+                    rounds++;
+                }
+                return 0;
+            }
+        """)
+        prints = []
+        for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
+            obs = None
+            if kind == AS_IT_WAS:
+                obs = Observability()
+                obs.subscribe(AlwaysAwake())
+            sim = SampledSimulator(program, tiny(watchdog_cycles=60),
+                                   sampler=PhaseSampler(warmup=2),
+                                   observability=obs)
+            if kind != PLAIN:
+                tick_every_edge(sim.machine)
+            prints.append(fingerprint(sim.machine,
+                                      sim.run(max_cycles=1_000_000)))
+        assert_same(*prints)
+        counters = prints[0]["counters"]
+        assert counters["spawn.fast_forwarded"] == 10
+        assert counters["master.stall.latency"] > 10 * 60
+
+
+# --------------------------------------------------------------------------- arithmetic
+
+#: one load that misses everywhere, its use, and nothing else
+ONE_MISS_ASM = """
+    .data
+X:  .word 41
+    .text
+main:
+    la   $s7, X
+    lw   $t0, 0($s7)
+    addi $t1, $t0, 1
+    halt
+"""
+
+
+class Hops:
+    """When the one package passed each port boundary (no ``stalled``,
+    no ``issued``: the machine under it skips as a plain one does)."""
+
+    def __init__(self):
+        self.at = {}
+
+    def send_enqueued(self, pkg, now, depth):
+        self.at["send"] = now
+
+    def icn_injected(self, pkg, now, arrival, depth):
+        self.at["inject"] = now
+        self.module = pkg.module
+
+    def cache_dequeued(self, module, pkg, now, outcome):
+        self.at["cache"] = now
+        self.outcome = outcome
+
+    def dram_accepted(self, port, module, line, now, ready, writeback):
+        self.at["accept"] = now
+
+    def dram_filled(self, module, line, now, waiters):
+        self.at["fill"] = now
+
+    def response_enqueued(self, pkg, now, depth):
+        self.at["response"] = now
+
+    def icn_returned(self, pkg, now, arrival, depth):
+        self.at["return"] = now
+
+    def replied(self, pkg, now):
+        self.at["reply"] = now
+
+
+def edge_at(time: int, period: int) -> int:
+    """The first edge of a ``period`` clock at or after ``time``."""
+    return -(-time // period) * period
+
+
+def edge_after(time: int, period: int) -> int:
+    return edge_at(time + 1, period)
+
+
+class TestClosedForm:
+    """One uncontended Master load miss, hop by hop, against arithmetic
+    on the configuration -- backend timing held to the model's stated
+    laws, not to another run of the same code."""
+
+    @staticmethod
+    def traversals(cfg, module: int):
+        """(send, return) traversal times of a Master package."""
+        if cfg.icn_backend == "mot":       # log depth out, log depth in
+            depth = ((cfg.n_clusters - 1).bit_length()
+                     + (cfg.n_cache_modules - 1).bit_length())
+            return depth * cfg.icn_period, depth * cfg.icn_period
+        if cfg.icn_backend == "crossbar":  # one stage
+            return cfg.icn_period, cfg.icn_period
+        # ring: master, clusters, modules, one hop per stop, one way round
+        stops = 1 + cfg.n_clusters + cfg.n_cache_modules
+        out = 1 + cfg.n_clusters + module
+        return out * cfg.icn_period, (stops - out) * cfg.icn_period
+
+    @pytest.mark.parametrize("periods", [
+        {}, dict(icn_period=700, cache_period=1300, dram_period=2900,
+                 merge_clock_domains=False)], ids=["tiny", "unequal"])
+    @pytest.mark.parametrize("dram", ["simple", "banked"])
+    @pytest.mark.parametrize("icn", ["mot", "crossbar", "ring"])
+    def test_one_master_load_miss(self, icn, dram, periods):
+        cfg = tiny(icn_backend=icn, dram_backend=dram, **periods)
+        hops = Hops()
+        obs = Observability()
+        obs.subscribe(hops)
+        machine = Machine(assemble(ONE_MISS_ASM), cfg, observability=obs)
+        result = machine.run(max_cycles=10_000)
+        assert hops.outcome == "miss" and machine.master.core.regs[9] == 42
+        out, back = self.traversals(cfg, hops.module)
+        at = {"send": hops.at["send"]}  # where the arithmetic starts
+        # a port hands over on the consumer's first edge *after* the
+        # push; a traversal ends on the first ICN edge at or after it
+        at["inject"] = edge_after(at["send"], cfg.icn_period)
+        arrival = edge_at(at["inject"] + out, cfg.icn_period)
+        at["cache"] = edge_after(arrival, cfg.cache_period)
+        # DRAM's turn in a timestamp is after the cache's: same instant
+        at["accept"] = edge_at(at["cache"], cfg.dram_period)
+        at["fill"] = at["accept"] + cfg.dram_latency * cfg.dram_period
+        at["response"] = edge_at(
+            at["fill"] + cfg.cache_hit_latency * cfg.cache_period,
+            cfg.cache_period)
+        at["return"] = edge_after(at["response"], cfg.icn_period)
+        at["reply"] = edge_at(at["return"] + back, cfg.icn_period)
+        assert hops.at == at
+        # the Master's turn is before the ICN's: it reads the reply and
+        # issues the use on its next edge, and halts on the one after
+        use = edge_after(at["reply"], cfg.cluster_period)
+        assert result.time_ps == use + cfg.cluster_period
+        # ... having slept from the scoreboard stall to the reply
+        first_stall = at["send"] // cfg.cluster_period + 1
+        assert result.stats.get("master.stall.memory") == \
+            use // cfg.cluster_period - first_stall
 
 
 # at cycle 38 of this program on tiny(), several load responses are in

@@ -479,7 +479,6 @@ class TestEveryOffset:
             assert at_cycle(restored) == at_cycle(oracle), f"cycle {cycle}"
             for machine in (restored, plain):
                 got = fingerprint(machine, machine.run(max_cycles=1_000_000))
-                got["events"] = expected["events"]  # split across runs
                 assert_same(got, expected)
         assert seen >= OFFSETS
 
@@ -507,9 +506,9 @@ class TestEveryOffset:
             return [plugins[-1]]
 
         assert_same(*run_both(program, tiny, make_plugins))
-        plain, oracle = plugins
+        plain, *oracles = plugins
         assert len(plain.samples) > 200
-        assert plain.samples == oracle.samples
+        assert all(plain.samples == oracle.samples for oracle in oracles)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_register_flip_lands_between_the_same_instructions(self, seed):
@@ -547,11 +546,11 @@ class TestDomainCycles:
             plugins.append(_ThrottleAndGate())
             return [plugins[-1]]
 
-        plain, oracle = run_both(
+        plain, *oracles = run_both(
             compute(32, 12), lambda: tiny(merge_clock_domains=merge),
             make_plugins)
         assert all(p.samples >= 8 and p.saw_parallel for p in plugins)
-        assert_same(plain, oracle)
+        assert_same(plain, *oracles)
 
 
 # --------------------------------------------------------------------------- (e) late listener
@@ -587,7 +586,6 @@ class TestLateListener:
         got = fingerprint(restored, restored.run(max_cycles=1_000_000))
         assert all(tcu.asleep_on != "run" for tcu in restored.tcus)
         assert listener.n == restored.stats.instruction_total() - before
-        got["events"] = expected["events"]
         assert_same(got, expected)
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim.config import XMTConfig, chip1024, fpga64, tiny
+from repro.isa.assembler import assemble
+from repro.sim.config import _LEAST, XMTConfig, chip1024, fpga64, tiny
+from repro.sim.machine import Machine
 from repro.toolchain.driver import compile_and_run, run_functional, run_program
 from repro.xmtc.compiler import CompileOptions, compile_source
 
@@ -45,6 +47,27 @@ class TestConfig:
             XMTConfig(prefetch_policy="rand").validate()
         with pytest.raises(ValueError):
             XMTConfig(cache_line_words=3).validate()
+
+    @pytest.mark.parametrize("name, least", [
+        (name, least) for least, names in _LEAST.items()
+        for name in names.split()])
+    def test_range_checked_before_any_arithmetic(self, name, least):
+        """Every latency, capacity, width, period and count is range
+        checked at construction: one below its minimum is a
+        ``ValueError`` naming the field, the minimum itself is legal."""
+        tiny(**{name: least})
+        with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+            tiny(**{name: least - 1})
+        with pytest.raises(ValueError, match=name):
+            Machine(assemble(".text\nmain:\n    halt\n"),
+                    XMTConfig(**{name: least - 1}))
+
+    def test_every_numeric_field_is_range_checked(self):
+        from dataclasses import fields
+        checked = set(" ".join(_LEAST.values()).split())
+        numeric = {f.name for f in fields(XMTConfig)
+                   if f.type in ("int", "float", "Optional[int]")}
+        assert numeric == checked
 
     def test_preset_overrides(self):
         cfg = fpga64(dram_latency=99)
