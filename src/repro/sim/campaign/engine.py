@@ -44,25 +44,25 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim.campaign.chaos import ChaosMonkey
-from repro.sim.campaign.requests import (
-    PreparedRun,
-    RunBudgets,
-    RunRequest,
-    fingerprint_of_manifest,
-)
+from repro.sim.campaign.requests import PreparedRun, RunBudgets, RunRequest
 from repro.sim.campaign.worker import run_attempt, worker_entry
 from repro.sim.config import XMTConfig
+from repro.sim.observability.artifacts import (
+    RUN_PAYLOADS,
+    JsonlTail,
+    artifact_json,
+    canonical_json,
+    load_artifact,
+    read_jsonl,
+    schema_of,
+)
 from repro.sim.observability.ledger import (
     Ledger,
     RunRecord,
-    canonical_json,
-    load_manifest,
     load_run,
     sha256_text,
 )
-from repro.sim.observability.telemetry import SCHEMA_CAMPAIGN_TELEMETRY
-
-SCHEMA_RESULT = "xmt-campaign-result/1"
+from repro.sim.observability.telemetry import JsonlSink
 
 #: every run ends as exactly one of these
 OUTCOME_STATUSES = ("ok", "cached", "failed", "timeout", "gave-up")
@@ -101,7 +101,7 @@ class RunOutcome:
 
     def to_json(self) -> Dict[str, Any]:
         data = {
-            "schema": SCHEMA_RESULT,
+            "schema": schema_of("campaign-result"),
             "index": self.index,
             "label": self.label,
             "fingerprint": self.fingerprint,
@@ -202,7 +202,7 @@ class CampaignResult:
 
     def to_summary(self) -> Dict[str, Any]:
         return {
-            "schema": "xmt-campaign-summary/1",
+            "schema": schema_of("campaign-summary"),
             "campaign_id": self.campaign_id,
             "runs": len(self.outcomes),
             "counts": self.counts,
@@ -242,7 +242,7 @@ class _Attempt:
         # -- worker telemetry tailing + no-progress stall detection
         self.telemetry_path = telemetry_path
         self.telemetry_fh = None
-        self.telemetry_buf = ""
+        self.telemetry_tail = JsonlTail()
         self.last_seen = started        # last heartbeat/frame (monotonic)
         self.stall_warned = False
         self.stall_killed = False
@@ -314,9 +314,9 @@ class CampaignEngine:
         self._outcomes: Dict[int, RunOutcome] = {}
         self._attempts_total = 0
         self._workers_died = 0
-        self._results_fh = None
+        self._results_sink = None
         self._attempts_log_fh = None
-        self._telemetry_fh = None
+        self._telemetry_sink = None
 
     @property
     def _worker_telemetry(self) -> bool:
@@ -357,107 +357,73 @@ class CampaignEngine:
                     f"request {request.label or position}: {exc}") from None
         return prepared
 
-    def _dedup_index(self, wanted=None) -> Dict[str, RunRecord]:
-        """Fingerprint -> record for the requests the ledger answers.
+    def _dedup_index(self, wanted) -> Dict[str, RunRecord]:
+        """Fingerprint -> record for the ``wanted`` requests the ledger
+        answers.
 
-        Fast path: the ledger's ``index.jsonl`` maps fingerprints to
-        run ids directly, so resume loads only the manifests it will
-        actually cache-hit (O(requests), not O(runs)).  Ledgers without
-        an index (written by older tools) fall back to the full
-        manifest scan.  Both paths scan defensively: unreadable entries
-        simply never produce cache hits.
+        The ledger's ``index.jsonl`` maps fingerprints to run ids
+        directly (:meth:`Ledger.load_index` builds it first for a
+        ledger that has none), so resume loads only the manifests it
+        will actually cache-hit (O(requests), not O(runs)).  Unreadable
+        entries simply never produce cache hits.
         """
         index: Dict[str, RunRecord] = {}
         if self.ledger is None:
             return index
-
         mapping = self.ledger.load_index()
-        if mapping is not None:
-            fingerprints = (set(wanted) if wanted is not None
-                            else set(mapping))
-            for fingerprint in fingerprints:
-                run_id = mapping.get(fingerprint)
-                if not run_id:
-                    continue
-                run_dir = os.path.join(self.ledger.runs_dir, run_id)
-                try:
-                    record = load_run(run_dir)
-                except (OSError, ValueError, json.JSONDecodeError):
-                    continue  # stale index entry: no cache hit
-                if record.manifest.get("fault"):
-                    continue
-                index[fingerprint] = record
-            return index
-
-        runs_dir = self.ledger.runs_dir
-        if not os.path.isdir(runs_dir):
-            return index
-        for run_id in sorted(os.listdir(runs_dir)):
-            manifest_path = os.path.join(runs_dir, run_id, "manifest.json")
-            try:
-                manifest = load_manifest(manifest_path)
-            except (OSError, ValueError, json.JSONDecodeError):
+        for fingerprint in wanted:
+            run_id = mapping.get(fingerprint)
+            if not run_id:
                 continue
-            if manifest.get("fault"):
+            run_dir = os.path.join(self.ledger.runs_dir, run_id)
+            try:
+                record = load_run(run_dir)
+            except (OSError, ValueError):
+                continue  # stale index entry: no cache hit
+            if record.manifest.get("fault"):
                 continue  # injected runs never answer clean requests
-            index[fingerprint_of_manifest(manifest)] = RunRecord(
-                run_id=manifest.get("run_id") or run_id,
-                manifest=manifest,
-                path=os.path.join(runs_dir, run_id))
+            index[fingerprint] = record
         return index
 
     # -- result/attempt streaming --------------------------------------------
 
     def _open_streams(self, campaign_id: str) -> None:
         if self.results_path:
-            parent = os.path.dirname(os.path.abspath(self.results_path))
-            os.makedirs(parent, exist_ok=True)
-            self._results_fh = open(self.results_path, "w")
+            self._results_sink = JsonlSink(self.results_path)
         if self.telemetry_path:
-            parent = os.path.dirname(os.path.abspath(self.telemetry_path))
-            os.makedirs(parent, exist_ok=True)
-            self._telemetry_fh = open(self.telemetry_path, "w")
+            self._telemetry_sink = JsonlSink(self.telemetry_path)
         if self.ledger is not None:
             log_path = os.path.join(self.ledger.campaign_dir(campaign_id),
                                     "attempts.jsonl")
             self._attempts_log_fh = open(log_path, "a")
 
     def _close_streams(self) -> None:
-        for fh in (self._results_fh, self._attempts_log_fh,
-                   self._telemetry_fh):
-            if fh is not None:
-                fh.close()
-        self._results_fh = None
+        for stream in (self._results_sink, self._attempts_log_fh,
+                       self._telemetry_sink):
+            if stream is not None:
+                stream.close()
+        self._results_sink = None
         self._attempts_log_fh = None
-        self._telemetry_fh = None
+        self._telemetry_sink = None
 
     def _emit_telemetry(self, record: Dict[str, Any]) -> None:
         """Append one engine-side record to the campaign stream."""
-        if self._telemetry_fh is None:
+        if self._telemetry_sink is None:
             return
-        record = dict(record, schema=SCHEMA_CAMPAIGN_TELEMETRY,
+        record = dict(record, schema=schema_of("campaign-telemetry"),
                       unix_time=round(time.time(), 3))
-        self._telemetry_fh.write(json.dumps(record) + "\n")
-        self._telemetry_fh.flush()
+        self._telemetry_sink.write_line(json.dumps(record))
 
-    def _mux_telemetry_line(self, line: str, prepared: PreparedRun) -> None:
-        """Re-emit one worker telemetry line into the campaign stream,
-        enveloped with the run identity."""
-        if self._telemetry_fh is None:
+    def _mux_telemetry(self, frames: List[Dict[str, Any]],
+                       prepared: PreparedRun) -> None:
+        """Re-emit a worker's telemetry frames into the campaign
+        stream, enveloped with the run identity."""
+        if self._telemetry_sink is None:
             return
-        line = line.strip()
-        if not line:
-            return
-        try:
-            frame = json.loads(line)
-        except json.JSONDecodeError:
-            return  # torn tail of a killed worker: skip, keep streaming
-        if not isinstance(frame, dict):
-            return
-        frame.setdefault("label", prepared.request.label or None)
-        frame.setdefault("fingerprint", prepared.fingerprint)
-        self._telemetry_fh.write(json.dumps(frame) + "\n")
-        self._telemetry_fh.flush()
+        for frame in frames:
+            frame.setdefault("label", prepared.request.label or None)
+            frame.setdefault("fingerprint", prepared.fingerprint)
+            self._telemetry_sink.write_line(json.dumps(frame))
 
     def _log_attempt(self, prepared: PreparedRun, attempt: int,
                      event: str, *, worker_pid: Optional[int] = None,
@@ -495,15 +461,13 @@ class CampaignEngine:
             sanitizer = payload.get("sanitizer")
             manifest = payload["manifest"]
             output = payload.get("output", "")
+            payloads = {name: payload[name] for name in RUN_PAYLOADS
+                        if payload.get(name) is not None}
             if self.ledger is not None:
-                record = self.ledger.record(manifest,
-                                            payload.get("metrics"),
-                                            payload.get("profile"))
+                record = self.ledger.record(manifest, payloads)
             else:
                 record = RunRecord(run_id=manifest["run_id"],
-                                   manifest=manifest,
-                                   _metrics=payload.get("metrics"),
-                                   _profile=payload.get("profile"))
+                                   manifest=manifest, payloads=payloads)
         wall_seconds = None
         if record is not None:
             run_id = record.run_id
@@ -524,9 +488,8 @@ class CampaignEngine:
             sanitizer=sanitizer, wall_seconds=wall_seconds,
             overrides=dict(prepared.request.overrides))
         self._outcomes[prepared.request.index] = outcome
-        if self._results_fh is not None:
-            self._results_fh.write(json.dumps(outcome.to_json()) + "\n")
-            self._results_fh.flush()
+        if self._results_sink is not None:
+            self._results_sink.write_line(json.dumps(outcome.to_json()))
         # mirror the outcome into the telemetry stream so the stream
         # alone reproduces the campaign's outcome counts exactly
         self._emit_telemetry(dict(outcome.to_json(), kind="outcome"))
@@ -586,8 +549,7 @@ class CampaignEngine:
             summary_path = os.path.join(
                 self.ledger.campaign_dir(campaign_id), "summary.json")
             with open(summary_path, "w") as fh:
-                json.dump(result.to_summary(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(artifact_json(result.to_summary()))
         return result
 
     @staticmethod
@@ -620,9 +582,8 @@ class CampaignEngine:
                 finally:
                     if telemetry_path is not None:
                         try:
-                            with open(telemetry_path) as fh:
-                                for line in fh:
-                                    self._mux_telemetry_line(line, prep)
+                            self._mux_telemetry(read_jsonl(telemetry_path),
+                                                prep)
                         except OSError:
                             pass
                         try:
@@ -738,30 +699,21 @@ class CampaignEngine:
                           worker_pid=process.pid)
 
     def _pump_telemetry(self, att: "_Attempt", now: float) -> None:
-        """Drain new lines from a worker's telemetry file into the
-        campaign stream; any complete line counts as a heartbeat."""
+        """Drain new frames from a worker's telemetry file into the
+        campaign stream; any complete frame counts as a heartbeat."""
         if att.telemetry_path is None:
             return
         if att.telemetry_fh is None:
             try:
-                att.telemetry_fh = open(att.telemetry_path)
+                att.telemetry_fh = open(att.telemetry_path, "rb")
             except OSError:
                 return  # worker has not created its sink yet
         try:
-            data = att.telemetry_fh.read()
+            frames = att.telemetry_tail.feed(att.telemetry_fh.read())
         except OSError:
             return
-        if not data:
-            return
-        att.telemetry_buf += data
-        lines = att.telemetry_buf.split("\n")
-        att.telemetry_buf = lines.pop()  # keep any torn tail for later
-        progressed = False
-        for line in lines:
-            if line.strip():
-                self._mux_telemetry_line(line, att.prepared)
-                progressed = True
-        if progressed:
+        if frames:
+            self._mux_telemetry(frames, att.prepared)
             att.last_seen = now
             att.stall_warned = False
             att.hung = False
@@ -806,9 +758,8 @@ class CampaignEngine:
         payload: Optional[Dict[str, Any]] = None
         if os.path.exists(att.result_path):
             try:
-                with open(att.result_path) as fh:
-                    payload = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+                payload = load_artifact(att.result_path, "campaign-attempt")
+            except (OSError, ValueError):
                 payload = None  # impossible with atomic rename, but safe
 
         if payload is not None and payload.get("status") == "ok":

@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
+from repro.sim.observability.artifacts import read_jsonl
 from repro.sim.observability.ledger import (
-    canonical_json,
     fingerprint_of_manifest,
     program_sha256,
     request_fingerprint,
@@ -45,8 +45,6 @@ __all__ = [
     "grid_requests", "load_queue", "dump_queue",
     "request_fingerprint", "fingerprint_of_manifest",
 ]
-
-SCHEMA_QUEUE = "xmt-campaign-request/1"
 
 #: request fields accepted on a queue line (anything else is an error,
 #: so typos fail loudly instead of silently changing nothing)
@@ -144,38 +142,26 @@ def load_queue(path: str) -> List[RunRequest]:
     """
     queue_dir = os.path.dirname(os.path.abspath(path))
     requests: List[RunRequest] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
-            if not isinstance(data, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected an object, got "
-                    f"{type(data).__name__}")
-            unknown = sorted(set(data) - set(_QUEUE_FIELDS))
-            if unknown:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown field(s) "
-                    f"{', '.join(unknown)}")
-            data.pop("schema", None)
-            if "program" not in data:
-                raise ValueError(f"{path}:{lineno}: missing 'program'")
-            program = data.pop("program")
-            if not os.path.exists(program):
-                candidate = os.path.join(queue_dir, program)
-                if os.path.exists(candidate):
-                    program = candidate
-            try:
-                request = RunRequest(program=program,
-                                     index=len(requests), **data)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}")
-            requests.append(request)
+    for lineno, data in read_jsonl(path, strict=True, numbered=True):
+        unknown = sorted(set(data) - set(_QUEUE_FIELDS))
+        if unknown:
+            raise ValueError(
+                f"{path}:{lineno}: unknown field(s) "
+                f"{', '.join(unknown)}")
+        data.pop("schema", None)
+        if "program" not in data:
+            raise ValueError(f"{path}:{lineno}: missing 'program'")
+        program = data.pop("program")
+        if not os.path.exists(program):
+            candidate = os.path.join(queue_dir, program)
+            if os.path.exists(candidate):
+                program = candidate
+        try:
+            request = RunRequest(program=program,
+                                 index=len(requests), **data)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}")
+        requests.append(request)
     if not requests:
         raise ValueError(f"{path}: queue contains no run requests")
     return requests

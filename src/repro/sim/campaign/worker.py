@@ -24,19 +24,7 @@ import os
 from typing import Any, Dict, Optional
 
 from repro.sim.campaign.requests import PreparedRun, RunBudgets
-
-SCHEMA_ATTEMPT = "xmt-campaign-attempt/1"
-
-
-def atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` so readers see either nothing or all of it."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+from repro.sim.observability.artifacts import atomic_write, schema_of
 
 
 def _sanitize_pass(program) -> Dict[str, Any]:
@@ -138,13 +126,12 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
         # sanitizer verdict rides along without changing the identity
         manifest["sanitizer"] = sanitizer_summary
     payload = {
-        "schema": SCHEMA_ATTEMPT,
+        "schema": schema_of("campaign-attempt"),
         "status": "ok",
         "attempt": attempt,
         "worker_pid": os.getpid(),
         "manifest": manifest,
-        "metrics": artifacts.metrics,
-        "profile": artifacts.profile,
+        **artifacts.payloads(),
         "output": getattr(artifacts.result, "output", "") or "",
     }
     if sanitizer_summary is not None:
@@ -164,7 +151,7 @@ def _failure_payload(status: str, exc: BaseException, attempt: int,
         dump_summary = dump.summary()
     message = str(exc).splitlines()[0] if str(exc) else ""
     payload = {
-        "schema": SCHEMA_ATTEMPT,
+        "schema": schema_of("campaign-attempt"),
         "status": status,
         "attempt": attempt,
         "worker_pid": os.getpid(),
@@ -188,4 +175,4 @@ def worker_entry(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
                           sanitize=sanitize,
                           telemetry_path=telemetry_path,
                           telemetry_every=telemetry_every)
-    atomic_write_json(result_path, payload)
+    atomic_write(result_path, json.dumps(payload) + "\n")

@@ -27,7 +27,11 @@ The cooperating pieces:
 - :mod:`~repro.sim.observability.telemetry` /
   :mod:`~repro.sim.observability.aggregate` -- live progress frames
   from a running simulation (JSONL sinks, Unix-socket publisher) and
-  the ``xmt-top`` / ``xmt-campaign report`` views over the streams.
+  the ``xmt-top`` / ``xmt-campaign report`` views over the streams;
+- :mod:`~repro.sim.observability.artifacts` -- the one table of every
+  file the above write (name, schema id, file name, whole-file or
+  JSONL, required keys) and the only readers of them:
+  :func:`load_artifact`, :func:`read_jsonl`, :class:`JsonlTail`.
 
 Everything that watches a live machine is a consumer subscribed on the
 one ``machine.obs`` attach point (:class:`Observability`; the probe
@@ -35,10 +39,19 @@ vocabulary is :data:`PROBES`); the ledger, compare, explain and
 aggregate layers operate on the exported artifacts.
 """
 
+from repro.sim.observability.artifacts import (
+    ARTIFACTS,
+    JsonlTail,
+    SchemaError,
+    artifact_json,
+    load_artifact,
+    read_jsonl,
+    schema_of,
+)
+
 from repro.sim.observability.compare import (
     GateFailure,
     RunComparison,
-    SchemaError,
     check_regressions,
     compare_runs,
     diff_profiles,
@@ -61,17 +74,16 @@ from repro.sim.observability.explain import (
     diff_accounting,
     explain_diff,
     render_explain,
+    render_table,
     responsible_layer,
 )
 from repro.sim.observability.ledger import (
     Ledger,
     RunArtifacts,
     RunRecord,
-    artifact_json,
     build_manifest,
     collect_artifacts,
     instrumented_run,
-    load_manifest,
     load_run,
     write_run_dir,
 )
@@ -80,28 +92,18 @@ from repro.sim.observability.lifecycle import (
     FlightRecorder,
     export_accounting,
     hop_percentiles,
-    load_accounting,
-    load_lifecycle,
-    read_lifecycle_stream,
 )
 from repro.sim.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
     export_metrics,
-    load_metrics,
 )
-from repro.sim.observability.profiler import (
-    CycleProfiler,
-    load_profile,
-    render_profile,
-)
+from repro.sim.observability.profiler import CycleProfiler, render_profile
 from repro.sim.observability.telemetry import (
     JsonlSink,
     SocketPublisher,
     TelemetrySampler,
-    read_frames,
-    read_stream,
 )
 
 __all__ = [
@@ -113,23 +115,25 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "export_metrics",
-    "load_metrics",
     "CycleProfiler",
-    "load_profile",
     "render_profile",
+    "ARTIFACTS",
+    "JsonlTail",
+    "SchemaError",
+    "artifact_json",
+    "load_artifact",
+    "read_jsonl",
+    "schema_of",
     "Ledger",
     "RunArtifacts",
     "RunRecord",
-    "artifact_json",
     "build_manifest",
     "collect_artifacts",
     "instrumented_run",
-    "load_manifest",
     "load_run",
     "write_run_dir",
     "GateFailure",
     "RunComparison",
-    "SchemaError",
     "check_regressions",
     "compare_runs",
     "diff_profiles",
@@ -139,8 +143,6 @@ __all__ = [
     "TelemetrySampler",
     "JsonlSink",
     "SocketPublisher",
-    "read_stream",
-    "read_frames",
     "TopSummary",
     "fold_stream",
     "render_top",
@@ -149,9 +151,6 @@ __all__ = [
     "FlightRecorder",
     "CycleAccountant",
     "export_accounting",
-    "load_accounting",
-    "load_lifecycle",
-    "read_lifecycle_stream",
     "hop_percentiles",
     "AccountingDelta",
     "diff_accounting",
@@ -159,4 +158,5 @@ __all__ = [
     "build_explain",
     "explain_diff",
     "render_explain",
+    "render_table",
 ]

@@ -25,17 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim.observability.telemetry import (
-    SCHEMA_CAMPAIGN_TELEMETRY,
-    SCHEMA_TELEMETRY,
-)
-
-#: outcome lines streamed by the campaign engine (``--results``);
-#: literal here so this module never imports the campaign package
-SCHEMA_RESULT = "xmt-campaign-result/1"
-
-SCHEMA_TOP_REPORT = "xmt-top-report/1"
-SCHEMA_CAMPAIGN_REPORT = "xmt-campaign-report/1"
+from repro.sim.observability.artifacts import schema_of
+from repro.sim.observability.explain import render_table
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -102,7 +93,7 @@ def fold_stream(records: Sequence[Dict[str, Any]],
     summary = summary if summary is not None else TopSummary()
     for record in records:
         schema = record.get("schema")
-        if schema == SCHEMA_TELEMETRY:
+        if schema == schema_of("telemetry"):
             row = summary.row(_row_key(record))
             row.frames += 1
             row.cycle = record.get("cycle", row.cycle)
@@ -127,7 +118,7 @@ def fold_stream(records: Sequence[Dict[str, Any]],
             elif row.state not in ("done",) or kind in ("frame",
                                                         "heartbeat"):
                 row.state = "running"
-        elif schema == SCHEMA_CAMPAIGN_TELEMETRY:
+        elif schema == schema_of("campaign-telemetry"):
             kind = record.get("kind")
             if kind == "campaign-start":
                 summary.campaign_id = record.get("campaign_id", "")
@@ -148,7 +139,7 @@ def fold_stream(records: Sequence[Dict[str, Any]],
                 if record.get("instructions") is not None:
                     row.instructions = record.get("instructions")
                 row.eta_seconds = None
-        elif schema == SCHEMA_RESULT:
+        elif schema == schema_of("campaign-result"):
             row = summary.row(_row_key(record))
             row.state = record.get("status", row.state)
             row.attempt = record.get("attempts") or row.attempt
@@ -184,7 +175,7 @@ def render_top(summary: TopSummary, fmt: str = "text") -> str:
     rows = list(summary.rows.values())
     if fmt == "json":
         payload = {
-            "schema": SCHEMA_TOP_REPORT,
+            "schema": schema_of("top-report"),
             "campaign_id": summary.campaign_id,
             "runs_expected": summary.runs_expected,
             "finished": summary.finished,
@@ -193,26 +184,18 @@ def render_top(summary: TopSummary, fmt: str = "text") -> str:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    table = [list(_TOP_COLUMNS)] + [_top_cells(r) for r in rows]
+    table = render_table(_TOP_COLUMNS, [_top_cells(r) for r in rows], fmt,
+                         align=2)
     if fmt == "markdown":
-        out = ["| " + " | ".join(table[0]) + " |",
-               "|" + "---|" * len(table[0])]
-        out += ["| " + " | ".join(cells) + " |" for cells in table[1:]]
-        return "\n".join(out)
+        return "\n".join(table)
 
-    widths = [max(len(row[i]) for row in table)
-              for i in range(len(table[0]))]
     lines = []
-    header = ""
     if summary.campaign_id:
         header = f"campaign {summary.campaign_id}"
         if summary.runs_expected is not None:
             header += f": {len(rows)}/{summary.runs_expected} runs seen"
         lines.append(header)
-    for tr in table:
-        lines.append("  ".join(
-            cell.ljust(widths[i]) if i < 2 else cell.rjust(widths[i])
-            for i, cell in enumerate(tr)))
+    lines += table
     states: Dict[str, int] = {}
     for r in rows:
         states[r.state] = states.get(r.state, 0) + 1
@@ -256,13 +239,13 @@ def aggregate_campaign(records: Sequence[Dict[str, Any]],
     campaign_id = ""
     for record in records:
         schema = record.get("schema")
-        if schema == SCHEMA_RESULT or (
-                schema == SCHEMA_CAMPAIGN_TELEMETRY
+        if schema == schema_of("campaign-result") or (
+                schema == schema_of("campaign-telemetry")
                 and record.get("kind") == "outcome"):
             key = (record.get("index"), record.get("fingerprint"),
                    record.get("label"))
             outcomes[key] = record
-        elif schema == SCHEMA_CAMPAIGN_TELEMETRY and \
+        elif schema == schema_of("campaign-telemetry") and \
                 record.get("kind") == "campaign-start":
             campaign_id = record.get("campaign_id", "")
 
@@ -303,7 +286,7 @@ def aggregate_campaign(records: Sequence[Dict[str, Any]],
             heartbeat_gaps += 1
 
     return {
-        "schema": SCHEMA_CAMPAIGN_REPORT,
+        "schema": schema_of("campaign-report"),
         "campaign_id": campaign_id,
         "runs": len(ordered),
         "counts": counts,
@@ -326,12 +309,12 @@ def render_campaign_report(report: Dict[str, Any],
                 _fmt(stats["wall_p50"], 3), _fmt(stats["wall_p95"], 3),
                 _fmt(stats["cycles_p50"], 0), _fmt(stats["cycles_p95"], 0)]
 
-    header = ["axis", "runs", "wall p50", "wall p95",
-              "cyc p50", "cyc p95"]
-    table = [header, stats_cells("(all)", report["overall"])]
+    rows = [stats_cells("(all)", report["overall"])]
     for name in sorted(report["axes"]):
         for coord, stats in report["axes"][name].items():
-            table.append(stats_cells(coord, stats))
+            rows.append(stats_cells(coord, stats))
+    table = render_table(["axis", "runs", "wall p50", "wall p95",
+                          "cyc p50", "cyc p95"], rows, fmt, align=1)
 
     counts_line = "  ".join(f"{name}: {count}" for name, count
                             in sorted(report["counts"].items()))
@@ -350,10 +333,7 @@ def render_campaign_report(report: Dict[str, Any],
                   if report["campaign_id"] else ""),
                "",
                f"{report['runs']} runs -- {counts_line}",
-               "",
-               "| " + " | ".join(header) + " |",
-               "|" + "---|" * len(header)]
-        out += ["| " + " | ".join(cells) + " |" for cells in table[1:]]
+               "", *table]
         if retry_line:
             out += ["", f"attempts histogram: {retry_line}"]
         if backoff_line:
@@ -362,16 +342,10 @@ def render_campaign_report(report: Dict[str, Any],
             out += [f"heartbeat gaps: {report['heartbeat_gaps']}"]
         return "\n".join(out)
 
-    widths = [max(len(row[i]) for row in table)
-              for i in range(len(header))]
     lines = [("campaign report"
               + (f" {report['campaign_id']}" if report["campaign_id"]
                  else "")),
-             f"{report['runs']} runs -- {counts_line}", ""]
-    for tr in table:
-        lines.append("  ".join(
-            cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-            for i, cell in enumerate(tr)))
+             f"{report['runs']} runs -- {counts_line}", "", *table]
     if retry_line:
         lines += ["", f"attempts histogram: {retry_line}"]
     if backoff_line:

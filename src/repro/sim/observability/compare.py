@@ -31,28 +31,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.sim.observability.artifacts import check_artifact, schema_of
 from repro.sim.observability.explain import (AccountingDelta,
                                              diff_accounting,
+                                             render_table,
                                              responsible_layer)
-from repro.sim.observability.ledger import SCHEMA_RUN, RunRecord
-
-SCHEMA_METRICS = "xmtsim-metrics/1"
-SCHEMA_PROFILE = "xmt-prof/1"
-SCHEMA_COMPARISON = "xmt-compare/1"
-
-
-class SchemaError(ValueError):
-    """A payload does not carry the schema this tool understands."""
-
-
-def require_schema(payload: Any, expected: str, what: str) -> None:
-    got = payload.get("schema") if isinstance(payload, dict) else None
-    if got != expected:
-        raise SchemaError(
-            f"{what}: schema {got!r} is not supported "
-            f"(expected {expected!r}); re-export it with this toolchain "
-            f"or diff with the matching xmt-compare version")
-
+from repro.sim.observability.ledger import RunRecord
 
 # -- flattening -------------------------------------------------------------
 
@@ -65,18 +49,18 @@ def flatten_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
     and mean.  Host-dependent scheduler numbers stay in -- the
     threshold filter and the gate-metric whitelist decide relevance.
     """
-    require_schema(payload, SCHEMA_METRICS, "metrics payload")
+    check_artifact(payload, "metrics", "metrics payload")
     flat: Dict[str, float] = {}
-    for name, value in payload.get("counters", {}).items():
+    for name, value in payload["counters"].items():
         flat[f"counter.{name}"] = value
-    for name, value in payload.get("stats", {}).items():
+    for name, value in payload["stats"].items():
         flat[f"stats.{name}"] = value
-    for name, value in payload.get("scheduler", {}).items():
+    for name, value in payload["scheduler"].items():
         if isinstance(value, (int, float)):
             flat[f"scheduler.{name}"] = value
-    for name, gauge in payload.get("gauges", {}).items():
+    for name, gauge in payload["gauges"].items():
         flat[f"gauge.{name}.max"] = gauge["max"]
-    for name, hist in payload.get("histograms", {}).items():
+    for name, hist in payload["histograms"].items():
         flat[f"hist.{name}.count"] = hist["count"]
         flat[f"hist.{name}.mean"] = hist["mean"]
     return flat
@@ -150,7 +134,7 @@ class LineDelta:
 
 
 def _profile_lines(payload: Dict[str, Any]) -> Dict[int, int]:
-    return {row["line"]: row["cycles"] for row in payload.get("lines", [])}
+    return {row["line"]: row["cycles"] for row in payload["lines"]}
 
 
 def _quote(source: Optional[str], line: int) -> str:
@@ -168,8 +152,8 @@ def diff_profiles(a: Dict[str, Any], b: Dict[str, Any],
     line than run A did (lower is better); ``new``/``vanished`` lines
     appear in only one profile (e.g. an optimization removed the code).
     """
-    require_schema(a, SCHEMA_PROFILE, "profile payload (run A)")
-    require_schema(b, SCHEMA_PROFILE, "profile payload (run B)")
+    check_artifact(a, "profile", "profile payload (run A)")
+    check_artifact(b, "profile", "profile payload (run B)")
     lines_a, lines_b = _profile_lines(a), _profile_lines(b)
     source = b.get("source") or a.get("source")
     deltas: List[LineDelta] = []
@@ -268,7 +252,7 @@ class RunComparison:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": SCHEMA_COMPARISON,
+            "schema": schema_of("comparison"),
             "threshold": self.threshold,
             "run_a": {"run_id": self.run_a.get("run_id"),
                       "label": self.run_a.get("label"),
@@ -367,29 +351,29 @@ class RunComparison:
                "", self._headline(), ""]
         changes = self.config_changes()
         if changes:
-            out += ["| config field | A | B |", "|---|---|---|"]
-            out += [f"| `{k}` | {a} | {b} |" for k, a, b in changes]
-            out.append("")
+            out += render_table(
+                ["config field", "A", "B"],
+                [[f"`{k}`", str(a), str(b)] for k, a, b in changes],
+                "markdown") + [""]
         if self.metric_deltas:
-            out += ["| metric | A | B | delta | rel |",
-                    "|---|---|---|---|---|"]
-            out += [f"| `{d.name}` | {_num(d.a)} | {_num(d.b)} | "
-                    f"{_num(d.delta)} | {_pct(d.rel)} |"
-                    for d in self.metric_deltas[:top]]
-            out.append("")
+            out += render_table(
+                ["metric", "A", "B", "delta", "rel"],
+                [[f"`{d.name}`", _num(d.a), _num(d.b), _num(d.delta),
+                  _pct(d.rel)] for d in self.metric_deltas[:top]],
+                "markdown") + [""]
         if self.line_deltas:
-            out += ["| line | status | A cycles | B cycles | delta |",
-                    "|---|---|---|---|---|"]
-            out += [f"| {d.line} | {d.status} | {d.cycles_a} | "
-                    f"{d.cycles_b} | {d.delta:+d} |"
-                    for d in self.line_deltas[:top]]
-            out.append("")
+            out += render_table(
+                ["line", "status", "A cycles", "B cycles", "delta"],
+                [[str(d.line), d.status, str(d.cycles_a), str(d.cycles_b),
+                  f"{d.delta:+d}"] for d in self.line_deltas[:top]],
+                "markdown") + [""]
         if self.accounting_deltas:
-            out += ["| category | A cycles | B cycles | delta |",
-                    "|---|---|---|---|"]
-            out += [f"| `{d.category}` | {d.cycles_a} | {d.cycles_b} | "
-                    f"{d.delta:+d} |"
-                    for d in self.accounting_deltas[:top] if d.delta]
+            out += render_table(
+                ["category", "A cycles", "B cycles", "delta"],
+                [[f"`{d.category}`", str(d.cycles_a), str(d.cycles_b),
+                  f"{d.delta:+d}"]
+                 for d in self.accounting_deltas[:top] if d.delta],
+                "markdown")
             responsible = self.responsible()
             if responsible:
                 out += ["", f"layer responsible: "
@@ -432,21 +416,21 @@ def compare_runs(a: RunRecord, b: RunRecord,
     corresponding payload; the manifests alone still yield the cycle
     headline and the config diff.
     """
-    require_schema(a.manifest, SCHEMA_RUN, "manifest (run A)")
-    require_schema(b.manifest, SCHEMA_RUN, "manifest (run B)")
+    check_artifact(a.manifest, "manifest", "manifest (run A)")
+    check_artifact(b.manifest, "manifest", "manifest (run B)")
     comparison = RunComparison(run_a=a.manifest, run_b=b.manifest,
                                threshold=threshold)
-    metrics_a, metrics_b = a.metrics(), b.metrics()
+    metrics_a, metrics_b = a.payload("metrics"), b.payload("metrics")
     if metrics_a is not None and metrics_b is not None:
         comparison.metric_deltas = diff_scalars(
             flatten_metrics(metrics_a), flatten_metrics(metrics_b),
             threshold)
         comparison.spawn_deltas = diff_spawn_regions(metrics_a, metrics_b)
-    profile_a, profile_b = a.profile(), b.profile()
+    profile_a, profile_b = a.payload("profile"), b.payload("profile")
     if profile_a is not None and profile_b is not None:
         comparison.line_deltas = diff_profiles(profile_a, profile_b,
                                                threshold)
-    acct_a, acct_b = a.accounting(), b.accounting()
+    acct_a, acct_b = a.payload("accounting"), b.payload("accounting")
     if acct_a is not None and acct_b is not None:
         comparison.accounting_deltas = diff_accounting(acct_a, acct_b)
     return comparison
@@ -540,7 +524,7 @@ def render_sweep_table(records: Sequence[RunRecord],
         return "no runs"
     if fmt == "json":
         return json.dumps({
-            "schema": SCHEMA_COMPARISON,
+            "schema": schema_of("comparison"),
             "varied": list(varied),
             "rows": [{
                 "run_id": r.run_id,
@@ -558,15 +542,4 @@ def render_sweep_table(records: Sequence[RunRecord],
         rows.append([str(r.config_value(k)) for k in varied]
                     + [str(r.cycles), _pct(rel) if r is not records[0]
                        else "base", r.run_id])
-    if fmt == "markdown":
-        out = ["| " + " | ".join(headers) + " |",
-               "|" + "---|" * len(headers)]
-        out += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(out)
-    widths = [max(len(h), *(len(row[i]) for row in rows))
-              for i, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    out.append("  ".join("-" * w for w in widths))
-    out += ["  ".join(cell.ljust(widths[i])
-                      for i, cell in enumerate(row)) for row in rows]
-    return "\n".join(out)
+    return "\n".join(render_table(headers, rows, fmt, rule=True))

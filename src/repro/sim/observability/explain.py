@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.sim.observability.artifacts import schema_of
 from repro.sim.observability.lifecycle import HOP_LAYER, hop_percentiles
-
-SCHEMA_EXPLAIN = "xmt-explain/1"
 
 #: categories that are *spent well* or derived idle -- never named as
 #: the layer responsible for a regression
@@ -107,7 +106,7 @@ def build_explain(accounting: Dict[str, Any],
             if manifest.get(key) is not None:
                 run[key] = manifest[key]
     return {
-        "schema": SCHEMA_EXPLAIN,
+        "schema": schema_of("explain"),
         "kind": "report",
         "run": run,
         "topdown": topdown,
@@ -173,7 +172,7 @@ def explain_diff(bundle_a: Dict[str, Any], bundle_b: Dict[str, Any],
     cyc_a = acct_a["cycles"]
     cyc_b = acct_b["cycles"]
     return {
-        "schema": SCHEMA_EXPLAIN,
+        "schema": schema_of("explain"),
         "kind": "diff",
         "run_a": _run(bundle_a, acct_a),
         "run_b": _run(bundle_b, acct_b),
@@ -201,19 +200,37 @@ def _num(v) -> str:
     return "-" if v is None else (f"{v:g}" if isinstance(v, float) else str(v))
 
 
-def _table(headers: List[str], rows: List[List[str]], fmt: str) -> List[str]:
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
+                 fmt: str = "text", *, align: Optional[int] = None,
+                 indent: str = "", rule: bool = False) -> List[str]:
+    """The lines of one report table, for every renderer that has one.
+
+    ``markdown`` is a pipe table; anything else is columns padded to
+    their widest cell: the first ``align`` left-justified and the rest
+    right-justified (``None``: all left), each line behind ``indent``,
+    with a dashed ``rule`` under the header on request.
+    """
     if fmt == "markdown":
-        lines = ["| " + " | ".join(headers) + " |",
-                 "|" + "|".join("---" for _ in headers) + "|"]
-        lines += ["| " + " | ".join(r) + " |" for r in rows]
-        return lines
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  " + "  ".join(h.ljust(widths[i])
-                              for i, h in enumerate(headers))]
-    lines += ["  " + "  ".join(c.ljust(widths[i]) for i, c in enumerate(r))
-              for r in rows]
+        return ["| " + " | ".join(headers) + " |",
+                "|" + "---|" * len(headers),
+                *("| " + " | ".join(row) + " |" for row in rows)]
+    table = [headers, *rows]
+    widths = [max(len(row[i]) for row in table)
+              for i in range(len(headers))]
+    left = len(headers) if align is None else align
+    lines = [indent + "  ".join(
+        cell.ljust(widths[i]) if i < left else cell.rjust(widths[i])
+        for i, cell in enumerate(row)) for row in table]
+    if rule:
+        lines.insert(1, indent + "  ".join("-" * w for w in widths))
     return lines
+
+
+def _section(title: str, headers: Sequence[str],
+             rows: Sequence[Sequence[str]], fmt: str) -> List[str]:
+    """One titled table of an explain report, after a blank line."""
+    return ["", f"### {title}" if fmt == "markdown" else title,
+            *render_table(headers, rows, fmt, indent="  ")]
 
 
 def _render_report(report: Dict[str, Any], fmt: str, top: int) -> str:
@@ -223,29 +240,20 @@ def _render_report(report: Dict[str, Any], fmt: str, top: int) -> str:
         head += f": {run['label']}"
     if run.get("run_id"):
         head += f" ({run['run_id'][:12]})"
-    lines: List[str] = []
-    if fmt == "markdown":
-        lines.append(f"## {head}")
-        lines.append("")
-    else:
-        lines.append(head)
+    lines = [f"## {head}", ""] if fmt == "markdown" else [head]
     lines.append(f"cycles: {run['cycles']}  processors: "
                  f"{run['n_processors']}  accounting: "
                  f"{'exact' if run['exact'] else 'INEXACT'}")
-    lines.append("")
-    title = "top-down cycle accounting (% of all processor cycles)"
-    lines.append(f"### {title}" if fmt == "markdown" else title)
-    lines += _table(
+    lines += _section(
+        "top-down cycle accounting (% of all processor cycles)",
         ["category", "cycles", "share"],
         [[row["category"], str(row["cycles"]), f"{row['share']:.1f}%"]
          for row in report["topdown"][:max(top, len(report["topdown"]))]],
         fmt)
     hops = report.get("hops")
     if hops:
-        lines.append("")
-        title = "hop latencies (cycles)"
-        lines.append(f"### {title}" if fmt == "markdown" else title)
-        lines += _table(
+        lines += _section(
+            "hop latencies (cycles)",
             ["hop", "layer", "count", "mean", "p50", "p95", "max"],
             [[name, HOP_LAYER.get(name, "-"), str(row["count"]),
               _num(row["mean"]), _num(row["p50"]), _num(row["p95"]),
@@ -256,9 +264,6 @@ def _render_report(report: Dict[str, Any], fmt: str, top: int) -> str:
     mods = contention.get("cache_modules")
     ports = contention.get("send_ports")
     if mods or ports:
-        lines.append("")
-        title = "contention hot spots"
-        lines.append(f"### {title}" if fmt == "markdown" else title)
         rows = []
         for row in (mods or [])[:top]:
             rows.append([f"cache module {row['module']:02d}",
@@ -269,8 +274,9 @@ def _render_report(report: Dict[str, Any], fmt: str, top: int) -> str:
                     else f"send port c{row['cluster']:02d}")
             rows.append([name, str(row["requests"]),
                          str(row["wait_cycles"]), _num(row["mean_wait"])])
-        lines += _table(["where", "requests", "wait_cycles", "mean"],
-                        rows, fmt)
+        lines += _section("contention hot spots",
+                          ["where", "requests", "wait_cycles", "mean"],
+                          rows, fmt)
     bottleneck = report.get("bottleneck")
     if bottleneck:
         lines.append("")
@@ -289,21 +295,14 @@ def _render_diff(report: Dict[str, Any], fmt: str) -> str:
     b = report["run_b"]
     name_a = a.get("label") or a.get("run_id", "run A")[:12]
     name_b = b.get("label") or b.get("run_id", "run B")[:12]
-    lines: List[str] = []
     head = f"xmt-explain diff: {name_a} -> {name_b}"
-    if fmt == "markdown":
-        lines.append(f"## {head}")
-        lines.append("")
-    else:
-        lines.append(head)
+    lines = [f"## {head}", ""] if fmt == "markdown" else [head]
     pct = report.get("cycles_pct")
     lines.append(f"cycles: {a['cycles']} -> {b['cycles']} "
                  f"({report['cycles_delta']:+d}"
                  + (f", {pct:+.2f}%" if pct is not None else "") + ")")
-    lines.append("")
-    title = "layer attribution (machine-wide cycles by category)"
-    lines.append(f"### {title}" if fmt == "markdown" else title)
-    lines += _table(
+    lines += _section(
+        "layer attribution (machine-wide cycles by category)",
         ["category", name_a, name_b, "delta", "pct"],
         [[r["category"], str(r["cycles_a"]), str(r["cycles_b"]),
           f"{r['delta']:+d}",
@@ -320,10 +319,8 @@ def _render_diff(report: Dict[str, Any], fmt: str) -> str:
                   if h["mean_a"] is not None and h["mean_b"] is not None
                   and h["mean_a"] != h["mean_b"]]
     if hop_deltas:
-        lines.append("")
-        title = "hop latency movement (mean cycles)"
-        lines.append(f"### {title}" if fmt == "markdown" else title)
-        lines += _table(
+        lines += _section(
+            "hop latency movement (mean cycles)",
             ["hop", "layer", name_a, name_b],
             [[h["hop"], h["layer"], _num(h["mean_a"]), _num(h["mean_b"])]
              for h in hop_deltas],

@@ -36,14 +36,21 @@ what the ledger accumulates.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-SCHEMA_RUN = "xmtsim-run/1"
+from repro.sim.observability.artifacts import (
+    artifact_json,
+    atomic_write,
+    canonical_json,
+    load_artifact,
+    read_jsonl,
+    run_file,
+    schema_of,
+)
 
 #: manifest fields excluded from the content address (host-dependent
 #: or informational -- two runs differing only here are the same run).
@@ -58,20 +65,6 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON used for every content hash in the ledger."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-_canonical = canonical_json
-
-
-def artifact_json(payload: Any) -> str:
-    """The on-disk text of every ``*.json`` run artifact (the goldens
-    under ``tests/golden/observability`` pin it byte for byte)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def program_sha256(program) -> str:
     """Content hash of what actually runs: the assembly text."""
     asm_text = getattr(program, "source", None) or "\n".join(
@@ -82,7 +75,7 @@ def program_sha256(program) -> str:
 def config_fingerprint(config) -> Dict[str, Any]:
     """``(dict, hash)`` of a fully resolved :class:`XMTConfig`."""
     d = asdict(config)
-    return {"config": d, "config_sha256": sha256_text(_canonical(d))}
+    return {"config": d, "config_sha256": sha256_text(canonical_json(d))}
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
@@ -127,7 +120,7 @@ def build_manifest(program, config, *, cycles: int, instructions: int,
     are omitted when empty so pre-existing run ids stay stable.
     """
     manifest: Dict[str, Any] = {
-        "schema": SCHEMA_RUN,
+        "schema": schema_of("manifest"),
         "label": label,
         "program": {
             "path": program_path,
@@ -157,7 +150,7 @@ def manifest_run_id(manifest: Dict[str, Any]) -> str:
     """Content address: hash of the deterministic manifest fields."""
     identity = {k: v for k, v in manifest.items()
                 if k not in _NON_IDENTITY_FIELDS}
-    return sha256_text(_canonical(identity))[:12]
+    return sha256_text(canonical_json(identity))[:12]
 
 
 def request_fingerprint(*, program_sha: str, source_sha: Optional[str],
@@ -193,17 +186,6 @@ def fingerprint_of_manifest(manifest: Dict[str, Any]) -> str:
         inputs=manifest.get("inputs") or {})
 
 
-def load_manifest(path: str) -> Dict[str, Any]:
-    """Load a manifest file, checking the ``xmtsim-run/1`` schema."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_RUN:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an xmtsim run manifest "
-                         f"(schema={got!r}, expected {SCHEMA_RUN!r})")
-    return data
-
-
 @dataclass
 class RunRecord:
     """One ledger entry: the manifest plus lazily loaded payloads."""
@@ -211,11 +193,11 @@ class RunRecord:
     run_id: str
     manifest: Dict[str, Any]
     path: Optional[str] = None
-    #: in-memory payloads (set for fresh runs not yet on disk)
-    _metrics: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _profile: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _accounting: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _lifecycle: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: what the run recorded next to its manifest, by artifact name
+    #: (``metrics``, ``profile``, ``accounting``, ``lifecycle``,
+    #: ``power``): given for a fresh run, else filled from ``path``
+    payloads: Dict[str, Dict[str, Any]] = field(default_factory=dict,
+                                                repr=False)
 
     @property
     def cycles(self) -> int:
@@ -228,46 +210,15 @@ class RunRecord:
     def config_value(self, key: str) -> Any:
         return self.manifest["config"].get(key)
 
-    def _payload(self, name: str, loader) -> Optional[Dict[str, Any]]:
-        """``<name>.json`` of the run directory, loaded (and schema-
-        checked by ``loader``) on first use; ``None`` if not recorded."""
-        if getattr(self, "_" + name) is None and self.path is not None:
-            p = os.path.join(self.path, f"{name}.json")
-            if os.path.exists(p):
-                setattr(self, "_" + name, loader(p))
-        return getattr(self, "_" + name)
-
-    def metrics(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmtsim-metrics/1`` payload, if recorded."""
-        from repro.sim.observability.metrics import load_metrics
-        return self._payload("metrics", load_metrics)
-
-    def profile(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-prof/1`` payload, if recorded."""
-        from repro.sim.observability.profiler import load_profile
-        return self._payload("profile", load_profile)
-
-    def accounting(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-accounting/1`` payload, if recorded."""
-        from repro.sim.observability.lifecycle import load_accounting
-        return self._payload("accounting", load_accounting)
-
-    def lifecycle(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-lifecycle/1`` summary, if recorded."""
-        from repro.sim.observability.lifecycle import load_lifecycle
-        return self._payload("lifecycle", load_lifecycle)
-
-    def artifact(self, name: str) -> Optional[Dict[str, Any]]:
-        """Any extra JSON artifact in the run directory (``power``,
-        ...); extras never enter the manifest, so they cannot perturb
-        the run id."""
-        if self.path is None:
-            return None
-        p = os.path.join(self.path, f"{name}.json")
-        if not os.path.exists(p):
-            return None
-        with open(p) as fh:
-            return json.load(fh)
+    def payload(self, name: str) -> Optional[Dict[str, Any]]:
+        """The run's artifact ``name``, loaded from the run directory
+        (and checked against its schema) on first use; ``None`` if the
+        run did not record one."""
+        if name not in self.payloads and self.path is not None:
+            path = run_file(self.path, name)
+            if os.path.exists(path):
+                self.payloads[name] = load_artifact(path, name)
+        return self.payloads.get(name)
 
 
 def load_run(path: str) -> RunRecord:
@@ -278,50 +229,37 @@ def load_run(path: str) -> RunRecord:
     baseline is just such a directory under version control).
     """
     if os.path.isdir(path):
-        manifest_path = os.path.join(path, "manifest.json")
+        manifest_path = run_file(path, "manifest")
     else:
         manifest_path = path
         path = os.path.dirname(path) or "."
-    manifest = load_manifest(manifest_path)
+    manifest = load_artifact(manifest_path, "manifest")
     return RunRecord(run_id=manifest.get("run_id") or
                      manifest_run_id(manifest),
                      manifest=manifest, path=path)
 
 
 def write_run_dir(run_dir: str, manifest: Dict[str, Any],
-                  metrics: Optional[Dict[str, Any]] = None,
-                  profile: Optional[Dict[str, Any]] = None,
-                  accounting: Optional[Dict[str, Any]] = None,
-                  extras: Optional[Dict[str, Dict[str, Any]]] = None
+                  payloads: Optional[Dict[str, Dict[str, Any]]] = None
                   ) -> RunRecord:
-    """Write one run-record directory (manifest + optional payloads).
+    """Write one run-record directory: the manifest plus ``payloads``,
+    artifact name -> payload (:meth:`RunArtifacts.payloads`), each
+    under the file name the artifact table gives it.
 
     The primitive under :meth:`Ledger.record`; also used directly by
     ``xmt-compare check --update-baseline`` to refresh a committed
-    baseline directory in place.  ``extras`` maps artifact names to
-    payloads written as ``<name>.json`` next to the manifest (e.g.
-    ``lifecycle``, ``power``); none of the optional payloads enter the
-    manifest, so they are non-identity by construction.
+    baseline directory in place.  No payload enters the manifest, so
+    they are non-identity by construction.
     """
     run_id = manifest.get("run_id") or manifest_run_id(manifest)
     manifest = dict(manifest, run_id=run_id)
+    payloads = dict(payloads or {})
     os.makedirs(run_dir, exist_ok=True)
-    payloads = [("manifest.json", manifest)]
-    if metrics is not None:
-        payloads.append(("metrics.json", metrics))
-    if profile is not None:
-        payloads.append(("profile.json", profile))
-    if accounting is not None:
-        payloads.append(("accounting.json", accounting))
-    for name, payload in (extras or {}).items():
-        payloads.append((f"{name}.json", payload))
-    for name, payload in payloads:
-        with open(os.path.join(run_dir, name), "w") as fh:
+    for name, payload in [("manifest", manifest), *payloads.items()]:
+        with open(run_file(run_dir, name), "w") as fh:
             fh.write(artifact_json(payload))
     return RunRecord(run_id=run_id, manifest=manifest, path=run_dir,
-                     _metrics=metrics, _profile=profile,
-                     _accounting=accounting,
-                     _lifecycle=(extras or {}).get("lifecycle"))
+                     payloads=payloads)
 
 
 class Ledger:
@@ -353,23 +291,19 @@ class Ledger:
         """The compact dedup index: one ``(fingerprint, run_id)`` JSON
         line per recorded run, appended on :meth:`record`.  Lets
         campaign resume skip loading every full manifest (O(runs) at
-        startup); readers fall back to a full scan when absent."""
+        startup)."""
         return os.path.join(self.root, "index.jsonl")
 
     # -- writing -------------------------------------------------------------
 
     def record(self, manifest: Dict[str, Any],
-               metrics: Optional[Dict[str, Any]] = None,
-               profile: Optional[Dict[str, Any]] = None,
-               accounting: Optional[Dict[str, Any]] = None,
-               extras: Optional[Dict[str, Dict[str, Any]]] = None
+               payloads: Optional[Dict[str, Dict[str, Any]]] = None
                ) -> RunRecord:
-        """Persist one run; returns its record.  Idempotent: recording
-        a bit-identical run rewrites the same directory."""
+        """Persist one run (see :func:`write_run_dir`); returns its
+        record.  Idempotent: recording a bit-identical run rewrites the
+        same directory."""
         run_id = manifest.get("run_id") or manifest_run_id(manifest)
-        record = write_run_dir(self._run_dir(run_id),
-                               dict(manifest, run_id=run_id),
-                               metrics, profile, accounting, extras)
+        record = write_run_dir(self._run_dir(run_id), manifest, payloads)
         self._index_add(record.manifest)
         return record
 
@@ -396,55 +330,37 @@ class Ledger:
 
     def rebuild_index(self) -> int:
         """(Re)write ``index.jsonl`` from every readable run directory;
-        returns the number of entries.  Atomic (tmp + rename): readers
-        never observe a truncated index."""
+        returns the number of entries.  Atomic: readers never observe a
+        truncated index."""
         lines = []
         if os.path.isdir(self.runs_dir):
             for run_id in sorted(os.listdir(self.runs_dir)):
-                manifest_path = os.path.join(self.runs_dir, run_id,
-                                             "manifest.json")
                 try:
-                    manifest = load_manifest(manifest_path)
-                except (OSError, ValueError, json.JSONDecodeError):
+                    manifest = load_artifact(
+                        run_file(self._run_dir(run_id), "manifest"),
+                        "manifest")
+                except (OSError, ValueError):
                     continue
                 lines.append(canonical_json(self._index_line(manifest)))
         os.makedirs(self.root, exist_ok=True)
-        tmp = f"{self.index_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-        os.replace(tmp, self.index_path)
+        atomic_write(self.index_path,
+                     "".join(line + "\n" for line in lines))
         return len(lines)
 
-    def load_index(self) -> Optional[Dict[str, str]]:
+    def load_index(self) -> Dict[str, str]:
         """``fingerprint -> run_id`` from ``index.jsonl``, skipping
-        fault-injected entries (last entry wins on duplicates).
-        Returns ``None`` when no index exists -- callers then fall back
-        to a full manifest scan."""
+        fault-injected entries, which never answer clean requests (last
+        entry wins on duplicates).  A ledger without an index -- one
+        written before the index existed -- gets it rebuilt first."""
         if not os.path.exists(self.index_path):
-            return None
-        mapping: Dict[str, str] = {}
-        with open(self.index_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail write: ignore, stay usable
-                fingerprint = entry.get("fingerprint")
-                run_id = entry.get("run_id")
-                if not fingerprint or not run_id:
-                    continue
-                if entry.get("fault"):
-                    continue  # injected run: never answers clean requests
-                mapping[fingerprint] = run_id
-        return mapping
+            self.rebuild_index()
+        return {entry["fingerprint"]: entry["run_id"]
+                for entry in read_jsonl(self.index_path)
+                if entry.get("fingerprint") and entry.get("run_id")
+                and not entry.get("fault")}
 
     def record_artifacts(self, artifacts: "RunArtifacts") -> RunRecord:
-        return self.record(artifacts.manifest, artifacts.metrics,
-                           artifacts.profile, artifacts.accounting,
-                           artifacts.extras or None)
+        return self.record(artifacts.manifest, artifacts.payloads())
 
     # -- reading -------------------------------------------------------------
 
@@ -454,9 +370,7 @@ class Ledger:
             return []
         records = []
         for run_id in sorted(os.listdir(self.runs_dir)):
-            manifest_path = os.path.join(self._run_dir(run_id),
-                                         "manifest.json")
-            if os.path.exists(manifest_path):
+            if os.path.exists(run_file(self._run_dir(run_id), "manifest")):
                 records.append(load_run(self._run_dir(run_id)))
         records.sort(key=lambda r: r.manifest.get("created_unix") or 0)
         return records
@@ -504,15 +418,17 @@ class RunArtifacts:
     #: ``power``, ...); never part of the manifest / run identity
     extras: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
+    def payloads(self) -> Dict[str, Dict[str, Any]]:
+        """Everything but the manifest that was produced, by artifact
+        name: what :func:`write_run_dir` writes next to it."""
+        named = {"metrics": self.metrics, "profile": self.profile,
+                 "accounting": self.accounting, **self.extras}
+        return {name: payload for name, payload in named.items()
+                if payload is not None}
+
     def as_record(self) -> RunRecord:
         return RunRecord(run_id=self.manifest["run_id"],
-                         manifest=self.manifest,
-                         _metrics=self.metrics, _profile=self.profile,
-                         _accounting=self.accounting,
-                         _lifecycle=self.extras.get("lifecycle"))
-
-
-SCHEMA_POWER = "xmt-power/1"
+                         manifest=self.manifest, payloads=self.payloads())
 
 
 def power_profile_payload(plugin) -> Dict[str, Any]:
@@ -526,7 +442,7 @@ def power_profile_payload(plugin) -> Dict[str, Any]:
                 "max_temp_c": round(temp, 3), "scale": s}
                for t, p, temp, s in plugin.history]
     payload: Dict[str, Any] = {
-        "schema": SCHEMA_POWER,
+        "schema": schema_of("power"),
         "interval_cycles": getattr(plugin, "interval_cycles",
                                    getattr(plugin, "interval", None)),
         "samples": len(history),

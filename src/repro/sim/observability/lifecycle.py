@@ -44,10 +44,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List, Optional, Tuple
 
+from repro.sim.observability.artifacts import schema_of
 from repro.sim.observability.metrics import Histogram, histogram_percentile
-
-SCHEMA_LIFECYCLE = "xmt-lifecycle/1"
-SCHEMA_ACCOUNTING = "xmt-accounting/1"
 
 # -- lifecycle stage codes (stamped into Package.rec) ------------------------
 
@@ -326,7 +324,7 @@ class FlightRecorder:
         stream = self._stream
         if stream is not None:
             sample = dict(sample)
-            sample["schema"] = SCHEMA_LIFECYCLE
+            sample["schema"] = schema_of("lifecycle-stream")
             json.dump(sample, stream, separators=(",", ":"))
             stream.write("\n")
 
@@ -368,7 +366,7 @@ class FlightRecorder:
 
     def to_data(self) -> Dict[str, Any]:
         return {
-            "schema": SCHEMA_LIFECYCLE,
+            "schema": schema_of("lifecycle"),
             "completed": self.completed,
             "sampled": self.sampled,
             "dropped": self.dropped,
@@ -380,34 +378,6 @@ class FlightRecorder:
             "hot_ports": self._hot(self.port_wait, "cluster"),
             "samples": list(self.reservoir),
         }
-
-
-def load_lifecycle(path: str) -> Dict[str, Any]:
-    """Load a lifecycle summary export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_LIFECYCLE:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not a lifecycle export (schema={got!r})")
-    return data
-
-
-def read_lifecycle_stream(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL lifecycle stream, tolerating a torn tail (the
-    simulator may have been killed mid-write)."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
 
 
 # -- top-down cycle accounting -----------------------------------------------
@@ -534,7 +504,7 @@ def export_accounting(machine, accountant: CycleAccountant,
             "categories": _nest(row),
         })
     return {
-        "schema": SCHEMA_ACCOUNTING,
+        "schema": schema_of("accounting"),
         "cycles": cycles,
         "n_processors": n_procs,
         "total_cycles": total,
@@ -547,16 +517,6 @@ def export_accounting(machine, accountant: CycleAccountant,
         },
         "spawn_regions": region_rows,
     }
-
-
-def load_accounting(path: str) -> Dict[str, Any]:
-    """Load an accounting export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_ACCOUNTING:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an accounting export (schema={got!r})")
-    return data
 
 
 def hop_percentiles(hops: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:

@@ -17,9 +17,10 @@ text reports.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional
+
+from repro.sim.observability.artifacts import schema_of
 
 #: default geometric bucket bounds (values in *cycles*): 1, 2, 4, ...
 DEFAULT_BOUNDS = tuple(2 ** k for k in range(15))
@@ -228,7 +229,7 @@ def export_metrics(machine) -> Dict[str, Any]:
     """
     registry = getattr(machine.obs, "metrics", None) or MetricsRegistry()
     payload = registry.to_dict()
-    payload["schema"] = "xmtsim-metrics/1"
+    payload["schema"] = schema_of("metrics")
     payload["config"] = {
         "n_tcus": machine.config.n_tcus,
         "n_clusters": machine.config.n_clusters,
@@ -239,14 +240,3 @@ def export_metrics(machine) -> Dict[str, Any]:
     payload["stats"] = machine.stats.snapshot()
     payload["scheduler"] = machine.scheduler.metrics_snapshot()
     return payload
-
-
-def load_metrics(path: str) -> Dict[str, Any]:
-    """Load a ``--metrics-out`` export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != "xmtsim-metrics/1":
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an xmtsim metrics export "
-                         f"(schema={got!r})")
-    return data

@@ -21,8 +21,9 @@ work wants ranked.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
+
+from repro.sim.observability.artifacts import schema_of
 
 
 class CycleProfiler:
@@ -91,7 +92,7 @@ class CycleProfiler:
 
         total = sum(self.issues) + sum(self.stalls)
         return {
-            "schema": "xmt-prof/1",
+            "schema": schema_of("profile"),
             "total_cycles": total,
             "total_issues": sum(self.issues),
             "total_stalls": sum(self.stalls),
@@ -100,10 +101,6 @@ class CycleProfiler:
             "stall_causes": dict(sorted(self.stall_causes.items())),
             "source": self.source,
         }
-
-    def write(self, fh) -> None:
-        json.dump(self.to_data(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _source_text(data: Dict[str, Any], source: Optional[str],
@@ -157,12 +154,3 @@ def render_profile(data: Dict[str, Any], source: Optional[str] = None,
         out.append("stall causes: " + ", ".join(
             f"{cause} {cycles}" for cause, cycles in ranked))
     return "\n".join(out)
-
-
-def load_profile(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != "xmt-prof/1":
-        raise ValueError(f"{path}: not an xmt-prof profile "
-                         f"(schema={data.get('schema')!r})")
-    return data

@@ -40,12 +40,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.sim.engine import PRIO_PLUGIN, Actor
-
-SCHEMA_TELEMETRY = "xmtsim-telemetry/1"
-
-#: engine-side records multiplexed into a per-campaign telemetry stream
-#: (``kind``: campaign-start | outcome | stall-warning | campaign-end)
-SCHEMA_CAMPAIGN_TELEMETRY = "xmt-campaign-telemetry/1"
+from repro.sim.observability.artifacts import schema_of
 
 
 def machine_gauges(machine) -> Dict[str, int]:
@@ -78,9 +73,10 @@ def machine_gauges(machine) -> Dict[str, int]:
 
 
 class JsonlSink:
-    """Append telemetry lines to a JSONL file, one frame per line.
+    """Append lines to a JSONL file, one record per line: telemetry
+    frames, and the campaign engine's outcome and telemetry streams.
 
-    Flushes after every frame: the file is meant to be tailed (by
+    Flushes after every line: the file is meant to be tailed (by
     ``xmt-top watch --follow`` or a campaign supervisor) while the run
     is still going, and frame rate is far below I/O rates.
     """
@@ -341,7 +337,7 @@ class TelemetrySampler(Actor):
         hops = recorder.interval_summary() if recorder is not None else None
 
         frame: Dict[str, Any] = {
-            "schema": SCHEMA_TELEMETRY,
+            "schema": schema_of("telemetry"),
             "kind": kind,
             "seq": self.seq,
             "cycle": cycle,
@@ -364,35 +360,3 @@ class TelemetrySampler(Actor):
         self._prev_wall = wall
         self._prev_gauges = gauges
         return frame
-
-
-# -- stream loading -----------------------------------------------------------
-
-
-def read_stream(path: str, *, strict: bool = False) -> List[Dict[str, Any]]:
-    """Load a telemetry JSONL stream: every parseable record, in order.
-
-    Streams are written live and may end mid-line (a SIGKILLed worker);
-    unparseable lines are skipped unless ``strict``.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
-                continue
-            if isinstance(data, dict):
-                records.append(data)
-    return records
-
-
-def read_frames(path: str, *, strict: bool = False) -> List[Dict[str, Any]]:
-    """Load only the ``xmtsim-telemetry/1`` frames from a stream."""
-    return [r for r in read_stream(path, strict=strict)
-            if r.get("schema") == SCHEMA_TELEMETRY]

@@ -51,10 +51,12 @@ from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
 from repro.sim.functional import FunctionalSimulator, SimulationError
 from repro.sim.machine import Machine, Simulator
 from repro.sim.observability import (
+    ARTIFACTS,
     CycleAccountant,
     CycleProfiler,
     EventStream,
     FlightRecorder,
+    JsonlTail,
     Ledger,
     MetricsRegistry,
     Observability,
@@ -65,8 +67,9 @@ from repro.sim.observability import (
     compare_runs,
     explain_diff,
     instrumented_run,
-    load_profile,
+    load_artifact,
     load_run,
+    read_jsonl,
     render_explain,
     render_profile,
     render_sweep_table,
@@ -79,12 +82,10 @@ from repro.sim.observability.aggregate import (
     render_campaign_report,
     render_top,
 )
-from repro.sim.observability.lifecycle import SCHEMA_ACCOUNTING
 from repro.sim.observability.telemetry import (
     JsonlSink,
     SocketPublisher,
     TelemetrySampler,
-    read_stream,
 )
 from repro.sim.plugins import RaceSanitizer
 from repro.sim.resilience import (
@@ -811,13 +812,12 @@ def _write_observability(args, obs, artifacts) -> None:
                 obs.events.write(args.trace_out, args.trace_format)
             print(f"xmtsim: wrote {args.trace_format} trace to "
                   f"{args.trace_out}", file=sys.stderr)
-    for flag, path, payload, what in (
-            ("--metrics-out", args.metrics_out, artifacts.metrics, "metrics"),
-            ("--profile-out", args.profile_out, artifacts.profile, "profile"),
-            ("--accounting-out", args.accounting_out, artifacts.accounting,
-             "cycle accounting")):
+    payloads = artifacts.payloads()
+    for name, what in (("metrics", "metrics"), ("profile", "profile"),
+                       ("accounting", "cycle accounting")):
+        path = getattr(args, f"{name}_out")
         if path:
-            _write_text(flag, path, artifact_json(payload))
+            _write_text(f"--{name}-out", path, artifact_json(payloads[name]))
             print(f"xmtsim: wrote {what} to {path}", file=sys.stderr)
     if args.profile:
         print(render_profile(artifacts.profile), file=sys.stderr)
@@ -828,9 +828,8 @@ def _write_observability(args, obs, artifacts) -> None:
                   f"lifecycle(s) to {args.lifecycle_out} "
                   f"({obs.lifecycle.completed} completed)", file=sys.stderr)
     if args.explain:
-        report = build_explain(artifacts.accounting,
-                               lifecycle=artifacts.extras.get("lifecycle"),
-                               metrics=artifacts.metrics)
+        report = build_explain(**{name: payloads.get(name)
+                                  for name in _EXPLAINED})
         print(render_explain(report), file=sys.stderr)
 
 
@@ -1039,7 +1038,7 @@ def _prof_parser() -> argparse.ArgumentParser:
 
 
 def _prof(args) -> int:
-    data = load_profile(args.profile)  # ValueError: wrong schema, bad JSON
+    data = load_artifact(args.profile, "profile")
     source = None
     if args.source:
         with _flag("--source", OSError):
@@ -1094,30 +1093,27 @@ def _explain_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the artifacts of a run a report explains: :func:`build_explain`'s
+#: keywords, next to ``manifest``
+_EXPLAINED = ("accounting", "lifecycle", "metrics")
+
+
 def _explain_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
     """Resolve one run operand into ``{"accounting", "lifecycle",
     "metrics", "manifest"}`` (accounting required, the rest optional).
     Besides what :func:`_resolve_run` takes, the operand may be a bare
     ``accounting.json`` export (``xmtsim --accounting-out``)."""
-    if os.path.isfile(token) and not token.endswith("manifest.json"):
-        with open(token) as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict) \
-                and payload.get("schema") == SCHEMA_ACCOUNTING:
-            return {"accounting": payload, "lifecycle": None,
-                    "metrics": None, "manifest": None}
-        raise CliError(
-            f"{token}: not an {SCHEMA_ACCOUNTING} export (give a run "
-            f"directory, manifest.json, or accounting.json)")
+    if os.path.isfile(token) \
+            and not token.endswith(ARTIFACTS["manifest"].file):
+        return {"accounting": load_artifact(token, "accounting")}
     record = _resolve_run(token, ledger_dir)
-    accounting = record.accounting()
-    if accounting is None:
+    bundle = {name: record.payload(name) for name in _EXPLAINED}
+    if bundle["accounting"] is None:
         raise CliError(
             f"{token}: run has no accounting.json -- record it with "
             f"'xmtsim --accounting-out --ledger' or "
             f"'xmt-compare check --recorder --ledger'")
-    return {"accounting": accounting, "lifecycle": record.lifecycle(),
-            "metrics": record.metrics(), "manifest": record.manifest}
+    return dict(bundle, manifest=record.manifest)
 
 
 def _check_exact(bundle: Dict[str, Any]) -> List[str]:
@@ -1337,7 +1333,8 @@ def _compare_check(args) -> int:
         manifest_path = args.baseline
     else:
         baseline_dir = args.baseline
-        manifest_path = os.path.join(args.baseline, "manifest.json")
+        manifest_path = os.path.join(args.baseline,
+                                     ARTIFACTS["manifest"].file)
     baseline = None
     if os.path.exists(manifest_path) or not args.update_baseline:
         baseline = load_run(args.baseline)
@@ -1360,10 +1357,7 @@ def _compare_check(args) -> int:
         accounting=args.recorder)
     fresh = artifacts.as_record()
     if args.update_baseline:
-        write_run_dir(baseline_dir, artifacts.manifest, artifacts.metrics,
-                      artifacts.profile,
-                      accounting=artifacts.accounting,
-                      extras=artifacts.extras or None)
+        write_run_dir(baseline_dir, artifacts.manifest, artifacts.payloads())
         print(f"xmt-compare: baseline {baseline_dir} updated "
               f"({fresh.cycles} cycles, run {fresh.run_id})")
         return 0
@@ -1581,8 +1575,8 @@ def _campaign_report(args) -> int:
     records: List[dict] = []
     for path in (args.results, args.telemetry):
         if path:
-            records += read_stream(path)
-    attempts = read_stream(args.attempts) if args.attempts else None
+            records += read_jsonl(path)
+    attempts = read_jsonl(args.attempts) if args.attempts else None
     report = aggregate_campaign(records, attempts)
     if not report["runs"]:
         raise CliError("no outcome records found")
@@ -1649,7 +1643,7 @@ def _top_parser() -> argparse.ArgumentParser:
 def _top(args) -> int:
     if args.command == "watch":
         return _top_watch(args)
-    records = read_stream(args.stream)
+    records = read_jsonl(args.stream)
     if not records:
         raise CliError(f"{args.stream}: no telemetry records")
     print(render_top(fold_stream(records), args.format))
@@ -1673,20 +1667,6 @@ def _top_watch(args) -> int:
             sys.stdout.write("\x1b[2J\x1b[H" + text + "\n")
             sys.stdout.flush()
 
-    def fold_lines(lines) -> None:
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn line from a killed writer
-            if isinstance(record, dict):
-                records.append(record)
-        fold_stream(records, summary)
-
     def done() -> bool:
         if summary.finished:
             return True
@@ -1699,12 +1679,11 @@ def _top_watch(args) -> int:
     def pump(read, pause: float = 0.0) -> int:
         """Fold what ``read()`` returns -- the stream's next bytes,
         ``b""`` for nothing new, ``None`` at its end -- and redraw."""
-        buffer = b""
+        tail = JsonlTail()
         while True:
             data = read()
             if data:
-                *lines, buffer = (buffer + data).split(b"\n")
-                fold_lines(line.decode("utf-8", "replace") for line in lines)
+                fold_stream(tail.feed(data), summary)
             redraw()
             if data is None or done():
                 return 0

@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.sim.observability.artifacts import schema_of
 from repro.xmtc.fuzz.generator import GeneratedProgram, generate
 
 #: static findings that count as "flagged" for the race/memory verdict
@@ -60,7 +61,7 @@ class FuzzOutcome:
 
     def to_json(self) -> dict:
         return {
-            "schema": "xmtc-fuzz-outcome/1",
+            "schema": schema_of("fuzz-outcome"),
             "seed": self.seed,
             "verdict": self.verdict,
             "planted": self.planted,
@@ -197,7 +198,7 @@ def run_campaign(seeds: Sequence[int], jsonl_path: Optional[str] = None,
     clean_total = counts["fp"] + counts["tn"]
     fp_rate = counts["fp"] / clean_total if clean_total else 0.0
     summary = {
-        "schema": "xmtc-fuzz-summary/1",
+        "schema": schema_of("fuzz-summary"),
         "seeds": len(outcomes),
         "counts": counts,
         "unsound": unsound,

@@ -7,14 +7,24 @@ codes the ``*_main`` docstrings and MANUAL 4.13 list).  The rows marked
 ``was-traceback`` died with a Python traceback before the commands
 shared one error funnel; every exit-2 row must name the flag or file
 at fault on one closing ``<prog>: error: ...`` line.
+
+A second table holds the malformed-artifact rows: every whole-file
+artifact a command reads, damaged five ways, is exit 2 and one
+``<prog>: error: <path>: ...`` line naming the schema or the missing
+key (``AttributeError`` tracebacks, ``error: Expecting value ...`` and
+``error: total_cycles`` before all readers became one).
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import os
+import shutil
 
 import pytest
 
+from repro.sim.observability import ARTIFACTS
 from repro.toolchain import cli
 
 GOOD_C = """
@@ -106,6 +116,24 @@ def ws(tmp_path_factory):
         accounting = json.load(fh)
     with open(paths["inexact"], "w") as fh:
         json.dump(dict(accounting, exact=False), fh)
+    # one campaign's three streams, then every stream with a torn tail:
+    # the writer was killed in the middle of its last line
+    campaign = {"results": str(root / "r.jsonl"),
+                "campaign_stream": str(root / "ct.jsonl")}
+    assert cli.xmt_campaign_main(
+        [paths["good"], "--config", "tiny", "--serial", "--quiet",
+         "--ledger", str(root / "campaign-ledger"),
+         "--results", campaign["results"],
+         "--telemetry-out", campaign["campaign_stream"]]) == 0
+    campaign["attempts"], = glob.glob(
+        str(root / "campaign-ledger" / "campaigns" / "*" / "attempts.jsonl"))
+    (root / "queue.jsonl").write_text(
+        json.dumps({"program": paths["good"], "config": "tiny"}) + "\n")
+    campaign["queue"] = str(root / "queue.jsonl")
+    for name, path in dict(campaign, stream=paths["stream"]).items():
+        paths[f"torn_{name}"] = str(root / f"torn-{name}.jsonl")
+        with open(path) as fh, open(paths[f"torn_{name}"], "w") as torn:
+            torn.write(fh.read() + '{"schema": "xmt')
     return paths
 
 
@@ -216,16 +244,24 @@ ROWS = [
      "xmt-campaign: error: --set A: 'x' is not a number"),
     ("campaign-2-missing-queue", "xmt_campaign_main",
      ["--queue", "{missing}.jsonl"], 2, "xmt-campaign: error: --queue:"),
+    ("campaign-2-torn-queue-names-the-line", "xmt_campaign_main",
+     ["--queue", "{torn_queue}"], 2,
+     "xmt-campaign: error: --queue: {torn_queue}:2: bad JSON line"),
     ("campaign-report-2-no-inputs", "xmt_campaign_main", ["report"], 2,
      "xmt-campaign report: error: give --results"),
+    ("campaign-report-0-torn-tails", "xmt_campaign_main",
+     ["report", "--results", "{torn_results}", "--telemetry",
+      "{torn_campaign_stream}", "--attempts", "{torn_attempts}"], 0, ""),
 
     ("top-0", "xmt_top_main", ["report", "{stream}"], 0, ""),
+    ("top-0-torn-tail", "xmt_top_main", ["report", "{torn_stream}"], 0, ""),
     ("top-2-missing-stream", "xmt_top_main", ["report", "{missing}.jsonl"],
      2, "xmt-top: error: "),
 
     ("prof-0", "xmt_prof_main", ["report", "{profile}"], 0, ""),
     ("prof-2-not-a-profile", "xmt_prof_main",
-     ["report", "{not_a_profile}"], 2, "not an xmt-prof profile"),
+     ["report", "{not_a_profile}"], 2,
+     "xmt-prof: error: {not_a_profile}: expected schema 'xmt-prof/1'"),
 
     ("explain-0", "xmt_explain_main",
      ["report", "{accounting}", "--assert-exact"], 0, "xmt-explain: exact:"),
@@ -245,6 +281,7 @@ ROWS = [
 def test_exit_code(ws, capsys, command, argv, code, needle):
     got = getattr(cli, command)([arg.format(**ws) for arg in argv])
     captured = capsys.readouterr()
+    needle = needle.format(**ws)
     assert got == code, captured.err
     assert needle in captured.err
     assert "Traceback" not in captured.err + captured.out
@@ -265,3 +302,60 @@ def test_every_documented_code_has_a_row():
     for _, command, _, code, _ in ROWS:
         covered.setdefault(command, set()).add(code)
     assert covered == documented
+
+
+#: what can happen to a whole-file artifact: (its text, its schema id)
+#: -> the damaged text
+CORRUPTIONS = {
+    "not-json": lambda good, schema: "this is not JSON\n",
+    "list": lambda good, schema: "[1, 2, 3]\n",
+    "wrong-schema": lambda good, schema: json.dumps(
+        dict(json.loads(good), schema="other/9")),
+    "schema-only": lambda good, schema: json.dumps({"schema": schema}),
+    "truncated": lambda good, schema: good[:len(good) // 2],
+}
+
+#: id, command, the artifact that is damaged, argv ({damaged} = the
+#: damaged export, or the run directory whose file of that name it is)
+READERS = [
+    ("prof-report", "xmt_prof_main", "profile", ["report", "{damaged}"]),
+    ("explain-report", "xmt_explain_main", "accounting",
+     ["report", "{damaged}"]),
+    ("explain-diff", "xmt_explain_main", "accounting",
+     ["diff", "{accounting}", "{damaged}"]),
+    ("compare-diff", "xmt_compare_main", "manifest",
+     ["diff", "{baseline}", "{damaged}"]),
+    ("compare-check-baseline", "xmt_compare_main", "manifest",
+     ["check", "{good}", "--baseline", "{damaged}"]),
+    ("run-dir-metrics-alone", "xmt_compare_main", "metrics",
+     ["diff", "{damaged}", "{baseline}"]),
+]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("command,name,argv", [row[1:] for row in READERS],
+                         ids=[row[0] for row in READERS])
+def test_malformed_artifact(ws, tmp_path, capsys, command, name, argv,
+                            corruption):
+    row = ARTIFACTS[name]
+    if name in ("profile", "accounting"):   # exports: xmtsim --<name>-out
+        bad = path = str(tmp_path / row.file)
+        shutil.copy(ws[name], path)
+    else:
+        bad = str(tmp_path / "run")
+        shutil.copytree(ws["baseline"], bad)
+        path = os.path.join(bad, row.file)
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(CORRUPTIONS[corruption](good, row.schema))
+
+    got = getattr(cli, command)([arg.format(damaged=bad, **ws) for arg in argv])
+    captured = capsys.readouterr()
+    assert got == 2, captured.err
+    assert "Traceback" not in captured.err + captured.out
+    prog = command[:-len("_main")].replace("_", "-")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"{prog}: error: {path}: "), last
+    assert (row.required[0] if corruption == "schema-only"
+            else row.schema) in last

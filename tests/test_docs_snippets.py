@@ -1,5 +1,6 @@
 """Documentation must not rot: every XMTC snippet in docs/TEACHING.md
-and the README quick-tour compiles and produces its stated result."""
+and the README quick-tour compiles and produces its stated result, and
+the MANUAL's artifact reference table is the code's table."""
 
 import os
 import re
@@ -7,9 +8,11 @@ import re
 import pytest
 
 from repro.sim.config import fpga64, tiny
+from repro.sim.observability import ARTIFACTS
 from repro.toolchain.driver import compile_and_run
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "TEACHING.md")
+MANUAL = os.path.join(os.path.dirname(__file__), "..", "docs", "MANUAL.md")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
@@ -71,3 +74,22 @@ class TestReadmeSnippet:
                               inputs={"A": [3, 0, 7, 0, 9, 2, 0, 1] * 8},
                               max_cycles=5_000_000)
         assert out.output.strip() == "40"
+
+
+class TestManualArtifactTable:
+    def test_table_is_the_code_table(self):
+        """MANUAL 4.14: one row per entry of ``ARTIFACTS``, in its
+        order, with its schema id, its kind and -- for what a run
+        directory holds -- its file name."""
+        section = open(MANUAL).read().split("### 4.14 Artifacts", 1)[1]
+        section = section.split("\n#", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines()
+                if line.startswith("| `")]
+        assert [row[0].strip("`") for row in rows] == list(ARTIFACTS)
+        for (name, schema, file, _writer, _reader, kind) in rows:
+            row = ARTIFACTS[name.strip("`")]
+            assert schema == (f"`{row.schema}`" if row.schema else "—"), name
+            assert kind == ("JSONL" if row.jsonl else "whole-file"), name
+            if row.file:
+                assert file == f"`{row.file}`", name

@@ -344,8 +344,8 @@ class TestStringSweepAxes:
         assert "base" in out  # the first grid point anchors the deltas
 
     def test_campaign_aggregate_handles_string_axes(self):
+        from repro.sim.observability import schema_of
         from repro.sim.observability.aggregate import (
-            SCHEMA_RESULT,
             aggregate_campaign,
             render_campaign_report,
         )
@@ -354,7 +354,7 @@ class TestStringSweepAxes:
         for index, (backend, cycles) in enumerate(
                 (("mot", 1497), ("crossbar", 1460), ("ring", 1517))):
             records.append({
-                "schema": SCHEMA_RESULT,
+                "schema": schema_of("campaign-result"),
                 "index": index,
                 "label": f"icn_backend={backend}",
                 "status": "ok",

@@ -17,9 +17,7 @@ from repro.sim.observability import (
     compare_runs,
     flatten_metrics,
     instrumented_run,
-    load_manifest,
-    load_metrics,
-    load_profile,
+    load_artifact,
     load_run,
     render_sweep_table,
 )
@@ -108,8 +106,9 @@ class TestLedger:
         assert ids == {rec1.run_id, rec2.run_id}
         loaded = ledger.load(rec1.run_id)
         assert loaded.manifest == rec1.manifest
-        assert loaded.metrics()["schema"] == "xmtsim-metrics/1"
-        assert loaded.profile()["schema"] == "xmt-prof/1"
+        assert loaded.payload("metrics")["schema"] == "xmtsim-metrics/1"
+        assert loaded.payload("profile")["schema"] == "xmt-prof/1"
+        assert loaded.payload("accounting") is None  # none recorded
 
     def test_load_by_prefix(self, tmp_path, run_fast):
         ledger = Ledger(str(tmp_path))
@@ -138,7 +137,7 @@ class TestLedger:
         by_dir = load_run(rec.path)
         by_file = load_run(os.path.join(rec.path, "manifest.json"))
         assert by_dir.run_id == by_file.run_id == rec.run_id
-        assert by_file.metrics() is not None
+        assert by_file.payload("metrics") is not None
 
 
 class TestCompare:
@@ -225,28 +224,20 @@ class TestCompare:
 
 
 class TestSchemaStability:
-    """The three public payload schemas load via their public loaders
-    and reject foreign payloads with a named error, not a KeyError."""
+    """The three public payload schemas load via the one public loader
+    and reject foreign payloads with a named error, not a KeyError
+    (every corruption of every artifact: ``tests/test_artifacts.py``)."""
 
     def test_round_trip_via_ledger_files(self, tmp_path, run_fast):
         rec = Ledger(str(tmp_path)).record_artifacts(run_fast)
-        manifest = load_manifest(os.path.join(rec.path, "manifest.json"))
-        metrics = load_metrics(os.path.join(rec.path, "metrics.json"))
-        profile = load_profile(os.path.join(rec.path, "profile.json"))
+        manifest, metrics, profile = (
+            load_artifact(os.path.join(rec.path, f"{name}.json"), name)
+            for name in ("manifest", "metrics", "profile"))
         assert manifest["schema"] == "xmtsim-run/1"
         assert metrics["schema"] == "xmtsim-metrics/1"
         assert profile["schema"] == "xmt-prof/1"
         assert manifest["cycles"] == run_fast.result.cycles
         assert profile["total_cycles"] > 0
-
-    @pytest.mark.parametrize("loader", [load_manifest, load_metrics,
-                                        load_profile])
-    def test_loaders_reject_wrong_schema(self, tmp_path, loader):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "something-else/9",
-                                   "cycles": 1}))
-        with pytest.raises(ValueError, match="schema"):
-            loader(str(bad))
 
     def test_compare_rejects_mismatched_schema(self, run_fast):
         rec = run_fast.as_record()
@@ -258,7 +249,8 @@ class TestSchemaStability:
     def test_compare_rejects_mismatched_profile_schema(self, run_fast):
         rec_a = run_fast.as_record()
         rec_b = run_fast.as_record()
-        rec_b._profile = dict(rec_b._profile, schema="xmt-prof/99")
+        rec_b.payloads["profile"] = dict(rec_b.payloads["profile"],
+                                         schema="xmt-prof/99")
         with pytest.raises(SchemaError, match="xmt-prof/1"):
             compare_runs(rec_a, rec_b)
 
@@ -317,8 +309,8 @@ class TestCLI:
         records = Ledger(ledger_dir).list_runs()
         assert len(records) == 1
         assert records[0].label == "cli-run"
-        assert records[0].metrics() is not None
-        assert records[0].profile() is not None
+        assert records[0].payload("metrics") is not None
+        assert records[0].payload("profile") is not None
 
     def test_xmtsim_ledger_requires_cycle_mode(self, src_path, tmp_path,
                                                capsys):

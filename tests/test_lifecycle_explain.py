@@ -30,7 +30,7 @@ from repro.sim.observability import (
     explain_diff,
     export_accounting,
     instrumented_run,
-    read_lifecycle_stream,
+    read_jsonl,
     render_explain,
     responsible_layer,
 )
@@ -203,7 +203,7 @@ class TestBoundedMemory:
         obs = Observability(lifecycle=recorder)
         run_xmtc_cycle(MEMORY_SRC, tiny_config, observability=obs)
         recorder.close()
-        records = read_lifecycle_stream(path)
+        records = read_jsonl(path)
         assert recorder.completed // 4 - 1 <= len(records) \
             <= recorder.completed // 4 + 1
         assert recorder.sampled == len(records)
@@ -245,7 +245,7 @@ class TestHopDecomposition:
         obs = Observability(lifecycle=recorder)
         run_xmtc_cycle(MEMORY_SRC, tiny_config, observability=obs)
         recorder.close()
-        whole = read_lifecycle_stream(path)
+        whole = read_jsonl(path)
         assert len(whole) == recorder.sampled
         # SIGKILL mid-write: chop the last line in half
         with open(path) as fh:
@@ -253,7 +253,7 @@ class TestHopDecomposition:
         torn = text[:text.rindex("\n", 0, len(text) - 1) + 20]
         with open(path, "w") as fh:
             fh.write(torn)
-        survivors = read_lifecycle_stream(path)
+        survivors = read_jsonl(path)
         assert len(survivors) == len(whole) - 1
         assert survivors == whole[:-1]
 
@@ -362,7 +362,7 @@ class TestLedgerAndTelemetrySatellites:
         # identical identity: the power artifact rides along, dedup
         # still collapses the two runs onto one run directory
         assert powered.run_id == plain.run_id
-        payload = powered.artifact("power")
+        payload = ledger.load(powered.run_id).payload("power")
         assert payload["schema"] == "xmt-power/1"
         assert payload["samples"] > 0
         assert payload["history"][0]["power_w"] > 0

@@ -14,8 +14,9 @@ from repro.sim.observability import (
     Histogram,
     MetricsRegistry,
     Observability,
+    artifact_json,
     export_metrics,
-    load_profile,
+    load_artifact,
     render_profile,
 )
 from repro.sim.resilience.diagnostics import collect
@@ -274,17 +275,17 @@ class TestProfiler:
     def test_write_load_roundtrip(self, full_run, tmp_path):
         _, _, obs, _ = full_run
         path = tmp_path / "prof.json"
-        with open(path, "w") as fh:
-            obs.profiler.write(fh)
-        data = load_profile(str(path))
+        path.write_text(artifact_json(obs.profiler.to_data()))
+        data = load_artifact(str(path), "profile")
         assert data["schema"] == "xmt-prof/1"
         assert data["lines"] == obs.profiler.to_data()["lines"]
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"schema": "something-else/9"}')
-        with pytest.raises(ValueError):
-            load_profile(str(path))
+        with pytest.raises(ValueError, match="bogus.json: expected schema "
+                                             "'xmt-prof/1'"):
+            load_artifact(str(path), "profile")
 
 
 class TestIntervalSeriesIncremental:

@@ -114,7 +114,7 @@ def observed_run(name: str):
         f"{name}.events.jsonl": _written(obs.events.write_jsonl),
         f"{name}.chrome.json": _written(obs.events.write_chrome),
         f"{name}.metrics.json": artifact_json(export_metrics(machine)),
-        f"{name}.profile.json": _written(obs.profiler.write),
+        f"{name}.profile.json": artifact_json(obs.profiler.to_data()),
         f"{name}.accounting.json": artifact_json(
             export_accounting(machine, obs.accounting, cycles=result.cycles)),
         f"{name}.lifecycle.json": artifact_json(recorder.to_data()),

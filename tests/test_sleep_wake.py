@@ -18,11 +18,22 @@ None of that may move a single counter.  The oracles need no switch:
 Both together are the machine as it was before any skipping.  Every
 test below runs a program plain, with every edge ticked, and as it was,
 and requires them to agree on everything a run can be asked about.
+
+The three runs of a shipped kernel agree with each other; that they
+also agree with the last engine is ``tests/golden/cycles.json``, the
+plain run's cycle count, instruction count and output hash for every
+kernel of ``KERNEL_SIZES`` on ``tiny`` and ``fpga64``.  Regenerate
+(only when the timing model is meant to change)::
+
+    PYTHONPATH=src python tests/test_sleep_wake.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -225,12 +236,28 @@ int main() {
 MIXED_INPUTS = {"A": list(range(128)), "B": list(range(128, 256))}
 
 
+GOLDEN_CYCLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden", "cycles.json")
+
+
+def golden_row(print_: dict) -> dict:
+    """What ``cycles.json`` keeps of a run's fingerprint."""
+    return {"cycles": print_["cycles"],
+            "instructions": print_["instructions"],
+            "output_sha256": hashlib.sha256(
+                print_["output"].encode("utf-8")).hexdigest()}
+
+
 class TestKernels:
     @pytest.mark.parametrize("config", [tiny, fpga64],
                              ids=["tiny", "fpga64"])
     @pytest.mark.parametrize("name", sorted(KERNEL_SIZES))
     def test_shipped_kernel(self, name, config):
-        assert_same(*run_both(kernel(name), config))
+        plain, *oracles = run_both(kernel(name), config)
+        assert_same(plain, *oracles)
+        with open(GOLDEN_CYCLES) as fh:
+            golden = json.load(fh)
+        assert golden_row(plain) == golden[name][config.__name__]
 
     def test_plain_run_really_sleeps(self):
         """The comparison is not vacuous: the plain run skips ticks the
@@ -944,3 +971,16 @@ class TestDiagnostics:
             assert machine.parallel_active and not machine.halted
             prints.append(fingerprint(machine, result))
         assert_same(*prints)
+
+
+if __name__ == "__main__":
+    rows = {}
+    for kernel_name in sorted(KERNEL_SIZES):
+        for config in (tiny, fpga64):
+            machine = machine_for(kernel(kernel_name), config(), PLAIN)
+            result = machine.run(max_cycles=5_000_000)
+            rows.setdefault(kernel_name, {})[config.__name__] = golden_row(
+                fingerprint(machine, result))
+    with open(GOLDEN_CYCLES, "w") as fh:
+        fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_CYCLES}")

@@ -30,7 +30,12 @@ from repro.sim.campaign.requests import RunBudgets, PreparedRun
 from repro.sim.campaign.worker import run_attempt
 from repro.sim.config import tiny
 from repro.sim.machine import Machine, Simulator
-from repro.sim.observability import Ledger, Observability
+from repro.sim.observability import (
+    Ledger,
+    Observability,
+    read_jsonl,
+    schema_of,
+)
 from repro.sim.observability.aggregate import (
     aggregate_campaign,
     fold_stream,
@@ -39,13 +44,9 @@ from repro.sim.observability.aggregate import (
     render_top,
 )
 from repro.sim.observability.telemetry import (
-    SCHEMA_CAMPAIGN_TELEMETRY,
-    SCHEMA_TELEMETRY,
     JsonlSink,
     SocketPublisher,
     TelemetrySampler,
-    read_frames,
-    read_stream,
 )
 from repro.toolchain.cli import (
     xmt_campaign_main,
@@ -53,6 +54,16 @@ from repro.toolchain.cli import (
     xmtsim_main,
 )
 from repro.xmtc.compiler import compile_source
+
+SCHEMA_TELEMETRY = schema_of("telemetry")
+SCHEMA_CAMPAIGN_TELEMETRY = schema_of("campaign-telemetry")
+
+
+def read_frames(path):
+    """Only the sampler's frames of a (possibly multiplexed) stream."""
+    return [r for r in read_jsonl(path)
+            if r.get("schema") == SCHEMA_TELEMETRY]
+
 
 SRC = """
 int A[8];
@@ -179,10 +190,10 @@ class TestSampler:
         path = tmp_path / "stream.jsonl"
         path.write_text('{"schema": "xmtsim-telemetry/1", "kind": "frame"}\n'
                         '{"schema": "xmtsim-telem')
-        records = read_stream(str(path))
+        records = read_jsonl(str(path))
         assert len(records) == 1
-        with pytest.raises(ValueError):
-            read_stream(str(path), strict=True)
+        with pytest.raises(ValueError, match=r"stream\.jsonl:2: "):
+            read_jsonl(str(path), strict=True)
 
 
 class TestSocketPublisher:
@@ -317,7 +328,7 @@ class TestCampaignTelemetry:
         result = engine.run()
         assert result.counts["ok"] == 2
 
-        records = read_stream(str(tmp_path / "telemetry.jsonl"))
+        records = read_jsonl(str(tmp_path / "telemetry.jsonl"))
         kinds = [r.get("kind") for r in records
                  if r.get("schema") == SCHEMA_CAMPAIGN_TELEMETRY]
         assert kinds[0] == "campaign-start"
@@ -340,7 +351,7 @@ class TestCampaignTelemetry:
         engine = self._engine(src_file, tmp_path, serial=True)
         result = engine.run()
         assert result.counts["ok"] == 2
-        records = read_stream(str(tmp_path / "telemetry.jsonl"))
+        records = read_jsonl(str(tmp_path / "telemetry.jsonl"))
         assert any(r.get("schema") == SCHEMA_TELEMETRY for r in records)
         assert aggregate_campaign(records)["counts"]["ok"] == 2
 
@@ -361,7 +372,7 @@ class TestCampaignTelemetry:
         assert outcome.error_type == "WorkerStalled"
         assert "hung" in outcome.error
 
-        kinds = [r.get("kind") for r in read_stream(telemetry)]
+        kinds = [r.get("kind") for r in read_jsonl(telemetry)]
         assert "stall-warning" in kinds
 
         log_path = os.path.join(
@@ -393,21 +404,23 @@ class TestCampaignTelemetry:
 
     def test_legacy_ledger_without_index_still_dedups(self, src_file,
                                                       tmp_path):
+        """A ledger without an index is indexed on first resume and
+        dedups identically."""
         engine = self._engine(src_file, tmp_path, workers=2)
         engine.run()
         ledger = engine.ledger
+        indexed = ledger.load_index()
+        assert len(indexed) == 2
         os.unlink(ledger.index_path)          # a pre-index ledger
-        assert ledger.load_index() is None    # full-scan fallback
 
         again = self._engine(src_file, tmp_path, serial=True,
                              ledger=Ledger(ledger.root),
                              telemetry_path=str(tmp_path / "t2.jsonl"))
-        assert again.run().counts["cached"] == 2
-
-        # the next record backfills the whole index
-        count = ledger.rebuild_index()
-        assert count == 2
-        assert ledger.load_index() is not None
+        result = again.run()
+        assert result.counts["cached"] == 2
+        assert result.attempts_total == 0
+        assert os.path.exists(ledger.index_path)
+        assert ledger.load_index() == indexed
 
 
 class TestAggregation:
