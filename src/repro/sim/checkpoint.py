@@ -156,7 +156,7 @@ def load_bytes(payload: bytes) -> Machine:
     machine._bind_decode()
     # re-wire the fabric: ports were detached like other transient state
     machine._wire_fabric()
-    # the subscribers stayed behind: whoever was kept awake may sleep
+    # the subscribers stayed behind: whoever they kept out of runs may go
     machine.listeners_changed()
     return machine
 

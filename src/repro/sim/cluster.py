@@ -82,34 +82,27 @@ class Cluster:
             return True
         raise AssertionError(f"unknown shared FU {fu}")
 
-    def tick(self, cycle: int, may_sleep: bool = True) -> None:
+    def tick(self, cycle: int) -> None:
         """One clock edge for the TCUs that have something to do.
 
         A TCU whose tick says "nothing but this stall until a delivery
         arrives" leaves the tick list; a delivery books its wake-up.  So
         does a TCU whose tick says "nothing but this block's issue
         slots" (a *run*), until the cycle after the block or a delivery,
-        whichever is first.  ``may_sleep`` is False while the
-        ``stalled`` probe has a listener: its answer can change cycle by
-        cycle, so every TCU is ticked on every edge and nobody leaves
-        the list.
+        whichever is first.
         """
         wakes = self.wakes
         resumes = self.resumes
-        if not may_sleep:
-            if len(self.awake) < len(self.tcus):
-                self.wake_all(cycle)
-        else:
-            if resumes and not self.machine.runs_ok:
-                self._end_runs(cycle)
-            if (wakes and wakes[0][0] <= self._sched.now
-                    or resumes and resumes[0][0] <= cycle):
-                self._wake_due(cycle)
+        if resumes and not self.machine.runs_ok:
+            self._end_runs(cycle)
+        if (wakes and wakes[0][0] <= self._sched.now
+                or resumes and resumes[0][0] <= cycle):
+            self._wake_due(cycle)
         awake = self.awake
         slept = False
         for tcu in awake:
             key = tcu.tick(cycle)
-            if key is not None and may_sleep:
+            if key is not None:
                 tcu.asleep_on = key
                 tcu.slept_at = cycle
                 if key == RUN_KEY:
@@ -150,20 +143,11 @@ class Cluster:
         self.awake = [tcu for tcu in self.tcus if tcu.asleep_on is None]
 
     def settle(self, cycle: int) -> None:
-        """Make ``Stats`` and the register files read as if every
-        skipped cycle had been ticked; nobody wakes."""
+        """Make ``Stats``, the register files and every ``stalled``
+        listener read as if every skipped cycle had been ticked; nobody
+        wakes."""
         for tcu in self.tcus:
             tcu.settle(cycle)
-
-    def wake_all(self, cycle: int) -> None:
-        """Settle and wake every sleeper (a ``stalled`` listener showed
-        up mid-run and must see every stall cycle from this edge on)."""
-        self.settle(cycle)
-        for tcu in self.tcus:
-            tcu.asleep_on = None
-        self.wakes.clear()
-        self.resumes.clear()
-        self.awake = list(self.tcus)
 
     def start_region(self, region, master_regs) -> None:
         """Broadcast arrival: every TCU starts the region awake, with

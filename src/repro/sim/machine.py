@@ -102,14 +102,9 @@ class ClusterBank:
         machine = self.machine
         if not machine.parallel_active:
             return
-        # a ``stalled`` listener's answer can change cycle by cycle (the
-        # accountant asks the flight recorder which layer a request is
-        # in), so an observed machine ticks every TCU on every edge
-        may_sleep = machine.may_sleep
         for cluster in self.clusters:
-            if (not may_sleep or cluster.awake or cluster.wakes
-                    or cluster.resumes):
-                cluster.tick(cycle, may_sleep)
+            if cluster.awake or cluster.wakes or cluster.resumes:
+                cluster.tick(cycle)
 
     def next_work(self, now: int) -> int:
         work = NEVER
@@ -373,23 +368,22 @@ class Machine:
 
     def listeners_changed(self) -> None:
         """Re-read the listener rule (DESIGN 1.2 invariant 4) -- nobody
-        sleeps while ``stalled`` has a listener, nobody takes a run
-        while ``stalled`` or ``issued`` has one -- and give every domain
-        an edge to act on it.  ``Observability`` calls this whenever
-        its subscriber list or its machine changes."""
+        takes a run while ``issued`` has a listener -- and give every
+        domain an edge to act on it.  ``Observability`` calls this
+        whenever its subscriber list or its machine changes."""
         obs = self.obs
-        self.may_sleep = obs is None or not obs.has_listener("stalled")
-        self.runs_ok = (self.may_sleep and self.blocks is not None
-                        and (obs is None or not obs.has_listener("issued")))
+        self.runs_ok = self.blocks is not None and (
+            obs is None or not obs.has_listener("issued"))
         for domain in self.domains.values():
             domain.arm(0)
 
     def settle(self) -> None:
         """Credit every processor that is not being ticked what it has
-        skipped so far: stall cycles to a sleeper, executed instructions
-        to one inside a run.  Both are credited lazily (on wake), so
-        anything that reads ``stats`` or a register file while the
-        machine is mid-flight calls this first."""
+        skipped so far: stall cycles to a sleeper (and to ``stalled``
+        listeners), executed instructions to one inside a run.  Both
+        are credited lazily (on wake), so anything that reads ``stats``
+        or a register file while the machine is mid-flight, retimes or
+        gates a domain, or starts listening calls this first."""
         cycle = self.domains["clusters"].cycle
         self.master.settle(cycle)
         for cluster in self.clusters:
@@ -426,6 +420,7 @@ class Machine:
             "cache": self.config.cache_period,
             "dram": self.config.dram_period,
         }[name]
+        self.settle()  # a ranged ``stalled`` call never straddles a retiming
         self.domains[name].set_frequency_scale(base, scale)
 
     # -- running ---------------------------------------------------------------------------

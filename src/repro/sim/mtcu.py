@@ -155,15 +155,15 @@ class MasterTCU(ProcessorBase):
 
     def tick(self, cycle: int) -> None:
         """``Cluster.tick`` + ``TCU.tick`` for the one processor without
-        a cluster: asleep, it returns until :meth:`next_work` is due or
-        a listener turned up; awake, it issues, and sleeps on what the
-        slot says it may sleep on."""
+        a cluster: asleep, it returns until :meth:`next_work` is due
+        (or runs are off); awake, it issues, and sleeps on what the slot
+        says it may sleep on."""
         now = self._sched.now
         machine = self.machine
         key = self.asleep_on
         if key is not None:
             inbox = self.inbox  # (``next_work(now) > now``, without the call)
-            if (not (inbox and inbox[0][0] <= now) and machine.may_sleep
+            if (not (inbox and inbox[0][0] <= now)
                     and (key != self._k_latency or self.stall_until > now)
                     and (key != RUN_KEY
                          or self.run_end > cycle and machine.runs_ok)):
@@ -181,7 +181,7 @@ class MasterTCU(ProcessorBase):
             machine.note_progress()
         else:
             key = self._issue(now, cycle)
-        if key is not None and machine.may_sleep:
+        if key is not None:
             self.asleep_on = key
             self.slept_at = cycle
 

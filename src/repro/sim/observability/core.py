@@ -24,14 +24,17 @@ from __future__ import annotations
 
 import difflib
 import functools
+import inspect
 
 #: probe name -> (arguments, firing site).  ``depth`` is the occupancy
 #: of the queue the package is about to enter; times are picoseconds.
 PROBES = {
     "issued": ("proc, uop",
                "tcu.py: an instruction took the processor's issue slot"),
-    "stalled": ("proc, cause",
-                "tcu.py: the issue slot was wasted; proc.core.pc is the "
+    "stalled": ("proc, cause, first, last",
+                "tcu.py: the issue slot was wasted on every clusters-"
+                "domain cycle first..last (one cycle when ticked, the "
+                "span slept through when settled); proc.core.pc is the "
                 "blocked instruction"),
     "send_enqueued": ("pkg, now, depth",
                       "tcu.py/mtcu.py: pushed into the cluster/master "
@@ -81,9 +84,10 @@ def _fan_out(methods):
 def _probes_heard(cls) -> tuple:
     """The probes ``cls`` defines methods for (checked once per class).
 
-    A class that hears nothing, or whose method name is a near miss of
-    a probe name (a typo would otherwise listen to silence), is
-    rejected with the probe list.
+    A class that hears nothing, whose method name is a near miss of a
+    probe name (a typo would otherwise listen to silence), or whose
+    probe method cannot take the probe's arguments (it would raise from
+    inside a tick or a settle), is rejected with the probe list.
     """
     for name in dir(cls):
         if (name.startswith("_") or name in PROBES
@@ -99,6 +103,16 @@ def _probes_heard(cls) -> tuple:
     if not heard:
         raise ValueError(f"{cls.__name__} defines no probe method; "
                          f"probes: {_SIGNATURES}")
+    for name in heard:
+        args = ["self"] + PROBES[name][0].split(", ")
+        bound = isinstance(inspect.getattr_static(cls, name),
+                           (staticmethod, classmethod))
+        try:
+            inspect.signature(getattr(cls, name)).bind(*args[bound:])
+        except TypeError:
+            raise ValueError(
+                f"{cls.__name__}.{name} cannot be called as "
+                f"{name}({PROBES[name][0]}); probes: {_SIGNATURES}") from None
     return heard
 
 
@@ -131,6 +145,9 @@ class Observability:
         if consumer in self.consumers:
             return
         _probes_heard(type(consumer))
+        if self.machine is not None:
+            # what sleepers skipped so far is not the newcomer's to hear
+            self.machine.settle()
         self.consumers.append(consumer)
         self._bind()
         if self.machine is not None:
@@ -139,10 +156,8 @@ class Observability:
 
     def has_listener(self, probe: str) -> bool:
         """Whether any subscriber hears ``probe``.  The machine asks
-        this about ``stalled`` (``Machine.listeners_changed``): while
-        somebody listens, every processor is ticked every cycle;
-        otherwise a stalled one sleeps and its cycles are credited to
-        ``Stats`` in one go."""
+        this about ``issued`` (``Machine.listeners_changed``): while
+        somebody listens, nobody takes a run."""
         return getattr(self, probe) is not _unheard
 
     def _bind(self) -> None:

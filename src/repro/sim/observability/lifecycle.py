@@ -26,8 +26,9 @@ processor cycle to a stall taxonomy --
 - ``scoreboard_raw``  -- RAW on an in-core result (no memory in flight)
 - ``fu_busy``         -- shared FU arbitration loss
 - ``mem.<layer>``     -- stalled on memory, split by the layer the
-  *oldest outstanding request* is currently in (cluster / icn / cache /
-  dram / return, from the flight recorder; ``unknown`` without one)
+  *oldest outstanding request* was in on that cycle (cluster / icn /
+  cache / dram / return, from the flight recorder's time stamps;
+  ``unknown`` without one)
 - ``sync_join.*``     -- drain before join (observed), parked TCUs and
   the master's wait-at-join (derived at export)
 
@@ -59,6 +60,7 @@ ST_DRAM_ACC = 6    # the miss transaction was accepted by its DRAM port
 ST_FILL = 7        # DRAM fill released the waiters
 ST_OUT_Q = 8       # response entered the module's output queue
 ST_ICN_RET = 9     # drained into the return interconnect
+ST_DONE = 10       # replied: the record is retired (closes ``rec``; no hop)
 
 STAGE_NAMES = {
     ST_SQ: "sq", ST_ICN_SEND: "icn_send", ST_CACHE_Q: "cache_q",
@@ -160,9 +162,11 @@ class FlightRecorder:
         """The TCU/master pushed ``pkg`` into its ICN send port."""
         rec = [(ST_SQ, now, depth)]
         pkg.rec = rec
-        lst = self._outstanding.get(pkg.tcu_id)
-        if lst is None:
-            lst = self._outstanding[pkg.tcu_id] = []
+        # a sender is awake, so every stall of its before now has been
+        # heard: its retired records have no tick left to answer for
+        self._outstanding[pkg.tcu_id] = lst = [
+            r for r in self._outstanding.get(pkg.tcu_id, ())
+            if r[-1][0] != ST_DONE]
         lst.append(rec)
 
     def icn_injected(self, pkg, now: int, arrival: int, depth: int) -> None:
@@ -223,23 +227,16 @@ class FlightRecorder:
         if rec is None:
             return
         pkg.rec = None
-        lst = self._outstanding.get(pkg.tcu_id)
-        if lst:
-            for i, r in enumerate(lst):
-                if r is rec:
-                    del lst[i]
-                    break
-        stages: Dict[int, Tuple[int, int]] = {}
-        for stage, t, depth in rec:
-            stages[stage] = (t, depth)
-        sq = stages.get(ST_SQ)
-        if sq is None:
-            self.dropped += 1
-            return
         period = self._period
         # hop boundaries in whole cycles: differences of floored cycle
         # numbers telescope exactly to the end-to-end latency
-        cyc = {s: tv[0] // period for s, tv in stages.items()}
+        cyc = {stage: t // period for stage, t, _depth in rec}
+        # retired, yet still what ticks up to now were waiting for (a
+        # sleeper's are heard later): the processor's next send prunes it
+        rec.append((ST_DONE, now, 0))
+        if ST_SQ not in cyc:
+            self.dropped += 1
+            return
         issue_c = pkg.issue_time // period
         reply_c = now // period
         cdeq = (ST_CACHE_HIT if ST_CACHE_HIT in cyc else
@@ -307,21 +304,26 @@ class FlightRecorder:
         if self.completed % self.sample_every:
             return
         self.sampled += 1
+        reservoir = self.reservoir
+        slot = len(reservoir)
+        if slot == self.capacity:  # full: the LCG picks who is replaced
+            self._rng = (self._rng * 1103515245 + 12345) & 0x7FFFFFFF
+            slot = self._rng % self.sampled
+        stream = self._stream
+        if slot >= self.capacity and stream is None:
+            return  # nobody keeps this one: do not build it
         sample = {
             "seq": pkg.seq, "kind": pkg.kind, "tcu": pkg.tcu_id,
             "addr": pkg.addr, "module": pkg.module, "outcome": outcome,
             "issue_cycle": issue_c, "reply_cycle": reply_c,
             "latency": total, "hops": hops,
-            "depths": {STAGE_NAMES[s]: tv[1] for s, tv in stages.items()},
+            "depths": {STAGE_NAMES[stage]: depth
+                       for stage, _t, depth in rec[:-1]},
         }
-        if len(self.reservoir) < self.capacity:
-            self.reservoir.append(sample)
-        else:
-            self._rng = (self._rng * 1103515245 + 12345) & 0x7FFFFFFF
-            j = self._rng % self.sampled
-            if j < self.capacity:
-                self.reservoir[j] = sample
-        stream = self._stream
+        if slot < len(reservoir):
+            reservoir[slot] = sample
+        elif slot < self.capacity:
+            reservoir.append(sample)
         if stream is not None:
             sample = dict(sample)
             sample["schema"] = schema_of("lifecycle-stream")
@@ -330,14 +332,43 @@ class FlightRecorder:
 
     # -- queries -------------------------------------------------------------
 
-    def current_layer(self, tcu_id: int) -> str:
-        """The layer the *oldest* outstanding request of ``tcu_id`` is
-        currently in -- what a memory-stalled TCU is actually waiting
-        for."""
-        lst = self._outstanding.get(tcu_id)
-        if not lst:
-            return "unknown"
-        return _LAYER_OF.get(lst[0][-1][0], "unknown")
+    def layers_over(self, tcu_id: int, time: int, period: int,
+                    n: int) -> List[Tuple[str, int]]:
+        """``[(layer, ticks)]``: how many of the ``n`` ticks of
+        ``tcu_id`` at ``time``, ``time + period``, ... found its *oldest*
+        outstanding request in which layer, in order.  A stamp counts
+        for a tick iff it was made *before* it (``stamp_time <
+        tick_time``): the clusters domain has the first turn in a
+        timestamp, so what the ICN, caches and DRAM stamp at ``t`` --
+        the reply included -- is not yet there for the tick at ``t``.
+        That makes the answer a function of the arguments alone, the
+        same asked on the tick or any time later.  (Stamps are in time
+        order; the one retro-dated, ``ST_DRAM_ACC``, names its
+        predecessor's layer.)"""
+        out = []
+        for rec in self._outstanding.get(tcu_id, ()):
+            seen = None  # the last stage stamped before the tick at ``time``
+            for stage, at, _depth in rec:
+                if at >= time:  # ticks up to ``at`` do not see this stamp
+                    k = (at - time) // period + 1
+                    if k >= n:
+                        break
+                    out.append((_LAYER_OF.get(seen, "unknown"), k))
+                    n -= k
+                    time += k * period
+                seen = stage
+            if seen != ST_DONE:  # still in flight: the answer from here on
+                break
+        else:  # (every record was retired before ``time``)
+            seen = None
+        out.append((_LAYER_OF.get(seen, "unknown"), n))
+        return out
+
+    def current_layer(self, tcu_id: int, time: int) -> str:
+        """The layer the *oldest* outstanding request of ``tcu_id`` was
+        in for its tick at ``time`` -- what a memory-stalled TCU was
+        actually waiting for."""
+        return self.layers_over(tcu_id, time, 1, 1)[0][0]
 
     def interval_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-layer queue-wait p50/p95 since the last call (telemetry
@@ -422,22 +453,34 @@ class CycleAccountant:
         cells = self.cells
         cells[key] = cells.get(key, 0) + 1
 
-    def stalled(self, proc, cause: str) -> None:
+    def stalled(self, proc, cause: str, first: int, last: int) -> None:
+        cells = self.cells
+        region = proc.region
+        pid = proc.tcu_id
+        spawn = -1 if region is None else region.spawn_index
+        n = last - first + 1
         cat = _CAUSE_STATIC.get(cause)
         if cat is None:
             # memory-shaped waits: "memory" (scoreboard), "store_ack",
             # "fence", and the master's "spawn_drain"/"halt_drain"
+            # (nothing is delivered during a sleep: the whole span saw
+            # the same ``outstanding_loads``)
             if cause == "memory" and not proc.outstanding_loads:
                 cat = CAT_SCOREBOARD
+            elif self.recorder is None:
+                cat = "mem.unknown"
             else:
-                recorder = self.recorder
-                cat = "mem." + (recorder.current_layer(proc.tcu_id)
-                                if recorder is not None else "unknown")
-        region = proc.region
-        key = (proc.tcu_id,
-               -1 if region is None else region.spawn_index, cat)
-        cells = self.cells
-        cells[key] = cells.get(key, 0) + 1
+                # one cell per layer the oldest request passed through:
+                # the span's cycles tick at ``time_of`` (a span never
+                # straddles a retiming or a gating, see Machine.settle)
+                domain = proc.domain
+                for layer, k in self.recorder.layers_over(
+                        pid, domain.time_of(first), domain.period, n):
+                    key = (pid, spawn, "mem." + layer)
+                    cells[key] = cells.get(key, 0) + k
+                return
+        key = (pid, spawn, cat)
+        cells[key] = cells.get(key, 0) + n
 
 
 def _nest(flat: Dict[str, int]) -> Dict[str, Any]:

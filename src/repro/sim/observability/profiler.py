@@ -6,9 +6,10 @@ slot of every processor to the instruction occupying it:
 
 - an **issue** charges one cycle to the instruction's text index;
 - a **stall** (scoreboard wait, send-queue back-pressure, structural FU
-  conflict, fence/drain, store-ack, latency bubble) charges one cycle to
-  the instruction the processor is *blocked at* (``core.pc``), tagged
-  with the stall cause.
+  conflict, fence/drain, store-ack, latency bubble) charges its cycles
+  (one when ticked, the whole span when slept through -- the PC cannot
+  move during a sleep) to the instruction the processor is *blocked at*
+  (``core.pc``), tagged with the stall cause.
 
 Folding both through :attr:`Instruction.src_line` yields a gprof-style
 flat profile per XMTC source line, and summing over each spawn region
@@ -50,11 +51,12 @@ class CycleProfiler:
     def issued(self, proc, uop) -> None:
         self.issues[uop.index] += 1
 
-    def stalled(self, proc, cause: str) -> None:
+    def stalled(self, proc, cause: str, first: int, last: int) -> None:
+        n = last - first + 1
         pc = proc.core.pc
         if 0 <= pc < len(self.stalls):
-            self.stalls[pc] += 1
-        self.stall_causes[cause] = self.stall_causes.get(cause, 0) + 1
+            self.stalls[pc] += n
+        self.stall_causes[cause] = self.stall_causes.get(cause, 0) + n
 
     # -- folding -------------------------------------------------------------
 

@@ -239,16 +239,18 @@ class ProcessorBase:
     # -- helpers used by dispatch ----------------------------------------------
 
     def _stall(self, cause: str) -> str:
-        """Count a wasted issue slot; the profiler charges the cycle to
-        the instruction the processor is blocked at (``core.pc``).
-        Returns the counter's key (what a sleeper is credited on)."""
+        """Count a wasted issue slot (for ``stalled`` listeners a span
+        of one cycle; the profiler charges it to the instruction the
+        processor is blocked at, ``core.pc``).  Returns the counter's
+        key (what a sleeper is credited on)."""
         key = self._stall_keys.get(cause)
         if key is None:
             key = self._stall_keys[cause] = f"{self.kind}.stall.{cause}"
         self._counters[key] += 1
         obs = self.machine.obs
         if obs is not None:
-            obs.stalled(self, cause)
+            cycle = self.domain.cycle  # (this tick's: its turn is not over)
+            obs.stalled(self, cause, cycle, cycle)
         return key
 
     def _sources_ready(self, u: MicroOp) -> bool:
@@ -361,7 +363,8 @@ class ProcessorBase:
         """Credit a sleeper what it skipped before domain cycle
         ``cycle`` -- stall cycles, or the issue slots of a run -- and
         re-base it.  Counted in *domain cycles*, never picoseconds, so
-        retiming and clock gating stay exact."""
+        retiming and clock gating stay exact.  ``stalled`` listeners
+        hear the same cycles, first to last, in one call."""
         key = self.asleep_on
         if key == RUN_KEY:
             self.settle_run(cycle)
@@ -369,6 +372,10 @@ class ProcessorBase:
         skipped = cycle - self.slept_at - 1
         if key and skipped > 0:
             self._counters[key] += skipped
+            obs = self.machine.obs
+            if obs is not None:  # the skipped stalls, as one ranged call
+                obs.stalled(self, key.rpartition(".")[2],
+                            self.slept_at + 1, cycle - 1)
             self.slept_at = cycle - 1
 
     def settle_run(self, cycle: int) -> None:
@@ -377,8 +384,8 @@ class ProcessorBase:
         credit them, so that the processor reads as if it had been ticked
         on every edge so far.  The whole block goes through its generated
         function; a prefix -- the run was cut short by a delivery, a
-        checkpoint, a timeout, a fault, a listener -- is stepped through
-        the one-instruction handlers."""
+        checkpoint, a timeout, a fault, an ``issued`` listener -- is
+        stepped through the one-instruction handlers."""
         left = self.run_left
         due = left - (self.run_end - cycle)
         if due <= 0:
@@ -751,9 +758,10 @@ class TCU(ProcessorBase):
         latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
             self._counters[self._k_fu] += 1
-            machine = self.machine
-            if machine.obs is not None:
-                machine.obs.stalled(self, "fu")
+            obs = self.machine.obs
+            if obs is not None:
+                cycle = self.domain.cycle
+                obs.stalled(self, "fu", cycle, cycle)
             return
         self._count_issue(u)
         regs = self.core.regs
@@ -772,9 +780,10 @@ class TCU(ProcessorBase):
         latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
             self._counters[self._k_fu] += 1
-            machine = self.machine
-            if machine.obs is not None:
-                machine.obs.stalled(self, "fu")
+            obs = self.machine.obs
+            if obs is not None:
+                cycle = self.domain.cycle
+                obs.stalled(self, "fu", cycle, cycle)
             return
         self._count_issue(u)
         try:
@@ -971,22 +980,22 @@ class TCU(ProcessorBase):
                 return PARKED_KEY
             self._counters[self._k_drain] += 1
             if machine.obs is not None:
-                machine.obs.stalled(self, "drain")
+                machine.obs.stalled(self, "drain", cycle, cycle)
             return self._k_drain
         if self.wait_store_ack:
             self._counters[self._k_store_ack] += 1
             if machine.obs is not None:
-                machine.obs.stalled(self, "store_ack")
+                machine.obs.stalled(self, "store_ack", cycle, cycle)
             return self._k_store_ack
         if self.wait_load:
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
-                machine.obs.stalled(self, "memory")
+                machine.obs.stalled(self, "memory", cycle, cycle)
             return self._k_memory
         if self.stall_until > now:
             self._counters[self._k_latency] += 1
             if machine.obs is not None:
-                machine.obs.stalled(self, "latency")
+                machine.obs.stalled(self, "latency", cycle, cycle)
             return None
         if self._retry is not None:
             self._issue(now, cycle)
@@ -1007,10 +1016,10 @@ class TCU(ProcessorBase):
         if self.pending_regs and not self._sources_ready(u):
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
-                machine.obs.stalled(self, "memory")
+                machine.obs.stalled(self, "memory", cycle, cycle)
             return self._k_memory
-        self._handlers[u.code](now, u)
-        return None
+        # (only a fence hands back a key: a stall deliveries alone end)
+        return self._handlers[u.code](now, u)
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the

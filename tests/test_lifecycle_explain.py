@@ -34,6 +34,7 @@ from repro.sim.observability import (
     render_explain,
     responsible_layer,
 )
+from repro.sim.observability.lifecycle import ST_DONE
 from repro.xmtc.compiler import compile_source
 
 MEMORY_SRC = """
@@ -192,7 +193,10 @@ class TestBoundedMemory:
         for layer, vals in recorder._interval.items():
             assert len(vals) <= 32, layer
         # every lifecycle retired: no leak in the outstanding index
-        assert all(not lst for lst in recorder._outstanding.values())
+        # (a retired record waits there for its processor's next send)
+        assert all(rec[-1][0] == ST_DONE
+                   for lst in recorder._outstanding.values() for rec in lst)
+        assert max(map(len, recorder._outstanding.values())) <= 2
         assert not recorder._dram_inflight
         assert recorder.dropped == 0
 

@@ -168,6 +168,59 @@ def test_near_miss_method_name_is_rejected():
         Observability().subscribe(Deaf())
 
 
+@pytest.mark.parametrize("method, accepted", [
+    (lambda self, proc, cause: None, False),            # the old arity
+    (lambda self, proc, cause, first, last, more: None, False),
+    (lambda self, proc, cause, first: None, False),
+    (lambda self, proc, cause, first, last: None, True),
+    (lambda self, proc, cause, first, last, more=0: None, True),
+    (lambda self, *args: None, True),
+    (lambda self, proc, *rest: None, True),
+], ids=["old-arity", "too-many-required", "too-few", "exact",
+        "defaulted-extra", "star-args", "partly-starred"])
+def test_wrong_arity_fails_at_subscribe(method, accepted):
+    """A consumer that cannot take a probe's arguments is rejected when
+    it subscribes, with the signature list -- not by a ``TypeError``
+    from inside a tick or a settle."""
+    consumer = type("Consumer", (), {"stalled": method})()
+    obs = Observability()
+    if accepted:
+        obs.subscribe(consumer)
+        assert obs.has_listener("stalled")
+        return
+    with pytest.raises(ValueError) as info:
+        obs.subscribe(consumer)
+    message = str(info.value)
+    assert "Consumer.stalled cannot be called as " \
+        "stalled(proc, cause, first, last)" in message
+    assert all(probe in message for probe in PROBES)
+
+
+class StallCounter:
+    """A complete ``stalled`` consumer: a call covers the clusters-
+    domain cycles ``first`` to ``last``, one when the processor was
+    ticked, many when it slept through them."""
+
+    def __init__(self):
+        self.cycles = Counter()
+
+    def stalled(self, proc, cause, first, last):
+        self.cycles[f"{proc.kind}.stall.{cause}"] += last - first + 1
+
+
+def test_ranged_stall_consumer_agrees_with_stats():
+    program = compile_source(_baseline_source("compact"))
+    obs = Observability()
+    mine = StallCounter()
+    obs.subscribe(mine)
+    result = Simulator(program, tiny(), observability=obs).run(
+        max_cycles=1_000_000)
+    assert mine.cycles == {key: value
+                           for key, value in result.stats.counters.items()
+                           if ".stall." in key}
+    assert mine.cycles["tcu.stall.memory"] > 0
+
+
 class IssueReplyCounter:
     """A complete consumer: ten lines, no help from the simulator."""
 

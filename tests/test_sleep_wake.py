@@ -6,11 +6,15 @@ it wakes; a cluster with nobody awake is skipped, the ICN visits only
 ports that hold a package, and a clock domain whose components all wait
 books its next edge at the earliest time one of them can do anything
 (``next_work``), accounting for the skipped edges when somebody looks.
-None of that may move a single counter.  The oracles need no switch:
+None of that may move a single counter.  The oracles need no switch
+under ``src/`` -- nothing there asks who is listening before it sleeps
+-- so the machine that never does is built here:
 
-- :class:`AlwaysAwake` -- nobody sleeps or takes a run while the
-  ``stalled`` probe has a listener, so a consumer that hears ``stalled``
-  and does nothing keeps every processor ticking every cycle;
+- :func:`never_asleep` -- every processor becomes a subclass whose
+  ``asleep_on`` cannot be set, so whatever its tick says it stays on
+  the tick list (a parked TCU included), and :class:`NoRuns`, a
+  consumer that hears ``issued`` and does nothing, keeps it on the
+  one-instruction path (DESIGN 1.2 invariant 4);
 - :class:`EveryEdge` -- a component with nothing to do whose
   ``next_work`` always answers "the next edge", added to every domain,
   makes every domain tick on every edge.
@@ -18,6 +22,8 @@ None of that may move a single counter.  The oracles need no switch:
 Both together are the machine as it was before any skipping.  Every
 test below runs a program plain, with every edge ticked, and as it was,
 and requires them to agree on everything a run can be asked about.
+(``tests/test_observed_sleep.py`` does the same with every consumer
+subscribed: what listeners hear must not depend on who slept.)
 
 The three runs of a shipped kernel agree with each other; that they
 also agree with the last engine is ``tests/golden/cycles.json``, the
@@ -43,21 +49,44 @@ from repro.sim import checkpoint as CP
 from repro.sim.config import chip1024, fpga64, tiny
 from repro.sim.fabric import registered
 from repro.sim.machine import Machine
+from repro.sim.mtcu import MasterTCU
 from repro.sim.observability import Observability
 from repro.sim.plugins import ActivityPlugin
 from repro.sim.resilience import FaultInjector, FaultSpec, SimulationStalled
 from repro.sim.sampling import PhaseSampler, SampledSimulator
-from repro.sim.tcu import RUN_KEY
+from repro.sim.tcu import RUN_KEY, TCU
 from repro.workloads import microbench as MB
 from repro.workloads import programs as W
 from repro.xmtc.compiler import CompileOptions, compile_source
 
 
-class AlwaysAwake:
-    """Hearing ``stalled`` keeps every processor on the tick list."""
+class NoRuns:
+    """Hearing ``issued`` keeps every processor out of runs."""
 
-    def stalled(self, proc, cause):
+    def issued(self, proc, uop):
         pass
+
+
+class _NeverAsleep:
+    asleep_on = property(lambda self: None, lambda self, key: None)
+
+
+class AwakeTCU(_NeverAsleep, TCU):
+    pass
+
+
+class AwakeMaster(_NeverAsleep, MasterTCU):
+    pass
+
+
+def never_asleep(machine: Machine) -> Machine:
+    """Every processor of ``machine`` is ticked on every edge its
+    cluster is (``machine.obs`` must keep it out of runs)."""
+    assert not machine.runs_ok
+    machine.master.__class__ = AwakeMaster
+    for tcu in machine.tcus:
+        tcu.__class__ = AwakeTCU
+    return machine
 
 
 class EveryEdge:
@@ -100,8 +129,10 @@ def machine_for(program, config, awake, plugins=()) -> Machine:
     obs = None
     if kind == AS_IT_WAS:
         obs = Observability()
-        obs.subscribe(AlwaysAwake())
+        obs.subscribe(NoRuns())
     machine = Machine(program, config, plugins=plugins, observability=obs)
+    if kind == AS_IT_WAS:
+        never_asleep(machine)
     return machine if kind == PLAIN else tick_every_edge(machine)
 
 
@@ -261,7 +292,7 @@ class TestKernels:
 
     def test_plain_run_really_sleeps(self):
         """The comparison is not vacuous: the plain run skips ticks the
-        listened-to run makes."""
+        machine as it was makes."""
         program = build(MIXED_SRC, MIXED_INPUTS)
         ticks = []
         for awake in (False, True):
@@ -477,17 +508,18 @@ class TestCheckpoints:
                 assert_same(got, expected)
 
     def test_late_listener_sees_every_stall_from_its_edge_on(self):
-        """restore, then subscribe a ``stalled`` listener: the sleepers
-        are settled and woken, so from that edge on the listener counts
-        exactly the stall cycles ``Stats`` gains."""
+        """restore, then subscribe a ``stalled`` listener: the snapshot
+        is settled and the sleepers in it sleep on, so from there the
+        listener's spans add up to exactly the stall cycles ``Stats``
+        gains."""
 
         class CountStalls:
             def __init__(self):
                 self.n = 0
 
-            def stalled(self, proc, cause):
+            def stalled(self, proc, cause, first, last):
                 if proc.kind == "tcu":
-                    self.n += 1
+                    self.n += last - first + 1
 
         program = build(MIXED_SRC, MIXED_INPUTS)
         reference = machine_for(program, tiny(), awake=True)
@@ -720,14 +752,19 @@ class TestSkippedTime:
     @pytest.mark.parametrize("probe", ["stalled", "issued"])
     def test_listener_subscribing_mid_sleep(self, probe):
         """A listener that turns up while the Master (and every domain)
-        sleeps, or runs, hears everything from the next edge on."""
+        sleeps, or runs, hears everything from there on: the rest of
+        the sleep as one span, the rest of the block one by one."""
 
         class Count:
             n = 0
 
-        def hear(self, proc, what):
+        def stalled(self, proc, cause, first, last):
+            Count.n += (proc.kind == "master") * (last - first + 1)
+
+        def issued(self, proc, uop):
             Count.n += proc.kind == "master"
-        listener = type("Listener", (), {probe: hear})()
+        listener = type("Listener", (), {
+            probe: {"stalled": stalled, "issued": issued}[probe]})()
 
         program = serial_program()
         reference = machine_for(program, slow_dram(), AS_IT_WAS)
@@ -773,10 +810,12 @@ class TestSkippedTime:
             obs = None
             if kind == AS_IT_WAS:
                 obs = Observability()
-                obs.subscribe(AlwaysAwake())
+                obs.subscribe(NoRuns())
             sim = SampledSimulator(program, tiny(watchdog_cycles=60),
                                    sampler=PhaseSampler(warmup=2),
                                    observability=obs)
+            if kind == AS_IT_WAS:
+                never_asleep(sim.machine)
             if kind != PLAIN:
                 tick_every_edge(sim.machine)
             prints.append(fingerprint(sim.machine,
@@ -803,8 +842,8 @@ main:
 
 
 class Hops:
-    """When the one package passed each port boundary (no ``stalled``,
-    no ``issued``: the machine under it skips as a plain one does)."""
+    """When the one package passed each port boundary (no ``issued``:
+    the machine under it takes runs as a plain one does)."""
 
     def __init__(self):
         self.at = {}

@@ -9,8 +9,9 @@ counter or a cycle.
 
 Three oracles, none needing a switch: (a) stepping the same micro-ops
 through ``u.fn`` + ``CoreState.write`` (the functional handlers);
-(b) the always-awake machine of ``test_sleep_wake.py`` -- a ``stalled``
-listener keeps every TCU ticking and so on the one-instruction path;
+(b) the machine as it was of ``test_sleep_wake.py`` -- a no-op
+``issued`` listener keeps every TCU on the one-instruction path (and,
+built on the test side, no processor ever leaves the tick list);
 (c) a functional run with an ``on_instruction`` callback, which takes
 no blocks either.
 """
@@ -603,7 +604,7 @@ class TestReallyFused:
 
     def test_plain_run_enters_blocks(self):
         """The plain run ticks a TCU a few times per loop iteration, the
-        listened-to run once per instruction."""
+        machine as it was once per instruction."""
         program = compute()
         ticks = []
         for awake in (False, True):
