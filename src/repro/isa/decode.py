@@ -452,14 +452,18 @@ class BlockTable(dict):
     """``pc -> Block`` (``False`` where no block starts), filled in on
     demand: looking up a PC for the first time forms its block."""
 
-    __slots__ = ("uops", "branches")
+    __slots__ = ("uops", "branches", "min_ops")
 
-    def __init__(self, uops: List[MicroOp], branches: bool):
+    def __init__(self, uops: List[MicroOp], branches: bool, lone: bool):
         super().__init__()
         self.uops = uops
         #: whether a branch costs one issue slot (else it ends the run
         #: before it instead of closing the block)
         self.branches = branches
+        #: a block of one op saves nothing alone, but the cycle machine
+        #: chains blocks (``lone``): a ``j`` between two of them, or what
+        #: is left of one stopped before its last op, is a block there
+        self.min_ops = 1 if lone else 2
 
     def __missing__(self, pc: int):
         uops = self.uops
@@ -470,7 +474,8 @@ class BlockTable(dict):
         if end < n and (uops[end].code == OP_JUMP or
                         (uops[end].code == OP_BRANCH and self.branches)):
             end += 1
-        block = self[pc] = Block(uops[pc:end], pc) if end - pc >= 2 else False
+        block = self[pc] = (Block(uops[pc:end], pc)
+                            if end - pc >= self.min_ops else False)
         return block
 
 
@@ -491,14 +496,15 @@ class DecodedProgram:
             decode_instruction(ins) for ins in program.instructions]
         self._source = program.instructions
         self._owner = weakref.ref(program)
-        self._blocks: Dict[bool, BlockTable] = {}
+        self._blocks: Dict[Tuple[bool, bool], BlockTable] = {}
 
-    def blocks(self, branches: bool = True) -> BlockTable:
+    def blocks(self, branches: bool = True, lone: bool = False) -> BlockTable:
         """The (initially empty) block table of this program, shared
-        like ``uops``; ``branches`` as in :class:`BlockTable`."""
-        table = self._blocks.get(branches)
+        like ``uops``; ``branches``/``lone`` as in :class:`BlockTable`."""
+        table = self._blocks.get((branches, lone))
         if table is None:
-            table = self._blocks[branches] = BlockTable(self.uops, branches)
+            table = self._blocks[branches, lone] = BlockTable(
+                self.uops, branches, lone)
         return table
 
     def fresh_for(self, program) -> bool:

@@ -87,9 +87,9 @@ class Cluster:
 
         A TCU whose tick says "nothing but this stall until a delivery
         arrives" leaves the tick list; a delivery books its wake-up.  So
-        does a TCU whose tick says "nothing but this block's issue
-        slots" (a *run*), until the cycle after the block or a delivery,
-        whichever is first.
+        does a TCU whose tick says "nothing but this chain of blocks'
+        issue slots" (a *run*), until the cycle after the chain or a
+        delivery, whichever is first.
         """
         wakes = self.wakes
         resumes = self.resumes

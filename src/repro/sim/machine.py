@@ -260,9 +260,9 @@ class Machine:
         #: all TCUs
         self.decoded = decode_program(self.program)
         cfg = self.config
-        #: the block table TCUs take runs from; None when an ALU op
-        #: costs more than one issue slot (then nothing is a block)
-        self.blocks = (self.decoded.blocks(cfg.branch_latency == 1)
+        #: the block table processors chain runs from; None when an ALU
+        #: op costs more than one issue slot (then nothing is a block)
+        self.blocks = (self.decoded.blocks(cfg.branch_latency == 1, lone=True)
                        if cfg.alu_latency == 1 else None)
 
     def _wire_fabric(self) -> None:

@@ -175,7 +175,7 @@ class DiagnosticDump:
                   for key in ("state", "pc", "loads", "stores",
                               "pending_regs", "inbox", "wait_load",
                               "wait_store_ack", "asleep_on", "run_pc",
-                              "run_left")
+                              "run_ops", "run_left")
                   if key in proc]
         return f"{name}: " + " ".join(extras)
 

@@ -108,6 +108,15 @@ PARKED_KEY = ""
 #: what a processor inside a run is "asleep on".  It names no counter: a
 #: run is issue, not stall, and settling it credits instructions
 RUN_KEY = "run"
+#: the most ops one run chains.  What makes ``j self`` and ``while (1)``
+#: loops of register ops end -- a fact about the engine, not about the
+#: machine modelled, hence no configuration field: no simulated count
+#: depends on it, only how often such a loop is looked at
+CHAIN_CAP = 1024
+#: ... and the fewest worth one: leaving and rejoining the tick list costs
+#: about what issuing four ops one by one does, and most runs between
+#: two memory ops are two or three (``kernels_fpga64``: 7 in 10)
+RUN_MIN = 4
 
 
 class ProcessorBase:
@@ -128,6 +137,10 @@ class ProcessorBase:
     asleep_on: Optional[str] = None
     #: the clock domain that ticks it (set by the machine)
     domain = None
+    #: the PCs a run may chain into: a TCU's stay inside its spawn
+    #: region (``start_region``), the Master's go anywhere
+    _region_start = 0
+    _region_join = float("inf")
 
     def __init__(self, machine, tcu_id: int):
         self.machine = machine
@@ -145,15 +158,20 @@ class ProcessorBase:
         #: domain cycle of the last tick accounted for (the one it fell
         #: asleep on, moved forward whenever it is settled)
         self.slept_at = 0
-        #: a processor asleep on :data:`RUN_KEY` is inside a *run*: it
-        #: entered a block at ``run_pc`` and issues one of its ops per
-        #: domain cycle without being ticked.  ``run_end`` is the cycle
-        #: of its next real tick; the last ``run_left`` ops of the block,
-        #: the ones issued on the cycles up to there, are not executed
-        #: yet (``core.pc`` is the first of them)
+        #: a processor asleep on :data:`RUN_KEY` is inside a *run*: at
+        #: ``run_pc``, on cycle ``slept_at``, it entered a chain of blocks
+        #: and issues one of its ops per domain cycle without being
+        #: ticked.  ``run_end`` is the cycle of its next real tick; the
+        #: last ``run_left`` ops of the chain, the ones issued on the
+        #: cycles up to there, are not executed yet (``core.pc`` is the
+        #: first of them)
         self.run_pc = 0
         self.run_end = 0
         self.run_left = 0
+        #: where those ops lead, computed when the run was entered:
+        #: ``(registers, pc, {block pc: times still to credit})`` -- PCs,
+        #: not blocks, so it rides a checkpoint
+        self._run_ahead: Tuple[List[int], int, Dict[int, int]] = ([], 0, {})
         #: stall cause -> interned stats key ("tcu.stall.memory", ...)
         self._stall_keys: Dict[str, str] = {}
         # hot-path caches: the counter dict and scheduler live as long as
@@ -279,8 +297,10 @@ class ProcessorBase:
         return {
             "asleep_on": (None if key is None
                           else key.rsplit(".", 1)[-1] or "parked"),
-            **({"run_pc": self.run_pc, "run_left": self.run_left}
-               if key == RUN_KEY else {}),
+            # stepping ``run_ops - run_left`` micro-ops from ``run_pc``
+            # lands on ``pc``
+            **({"run_pc": self.run_pc, "run_ops": self.run_end - self.slept_at,
+                "run_left": self.run_left} if key == RUN_KEY else {}),
             "kind": self.kind,
             "id": self.tcu_id,
             "pc": self.core.pc,
@@ -301,6 +321,13 @@ class ProcessorBase:
         # that first, so the flip lands between the same two
         # instructions as on a machine issuing them one by one
         self.machine.settle()
+        if self.asleep_on == RUN_KEY:
+            # where the rest of the chain leads was computed from the
+            # registers as they were: the run ends here, and the next
+            # edge's tick enters another from the flipped state
+            self.run_end -= self.run_left
+            self.run_left = 0
+            self.wake_at(self._sched.now)
         old = self.core.regs[reg]
         new = old if reg == REG_ZERO else (old ^ (1 << bit)) & 0xFFFFFFFF
         self.core.regs[reg] = new
@@ -348,16 +375,54 @@ class ProcessorBase:
         machine = self.machine
         if machine.runs_ok:
             block = machine.blocks[pc]
-            if block and self.pending_regs.isdisjoint(block.regs):
-                # nothing can get between this processor and the next
-                # ``block.n`` issue slots: take them unattended
-                self.run_pc = pc
-                self.run_left = n = block.n
-                self.run_end = cycle + n
+            if block and self._enter_run(block, cycle):
                 return RUN_KEY
         if not self._sources_ready(u):
             return self._stall("memory")
         return self._handlers[u.code](now, u)
+
+    def _enter_run(self, block, cycle: int) -> bool:
+        """Chain the blocks from ``block``, the one at the PC, on: each
+        is executed now, on a copy of the register file (``core.regs``
+        never runs ahead of the settled cycle), and says where the next
+        one starts -- through taken and untaken branches and ``j`` --
+        until no block starts there, one touches a register the
+        scoreboard holds or would trap (the one-instruction path names
+        the op, on its own cycle), the PC leaves the spawn region
+        (``_check_escape`` gets its tick) or :data:`CHAIN_CAP` is
+        reached.  With :data:`RUN_MIN` ops or more chained, nothing can
+        get between this processor and as many issue slots: it takes
+        them unattended and True is returned."""
+        blocks = self.machine.blocks
+        pc = at = block.pc
+        if block.n < RUN_MIN:  # too short alone: does it lead anywhere?
+            target = block.uops[-1].target
+            if target < 0 or not blocks[target]:
+                return False
+        unready = self.pending_regs
+        start, join = self._region_start, self._region_join
+        regs = self.core.regs[:]
+        chain: Dict[int, int] = {}
+        ops = 0
+        while (block and unready.isdisjoint(block.regs)
+               and (ops + block.n <= CHAIN_CAP or not ops)):
+            try:
+                target = (block.fn or block.compile())(regs)
+            except TrapError:
+                break  # (``regs`` untouched: the chain ends before it)
+            chain[at] = chain.get(at, 0) + 1
+            ops += block.n
+            at = target
+            if not start <= at < join:
+                break
+            block = blocks[at]
+        if ops < RUN_MIN:
+            return False
+        self.run_pc = pc
+        self.run_left = ops
+        self.run_end = cycle + ops
+        self._run_ahead = (regs, at, chain)
+        return True
 
     def settle(self, cycle: int) -> None:
         """Credit a sleeper what it skipped before domain cycle
@@ -379,42 +444,53 @@ class ProcessorBase:
             self.slept_at = cycle - 1
 
     def settle_run(self, cycle: int) -> None:
-        """Execute the ops of the current run that were issued before
-        domain cycle ``cycle`` (one per cycle since the run began) and
-        credit them, so that the processor reads as if it had been ticked
-        on every edge so far.  The whole block goes through its generated
-        function; a prefix -- the run was cut short by a delivery, a
-        checkpoint, a timeout, a fault, an ``issued`` listener -- is
-        stepped through the one-instruction handlers."""
+        """Make the ops of the current run that were issued before
+        domain cycle ``cycle`` (one per cycle since the run began) read
+        as executed, and credit them, so that the processor reads as if
+        it had been ticked on every edge so far.  All that is left of
+        the chain: the registers computed at entry are installed.  A
+        prefix -- the run was cut short by a delivery, a checkpoint, a
+        timeout, a fault, an ``issued`` listener -- is redone on the
+        real file: whole blocks through their functions, less than one
+        through the one-instruction handlers."""
         left = self.run_left
         due = left - (self.run_end - cycle)
         if due <= 0:
             return
         machine = self.machine
         core = self.core
+        blocks = machine.blocks
+        regs, next_pc, chain = self._run_ahead
+        machine.last_progress = now = self._sched.now
         if due >= left:
-            due = left
-            block = machine.blocks[core.pc]
-            if block:  # (the last op of a run cut short is no block)
-                try:
+            core.regs = regs  # (the copy made at entry: nobody shares it)
+            core.pc = next_pc
+            self.run_left = 0
+            self.instructions_issued += left
+            done = chain
+        else:
+            self.run_left = left - due
+            done = {}
+            while due > 0:
+                pc = core.pc
+                block = blocks[pc]
+                chain[pc] -= 1
+                due -= block.n
+                if due >= 0:
                     core.pc = (block.fn or block.compile())(core.regs)
-                except TrapError:
-                    pass  # registers untouched: the stepper names the op
+                    self.instructions_issued += block.n
+                    done[pc] = done.get(pc, 0) + 1
                 else:
-                    self.run_left = 0
-                    self.instructions_issued += left
-                    counters = self._counters
-                    for key, count in block.tally:
-                        counters[key] += count
-                    machine.last_progress = self._sched.now
-                    return
-        now = self._sched.now
-        uops = machine.decoded.uops
-        handlers = self._handlers
-        for _ in range(due):
-            u = uops[core.pc]
-            handlers[u.code](now, u)
-        self.run_left = left - due
+                    uops = machine.decoded.uops
+                    for _ in range(due + block.n):
+                        u = uops[core.pc]
+                        self._handlers[u.code](now, u)
+                    # (what is left of the block is one too: ``lone``)
+                    chain[core.pc] = chain.get(core.pc, 0) + 1
+        counters = self._counters
+        for pc, times in done.items():
+            for key, count in blocks[pc].tally:
+                counters[key] += count * times
 
     def _count_issue(self, u: MicroOp) -> None:
         self.instructions_issued += 1
@@ -1005,12 +1081,7 @@ class TCU(ProcessorBase):
             self._check_escape(pc)
         if machine.runs_ok:
             block = machine.blocks[pc]
-            if block and self.pending_regs.isdisjoint(block.regs):
-                # nothing can get between this TCU and the next
-                # ``block.n`` issue slots: take them unattended
-                self.run_pc = pc
-                self.run_left = n = block.n
-                self.run_end = cycle + n
+            if block and self._enter_run(block, cycle):
                 return RUN_KEY
         u = machine.decoded.uops[pc]
         if self.pending_regs and not self._sources_ready(u):

@@ -1,11 +1,12 @@
 """Basic-block superops against the one-instruction machine.
 
 A straight-line run of private-ALU micro-ops is compiled into one
-generated function; in cycle mode a TCU *inside a run* leaves its
-cluster's tick list for as many domain cycles as the block has ops and
-is *settled* -- the ops it has issued by then executed and credited --
-whenever anything looks at it.  None of that may move a register, a
-counter or a cycle.
+generated function; in cycle mode a processor *inside a run* chains
+such blocks -- through taken and untaken branches and ``j``, executed
+ahead on a copy of its register file -- leaves the tick list for as many
+domain cycles as the chain has ops and is *settled* -- the ops it has
+issued by then executed and credited -- whenever anything looks at it.
+None of that may move a register, a counter or a cycle.
 
 Three oracles, none needing a switch: (a) stepping the same micro-ops
 through ``u.fn`` + ``CoreState.write`` (the functional handlers);
@@ -14,11 +15,19 @@ through ``u.fn`` + ``CoreState.write`` (the functional handlers);
 built on the test side, no processor ever leaves the tick list);
 (c) a functional run with an ``on_instruction`` callback, which takes
 no blocks either.
+
+Mutants of ``ProcessorBase._enter_run`` / ``settle_run`` that must each
+fail this file (checked by hand when the mechanism changes): no
+scoreboard test on the second block of a chain; tallies credited at
+entry instead of at settle; the final settle re-executing the blocks
+instead of installing the registers computed at entry; no op bound.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +36,7 @@ from repro.isa import semantics as S
 from repro.isa.assembler import assemble, register_instruction
 from repro.isa.decode import (
     OP_BRANCH,
+    Block,
     _compile_block,
     decode_program,
 )
@@ -46,6 +56,7 @@ from repro.sim.resilience import (
     FaultSpec,
     SimulationBudgetExceeded,
 )
+from repro.sim.tcu import CHAIN_CAP, RUN_MIN
 from repro.workloads import microbench as MB
 
 from test_sleep_wake import (
@@ -102,6 +113,14 @@ def check_block(asm: str, values, pc: int = 0):
 
 
 T0, T1 = 8, 9  # $t0, $t1
+
+
+def register_so_trap():
+    """``so_trap $d, $a, $b``: a private-ALU op whose spec traps on
+    ``$b == 0``."""
+    if "so_trap" not in S.INT_BINOPS:
+        S.register_binop("so_trap", "_div_trunc({a}, {b})")
+        register_instruction("so_trap", "binary")
 
 
 # --------------------------------------------------------------------------- (a) specs
@@ -230,9 +249,7 @@ class TestSpecs:
         """A spec may trap.  The generated function stores registers
         only at its end, so the one-instruction path can redo the block
         and raise at the op, with the earlier ops executed and counted."""
-        if "so_trap" not in S.INT_BINOPS:
-            S.register_binop("so_trap", "_div_trunc({a}, {b})")
-            register_instruction("so_trap", "binary")
+        register_so_trap()
         program = assemble("""
             .text
         main:
@@ -275,8 +292,14 @@ class TestSpecs:
 # --------------------------------------------------------------------------- programs
 
 def compute(threads: int = 24, iterations: int = 6):
-    """The Table I compute microbenchmark: runs of 3 and 11 ops."""
+    """The Table I compute microbenchmark: a thread's register work is
+    one chain -- a 7-op prelude, then a 3-op and an 11-op block per
+    loop iteration -- up to the ``swnb`` of its result."""
     return build(MB.parallel_compute(threads, iterations)[0])
+
+
+#: ops per loop iteration of :func:`compute`
+ITERATION = 14
 
 
 #: a long run per thread with a non-blocking load, a ``swnb`` and a
@@ -329,24 +352,91 @@ def interrupted():
     return program
 
 
-def spy_on_runs(machine: Machine) -> dict:
-    """Count whole and cut-short settles and the longest run entered."""
-    seen = {"whole": 0, "cut": 0, "longest": 0}
-    for tcu in machine.tcus:
-        original = tcu.settle_run
+#: the same deliveries over a *chain*: a counted loop of 1..8 iterations
+#: (by thread) between the three issues and the first use of what they
+#: deliver.  Short loops reach the uses -- blocks of their own, behind
+#: the loop's exit branch -- before the reply and the product: the chain
+#: must end there although its first blocks found the scoreboard clear
+CHAINED_INTERRUPTED_ASM = INTERRUPTED_ASM.replace("""    li   $t5, 1
+""", """    li   $t5, 1
+    andi $s0, $k0, 7
+    addi $s0, $s0, 1
+loop:
+""").replace("""    addi $t5, $t5, 1
+    add  $t5, $t5, $t4
+""", """    addi $t5, $t5, 1
+    addi $s0, $s0, -1
+    bne  $s0, $zero, loop
+    add  $t5, $t5, $t4
+""")
 
-        def spied(cycle, tcu=tcu, original=original):
-            before = tcu.run_left
-            original(cycle)
-            if before and not tcu.run_left:
-                seen["whole" if before == tcu.run_end - tcu.slept_at
-                     else "cut"] += 1
-            elif tcu.run_left < before:
-                seen["cut"] += 1
-            seen["longest"] = max(seen["longest"],
-                                  tcu.run_end - tcu.slept_at)
-        tcu.settle_run = spied
+
+def chained_interrupted():
+    program = assemble(CHAINED_INTERRUPTED_ASM)
+    program.write_global("A", list(range(100, 164)))
+    return program
+
+
+def spy_on_runs(machine: Machine) -> dict:
+    """Watch the runs of every processor of ``machine``: how many were
+    settled whole (in one go, at their end) and how many cut short, the
+    most ops and the most blocks chained into one, every
+    ``(processor, entry cycle, ops)`` -- and, asserted on the spot, that
+    no chain is longer than the bound (or than its one block) and that
+    no settle steps a whole block's worth of ops through the
+    one-instruction handlers."""
+    seen = {"whole": 0, "cut": 0, "longest": 0, "blocks": 0, "entered": []}
+    blocks = machine.blocks
+    for proc in [machine.master, *machine.tcus]:
+        enter, settle = proc._enter_run, proc.settle_run
+        stepped = []  # PCs stepped one by one; None outside a settle
+
+        def handler(issue, stepped=stepped):
+            def counted(now, u):
+                if stepped and stepped[0] is None:
+                    stepped.append(u.index)
+                return issue(now, u)
+            return counted
+        proc._handlers = [handler(issue) for issue in proc._handlers]
+
+        def spied_enter(block, cycle, proc=proc, enter=enter):
+            taken = enter(block, cycle)
+            if taken:
+                ops = proc.run_left
+                assert RUN_MIN <= ops <= max(CHAIN_CAP, block.n)
+                seen["longest"] = max(seen["longest"], ops)
+                seen["blocks"] = max(seen["blocks"],
+                                     sum(proc._run_ahead[2].values()))
+                seen["entered"].append((proc, cycle, ops))
+            return taken
+
+        def spied_settle(cycle, proc=proc, settle=settle, stepped=stepped):
+            before = proc.run_left
+            stepped[:] = [None]
+            settle(cycle)
+            if len(stepped) > 1:
+                assert len(stepped) - 1 < blocks[stepped[1]].n
+            stepped.clear()
+            if proc.run_left < before:
+                whole = (not proc.run_left
+                         and before == proc.run_end - proc.slept_at)
+                seen["whole" if whole else "cut"] += 1
+        proc._enter_run, proc.settle_run = spied_enter, spied_settle
     return seen
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail, rather than hang, should a chain never end."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def at_cycle(machine: Machine) -> dict:
@@ -380,25 +470,39 @@ class TestOracle:
         oracle = machine_for(program, config(), awake=True)
         assert_same(plain, fingerprint(oracle,
                                        oracle.run(max_cycles=1_000_000)))
-        assert seen["longest"] >= 8 and seen["whole"] > 96 * 8
+        # a thread's eight iterations are one chain of 2 * 8 + 1 blocks,
+        # and every TCU settles at least its first thread's whole
+        assert seen["longest"] > 8 * ITERATION and seen["blocks"] > 2 * 8
+        assert seen["whole"] >= len(machine.tcus)
 
     @pytest.mark.parametrize("blocking", [True, False],
                              ids=["blocking-loads", "scoreboard"])
     def test_run_interrupted_by_deliveries(self, blocking):
         """A load reply, a ``swnb`` ack and a shared-MDU result land
         inside a run: it is settled up to that edge, the TCU is ticked,
-        and the rest of the block is another run."""
+        and the rest of the chain is another run."""
+        self._interrupted(interrupted, blocking)
+
+    @pytest.mark.parametrize("blocking", [True, False],
+                             ids=["blocking-loads", "scoreboard"])
+    def test_chain_interrupted_by_deliveries(self, blocking):
+        self._interrupted(chained_interrupted, blocking)
+
+    @staticmethod
+    def _interrupted(program, blocking):
         def config():
             return tiny(tcu_blocking_loads=blocking, mdu_latency=9)
 
-        machine = machine_for(interrupted(), config(), awake=False)
+        machine = machine_for(program(), config(), awake=False)
         seen = spy_on_runs(machine)
         plain = fingerprint(machine, machine.run(max_cycles=1_000_000))
-        oracle = machine_for(interrupted(), config(), awake=True)
+        oracle = machine_for(program(), config(), awake=True)
         assert_same(plain, fingerprint(oracle,
                                        oracle.run(max_cycles=1_000_000)))
         assert seen["cut"] > 0 and seen["whole"] > 0
         assert plain["counters"]["cluster.mdu_ops"] == 48
+        if program is chained_interrupted:
+            assert seen["blocks"] >= 8  # (the loop, most of the way round)
 
     @pytest.mark.parametrize("overrides", [
         {"alu_latency": 2}, {"branch_latency": 2},
@@ -406,6 +510,7 @@ class TestOracle:
     def test_multi_cycle_ops_are_not_fused(self, overrides):
         program = compute()
         machine = machine_for(program, tiny(**overrides), awake=False)
+        seen = spy_on_runs(machine) if machine.blocks is not None else None
         plain = fingerprint(machine, machine.run(max_cycles=1_000_000))
         oracle = machine_for(program, tiny(**overrides), awake=True)
         assert_same(plain, fingerprint(oracle,
@@ -416,6 +521,9 @@ class TestOracle:
             formed = [block for block in machine.blocks.values() if block]
             assert formed and all(block.uops[-1].code != OP_BRANCH
                                   for block in formed)
+            # ... and chain through ``j`` only: the loop body, its
+            # ``j`` and the two ops up to the branch, never an iteration
+            assert 1 < seen["blocks"] and seen["longest"] < ITERATION
 
     def test_parallel_calls_merge_sort(self):
         assert_same(*run_both(kernel("merge_sort"), fpga64))
@@ -428,6 +536,13 @@ class TestBackends:
         assert_same(*run_both(interrupted(), lambda: tiny(
             tcu_blocking_loads=False, **overrides)))
 
+    @pytest.mark.parametrize("blocking", [True, False],
+                             ids=["blocking-loads", "scoreboard"])
+    @pytest.mark.parametrize("overrides", BACKENDS)
+    def test_chain_cut_by_deliveries(self, overrides, blocking):
+        assert_same(*run_both(chained_interrupted(), lambda: tiny(
+            tcu_blocking_loads=blocking, mdu_latency=9, **overrides)))
+
 
 # --------------------------------------------------------------------------- (c) every offset
 
@@ -438,37 +553,48 @@ class _EveryCycle(ActivityPlugin):
     def __init__(self):
         super().__init__(interval_cycles=1)
         self.samples = []
+        self.seen = None
 
     def sample(self, machine, time):
+        if self.seen is None:
+            self.seen = spy_on_runs(machine)
         self.samples.append((time, at_cycle(machine)))
 
 
-#: every way to stop inside the two runs of the compute loop: (ops in
-#: the block, ops not executed yet)
-OFFSETS = {(3, left) for left in range(3)} | \
-    {(11, left) for left in range(11)}
-
-
 def runs_in_flight(machine: Machine) -> set:
-    return {(machine.blocks[tcu.run_pc].n, tcu.run_left)
+    """``(ops in the chain, ops not executed yet)`` of every TCU inside
+    a run."""
+    return {(tcu.run_end - tcu.slept_at, tcu.run_left)
             for tcu in machine.tcus if tcu.asleep_on == "run"}
 
 
 class TestEveryOffset:
-    """A 3-op and an 11-op run alternate in the compute loop; 45
-    consecutive cycles stop a TCU at every offset of both (asserted)."""
+    """A thread of the compute loop is one chain.  A TCU's first is
+    never cut short (nothing of an earlier thread is in flight), so the
+    cycles from its entry to its resume stop that TCU at every offset
+    of a chain spanning three loop iterations (asserted)."""
 
-    def _cycles(self, program):
-        first, last = spawn_window(program, tiny())
-        start = (first + last) // 2
-        return range(start, start + 45)
+    ITERATIONS = 3
+
+    def _chain(self, program):
+        """The cycles to stop at, and every ``runs_in_flight`` entry
+        they must come across."""
+        machine = machine_for(program, tiny(), awake=False)
+        seen = spy_on_runs(machine)
+        machine.run(max_cycles=1_000_000)
+        entry, ops = next((cycle, ops) for proc, cycle, ops in seen["entered"]
+                          if proc is machine.tcus[0])
+        assert ops > self.ITERATIONS * ITERATION
+        return (range(entry, entry + ops),
+                {(ops, left) for left in range(ops)})
 
     def test_checkpoint_at_every_offset(self):
-        program = compute()
+        program = compute(iterations=self.ITERATIONS)
         reference = machine_for(program, tiny(), awake=True)
         expected = fingerprint(reference, reference.run(max_cycles=1_000_000))
+        cycles, offsets = self._chain(program)
         seen = set()
-        for cycle in self._cycles(program):
+        for cycle in cycles:
             plain = machine_for(program, tiny(), awake=False)
             payload = CP.run_with_checkpoint(plain, cycle)
             oracle = machine_for(program, tiny(), awake=True)
@@ -481,12 +607,13 @@ class TestEveryOffset:
             for machine in (restored, plain):
                 got = fingerprint(machine, machine.run(max_cycles=1_000_000))
                 assert_same(got, expected)
-        assert seen >= OFFSETS
+        assert seen >= offsets
 
     def test_timeout_at_every_offset(self):
-        program = compute()
+        program = compute(iterations=self.ITERATIONS)
+        cycles, offsets = self._chain(program)
         seen = set()
-        for cycle in self._cycles(program):
+        for cycle in cycles:
             prints = []
             for awake in (False, True):
                 machine = machine_for(program, tiny(), awake)
@@ -496,7 +623,7 @@ class TestEveryOffset:
                                    pcs=[t.core.pc for t in machine.tcus]))
                 seen |= runs_in_flight(machine)
             assert_same(*prints)
-        assert seen >= OFFSETS
+        assert seen >= offsets
 
     def test_settle_on_every_cycle(self):
         program = compute()
@@ -510,6 +637,33 @@ class TestEveryOffset:
         plain, *oracles = plugins
         assert len(plain.samples) > 200
         assert all(plain.samples == oracle.samples for oracle in oracles)
+        # every chain is settled a cycle at a time (block by block: the
+        # spy), and the machine as it was takes none
+        assert plain.seen["cut"] > 200 > 0 == plain.seen["whole"]
+        assert not oracles[-1].seen["entered"]
+
+    @staticmethod
+    def _flipped(program, cycle, seed):
+        """Fingerprints of the plain and the as-it-was run with one
+        register flipped at ``cycle``, and what the flipped processor of
+        the plain machine was asleep on."""
+        prints, asleep_on = [], []
+        for awake in (False, True):
+            machine = machine_for(
+                program, tiny(), awake,
+                plugins=[FaultInjector([FaultSpec("tcu.reg", cycle,
+                                                  seed=seed)])])
+            for proc in [machine.master, *machine.tcus]:
+                def flip(reg, bit, proc=proc, flip=proc.inject_register_flip):
+                    asleep_on.append(proc.asleep_on)
+                    return flip(reg, bit)
+                proc.inject_register_flip = flip
+            try:
+                prints.append(fingerprint(
+                    machine, machine.run(max_cycles=50_000)))
+            except SimulationError as exc:  # the flip derailed the run
+                prints.append({"error": str(exc).splitlines()[0]})
+        return prints, asleep_on[0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_register_flip_lands_between_the_same_instructions(self, seed):
@@ -518,39 +672,75 @@ class TestEveryOffset:
         program = compute()
         first, last = spawn_window(program, tiny())
         cycle = random.Random(seed).randrange(first, last)
-        prints = []
-        for awake in (False, True):
-            machine = machine_for(
-                program, tiny(), awake,
-                plugins=[FaultInjector([FaultSpec("tcu.reg", cycle,
-                                                  seed=seed)])])
-            try:
-                prints.append(fingerprint(
-                    machine, machine.run(max_cycles=50_000)))
-            except SimulationError as exc:  # the flip derailed the run
-                prints.append({"error": str(exc).splitlines()[0]})
+        assert_same(*self._flipped(program, cycle, seed)[0])
+
+    def test_flipped_loop_counter_ends_the_chain(self):
+        """Seed 4 of the test above flips a bit of the loop counter of
+        a TCU inside a run: the loop now exits early, so the chain
+        entered before the flip is shorter than it was computed to be.
+        A register written from outside ends the run; the next tick
+        enters another from the registers as they are."""
+        program = compute()
+        first, last = spawn_window(program, tiny())
+        prints, asleep_on = self._flipped(
+            program, random.Random(4).randrange(first, last), seed=4)
+        assert asleep_on == "run"
         assert_same(*prints)
+
+    def test_register_flip_inside_a_run_of_the_master(self):
+        """In a serial section the fault lands on the Master."""
+        program = build(MB.serial_compute(30)[0])
+        inside = 0
+        for seed in range(8):
+            cycle = 40 + 37 * seed
+            prints, asleep_on = self._flipped(program, cycle, seed)
+            assert_same(*prints)
+            inside += asleep_on == "run"
+        assert inside >= 4
 
 
 # --------------------------------------------------------------------------- (d) domain cycles
+
+class _ThrottleAndGateMidChain(_ThrottleAndGate):
+    """... begun 90 cycles later, when the first chains are under way,
+    and noting the samples that find a TCU a loop iteration or more
+    from either end of one."""
+
+    def __init__(self):
+        super().__init__()
+        self.early = 6
+        self.mid_chain = set()
+
+    def sample(self, machine, time):
+        if self.early:
+            self.early -= 1
+            return
+        if any(ITERATION <= left <= ops - ITERATION
+               for ops, left in runs_in_flight(machine)):
+            self.mid_chain.add(self.samples + 1)
+        super().sample(machine, time)
+
 
 class TestDomainCycles:
     @pytest.mark.parametrize("merge", [False, True],
                              ids=["own-domains", "merged-domains"])
     def test_retimed_and_gated_clusters_domain(self, merge):
-        """A run is counted in domain cycles: one that spans a retiming
-        and a gating resumes on exactly the edge the always-awake TCU
-        issues its next instruction on."""
+        """A run is counted in domain cycles: a chain that spans a
+        retiming and a gating resumes on exactly the edge the
+        always-awake TCU issues its next instruction on."""
         plugins = []
 
         def make_plugins():
-            plugins.append(_ThrottleAndGate())
+            plugins.append(_ThrottleAndGateMidChain())
             return [plugins[-1]]
 
         plain, *oracles = run_both(
             compute(32, 12), lambda: tiny(merge_clock_domains=merge),
             make_plugins)
         assert all(p.samples >= 8 and p.saw_parallel for p in plugins)
+        # the retiming, the gating, the un-gating and the restoring all
+        # land mid-chain on the plain machine
+        assert plugins[0].mid_chain >= {2, 4, 6, 8}
         assert_same(plain, *oracles)
 
 
@@ -558,9 +748,9 @@ class TestDomainCycles:
 
 class TestLateListener:
     def test_issued_listener_after_mid_run_restore(self):
-        """Restore mid-run, then subscribe an ``issued`` listener: runs
-        end at the next edge, and from there the listener hears exactly
-        the instructions ``Stats`` gains."""
+        """Restore mid-chain, then subscribe an ``issued`` listener:
+        runs end at the next edge, and from there the listener hears
+        exactly the instructions ``Stats`` gains."""
 
         class CountIssued:
             def __init__(self):
@@ -576,8 +766,9 @@ class TestLateListener:
         for cycle in range((first + last) // 2, last):
             plain = machine_for(program, tiny(), awake=False)
             restored = CP.load_bytes(CP.run_with_checkpoint(plain, cycle))
-            if any(left for _n, left in runs_in_flight(restored)):
-                break
+            if any(ITERATION <= left <= ops - ITERATION
+                   for ops, left in runs_in_flight(restored)):
+                break  # (mid-chain: an iteration or more from its ends)
         before = restored.stats.instruction_total()
         listener = CountIssued()
         obs = Observability()
@@ -590,7 +781,258 @@ class TestLateListener:
         assert_same(got, expected)
 
 
-# --------------------------------------------------------------------------- (f) not vacuous
+# --------------------------------------------------------------------------- (f) what ends a chain
+
+#: thread 0 traps in the third block of what is one chain for the others
+TRAP_IN_THIRD_BLOCK_ASM = """
+    .text
+main:
+    li   $t0, 0
+    li   $t1, 3
+    spawn $t0, $t1
+vt:
+    getvt $k0
+    chkid $k0
+    li   $t2, 7
+    addi $t3, $t2, 1
+    j    second
+third:
+    addi $t3, $t3, 1
+    so_trap $t4, $t3, $k0
+    addi $t4, $t4, 1
+    j    vt
+second:
+    slli $t5, $t3, 2
+    bne  $t5, $zero, third
+    j    vt
+    join
+    halt
+"""
+
+#: a block ends in a ``j`` out of the spawn region, to code that jumps
+#: back in: legal under the parallel-calls convention only
+LEAVING_ASM = """
+    .data
+OUT: .space 32
+    .text
+main:
+    li   $t0, 0
+    li   $t1, 7
+    spawn $t0, $t1
+vt:
+    getvt $k0
+    chkid $k0
+    addi $t2, $k0, 5
+    slli $t3, $t2, 1
+    xor  $t4, $t3, $k0
+    j    helper
+back:
+    add  $t4, $t4, $t2
+    xor  $t4, $t4, $k0
+    la   $t5, OUT
+    slli $t6, $k0, 2
+    add  $t5, $t5, $t6
+    swnb $t4, 0($t5)
+    j    vt
+    join
+    halt
+helper:
+    add  $t4, $t3, $t2
+    srai $t4, $t4, 1
+    j    back
+"""
+
+#: the Master's whole program is one chain of 2 + 200 * 4 ops, 200 blocks
+ONE_CHAIN_ASM = """
+    .text
+main:
+    li   $t0, 200
+    li   $t1, 1
+loop:
+    add  $t1, $t1, $t0
+    xori $t1, $t1, 5
+    addi $t0, $t0, -1
+    bne  $t0, $zero, loop
+    halt
+"""
+
+ALU_REGS = ["$t2", "$t3", "$t4", "$t5"]
+
+
+@st.composite
+def loop_nests(draw):
+    """A spawn whose threads run two nested counted loops of random
+    private-ALU ops, with data-dependent ways out of either."""
+    threads = draw(st.integers(3, 9))
+    target = st.sampled_from(ALU_REGS)
+    source = st.sampled_from(ALU_REGS + ["$k0", "$s0", "$s1", "$zero"])
+
+    def ops(least, most):
+        lines = []
+        for _ in range(draw(st.integers(least, most))):
+            kind = draw(st.sampled_from(["bin", "imm", "un", "li"]))
+            rd, rs, rt = draw(target), draw(source), draw(source)
+            if kind == "bin":
+                op = draw(st.sampled_from(PRIVATE_BINOPS))
+                lines.append(f"{op} {rd}, {rs}, {rt}")
+            elif kind == "imm":
+                op = draw(st.sampled_from(sorted(S.IMM_ALIASES)))
+                lines.append(f"{op} {rd}, {rs}, {draw(immediates)}")
+            elif kind == "un":
+                op = draw(st.sampled_from(PRIVATE_UNOPS))
+                lines.append(f"{op} {rd}, {rs}")
+            else:
+                lines.append(f"li {rd}, {draw(immediates)}")
+        return lines
+
+    def way_out(labels):
+        op = draw(st.sampled_from([None, *sorted(S.BRANCH_SPECS)]))
+        if op is None:
+            return []
+        label = draw(st.sampled_from(labels))
+        if op in ("beq", "bne"):
+            return [f"{op} {draw(target)}, {draw(source)}, {label}"]
+        return [f"{op} {draw(target)}, {label}"]
+
+    lines = [".data", f"OUT: .space {4 * threads}", ".text", "main:",
+             "li $t0, 0", f"li $t1, {threads - 1}", "spawn $t0, $t1",
+             "vt:", "getvt $k0", "chkid $k0",
+             "addi $t2, $k0, 1", "slli $t3, $k0, 3", "li $t4, 17",
+             "sub $t5, $zero, $k0",
+             f"li $s0, {draw(st.integers(1, 4))}",
+             "outer:", *ops(0, 3),
+             f"li $s1, {draw(st.integers(1, 5))}",
+             "inner:", *ops(1, 5), *way_out(["after", "done"]),
+             "addi $s1, $s1, -1", "bne $s1, $zero, inner",
+             "after:", *ops(0, 3), *way_out(["done"]),
+             "addi $s0, $s0, -1", "bne $s0, $zero, outer",
+             "done:", "xor $t2, $t2, $t3", "xor $t2, $t2, $t4",
+             "xor $t2, $t2, $t5", "la $t6, OUT", "slli $t7, $k0, 2",
+             "add $t6, $t6, $t7", "swnb $t2, 0($t6)", "j vt", "join", "halt"]
+    return "\n".join(lines)
+
+
+class TestChainEnds:
+    def test_trapping_spec_in_the_third_block_of_a_chain(self):
+        """The chain ends *before* a block that would trap, and the
+        one-instruction path raises at the op, on the op's own cycle."""
+        register_so_trap()
+        program = assemble(TRAP_IN_THIRD_BLOCK_ASM)
+        errors, chains = [], []
+        for awake in (False, True):
+            machine = machine_for(program, tiny(), awake)
+            seen = spy_on_runs(machine)
+            with pytest.raises(SimulationError, match="so_trap") as info:
+                machine.run(max_cycles=10_000)
+            errors.append((str(info.value), machine.scheduler.now,
+                           machine.stats.get("instructions.so_trap")))
+            chains.append({(proc.tcu_id, ops)
+                           for proc, _cycle, ops in seen["entered"]})
+        assert errors[0] == errors[1] and errors[0][2] == 1
+        assert "tcu 0" in errors[0][0]
+        # thread 0's chain: two blocks, five ops; the others': all three
+        # blocks (the Master's two ``li`` are too few to be worth a run)
+        assert chains == [{(0, 5), (1, 9), (2, 9), (3, 9)}, set()]
+
+    @pytest.mark.parametrize("parallel_calls", [False, True],
+                             ids=["layout-bug", "parallel-calls"])
+    def test_pc_leaving_the_region_ends_the_chain(self, parallel_calls):
+        """``_check_escape`` fires on the tick it always did: the chain
+        stops at the region's border (and one that starts outside may
+        come back in)."""
+        program = assemble(LEAVING_ASM)
+        program.parallel_calls = parallel_calls
+        outcomes = []
+        for awake in (False, True):
+            machine = machine_for(program, tiny(), awake)
+            seen = spy_on_runs(machine)
+            try:
+                outcomes.append(fingerprint(
+                    machine, machine.run(max_cycles=10_000)))
+            except SimulationError as exc:
+                outcomes.append({"error": str(exc),
+                                 "time": machine.scheduler.now,
+                                 "counters": dict(machine.stats.counters)})
+            if not awake:
+                lengths = {ops for _p, _c, ops in seen["entered"]
+                           if _p is not machine.master}
+                # [addi slli xor j] | [add srai j][add xor la slli add]
+                assert lengths == ({4, 8} if parallel_calls else {4})
+        if parallel_calls:
+            assert_same(*outcomes)
+            assert outcomes[0]["counters"]["instructions.swnb"] == 8
+        else:  # (the other TCUs of the plain machine are mid-chain)
+            assert "control left the spawn region" in outcomes[0]["error"]
+            assert len({(o["error"], o["time"]) for o in outcomes}) == 1
+
+    @pytest.mark.parametrize("program", [
+        lambda: assemble(".text\nmain:\n li $t0, 1\nspin:\n j spin\n"),
+        lambda: build("int main() { spawn(0, 7) "
+                      "{ int a = $; while (1) a += 3; } return 0; }"),
+    ], ids=["master-j-self", "spawn-while-1"])
+    def test_op_bound(self, program):
+        """A loop of register ops that never ends is a chain that never
+        would: :data:`CHAIN_CAP` ends it, and the next tick enters the
+        next.  The bound is not visible in any count."""
+        program = program()
+        for stop in (CHAIN_CAP // 2, 2 * CHAIN_CAP + 77, 3 * CHAIN_CAP + 5):
+            prints = []
+            with deadline(120):
+                for awake in (False, True):
+                    machine = machine_for(program, tiny(), awake)
+                    seen = spy_on_runs(machine)  # (asserts the bound)
+                    result = machine.run(max_cycles=stop, allow_timeout=True)
+                    assert not machine.halted
+                    prints.append(dict(
+                        fingerprint(machine, result),
+                        pcs=[p.core.pc for p in [machine.master,
+                                                 *machine.tcus]]))
+                    if not awake:
+                        assert stop < CHAIN_CAP or \
+                            CHAIN_CAP - 4 < seen["longest"] <= CHAIN_CAP
+            assert_same(*prints)
+            assert prints[0]["instructions"] > stop - 100
+
+    def test_every_block_of_a_chain_is_executed_once(self, monkeypatch):
+        """... at entry, on the copy; the settle at the chain's end
+        installs what that computed and calls nothing."""
+        calls = []
+        compile_ = Block.compile
+
+        def counting_compile(block):
+            fn = compile_(block)
+
+            def counted(regs):
+                calls.append(block.pc)
+                return fn(regs)
+            block.fn = counted
+            return counted
+        monkeypatch.setattr(Block, "compile", counting_compile)
+        program = assemble(ONE_CHAIN_ASM)
+        machine = machine_for(program, tiny(), awake=False)
+        seen = spy_on_runs(machine)
+        plain = fingerprint(machine, machine.run(max_cycles=10_000))
+        assert (seen["whole"], seen["cut"], seen["longest"],
+                seen["blocks"]) == (1, 0, 802, 200)
+        assert len(calls) == 200
+        oracle = machine_for(program, tiny(), awake=True)
+        assert_same(plain, fingerprint(oracle, oracle.run(max_cycles=10_000)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(asm=loop_nests())
+    def test_generated_loop_nests(self, asm):
+        program = assemble(asm)
+        prints = []
+        for awake in (False, True):
+            machine = machine_for(program, tiny(), awake)
+            seen = spy_on_runs(machine)
+            prints.append(fingerprint(machine,
+                                      machine.run(max_cycles=200_000)))
+            assert (seen["blocks"] > 1) is not awake
+        assert_same(*prints)
+
+
+# --------------------------------------------------------------------------- (g) not vacuous
 
 class TestReallyFused:
     def test_decode_builds_no_block(self):
@@ -674,18 +1116,31 @@ class TestDiagnostics:
         first, last = spawn_window(compute(), tiny())
         for cycle in range((first + last) // 2, last):
             machine = machine_for(compute(), tiny(), awake=False)
+            entered = {}  # processor -> registers when it entered its run
+            for tcu in machine.tcus:
+                def enter(block, cycle, tcu=tcu, enter=tcu._enter_run):
+                    entered[tcu.tcu_id] = list(tcu.core.regs)
+                    return enter(block, cycle)
+                tcu._enter_run = enter
             with pytest.raises(SimulationBudgetExceeded) as info:
                 machine.run(max_cycles=cycle)
             dump = info.value.dump
             running = [proc for proc in dump.processors
                        if proc.get("asleep_on") == "run"]
-            if running:
+            if any(ITERATION <= proc["run_left"] for proc in running):
                 break
-        for proc in running:  # settled: the PC is where the oracle's is
-            assert proc["pc"] - proc["run_pc"] + proc["run_left"] == \
-                machine.blocks[proc["run_pc"]].n
+        uops = machine.decoded.uops
+        for proc in running:
+            # settled: stepping the ops issued so far from where the
+            # chain began lands on the PC, which is the oracle's
+            done = proc["run_ops"] - proc["run_left"]
+            assert 0 < done <= proc["run_ops"]
+            regs, pc = stepped(uops, entered[proc["id"]], proc["run_pc"], done)
+            assert pc == proc["pc"]
+            assert regs == machine.tcus[proc["id"]].core.regs
         text = dump.format()
         assert f"{len(running)} asleep on run" in text
         assert "asleep_on=run run_pc=" in text and "run_left=" in text
+        assert " run_ops=" in text
         assert not any(key.startswith("tcu.stall.run")
                        for key in machine.stats.counters)
