@@ -78,13 +78,6 @@ def reg_name(index: int) -> str:
     return "$" + _NAMES[index]
 
 
-def global_reg_name(index: int) -> str:
-    """Return the ``$gN`` spelling of a global prefix-sum register."""
-    if not 0 <= index < NUM_GLOBAL_REGS:
-        raise ValueError(f"global register index out of range: {index}")
-    return f"$g{index}"
-
-
 def parse_reg(text: str) -> int:
     """Parse a register operand (``$5``, ``$t3``, ``$sp`` ...) to an index.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -33,9 +33,6 @@ class Block:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-    def center(self) -> Tuple[float, float]:
-        return (self.x + self.w / 2, self.y + self.h / 2)
 
     def adjacent(self, other: "Block", tol: float = 1e-9) -> float:
         """Shared boundary length with another block (0 if not touching)."""

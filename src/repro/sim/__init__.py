@@ -4,8 +4,7 @@ checkpoints."""
 
 from repro.sim.config import XMTConfig, fpga64, chip1024, from_file, tiny
 from repro.sim.engine import Actor, ClockDomain, Event, Scheduler, TimedQueue
-from repro.sim.fabric import (Component, Fabric, Link, Port,
-                              register_backend, registered)
+from repro.sim.fabric import Component, Port, register_backend, registered
 from repro.sim.functional import FunctionalResult, FunctionalSimulator
 from repro.sim.machine import CycleResult, Simulator
 from repro.sim.observability import (CycleProfiler, EventStream, Ledger,
@@ -26,8 +25,6 @@ __all__ = [
     "Scheduler",
     "TimedQueue",
     "Component",
-    "Fabric",
-    "Link",
     "Port",
     "register_backend",
     "registered",

@@ -109,18 +109,15 @@ class CacheModule(Component):
     backend's decision, not the module's.
     """
 
-    layer = "cache"
-
     def __init__(self, machine, module_id: int):
         cfg = machine.config
         self.machine = machine
         self.module_id = module_id
         self.array = CacheArray(cfg.cache_sets, cfg.cache_assoc, cfg.cache_line_words)
         # requests from the ICN / responses toward the ICN
-        self.in_queue = Port(name=f"cache{module_id}.in", layer="cache",
-                             owner=self)
-        self.out_queue = Port(name=f"cache{module_id}.out", layer="return",
-                              owner=self)
+        self.in_queue = Port()
+        self.in_queue.on_push = self.wake
+        self.out_queue = Port()
         self.ports = cfg.cache_ports
         self.hit_latency = cfg.cache_hit_latency
         # line address -> list of waiting packages (MSHR-style merging)
@@ -161,9 +158,9 @@ class CacheModule(Component):
         heapq.heappush(self._delayed, (ready, pkg.seq, pkg))
 
     def wake(self, time: int) -> None:
-        """Consumer-side wake-up wired to :attr:`in_queue`'s ``on_push``
-        hook by the fabric: a package entering the port at ``time`` puts
-        this module in the cache bank's active set for the edge after."""
+        """Consumer-side wake-up, :attr:`in_queue`'s ``on_push`` hook: a
+        package entering the port at ``time`` puts this module in the
+        cache bank's active set for the edge after."""
         self.machine.cache_bank.activate(self.module_id, time + 1)
 
     # -- per-cycle behaviour ----------------------------------------------------
@@ -275,8 +272,6 @@ class HashedLayout:
     modules by a Fibonacci hash so regular strides cannot concentrate
     on one module ("the shared caches are partitioned ... addresses are
     hashed", Section II)."""
-
-    layer = "cache"
 
     def __init__(self, machine):
         cfg = machine.config

@@ -10,11 +10,14 @@ its rollback-and-retry recovery on the same primitives.
 
 Checkpointing pickles the entire :class:`~repro.sim.machine.Machine`
 (scheduler heap included -- events reference actors which are plain
-picklable objects).  Plug-ins and traces may hold unpicklable callbacks,
-so they are detached on save and must be re-registered on resume;
-scheduler events whose actor declares ``checkpoint_transient = True``
-(plug-in samplers, injected faults) are likewise stripped from the
-saved heap and must be re-armed by the resuming driver.
+picklable objects; port wake-up hooks are bound methods of objects in
+the same pickle).  What a snapshot leaves behind is said by the two
+objects that hold it: ``Machine.__getstate__`` (observation consumers,
+plug-ins, the decode) and ``Scheduler.__getstate__`` (the budget hook
+and every event whose actor declares ``checkpoint_transient = True``
+-- plug-in samplers, injected faults).  Saving assigns nothing on the
+live machine; the resuming driver re-registers and re-arms what it
+wants on the restored one.
 
 Checkpoints *pause* rather than unwind: the checkpoint actor stops the
 scheduler in place (``machine.pause_reason == "checkpoint"``), the
@@ -25,7 +28,6 @@ recovery) -- an exception-based unwind could fire only once.
 
 from __future__ import annotations
 
-import heapq
 import pickle
 from typing import Optional
 
@@ -92,56 +94,7 @@ def save_bytes(machine: Machine) -> bytes:
     # machine would hold at this cycle (the tick lists, wake heaps,
     # resume lists and every domain's booked edge ride the pickle)
     machine.settle()
-    detached = _detach_unpicklables(machine)
-    try:
-        return pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        _reattach(machine, detached)
-
-
-def _detach_unpicklables(machine: Machine):
-    sched = machine.scheduler
-    detached = (machine.obs, machine.activity_plugins,
-                machine.filter_plugins, machine.filter_hook,
-                sched.check_hook, sched._heap, sched._cancelled,
-                machine.decoded, machine.blocks, machine.fabric)
-    # the fabric wiring map (port on_push hooks, link metadata) is
-    # transient like traces and plug-ins: detach the hooks so no bound
-    # methods ride the pickle; the restored machine rewires itself
-    if machine.fabric is not None:
-        machine.fabric.unhook()
-    machine.fabric = None
-    # the decode cache holds per-op handler closures (unpicklable) and
-    # is pure derived state: rebuilt from the program on restore
-    machine.decoded = machine.blocks = None
-    # every observation consumer (traces, open JSONL streams, ...) hangs
-    # off this one attribute.  Package ``rec`` stamps are plain tuples
-    # and pickle fine: the restored machine just stops appending to them
-    # until a recorder is subscribed again
-    machine.obs = None
-    machine.activity_plugins = []
-    machine.filter_plugins = []
-    machine.filter_hook = None
-    sched.check_hook = None
-    # strip transient events: plug-in samplers (may close over
-    # unpicklable policies) and injected faults (a restored run must
-    # not replay the fault -- that is what makes transients transient)
-    keep = [e for e in sched._heap
-            if not getattr(e.actor, "checkpoint_transient", False)]
-    heapq.heapify(keep)
-    sched._heap = keep
-    sched._cancelled = sum(1 for e in keep if e.cancelled)
-    return detached
-
-
-def _reattach(machine: Machine, detached) -> None:
-    sched = machine.scheduler
-    (machine.obs, machine.activity_plugins,
-     machine.filter_plugins, machine.filter_hook,
-     sched.check_hook, sched._heap, sched._cancelled,
-     machine.decoded, machine.blocks, machine.fabric) = detached
-    if machine.fabric is not None:
-        machine.fabric.hook()
+    return pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_bytes(payload: bytes) -> Machine:
@@ -154,8 +107,6 @@ def load_bytes(payload: bytes) -> Machine:
     machine.pause_reason = None
     # derived state: re-decode the program (never part of the pickle)
     machine._bind_decode()
-    # re-wire the fabric: ports were detached like other transient state
-    machine._wire_fabric()
     # the subscribers stayed behind: whoever they kept out of runs may go
     machine.listeners_changed()
     return machine

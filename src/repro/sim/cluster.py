@@ -23,9 +23,7 @@ class Cluster:
         self.machine = machine
         self.cluster_id = cluster_id
         # the ICN send port: a fabric Port so any ICN backend drains it
-        self.send_queue = Port(capacity=cfg.send_queue_capacity,
-                               name=f"cluster{cluster_id}.send",
-                               layer="cluster", owner=self)
+        self.send_queue = Port(capacity=cfg.send_queue_capacity)
         self.ro_cache = ReadOnlyCache(machine, cluster_id)
         self.tcus = [
             TCU(machine, self, cluster_id * cfg.tcus_per_cluster + i, i)

@@ -30,8 +30,6 @@ from repro.sim.fabric import Component, register_backend
 class DRAMPort(Component):
     """One off-chip memory channel: bounded queue + fixed latency."""
 
-    layer = "dram"
-
     def __init__(self, machine, port_id: int):
         cfg = machine.config
         self.machine = machine
@@ -177,7 +175,6 @@ class SimpleDRAM(Component):
     ``machine.dram_ports``.
     """
 
-    layer = "dram"
     port_cls = DRAMPort
 
     def __init__(self, machine):

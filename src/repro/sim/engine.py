@@ -110,6 +110,23 @@ class Scheduler:
         self.check_hook: Optional[Callable[["Scheduler", int], None]] = None
         self.check_interval = 2048
 
+    def __getstate__(self):
+        """What a checkpoint holds of the event list."""
+        state = self.__dict__.copy()
+        # a run's budgets are its driver's (any callable): every
+        # ``Machine.run`` / ``run_resilient`` installs its own
+        state["check_hook"] = None
+        # transient events stay behind: plug-in samplers (may close over
+        # unpicklable policies, open sinks) and injected faults (a
+        # restored run must not replay the fault -- that is what makes
+        # transients transient); whoever resumes re-arms what it wants
+        keep = [e for e in self._heap
+                if not getattr(e.actor, "checkpoint_transient", False)]
+        heapq.heapify(keep)
+        state["_heap"] = keep
+        state["_cancelled"] = sum(e.cancelled for e in keep)
+        return state
+
     # -- event management ---------------------------------------------------
 
     def schedule(self, delay: int, actor: Actor, priority: int = 0,

@@ -1,18 +1,18 @@
-"""Component fabric: ports, links and swappable backends.
+"""Component fabric: ports and swappable backends.
 
 The paper's Fig. 1 draws the XMT machine as solid boxes (clusters,
 mesh-of-trees ICN, shared cache modules, DRAM ports) joined by explicit
 links.  This package is that picture as code: every box is a
-:class:`Component` behind a small ``tick/idle/occupancy`` protocol,
-every arrow is a :class:`Port` (a bounded two-phase queue) or a
-:class:`Link` joining two of them, and each box's *implementation* is a
-backend chosen by name from the :mod:`~repro.sim.fabric.registry` --
+:class:`Component` behind a small ``tick/next_work/occupancy``
+protocol, every arrow is a :class:`Port` (a bounded two-phase queue
+with the consumer's wake-up hook), and each box's *implementation* is
+a backend chosen by name from the :mod:`~repro.sim.fabric.registry` --
 ``XMTConfig.icn_backend`` / ``dram_backend`` / ``cache_layout`` select
 among them, so topology studies sweep backends like any other config
 axis (the approach of Akita and MGSim).
 """
 
-from repro.sim.fabric.port import Component, Link, Port
+from repro.sim.fabric.port import Component, Port
 from repro.sim.fabric.registry import (
     BACKEND_KINDS,
     backend_class,
@@ -21,13 +21,10 @@ from repro.sim.fabric.registry import (
     registered,
     validate_backend,
 )
-from repro.sim.fabric.wiring import Fabric
 
 __all__ = [
     "BACKEND_KINDS",
     "Component",
-    "Fabric",
-    "Link",
     "Port",
     "backend_class",
     "create_backend",

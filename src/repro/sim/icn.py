@@ -24,7 +24,7 @@ name)``) behind the same :class:`~repro.sim.fabric.Component` surface:
 
 All four share the injection/drain engine of :class:`Interconnect` and
 differ only in the arrival-time law (``traversal_latency`` /
-``_arrival``), which is exactly the seam the port/link abstraction
+``_arrival``), which is exactly the seam the port abstraction
 promises: the observation probes, fault hooks and telemetry gauges
 live in the shared engine and hold for every backend.
 """
@@ -46,8 +46,8 @@ class _OccupiedPorts:
     The same rule as the cache bank's active set: a port's ``on_push``
     hook lists it, the network's tick visits only listed ports -- in
     port order, which the ``crossbar``/``ring`` arrival laws depend on
-    -- and forgets a port once it is drained.  The list is plain data
-    and rides checkpoints; the hooks are transient fabric wiring.
+    -- and forgets a port once it is drained.  The list and the hooks
+    (partials of a bound method) are plain data and ride checkpoints.
     """
 
     def __init__(self, ports):
@@ -99,8 +99,6 @@ class _OccupiedPorts:
 @register_backend("icn", "mot")
 class Interconnect(Component):
     """Both ICN directions plus the Master ICN send/return paths."""
-
-    layer = "icn"
 
     #: relative per-package dynamic energy (see AsyncInterconnect)
     energy_factor = 1.0

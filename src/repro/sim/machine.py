@@ -30,7 +30,7 @@ from repro.sim.engine import (
     PRIO_PLUGIN,
     Scheduler,
 )
-from repro.sim.fabric import Fabric, create_backend
+from repro.sim.fabric import create_backend
 from repro.sim.functional import Memory
 from repro.sim.mtcu import MasterTCU
 from repro.sim.psunit import PrefixSumUnit
@@ -235,9 +235,8 @@ class Machine:
 
         # clock domains (components iterate in priority order within a tick)
         self._build_domains()
-        #: wiring map + transient port hooks (rebuilt on checkpoint load)
-        self.fabric: Optional[Fabric] = None
-        self._wire_fabric()
+        # the network's port wake-ups arm the domain it has just joined
+        self.icn.hook_ports()
 
         # plug-ins
         self.activity_plugins = []
@@ -254,8 +253,8 @@ class Machine:
     # -- construction ------------------------------------------------------------
 
     def _bind_decode(self) -> None:
-        """(Re)derive the shared decode of the program.  Stripped from
-        checkpoints like the fabric, and rebuilt on restore."""
+        """(Re)derive the shared decode of the program: left behind by
+        checkpoints (:meth:`__getstate__`) and rebuilt on restore."""
         #: one MicroOp per instruction, read-only across the Master and
         #: all TCUs
         self.decoded = decode_program(self.program)
@@ -265,13 +264,20 @@ class Machine:
         self.blocks = (self.decoded.blocks(cfg.branch_latency == 1, lone=True)
                        if cfg.alu_latency == 1 else None)
 
-    def _wire_fabric(self) -> None:
-        """(Re)build the wiring map and the transient port hooks.
-
-        Called at construction and again by checkpoint restore -- the
-        Fabric (like traces and plug-ins) is detached before pickling.
-        """
-        self.fabric = Fabric(self)
+    def __getstate__(self):
+        """What a checkpoint holds: everything but what only a live
+        process can (whoever restores puts those back, MANUAL 4.4)."""
+        state = self.__dict__.copy()
+        # observation consumers and plug-ins hold open files, sockets
+        # and closures.  (Package ``rec`` stamps are plain tuples and
+        # stay: the restored machine just stops appending to them until
+        # a recorder is subscribed again)
+        state.update(obs=None, activity_plugins=[], filter_plugins=[],
+                     filter_hook=None)
+        # the decode holds generated functions, and is derived state:
+        # ``load_bytes`` rebuilds it from the program
+        state.update(decoded=None, blocks=None)
+        return state
 
     def _build_domains(self) -> None:
         cfg = self.config
@@ -289,7 +295,7 @@ class Machine:
             cluster_components.append(self.icn)
         else:
             groups.insert(1, ("icn", cfg.icn_period, PRIO_ICN, [self.icn]))
-        merge = getattr(cfg, "merge_clock_domains", True)
+        merge = cfg.merge_clock_domains
         domain_of_period: Dict[int, ClockDomain] = {}
         for name, period, priority, components in groups:
             if merge and period in domain_of_period:

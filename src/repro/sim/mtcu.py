@@ -36,9 +36,7 @@ class MasterTCU(ProcessorBase):
         super().__init__(machine, tcu_id=-1)
         cfg = machine.config
         self.cache = MasterCache(machine)
-        self.send_queue = Port(capacity=cfg.send_queue_capacity,
-                               name="master.send", layer="cluster",
-                               owner=self)
+        self.send_queue = Port(capacity=cfg.send_queue_capacity)
         self.send_port = self.send_queue
         self.active = True
         self.halted = False

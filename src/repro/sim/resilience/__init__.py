@@ -15,7 +15,6 @@ on purpose:
 
 from repro.sim.resilience.diagnostics import DiagnosticDump, collect
 from repro.sim.resilience.errors import (
-    RecoveryExhausted,
     ResilienceError,
     SimulationBudgetExceeded,
     SimulationStalled,
@@ -47,7 +46,6 @@ __all__ = [
     "InjectionRecord",
     "OUTCOMES",
     "PartialResult",
-    "RecoveryExhausted",
     "RecoveryReport",
     "ResilienceError",
     "SITES",

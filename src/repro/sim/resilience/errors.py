@@ -35,7 +35,3 @@ class SimulationBudgetExceeded(ResilienceError):
     """A run budget tripped: simulated-cycle limit, wall-clock limit or
     event-count budget.  Distinguishes a *runaway* run (still making
     progress, but past its allowance) from a stalled one."""
-
-
-class RecoveryExhausted(ResilienceError):
-    """`run_resilient` used up its retry budget without completing."""

@@ -3,11 +3,20 @@
 Layered on :mod:`repro.sim.checkpoint`'s pause-based periodic
 checkpointing: the machine is snapshotted every ``checkpoint_every``
 cycles; when the run crashes (a trap, an injected fault) or the
-watchdog/budget guards trip, the machine is rolled back to the last
-checkpoint and resumed, up to ``max_retries`` times.  Because planned
-fault injections are ``checkpoint_transient`` (never captured in a
+watchdog/budget guards trip, the machine is rolled back to a checkpoint
+and resumed, up to ``max_retries`` times.  Because planned fault
+injections are ``checkpoint_transient`` (never captured in a
 checkpoint), a transient fault that crashed or hung the run simply does
 not recur on replay -- the run completes with the correct output.
+
+A failure is noticed after the fact -- a hang a whole watchdog window
+after it began -- so the snapshots taken in between already hold it.
+Three are kept, however long the run: the baseline (taken before the
+first event, so before any fault), the newest periodic one, and the
+newest periodic one known to predate the last retired instruction.  The
+first retry of a budget resumes from the newest snapshot not newer than
+the failed machine's last progress; every further retry, and the only
+retry of a budget of one, replays from the baseline.
 
 Deterministic failures (a program bug) recur on every replay; after the
 retry budget is exhausted ``run_resilient`` degrades gracefully to a
@@ -147,11 +156,12 @@ def run_resilient(machine,
         CP.PeriodicCheckpointer(machine, checkpoint_every * period).arm(
             machine.scheduler)
     machine.pause_reason = None
-    last_payload = CP.save_bytes(machine)
-    last_cycle = machine.scheduler.now // period
+    # ``(time_ps, payload)`` each; see the module docstring
+    baseline = settled = newest = (machine.scheduler.now,
+                                   CP.save_bytes(machine))
 
     report = RecoveryReport(completed=False, checkpoints_taken=1,
-                            last_checkpoint_cycle=last_cycle)
+                            last_checkpoint_cycle=baseline[0] // period)
     machine._arm_guards(wall_limit_s, max_events)
     while True:
         try:
@@ -171,8 +181,12 @@ def run_resilient(machine,
                 report.partial_output = "".join(machine.output)
                 return report
             report.retries_used += 1
-            machine = CP.load_bytes(last_payload)
-            failure.resumed_from_cycle = report.last_checkpoint_cycle
+            resume = baseline
+            if report.retries_used == 1 and max_retries > 1:
+                resume = (newest if newest[0] <= machine.last_progress
+                          else settled)
+            machine = CP.load_bytes(resume[1])
+            failure.resumed_from_cycle = resume[0] // period
             if reattach is not None:
                 reattach(machine)
             machine._arm_guards(wall_limit_s, max_events)
@@ -185,12 +199,12 @@ def run_resilient(machine,
             return report
 
         if machine.pause_reason == "checkpoint":
-            machine.pause_reason = None
-            machine.scheduler.stopped = False
-            last_payload = CP.save_bytes(machine)
-            last_cycle = machine.scheduler.now // period
+            CP.clear_pause(machine)
+            if newest[0] <= machine.last_progress:
+                settled = newest
+            newest = (machine.scheduler.now, CP.save_bytes(machine))
             report.checkpoints_taken += 1
-            report.last_checkpoint_cycle = last_cycle
+            report.last_checkpoint_cycle = newest[0] // period
             continue
 
         # ran out of events or cycles without halting: report partial state

@@ -135,6 +135,14 @@ def _flag(name: str, *rejections: type):
         raise CliError(f"{name}: {_message(exc)}") from exc
 
 
+def _at_least(least: int, flag: str, value: int) -> int:
+    """``value``, unless it is a number the code below would quietly
+    read as "off" (a negative interval, a clustering factor of 0)."""
+    if value < least:
+        raise CliError(f"{flag}: must be at least {least}, got {value}")
+    return value
+
+
 def _run(build_parser: Callable[[], argparse.ArgumentParser],
          handler: Callable[[argparse.Namespace], int],
          argv: Optional[List[str]], compile_error_exit: int = 2) -> int:
@@ -194,7 +202,7 @@ def _add_compile_options(parser) -> None:
 def _compile_options(args) -> CompileOptions:
     return CompileOptions(
         opt_level=args.opt_level,
-        cluster_factor=args.cluster,
+        cluster_factor=_at_least(1, "--cluster", args.cluster),
         outline=not args.no_outline,
         memory_fences=not args.no_fences,
         nonblocking_stores=not args.no_nonblocking,
@@ -934,6 +942,8 @@ def _xmtsim(args) -> int:
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
     if args.sanitize and args.mode != "functional":
         raise CliError("--sanitize requires --mode functional")
+    _at_least(0, "--checkpoint-every", args.checkpoint_every)
+    _at_least(0, "--max-retries", args.max_retries or 0)
 
     program, source, config, inputs = _load_run(args)
     if args.watchdog is not None:
@@ -1523,7 +1533,7 @@ def _campaign(args) -> int:
         compile_options=_compile_options(args),
         workers=args.workers,
         serial=args.serial,
-        max_retries=args.max_retries,
+        max_retries=_at_least(0, "--max-retries", args.max_retries),
         backoff_s=args.backoff,
         wall_budget_s=args.wall_budget,
         event_budget=args.event_budget,

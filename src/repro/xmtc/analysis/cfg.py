@@ -25,9 +25,6 @@ class Block:
         self.succs: List[int] = []
         self.live_out = set()
 
-    def preds_of(self, blocks: List["Block"]) -> List[int]:
-        return [b.index for b in blocks if self.index in b.succs]
-
 
 def split_blocks(instrs: List[IR.IRInstr]) -> Tuple[List[Block], Dict[str, int]]:
     """Partition a flat instruction list into basic blocks.

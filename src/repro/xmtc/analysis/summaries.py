@@ -329,12 +329,6 @@ class UnitSummaries:
             written |= s.writes_parallel | s.psm_origins
         return written
 
-    def psm_origins_parallel(self) -> Set[str]:
-        origins: Set[str] = set()
-        for s in self.functions.values():
-            origins |= s.psm_origins
-        return origins
-
     def unknown_parallel_store(self) -> Optional[Site]:
         """First site of a store through an unknown pointer (or psm with
         unknown target) in parallel context, or None if there is none.

@@ -118,13 +118,3 @@ def compile_source(source: str, options: Optional[CompileOptions] = None,
     program.parallel_calls = options.parallel_calls
     result.program = program
     return program
-
-
-def compile_full(source: str, options: Optional[CompileOptions] = None
-                 ) -> CompileResult:
-    """Like :func:`compile_source` but returns the whole
-    :class:`CompileResult` (assembly text, reports, program)."""
-    result = compile_to_asm(source, options)
-    result.program = assemble(result.asm_text)
-    result.program.parallel_calls = (options or CompileOptions()).parallel_calls
-    return result

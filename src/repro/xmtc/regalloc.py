@@ -54,10 +54,6 @@ class Allocation:
             return (REG, temp.pinned)
         return self.map[temp.id]
 
-    def reg_of(self, temp: IR.Temp) -> Optional[int]:
-        kind, n = self.where(temp)
-        return n if kind == REG else None
-
     def describe(self, temp: IR.Temp) -> str:
         kind, n = self.where(temp)
         return reg_name(n) if kind == REG else f"[frame+{n}]"
@@ -184,9 +180,6 @@ class FuncAllocation:
         self.func = func
         self.serial = Allocation()
         self.bodies: Dict[int, Allocation] = {}
-
-    def for_instr_region(self, spawn: Optional[IR.SpawnIR]) -> Allocation:
-        return self.serial if spawn is None else self.bodies[id(spawn)]
 
 
 def allocate(func: IR.IRFunc) -> FuncAllocation:

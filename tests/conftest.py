@@ -53,6 +53,14 @@ def run_xmtc_cycle(source: str, config=None, inputs=None, options=None,
     return program, sim.run(max_cycles=max_cycles)
 
 
+def fabric_ports(machine):
+    """Every port of a machine: the send ports the network drains and
+    each cache module's request and return port."""
+    return machine.send_ports + [
+        port for module in machine.cache_modules
+        for port in (module.in_queue, module.out_queue)]
+
+
 def _apply(program, inputs):
     if inputs:
         for name, values in inputs.items():

@@ -149,6 +149,10 @@ ROWS = [
     ("xmtcc-2-output-dir-was-traceback", "xmtcc_main",
      ["{good}", "-o", "{missing}.s"], 2, "xmtcc: error: -o: [Errno 2]"),
 
+    ("xmtcc-2-cluster-below-one-was-ignored", "xmtcc_main",
+     ["{good}", "--cluster", "0"], 2,
+     "xmtcc: error: --cluster: must be at least 1, got 0"),
+
     ("xmtsim-0", "xmtsim_main", ["{good}", *TINY], 0, "cycles"),
     ("xmtsim-1-compile-error", "xmtsim_main", ["{bad}", *TINY], 1,
      "xmtsim: compile error:"),
@@ -183,6 +187,12 @@ ROWS = [
     ("xmtsim-2-unwritable-output", "xmtsim_main",
      ["{good}", *TINY, "--metrics-out", "{missing}.json"], 2,
      "xmtsim: error: --metrics-out: [Errno 2]"),
+    ("xmtsim-2-negative-checkpoint-interval-was-ignored", "xmtsim_main",
+     ["{good}", *TINY, "--checkpoint-every", "-5"], 2,
+     "xmtsim: error: --checkpoint-every: must be at least 0, got -5"),
+    ("xmtsim-2-negative-retries-was-zero", "xmtsim_main",
+     ["{good}", *TINY, "--max-retries", "-1"], 2,
+     "xmtsim: error: --max-retries: must be at least 0, got -1"),
     ("xmtsim-3-stalled", "xmtsim_main",
      ["{spawn}", *TINY, "--watchdog", "500", "--inject", "icn.drop@38"], 3,
      "xmtsim: stalled:"),
@@ -237,6 +247,9 @@ ROWS = [
     ("campaign-5-partial", "xmt_campaign_main",
      ["{spin}", *TINY, "--serial", "--quiet", "--max-cycles", "500",
       "--max-retries", "0"], 5, ""),
+    ("campaign-2-negative-retries-was-zero", "xmt_campaign_main",
+     ["{good}", *TINY, "--serial", "--quiet", "--max-retries", "-1"], 2,
+     "xmt-campaign: error: --max-retries: must be at least 0, got -1"),
     ("campaign-2-program-or-queue", "xmt_campaign_main", [], 2,
      "xmt-campaign: error: give a program"),
     ("campaign-2-set-names-the-flag", "xmt_campaign_main",

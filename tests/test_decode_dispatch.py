@@ -392,7 +392,7 @@ class TestCheckpointDecode:
         machine = Machine(prog, tiny())
         machine.start()
         CP.save_bytes(machine)
-        # _detach/_reattach must leave the live machine usable
+        # saving assigns nothing: the live machine keeps its decode
         assert machine.decoded is not None
         result = machine.run(max_cycles=500_000)
         assert result.read_global("A") == self._reference().read_global("A")

@@ -97,7 +97,7 @@ class TestZeroOverhead:
         assert machine.parallel_active, "checkpoint missed the spawn"
 
         restored = CP.load_bytes(payload)
-        assert restored.obs is None  # stripped by _detach_unpicklables
+        assert restored.obs is None  # left behind by Machine.__getstate__
         restored_result = restored.run(max_cycles=2_000_000)
         assert restored_result.cycles == reference.cycles
 

@@ -1,5 +1,7 @@
 """Resilience layer: watchdog, fault-injection campaigns, auto-recovery."""
 
+import os
+
 import pytest
 
 from repro.isa.assembler import assemble
@@ -348,6 +350,58 @@ class TestRecovery:
         assert report.failures[0].error_type == "SimulationStalled"
         assert report.result.read_global("A") == reference.read_global("A")
 
+    @pytest.mark.parametrize("watchdog", [500, 2000])
+    def test_hang_with_periodic_checkpoints_recovers(self, watchdog,
+                                                     monkeypatch):
+        """A hang is noticed a watchdog window after it began, so every
+        periodic snapshot taken in between already holds it: rollback
+        must get behind them inside the default budget, with a number
+        of snapshots in hand that does not depend on how many were
+        taken."""
+        import weakref
+
+        class Held:
+            def __init__(self, payload):
+                self.payload = payload
+
+        held, most = weakref.WeakSet(), [0]
+        save, load = CP.save_bytes, CP.load_bytes
+
+        def tracked_save(machine):
+            snapshot = Held(save(machine))
+            held.add(snapshot)
+            most[0] = max(most[0], len(held))
+            return snapshot
+
+        monkeypatch.setattr(CP, "save_bytes", tracked_save)
+        monkeypatch.setattr(CP, "load_bytes", lambda s: load(s.payload))
+        reference = _reference()
+        machine = _spawn_machine(watchdog_cycles=watchdog)
+        machine.add_plugin(
+            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
+        report = run_resilient(machine, checkpoint_every=50,
+                               max_cycles=100_000)
+        assert report.completed and 1 <= report.retries_used <= 3
+        assert report.checkpoints_taken > 2 * watchdog // 50
+        assert most[0] <= 4  # three in hand and the one being taken
+        assert report.result.cycles == reference.cycles
+        assert report.result.read_global("A") == reference.read_global("A")
+        # the first retry resumed from a snapshot that is not newer than
+        # the last retired instruction (and held the hang); the one that
+        # got through replayed from the baseline
+        resumed = [f.resumed_from_cycle for f in report.failures]
+        assert 0 < resumed[0] <= reference.cycles and resumed[-1] == 0
+        assert "rolled back to cycle 0" in report.format()
+
+    def test_the_only_retry_of_a_budget_replays_from_the_baseline(self):
+        machine = _spawn_machine(watchdog_cycles=500)
+        machine.add_plugin(
+            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
+        report = run_resilient(machine, checkpoint_every=50, max_retries=1,
+                               max_cycles=100_000)
+        assert report.completed and report.retries_used == 1
+        assert report.failures[0].resumed_from_cycle == 0
+
     def test_recovers_transient_crash_from_checkpoint(self):
         reference = _reference()
         machine = _spawn_machine()
@@ -455,6 +509,19 @@ class TestResilienceCLI:
         assert rc == 0
         assert "resilient run completed" in captured.err
         assert "A = [1, 1, 1" in captured.out
+
+    def test_hang_recovered_past_periodic_checkpoints_exits_0(self, capsys):
+        # every snapshot after cycle 600 holds the hang; the watchdog
+        # notices at cycle 3000
+        program = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                               "baselines", "vecadd", "program.c")
+        rc = xmtsim_main([program, "--config", "tiny", "--watchdog", "1500",
+                          "--inject", "icn.drop@600",
+                          "--checkpoint-every", "300"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "resilient run completed after" in err
+        assert "] 1497 cycles, 1949 instructions" in err
 
     def test_masked_injection_exits_0(self, spawn_file, capsys):
         rc = xmtsim_main([spawn_file, "--config", "tiny",

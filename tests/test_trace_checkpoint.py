@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_xmtc_cycle
+from conftest import fabric_ports, run_xmtc_cycle
 from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
@@ -222,3 +222,141 @@ class TestObsWatchdogCheckpoint:
         with pytest.raises(SimulationStalled) as excinfo:
             restored.run(max_cycles=500_000)
         assert excinfo.value.dump is not None
+
+
+class _RefusesToPickle:
+    def __reduce__(self):
+        raise TypeError("a live handle: not for pickling")
+
+
+def _held(machine) -> list:
+    """Every object the machine, its scheduler and its ports hold
+    directly (the heap's events in heap order) -- what ``save_bytes``
+    must neither swap nor edit."""
+    sched = machine.scheduler
+    return [*machine.__dict__.values(), *sched.__dict__.values(),
+            *sched._heap,
+            *(port.on_push for port in fabric_ports(machine))]
+
+
+def _same_objects(before: list, after: list) -> bool:
+    return len(before) == len(after) and all(
+        a is b for a, b in zip(before, after))
+
+
+def _reference():
+    return Simulator(assemble(ASM), tiny()).run(max_cycles=500_000)
+
+
+class TestSavingLeavesTheMachineAlone:
+    """``save_bytes`` is ``settle()`` + ``pickle.dumps``: what stays
+    behind is decided by ``Machine.__getstate__`` and
+    ``Scheduler.__getstate__``, so nothing is detached from the live
+    machine and nothing has to be put back."""
+
+    def _carrying_everything(self, tmp_path):
+        """A paused mid-run machine holding one of everything a
+        checkpoint leaves behind."""
+        from repro.sim.observability import EventStream, Observability
+        from repro.sim.observability.telemetry import (
+            JsonlSink,
+            TelemetrySampler,
+        )
+        from repro.sim.plugins import FrequencyController, HotMemoryFilter
+        from repro.sim.resilience import FaultInjector, FaultSpec
+
+        obs = Observability(events=EventStream(
+            retain=False, stream_to=str(tmp_path / "events.jsonl")))
+        machine = Machine(assemble(ASM), tiny(), observability=obs, plugins=[
+            FrequencyController(lambda m, t, d: {}, interval_cycles=70),
+            HotMemoryFilter(),
+            FaultInjector([FaultSpec("icn.drop", 100_000, seed=1)])])
+        sampler = TelemetrySampler(
+            every_cycles=90, sinks=[JsonlSink(str(tmp_path / "frames.jsonl"))])
+        sampler.attach(machine)
+        sampler.arm()
+        assert CP.run_with_checkpoint(machine, 300) is not None
+        machine._arm_guards(None, None)  # a driver's budget hook
+        return machine, sampler
+
+    def test_save_assigns_nothing(self, tmp_path):
+        machine, sampler = self._carrying_everything(tmp_path)
+        for held in (machine.obs, machine.filter_hook, machine.decoded,
+                     machine.blocks, machine.scheduler.check_hook,
+                     *(port.on_push for port in fabric_ports(machine))):
+            assert held is not None
+        assert machine.activity_plugins and machine.filter_plugins
+        before = _held(machine)
+        CP.save_bytes(machine)
+        assert _same_objects(before, _held(machine))
+        # ...also when the pickle fails half-way: the error propagates,
+        # and there is nothing to repair
+        machine.sampler = _RefusesToPickle()  # (not a transient attribute)
+        before = _held(machine)
+        with pytest.raises(TypeError, match="live handle"):
+            CP.save_bytes(machine)
+        assert _same_objects(before, _held(machine))
+        machine.sampler = None
+        sampler.close()
+        machine.obs.events.close()
+        reference = _reference()
+        result = machine.run(max_cycles=500_000)
+        assert (result.cycles, result.instructions) == \
+            (reference.cycles, reference.instructions)
+
+    def test_restored_machine_has_none_of_it(self, tmp_path):
+        machine, sampler = self._carrying_everything(tmp_path)
+        transient = [e for e in machine.scheduler._heap
+                     if getattr(e.actor, "checkpoint_transient", False)]
+        # the DVFS sampler, the telemetry sampler, the planned fault
+        assert len(transient) == 3
+        assert sampler in [e.actor for e in transient]
+        # (a cancelled event that stays behind is not counted any more)
+        machine.scheduler.cancel(transient[0])
+        restored = CP.load_bytes(CP.save_bytes(machine))
+        sampler.close()
+        machine.obs.events.close()
+        assert restored.obs is None
+        assert restored.activity_plugins == []
+        assert restored.filter_plugins == []
+        assert restored.filter_hook is None
+        assert restored.scheduler.check_hook is None
+        heap = restored.scheduler._heap
+        assert not any(getattr(e.actor, "checkpoint_transient", False)
+                       for e in heap)
+        assert restored.scheduler.pending == \
+            sum(not e.cancelled for e in heap) > 0
+        reference = _reference()
+        result = restored.run(max_cycles=500_000)
+        assert (result.cycles, result.instructions) == \
+            (reference.cycles, reference.instructions)
+        assert result.read_global("A") == reference.read_global("A")
+
+    def test_snapshot_from_inside_notify(self):
+        """Nothing swaps the heap the run loop aliases, so an actor may
+        snapshot the machine from its own ``notify``, mid-run."""
+        from repro.sim.engine import Actor, PRIO_PLUGIN
+
+        class Snapshotter(Actor):
+            payload = None
+
+            def notify(self, scheduler, time, arg):
+                assert machine.parallel_active
+                self.payload = CP.save_bytes(machine)
+
+        reference = _reference()
+        machine = Machine(assemble(ASM), tiny())
+        machine.start()
+        snapshotter = Snapshotter()
+        machine.scheduler.schedule_at(300 * machine.config.cluster_period,
+                                      snapshotter, PRIO_PLUGIN)
+        result = machine.run(max_cycles=500_000)
+        restored = CP.load_bytes(snapshotter.payload)
+        assert restored.scheduler.now == 300 * machine.config.cluster_period
+        again = restored.run(max_cycles=500_000)
+        for got in (result, again):
+            assert got.cycles == reference.cycles
+            assert got.instructions == reference.instructions
+            assert got.memory == reference.memory
+            assert dict(got.stats.counters) == \
+                dict(reference.stats.counters)
