@@ -2,11 +2,12 @@
 
 The simulator is the paper's *instrument*; this package is what points
 it at a design space.  A campaign is a list of run requests (a sweep
-grid or a JSONL queue) driven by a supervisor that shards them across
-forked workers, enforces per-run budgets through the watchdog,
-reschedules dead or hung workers with exponential backoff, dedups
-against the experiment ledger (so a killed campaign resumes where it
-died), and streams typed outcomes to a JSONL results file.  Exposed on
+grid or a JSONL queue) driven by a supervisor that dedups them against
+the experiment ledger (so a killed campaign resumes where it died),
+forks one worker per attempt and sleeps on their pipes, enforces
+per-run budgets through the watchdog and a per-attempt deadline by
+SIGKILL, requeues dead or killed attempts, and streams typed outcomes
+to a JSONL results file.  Exposed on
 the command line as ``xmt-campaign``; ``xmt-compare sweep`` is a thin
 client of the same engine.
 
@@ -14,7 +15,6 @@ See MANUAL 4.9 for the operational guide and
 :mod:`~repro.sim.campaign.engine` for the design notes.
 """
 
-from repro.sim.campaign.chaos import ChaosMonkey
 from repro.sim.campaign.engine import (
     EXIT_PARTIAL,
     OUTCOME_STATUSES,
@@ -38,7 +38,6 @@ from repro.sim.campaign.worker import run_attempt
 __all__ = [
     "CampaignEngine",
     "CampaignResult",
-    "ChaosMonkey",
     "EXIT_PARTIAL",
     "OUTCOME_STATUSES",
     "PreparedRun",

@@ -9,14 +9,22 @@ complete, typed result set no matter what the individual runs do:
   is a ``cached`` outcome with zero simulation -- which is also the
   resume story: re-invoking a killed campaign skips everything that
   finished before the kill;
-- **supervised workers**: each attempt is a separate forked process
-  that publishes its verdict by atomically renaming a result file into
-  place; the supervisor polls for worker exit, so a crash, a SIGKILL or
-  a hang past the parent-side deadline all look the same -- a dead
-  worker with no verdict -- and are rescheduled with exponential
-  backoff up to ``max_retries``;
-- **single-writer ledger**: only the supervisor records manifests, so
-  no worker death can corrupt the ledger;
+- **supervised workers, one loop**: requests wait in a queue as
+  ``(request, attempt)``; each attempt is a separate forked process
+  holding the write end of a one-way pipe, up which it sends telemetry
+  frames and then its verdict.  The supervisor sleeps on every pipe at
+  once (``multiprocessing.connection.wait``) until the nearest attempt
+  deadline, so a verdict, a frame and a death (end of file: a crash, a
+  SIGKILL) wake it, and a hang is killed when the deadline passes; an
+  attempt with no ``ok`` verdict goes back to the queue's tail, up to
+  ``max_retries`` times.  Serial mode is the same loop running each
+  attempt in place.  Everything per attempt is keyed by the request's
+  index, never by its fingerprint: two identical requests are two runs
+  in flight that share nothing;
+- **single writer**: only the supervisor records manifests and writes
+  the campaign's files (results, attempts log, summary, telemetry
+  stream), so no worker death can corrupt any of them -- and a worker
+  whose supervisor died gets ``BrokenPipeError`` on its next send;
 - **typed outcomes, streamed**: every run ends as exactly one of
   ``ok | cached | failed | timeout | gave-up``, appended to a JSONL
   results file the moment it is known (tailing the file shows campaign
@@ -25,35 +33,31 @@ complete, typed result set no matter what the individual runs do:
   ``timeout``/``gave-up`` outcomes in an otherwise complete campaign,
   never a hang or a crash of the campaign itself.
 
-Because the simulator is deterministic, a chaos campaign (workers
-SIGKILLed at random, see :mod:`~repro.sim.campaign.chaos`) produces
-cycle counts bit-identical to a serial run of the same grid -- the
-property ``tests/test_campaign.py`` locks in.
+Because the simulator is deterministic, a campaign whose workers are
+SIGKILLed mid-simulation produces cycle counts bit-identical to a
+serial run of the same grid -- the property ``tests/test_campaign.py``
+locks in with a killer of its own.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
+import multiprocessing
 import os
-import shutil
-import signal
-import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from multiprocessing.connection import Connection, wait
+from types import SimpleNamespace
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.campaign.chaos import ChaosMonkey
 from repro.sim.campaign.requests import PreparedRun, RunBudgets, RunRequest
-from repro.sim.campaign.worker import run_attempt, worker_entry
+from repro.sim.campaign.worker import run_attempt
 from repro.sim.config import XMTConfig
 from repro.sim.observability.artifacts import (
     RUN_PAYLOADS,
-    JsonlTail,
     artifact_json,
     canonical_json,
-    load_artifact,
-    read_jsonl,
     schema_of,
 )
 from repro.sim.observability.ledger import (
@@ -139,7 +143,6 @@ class CampaignResult:
     attempts_total: int
     retries_total: int
     workers_died: int
-    chaos_kills: int
     results_path: Optional[str] = None
 
     @property
@@ -186,8 +189,6 @@ class CampaignResult:
             f"{self.workers_died}), cache-hit ratio: "
             f"{100.0 * self.cache_hit_ratio:.0f}%, "
             f"throughput: {throughput:.2f} attempts/s")
-        if self.chaos_kills:
-            lines.append(f"  chaos: {self.chaos_kills} workers SIGKILLed")
         failures = [o for o in self.outcomes
                     if o.status not in ("ok", "cached")]
         if failures:
@@ -212,7 +213,6 @@ class CampaignResult:
             "attempts_total": self.attempts_total,
             "retries_total": self.retries_total,
             "workers_died": self.workers_died,
-            "chaos_kills": self.chaos_kills,
             "cache_hit_ratio": round(self.cache_hit_ratio, 4),
         }
 
@@ -221,32 +221,6 @@ def campaign_id_for(prepared: Sequence[PreparedRun]) -> str:
     """Content address of the request set (invariant under resume)."""
     return sha256_text(canonical_json(
         [p.fingerprint for p in prepared]))[:12]
-
-
-class _Attempt:
-    """Supervisor-side state of one in-flight worker."""
-
-    def __init__(self, prepared: PreparedRun, attempt: int, process,
-                 result_path: str, deadline: Optional[float],
-                 kill_at: Optional[float],
-                 telemetry_path: Optional[str] = None,
-                 started: float = 0.0):
-        self.prepared = prepared
-        self.attempt = attempt
-        self.process = process
-        self.result_path = result_path
-        self.deadline = deadline
-        self.kill_at = kill_at
-        self.deadline_killed = False
-        self.chaos_killed = False
-        # -- worker telemetry tailing + no-progress stall detection
-        self.telemetry_path = telemetry_path
-        self.telemetry_fh = None
-        self.telemetry_tail = JsonlTail()
-        self.last_seen = started        # last heartbeat/frame (monotonic)
-        self.stall_warned = False
-        self.stall_killed = False
-        self.hung = False               # no heartbeat at time of death
 
 
 class CampaignEngine:
@@ -260,19 +234,14 @@ class CampaignEngine:
                  workers: int = 2,
                  serial: bool = False,
                  max_retries: int = 2,
-                 backoff_s: float = 0.25,
-                 backoff_cap_s: float = 4.0,
                  wall_budget_s: Optional[float] = None,
                  event_budget: Optional[int] = None,
                  max_cycles: Optional[int] = None,
                  attempt_deadline_s: Optional[float] = None,
                  sanitize: bool = False,
-                 chaos: Optional[ChaosMonkey] = None,
                  on_outcome: Optional[Callable[[RunOutcome], None]] = None,
                  telemetry_path: Optional[str] = None,
-                 telemetry_every: int = 2000,
-                 stall_warn_s: Optional[float] = None,
-                 stall_kill_s: Optional[float] = None):
+                 telemetry_every: int = 2000):
         self.requests = list(requests)
         self.ledger = ledger
         self.results_path = results_path
@@ -280,11 +249,15 @@ class CampaignEngine:
         self.compile_options = compile_options
         self.workers = max(1, workers)
         # serial must be explicit: a single *supervised* worker is still
-        # a process pool (attempt deadlines need an out-of-process kill)
+        # a fork (attempt deadlines need an out-of-process kill)
         self.serial = bool(serial)
+        #: how workers are forked; ``None`` runs every attempt in place
+        #: (``serial``, or a platform that cannot fork)
+        self._fork = (
+            multiprocessing.get_context("fork")
+            if not serial
+            and "fork" in multiprocessing.get_all_start_methods() else None)
         self.max_retries = max(0, max_retries)
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self.budgets = RunBudgets(max_cycles=max_cycles,
                                   wall_limit_s=wall_budget_s,
                                   max_events=event_budget)
@@ -297,34 +270,22 @@ class CampaignEngine:
         else:
             self.attempt_deadline_s = None
         self.sanitize = bool(sanitize)
-        self.chaos = chaos
         self.on_outcome = on_outcome
-        #: per-campaign telemetry stream: worker frames multiplexed with
-        #: engine records (campaign-start/outcome/stall-warning/...)
+        #: per-campaign telemetry stream: worker frames interleaved with
+        #: engine records (campaign-start/outcome/campaign-end)
         self.telemetry_path = telemetry_path
         self.telemetry_every = max(1, telemetry_every)
-        #: no-progress stall detection thresholds (seconds without a
-        #: worker heartbeat/frame): warn, then SIGKILL -- alongside the
-        #: wall-clock attempt deadline, which fires even with progress
-        self.stall_warn_s = stall_warn_s
-        self.stall_kill_s = stall_kill_s
 
         #: keyed by request index (unique even if two requests collide
         #: on fingerprint), so no outcome can shadow another
         self._outcomes: Dict[int, RunOutcome] = {}
+        #: request index -> pid of every worker forked for it
+        self._pids: Dict[int, List[int]] = {}
         self._attempts_total = 0
         self._workers_died = 0
         self._results_sink = None
         self._attempts_log_fh = None
         self._telemetry_sink = None
-
-    @property
-    def _worker_telemetry(self) -> bool:
-        """Do workers publish per-attempt telemetry files?  Needed for
-        the campaign stream and for stall detection."""
-        return (self.telemetry_path is not None
-                or self.stall_warn_s is not None
-                or self.stall_kill_s is not None)
 
     # -- preparation ---------------------------------------------------------
 
@@ -414,21 +375,9 @@ class CampaignEngine:
                       unix_time=round(time.time(), 3))
         self._telemetry_sink.write_line(json.dumps(record))
 
-    def _mux_telemetry(self, frames: List[Dict[str, Any]],
-                       prepared: PreparedRun) -> None:
-        """Re-emit a worker's telemetry frames into the campaign
-        stream, enveloped with the run identity."""
-        if self._telemetry_sink is None:
-            return
-        for frame in frames:
-            frame.setdefault("label", prepared.request.label or None)
-            frame.setdefault("fingerprint", prepared.fingerprint)
-            self._telemetry_sink.write_line(json.dumps(frame))
-
     def _log_attempt(self, prepared: PreparedRun, attempt: int,
                      event: str, *, worker_pid: Optional[int] = None,
-                     error: str = "", backoff_s: float = 0.0,
-                     hung: Optional[bool] = None) -> None:
+                     error: str = "") -> None:
         if self._attempts_log_fh is None:
             return
         line = {"fingerprint": prepared.fingerprint,
@@ -439,11 +388,6 @@ class CampaignEngine:
             line["worker_pid"] = worker_pid
         if error:
             line["error"] = error
-        if backoff_s:
-            line["backoff_s"] = round(backoff_s, 4)
-        if hung is not None:
-            # hung = no heartbeat at death vs slow = heartbeats flowing
-            line["hung"] = hung
         self._attempts_log_fh.write(json.dumps(line) + "\n")
         self._attempts_log_fh.flush()
 
@@ -518,11 +462,7 @@ class CampaignEngine:
                     self._finalize(prep, "cached", 0, record=hit)
                 else:
                     fresh.append(prep)
-            if fresh:
-                if self.serial or not self._fork_available():
-                    self._run_serial(fresh)
-                else:
-                    self._run_pool(fresh)
+            self._execute(fresh)
             counts = {name: 0 for name in OUTCOME_STATUSES}
             for outcome in self._outcomes.values():
                 counts[outcome.status] += 1
@@ -543,7 +483,6 @@ class CampaignEngine:
             attempts_total=self._attempts_total,
             retries_total=retries,
             workers_died=self._workers_died,
-            chaos_kills=(self.chaos.kills_delivered if self.chaos else 0),
             results_path=self.results_path)
         if self.ledger is not None:
             summary_path = os.path.join(
@@ -552,277 +491,149 @@ class CampaignEngine:
                 fh.write(artifact_json(result.to_summary()))
         return result
 
-    @staticmethod
-    def _fork_available() -> bool:
-        import multiprocessing
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _backoff(self, attempt: int) -> float:
-        return min(self.backoff_s * (2 ** (attempt - 1)), self.backoff_cap_s)
-
-    # serial mode: same classification, no processes -- the golden
-    # reference for the chaos test and the default for small sweeps
-    def _run_serial(self, fresh: List[PreparedRun]) -> None:
-        for prep in fresh:
-            attempts = 0
-            while True:
-                attempts += 1
-                self._attempts_total += 1
-                telemetry_path = None
-                if self.telemetry_path:
-                    fd, telemetry_path = tempfile.mkstemp(
-                        prefix="xmt-run-", suffix=".telemetry.jsonl")
-                    os.close(fd)
-                try:
-                    payload = run_attempt(
-                        prep, self.budgets, attempts,
-                        isolate=False, sanitize=self.sanitize,
-                        telemetry_path=telemetry_path,
-                        telemetry_every=self.telemetry_every)
-                finally:
-                    if telemetry_path is not None:
-                        try:
-                            self._mux_telemetry(read_jsonl(telemetry_path),
-                                                prep)
-                        except OSError:
-                            pass
-                        try:
-                            os.unlink(telemetry_path)
-                        except OSError:
-                            pass
-                status = payload["status"]
-                self._log_attempt(prep, attempts, status,
-                                  worker_pid=payload.get("worker_pid"),
-                                  error=payload.get("error", ""))
-                if status == "ok":
-                    self._finalize(prep, "ok", attempts, payload=payload)
-                    break
-                if attempts > self.max_retries:
-                    self._finalize(
-                        prep, status, attempts,
-                        error_type=payload.get("error_type", ""),
-                        error=payload.get("error", ""),
-                        dump_summary=payload.get("dump_summary"))
-                    break
-                # deterministic failures recur; retrying in-process is
-                # cheap insurance against host-side flakiness only
-                time.sleep(self._backoff(attempts))
-
-    def _run_pool(self, fresh: List[PreparedRun]) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        workdir = tempfile.mkdtemp(prefix="xmt-campaign-")
-        pending: List[PreparedRun] = list(fresh)
-        retry_heap: List[tuple] = []  # (not_before, seq, prepared, attempt)
-        running: Dict[int, _Attempt] = {}
-        pids: Dict[str, List[int]] = {p.fingerprint: [] for p in fresh}
-        seq = 0
+    def _execute(self, fresh: List[PreparedRun]) -> None:
+        """Drive ``fresh`` to outcomes: one loop for serial and forked
+        mode.  An attempt run in place is settled inside :meth:`_start`;
+        forked ones are slept on, all at once, until a pipe has
+        something to say or the nearest attempt deadline passes."""
+        queue: Deque[Tuple[PreparedRun, int]] = deque(
+            (prep, 1) for prep in fresh)
+        #: read end of a live worker's pipe ->
+        #: (request, attempt number, process, deadline or None)
+        running: Dict[Connection, tuple] = {}
+        slots = self.workers if self._fork is not None else 1
         try:
-            while pending or retry_heap or running:
+            while queue or running:
+                while queue and len(running) < slots:
+                    self._start(*queue.popleft(), queue, running)
+                if not running:
+                    continue  # in place: settled (or requeued) already
+                deadlines = [deadline for *_, deadline in running.values()
+                             if deadline is not None]
+                timeout = (max(0.0, min(deadlines) - time.monotonic())
+                           if deadlines else None)
+                for pipe in wait(list(running), timeout):
+                    try:
+                        message = pipe.recv()
+                    except (EOFError, OSError):
+                        message = None  # died, at worst mid-send
+                    if isinstance(message, str):
+                        self._telemetry_sink.write_line(message)
+                    else:
+                        self._settle(*self._reap(pipe, running), message,
+                                     queue)
                 now = time.monotonic()
-                # spawn: due retries first (they are older), then fresh
-                while len(running) < self.workers:
-                    item = None
-                    if retry_heap and retry_heap[0][0] <= now:
-                        _, _, prep, attempt = heapq.heappop(retry_heap)
-                        item = (prep, attempt)
-                    elif pending:
-                        item = (pending.pop(0), 1)
-                    if item is None:
-                        break
-                    prep, attempt = item
-                    self._spawn(ctx, workdir, running, prep, attempt, now)
-                # tail worker telemetry into the campaign stream and
-                # enforce chaos kills, stall kills, parent deadlines
-                for att in running.values():
-                    self._pump_telemetry(att, now)
-                    self._check_stall(att, now)
-                    alive = att.process.is_alive()
-                    if (att.kill_at is not None and now >= att.kill_at
-                            and alive):
-                        os.kill(att.process.pid, signal.SIGKILL)
-                        att.chaos_killed = True
-                        att.kill_at = None
-                        if self.chaos is not None:
-                            self.chaos.record_delivery()
-                    if (att.deadline is not None and now >= att.deadline
-                            and att.process.is_alive()):
-                        os.kill(att.process.pid, signal.SIGKILL)
-                        att.deadline_killed = True
-                        att.deadline = None
-                # reap finished workers
-                for pid in list(running):
-                    att = running[pid]
-                    if att.process.is_alive():
-                        continue
-                    att.process.join()
-                    del running[pid]
-                    pids[att.prepared.fingerprint].append(pid)
-                    self._settle(att, retry_heap, pids, seq)
-                    seq += 1
-                time.sleep(0.004)
+                for pipe, (_, _, process, deadline) in list(running.items()):
+                    if deadline is not None and now >= deadline:
+                        process.kill()
+                        self._settle(*self._reap(pipe, running), None,
+                                     queue, past_deadline=True)
         finally:
-            for att in running.values():
-                if att.process.is_alive():
-                    att.process.terminate()
-                att.process.join()
-            shutil.rmtree(workdir, ignore_errors=True)
+            for pipe, (_, _, process, _) in list(running.items()):
+                process.kill()
+                self._reap(pipe, running)
 
-    def _spawn(self, ctx, workdir: str, running: Dict[int, "_Attempt"],
-               prep: PreparedRun, attempt: int, now: float) -> None:
-        result_path = os.path.join(
-            workdir, f"{prep.fingerprint}.{attempt}.json")
-        telemetry_path = None
-        if self._worker_telemetry:
-            telemetry_path = os.path.join(
-                workdir, f"{prep.fingerprint}.{attempt}.telemetry.jsonl")
-        process = ctx.Process(
-            target=worker_entry,
-            args=(prep, self.budgets, attempt, result_path, self.sanitize,
-                  telemetry_path, self.telemetry_every),
+    @staticmethod
+    def _reap(pipe: Connection, running: Dict[Connection, tuple]):
+        """Take a worker that has sent its verdict, died or been killed
+        out of ``running``."""
+        prep, attempt, process, _ = running.pop(pipe)
+        pipe.close()
+        process.join()
+        return prep, attempt, process
+
+    def _start(self, prep: PreparedRun, attempt: int, queue: deque,
+               running: Dict[Connection, tuple]) -> None:
+        """Start one attempt: in a forked worker that reports up a pipe,
+        or in place (settled before this returns)."""
+        self._attempts_total += 1
+        if self._fork is None:
+            verdict = run_attempt(
+                prep, self.budgets, attempt, isolate=False,
+                sanitize=self.sanitize, telemetry_sink=self._telemetry_sink,
+                telemetry_every=self.telemetry_every)
+            self._settle(prep, attempt, None, verdict, queue)
+            return
+        receiver, sender = self._fork.Pipe(duplex=False)
+        process = self._fork.Process(
+            target=_forked_attempt,
+            args=(sender, [receiver, *running], prep, self.budgets, attempt,
+                  self.sanitize, self._telemetry_sink is not None,
+                  self.telemetry_every),
             daemon=True)
         process.start()
-        self._attempts_total += 1
-        deadline = (now + self.attempt_deadline_s
+        # the worker now holds the only write end: its death is our EOF
+        sender.close()
+        deadline = (time.monotonic() + self.attempt_deadline_s
                     if self.attempt_deadline_s is not None else None)
-        kill_at = None
-        if self.chaos is not None:
-            retries_left = self.max_retries - (attempt - 1)
-            kill_at = self.chaos.plan_kill(prep.fingerprint, now,
-                                           retries_left)
-        running[process.pid] = _Attempt(prep, attempt, process,
-                                        result_path, deadline, kill_at,
-                                        telemetry_path=telemetry_path,
-                                        started=now)
-        self._log_attempt(prep, attempt, "spawned",
-                          worker_pid=process.pid)
+        running[receiver] = (prep, attempt, process, deadline)
+        self._pids.setdefault(prep.request.index, []).append(process.pid)
+        self._log_attempt(prep, attempt, "spawned", worker_pid=process.pid)
 
-    def _pump_telemetry(self, att: "_Attempt", now: float) -> None:
-        """Drain new frames from a worker's telemetry file into the
-        campaign stream; any complete frame counts as a heartbeat."""
-        if att.telemetry_path is None:
-            return
-        if att.telemetry_fh is None:
-            try:
-                att.telemetry_fh = open(att.telemetry_path, "rb")
-            except OSError:
-                return  # worker has not created its sink yet
-        try:
-            frames = att.telemetry_tail.feed(att.telemetry_fh.read())
-        except OSError:
-            return
-        if frames:
-            self._mux_telemetry(frames, att.prepared)
-            att.last_seen = now
-            att.stall_warned = False
-            att.hung = False
-
-    def _check_stall(self, att: "_Attempt", now: float) -> None:
-        """No-progress detection: a live sim emits frames as cycles
-        advance, so a silent worker is hung, not slow.  Warn once past
-        ``stall_warn_s`` without a frame, SIGKILL past ``stall_kill_s``
-        (the wall-clock attempt deadline still applies independently)."""
-        if att.telemetry_path is None or not att.process.is_alive():
-            return
-        gap = now - att.last_seen
-        if (self.stall_warn_s is not None and gap >= self.stall_warn_s
-                and not att.stall_warned):
-            att.stall_warned = True
-            att.hung = True
-            self._log_attempt(
-                att.prepared, att.attempt, "heartbeat-gap",
-                worker_pid=att.process.pid,
-                error=f"no telemetry for {gap:.1f} s", hung=True)
-            self._emit_telemetry({
-                "kind": "stall-warning",
-                "fingerprint": att.prepared.fingerprint,
-                "label": att.prepared.request.label or None,
-                "attempt": att.attempt,
-                "worker_pid": att.process.pid,
-                "gap_s": round(gap, 3)})
-        if (self.stall_kill_s is not None and gap >= self.stall_kill_s
-                and not att.stall_killed):
-            os.kill(att.process.pid, signal.SIGKILL)
-            att.stall_killed = True
-            att.hung = True
-
-    def _settle(self, att: "_Attempt", retry_heap: List[tuple],
-                pids: Dict[str, List[int]], seq: int) -> None:
-        """Classify a reaped worker and either finalize or reschedule."""
-        prep = att.prepared
-        self._pump_telemetry(att, time.monotonic())
-        if att.telemetry_fh is not None:
-            att.telemetry_fh.close()
-            att.telemetry_fh = None
-        payload: Optional[Dict[str, Any]] = None
-        if os.path.exists(att.result_path):
-            try:
-                payload = load_artifact(att.result_path, "campaign-attempt")
-            except (OSError, ValueError):
-                payload = None  # impossible with atomic rename, but safe
-
-        if payload is not None and payload.get("status") == "ok":
-            self._log_attempt(prep, att.attempt, "ok",
-                              worker_pid=att.process.pid)
-            self._finalize(prep, "ok", att.attempt, payload=payload,
-                           worker_pids=pids[prep.fingerprint])
+    def _settle(self, prep: PreparedRun, attempt: int, process,
+                verdict: Optional[Dict[str, Any]], queue: deque,
+                past_deadline: bool = False) -> None:
+        """Classify a finished attempt -- ``verdict`` is what the worker
+        said, ``None`` if it died or was killed first; ``process`` is
+        ``None`` for an attempt run in place -- and either finalize the
+        run or put its next attempt at the queue's tail."""
+        pid = process.pid if process is not None else os.getpid()
+        pids = self._pids.get(prep.request.index)
+        if verdict is not None and verdict["status"] == "ok":
+            self._log_attempt(prep, attempt, "ok", worker_pid=pid)
+            self._finalize(prep, "ok", attempt, payload=verdict,
+                           worker_pids=pids)
             return
 
-        # hung vs slow matters for post-mortems: only meaningful when
-        # the worker was publishing telemetry at all
-        hung = att.hung if att.telemetry_path is not None else None
-        if payload is not None:
-            status = payload.get("status", "failed")
-            error_type = payload.get("error_type", "")
-            error = payload.get("error", "")
-            dump_summary = payload.get("dump_summary")
-        elif att.stall_killed:
-            status = "timeout"
-            error_type = "WorkerStalled"
-            error = (f"worker pid {att.process.pid} made no telemetry "
-                     f"progress for {self.stall_kill_s} s (hung, not "
-                     f"slow) and was killed")
-            dump_summary = None
-        elif att.deadline_killed:
+        dump_summary = None
+        if verdict is not None:
+            status = verdict["status"]
+            error_type = verdict.get("error_type", "")
+            error = verdict.get("error", "")
+            dump_summary = verdict.get("dump_summary")
+        elif past_deadline:
             status = "timeout"
             error_type = "WorkerDeadline"
-            error = (f"worker pid {att.process.pid} exceeded the "
-                     f"per-attempt deadline and was killed")
-            if hung is not None:
-                error += (" while hung (no telemetry heartbeat)" if hung
-                          else " while still making progress (slow)")
-            dump_summary = None
+            error = (f"worker pid {pid} exceeded the per-attempt "
+                     f"deadline and was killed")
         else:
             status = "failed"
             error_type = "WorkerDied"
-            error = (f"worker pid {att.process.pid} died without a "
-                     f"verdict (exit code {att.process.exitcode})")
-            dump_summary = None
+            error = (f"worker pid {pid} died without a verdict "
+                     f"(exit code {process.exitcode})")
             self._workers_died += 1
+        self._log_attempt(prep, attempt,
+                          "worker-died" if verdict is None else status,
+                          worker_pid=pid, error=error)
 
-        self._log_attempt(prep, att.attempt,
-                          "worker-died" if payload is None else status,
-                          worker_pid=att.process.pid, error=error,
-                          hung=hung)
-
-        if att.attempt <= self.max_retries:
-            backoff = self._backoff(att.attempt)
-            heapq.heappush(retry_heap,
-                           (time.monotonic() + backoff, seq, prep,
-                            att.attempt + 1))
-            self._log_attempt(prep, att.attempt, "rescheduled",
-                              backoff_s=backoff)
+        if attempt <= self.max_retries:
+            # the queue's tail is the delay: whatever is already waiting
+            # runs first, and a local fork has nothing to back off from
+            queue.append((prep, attempt + 1))
+            self._log_attempt(prep, attempt, "rescheduled")
             return
 
         # retry budget exhausted: degrade gracefully to a typed outcome.
-        # A deadline/stall kill is a *diagnosed* timeout; only a death
-        # with no verdict and no diagnosis ends as "gave-up".
-        if payload is not None or att.deadline_killed or att.stall_killed:
-            final = status
-        else:
-            final = "gave-up"
-        self._finalize(prep, final, att.attempt,
+        # A deadline kill is a *diagnosed* timeout; only a death with no
+        # verdict and no diagnosis ends as "gave-up".
+        final = status if verdict is not None or past_deadline else "gave-up"
+        self._finalize(prep, final, attempt,
                        error_type=error_type, error=error,
-                       dump_summary=dump_summary,
-                       worker_pids=pids[prep.fingerprint])
+                       dump_summary=dump_summary, worker_pids=pids)
+
+
+def _forked_attempt(pipe: Connection, inherited: List[Connection],
+                    prepared: PreparedRun, budgets: RunBudgets, attempt: int,
+                    sanitize: bool, stream: bool,
+                    telemetry_every: int) -> None:
+    """Process target: frames (strings), then the verdict (a dict), up
+    ``pipe``.  The read ends the fork copied -- this pipe's and every
+    running neighbour's -- are closed first, so that once the supervisor
+    is gone nobody holds one and the next send is a ``BrokenPipeError``:
+    an orphaned worker dies instead of simulating for no one."""
+    for end in inherited:
+        end.close()
+    sink = SimpleNamespace(write_line=pipe.send) if stream else None
+    pipe.send(run_attempt(prepared, budgets, attempt, sanitize=sanitize,
+                          telemetry_sink=sink,
+                          telemetry_every=telemetry_every))

@@ -1,30 +1,27 @@
-"""One campaign attempt, executed in a (usually forked) worker process.
+"""One campaign attempt: run the simulation, classify what happened.
 
-The worker contract is deliberately minimal so that no failure mode can
-corrupt shared state:
+:func:`run_attempt` is everything a worker does, and it touches nothing
+shared: it gets a :class:`~repro.sim.campaign.requests.PreparedRun`
+(by fork inheritance when the supervisor forked it -- nothing is
+pickled on the way in), runs the simulation under the watchdog-enforced
+budgets and returns a typed verdict (``ok | failed | timeout``) as a
+dict.  How the verdict and the telemetry frames reach the supervisor
+is the supervisor's business (:mod:`~repro.sim.campaign.engine`: up a
+pipe, or nowhere at all in serial mode); a worker SIGKILLed at any
+instant simply never returns one.
 
-- the worker receives a :class:`~repro.sim.campaign.requests.PreparedRun`
-  by fork inheritance (nothing is pickled, no queue is shared);
-- it runs the simulation with watchdog-enforced budgets and classifies
-  the outcome into a typed payload (``ok | failed | timeout``);
-- it reports by **atomically renaming a result file into place** --
-  a half-written file can never be observed, and a worker SIGKILLed at
-  any instant simply leaves no result, which the supervisor detects via
-  the process exit status and reschedules.
-
-The ledger is never touched from a worker: the supervisor is the single
-writer, so a dying worker cannot leave a truncated manifest behind.
+The ledger and every campaign file are never touched from here: the
+supervisor is the single writer, so a dying worker cannot leave a
+truncated manifest behind.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import os
 from typing import Any, Dict, Optional
 
 from repro.sim.campaign.requests import PreparedRun, RunBudgets
-from repro.sim.observability.artifacts import atomic_write, schema_of
 
 
 def _sanitize_pass(program) -> Dict[str, Any]:
@@ -52,7 +49,7 @@ def _sanitize_pass(program) -> Dict[str, Any]:
 
 def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
                 *, isolate: bool = True, sanitize: bool = False,
-                telemetry_path: Optional[str] = None,
+                telemetry_sink=None,
                 telemetry_every: int = 2000) -> Dict[str, Any]:
     """Execute one attempt and classify its outcome.
 
@@ -63,14 +60,11 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
     dynamic race sanitizer and attaches its findings to the payload and
     (as a non-identity field) the manifest.
 
-    ``telemetry_path`` makes the attempt publish telemetry frames (an
-    immediate heartbeat, then one frame every ``telemetry_every``
-    cycles) to that JSONL file -- the supervisor tails it for the
-    per-campaign stream and no-progress stall detection.  The file is
-    written incrementally, so a SIGKILLed worker leaves a valid prefix.
+    ``telemetry_sink`` (anything with ``write_line(str)``; the caller
+    owns and closes it) makes the attempt publish telemetry frames: one
+    as the run starts, one every ``telemetry_every`` cycles, and a
+    ``final`` one however the run ends.
     """
-    import time
-
     from repro.sim.functional import SimulationError
     from repro.sim.observability.ledger import instrumented_run
     from repro.sim.resilience.errors import SimulationBudgetExceeded
@@ -80,15 +74,12 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
     if request.inputs and not isolate:
         program = copy.deepcopy(program)
     telemetry = None
-    if telemetry_path is not None:
-        from repro.sim.observability.telemetry import (
-            JsonlSink,
-            TelemetrySampler,
-        )
+    if telemetry_sink is not None:
+        from repro.sim.observability.telemetry import TelemetrySampler
 
         telemetry = TelemetrySampler(
             every_cycles=telemetry_every,
-            sinks=[JsonlSink(telemetry_path)],
+            sinks=[telemetry_sink],
             meta={"label": request.label or None,
                   "fingerprint": prepared.fingerprint,
                   "attempt": attempt,
@@ -116,9 +107,6 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
         # compile errors, bad globals, simulation errors, stalls: all
         # are per-run failures the supervisor decides how to retry
         return _failure_payload("failed", exc, attempt, telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
     manifest = dict(artifacts.manifest)
     manifest["campaign"] = {"attempt": attempt, "worker_pid": os.getpid()}
     if sanitizer_summary is not None:
@@ -126,7 +114,6 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
         # sanitizer verdict rides along without changing the identity
         manifest["sanitizer"] = sanitizer_summary
     payload = {
-        "schema": schema_of("campaign-attempt"),
         "status": "ok",
         "attempt": attempt,
         "worker_pid": os.getpid(),
@@ -151,7 +138,6 @@ def _failure_payload(status: str, exc: BaseException, attempt: int,
         dump_summary = dump.summary()
     message = str(exc).splitlines()[0] if str(exc) else ""
     payload = {
-        "schema": schema_of("campaign-attempt"),
         "status": status,
         "attempt": attempt,
         "worker_pid": os.getpid(),
@@ -164,15 +150,3 @@ def _failure_payload(status: str, exc: BaseException, attempt: int,
         # exception carried no diagnostic dump
         payload["last_telemetry"] = telemetry.last_frame
     return payload
-
-
-def worker_entry(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
-                 result_path: str, sanitize: bool = False,
-                 telemetry_path: Optional[str] = None,
-                 telemetry_every: int = 2000) -> None:
-    """Process target: run one attempt and publish the verdict."""
-    payload = run_attempt(prepared, budgets, attempt, isolate=True,
-                          sanitize=sanitize,
-                          telemetry_path=telemetry_path,
-                          telemetry_every=telemetry_every)
-    atomic_write(result_path, json.dumps(payload) + "\n")

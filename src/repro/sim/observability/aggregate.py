@@ -10,8 +10,8 @@ write:
   via ``xmt-top report`` on a finished stream;
 - **``xmt-campaign report``** aggregates finished campaigns: outcome
   counts (exactly the ``summary.json`` counts), p50/p95 wall time and
-  cycles overall and per config-override axis, and retry/backoff
-  histograms from the attempts log.
+  cycles overall and per config-override axis, and a histogram of
+  attempts per run.
 
 Renderers follow the ``xmt-compare`` conventions: ``text`` (aligned
 columns), ``markdown`` (pipe tables) and ``json`` (machine-readable,
@@ -126,10 +126,6 @@ def fold_stream(records: Sequence[Dict[str, Any]],
             elif kind == "campaign-end":
                 summary.finished = True
                 summary.counts = record.get("counts")
-            elif kind == "stall-warning":
-                row = summary.row(_row_key(record))
-                row.state = "stalled"
-                row.attempt = record.get("attempt") or row.attempt
             elif kind == "outcome":
                 row = summary.row(_row_key(record))
                 row.state = record.get("status", "done")
@@ -222,12 +218,9 @@ def _axis_stats(outcomes: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def aggregate_campaign(records: Sequence[Dict[str, Any]],
-                       attempts: Optional[Sequence[Dict[str, Any]]] = None
-                       ) -> Dict[str, Any]:
+def aggregate_campaign(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate outcome records (from ``--results`` and/or a campaign
-    telemetry stream) plus an optional ``attempts.jsonl`` into one
-    report payload.
+    telemetry stream) into one report payload.
 
     Outcome lines and engine ``outcome`` telemetry records carry the
     same fields; duplicates (the same run seen through both files) are
@@ -276,15 +269,6 @@ def aggregate_campaign(records: Sequence[Dict[str, Any]],
             key = str(attempts_n)
             retry_hist[key] = retry_hist.get(key, 0) + 1
 
-    backoff_hist: Dict[str, int] = {}
-    heartbeat_gaps = 0
-    for line in attempts or ():
-        if line.get("event") == "rescheduled" and "backoff_s" in line:
-            key = f"{line['backoff_s']:g}"
-            backoff_hist[key] = backoff_hist.get(key, 0) + 1
-        elif line.get("event") == "heartbeat-gap":
-            heartbeat_gaps += 1
-
     return {
         "schema": schema_of("campaign-report"),
         "campaign_id": campaign_id,
@@ -293,8 +277,6 @@ def aggregate_campaign(records: Sequence[Dict[str, Any]],
         "overall": _axis_stats(list(ordered)),
         "axes": axis_stats,
         "retry_histogram": retry_hist,
-        "backoff_histogram": backoff_hist,
-        "heartbeat_gaps": heartbeat_gaps,
     }
 
 
@@ -322,10 +304,6 @@ def render_campaign_report(report: Dict[str, Any],
         f"{attempts}x: {count}" for attempts, count
         in sorted(report["retry_histogram"].items(),
                   key=lambda kv: int(kv[0])))
-    backoff_line = "  ".join(
-        f"{backoff}s: {count}" for backoff, count
-        in sorted(report["backoff_histogram"].items(),
-                  key=lambda kv: float(kv[0])))
 
     if fmt == "markdown":
         out = [f"## campaign report"
@@ -336,10 +314,6 @@ def render_campaign_report(report: Dict[str, Any],
                "", *table]
         if retry_line:
             out += ["", f"attempts histogram: {retry_line}"]
-        if backoff_line:
-            out += [f"backoff histogram: {backoff_line}"]
-        if report.get("heartbeat_gaps"):
-            out += [f"heartbeat gaps: {report['heartbeat_gaps']}"]
         return "\n".join(out)
 
     lines = [("campaign report"
@@ -348,9 +322,4 @@ def render_campaign_report(report: Dict[str, Any],
              f"{report['runs']} runs -- {counts_line}", "", *table]
     if retry_line:
         lines += ["", f"attempts histogram: {retry_line}"]
-    if backoff_line:
-        lines.append(f"backoff histogram: {backoff_line}")
-    if report.get("heartbeat_gaps"):
-        lines.append(f"heartbeat gaps (stall warnings): "
-                     f"{report['heartbeat_gaps']}")
     return "\n".join(lines)

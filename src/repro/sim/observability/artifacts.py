@@ -68,7 +68,6 @@ ARTIFACTS: Dict[str, Artifact] = {
     "ledger-index": Artifact(None, jsonl=True),
     "campaign-attempts": Artifact(None, jsonl=True),
     # whole files outside run directories
-    "campaign-attempt": Artifact("xmt-campaign-attempt/1"),
     "campaign-summary": Artifact("xmt-campaign-summary/1"),
     "fuzz-summary": Artifact("xmtc-fuzz-summary/1"),
     # what the report commands print under --format json

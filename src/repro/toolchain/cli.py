@@ -33,8 +33,8 @@ functional simulator's race sanitizer.  ``xmt-compare`` diffs runs
 recorded with ``--ledger``, sweeps config grids and gates CI against
 committed baselines (MANUAL.md section 4.7).  ``xmt-campaign`` shards a
 sweep grid or a JSONL queue of run requests across supervised worker
-processes with retry/backoff, ledger dedup (resume-after-kill) and
-typed per-run outcomes (MANUAL.md section 4.9).
+processes with retries, ledger dedup (resume-after-kill) and typed
+per-run outcomes (MANUAL.md section 4.9).
 """
 
 from __future__ import annotations
@@ -1313,7 +1313,8 @@ def _compare_sweep(args) -> int:
     engine = CampaignEngine(
         requests, ledger=Ledger(args.ledger) if args.ledger else None,
         base_config=config, compile_options=_compile_options(args),
-        workers=args.workers, serial=args.workers <= 1,
+        workers=_at_least(1, "--workers", args.workers),
+        serial=args.workers == 1,
         max_retries=0, max_cycles=args.max_cycles,
         on_outcome=_progress_printer("xmt-compare"))
     result = engine.run()
@@ -1413,7 +1414,7 @@ def _campaign_parser() -> argparse.ArgumentParser:
         prog="xmt-campaign",
         description="fault-tolerant campaign engine: shard a sweep grid "
                     "or a JSONL run queue across supervised worker "
-                    "processes with retry/backoff, ledger dedup and "
+                    "processes with retries, ledger dedup and "
                     "typed per-run outcomes (MANUAL.md section 4.9)")
     _add_run_options(
         parser, program_nargs="?",
@@ -1428,7 +1429,7 @@ def _campaign_parser() -> argparse.ArgumentParser:
     _add_telemetry_options(
         parser,
         out_help="multiplex worker telemetry frames and engine records "
-                 "(campaign-start, outcomes, stall warnings, campaign-end) "
+                 "(campaign-start, outcomes, campaign-end) "
                  "into one JSONL stream at PATH; watch it live with "
                  "'xmt-top watch --follow', aggregate it with "
                  "'xmt-campaign report'",
@@ -1440,17 +1441,17 @@ def _campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in every run manifest")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker processes (default 2; 1 = serial "
-                             "in-process execution)")
+                        help="supervised worker processes (default 2; "
+                             "1 is still one forked worker -- only "
+                             "--serial runs in-process)")
     parser.add_argument("--serial", action="store_true",
-                        help="force serial in-process execution")
+                        help="run every attempt in-process, one at a "
+                             "time (no fork, so no --attempt-deadline "
+                             "kill)")
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
-                        help="reschedule a failed/dead run up to N times "
-                             "with exponential backoff (default 2)")
-    parser.add_argument("--backoff", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="base retry backoff; doubles per attempt "
-                             "(default 0.25)")
+                        help="requeue a failed/dead run up to N times, "
+                             "behind whatever is already waiting "
+                             "(default 2)")
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="per-run host wall-clock budget, enforced "
@@ -1471,27 +1472,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument("--results", default=None, metavar="PATH",
                         help="stream typed per-run outcomes to PATH as "
                              "JSONL while the campaign runs")
-    parser.add_argument("--stall-warn", type=float, default=None,
-                        metavar="SECONDS",
-                        help="flag a worker that emits no telemetry "
-                             "frame for this long (heartbeat-gap in "
-                             "attempts.jsonl, stall-warning in the "
-                             "stream); enables worker telemetry even "
-                             "without --telemetry-out")
-    parser.add_argument("--stall-kill", type=float, default=None,
-                        metavar="SECONDS",
-                        help="SIGKILL a worker silent for this long -- "
-                             "a hung worker dies early instead of "
-                             "burning its whole --attempt-deadline; "
-                             "classified as a diagnosed timeout "
-                             "(WorkerStalled)")
-    parser.add_argument("--chaos-kill", type=int, default=0, metavar="N",
-                        help="chaos mode: SIGKILL up to N workers "
-                             "mid-run (never a run's last allowed "
-                             "attempt, so healthy campaigns still "
-                             "complete)")
-    parser.add_argument("--chaos-seed", type=int, default=0, metavar="SEED",
-                        help="chaos RNG seed (same seed -> same kills)")
     parser.add_argument("--sanitize", action="store_true",
                         help="additionally run each program under the "
                              "dynamic race sanitizer and record its "
@@ -1502,18 +1482,17 @@ def _campaign_parser() -> argparse.ArgumentParser:
 
 
 def _campaign(args) -> int:
-    from repro.sim.campaign import (
-        CampaignEngine,
-        ChaosMonkey,
-        grid_requests,
-        load_queue,
-    )
+    from repro.sim.campaign import CampaignEngine, grid_requests, load_queue
 
     if (args.program is None) == (args.queue is None):
         raise CliError("give a program (grid mode) or --queue FILE, "
                        "not both")
     if args.queue is not None and args.vary:
         raise CliError("--vary only applies to grid mode")
+    if args.attempt_deadline is not None and args.attempt_deadline <= 0:
+        # a deadline already passed would SIGKILL every worker on spawn
+        raise CliError(f"--attempt-deadline: must be greater than 0, "
+                       f"got {args.attempt_deadline:g}")
 
     _, _, config, inputs = _load_run(args, load=False)
     if args.queue is not None:
@@ -1531,22 +1510,17 @@ def _campaign(args) -> int:
         results_path=args.results,
         base_config=config,
         compile_options=_compile_options(args),
-        workers=args.workers,
+        workers=_at_least(1, "--workers", args.workers),
         serial=args.serial,
         max_retries=_at_least(0, "--max-retries", args.max_retries),
-        backoff_s=args.backoff,
         wall_budget_s=args.wall_budget,
         event_budget=args.event_budget,
         max_cycles=args.max_cycles,
         attempt_deadline_s=args.attempt_deadline,
         sanitize=args.sanitize,
-        chaos=(ChaosMonkey(kills=args.chaos_kill, seed=args.chaos_seed)
-               if args.chaos_kill > 0 else None),
         on_outcome=_progress_printer("xmt-campaign", args.quiet),
         telemetry_path=args.telemetry_out,
-        telemetry_every=args.telemetry_every,
-        stall_warn_s=args.stall_warn,
-        stall_kill_s=args.stall_kill)
+        telemetry_every=args.telemetry_every)
     result = engine.run()
 
     print(result.format())
@@ -1564,17 +1538,13 @@ def _campaign_report_parser() -> argparse.ArgumentParser:
         prog="xmt-campaign report",
         description="aggregate campaign outcome/telemetry streams into "
                     "outcome counts, p50/p95 wall time and cycles per "
-                    "config axis, and retry/backoff histograms")
+                    "config axis, and an attempts-per-run histogram")
     parser.add_argument("--results", default=None, metavar="PATH",
                         help="outcome JSONL written by --results")
     parser.add_argument("--telemetry", default=None, metavar="PATH",
                         help="stream written by --telemetry-out (its "
                              "'outcome' records carry the same fields; "
                              "giving both files never double-counts)")
-    parser.add_argument("--attempts", default=None, metavar="PATH",
-                        help="attempts.jsonl from the campaign ledger "
-                             "directory (adds backoff and heartbeat-gap "
-                             "histograms)")
     _add_report_options(parser)
     return parser
 
@@ -1586,8 +1556,7 @@ def _campaign_report(args) -> int:
     for path in (args.results, args.telemetry):
         if path:
             records += read_jsonl(path)
-    attempts = read_jsonl(args.attempts) if args.attempts else None
-    report = aggregate_campaign(records, attempts)
+    report = aggregate_campaign(records)
     if not report["runs"]:
         raise CliError("no outcome records found")
     print(render_campaign_report(report, args.format))
@@ -1602,9 +1571,8 @@ def xmt_campaign_main(argv: Optional[List[str]] = None) -> int:
     names each), 2 = bad input (unreadable program/queue, bad grid).
 
     ``xmt-campaign report`` is a separate subcommand: it aggregates a
-    finished campaign's ``--results``/``--telemetry-out`` streams and
-    ``attempts.jsonl`` into outcome counts, per-axis percentiles and
-    retry histograms.
+    finished campaign's ``--results``/``--telemetry-out`` streams into
+    outcome counts, per-axis percentiles and an attempts histogram.
     """
     if argv is None:
         argv = sys.argv[1:]

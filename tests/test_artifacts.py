@@ -21,8 +21,7 @@ import re
 import pytest
 
 from repro.power.dtm import PowerThermalPlugin
-from repro.sim.campaign import PreparedRun, RunBudgets, RunRequest, dump_queue
-from repro.sim.campaign.worker import worker_entry
+from repro.sim.campaign import RunRequest, dump_queue
 from repro.sim.config import tiny
 from repro.sim.observability import (
     ARTIFACTS,
@@ -82,7 +81,7 @@ def written(tmp_path_factory):
         power=PowerThermalPlugin(interval_cycles=50)))
     paths["power"] = os.path.join(powered.path, ARTIFACTS["power"].file)
 
-    # one campaign: its streams, its summary, one worker's verdict
+    # one campaign: its streams, its summary, a queue to feed another
     assert cli.xmt_campaign_main(
         [at("good.c"), "--config", "tiny", "--vary", "dram_latency=6,30",
          "--serial", "--quiet", "--ledger", at("campaign-ledger"),
@@ -94,12 +93,9 @@ def written(tmp_path_factory):
         "campaign-attempts": os.path.join(campaign_dir, "attempts.jsonl"),
         "campaign-summary": os.path.join(campaign_dir, "summary.json"),
         "campaign-request": at("queue.jsonl"),
-        "campaign-attempt": at("attempt.json"),
     })
     request = RunRequest(program=at("good.c"), config="tiny", label="q")
     dump_queue([request], paths["campaign-request"])
-    worker_entry(PreparedRun.prepare(request, program, GOOD_C), RunBudgets(),
-                 1, paths["campaign-attempt"])
 
     paths["fuzz-outcome"] = at("fuzz.jsonl")
     summary = run_fuzz_campaign([0, 1], jsonl_path=paths["fuzz-outcome"],

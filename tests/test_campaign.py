@@ -1,11 +1,14 @@
-"""The fault-tolerant campaign engine: requests, dedup, chaos, CLI.
+"""The fault-tolerant campaign engine: requests, dedup, kills, CLI.
 
 The load-bearing properties locked in here:
 
-- **chaos == serial**: a campaign whose workers are SIGKILLed at random
-  mid-run still completes every run, with cycle counts bit-identical to
-  serial execution of the same grid (the simulator is deterministic and
-  the supervisor loses nothing);
+- **killed == serial**: a campaign whose workers are SIGKILLed
+  mid-simulation (by the ``killer`` fixture, from inside the worker)
+  still completes every run, with cycle counts bit-identical to serial
+  execution of the same grid (the simulator is deterministic and the
+  supervisor loses nothing) -- and a campaign whose *supervisor* is
+  SIGKILLed leaves no worker and no temp file behind and resumes from
+  the ledger;
 - **resume-by-dedup**: re-invoking a completed campaign performs zero
   new simulations -- every request is a ledger cache hit;
 - **graceful degradation**: a permanently failing run becomes a typed
@@ -14,19 +17,25 @@ The load-bearing properties locked in here:
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.sim.campaign import (
     CampaignEngine,
-    ChaosMonkey,
     RunRequest,
     dump_queue,
     fingerprint_of_manifest,
     grid_requests,
     load_queue,
 )
+from repro.sim.campaign import engine as campaign_engine
+from repro.sim.engine import PRIO_PLUGIN, CallbackActor, Scheduler
 from repro.sim.observability import Ledger
+from repro.sim.observability.artifacts import read_jsonl
 from repro.toolchain.cli import xmt_campaign_main
 
 SRC = """
@@ -67,6 +76,34 @@ def spin_file(tmp_path):
 
 def _grid8(src_file):
     return grid_requests(src_file, GRID, config="tiny", inputs=dict(INPUTS))
+
+
+@pytest.fixture
+def killer(monkeypatch):
+    """``killer(pairs)``: every forked attempt whose ``(label, attempt)``
+    is in ``pairs`` SIGKILLs itself once its own ``Scheduler`` has
+    passed cycle 40 -- mid-simulation, the hard case.  The patch sits
+    on the name the engine's process target calls, so it rides the
+    fork; the supervisor process never runs it."""
+    def arm(pairs):
+        real = campaign_engine.run_attempt
+
+        def run_attempt(prepared, budgets, attempt, **kwargs):
+            if (prepared.request.label, attempt) in pairs:
+                at = 40 * prepared.config.cluster_period
+                suicide = CallbackActor(
+                    lambda *_: os.kill(os.getpid(), signal.SIGKILL))
+                real_run = Scheduler.run
+
+                def run(scheduler, *args, **kw):
+                    scheduler.schedule_at(at, suicide, PRIO_PLUGIN)
+                    return real_run(scheduler, *args, **kw)
+
+                Scheduler.run = run  # this process is the worker: no undo
+            return real(prepared, budgets, attempt, **kwargs)
+
+        monkeypatch.setattr(campaign_engine, "run_attempt", run_attempt)
+    return arm
 
 
 class TestRequests:
@@ -181,39 +218,92 @@ class TestSerialEngine:
 
 
 class TestPoolEngine:
-    def test_chaos_campaign_bit_identical_to_serial(self, src_file,
-                                                    tmp_path):
-        """>= 8 runs, 2 workers, seeded random SIGKILLs mid-campaign:
-        everything completes and every cycle count equals serial."""
+    def test_killed_campaign_bit_identical_to_serial(self, src_file,
+                                                     tmp_path, killer):
+        """8 runs, 2 workers, four workers SIGKILLed mid-simulation (one
+        run twice): everything completes, every death is retried and
+        attributed, and every cycle count equals serial."""
         serial = CampaignEngine(_grid8(src_file), serial=True).run()
         assert serial.counts["ok"] == 8
         serial_cycles = {o.label: o.cycles for o in serial.outcomes}
 
-        chaos = ChaosMonkey(kills=3, seed=7, max_delay_s=0.01)
+        requests = _grid8(src_file)
+        twice, once_a, once_b = (requests[i].label for i in (1, 4, 7))
+        killer({(twice, 1), (twice, 2), (once_a, 1), (once_b, 1)})
         ledger = Ledger(str(tmp_path / "ledger"))
-        result = CampaignEngine(_grid8(src_file), ledger=ledger,
-                                workers=2, max_retries=3, backoff_s=0.01,
-                                chaos=chaos).run()
+        result = CampaignEngine(requests, ledger=ledger, workers=2,
+                                max_retries=3).run()
         assert result.counts["ok"] == 8
-        assert result.chaos_kills >= 1, "chaos never fired"
-        assert result.attempts_total > 8, "no attempt was retried"
+        assert result.workers_died == 4
+        assert result.attempts_total == 12
+        by_label = {o.label: o for o in result.outcomes}
+        assert {label: o.attempts for label, o in by_label.items()
+                if o.attempts > 1} == {twice: 3, once_a: 2, once_b: 2}
+        # every attempt had a worker of its own, named in the outcome
+        assert all(len(set(o.worker_pids)) == o.attempts
+                   for o in result.outcomes)
+        assert len(by_label[twice].worker_pids) == 3
         assert {o.label: o.cycles for o in result.outcomes} == serial_cycles
         # the ledger holds exactly the 8 runs, no attempt duplicates
         assert len(ledger.list_runs()) == 8
 
-    def test_worker_death_is_retried_and_attributed(self, src_file):
-        # zero delay: the SIGKILL lands on the first supervisor poll,
-        # while the worker is still compiling -- death is guaranteed
-        chaos = ChaosMonkey(kills=1, seed=3, max_delay_s=0.0,
-                            kill_probability=1.0)
-        result = CampaignEngine(_grid8(src_file)[:2], workers=2,
-                                max_retries=2, backoff_s=0.01,
-                                chaos=chaos).run()
+    def test_worker_death_is_retried_and_attributed(self, src_file,
+                                                    tmp_path, killer):
+        first, second = _grid8(src_file)[:2]
+        killer({(first.label, 1)})
+        ledger = Ledger(str(tmp_path / "ledger"))
+        result = CampaignEngine([first, second], ledger=ledger, workers=2,
+                                max_retries=2).run()
         assert result.ok
-        assert result.workers_died >= 1
-        killed = [o for o in result.outcomes if o.attempts > 1]
-        assert killed, "no outcome shows the retry"
-        assert all(len(o.worker_pids) >= 1 for o in killed)
+        assert result.workers_died == 1
+        killed, spared = result.outcomes
+        assert (killed.attempts, spared.attempts) == (2, 1)
+        log = read_jsonl(os.path.join(
+            ledger.campaign_dir(result.campaign_id), "attempts.jsonl"))
+        died, = [e for e in log if e["event"] == "worker-died"]
+        assert died["label"] == first.label
+        assert died["worker_pid"] == killed.worker_pids[0]
+        assert "exit code -9" in died["error"]
+
+    def test_run_that_always_dies_gives_up_alone(self, src_file, killer):
+        """A request whose worker dies on every attempt ends ``gave-up``
+        and costs the request beside it nothing."""
+        doomed, healthy = _grid8(src_file)[:2]
+        killer({(doomed.label, n) for n in (1, 2, 3)})
+        result = CampaignEngine([doomed, healthy], workers=2,
+                                max_retries=2).run()
+        assert result.exit_code() == 5
+        gave_up, neighbour = result.outcomes
+        assert gave_up.status == "gave-up"
+        assert gave_up.error_type == "WorkerDied"
+        assert gave_up.attempts == 3
+        assert len(gave_up.worker_pids) == 3
+        assert (neighbour.status, neighbour.attempts) == ("ok", 1)
+        assert f"{doomed.label}: gave-up after 3 attempts" in result.format()
+
+    def test_identical_requests_share_nothing(self, src_file, tmp_path):
+        """Four copies of one request are four runs in flight: per-attempt
+        state is keyed by request index, not by fingerprint."""
+        def four(name, **kwargs):
+            stream = str(tmp_path / name)
+            requests = [RunRequest(program=src_file, config="tiny",
+                                   label="same", inputs=dict(INPUTS))
+                        for _ in range(4)]
+            result = CampaignEngine(requests, telemetry_path=stream,
+                                    telemetry_every=5, **kwargs).run()
+            assert result.counts["ok"] == 4
+            return result, read_jsonl(stream, strict=True)
+
+        def frames(records):
+            return [r for r in records
+                    if r["schema"] == "xmtsim-telemetry/1"]
+
+        _, serial_records = four("serial.jsonl", serial=True)
+        result, records = four("forked.jsonl", workers=4, max_retries=0)
+        assert all(len(o.worker_pids) == 1 for o in result.outcomes)
+        assert len({o.worker_pids[0] for o in result.outcomes}) == 4
+        assert sum(r["kind"] == "final" for r in frames(records)) == 4
+        assert len(frames(records)) == len(frames(serial_records))
 
     def test_permanently_failing_run_degrades_gracefully(self, src_file,
                                                          spin_file):
@@ -223,8 +313,7 @@ class TestPoolEngine:
             RunRequest(program=spin_file, config="tiny", label="spinner",
                        max_cycles=2000),
         ]
-        result = CampaignEngine(requests, workers=2, max_retries=1,
-                                backoff_s=0.01).run()
+        result = CampaignEngine(requests, workers=2, max_retries=1).run()
         assert not result.ok
         assert result.exit_code() == 5
         by_label = {o.label: o for o in result.outcomes}
@@ -245,7 +334,7 @@ class TestPoolEngine:
         request = RunRequest(program=spin_file, config="tiny",
                              label="hang")
         result = CampaignEngine([request], workers=1, serial=False,
-                                max_retries=0, backoff_s=0.01,
+                                max_retries=0,
                                 attempt_deadline_s=1.0).run()
         outcome = result.outcomes[0]
         assert outcome.status == "timeout"
@@ -261,16 +350,18 @@ class TestCampaignCLI:
                 "--set", "A", "1,2,3,4,5,6,7,8",
                 "--ledger", str(tmp_path / "ledger"), *extra]
 
-    def test_grid_campaign_with_chaos(self, src_file, tmp_path, capsys):
+    def test_grid_campaign_with_chaos(self, src_file, tmp_path, capsys,
+                                      killer):
+        killer({("dram_latency=6,icn_return_width=2", 1),
+                ("dram_latency=14,icn_return_width=1", 1)})
         rc = xmt_campaign_main(self._argv(
-            src_file, tmp_path, "--workers", "2",
-            "--chaos-kill", "2", "--chaos-seed", "7",
-            "--max-retries", "3", "--backoff", "0.01",
+            src_file, tmp_path, "--workers", "2", "--max-retries", "3",
             "--results", str(tmp_path / "results.jsonl")))
         captured = capsys.readouterr()
         assert rc == 0
         assert "ok: 8" in captured.out
-        assert os.path.exists(str(tmp_path / "results.jsonl"))
+        assert "workers died: 2" in captured.out
+        assert len(read_jsonl(str(tmp_path / "results.jsonl"))) == 8
 
     def test_resume_is_all_cache_hits(self, src_file, tmp_path, capsys):
         assert xmt_campaign_main(self._argv(
@@ -313,11 +404,91 @@ class TestCampaignCLI:
     def test_partial_exit_code_and_report(self, spin_file, capsys):
         rc = xmt_campaign_main([spin_file, "--config", "tiny",
                                 "--serial", "--max-cycles", "2000",
-                                "--max-retries", "1", "--backoff", "0.01"])
+                                "--max-retries", "1"])
         captured = capsys.readouterr()
         assert rc == 5
         assert "timeout" in captured.out
         assert "SimulationBudgetExceeded" in captured.out
+
+
+def _stat(pid):
+    """``(state, parent pid)`` of ``pid`` from Linux ``/proc``, or
+    ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, parent = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(parent)
+
+
+def _children(pid):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and (_stat(entry) or ("", 0))[1] == pid]
+
+
+def _running(pid):
+    """Is ``pid`` a live process (not gone, not a zombie)?"""
+    return (_stat(pid) or ("Z", 0))[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="finds the driver's workers through /proc")
+class TestSupervisorKilled:
+    """EXPERIMENTS.md's recipe, run for real: ``kill -9`` the driver
+    mid-campaign, re-run the identical command."""
+
+    def test_kill_leaves_nothing_behind_and_rerun_resumes(self, src_file,
+                                                          tmp_path):
+        results = tmp_path / "results.jsonl"
+        ledger = str(tmp_path / "ledger")
+        scratch = tmp_path / "tmpdir"
+        scratch.mkdir()
+        src_root = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, TMPDIR=str(scratch),
+                   PYTHONPATH=os.path.abspath(src_root))
+        command = [
+            sys.executable, "-c",
+            "import sys; from repro.toolchain.cli import xmt_campaign_main;"
+            " sys.exit(xmt_campaign_main())",
+            src_file, "--config", "fpga64",
+            "--vary", "dram_latency=6,10,14,18,22,26",
+            "--vary", "icn_return_width=1,2",
+            "--vary", "prefetch_buffer_size=2,4",
+            "--set", "A", "1,2,3,4,5,6,7,8", "--workers", "2",
+            "--ledger", ledger, "--results", str(results), "--quiet"]
+
+        driver = subprocess.Popen(command, env=env,
+                                  stdout=subprocess.DEVNULL)
+        try:
+            give_up = time.monotonic() + 60
+            while not (results.exists() and results.read_text().count("\n")):
+                assert driver.poll() is None, "campaign ended before the kill"
+                assert time.monotonic() < give_up
+                time.sleep(0.005)
+            workers = _children(driver.pid)
+        finally:
+            driver.kill()
+            driver.wait(timeout=30)
+        seen = len(read_jsonl(str(results)))
+        assert 1 <= seen < 24
+
+        # no orphan simulates on for no one, no temp directory is left
+        give_up = time.monotonic() + 2
+        while any(map(_running, workers)) and time.monotonic() < give_up:
+            time.sleep(0.02)
+        assert not any(map(_running, workers))
+        assert os.listdir(scratch) == []
+
+        again = subprocess.run(command, env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert again.returncode == 0, again.stderr
+        outcomes = read_jsonl(str(results))
+        assert len(outcomes) == 24
+        cached = sum(o["status"] == "cached" for o in outcomes)
+        assert cached >= seen
+        assert cached + sum(o["status"] == "ok" for o in outcomes) == 24
+        assert len(Ledger(ledger).list_runs()) == 24
 
 
 class TestSweepThinClient:

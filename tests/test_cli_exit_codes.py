@@ -17,7 +17,6 @@ key (``AttributeError`` tracebacks, ``error: Expecting value ...`` and
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import shutil
@@ -116,7 +115,7 @@ def ws(tmp_path_factory):
         accounting = json.load(fh)
     with open(paths["inexact"], "w") as fh:
         json.dump(dict(accounting, exact=False), fh)
-    # one campaign's three streams, then every stream with a torn tail:
+    # one campaign's two streams, then every stream with a torn tail:
     # the writer was killed in the middle of its last line
     campaign = {"results": str(root / "r.jsonl"),
                 "campaign_stream": str(root / "ct.jsonl")}
@@ -125,8 +124,6 @@ def ws(tmp_path_factory):
          "--ledger", str(root / "campaign-ledger"),
          "--results", campaign["results"],
          "--telemetry-out", campaign["campaign_stream"]]) == 0
-    campaign["attempts"], = glob.glob(
-        str(root / "campaign-ledger" / "campaigns" / "*" / "attempts.jsonl"))
     (root / "queue.jsonl").write_text(
         json.dumps({"program": paths["good"], "config": "tiny"}) + "\n")
     campaign["queue"] = str(root / "queue.jsonl")
@@ -238,6 +235,10 @@ ROWS = [
     ("compare-2-set-names-the-flag", "xmt_compare_main",
      ["sweep", "{good}", "--vary", "dram_latency=6,30", "--set", "A",
       "1,x"], 2, "xmt-compare: error: --set A: 'x' is not a number"),
+    ("compare-2-sweep-workers-was-clamped-to-one", "xmt_compare_main",
+     ["sweep", "{good}", *TINY, "--vary", "dram_latency=6,30",
+      "--workers", "-3"], 2,
+     "xmt-compare: error: --workers: must be at least 1, got -3"),
     ("compare-2-vary-type", "xmt_compare_main",
      ["sweep", "{good}", *TINY, "--vary", "icn_period=fast"], 2,
      "--vary icn_period: configuration field 'icn_period' takes int"),
@@ -250,6 +251,13 @@ ROWS = [
     ("campaign-2-negative-retries-was-zero", "xmt_campaign_main",
      ["{good}", *TINY, "--serial", "--quiet", "--max-retries", "-1"], 2,
      "xmt-campaign: error: --max-retries: must be at least 0, got -1"),
+    ("campaign-2-workers-was-clamped-to-one", "xmt_campaign_main",
+     ["{good}", *TINY, "--quiet", "--workers", "0"], 2,
+     "xmt-campaign: error: --workers: must be at least 1, got 0"),
+    ("campaign-2-deadline-already-passed", "xmt_campaign_main",
+     ["{good}", *TINY, "--quiet", "--attempt-deadline", "-1"], 2,
+     "xmt-campaign: error: --attempt-deadline: must be greater than 0, "
+     "got -1"),
     ("campaign-2-program-or-queue", "xmt_campaign_main", [], 2,
      "xmt-campaign: error: give a program"),
     ("campaign-2-set-names-the-flag", "xmt_campaign_main",
@@ -264,7 +272,7 @@ ROWS = [
      "xmt-campaign report: error: give --results"),
     ("campaign-report-0-torn-tails", "xmt_campaign_main",
      ["report", "--results", "{torn_results}", "--telemetry",
-      "{torn_campaign_stream}", "--attempts", "{torn_attempts}"], 0, ""),
+      "{torn_campaign_stream}"], 0, ""),
 
     ("top-0", "xmt_top_main", ["report", "{stream}"], 0, ""),
     ("top-0-torn-tail", "xmt_top_main", ["report", "{torn_stream}"], 0, ""),

@@ -45,11 +45,6 @@ PROGRAMS = ("vecadd", "compact")
 FORMATS = {"text": "txt", "markdown": "md", "json": "json"}
 
 STREAM = test_telemetry.TestAggregation.STREAM
-ATTEMPTS = [
-    {"event": "rescheduled", "backoff_s": 0.25},
-    {"event": "rescheduled", "backoff_s": 0.5},
-    {"event": "heartbeat-gap", "hung": True},
-]
 
 
 def _bundle(artifacts) -> dict:
@@ -92,7 +87,7 @@ def stream_reports() -> dict:
         reports[f"top.{ext}"] = render_top(
             fold_stream(STREAM), fmt)
         reports[f"campaign-report.{ext}"] = render_campaign_report(
-            aggregate_campaign(STREAM, ATTEMPTS), fmt)
+            aggregate_campaign(STREAM), fmt)
     return reports
 
 

@@ -84,15 +84,6 @@ int main() {
 }
 """
 
-SPIN_ASM = """
-    .text
-main:
-spin:
-    j spin
-    halt
-"""
-
-
 @pytest.fixture
 def src_file(tmp_path):
     path = tmp_path / "prog.c"
@@ -299,7 +290,7 @@ class TestWorkerTelemetry:
         telemetry_path = str(tmp_path / "attempt.telemetry.jsonl")
         payload = run_attempt(prepared, RunBudgets(max_cycles=60), 1,
                               isolate=False,
-                              telemetry_path=telemetry_path,
+                              telemetry_sink=JsonlSink(telemetry_path),
                               telemetry_every=10)
         assert payload["status"] == "timeout"
         frame = payload["last_telemetry"]
@@ -342,10 +333,17 @@ class TestCampaignTelemetry:
         report = aggregate_campaign(records)
         for status, count in summary["counts"].items():
             assert report["counts"].get(status, 0) == count
-        # worker frames made it through the mux, enveloped with identity
+        # worker frames made it up the pipes, each naming its attempt
         frames = [r for r in records
                   if r.get("schema") == SCHEMA_TELEMETRY]
-        assert frames and all(r.get("fingerprint") for r in frames)
+        assert frames and all(
+            r["fingerprint"] and r["attempt"] == 1 and r["worker_pid"]
+            for r in frames)
+        # and each run's closing frame is in the stream before its outcome
+        for outcome in result.outcomes:
+            mine = [r.get("kind") for r in records
+                    if r.get("fingerprint") == outcome.fingerprint]
+            assert mine.index("final") < mine.index("outcome")
 
     def test_serial_mode_streams_too(self, src_file, tmp_path):
         engine = self._engine(src_file, tmp_path, serial=True)
@@ -354,35 +352,6 @@ class TestCampaignTelemetry:
         records = read_jsonl(str(tmp_path / "telemetry.jsonl"))
         assert any(r.get("schema") == SCHEMA_TELEMETRY for r in records)
         assert aggregate_campaign(records)["counts"]["ok"] == 2
-
-    def test_stalled_worker_warned_then_killed(self, tmp_path):
-        spin = tmp_path / "spin.s"
-        spin.write_text(SPIN_ASM)
-        telemetry = str(tmp_path / "telemetry.jsonl")
-        engine = CampaignEngine(
-            [RunRequest(program=str(spin), config="tiny", label="spin")],
-            ledger=Ledger(str(tmp_path / "ledger")),
-            workers=1, max_retries=0,
-            telemetry_path=telemetry,
-            telemetry_every=10 ** 9,   # never emits a frame: "hung"
-            stall_warn_s=0.2, stall_kill_s=0.6)
-        result = engine.run()
-        outcome = result.outcomes[0]
-        assert outcome.status == "timeout"
-        assert outcome.error_type == "WorkerStalled"
-        assert "hung" in outcome.error
-
-        kinds = [r.get("kind") for r in read_jsonl(telemetry)]
-        assert "stall-warning" in kinds
-
-        log_path = os.path.join(
-            engine.ledger.campaign_dir(result.campaign_id),
-            "attempts.jsonl")
-        events = [json.loads(line) for line in open(log_path)]
-        gap = [e for e in events if e["event"] == "heartbeat-gap"]
-        assert gap and gap[0]["hung"] is True
-        died = [e for e in events if e["event"] == "worker-died"]
-        assert died and died[0]["hung"] is True
 
     def test_resume_index_fast_path(self, src_file, tmp_path):
         engine = self._engine(src_file, tmp_path, workers=2)
@@ -478,23 +447,15 @@ class TestAggregation:
         assert len(payload["rows"]) == 2
 
     def test_campaign_report_golden(self):
-        attempts = [
-            {"event": "rescheduled", "backoff_s": 0.25},
-            {"event": "rescheduled", "backoff_s": 0.5},
-            {"event": "heartbeat-gap", "hung": True},
-        ]
-        report = aggregate_campaign(self.STREAM, attempts)
+        report = aggregate_campaign(self.STREAM)
         assert report["campaign_id"] == "cafe12345678"
         assert report["counts"] == {"ok": 1, "failed": 1}
         assert report["retry_histogram"] == {"1": 1, "3": 1}
-        assert report["backoff_histogram"] == {"0.25": 1, "0.5": 1}
-        assert report["heartbeat_gaps"] == 1
         axis = report["axes"]["dram_latency"]
         assert axis["dram_latency=6"]["cycles_p50"] == 200
         text = render_campaign_report(report, "text")
         assert "2 runs -- failed: 1  ok: 1" in text
         assert "attempts histogram: 1x: 1  3x: 1" in text
-        assert "backoff histogram: 0.25s: 1  0.5s: 1" in text
         payload = json.loads(render_campaign_report(report, "json"))
         assert payload["schema"] == "xmt-campaign-report/1"
 
