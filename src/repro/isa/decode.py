@@ -20,8 +20,9 @@ time every :class:`~repro.isa.instructions.Instruction` is decoded
 A :class:`DecodedProgram` wraps the micro-op list and is shared
 read-only by every TCU of a machine -- one decode per program, not per
 core.  It also carries the program's *blocks* (:class:`BlockTable`):
-straight-line runs of private-ALU micro-ops that both pipelines may
-execute as one generated function, formed when first executed.  The original :class:`Instruction` stays reachable as
+straight-line runs of micro-ops that a pipeline executes as one
+generated function, formed when first executed.  The original
+:class:`Instruction` stays reachable as
 ``MicroOp.ins`` so traces and the disassembler render the exact text the
 assembler accepted.
 
@@ -43,8 +44,9 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa import instructions as I
-from repro.isa.registers import REG_ZERO
+from repro.isa.registers import REG_RA, REG_ZERO
 from repro.isa.semantics import (
+    BAD_WORD_ADDR_SPEC,
     BRANCH_CONDS,
     BRANCH_SPECS,
     FLOAT_BINOPS,
@@ -330,77 +332,159 @@ def decode_instruction(ins: I.Instruction) -> MicroOp:
 
 # -- basic blocks --------------------------------------------------------------
 #
-# A *block* is a maximal straight-line run of micro-ops that each take
-# exactly one issue slot and touch nothing but the issuing core's own
-# registers: private-ALU value ops, ``li`` and ``nop``, optionally
-# closed by one branch or ``j``.  Both pipelines may execute a block as
-# a single generated function ``regs -> next_pc`` instead of one
-# dispatch per instruction.  Blocks are formed on demand -- the first
-# time a pipeline is about to execute a PC (:class:`BlockTable`) --
-# never by :func:`decode_program`, and the function is generated from
+# A *block* is a maximal straight-line run of micro-ops that one
+# generated function ``_block(r, m, g, c) -> next_pc`` executes in place
+# of one dispatch per instruction.  Blocks are formed on demand -- the
+# first time a pipeline is about to execute a PC (:class:`BlockTable`)
+# -- never by :func:`decode_program`, and the function is generated from
 # the spec strings of :mod:`repro.isa.semantics`, the same text the
-# one-instruction callables (``MicroOp.fn``) are built from.
+# one-instruction callables (``MicroOp.fn``) are built from.  The cycle
+# machine's table holds what takes exactly one issue slot and touches
+# nothing but the issuing core's registers (its functions are called
+# ``fn(regs)``): private-ALU value ops, ``li`` and ``nop``, optionally
+# closed by one branch or ``j``.  The functional engine's
+# (``memory=True``) has no timing to respect and admits all but
+# ``print``/``spawn``/``join``/``halt``: loads, stores and prefix-sums
+# on ``m`` (``Memory.words``) and ``g`` (the global registers), the
+# thread ops of a spawn region (``c``: ``[next id, last id]``), closed
+# by any branch or jump or by ``chkid`` -- under two rules.  *One
+# commit*: values, loaded words and checked addresses live in locals and
+# every effect comes at the end, in program order, so a trap leaves
+# nothing behind.  *One cut*: a read of memory, global or thread state
+# after a deferred effect starts a new block, so nothing is forwarded.
+
+_UNARY = (OP_UNARY, OP_UNARY_SHARED)
+_VALUE_OPS = (OP_ALU, OP_ALU_SHARED, OP_ALU_IMM) + _UNARY
+#: reads of state a deferred effect may have changed, and what defers one
+_STATE_READS = frozenset((OP_LOAD, OP_LOAD_RO, OP_PSM, OP_PS, OP_GETG,
+                          OP_GETVT))
+_EFFECTS = frozenset((OP_STORE, OP_STORE_NB, OP_PSM, OP_PS, OP_SETG,
+                      OP_GETVT))
+#: what the functional engine's blocks hold, and what may close one
+_TRANSLATED = _STATE_READS | _EFFECTS | frozenset(
+    _VALUE_OPS + (OP_LI, OP_NOP, OP_PREFETCH, OP_FENCE, OP_GETTCU))
+_CLOSERS = frozenset((OP_BRANCH, OP_JUMP, OP_JAL, OP_JR, OP_CHKID))
+#: what a block returns whose ``chkid`` finds the spawn's ids used up
+REGION_DONE = -1
+
 
 def _value_spec(u: MicroOp) -> Optional[str]:
-    """The spec string a private-ALU value op was built from; None for
-    an op that cannot join a block (a definition registered as a bare
-    callable has no text to fuse)."""
-    if u.code == OP_ALU or u.code == OP_ALU_IMM:
-        return INT_BINOP_SPECS.get(IMM_ALIASES.get(u.op, u.op))
-    if u.code == OP_UNARY:
+    """The spec string a value op was built from; None for a definition
+    registered as a bare callable (every float binary op)."""
+    if u.code in _UNARY:
         return UNOP_SPECS.get(u.op)
-    return None
+    return INT_BINOP_SPECS.get(IMM_ALIASES.get(u.op, u.op))
 
 
 def _fusable(u: MicroOp) -> bool:
-    return u.code in (OP_LI, OP_NOP) or _value_spec(u) is not None
+    """May ``u`` sit inside a block of the cycle machine?"""
+    return u.code in (OP_LI, OP_NOP) or (
+        u.code in (OP_ALU, OP_ALU_IMM, OP_UNARY)
+        and _value_spec(u) is not None)
+
+
+def _value_text(u: MicroOp, a: str, b: str) -> str:
+    """Expression text of a value op on operand atoms: its spec, or a
+    call of its registered callable by name."""
+    spec = _value_spec(u)
+    if spec is not None:
+        return value_expr(spec, a, b)
+    if u.code in _UNARY:
+        return f"UNOPS[{u.op!r}]({a})"
+    op = IMM_ALIASES.get(u.op, u.op)
+    kind = "INT" if op in INT_BINOPS else "FLOAT"
+    return f"{kind}_BINOPS[{op!r}]({a}, {b})"
 
 
 def block_source(uops: List[MicroOp], next_pc: int) -> str:
-    """Python source of ``_block(r) -> next_pc`` for a block's micro-ops
-    (``next_pc`` is the fall-through PC).  Registers live in locals
-    between the first read and one store per written register at the
-    end, so a spec that traps leaves the register file untouched."""
-    lines = ["def _block(r):"]
-    local = set()
-    written: Dict[int, None] = {}
+    """Python source of ``_block(r, m, g, c) -> next_pc`` for a block's
+    micro-ops (``next_pc`` is the fall-through PC).  A register lives in
+    a fresh local per write; effects on ``m``/``g``/``c`` are collected
+    and emitted -- then one store per written register -- after the last
+    line that can trap."""
+    lines = ["def _block(r, m=None, g=None, c=None):"]
+    names: Dict[int, str] = {}  # register -> the local of its value
+    effects: List[str] = []
 
     def atom(reg: int) -> str:
         if reg == REG_ZERO:
             return "0"
-        if reg not in local:
-            local.add(reg)
+        if reg not in names:
+            names[reg] = f"r{reg}"
             lines.append(f" r{reg} = r[{reg}]")
-        return f"r{reg}"
+        return names[reg]
+
+    def address(u: MicroOp) -> str:
+        name = f"a{len(lines)}"
+        lines.append(f" {name} = ({atom(u.rs)} + ({u.imm})) & 0xFFFFFFFF")
+        lines.append(f" if {BAD_WORD_ADDR_SPEC.format(a=name)}:"
+                     " raise TrapError")
+        return name
+
+    def fetch_add(u: MicroOp, cell: str, read: str) -> str:
+        """``psm``/``ps``: ``rd`` gets the cell, the cell gets the sum."""
+        old = f"p{len(lines)}"
+        lines.append(f" {old} = {read}")
+        effects.append(f" {cell} = ({old} + {atom(u.rd)}) & 0xFFFFFFFF")
+        return old
 
     result = f" return {next_pc}"
     for u in uops:
         code = u.code
-        if code == OP_NOP:
+        rd = u.rd
+        if code in (OP_NOP, OP_PREFETCH, OP_FENCE):
             continue
         if code == OP_JUMP:
             result = f" return {u.target}"
+            continue
+        if code == OP_JR:
+            result = f" return {atom(u.rs)}"
             continue
         if code == OP_BRANCH:
             cond = BRANCH_SPECS[u.op].format(
                 a=atom(u.rs), b=atom(u.rt) if u.rt >= 0 else "0")
             result = f" return {u.target} if {cond} else {next_pc}"
             continue
-        if code == OP_LI:
+        if code == OP_CHKID:
+            cond = INT_BINOP_SPECS["sgt"].format(a=atom(u.rs), b="c[1]")
+            result = f" return {REGION_DONE} if {cond} else {next_pc}"
+            continue
+        if code in (OP_STORE, OP_STORE_NB):
+            effects.append(f" m[{address(u)}] = {atom(u.rt)}")
+            continue
+        if code == OP_SETG:
+            effects.append(f" g[{u.imm}] = {atom(rd)}")
+            continue
+        if code == OP_JAL:
+            rd, expr, result = REG_RA, str(next_pc), f" return {u.target}"
+        elif code == OP_LI:
             expr = str(u.imm & 0xFFFFFFFF)
-        elif code == OP_ALU:
-            expr = value_expr(_value_spec(u), atom(u.rs), atom(u.rt))
         elif code == OP_ALU_IMM:
-            expr = value_expr(_value_spec(u), atom(u.rs), f"({u.imm})")
-        else:  # OP_UNARY
-            expr = value_expr(_value_spec(u), atom(u.rs))
-        if u.rd == REG_ZERO:
+            expr = _value_text(u, atom(u.rs), f"({u.imm})")
+        elif code in _VALUE_OPS:
+            expr = _value_text(u, atom(u.rs), atom(u.rt) if u.rt >= 0 else "0")
+        elif code in (OP_LOAD, OP_LOAD_RO):
+            expr = f"m.get({address(u)}, 0)"
+        elif code == OP_PSM:
+            addr = address(u)
+            expr = fetch_add(u, f"m[{addr}]", f"m.get({addr}, 0)")
+        elif code == OP_PS:
+            expr = fetch_add(u, f"g[{u.imm}]", f"g[{u.imm}]")
+        elif code == OP_GETG:
+            expr = f"g[{u.imm}]"
+        elif code == OP_GETVT:
+            expr = "c[0] & 0xFFFFFFFF"
+            effects.append(" c[0] += 1")
+        else:  # OP_GETTCU: one serialized context
+            expr = "0"
+        if rd == REG_ZERO:
             lines.append(f" {expr}")  # evaluated, like the handler; dropped
         else:
-            lines.append(f" r{u.rd} = {expr}")
-            local.add(u.rd)
-            written[u.rd] = None
-    lines += [f" r[{reg}] = r{reg}" for reg in written]
+            names[rd] = f"r{rd}_{len(lines)}"
+            lines.append(f" {names[rd]} = {expr}")
+    lines += effects
+    lines += [f" r[{reg}] = {name}" for reg, name in names.items()
+              if name != f"r{reg}"]
     lines.append(result)
     return "\n".join(lines)
 
@@ -420,10 +504,13 @@ class Block:
     ``regs`` is every register the block reads or writes (what a
     scoreboard must find clear before the block can run unattended);
     ``tally``/``op_tally`` are its per-counter-key and per-mnemonic
-    instruction counts, credited in one go when the block executes.
+    instruction counts, credited in one go when the block executes;
+    ``threaded`` says it holds an op only a spawn region's context may
+    execute (``getvt``/``gettcu``/``chkid``: its function reads ``c``).
     """
 
-    __slots__ = ("pc", "n", "uops", "regs", "tally", "op_tally", "fn")
+    __slots__ = ("pc", "n", "uops", "regs", "tally", "op_tally", "threaded",
+                 "fn")
 
     def __init__(self, uops: List[MicroOp], pc: int):
         self.pc = pc
@@ -439,6 +526,8 @@ class Block:
         self.regs = frozenset(regs - {REG_ZERO, -1})
         self.tally = tuple(keys.items())
         self.op_tally = tuple(Counter(u.op for u in uops).items())
+        self.threaded = any(u.code in (OP_GETVT, OP_GETTCU, OP_CHKID)
+                            for u in uops)
         #: the generated function; compiled at the first whole execution
         self.fn: Optional[Callable[[List[int]], int]] = None
 
@@ -452,27 +541,37 @@ class BlockTable(dict):
     """``pc -> Block`` (``False`` where no block starts), filled in on
     demand: looking up a PC for the first time forms its block."""
 
-    __slots__ = ("uops", "branches", "min_ops")
+    __slots__ = ("uops", "memory", "closers", "min_ops")
 
-    def __init__(self, uops: List[MicroOp], branches: bool, lone: bool):
+    def __init__(self, uops: List[MicroOp], branches: bool, lone: bool,
+                 memory: bool = False):
         super().__init__()
         self.uops = uops
-        #: whether a branch costs one issue slot (else it ends the run
-        #: before it instead of closing the block)
-        self.branches = branches
+        #: the functional engine's table (see the section comment)
+        self.memory = memory
+        #: what may close a block; a branch that costs more than one
+        #: issue slot (not ``branches``) ends the run before it instead
+        self.closers = (_CLOSERS if memory else
+                        (OP_JUMP, OP_BRANCH) if branches else (OP_JUMP,))
         #: a block of one op saves nothing alone, but the cycle machine
         #: chains blocks (``lone``): a ``j`` between two of them, or what
         #: is left of one stopped before its last op, is a block there
-        self.min_ops = 1 if lone else 2
+        self.min_ops = 1 if lone or memory else 2
 
     def __missing__(self, pc: int):
         uops = self.uops
         n = len(uops)
         end = pc
-        while end < n and _fusable(uops[end]):
-            end += 1
-        if end < n and (uops[end].code == OP_JUMP or
-                        (uops[end].code == OP_BRANCH and self.branches)):
+        if self.memory:
+            dirty = False  # an effect is deferred: the next read cuts
+            while end < n and uops[end].code in _TRANSLATED and not (
+                    dirty and uops[end].code in _STATE_READS):
+                dirty = dirty or uops[end].code in _EFFECTS
+                end += 1
+        else:
+            while end < n and _fusable(uops[end]):
+                end += 1
+        if end < n and uops[end].code in self.closers:
             end += 1
         block = self[pc] = (Block(uops[pc:end], pc)
                             if end - pc >= self.min_ops else False)
@@ -496,15 +595,16 @@ class DecodedProgram:
             decode_instruction(ins) for ins in program.instructions]
         self._source = program.instructions
         self._owner = weakref.ref(program)
-        self._blocks: Dict[Tuple[bool, bool], BlockTable] = {}
+        self._blocks: Dict[Tuple[bool, bool, bool], BlockTable] = {}
 
-    def blocks(self, branches: bool = True, lone: bool = False) -> BlockTable:
+    def blocks(self, branches: bool = True, lone: bool = False,
+               memory: bool = False) -> BlockTable:
         """The (initially empty) block table of this program, shared
-        like ``uops``; ``branches``/``lone`` as in :class:`BlockTable`."""
-        table = self._blocks.get((branches, lone))
+        like ``uops``; the arguments as in :class:`BlockTable`."""
+        key = (branches, lone, memory)
+        table = self._blocks.get(key)
         if table is None:
-            table = self._blocks[branches, lone] = BlockTable(
-                self.uops, branches, lone)
+            table = self._blocks[key] = BlockTable(self.uops, *key)
         return table
 
     def fresh_for(self, program) -> bool:

@@ -241,9 +241,10 @@ def register_binop(op: str, fn, float_unit: bool = False) -> None:
     ``fn`` is either a spec string in the convention of
     :data:`INT_BINOP_SPECS` (an expression over ``{a}``/``{b}``, its
     value truncated to 32 bits) or a bare callable on raw bit patterns.
-    Only an integer op with a spec string can be fused into a basic
-    block; a callable -- and every float op -- runs one instruction at
-    a time and ends the block it sits in.
+    Only an integer op with a spec string can be fused into a block of
+    the cycle machine; a callable -- and every float op -- ends the
+    block it sits in there, and is called by name inside a block of the
+    functional engine.
     """
     _check_undefined(op)
     if isinstance(fn, str):
@@ -267,6 +268,12 @@ def register_unop(op: str, fn) -> None:
 def _check_undefined(op: str) -> None:
     if op in INT_BINOPS or op in FLOAT_BINOPS or op in UNOPS:
         raise ValueError(f"opcode {op!r} already defined")
+
+
+#: A 32-bit address pattern ``{a}`` is one :func:`check_word_addr` traps
+#: on exactly when this holds; generated blocks test it inline and leave
+#: naming the trap to the one-instruction path.
+BAD_WORD_ADDR_SPEC = "{a} & 3 or {a} < 4"
 
 
 def check_word_addr(addr: int) -> int:

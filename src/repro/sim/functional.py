@@ -10,12 +10,15 @@ reveal concurrency bugs, because each spawn block executes its virtual
 threads one after the other on a single execution context.
 
 Execution runs over the pre-decoded micro-op form of the program
-(:mod:`repro.isa.decode`): each instruction is decoded exactly once at
-load time into a :class:`~repro.isa.decode.MicroOp` carrying its integer
-opcode, pre-resolved registers and operational definition, and the main
-loops dispatch through the flat :data:`HANDLERS` table -- the same
-opcode space the cycle-accurate processors dispatch on, so the two modes
-cannot diverge on instruction semantics, only on timing.
+(:mod:`repro.isa.decode`) and is *translated*, not interpreted: the
+main loops take the program's blocks (``blocks(memory=True)``) -- loads,
+stores, prefix-sums and the thread loop included -- as one generated
+function each, built from the spec strings the cycle-accurate
+processors' operations come from, so the two modes cannot diverge on
+instruction semantics, only on timing.  What a block cannot hold
+(``spawn``/``print``/``halt``), a block that traps or overruns the
+instruction budget, and every run somebody watches instruction by
+instruction are *stepped* through the flat :data:`HANDLERS` table.
 
 The optional *race sanitizer* (:class:`repro.sim.plugins.RaceSanitizer`,
 passed as ``sanitizer=``) closes part of that gap: it records, per spawn
@@ -32,6 +35,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.isa import instructions as I
 from repro.isa.decode import (
+    REGION_DONE,
+    Block,
     MicroOp,
     N_OPCODES,
     OP_ALU,
@@ -323,6 +328,7 @@ class FunctionalSimulator:
         self.output: List[str] = []
         self.instructions_executed = 0
         self.instruction_counts: Dict[str, int] = {}
+        self._block_runs: Dict[Block, int] = {}
         self.max_instructions = max_instructions
         self.on_instruction = on_instruction
         self._halted = False
@@ -340,20 +346,10 @@ class FunctionalSimulator:
         The decode cache is shared too -- both modes read the same
         micro-ops.
         """
-        sim = cls.__new__(cls)
-        sim.program = program
-        sim.decoded = decode_program(program)
+        sim = cls(program, max_instructions=max_instructions)
         sim.memory = memory
         sim.global_regs = global_regs
-        sim.master = CoreState(pc=program.entry)
         sim.output = output
-        sim.instructions_executed = 0
-        sim.instruction_counts = {}
-        sim.max_instructions = max_instructions
-        sim.on_instruction = None
-        sim.sanitizer = None
-        sim._halted = False
-        sim._current_core = sim.master
         return sim
 
     def run_spawn_region(self, region, low: int, high: int,
@@ -363,13 +359,17 @@ class FunctionalSimulator:
         master = CoreState()
         master.regs[:] = master_regs
         self._run_spawn_serialized(master, region, low, high)
+        self._credit_blocks()
         return self.instructions_executed
 
     # -- public API -----------------------------------------------------------
 
     def run(self) -> FunctionalResult:
         """Run to ``halt``; returns the collected result."""
-        self._exec_serial(self.master)
+        try:
+            self._exec_serial(self.master)
+        finally:
+            self._credit_blocks()  # a trap report shows stepping's counts
         if not self._halted:
             raise SimulationError("program ended without executing halt")
         return FunctionalResult(
@@ -398,24 +398,41 @@ class FunctionalSimulator:
         return SimulationError(
             f"trap at text index {u.index} (asm line {u.line}, {u.op}): {message}")
 
-    def _run_block(self, core: CoreState, block) -> bool:
+    def _blocks(self):
+        """The block table to take, by who observes the run: none under
+        a per-instruction callback, the register-only one under a
+        sanitizer (its hooks fire in the handlers), else the translated."""
+        if self.on_instruction is not None:
+            return None
+        return self.decoded.blocks(memory=self.sanitizer is None)
+
+    def _run_block(self, core: CoreState, block: Block,
+                   threads: Optional[List[int]] = None) -> bool:
         """Execute a whole block (:mod:`repro.isa.decode`) in one call.
         False -- the caller steps one instruction instead -- when the
         instruction budget has no room for all of it, so the budget
-        trips on the same instruction either way."""
+        trips on the same instruction either way, and when it traps."""
         executed = self.instructions_executed + block.n
         if (self.max_instructions is not None
                 and executed > self.max_instructions):
             return False
         try:
-            core.pc = (block.fn or block.compile())(core.regs)
+            core.pc = (block.fn or block.compile())(
+                core.regs, self.memory.words, self.global_regs, threads)
         except TrapError:
-            return False  # registers untouched: stepping names the op
+            return False  # nothing committed: stepping names the op
         self.instructions_executed = executed
-        counts = self.instruction_counts
-        for op, count in block.op_tally:
-            counts[op] = counts.get(op, 0) + count
+        runs = self._block_runs
+        runs[block] = runs.get(block, 0) + 1
         return True
+
+    def _credit_blocks(self) -> None:
+        """Expand the executed blocks into ``instruction_counts``."""
+        counts = self.instruction_counts
+        for block, times in self._block_runs.items():
+            for op, count in block.op_tally:
+                counts[op] = counts.get(op, 0) + count * times
+        self._block_runs.clear()
 
     def _exec_serial(self, core: CoreState) -> None:
         """Serial execution on the Master until halt; spawns serialize."""
@@ -423,9 +440,7 @@ class FunctionalSimulator:
         uops = self.decoded.uops
         n = len(uops)
         handlers = HANDLERS
-        # blocks hold no memory op (nothing for the sanitizer to see),
-        # but a per-instruction callback must see every instruction
-        blocks = self.decoded.blocks() if self.on_instruction is None else None
+        blocks = self._blocks()
         self._current_core = core
         while not self._halted:
             pc = core.pc
@@ -433,7 +448,8 @@ class FunctionalSimulator:
                 raise SimulationError(f"PC out of range: {pc}")
             if blocks is not None:
                 block = blocks[pc]
-                if block and self._run_block(core, block):
+                if (block and not block.threaded
+                        and self._run_block(core, block)):
                     continue
             u = uops[pc]
             self._bump(u)
@@ -472,14 +488,14 @@ class FunctionalSimulator:
         """
         tcu = CoreState(pc=region.start)
         tcu.copy_from(master)
-        counter = low
+        threads = [low, high]  # the next id to grant, the spawn's last
         uops = self.decoded.uops
         n = len(uops)
         handlers = HANDLERS
         parallel_calls = self.program.parallel_calls
         region_start = region.start
         region_join = region.join_index
-        blocks = self.decoded.blocks() if self.on_instruction is None else None
+        blocks = self._blocks()
         self._current_core = tcu
         sanitizer = self.sanitizer
         if sanitizer is not None:
@@ -487,6 +503,8 @@ class FunctionalSimulator:
         while True:
             pc = tcu.pc
             if not region_start <= pc < region_join:
+                if pc == REGION_DONE:
+                    return  # a block's chkid found the ids used up
                 if pc == region_join:
                     raise SimulationError(
                         "TCU flowed into join without a chkid park "
@@ -503,7 +521,7 @@ class FunctionalSimulator:
                     raise SimulationError(f"TCU PC out of range: {pc}")
             if blocks is not None:
                 block = blocks[pc]
-                if block and self._run_block(tcu, block):
+                if block and self._run_block(tcu, block, threads):
                     continue
             u = uops[pc]
             self._bump(u)
@@ -515,10 +533,10 @@ class FunctionalSimulator:
                     raise self._trap(u, str(exc)) from None
                 continue
             if code == OP_GETVT:
-                tcu.write(u.rd, to_unsigned(counter))
+                tcu.write(u.rd, to_unsigned(threads[0]))
                 if sanitizer is not None:
-                    sanitizer.set_thread(counter)
-                counter += 1
+                    sanitizer.set_thread(threads[0])
+                threads[0] += 1
                 tcu.pc = pc + 1
                 continue
             if code == OP_CHKID:

@@ -77,6 +77,12 @@ class Trace:
         self._emit(f"{now:>12} {who} [{ins.index:5}] "
                    f"{format_instruction(ins)}")
 
+    def executed(self, ins, core) -> None:
+        """``FunctionalSimulator(on_instruction=trace.executed)``: a
+        functional-mode run has no clock and one serialized context."""
+        if self._want(-1, ins.op):
+            self._emit(f"[{ins.index:5}] {format_instruction(ins)}")
+
     def replied(self, pkg, now: int) -> None:
         if self.level != LEVEL_CYCLE:
             return

@@ -97,6 +97,7 @@ from repro.sim.resilience import (
     run_resilient,
 )
 from repro.sim.sampling import PhaseSampler, SampledSimulator
+from repro.sim.stats import Stats
 from repro.sim.trace import Trace
 from repro.toolchain.driver import apply_inputs, load_program
 from repro.xmtc.compiler import CompileOptions, compile_to_asm
@@ -940,6 +941,10 @@ def _xmtsim(args) -> int:
         ("--ledger", args.ledger)) if given]
     if cycle_only and args.mode != "cycle":
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
+    for flag, given in (("--trace cycle", args.trace == "cycle"),
+                        ("--max-cycles", args.max_cycles is not None)):
+        if given and args.mode == "functional":  # it has no clock
+            raise CliError(f"{flag} cannot be used with --mode functional")
     if args.sanitize and args.mode != "functional":
         raise CliError("--sanitize requires --mode functional")
     _at_least(0, "--checkpoint-every", args.checkpoint_every)
@@ -974,10 +979,17 @@ def _xmtsim(args) -> int:
             sanitizer = None
             if args.sanitize:
                 sanitizer = RaceSanitizer()
-            result = FunctionalSimulator(program, sanitizer=sanitizer).run()
+            result = FunctionalSimulator(
+                program, sanitizer=sanitizer,
+                on_instruction=None if trace is None else trace.executed
+            ).run()
             sys.stdout.write(result.output)
             print(f"[functional] {result.instructions} instructions",
                   file=sys.stderr)
+            if args.stats:
+                stats = Stats()
+                stats.merge_instruction_counts(result.instruction_counts)
+                print(stats.report(), file=sys.stderr)
             if sanitizer is not None:
                 print(sanitizer.report(program), file=sys.stderr)
             memory = result.memory

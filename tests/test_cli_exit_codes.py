@@ -151,6 +151,24 @@ ROWS = [
      "xmtcc: error: --cluster: must be at least 1, got 0"),
 
     ("xmtsim-0", "xmtsim_main", ["{good}", *TINY], 0, "cycles"),
+    # functional mode used to drop these four flags silently (exit 0)
+    ("xmtsim-0-functional-trace", "xmtsim_main",
+     ["{spawn}", "--mode", "functional", "--trace", "functional"], 0,
+     "[    3] getvt $k0\n[    4] chkid $k0\n"),
+    ("xmtsim-0-functional-trace-limit", "xmtsim_main",
+     ["{spawn}", "--mode", "functional", "--trace", "functional",
+      "--trace-limit", "3"], 0,
+     "[    2] spawn $t0, $t1\n... trace truncated: limit=3 reached"),
+    ("xmtsim-0-functional-stats", "xmtsim_main",
+     ["{spawn}", "--mode", "functional", "--stats"], 0,
+     "instructions.getvt  17\ninstructions.halt   1\n"
+     "instructions.j      16\n"),
+    ("xmtsim-2-functional-trace-cycle", "xmtsim_main",
+     ["{spawn}", "--mode", "functional", "--trace", "cycle"], 2,
+     "xmtsim: error: --trace cycle cannot be used with --mode functional"),
+    ("xmtsim-2-functional-max-cycles", "xmtsim_main",
+     ["{spawn}", "--mode", "functional", "--max-cycles", "5"], 2,
+     "xmtsim: error: --max-cycles cannot be used with --mode functional"),
     ("xmtsim-1-compile-error", "xmtsim_main", ["{bad}", *TINY], 1,
      "xmtsim: compile error:"),
     ("xmtsim-1-runtime-error", "xmtsim_main",

@@ -1,5 +1,6 @@
 """Phase-sampling tests (Section III-F extension)."""
 
+import json
 import time
 
 import pytest
@@ -8,6 +9,8 @@ from repro.sim.config import tiny
 from repro.sim.machine import Simulator
 from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.xmtc.compiler import compile_source
+
+from test_sleep_wake import GOLDEN_CYCLES, sampled_row
 
 #: a spawn-loop program: many executions of the same spawn site
 LOOPY = """
@@ -70,6 +73,17 @@ class TestPhaseSampling:
         # stores are still counted (dispatch-loop overheads differ)
         assert got.stats.get("instructions.lw") >= \
             0.9 * ref.stats.get("instructions.lw")
+
+    def test_fast_forwarded_counts_are_exact(self):
+        """The Master empties ``executor.instruction_counts`` before a
+        fast-forwarded region and merges it after; the executor credits
+        its blocks when the region ends, so the hand-off is whole: every
+        per-mnemonic counter of the three-spawn program equals the
+        recorded one (taken before the engine ran translated blocks)."""
+        with open(GOLDEN_CYCLES) as fh:
+            golden = json.load(fh)["three_spawns"]["sampled"]
+        assert golden["spawn.fast_forwarded"] == 15
+        assert sampled_row() == golden
 
     def test_heterogeneous_sites_tracked_separately(self):
         src = """

@@ -30,8 +30,11 @@ also agree with the last engine is ``tests/golden/cycles.json``, the
 plain run's cycle count, instruction count and output hash for every
 kernel of ``KERNEL_SIZES`` on ``tiny`` and ``fpga64``, and for the four
 Table I microbenchmarks at their ``xmt_bench`` sizes on the whole
-``chip1024`` (``TABLE1_AT_SCALE``).  Regenerate (only when the timing
-model is meant to change)::
+``chip1024`` (``TABLE1_AT_SCALE``) -- plus, per program, a
+``functional`` row (:func:`functional_row`: instructions, per-mnemonic
+counts, output and memory hashes of a ``FunctionalSimulator`` run), the
+cross-commit pin of the translated functional engine.  Regenerate (only
+when the timing model is meant to change)::
 
     PYTHONPATH=src python tests/test_sleep_wake.py
 """
@@ -49,6 +52,7 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
 from repro.sim.config import chip1024, fpga64, tiny
+from repro.sim.functional import FunctionalSimulator
 from repro.sim.fabric import registered
 from repro.sim.machine import Machine
 from repro.sim.mtcu import MasterTCU
@@ -273,15 +277,70 @@ GOLDEN_CYCLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "golden", "cycles.json")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def golden_row(print_: dict) -> dict:
     """What ``cycles.json`` keeps of a run's fingerprint."""
     return {"cycles": print_["cycles"],
             "instructions": print_["instructions"],
-            "output_sha256": hashlib.sha256(
-                print_["output"].encode("utf-8")).hexdigest()}
+            "output_sha256": _sha256(print_["output"])}
+
+
+def functional_row(program) -> dict:
+    """What ``cycles.json`` keeps of a functional-mode run."""
+    result = FunctionalSimulator(program).run()
+    return {"instructions": result.instructions,
+            "instruction_counts": result.instruction_counts,
+            "output_sha256": _sha256(result.output),
+            "memory_sha256": _sha256(json.dumps(sorted(
+                result.memory.items())))}
+
+
+#: three spawn sites, eight executions each: phase sampling times a
+#: site's first three and fast-forwards the rest through the functional
+#: executor attached to the machine (``tests/test_sampling.py``)
+THREE_SPAWNS_SRC = """
+int A[48]; int B[48]; float F[48];
+int total = 0;
+psBaseReg int base = 0;
+int main() {
+    for (int r = 0; r < 8; r++) {
+        spawn(0, 47) { A[$] = A[$] + B[47 - $] * 3; }
+        spawn(0, 47) {
+            int inc = 1;
+            ps(inc, base);
+            int v = A[$] % 7;
+            psm(v, total);
+            B[inc % 48] = v;
+        }
+        spawn(0, 47) { F[$] = F[$] * 0.5 + A[$]; }
+    }
+    printf("%d %d\\n", total, base);
+    return 0;
+}
+"""
+
+
+def sampled_row() -> dict:
+    """What ``cycles.json`` keeps of ``xmtsim --mode sampled`` on the
+    three-spawn program: every per-mnemonic instruction counter, the
+    fast-forwarded regions' instructions merged in."""
+    result = SampledSimulator(build(THREE_SPAWNS_SRC), tiny()).run(
+        max_cycles=5_000_000)
+    return {key: count for key, count in result.stats.counters.items()
+            if key.startswith("instructions.")
+            or key == "spawn.fast_forwarded"}
 
 
 class TestKernels:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SIZES))
+    def test_functional_run_lands_on_the_golden(self, name):
+        with open(GOLDEN_CYCLES) as fh:
+            golden = json.load(fh)
+        assert functional_row(kernel(name)) == golden[name]["functional"]
+
     @pytest.mark.parametrize("config", [tiny, fpga64],
                              ids=["tiny", "fpga64"])
     @pytest.mark.parametrize("name", sorted(KERNEL_SIZES))
@@ -359,6 +418,13 @@ class TestMicrobenchmarks:
         with open(GOLDEN_CYCLES) as fh:
             golden = json.load(fh)
         assert table1_at_scale(name) == golden[name]["chip1024"]
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_AT_SCALE))
+    def test_table1_functional_run_lands_on_the_golden(self, name):
+        with open(GOLDEN_CYCLES) as fh:
+            golden = json.load(fh)
+        assert functional_row(build(*TABLE1_AT_SCALE[name]())) == \
+            golden[name]["functional"]
 
     @pytest.mark.parametrize("name", sorted(MICROBENCHMARKS))
     def test_table1_on_cut_down_chip1024(self, name):
@@ -1052,13 +1118,16 @@ class TestDiagnostics:
 if __name__ == "__main__":
     rows = {}
     for kernel_name in sorted(KERNEL_SIZES):
+        rows[kernel_name] = {"functional": functional_row(kernel(kernel_name))}
         for config in (tiny, fpga64):
             machine = machine_for(kernel(kernel_name), config(), PLAIN)
             result = machine.run(max_cycles=5_000_000)
-            rows.setdefault(kernel_name, {})[config.__name__] = golden_row(
+            rows[kernel_name][config.__name__] = golden_row(
                 fingerprint(machine, result))
     for name in sorted(TABLE1_AT_SCALE):
-        rows[name] = {"chip1024": table1_at_scale(name)}
+        rows[name] = {"chip1024": table1_at_scale(name), "functional":
+                      functional_row(build(*TABLE1_AT_SCALE[name]()))}
+    rows["three_spawns"] = {"sampled": sampled_row()}
     with open(GOLDEN_CYCLES, "w") as fh:
         fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_CYCLES}")

@@ -32,6 +32,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.isa import decode as D
 from repro.isa import semantics as S
 from repro.isa.assembler import assemble, register_instruction
 from repro.isa.decode import (
@@ -61,6 +62,7 @@ from repro.workloads import microbench as MB
 
 from test_sleep_wake import (
     BACKENDS,
+    KERNEL_SIZES,
     SpawnWindows,
     _ThrottleAndGate,
     assert_same,
@@ -1107,6 +1109,338 @@ class TestFunctional:
                    (sims[1].instructions_executed, sims[1].instruction_counts,
                     sims[1].memory.words), budget
         assert outcomes == ["halted", "halted"]
+
+
+# --------------------------------------------------------------------------- translated blocks
+#
+# Without a callback or a sanitizer the functional engine runs *translated*
+# blocks (``DecodedProgram.blocks(memory=True)``): loads, stores,
+# prefix-sums and the thread loop inside one generated function, under two
+# rules -- one commit (every effect after the last line that can trap) and
+# one cut (a read of state after a deferred effect starts a new block).
+# The oracle is the same engine stepping through ``HANDLERS``, which any
+# ``on_instruction`` callback forces.  Mutants of ``block_source`` /
+# ``BlockTable.__missing__`` / ``FunctionalSimulator`` that must each fail
+# this section (checked by hand when the mechanism changes): effects
+# emitted where the op stands instead of after the last check; no cut on a
+# read after a deferred effect; ``_credit_blocks`` not clearing what it
+# has expanded (the tally credited twice).
+
+STEPPED = {"on_instruction": lambda *_: None}
+
+
+def outcome(program, **kw):
+    """How a functional run ends and everything it leaves behind."""
+    sim = FunctionalSimulator(program, **kw)
+    try:
+        sim.run()
+        end = "halted"
+    except SimulationError as exc:
+        end = str(exc)
+    return (end, sim.master.regs, sim.memory.words, sim.global_regs,
+            "".join(sim.output), sim.instructions_executed,
+            sim.instruction_counts)
+
+
+ARENA_ASM = """
+    .data
+ARENA: .space 64
+F:  .fmt "%d %d %d %d\\n"
+    .text
+main:
+    la   $s0, ARENA
+    {body}
+    print F, $t0, $t1, $t2, $t3
+    halt
+"""
+
+VALUE_BINOPS = sorted(S.INT_BINOP_SPECS) + sorted(S.FLOAT_BINOPS)
+VALUE_UNOPS = sorted(S.UNOP_SPECS)
+
+
+@st.composite
+def arena_op(draw):
+    """One straight-line op over four registers, three global registers
+    and a 16-word arena at ``$s0`` (now and then a bad address)."""
+    reg = st.sampled_from(REGS)
+    rd, rs, rt = draw(reg), draw(reg), draw(reg)
+    offset = draw(st.one_of(st.sampled_from(range(0, 64, 4)),
+                            st.sampled_from([2, 61, -4096])))
+    where = draw(st.sampled_from([f"{offset}($s0)"] * 7 + ["0($zero)"]))
+    greg = f"$g{draw(st.integers(1, 3))}"
+    kind = draw(st.sampled_from(
+        ["lw", "lwro", "sw", "swnb", "psm", "ps", "getg", "setg", "pref",
+         "fence", "nop", "li", "bin", "un", "imm", "indexed"]))
+    if kind in ("lw", "lwro", "sw", "swnb", "psm"):
+        return f"{kind} {rd}, {where}"
+    if kind in ("ps", "getg", "setg"):
+        return f"{kind} {rd}, {greg}"
+    if kind == "pref":
+        return f"pref {where}"
+    if kind == "li":
+        return f"li {rd}, {draw(immediates)}"
+    if kind == "bin":
+        return f"{draw(st.sampled_from(VALUE_BINOPS))} {rd}, {rs}, {rt}"
+    if kind == "un":
+        return f"{draw(st.sampled_from(VALUE_UNOPS))} {rd}, {rs}"
+    if kind == "imm":
+        return f"{draw(st.sampled_from(sorted(S.IMM_ALIASES)))} " \
+               f"{rd}, {rs}, {draw(immediates)}"
+    if kind == "indexed":  # a data-dependent word of the arena
+        access = draw(st.sampled_from(["lw", "sw", "psm"]))
+        return (f"andi $t4, {rs}, 60\n add $t4, $t4, $s0\n"
+                f" {access} {rd}, 0($t4)")
+    return kind
+
+
+class TestTranslated:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(arena_op(), min_size=1, max_size=24))
+    def test_random_straight_line_programs(self, ops):
+        program = assemble(ARENA_ASM.format(body="\n    ".join(ops)))
+        assert outcome(program) == outcome(program, **STEPPED)
+
+    @settings(max_examples=200, deadline=None)
+    @given(addr=st.one_of(st.sampled_from(EDGES + [3, 4, 5, 0xFFFFFFFC]),
+                          st.integers(0, 0xFFFFFFFF)))
+    def test_address_rule_is_check_word_addr(self, addr):
+        """The inline test of a generated block and the handlers'
+        ``check_word_addr`` are one rule."""
+        bad = bool(eval(S.BAD_WORD_ADDR_SPEC.format(a=f"({addr})")))
+        try:
+            assert S.check_word_addr(addr) == addr
+            assert not bad
+        except S.TrapError:
+            assert bad
+
+    TRAP_ASM = """
+        .data
+    A:  .word 5, 6, 7, 8
+        .text
+    main:
+        la   $s0, A
+        li   $t0, 41
+        li   $t1, 3
+        ps   $t1, $g2
+        sw   $t0, 4($s0)
+        sw   $t0, 9($s0)
+        sw   $t0, 12($s0)
+        halt
+    """
+
+    def test_trap_commits_nothing(self):
+        """An unaligned ``sw`` is the third effect of a block, after a
+        ``ps`` and a ``sw``.  The generated function raises with
+        registers, memory and globals untouched; the run then steps the
+        block, lands the first two effects exactly once and names the
+        third op -- stepping's message and stepping's image."""
+        program = assemble(self.TRAP_ASM)
+        sim = FunctionalSimulator(program)
+        block = sim.decoded.blocks(memory=True)[0]
+        assert block.n == len(sim.decoded.uops) - 1  # all but the ``halt``
+        before = (list(sim.master.regs), dict(sim.memory.words),
+                  list(sim.global_regs))
+        with pytest.raises(S.TrapError):
+            block.compile()(sim.master.regs, sim.memory.words,
+                            sim.global_regs, None)
+        assert (sim.master.regs, sim.memory.words, sim.global_regs) == before
+        translated = outcome(program)
+        assert translated == outcome(program, **STEPPED)
+        end, regs, memory, gregs, *_ = translated
+        assert "unaligned word access" in end and "sw" in end
+        base = program.data_labels["A"]
+        assert (memory[base + 4], memory[base + 12], gregs[2]) == (41, 8, 3)
+
+    def test_div_by_zero_after_a_store_and_a_psm(self):
+        program = assemble("""
+            .data
+        A:  .word 5, 6
+            .text
+        main:
+            la   $s0, A
+            li   $t0, 9
+            sw   $t0, 0($s0)
+            psm  $t0, 4($s0)
+            div  $t1, $t0, $zero
+            halt
+        """)
+        translated = outcome(program)
+        assert translated == outcome(program, **STEPPED)
+        assert "division by zero" in translated[0]
+        base = program.data_labels["A"]
+        assert (translated[2][base], translated[2][base + 4]) == (9, 15)
+
+    def test_a_read_after_an_effect_starts_a_block(self):
+        """The cut: ``sw x; lw x`` reads the stored word because the
+        ``lw`` opens a new block -- nothing is forwarded."""
+        program = assemble("""
+            .data
+        X:  .word 1
+        F:  .fmt "%d %d %d\\n"
+            .text
+        main:
+            la   $s0, X
+            li   $t0, 7
+            sw   $t0, 0($s0)
+            lw   $t1, 0($s0)
+            setg $t1, $g1
+            getg $t2, $g1
+            ps   $t2, $g1
+            ps   $t3, $g1
+            print F, $t1, $t2, $t3
+            halt
+        """)
+        table = decode_program(program).blocks(memory=True)
+        starts, pc = [], 0
+        while table[pc]:
+            starts.append(pc)
+            pc += table[pc].n
+        # la is two ops (lui/ori) or one; the cuts fall before lw, getg, ps
+        sw = next(u.index for u in table.uops if u.op == "sw")
+        assert starts[1:] == [sw + 1, sw + 3, sw + 5]
+        assert FunctionalSimulator(program).run().output == "7 7 14\n"
+        assert outcome(program) == outcome(program, **STEPPED)
+
+    LOOP_ASM = """
+        .data
+    A:  .space 64
+        .text
+    main:
+        li   $t0, 0
+        li   $t1, 5
+        spawn $t0, $t1
+    vt:
+        getvt $k0
+        chkid $k0
+        gettcu $t7
+        la   $t2, A
+        slli $t3, $k0, 2
+        add  $t2, $t2, $t3
+        add  $t5, $t7, $zero
+    loop:
+        lw   $t4, 0($t2)
+        add  $t4, $t4, $k0
+        sw   $t4, 0($t2)
+        addi $t5, $t5, 1
+        slti $t6, $t5, 3
+        bne  $t6, $zero, loop
+        psm  $t5, 60($t2)
+        j    vt
+        join
+        halt
+    """
+
+    def test_budget_trips_on_the_same_instruction_for_every_k(self):
+        """A thread is five block executions over four blocks (dispatch;
+        prelude and first iteration; the loop body, twice; tail): every
+        budget from 0 to the whole run."""
+        program = assemble(self.LOOP_ASM)
+        total = FunctionalSimulator(program).run().instructions
+        table = decode_program(program).blocks(memory=True)
+        vt, loop = program.labels["vt"], program.labels["loop"]
+        assert [table[pc].n for pc in (vt, vt + 2, loop, loop + 6)] == \
+            [2, loop + 6 - (vt + 2), 6, 2]
+        for budget in range(total + 2):
+            assert outcome(program, max_instructions=budget) == \
+                outcome(program, max_instructions=budget, **STEPPED), budget
+
+    def test_callback_and_sanitizer_see_everything(self):
+        """Selection is by what can observe the run: a callback hears
+        every instruction, a sanitizer every memory op and thread id."""
+        from repro.sim.plugins import RaceSanitizer
+
+        class Recording(RaceSanitizer):
+            def __init__(self):
+                super().__init__()
+                self.heard = []
+
+            def set_thread(self, tsid):
+                self.heard.append(("vt", tsid))
+                super().set_thread(tsid)
+
+            def _note(self, addr, kind, ins):
+                self.heard.append((kind, addr, ins.index))
+                super()._note(addr, kind, ins)
+
+        program = assemble(self.LOOP_ASM)
+        plain = FunctionalSimulator(program).run()
+        seen = []
+        callback = FunctionalSimulator(
+            program, on_instruction=lambda ins, core: seen.append(ins.index))
+        assert callback.run() == plain and len(seen) == plain.instructions
+        sanitizers = [Recording(), Recording()]
+        assert FunctionalSimulator(
+            program, sanitizer=sanitizers[0]).run() == plain
+        assert FunctionalSimulator(
+            program, sanitizer=sanitizers[1], **STEPPED).run() == plain
+        assert sanitizers[0].heard == sanitizers[1].heard
+        kinds = [event[0] for event in sanitizers[0].heard]
+        assert len(kinds) == 7 + 6 * (3 + 3 + 1)  # 7 getvt; per thread ...
+        assert plain.instruction_counts["lw"] == 18
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SIZES))
+    def test_kernels_bypass_the_memory_handlers(self, name, monkeypatch):
+        """Plain functional runs of the shipped kernels step (``_bump``,
+        then ``HANDLERS``) nothing but ``spawn``/``print``/``halt``: no
+        ``lw``/``sw``/``psm``/``ps`` goes through a handler."""
+        stepped_ops = set()
+        bump = FunctionalSimulator._bump
+        monkeypatch.setattr(
+            FunctionalSimulator, "_bump",
+            lambda self, u: (stepped_ops.add(u.op), bump(self, u))[1])
+        program = kernel(name)
+        result = FunctionalSimulator(program).run()
+        assert stepped_ops <= {"spawn", "print", "halt"}
+        monkeypatch.undo()
+        assert result == FunctionalSimulator(program, **STEPPED).run()
+
+    def test_serial_flow_into_a_region_still_traps_by_name(self):
+        """A block with thread ops is a spawn context's; the Master
+        falling into a region steps and is told so."""
+        program = assemble("""
+            .text
+        main:
+            li   $t0, 1
+            j    vt
+            spawn $t0, $t0
+        vt:
+            getvt $k0
+            chkid $k0
+            j    vt
+            join
+            halt
+        """)
+        assert decode_program(program).blocks(memory=True)[3].threaded
+        translated = outcome(program)
+        assert "getvt outside a spawn region" in translated[0]
+        assert translated == outcome(program, **STEPPED)
+
+    def test_translated_blocks_die_with_their_program(self):
+        """What rides along stays bounded: 300 distinct programs leave
+        at most the LRU's 4096 sources and no decoded program behind,
+        and a program run again compiles nothing."""
+        import gc
+        import weakref
+
+        from repro.xmtc.fuzz.generator import generate
+
+        decoded_before = len(D._CACHE)
+        gone = []
+        for seed in range(300):
+            generated = generate(seed)
+            program = build(generated.source,
+                            options=generated.compile_options())
+            FunctionalSimulator(program, max_instructions=2_000_000).run()
+            assert decode_program(program).blocks(memory=True)
+            gone.append(weakref.ref(decode_program(program)))
+        assert _compile_block.cache_info().currsize <= 4096
+        misses = _compile_block.cache_info().misses
+        FunctionalSimulator(program, max_instructions=2_000_000).run()
+        assert _compile_block.cache_info().misses == misses
+        del program
+        gc.collect()
+        assert not any(ref() for ref in gone)
+        assert len(D._CACHE) <= decoded_before
 
 
 # --------------------------------------------------------------------------- legible sleepers
