@@ -55,7 +55,7 @@ def test_decode_cost_amortized(benchmark, table):
 def test_functional_dispatch_throughput(benchmark, table):
     """Instructions per host-second through the functional engine: its
     translated blocks (``blocks(memory=True)``), compiled inside the
-    stopwatch, plus the few ops stepped through ``HANDLERS``."""
+    stopwatch, plus the few ops its main loops execute themselves."""
     program = _prepare()
 
     def run():

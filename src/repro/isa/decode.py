@@ -90,8 +90,7 @@ OP_FENCE = 19
 OP_NOP = 20
 OP_PRINT = 21
 # -- control group: every opcode >= OP_GETVT needs mode-specific
-#    handling (parallel-only, Master-only, or trap), which lets the
-#    functional main loops split on a single integer compare.
+#    handling (parallel-only, Master-only, or trap).
 OP_GETVT = 22
 OP_GETTCU = 23
 OP_CHKID = 24
@@ -320,7 +319,7 @@ DECODERS: Dict[type, Callable[[I.Instruction], MicroOp]] = {
 
 
 def decode_instruction(ins: I.Instruction) -> MicroOp:
-    """Decode one instruction (used stand-alone and by unpickling)."""
+    """Decode one instruction (used on its own and by unpickling)."""
     decoder = DECODERS.get(type(ins))
     if decoder is None:
         raise DecodeError(
@@ -352,6 +351,7 @@ def decode_instruction(ins: I.Instruction) -> MicroOp:
 # every effect comes at the end, in program order, so a trap leaves
 # nothing behind.  *One cut*: a read of memory, global or thread state
 # after a deferred effect starts a new block, so nothing is forwarded.
+# A functional *step* is the same function for a block of one op.
 
 _UNARY = (OP_UNARY, OP_UNARY_SHARED)
 _VALUE_OPS = (OP_ALU, OP_ALU_SHARED, OP_ALU_IMM) + _UNARY
@@ -385,15 +385,16 @@ def _fusable(u: MicroOp) -> bool:
 
 def _value_text(u: MicroOp, a: str, b: str) -> str:
     """Expression text of a value op on operand atoms: its spec, or a
-    call of its registered callable by name."""
+    call of its registered callable by name -- either truncated to 32
+    bits, as a register write is."""
     spec = _value_spec(u)
     if spec is not None:
         return value_expr(spec, a, b)
     if u.code in _UNARY:
-        return f"UNOPS[{u.op!r}]({a})"
+        return f"UNOPS[{u.op!r}]({a}) & 0xFFFFFFFF"
     op = IMM_ALIASES.get(u.op, u.op)
     kind = "INT" if op in INT_BINOPS else "FLOAT"
-    return f"{kind}_BINOPS[{op!r}]({a}, {b})"
+    return f"{kind}_BINOPS[{op!r}]({a}, {b}) & 0xFFFFFFFF"
 
 
 def block_source(uops: List[MicroOp], next_pc: int) -> str:
@@ -418,7 +419,7 @@ def block_source(uops: List[MicroOp], next_pc: int) -> str:
         name = f"a{len(lines)}"
         lines.append(f" {name} = ({atom(u.rs)} + ({u.imm})) & 0xFFFFFFFF")
         lines.append(f" if {BAD_WORD_ADDR_SPEC.format(a=name)}:"
-                     " raise TrapError")
+                     f" check_word_addr({name})")
         return name
 
     def fetch_add(u: MicroOp, cell: str, read: str) -> str:
@@ -475,10 +476,12 @@ def block_source(uops: List[MicroOp], next_pc: int) -> str:
         elif code == OP_GETVT:
             expr = "c[0] & 0xFFFFFFFF"
             effects.append(" c[0] += 1")
-        else:  # OP_GETTCU: one serialized context
+        elif code == OP_GETTCU:  # one serialized context
             expr = "0"
+        else:  # print/spawn/join/halt: the functional main loops' own
+            raise ValueError(f"{u.op} has no translation")
         if rd == REG_ZERO:
-            lines.append(f" {expr}")  # evaluated, like the handler; dropped
+            lines.append(f" {expr}")  # evaluated (it may trap); dropped
         else:
             names[rd] = f"r{rd}_{len(lines)}"
             lines.append(f" {names[rd]} = {expr}")
@@ -541,10 +544,9 @@ class BlockTable(dict):
     """``pc -> Block`` (``False`` where no block starts), filled in on
     demand: looking up a PC for the first time forms its block."""
 
-    __slots__ = ("uops", "memory", "closers", "min_ops")
+    __slots__ = ("uops", "memory", "closers")
 
-    def __init__(self, uops: List[MicroOp], branches: bool, lone: bool,
-                 memory: bool = False):
+    def __init__(self, uops: List[MicroOp], branches: bool, memory: bool):
         super().__init__()
         self.uops = uops
         #: the functional engine's table (see the section comment)
@@ -553,10 +555,6 @@ class BlockTable(dict):
         #: issue slot (not ``branches``) ends the run before it instead
         self.closers = (_CLOSERS if memory else
                         (OP_JUMP, OP_BRANCH) if branches else (OP_JUMP,))
-        #: a block of one op saves nothing alone, but the cycle machine
-        #: chains blocks (``lone``): a ``j`` between two of them, or what
-        #: is left of one stopped before its last op, is a block there
-        self.min_ops = 1 if lone or memory else 2
 
     def __missing__(self, pc: int):
         uops = self.uops
@@ -573,8 +571,7 @@ class BlockTable(dict):
                 end += 1
         if end < n and uops[end].code in self.closers:
             end += 1
-        block = self[pc] = (Block(uops[pc:end], pc)
-                            if end - pc >= self.min_ops else False)
+        block = self[pc] = Block(uops[pc:end], pc) if end > pc else False
         return block
 
 
@@ -595,13 +592,13 @@ class DecodedProgram:
             decode_instruction(ins) for ins in program.instructions]
         self._source = program.instructions
         self._owner = weakref.ref(program)
-        self._blocks: Dict[Tuple[bool, bool, bool], BlockTable] = {}
+        self._blocks: Dict[Tuple[bool, bool], BlockTable] = {}
 
-    def blocks(self, branches: bool = True, lone: bool = False,
+    def blocks(self, branches: bool = True,
                memory: bool = False) -> BlockTable:
         """The (initially empty) block table of this program, shared
         like ``uops``; the arguments as in :class:`BlockTable`."""
-        key = (branches, lone, memory)
+        key = (branches, memory)
         table = self._blocks.get(key)
         if table is None:
             table = self._blocks[key] = BlockTable(self.uops, *key)

@@ -271,8 +271,8 @@ def _check_undefined(op: str) -> None:
 
 
 #: A 32-bit address pattern ``{a}`` is one :func:`check_word_addr` traps
-#: on exactly when this holds; generated blocks test it inline and leave
-#: naming the trap to the one-instruction path.
+#: on exactly when this holds; generated blocks test it inline and call
+#: :func:`check_word_addr` only then, for its message.
 BAD_WORD_ADDR_SPEC = "{a} & 3 or {a} < 4"
 
 

@@ -15,10 +15,11 @@ main loops take the program's blocks (``blocks(memory=True)``) -- loads,
 stores, prefix-sums and the thread loop included -- as one generated
 function each, built from the spec strings the cycle-accurate
 processors' operations come from, so the two modes cannot diverge on
-instruction semantics, only on timing.  What a block cannot hold
-(``spawn``/``print``/``halt``), a block that traps or overruns the
-instruction budget, and every run somebody watches instruction by
-instruction are *stepped* through the flat :data:`HANDLERS` table.
+instruction semantics, only on timing.  The loops execute only
+``print``/``spawn``/``join``/``halt`` themselves.  A block that traps or
+overruns the instruction budget, and every run somebody watches
+instruction by instruction, is *stepped*: each instruction runs as the
+one-op block of its PC, the same generator's text for one op.
 
 The optional *race sanitizer* (:class:`repro.sim.plugins.RaceSanitizer`,
 passed as ``sanitizer=``) closes part of that gap: it records, per spawn
@@ -38,49 +39,32 @@ from repro.isa.decode import (
     REGION_DONE,
     Block,
     MicroOp,
-    N_OPCODES,
-    OP_ALU,
-    OP_ALU_IMM,
-    OP_ALU_SHARED,
-    OP_BRANCH,
     OP_CHKID,
-    OP_FENCE,
-    OP_GETG,
     OP_GETTCU,
     OP_GETVT,
     OP_HALT,
-    OP_JAL,
     OP_JOIN,
-    OP_JR,
-    OP_JUMP,
-    OP_LI,
-    OP_LOAD,
-    OP_LOAD_RO,
-    OP_NOP,
     OP_PREFETCH,
     OP_PRINT,
-    OP_PS,
-    OP_PSM,
-    OP_SETG,
     OP_SPAWN,
-    OP_STORE,
-    OP_STORE_NB,
-    OP_UNARY,
-    OP_UNARY_SHARED,
     decode_program,
 )
 from repro.isa.program import Program
-from repro.isa.registers import NUM_GLOBAL_REGS, NUM_REGS, REG_RA, REG_SP, REG_ZERO
+from repro.isa.registers import NUM_GLOBAL_REGS, NUM_REGS, REG_SP, REG_ZERO
 from repro.isa.semantics import (
     TrapError,
     check_word_addr,
     format_print,
     to_signed,
-    to_unsigned,
 )
 
 #: Default top-of-stack for the Master TCU's serial stack.
 DEFAULT_STACK_TOP = 0x00800000
+
+#: what the main loops execute themselves; every other op is *stepped*
+_LOOP_OPS = frozenset((OP_PRINT, OP_SPAWN, OP_JOIN, OP_HALT))
+#: ... and, in serial flow, the thread ops too: they trap there
+_SERIAL_LOOP_OPS = _LOOP_OPS | {OP_GETVT, OP_GETTCU, OP_CHKID}
 
 
 class Memory:
@@ -121,9 +105,6 @@ class CoreState:
         self.regs: List[int] = [0] * NUM_REGS
         self.pc = pc
 
-    def read(self, r: int) -> int:
-        return self.regs[r]
-
     def write(self, r: int, value: int) -> None:
         if r != REG_ZERO:
             self.regs[r] = value & 0xFFFFFFFF
@@ -151,161 +132,6 @@ class SimulationError(Exception):
     """Raised when the simulated program traps or misbehaves."""
 
 
-# -- the functional dispatch table ---------------------------------------------
-#
-# One handler per opcode, indexed by ``MicroOp.code``.  Handlers advance
-# ``core.pc`` themselves (branches/jumps set it absolutely).  Control
-# opcodes (spawn/join/getvt/chkid/gettcu/halt) are context-dependent and
-# are intercepted by the main loops before dispatch; their table entries
-# trap so that reaching one through the table is a loud bug, never a
-# silent skip.
-
-def _h_alu(sim, core, u: MicroOp) -> None:
-    regs = core.regs
-    core.write(u.rd, u.fn(regs[u.rs], regs[u.rt]))
-    core.pc += 1
-
-
-def _h_alu_imm(sim, core, u: MicroOp) -> None:
-    core.write(u.rd, u.fn(core.regs[u.rs], u.imm))
-    core.pc += 1
-
-
-def _h_li(sim, core, u: MicroOp) -> None:
-    core.write(u.rd, u.imm)
-    core.pc += 1
-
-
-def _h_unary(sim, core, u: MicroOp) -> None:
-    core.write(u.rd, u.fn(core.regs[u.rs]))
-    core.pc += 1
-
-
-def _h_branch(sim, core, u: MicroOp) -> None:
-    regs = core.regs
-    if u.fn(regs[u.rs], regs[u.rt] if u.rt >= 0 else 0):
-        core.pc = u.target
-    else:
-        core.pc += 1
-
-
-def _h_jump(sim, core, u: MicroOp) -> None:
-    core.pc = u.target
-
-
-def _h_jal(sim, core, u: MicroOp) -> None:
-    core.write(REG_RA, to_unsigned(core.pc + 1))
-    core.pc = u.target
-
-
-def _h_jr(sim, core, u: MicroOp) -> None:
-    core.pc = to_unsigned(core.regs[u.rs])
-
-
-def _h_load(sim, core, u: MicroOp) -> None:
-    addr = to_unsigned(core.regs[u.rs] + u.imm)
-    if sim.sanitizer is not None:
-        sim.sanitizer.on_load(addr, u.ins)
-    core.write(u.rd, sim.memory.load(addr))
-    core.pc += 1
-
-
-def _h_store(sim, core, u: MicroOp) -> None:
-    regs = core.regs
-    addr = to_unsigned(regs[u.rs] + u.imm)
-    if sim.sanitizer is not None:
-        sim.sanitizer.on_store(addr, u.ins)
-    sim.memory.store(addr, regs[u.rt])
-    core.pc += 1
-
-
-def _h_psm(sim, core, u: MicroOp) -> None:
-    regs = core.regs
-    addr = to_unsigned(regs[u.rs] + u.imm)
-    if sim.sanitizer is not None:
-        sim.sanitizer.on_psm(addr, u.ins)
-    core.write(u.rd, sim.memory.psm(addr, to_signed(regs[u.rd])))
-    core.pc += 1
-
-
-def _h_prefetch(sim, core, u: MicroOp) -> None:
-    core.pc += 1  # timing hint only
-
-
-def _h_ps(sim, core, u: MicroOp) -> None:
-    amount = core.regs[u.rd]
-    old = sim.global_regs[u.imm]
-    sim.global_regs[u.imm] = (old + amount) & 0xFFFFFFFF
-    core.write(u.rd, old)
-    core.pc += 1
-
-
-def _h_getg(sim, core, u: MicroOp) -> None:
-    core.write(u.rd, sim.global_regs[u.imm])
-    core.pc += 1
-
-
-def _h_setg(sim, core, u: MicroOp) -> None:
-    sim.global_regs[u.imm] = core.regs[u.rd]
-    core.pc += 1
-
-
-def _h_fence(sim, core, u: MicroOp) -> None:
-    core.pc += 1  # ordering is trivially satisfied in functional mode
-
-
-def _h_nop(sim, core, u: MicroOp) -> None:
-    core.pc += 1
-
-
-def _h_print(sim, core, u: MicroOp) -> None:
-    fmt = sim.program.strings[u.imm]
-    regs = core.regs
-    sim.output.append(format_print(fmt, [regs[r] for r in u.reads]))
-    core.pc += 1
-
-
-def _make_control_trap(what: str):
-    def handler(sim, core, u: MicroOp) -> None:
-        raise TrapError(f"{what} dispatched through the functional table")
-    return handler
-
-
-HANDLERS: List[Callable] = [None] * N_OPCODES
-HANDLERS[OP_ALU] = _h_alu
-HANDLERS[OP_ALU_SHARED] = _h_alu    # shared-FU timing is a cycle-mode concern
-HANDLERS[OP_ALU_IMM] = _h_alu_imm
-HANDLERS[OP_LI] = _h_li
-HANDLERS[OP_UNARY] = _h_unary
-HANDLERS[OP_UNARY_SHARED] = _h_unary
-HANDLERS[OP_BRANCH] = _h_branch
-HANDLERS[OP_JUMP] = _h_jump
-HANDLERS[OP_JAL] = _h_jal
-HANDLERS[OP_JR] = _h_jr
-HANDLERS[OP_LOAD] = _h_load
-HANDLERS[OP_LOAD_RO] = _h_load      # lwro: same value, different cache path
-HANDLERS[OP_STORE] = _h_store
-HANDLERS[OP_STORE_NB] = _h_store
-HANDLERS[OP_PSM] = _h_psm
-HANDLERS[OP_PREFETCH] = _h_prefetch
-HANDLERS[OP_PS] = _h_ps
-HANDLERS[OP_GETG] = _h_getg
-HANDLERS[OP_SETG] = _h_setg
-HANDLERS[OP_FENCE] = _h_fence
-HANDLERS[OP_NOP] = _h_nop
-HANDLERS[OP_PRINT] = _h_print
-HANDLERS[OP_GETVT] = _make_control_trap("getvt")
-HANDLERS[OP_GETTCU] = _make_control_trap("gettcu")
-HANDLERS[OP_CHKID] = _make_control_trap("chkid")
-HANDLERS[OP_SPAWN] = _make_control_trap("spawn")
-HANDLERS[OP_JOIN] = _make_control_trap("join")
-HANDLERS[OP_HALT] = _make_control_trap("halt")
-
-# every opcode must have a handler; a new opcode without one fails the
-# import, not the first program that happens to use it
-assert all(h is not None for h in HANDLERS), "functional HANDLERS incomplete"
-
-
 class FunctionalSimulator:
     """Executes a :class:`Program` in fast functional mode."""
 
@@ -329,9 +155,10 @@ class FunctionalSimulator:
         self.instructions_executed = 0
         self.instruction_counts: Dict[str, int] = {}
         self._block_runs: Dict[Block, int] = {}
+        #: pc -> the generated function of its one-op block
+        self._steps: Dict[int, Callable] = {}
         self.max_instructions = max_instructions
         self.on_instruction = on_instruction
-        self._halted = False
         self._current_core = self.master
 
     @classmethod
@@ -370,8 +197,6 @@ class FunctionalSimulator:
             self._exec_serial(self.master)
         finally:
             self._credit_blocks()  # a trap report shows stepping's counts
-        if not self._halted:
-            raise SimulationError("program ended without executing halt")
         return FunctionalResult(
             output="".join(self.output),
             instructions=self.instructions_executed,
@@ -400,8 +225,9 @@ class FunctionalSimulator:
 
     def _blocks(self):
         """The block table to take, by who observes the run: none under
-        a per-instruction callback, the register-only one under a
-        sanitizer (its hooks fire in the handlers), else the translated."""
+        a per-instruction callback, the cycle machine's register-only
+        one under a sanitizer (its hooks fire as memory ops and ``getvt``
+        are stepped), else the translated."""
         if self.on_instruction is not None:
             return None
         return self.decoded.blocks(memory=self.sanitizer is None)
@@ -434,15 +260,45 @@ class FunctionalSimulator:
                 counts[op] = counts.get(op, 0) + count * times
         self._block_runs.clear()
 
+    def _step(self, core: CoreState, u: MicroOp,
+              threads: Optional[List[int]] = None) -> None:
+        """Execute one instruction: counted, shown to the sanitizer, then
+        run as the one-op block of its PC (:mod:`repro.isa.decode`)."""
+        self._bump(u)
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            if u.code == OP_GETVT:
+                sanitizer.set_thread(threads[0])
+            elif u.is_mem and u.code != OP_PREFETCH:
+                hook = (sanitizer.on_load if u.is_load else sanitizer.on_store
+                        if u.is_store else sanitizer.on_psm)
+                hook((core.regs[u.rs] + u.imm) & 0xFFFFFFFF, u.ins)
+        pc = core.pc
+        fn = self._steps.get(pc)
+        if fn is None:
+            fn = self._steps[pc] = Block([u], pc).compile()
+        try:
+            core.pc = fn(core.regs, self.memory.words, self.global_regs,
+                         threads)
+        except TrapError as exc:
+            raise self._trap(u, str(exc)) from None
+
+    def _print(self, core: CoreState, u: MicroOp) -> None:
+        regs = core.regs
+        try:
+            self.output.append(format_print(self.program.strings[u.imm],
+                                            [regs[r] for r in u.reads]))
+        except TrapError as exc:
+            raise self._trap(u, str(exc)) from None
+        core.pc += 1
+
     def _exec_serial(self, core: CoreState) -> None:
         """Serial execution on the Master until halt; spawns serialize."""
-        program = self.program
         uops = self.decoded.uops
         n = len(uops)
-        handlers = HANDLERS
         blocks = self._blocks()
         self._current_core = core
-        while not self._halted:
+        while True:
             pc = core.pc
             if not 0 <= pc < n:
                 raise SimulationError(f"PC out of range: {pc}")
@@ -452,31 +308,27 @@ class FunctionalSimulator:
                         and self._run_block(core, block)):
                     continue
             u = uops[pc]
-            self._bump(u)
             code = u.code
-            if code < OP_GETVT:  # the common, mode-independent group
-                try:
-                    handlers[code](self, core, u)
-                except TrapError as exc:
-                    raise self._trap(u, str(exc)) from None
+            if code not in _SERIAL_LOOP_OPS:
+                self._step(core, u)
                 continue
-            if code == OP_SPAWN:
+            self._bump(u)
+            if code == OP_PRINT:
+                self._print(core, u)
+            elif code == OP_SPAWN:
                 regs = core.regs
-                low = to_signed(regs[u.rs])
-                high = to_signed(regs[u.rt])
-                region = program.region_for_spawn(pc)
-                self._run_spawn_serialized(core, region, low, high)
+                region = self.program.region_for_spawn(pc)
+                self._run_spawn_serialized(core, region, to_signed(regs[u.rs]),
+                                           to_signed(regs[u.rt]))
                 core.pc = region.join_index + 1
                 self._current_core = core
-                continue
-            if code == OP_HALT:
-                self._halted = True
+            elif code == OP_HALT:
                 return
-            if code == OP_JOIN:
+            elif code == OP_JOIN:
                 raise self._trap(u, "join reached in serial flow "
                                     "(fell through into a spawn region?)")
-            # getvt / chkid / gettcu
-            raise self._trap(u, f"{u.op} outside a spawn region")
+            else:
+                raise self._trap(u, f"{u.op} outside a spawn region")
 
     def _run_spawn_serialized(self, master: CoreState, region, low: int, high: int) -> None:
         """Serialize a spawn block: one context runs all virtual threads.
@@ -491,7 +343,6 @@ class FunctionalSimulator:
         threads = [low, high]  # the next id to grant, the spawn's last
         uops = self.decoded.uops
         n = len(uops)
-        handlers = HANDLERS
         parallel_calls = self.program.parallel_calls
         region_start = region.start
         region_join = region.join_index
@@ -503,8 +354,10 @@ class FunctionalSimulator:
         while True:
             pc = tcu.pc
             if not region_start <= pc < region_join:
-                if pc == REGION_DONE:
-                    return  # a block's chkid found the ids used up
+                if pc == REGION_DONE:  # a chkid found the ids used up
+                    if sanitizer is not None:
+                        sanitizer.region_end()
+                    return  # all virtual threads done; hardware joins
                 if pc == region_join:
                     raise SimulationError(
                         "TCU flowed into join without a chkid park "
@@ -524,32 +377,10 @@ class FunctionalSimulator:
                 if block and self._run_block(tcu, block, threads):
                     continue
             u = uops[pc]
+            if u.code not in _LOOP_OPS:
+                self._step(tcu, u, threads)
+                continue
             self._bump(u)
-            code = u.code
-            if code < OP_GETVT:
-                try:
-                    handlers[code](self, tcu, u)
-                except TrapError as exc:
-                    raise self._trap(u, str(exc)) from None
-                continue
-            if code == OP_GETVT:
-                tcu.write(u.rd, to_unsigned(threads[0]))
-                if sanitizer is not None:
-                    sanitizer.set_thread(threads[0])
-                threads[0] += 1
-                tcu.pc = pc + 1
-                continue
-            if code == OP_CHKID:
-                vt = to_signed(tcu.regs[u.rs])
-                if vt > high:
-                    if sanitizer is not None:
-                        sanitizer.region_end()
-                    return  # all virtual threads done; hardware joins
-                tcu.pc = pc + 1
-                continue
-            if code == OP_GETTCU:
-                tcu.write(u.rd, 0)  # one serialized context
-                tcu.pc = pc + 1
-                continue
-            # spawn / halt / join
-            raise self._trap(u, f"{u.op} inside a spawn region")
+            if u.code != OP_PRINT:
+                raise self._trap(u, f"{u.op} inside a spawn region")
+            self._print(tcu, u)

@@ -261,7 +261,7 @@ class Machine:
         cfg = self.config
         #: the block table processors chain runs from; None when an ALU
         #: op costs more than one issue slot (then nothing is a block)
-        self.blocks = (self.decoded.blocks(cfg.branch_latency == 1, lone=True)
+        self.blocks = (self.decoded.blocks(cfg.branch_latency == 1)
                        if cfg.alu_latency == 1 else None)
 
     def __getstate__(self):

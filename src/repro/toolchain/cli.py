@@ -938,11 +938,16 @@ def _xmtsim(args) -> int:
         ("--lifecycle-out", args.lifecycle_out), ("--explain", args.explain),
         ("--telemetry-out", args.telemetry_out),
         ("--telemetry-socket", args.telemetry_socket),
-        ("--ledger", args.ledger)) if given]
+        ("--ledger", args.ledger), ("--inject", args.inject),
+        ("--wall-limit", args.wall_limit is not None),
+        ("--event-budget", args.event_budget is not None),
+        ("--checkpoint-every", args.checkpoint_every > 0),
+        ("--max-retries", args.max_retries is not None)) if given]
     if cycle_only and args.mode != "cycle":
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
     for flag, given in (("--trace cycle", args.trace == "cycle"),
-                        ("--max-cycles", args.max_cycles is not None)):
+                        ("--max-cycles", args.max_cycles is not None),
+                        ("--watchdog", args.watchdog is not None)):
         if given and args.mode == "functional":  # it has no clock
             raise CliError(f"{flag} cannot be used with --mode functional")
     if args.sanitize and args.mode != "functional":

@@ -196,6 +196,20 @@ ROWS = [
     ("xmtsim-2-cycle-only-flag", "xmtsim_main",
      ["{good}", "--mode", "functional", "--ledger", "{dir}/l2"], 2,
      "--ledger require --mode cycle"),
+    # the resilience flags outside cycle mode used to be dropped (exit 0)
+    *[(f"xmtsim-2-functional-{flag[2:]}-was-ignored", "xmtsim_main",
+       ["{good}", *TINY, "--mode", "functional", flag, value], 2,
+       f"xmtsim: error: {flag} require --mode cycle")
+      for flag, value in (("--inject", "icn.drop@600"), ("--wall-limit", "5"),
+                          ("--event-budget", "100"),
+                          ("--checkpoint-every", "300"),
+                          ("--max-retries", "3"))],
+    ("xmtsim-2-functional-watchdog-was-ignored", "xmtsim_main",
+     ["{good}", *TINY, "--mode", "functional", "--watchdog", "1500"], 2,
+     "xmtsim: error: --watchdog cannot be used with --mode functional"),
+    ("xmtsim-2-sampled-inject-was-ignored", "xmtsim_main",
+     ["{good}", *TINY, "--mode", "sampled", "--inject", "icn.drop@600"], 2,
+     "xmtsim: error: --inject require --mode cycle"),
     ("xmtsim-2-sanitize-needs-functional", "xmtsim_main",
      ["{good}", *TINY, "--sanitize"], 2,
      "--sanitize requires --mode functional"),

@@ -7,8 +7,8 @@ in the dispatch space, the ``$zero`` hard-wiring in both simulation
 modes, checkpoint reconstruction of the decode cache, and a hypothesis
 differential pitting the functional pipeline against the cycle-accurate
 one on random straight-line + spawn programs (both consume the same
-micro-ops, so any divergence is a dispatch-table bug, not a semantics
-gap).
+micro-ops, so any divergence is a bug in one of the two executions,
+not a semantics gap).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.isa import semantics as S
 from repro.isa.assembler import assemble, register_instruction
 from repro.isa.decode import (
     DECODERS,
+    Block,
     DecodeError,
     MicroOp,
     N_OPCODES,
@@ -64,7 +65,7 @@ from repro.isa.decode import (
 from repro.isa.disasm import format_instruction
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
-from repro.sim.functional import HANDLERS, FunctionalSimulator
+from repro.sim.functional import FunctionalSimulator
 from repro.sim.machine import Machine, Simulator
 from repro.sim.tcu import _HANDLER_NAMES
 
@@ -74,8 +75,6 @@ from repro.sim.tcu import _HANDLER_NAMES
 
 def test_opcode_space_fully_described():
     assert sorted(OPCODE_NAMES) == list(range(N_OPCODES))
-    assert len(HANDLERS) == N_OPCODES
-    assert all(h is not None for h in HANDLERS)
     assert len(_HANDLER_NAMES) == N_OPCODES
 
 
@@ -161,6 +160,23 @@ def test_program_exercises_every_opcode():
     program = assemble(ALL_OPCODES_ASM)
     decoded = decode_program(program)
     assert {u.code for u in decoded.uops} == EXPECTED_CODES
+
+
+def test_functional_opcode_partition():
+    """Functional mode executes an op one of two ways: the main loops
+    own it, or it has a one-op block (a step) -- never both, never
+    neither."""
+    owned = {OP_PRINT, OP_SPAWN, OP_JOIN, OP_HALT}
+    stepped = set()
+    for u in decode_program(assemble(ALL_OPCODES_ASM)).uops:
+        try:
+            Block([u], u.index).compile()
+        except ValueError:
+            assert u.code in owned, u
+        else:
+            stepped.add(u.code)
+    assert not owned & stepped
+    assert owned | stepped == set(range(N_OPCODES))
 
 
 def test_decode_disasm_round_trip_every_opcode():
@@ -400,25 +416,59 @@ class TestCheckpointDecode:
 
 # -- hypothesis differential: functional vs cycle-accurate --------------------
 #
-# Both pipelines execute the same micro-ops through different dispatch
-# tables (module-level table in functional.py, bound-method list in
-# tcu.py).  Random programs must reach the same architectural state
-# through both; a divergence means one table's handler drifted from the
-# other's.
+# The two pipelines execute the same micro-ops two ways: the functional
+# engine as generated blocks (``block_source``; a step is a block of one
+# op), the cycle-accurate processors through per-opcode bound methods
+# (tcu.py).  Random programs must reach the same architectural state
+# through both, which makes the cycle machine the reference for every op
+# the functional engine translates; a divergence means one drifted from
+# the other.  The *wide* input set adds the memory, prefix-sum, global-
+# register, ordering and float ops under the memory model's rules: what
+# returns a thread-order-dependent value (``ps``, ``psm``) stays serial,
+# ``lwro`` reads only a table nothing writes, and a ``fence`` follows
+# ``swnb`` and ``psm`` before anything can read the word.  It also starts
+# the global registers from random values and stores the serial
+# registers at the end, so a wrong value cannot go unseen.
 
 _REGS = ["$t0", "$t1", "$t2", "$t3", "$s0", "$s1"]
 _BINOPS = ["add", "sub", "and", "or", "xor", "slt", "sll", "srl", "mul"]
 
 
-def _gen_program(rng: random.Random, with_spawn: bool) -> str:
+def _wide_op(rng: random.Random, a: str, b: str, c: str) -> str:
+    off = rng.randint(0, 15) * 4
+    greg = f"$g{rng.randint(1, 3)}"
+    return rng.choice([
+        f"lwro {a}, {rng.randint(0, 7) * 4}($s5)",
+        f"swnb {a}, {off}($s7)\n    fence",
+        f"psm {a}, {off}($s7)\n    fence",
+        f"ps {a}, {greg}",
+        f"getg {a}, {greg}",
+        f"setg {a}, {greg}",
+        f"pref {off}($s7)",
+        "fence",
+        f"itof {a}, {b}",     # shared FU (FPU)
+        f"fadd {a}, {b}, {c}",
+    ])
+
+
+def _gen_program(rng: random.Random, with_spawn: bool,
+                 wide: bool = False) -> str:
     lines = [".data", "buf: .space 128", ".text", "main:"]
+    if wide:
+        lines.insert(2, "ro: .word " + ", ".join(
+            str(rng.randint(-99, 99)) for _ in range(8)))
     for r in _REGS:
         lines.append(f"    li {r}, {rng.randint(-99, 99)}")
     lines.append("    la $s7, buf")
+    if wide:
+        lines.append("    la $s5, ro")
+        lines += [f"    setg {r}, $g{g}" for g, r in enumerate(_REGS[1:4], 1)]
     for _ in range(rng.randint(4, 18)):
         kind = rng.random()
         a, b, c = (rng.choice(_REGS) for _ in range(3))
-        if kind < 0.45:
+        if wide and rng.random() < 0.4:
+            lines.append("    " + _wide_op(rng, a, b, c))
+        elif kind < 0.45:
             lines.append(f"    {rng.choice(_BINOPS)} {a}, {b}, {c}")
         elif kind < 0.6:
             lines.append(f"    addi {a}, {b}, {rng.randint(-64, 64)}")
@@ -428,6 +478,8 @@ def _gen_program(rng: random.Random, with_spawn: bool) -> str:
             lines.append(f"    sw {a}, {rng.randint(0, 15) * 4}($s7)")
         else:
             lines.append(f"    lw {a}, {rng.randint(0, 15) * 4}($s7)")
+    if wide:  # every value computed reaches memory: buf[24..29]
+        lines += [f"    sw {r}, {96 + 4 * i}($s7)" for i, r in enumerate(_REGS)]
     if with_spawn:
         width = rng.choice([3, 7])
         lines += [
@@ -443,9 +495,18 @@ def _gen_program(rng: random.Random, with_spawn: bool) -> str:
             "    lw $t4, 0($s6)",
             "    addi $t4, $t4, 3",
             "    sw $t4, 0($s6)",
-            "    j vt",
-            "    join",
         ]
+        if wide:  # a thread's second word, buf[16 + $]
+            lines += [
+                "    lwro $t5, 4($s5)",
+                "    add $t4, $t4, $t5",
+                "    itof $t6, $t4",
+                "    fadd $t6, $t6, $t5",
+                "    pref 64($s6)",
+                "    swnb $t6, 64($s6)",
+                "    fence",
+            ]
+        lines += ["    j vt", "    join"]
     lines.append("    halt")
     return "\n".join(lines) + "\n"
 
@@ -460,11 +521,12 @@ def _assert_modes_agree(src: str) -> None:
 
 # derandomized: the examples are a fixed function of the test, so the
 # tier-1 command passes or fails the same way on every run
-@settings(max_examples=30, deadline=None, derandomize=True,
+@settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), with_spawn=st.booleans())
-def test_differential_functional_vs_cycle(seed, with_spawn):
-    _assert_modes_agree(_gen_program(random.Random(seed), with_spawn))
+@given(seed=st.integers(0, 2**32 - 1), with_spawn=st.booleans(),
+       wide=st.booleans())
+def test_differential_functional_vs_cycle(seed, with_spawn, wide):
+    _assert_modes_agree(_gen_program(random.Random(seed), with_spawn, wide))
 
 
 def test_master_store_does_not_overtake_its_older_load():

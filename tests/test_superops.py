@@ -9,7 +9,7 @@ issued by then executed and credited -- whenever anything looks at it.
 None of that may move a register, a counter or a cycle.
 
 Three oracles, none needing a switch: (a) stepping the same micro-ops
-through ``u.fn`` + ``CoreState.write`` (the functional handlers);
+through ``u.fn`` + ``CoreState.write``;
 (b) the machine as it was of ``test_sleep_wake.py`` -- a no-op
 ``issued`` listener keeps every TCU on the one-instruction path (and,
 built on the test side, no processor ever leaves the tick list);
@@ -36,7 +36,13 @@ from repro.isa import decode as D
 from repro.isa import semantics as S
 from repro.isa.assembler import assemble, register_instruction
 from repro.isa.decode import (
+    OP_ALU,
+    OP_ALU_IMM,
     OP_BRANCH,
+    OP_JUMP,
+    OP_LI,
+    OP_NOP,
+    OP_UNARY,
     Block,
     _compile_block,
     decode_program,
@@ -44,7 +50,6 @@ from repro.isa.decode import (
 from repro.sim import checkpoint as CP
 from repro.sim.config import fpga64, tiny
 from repro.sim.functional import (
-    HANDLERS,
     CoreState,
     FunctionalSimulator,
     SimulationError,
@@ -89,12 +94,30 @@ REGS = ["$zero", "$t0", "$t1", "$t2", "$t3"]
 
 
 def stepped(uops, regs, pc, n):
-    """The oracle: ``n`` micro-ops through ``u.fn`` + ``CoreState.write``."""
+    """The oracle: ``n`` micro-ops of the cycle machine's blocks (value
+    ops, ``li``, ``nop``, a branch or ``j``) through ``u.fn`` +
+    ``CoreState.write``, one at a time."""
     core = CoreState(pc)
     core.regs[:] = regs
     for _ in range(n):
         u = uops[core.pc]
-        HANDLERS[u.code](None, core, u)
+        r, code = core.regs, u.code
+        core.pc += 1
+        if code == OP_BRANCH:
+            if u.fn(r[u.rs], r[u.rt] if u.rt >= 0 else 0):
+                core.pc = u.target
+        elif code == OP_JUMP:
+            core.pc = u.target
+        elif code == OP_LI:
+            core.write(u.rd, u.imm)
+        elif code == OP_ALU_IMM:
+            core.write(u.rd, u.fn(r[u.rs], u.imm))
+        elif code == OP_ALU:
+            core.write(u.rd, u.fn(r[u.rs], r[u.rt]))
+        elif code == OP_UNARY:
+            core.write(u.rd, u.fn(r[u.rs]))
+        else:
+            assert code == OP_NOP, u
     return core.regs, core.pc
 
 
@@ -1118,8 +1141,12 @@ class TestFunctional:
 # prefix-sums and the thread loop inside one generated function, under two
 # rules -- one commit (every effect after the last line that can trap) and
 # one cut (a read of state after a deferred effect starts a new block).
-# The oracle is the same engine stepping through ``HANDLERS``, which any
-# ``on_instruction`` callback forces.  Mutants of ``block_source`` /
+# The comparison is with the same engine stepping -- every instruction
+# its one-op block, which any ``on_instruction`` callback forces -- so it
+# checks the two rules between multi-op and one-op blocks; what the ops
+# themselves compute is checked against the cycle machine
+# (``test_decode_dispatch.py``'s differential) and the ``functional``
+# rows of ``tests/golden/cycles.json``.  Mutants of ``block_source`` /
 # ``BlockTable.__missing__`` / ``FunctionalSimulator`` that must each fail
 # this section (checked by hand when the mechanism changes): effects
 # emitted where the op stands instead of after the last check; no cut on a
@@ -1204,8 +1231,8 @@ class TestTranslated:
     @given(addr=st.one_of(st.sampled_from(EDGES + [3, 4, 5, 0xFFFFFFFC]),
                           st.integers(0, 0xFFFFFFFF)))
     def test_address_rule_is_check_word_addr(self, addr):
-        """The inline test of a generated block and the handlers'
-        ``check_word_addr`` are one rule."""
+        """The inline test of a generated block and ``check_word_addr``
+        are one rule."""
         bad = bool(eval(S.BAD_WORD_ADDR_SPEC.format(a=f"({addr})")))
         try:
             assert S.check_word_addr(addr) == addr
@@ -1250,6 +1277,29 @@ class TestTranslated:
         assert "unaligned word access" in end and "sw" in end
         base = program.data_labels["A"]
         assert (memory[base + 4], memory[base + 12], gregs[2]) == (41, 8, 3)
+
+    def test_callable_value_is_truncated(self):
+        """A definition registered as a bare callable may return any
+        int; a register holds its 32-bit pattern in both modes."""
+        if "so_wide" not in S.INT_BINOPS:
+            S.register_binop("so_wide", lambda a, b: a - b)
+            register_instruction("so_wide", "binary")
+        program = assemble("""
+            .data
+        A:  .word 0
+            .text
+        main:
+            la   $s0, A
+            li   $t0, 5
+            li   $t1, 7
+            so_wide $t2, $t0, $t1
+            sw   $t2, 0($s0)
+            halt
+        """)
+        a = program.data_labels["A"]
+        assert FunctionalSimulator(program).run().memory[a] == \
+            Machine(program, tiny()).run(max_cycles=10_000).memory[a] == \
+            (5 - 7) & 0xFFFFFFFF
 
     def test_div_by_zero_after_a_store_and_a_psm(self):
         program = assemble("""
@@ -1381,16 +1431,18 @@ class TestTranslated:
     @pytest.mark.parametrize("name", sorted(KERNEL_SIZES))
     def test_kernels_bypass_the_memory_handlers(self, name, monkeypatch):
         """Plain functional runs of the shipped kernels step (``_bump``,
-        then ``HANDLERS``) nothing but ``spawn``/``print``/``halt``: no
-        ``lw``/``sw``/``psm``/``ps`` goes through a handler."""
+        then a one-op block) nothing but ``spawn``/``print``/``halt``: no
+        ``lw``/``sw``/``psm``/``ps`` is executed one at a time."""
         stepped_ops = set()
         bump = FunctionalSimulator._bump
         monkeypatch.setattr(
             FunctionalSimulator, "_bump",
             lambda self, u: (stepped_ops.add(u.op), bump(self, u))[1])
         program = kernel(name)
-        result = FunctionalSimulator(program).run()
+        sim = FunctionalSimulator(program)
+        result = sim.run()
         assert stepped_ops <= {"spawn", "print", "halt"}
+        assert not sim._steps  # (the loops' own: no one-op block built)
         monkeypatch.undo()
         assert result == FunctionalSimulator(program, **STEPPED).run()
 
