@@ -42,7 +42,8 @@ class AssemblerError(Exception):
         self.line = line
 
 
-_LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
+_INT_RE = re.compile(r"^-?(0x[0-9a-fA-F]+|\d+)$")
 _MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))?\(\s*(\$\w+)\s*\)$")
 
 _INT_BIN_OPS = {"add", "sub", "and", "or", "xor", "nor", "sll", "srl", "sra",
@@ -93,6 +94,11 @@ def _parse_int(tok: str, line: int) -> int:
 
 def _split_operands(text: str) -> List[str]:
     """Split an operand list on commas that are not inside quotes."""
+    if '"' not in text:
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()
+        return parts
     parts = []
     depth_quote = False
     current = []
@@ -132,36 +138,41 @@ def _unescape(body: str, line: int) -> str:
 
 
 class _Assembler:
-    def __init__(self, source: str, data_base: int = DATA_BASE):
-        self.source = source
+    def __init__(self, data_base: int = DATA_BASE):
         self.data_base = data_base
-        self.program = Program(source=source)
+        self.program = Program()
         self.fmt_labels: Dict[str, int] = {}
         self._data_cursor = data_base
         self._section = ".text"
         self._pending_labels: List[Tuple[str, int]] = []
+        self._last_data_labels: List[str] = []
         self._fixups: List[Tuple[I.Instruction, str, str, int]] = []
 
     # -- pass 1: build instructions / data with label placeholders ---------
 
-    def run(self) -> Program:
-        for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            line = self._strip_comment(raw).strip()
-            if not line:
-                continue
-            line = self._consume_labels(line, lineno)
-            if not line:
-                continue
-            if line.startswith("."):
-                self._directive(line, lineno)
-            else:
-                self._instruction(line, lineno)
+    def line(self, raw: str, lineno: int) -> None:
+        """Read one line of assembly text."""
+        line = self._strip_comment(raw).strip()
+        if not line:
+            return
+        line = self._consume_labels(line, lineno)
+        if not line:
+            return
+        if line.startswith("."):
+            self._directive(line, lineno)
+            return
+        parts = line.split(None, 1)
+        ops = _split_operands(parts[1]) if len(parts) > 1 else []
+        self.instruction(parts[0], ops, lineno, self._pending_src_line)
+
+    def finish(self, source: str) -> Program:
         if self._pending_labels and self._section == ".text":
             # labels at end of text bind to one past the last instruction
             for name, lineno in self._pending_labels:
                 self._bind_text_label(name, len(self.program.instructions), lineno)
             self._pending_labels.clear()
         self._resolve()
+        self.program.source = source
         return self.program
 
     _SRC_MARK = re.compile(r"#\s*@(\d+)\s*$")
@@ -171,6 +182,8 @@ class _Assembler:
         # metadata before comments are dropped
         m = self._SRC_MARK.search(line)
         self._pending_src_line = int(m.group(1)) if m else 0
+        if '"' not in line:
+            return line.split("#", 1)[0].split("//", 1)[0]
         out = []
         in_str = False
         i = 0
@@ -189,25 +202,24 @@ class _Assembler:
 
     def _consume_labels(self, line: str, lineno: int) -> str:
         while True:
-            m = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*", line)
+            m = _LABEL_DEF_RE.match(line)
             if not m:
                 return line
-            name = m.group(1)
-            if not _LABEL_RE.match(name):
-                raise AssemblerError(f"bad label {name!r}", lineno)
-            self._pending_labels.append((name, lineno))
+            self.label(m.group(1), lineno)
             line = line[m.end():]
-            # Bind immediately for data labels so directives attach sizes.
-            if self._section == ".data":
-                self._flush_data_labels(lineno)
+
+    def label(self, name: str, lineno: int) -> None:
+        self._pending_labels.append((name, lineno))
+        # Bind immediately for data labels so directives attach sizes.
+        if self._section == ".data":
+            self._flush_data_labels(lineno)
 
     def _flush_data_labels(self, lineno: int) -> None:
         for name, _ in self._pending_labels:
             if name in self.program.data_labels or name in self.fmt_labels:
                 raise AssemblerError(f"duplicate data label {name!r}", lineno)
             self.program.data_labels[name] = self._data_cursor
-        pending = getattr(self, "_last_data_labels", [])
-        self._last_data_labels = pending + [n for n, _ in self._pending_labels]
+        self._last_data_labels += [n for n, _ in self._pending_labels]
         self._pending_labels.clear()
 
     def _bind_text_label(self, name: str, index: int, lineno: int) -> None:
@@ -230,11 +242,10 @@ class _Assembler:
             return
         if self._section != ".data":
             raise AssemblerError(f"directive {name} only allowed in .data", lineno)
-        self._last_data_labels = getattr(self, "_last_data_labels", [])
         start = self._data_cursor
         if name == ".word":
             for tok in _split_operands(rest):
-                if re.match(r"^-?(0x[0-9a-fA-F]+|\d+)$", tok):
+                if _INT_RE.match(tok):
                     self.program.data_image[self._data_cursor] = to_unsigned(
                         _parse_int(tok, lineno))
                 else:
@@ -293,19 +304,17 @@ class _Assembler:
 
     # -- instructions ----------------------------------------------------------
 
-    def _instruction(self, line: str, lineno: int) -> None:
+    def instruction(self, op: str, ops: List[str], lineno: int,
+                    src_line: int = 0) -> None:
         if self._section != ".text":
             raise AssemblerError("instruction outside .text section", lineno)
         for name, ln in self._pending_labels:
             self._bind_text_label(name, len(self.program.instructions), ln)
         self._pending_labels.clear()
 
-        parts = line.split(None, 1)
-        op = parts[0]
-        ops = _split_operands(parts[1]) if len(parts) > 1 else []
         ins = self._build(op, ops, lineno)
         ins.index = len(self.program.instructions)
-        ins.src_line = getattr(self, "_pending_src_line", 0)
+        ins.src_line = src_line
         self.program.instructions.append(ins)
 
     def _reg(self, tok: str, lineno: int) -> int:
@@ -349,7 +358,7 @@ class _Assembler:
             self._need(ops, 2, op, lineno)
             rd = self._reg(ops[0], lineno)
             tok = ops[1]
-            if re.match(r"^-?(0x[0-9a-fA-F]+|\d+)$", tok):
+            if _INT_RE.match(tok):
                 return I.LoadImm(rd, _parse_int(tok, lineno), line=lineno)
             ins = I.LoadImm(rd, 0, line=lineno)
             self._fixups.append((ins, "imm", tok, lineno))
@@ -485,4 +494,28 @@ class _Assembler:
 
 def assemble(source: str, data_base: int = DATA_BASE) -> Program:
     """Assemble XMT assembly text into a :class:`Program`."""
-    return _Assembler(source, data_base).run()
+    asm = _Assembler(data_base)
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        asm.line(raw, lineno)
+    return asm.finish(source)
+
+
+def assemble_lines(header: List[str], body, data_base: int = DATA_BASE
+                   ) -> Program:
+    """Assemble already-parsed lines (the compiler's post-pass output)
+    without reading them back from text.  ``header`` is text lines; each
+    ``body`` item has ``labels``, ``op``, ``operands``, ``src_line`` and
+    ``render()``.  The text is rendered as the lines are fed, so line
+    numbers and ``Program.source`` are those of ``assemble`` on it."""
+    asm = _Assembler(data_base)
+    text = list(header)
+    for lineno, raw in enumerate(header, start=1):
+        asm.line(raw, lineno)
+    for line in body:
+        first = len(text) + 1
+        text.extend(line.render())
+        for lineno, name in enumerate(line.labels, start=first):
+            asm.label(name, lineno)
+        if line.op is not None:
+            asm.instruction(line.op, line.operands, len(text), line.src_line)
+    return asm.finish("\n".join(text) + "\n")

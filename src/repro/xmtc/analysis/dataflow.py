@@ -104,26 +104,28 @@ def spawn_live_ins(spawn: IR.SpawnIR) -> Set[IR.Temp]:
     return live
 
 
-def _block_use_def(blocks: List[Block], instrs: List[IR.IRInstr]):
+def _block_use_def(blocks: List[Block], instrs: List[IR.IRInstr],
+                   uses: List[Set[IR.Temp]]):
     use: List[Set[IR.Temp]] = [set() for _ in blocks]
     defs: List[Set[IR.Temp]] = [set() for _ in blocks]
     for block in blocks:
+        block_use, block_defs = use[block.index], defs[block.index]
         for pos in range(block.start, block.end):
-            ins = instrs[pos]
-            for t in instr_uses(ins):
-                if t not in defs[block.index]:
-                    use[block.index].add(t)
-            for t in ins.defs():
-                defs[block.index].add(t)
+            block_use.update(uses[pos] - block_defs)
+            block_defs.update(instrs[pos].defs())
     return use, defs
 
 
 def _liveness_blocks(instrs: List[IR.IRInstr], loop_back: bool,
-                     seed_live_out: Optional[Set[IR.Temp]]):
+                     seed_live_out: Optional[Set[IR.Temp]],
+                     uses: List[Set[IR.Temp]]):
+    """Block-level liveness; ``uses`` is ``instr_uses`` of each
+    instruction, computed once by the caller (a spawn's entry is a whole
+    body liveness)."""
     blocks, _ = split_blocks(instrs)
     if not blocks:
         return blocks, [], []
-    use, defs = _block_use_def(blocks, instrs)
+    use, defs = _block_use_def(blocks, instrs, uses)
     exit_live = set(seed_live_out or ())
     # the dispatch loop re-enters the region at its top: model it as an
     # edge from every exit block back to block 0
@@ -145,25 +147,27 @@ def _liveness_blocks(instrs: List[IR.IRInstr], loop_back: bool,
 
 
 def liveness(instrs: List[IR.IRInstr], loop_back: bool = False,
-             seed_live_out: Optional[Set[IR.Temp]] = None
+             seed_live_out: Optional[Set[IR.Temp]] = None,
+             uses: Optional[List[Set[IR.Temp]]] = None
              ) -> List[Set[IR.Temp]]:
     """Per-instruction live-out sets (backward dataflow to fixpoint).
 
     ``loop_back=True`` adds an edge from the region end to its start,
     modeling the hardware's virtual-thread dispatch loop around a spawn
-    body.  ``seed_live_out`` is the set live at region exit.
+    body.  ``seed_live_out`` is the set live at region exit.  ``uses``
+    is ``[instr_uses(ins) for ins in instrs]`` if the caller has it.
     """
+    if uses is None:
+        uses = [instr_uses(ins) for ins in instrs]
     blocks, live_in, live_out = _liveness_blocks(instrs, loop_back,
-                                                 seed_live_out)
+                                                 seed_live_out, uses)
     result: List[Set[IR.Temp]] = [set() for _ in instrs]
     for block in blocks:
         live = set(live_out[block.index])
         for pos in range(block.end - 1, block.start - 1, -1):
-            ins = instrs[pos]
             result[pos] = set(live)
-            for t in ins.defs():
-                live.discard(t)
-            live |= instr_uses(ins)
+            live.difference_update(instrs[pos].defs())
+            live |= uses[pos]
     return result
 
 
@@ -171,7 +175,8 @@ def region_live_in(instrs: List[IR.IRInstr], loop_back: bool = False,
                    seed_live_out: Optional[Set[IR.Temp]] = None
                    ) -> Set[IR.Temp]:
     """The live-in set at the top of a region (entry of block 0)."""
-    blocks, live_in, _ = _liveness_blocks(instrs, loop_back, seed_live_out)
+    blocks, live_in, _ = _liveness_blocks(
+        instrs, loop_back, seed_live_out, [instr_uses(ins) for ins in instrs])
     if not blocks:
         return set()
     return set(live_in[0])

@@ -11,16 +11,16 @@ XMT semantics and links it with external data inputs." (Section IV)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Tuple
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble_lines
 from repro.isa.program import Program
 from repro.xmtc import parser as xparser
 from repro.xmtc.errors import CompileError
 from repro.xmtc.lowering import lower
 from repro.xmtc.optimizer import OptimizerOptions, optimize_unit
 from repro.xmtc.outline import cluster_spawns, outline_spawns, serialize_nested_spawns
-from repro.xmtc.postpass import run_postpass
+from repro.xmtc.postpass import AsmLine, postpass_lines, render
 from repro.xmtc.semantic import analyze
 from repro.xmtc.codegen import generate
 
@@ -67,11 +67,10 @@ class CompileResult:
     ir: object = None
 
 
-def compile_to_asm(source: str, options: Optional[CompileOptions] = None
-                   ) -> CompileResult:
-    """Compile XMTC source to verified assembly text (no assembly step)."""
-    options = options or CompileOptions()
-
+def _compile(source: str, options: CompileOptions
+             ) -> Tuple[CompileResult, List[str], List[AsmLine]]:
+    """The pipeline, up to the post-pass's verified ``(header, body)``
+    lines; the result's ``program`` and ``asm_text`` are left unset."""
     # ---- pre-pass (CIL equivalent): source-to-source ---------------------
     unit = xparser.parse(source)
     serialize_nested_spawns(unit)
@@ -95,14 +94,22 @@ def compile_to_asm(source: str, options: Optional[CompileOptions] = None
     asm_text = generate(ir_unit)
 
     # ---- post-pass (SableCC equivalent) -------------------------------------
-    asm_text, pp_report = run_postpass(asm_text,
-                                       parallel_calls=options.parallel_calls)
+    header, body, pp_report = postpass_lines(
+        asm_text, parallel_calls=options.parallel_calls)
 
-    result = CompileResult(program=None, asm_text=asm_text,
+    result = CompileResult(program=None, asm_text=None,
                            optimizer_report=report, postpass_report=pp_report)
     if options.keep_intermediates:
         result.ast = unit
         result.ir = ir_unit
+    return result, header, body
+
+
+def compile_to_asm(source: str, options: Optional[CompileOptions] = None
+                   ) -> CompileResult:
+    """Compile XMTC source to verified assembly text (no assembly step)."""
+    result, header, body = _compile(source, options or CompileOptions())
+    result.asm_text = render(header, body)
     return result
 
 
@@ -113,8 +120,9 @@ def compile_source(source: str, options: Optional[CompileOptions] = None,
         options = CompileOptions(**option_overrides)
     elif option_overrides:
         raise TypeError("pass either options or keyword overrides, not both")
-    result = compile_to_asm(source, options)
-    program = assemble(result.asm_text)
+    # the post-pass's lines go straight to the assembler, which renders
+    # the text (``program.source``) as it reads them
+    _, header, body = _compile(source, options)
+    program = assemble_lines(header, body)
     program.parallel_calls = options.parallel_calls
-    result.program = program
     return program

@@ -35,7 +35,7 @@ class Temp:
         return isinstance(other, Temp) and other.id == self.id
 
     def __hash__(self):
-        return hash(("temp", self.id))
+        return self.id
 
 
 class Const:

@@ -8,8 +8,10 @@ virtual-thread-ID token, the ``ps``/``psm`` prefix-sum builtins and the
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 from repro.xmtc.errors import CompileError
 
@@ -18,14 +20,25 @@ KEYWORDS = {
     "break", "continue", "spawn", "volatile", "psBaseReg", "const",
 }
 
-# multi-character operators, longest first
-_OPERATORS = [
-    "<<=", ">>=",
-    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-    "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^",
-    "(", ")", "{", "}", "[", "]", ";", ",", "?", ":", "$",
-]
+# operators by length, tried longest first
+_OPERATORS = {
+    3: {"<<=", ">>="},
+    2: {"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+        "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--"},
+    1: set("+-*/%=<>!~&|^(){}[];,?:$"),
+}
+
+_SPACE = re.compile(r"[ \t\r]+")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
+# hex, or digits / fraction / exponent (sign, digits) / float suffix
+_NUMBER = re.compile(r"0[xX][0-9a-fA-F]*|[0-9]*(\.[0-9]*)?"
+                     r"(?:([eE][+-]?)([0-9]*))?([fF])?")
+_INT_LITERAL = re.compile(r"0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*")
+_STRING_RUN = re.compile(r'[^"\\\n]*')
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0", "%": "%"}
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'"}
 
 
 @dataclass(frozen=True)
@@ -39,160 +52,121 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
+def int_value(text: str) -> int:
+    """The value of an ``int`` token's text (C: a leading 0 is octal)."""
+    if len(text) > 1 and text[0] == "0" and text[1] not in "xX":
+        return int(text, 8)
+    return int(text, 0)
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize XMTC source; raises :class:`CompileError` on bad input."""
     tokens: List[Token] = []
+    append = tokens.append
     i = 0
     line = 1
-    col = 1
+    line_start = 0      # index of the current line's first character
     n = len(source)
 
-    def error(msg: str) -> CompileError:
-        return CompileError(msg, line, col)
+    def error(msg: str, at: int) -> CompileError:
+        return CompileError(msg, line, at - line_start + 1)
 
     while i < n:
         ch = source[i]
-        # whitespace
         if ch in " \t\r":
-            i += 1
-            col += 1
+            i = _SPACE.match(source, i).end()
             continue
         if ch == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
-        # comments
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
+        col = i - line_start + 1
+        if ch in _IDENT_START:
+            end = _IDENT.match(source, i).end()
+            text = source[i:end]
+            append(Token("keyword" if text in KEYWORDS else "ident",
+                         text, line, col))
+            i = end
             continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise CompileError("unterminated comment", start_line, start_col)
-            i += 2
-            col += 2
+        nxt = source[i + 1:i + 2]
+        if ch == "/" and nxt == "/":
+            end = source.find("\n", i)
+            if end < 0:
+                break       # the eof token takes the comment's column
+            i = end
             continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, start_col))
+        if ch == "/" and nxt == "*":
+            end = source.find("*/", i + 2)
+            if end < 0:
+                raise CompileError("unterminated comment", line, col)
+            newlines = source.count("\n", i, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", i, end) + 1
+            i = end + 2
             continue
-        # numbers
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            start_col = col
-            is_float = False
-            if ch == "0" and i + 1 < n and source[i + 1] in "xX":
-                i += 2
-                col += 2
-                while i < n and source[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                    col += 1
-                tokens.append(Token("int", source[start:i], line, start_col))
-                continue
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            if i < n and source[i] == ".":
-                is_float = True
-                i += 1
-                col += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-                    col += 1
-            if i < n and source[i] in "eE":
-                is_float = True
-                i += 1
-                col += 1
-                if i < n and source[i] in "+-":
-                    i += 1
-                    col += 1
-                if i >= n or not source[i].isdigit():
-                    raise error("malformed float exponent")
-                while i < n and source[i].isdigit():
-                    i += 1
-                    col += 1
-            if i < n and source[i] in "fF":
-                is_float = True
-                i += 1
-                col += 1
-            tokens.append(Token("float" if is_float else "int",
-                                source[start:i], line, start_col))
+        if ch in _DIGITS or (ch == "." and nxt in _DIGITS):
+            m = _NUMBER.match(source, i)
+            if m.group(2) is not None and not m.group(3):
+                raise error("malformed float exponent", m.end(2))
+            text = m.group()
+            if m.group(1) is None and m.group(2) is None and not m.group(4):
+                if not _INT_LITERAL.fullmatch(text):
+                    raise CompileError(f"malformed integer literal {text!r}",
+                                       line, col)
+                append(Token("int", text, line, col))
+            else:
+                append(Token("float", text, line, col))
+            i = m.end()
             continue
         # string literals (printf formats)
         if ch == '"':
-            start_col = col
             i += 1
-            col += 1
             out = []
-            while i < n and source[i] != '"':
+            while True:
+                end = _STRING_RUN.match(source, i).end()
+                out.append(source[i:end])
+                i = end
+                if i >= n:
+                    raise error("unterminated string literal", i)
                 c = source[i]
+                if c == '"':
+                    break
                 if c == "\n":
-                    raise error("newline in string literal")
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise error("dangling escape")
-                    esc = source[i + 1]
-                    mapped = {"n": "\n", "t": "\t", "\\": "\\", '"': '"',
-                              "0": "\0", "%": "%"}.get(esc)
-                    if mapped is None:
-                        raise error(f"unknown escape \\{esc}")
-                    out.append(mapped)
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise error("unterminated string literal")
+                    raise error("newline in string literal", i)
+                if i + 1 >= n:
+                    raise error("dangling escape", i)
+                mapped = _ESCAPES.get(source[i + 1])
+                if mapped is None:
+                    raise error(f"unknown escape \\{source[i + 1]}", i)
+                out.append(mapped)
+                i += 2
             i += 1
-            col += 1
-            tokens.append(Token("string", "".join(out), line, start_col))
+            append(Token("string", "".join(out), line, col))
             continue
         # character literals -> int tokens
         if ch == "'":
-            start_col = col
-            if i + 2 < n and source[i + 1] != "\\" and source[i + 2] == "'":
-                tokens.append(Token("int", str(ord(source[i + 1])), line, start_col))
+            if i + 2 < n and nxt != "\\" and source[i + 2] == "'":
+                append(Token("int", str(ord(nxt)), line, col))
                 i += 3
-                col += 3
                 continue
-            if i + 3 < n and source[i + 1] == "\\" and source[i + 3] == "'":
-                esc = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'"}.get(
-                    source[i + 2])
+            if i + 3 < n and nxt == "\\" and source[i + 3] == "'":
+                esc = _CHAR_ESCAPES.get(source[i + 2])
                 if esc is None:
-                    raise error(f"unknown escape \\{source[i + 2]}")
-                tokens.append(Token("int", str(ord(esc)), line, start_col))
+                    raise error(f"unknown escape \\{source[i + 2]}", i)
+                append(Token("int", str(ord(esc)), line, col))
                 i += 4
-                col += 4
                 continue
-            raise error("malformed character literal")
+            raise error("malformed character literal", i)
         # operators / punctuation
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
+        for size in (3, 2, 1):
+            op = source[i:i + size]
+            if op in _OPERATORS[size]:
+                append(Token("op", op, line, col))
+                i += size
                 break
         else:
-            raise error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+            raise error(f"unexpected character {ch!r}", i)
+    append(Token("eof", "", line, i - line_start + 1))
     return tokens

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.xmtc import ir as IR
-from repro.xmtc.analysis.cfg import split_blocks
-from repro.xmtc.analysis.dataflow import liveness
+from repro.xmtc.analysis.dataflow import _liveness_blocks, instr_uses
 
 
 def _remove_unreachable(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
@@ -64,6 +63,13 @@ def _drop_unused_labels(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
 _PURE = (IR.Bin, IR.Un, IR.Mov, IR.La, IR.FrameAddr)
 
 
+def _dead(ins: IR.IRInstr, live: Set[IR.Temp]) -> bool:
+    if isinstance(ins, _PURE) or (isinstance(ins, IR.Load)
+                                  and not ins.volatile):
+        return ins.dst not in live and ins.dst.pinned is None
+    return False
+
+
 def dce_region(instrs: List[IR.IRInstr], is_spawn_body: bool) -> List[IR.IRInstr]:
     # recurse first so body shrinkage is visible to the outer problem
     for ins in instrs:
@@ -75,21 +81,23 @@ def dce_region(instrs: List[IR.IRInstr], is_spawn_body: bool) -> List[IR.IRInstr
         changed = False
         instrs = _remove_unreachable(instrs)
         instrs = _drop_redundant_jumps(instrs)
-        live = liveness(instrs, loop_back=is_spawn_body)
-        out: List[IR.IRInstr] = []
-        for pos, ins in enumerate(instrs):
-            if isinstance(ins, _PURE) and not (
-                    isinstance(ins, IR.Load)):
-                dst = ins.defs()[0]
-                if dst not in live[pos] and dst.pinned is None:
+        uses = [instr_uses(ins) for ins in instrs]
+        blocks, _, live_out = _liveness_blocks(instrs, is_spawn_body, None,
+                                               uses)
+        # one backward walk per block: a deleted instruction's uses are
+        # not added, so a dead chain goes in one round
+        keep = [True] * len(instrs)
+        for block in blocks:
+            live = set(live_out[block.index])
+            for pos in range(block.end - 1, block.start - 1, -1):
+                ins = instrs[pos]
+                if _dead(ins, live):
+                    keep[pos] = False
                     changed = True
                     continue
-            elif isinstance(ins, IR.Load) and not ins.volatile:
-                if ins.dst not in live[pos] and ins.dst.pinned is None:
-                    changed = True
-                    continue
-            out.append(ins)
-        instrs = out
+                live.difference_update(ins.defs())
+                live |= uses[pos]
+        instrs = [ins for ins, kept in zip(instrs, keep) if kept]
     return _drop_unused_labels(instrs)
 
 

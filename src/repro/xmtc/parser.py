@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.xmtc import ast_nodes as A
 from repro.xmtc.errors import CompileError
-from repro.xmtc.lexer import Token, tokenize
+from repro.xmtc.lexer import Token, int_value, tokenize
 from repro.xmtc.types import Array, FLOAT, INT, Pointer, Type, VOID
 
 _BIN_PRECEDENCE = {
@@ -43,7 +43,10 @@ class Parser:
     # -- token helpers -------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -498,7 +501,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return A.IntLit(int(tok.text, 0), tok.line, tok.col)
+            return A.IntLit(int_value(tok.text), tok.line, tok.col)
         if tok.kind == "float":
             self.next()
             return A.FloatLit(float(tok.text.rstrip("fF")), tok.line, tok.col)

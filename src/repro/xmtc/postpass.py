@@ -243,9 +243,10 @@ def _verify(body: List[AsmLine], parallel_calls: bool = False) -> None:
                 "post-pass: spawn-region code falls through into the join")
 
 
-def run_postpass(asm_text: str,
-                 parallel_calls: bool = False) -> Tuple[str, PostPassReport]:
-    """Verify (and fix) XMT layout semantics of an assembly module."""
+def postpass_lines(asm_text: str, parallel_calls: bool = False
+                   ) -> Tuple[List[str], List[AsmLine], PostPassReport]:
+    """Verify (and fix) XMT layout semantics of an assembly module;
+    returns the verified ``(header, body)`` lines and the report."""
     header, body = _parse(asm_text)
     report = PostPassReport()
     for _ in range(1 + len(body)):
@@ -256,7 +257,19 @@ def run_postpass(asm_text: str,
     else:  # pragma: no cover
         raise CompileError("post-pass: relocation did not converge")
     _verify(body, parallel_calls=parallel_calls)
+    return header, body, report
+
+
+def render(header: List[str], body: List[AsmLine]) -> str:
+    """The assembly text of verified lines."""
     lines = list(header)
     for line in body:
         lines.extend(line.render())
-    return "\n".join(lines) + "\n", report
+    return "\n".join(lines) + "\n"
+
+
+def run_postpass(asm_text: str,
+                 parallel_calls: bool = False) -> Tuple[str, PostPassReport]:
+    """Verify (and fix) XMT layout semantics of an assembly module."""
+    header, body, report = postpass_lines(asm_text, parallel_calls)
+    return render(header, body), report

@@ -27,7 +27,7 @@ from repro.isa.registers import (
 )
 from repro.xmtc import ir as IR
 from repro.xmtc.errors import CompileError, RegisterSpillError
-from repro.xmtc.analysis.dataflow import liveness, spawn_live_ins
+from repro.xmtc.analysis.dataflow import instr_uses, liveness
 
 #: registers reserved as codegen/spill scratch
 SCRATCH = (24, 25)  # $t8, $t9
@@ -69,7 +69,11 @@ class _Interval:
         self.crosses_call = False
 
 
-def _build_intervals(instrs: List[IR.IRInstr], live: List[Set[IR.Temp]]):
+def _build_intervals(instrs: List[IR.IRInstr], loop_back: bool):
+    """Live intervals of a region, and each instruction's uses (a
+    spawn's are its live-ins: a whole body liveness, computed once)."""
+    uses = [instr_uses(ins) for ins in instrs]
+    live = liveness(instrs, loop_back=loop_back, uses=uses)
     intervals: Dict[int, _Interval] = {}
 
     def touch(temp: IR.Temp, pos: int) -> None:
@@ -82,10 +86,7 @@ def _build_intervals(instrs: List[IR.IRInstr], live: List[Set[IR.Temp]]):
         iv.end = max(iv.end, pos + 1)
 
     for pos, ins in enumerate(instrs):
-        uses = set(ins.uses())
-        if isinstance(ins, IR.SpawnIR):
-            uses |= spawn_live_ins(ins)
-        for t in uses:
+        for t in uses[pos]:
             touch(t, pos)
         for t in ins.defs():
             touch(t, pos)
@@ -96,17 +97,17 @@ def _build_intervals(instrs: List[IR.IRInstr], live: List[Set[IR.Temp]]):
     # the broadcast registers, so those values must sit in callee-saved
     # registers that the callees preserve)
     for pos, ins in enumerate(instrs):
-        if isinstance(ins, IR.Call) or (
-                isinstance(ins, IR.SpawnIR) and IR.region_has_calls(ins.body)):
+        spawn_calls = (isinstance(ins, IR.SpawnIR)
+                       and IR.region_has_calls(ins.body))
+        if isinstance(ins, IR.Call) or spawn_calls:
             for iv in intervals.values():
                 if iv.start < pos and iv.end > pos + 1:
                     iv.crosses_call = True
                 elif iv.start < pos and iv.temp in live[pos]:
                     iv.crosses_call = True
-                elif isinstance(ins, IR.SpawnIR) and iv.start <= pos \
-                        and iv.temp in spawn_live_ins(ins):
+                elif spawn_calls and iv.start <= pos and iv.temp in uses[pos]:
                     iv.crosses_call = True
-    return intervals
+    return intervals, uses
 
 
 def _linear_scan(intervals: List[_Interval], caller_pool: List[int],
@@ -186,17 +187,15 @@ def allocate(func: IR.IRFunc) -> FuncAllocation:
     result = FuncAllocation(func)
 
     # ---- serial region
-    live = liveness(func.body, loop_back=False)
-    intervals = _build_intervals(func.body, live)
+    intervals, uses = _build_intervals(func.body, loop_back=False)
     _linear_scan(list(intervals.values()), list(POOL_CALLER),
                  list(POOL_CALLEE), result.serial, allow_spill=True,
                  func=func, region_desc=func.name)
 
     # ---- each spawn body
-    for ins in func.body:
+    for ins, live_ins in zip(func.body, uses):
         if not isinstance(ins, IR.SpawnIR):
             continue
-        live_ins = spawn_live_ins(ins)
         pinned_regs: Set[int] = {REG_VT}
         for t in live_ins:
             kind, n = result.serial.where(t)
@@ -208,8 +207,7 @@ def allocate(func: IR.IRFunc) -> FuncAllocation:
         # live-ins keep their master registers inside the body
         for t in live_ins:
             body_alloc.map[t.id] = result.serial.where(t)
-        body_live = liveness(ins.body, loop_back=True)
-        body_intervals = _build_intervals(ins.body, body_live)
+        body_intervals, _ = _build_intervals(ins.body, loop_back=True)
         for t in live_ins:
             body_intervals.pop(t.id, None)
         if IR.region_has_calls(ins.body):

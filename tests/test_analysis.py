@@ -150,6 +150,59 @@ class TestSpawnLiveIns:
         assert m in live and d_in not in live
 
 
+class TestAnalysisWork:
+    """Timing-free guard that each region's liveness is solved once per
+    request: exact ``_liveness_blocks`` call counts, so a nested spawn
+    recomputed per enclosing walk, or spawn live-ins recomputed per
+    interval by the allocator, fails here rather than slowing the
+    ``compile_corpus`` benchmark."""
+
+    SOURCE = """
+    int A[64]; int B[64];
+    int twice(int v) { return v + v; }
+    int main() {
+        int k = 3;
+        spawn(0, 63) { A[$] = twice($) + k; }
+        spawn(0, 63) { B[$] = A[63 - $] * k; }
+        return 0;
+    }
+    """
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        from repro.xmtc.analysis import dataflow
+        from repro.xmtc.optimizer import dead_code
+
+        calls = [0]
+        original = dataflow._liveness_blocks
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+        monkeypatch.setattr(dataflow, "_liveness_blocks", counted)
+        monkeypatch.setattr(dead_code, "_liveness_blocks", counted)
+        return calls
+
+    def test_nested_spawn_is_solved_once(self, monkeypatch):
+        d_in, d_out, m, t = T(0, "dollar"), T(1, "dollar"), T(2), T(3)
+        inner = IR.SpawnIR(IR.Const(0), IR.Const(1),
+                           [IR.Bin(t, "+", d_in, m)], d_in)
+        outer = IR.SpawnIR(IR.Const(0), IR.Const(1), [inner], d_out)
+        calls = self.count_calls(monkeypatch)
+        liveness([outer, IR.Ret(None)])
+        # the region, the body, the inner body (5 when every walk
+        # recomputed the spawn's uses)
+        assert calls[0] == 3
+
+    def test_compile_work_count(self, monkeypatch):
+        from repro.xmtc.compiler import compile_source
+
+        calls = self.count_calls(monkeypatch)
+        compile_source(self.SOURCE, parallel_calls=True)
+        # 26 when each spawn's live-ins were recomputed per use
+        assert calls[0] == 17
+
+
 # ------------------------------------------------------- reaching definitions
 
 class TestReachingDefinitions:

@@ -60,6 +60,79 @@ class TestLexer:
         with pytest.raises(CompileError, match="unexpected character"):
             tokenize("int `x;")
 
+    # every lexical error with its message and position, as the
+    # character-by-character lexer reported them
+    @pytest.mark.parametrize("source,message,line,col", [
+        ("x /* oops", "unterminated comment", 1, 3),
+        ('a\n  "oops', "unterminated string literal", 2, 8),
+        ('"ab', "unterminated string literal", 1, 4),
+        ('a = "ab\ncd";', "newline in string literal", 1, 8),
+        ('"a\\qb"', "unknown escape \\q", 1, 3),
+        ('"ab\\', "dangling escape", 1, 4),
+        ('\t"x\\', "dangling escape", 1, 4),
+        ("x = 1e+;", "malformed float exponent", 1, 8),
+        ("x = 2.5e;", "malformed float exponent", 1, 9),
+        ("x = 3e", "malformed float exponent", 1, 7),
+        ("c = 'ab';", "malformed character literal", 1, 5),
+        ("c = '", "malformed character literal", 1, 5),
+        ("c = '\\q';", "unknown escape \\q", 1, 5),
+        ("int `x;", "unexpected character '`'", 1, 5),
+        ("int main() {\n  y = @;\n}", "unexpected character '@'", 2, 7),
+        ("/* a\nbc */ @", "unexpected character '@'", 2, 7),
+    ])
+    def test_lexical_errors(self, source, message, line, col):
+        with pytest.raises(CompileError) as info:
+            tokenize(source)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            message, line, col)
+
+    @pytest.mark.parametrize("source,tokens", [
+        ("x /* 1\n2 */ y\n\"s\\t\" 0x1F 1.5e-3f <<= '\\n'", [
+            ("ident", "x", 1, 1), ("ident", "y", 2, 6),
+            ("string", "s\t", 3, 1), ("int", "0x1F", 3, 7),
+            ("float", "1.5e-3f", 3, 12), ("op", "<<=", 3, 20),
+            ("int", "10", 3, 24), ("eof", "", 3, 28)]),
+        # the eof token keeps the column of a trailing line comment
+        ("a // note", [("ident", "a", 1, 1), ("eof", "", 1, 3)]),
+        ("0x1g 1.5.3", [("int", "0x1", 1, 1), ("ident", "g", 1, 4),
+                        ("float", "1.5", 1, 6), ("float", ".3", 1, 9),
+                        ("eof", "", 1, 11)]),
+    ])
+    def test_token_positions(self, source, tokens):
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in tokenize(source)] == tokens
+
+    @pytest.mark.parametrize("literal,value", [
+        ("0", 0), ("00", 0), ("010", 8), ("0777", 511), ("42", 42),
+        ("0x1F", 31), ("0X10", 16)])
+    def test_integer_literals(self, literal, value):
+        unit = parse(f"int R = {literal};")
+        assert unit.globals[0].init.value == value
+
+    @pytest.mark.parametrize("source,message,col", [
+        ("R = 099;", "malformed integer literal '099'", 5),
+        ("R = 08;", "malformed integer literal '08'", 5),
+        ("R = 0x;", "malformed integer literal '0x'", 5),
+        ("R = ²;", "unexpected character '²'", 5),
+    ])
+    def test_malformed_integer_literals(self, source, message, col):
+        from repro.xmtc.compiler import compile_source
+
+        with pytest.raises(CompileError) as info:
+            compile_source("int R;\nint main() { " + source + " return 0; }")
+        assert (info.value.message, info.value.line, info.value.col) == (
+            message, 2, 13 + col)
+
+    def test_identifiers_are_ascii(self):
+        """A non-ASCII identifier used to reach the assembler as a label
+        it rejects; it is a lexical error at its position."""
+        from repro.xmtc.compiler import compile_source
+
+        with pytest.raises(CompileError) as info:
+            compile_source("int é; int main(){ é = 1; return 0; }")
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "unexpected character 'é'", 1, 5)
+
 
 class TestParserTopLevel:
     def test_globals(self):
@@ -249,7 +322,7 @@ class TestFrontEndFuzz:
         except CompileError:
             pass
 
-    @given(st.text(alphabet="intflospawn main(){}[];=+-*/%$<>&|^!~?:,.0123456789abcxyz\"\n ",
+    @given(st.text(alphabet="intflospawn main(){}[];=+-*/%$<>&|^!~?:,.0123456789abcxyz\"\n é²",
                    max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_parser_never_crashes(self, text):
@@ -260,15 +333,15 @@ class TestFrontEndFuzz:
         except RecursionError:
             pass  # pathological nesting depth is acceptable to reject
 
-    @given(st.text(alphabet="intspawn main(){}[];=+$0123456789abc,<\n ",
+    @given(st.text(alphabet="intspawn main(){}[];=+$0123456789abcx,<\n é²",
                    max_size=100))
     @settings(max_examples=100, deadline=None)
     def test_full_pipeline_never_crashes(self, text):
+        """Only a diagnostic may come out: an ``AssemblerError`` or a
+        ``ValueError`` from ``compile_source`` is a crash."""
         from repro.xmtc.compiler import compile_source
 
         try:
             compile_source(text)
         except CompileError:
-            pass
-        except RecursionError:
             pass
