@@ -17,13 +17,17 @@ The cooperating pieces:
   ``xmt-accounting/1``);
 - :mod:`~repro.sim.observability.explain` -- ``xmt-explain`` reports:
   the top-down tree, hop latency distributions, contention hot spots,
-  and the two-run layer-attribution diff;
+  and the two-run layer-attribution diff; and the one report renderer
+  (:func:`render_report`, :func:`render_table`) every report below
+  prints through -- a report is its JSON payload, and text and
+  markdown are one layout of it;
 - :mod:`~repro.sim.observability.ledger` -- versioned run manifests
   (``xmtsim-run/1``) bundled with metrics/profile exports in a
   content-addressed run ledger (``xmtsim --ledger``);
 - :mod:`~repro.sim.observability.compare` -- differential layer over
-  the ledger: metric/profile/spawn deltas, sweep tables and the
-  ``xmt-compare check`` perf-regression gate;
+  the ledger: the ``xmt-compare/1`` report of metric/profile/spawn/layer
+  deltas, sweep tables and the ``xmt-compare check`` perf-regression
+  gate;
 - :mod:`~repro.sim.observability.telemetry` /
   :mod:`~repro.sim.observability.aggregate` -- live progress frames
   from a running simulation (JSONL sinks, Unix-socket publisher) and
@@ -51,12 +55,12 @@ from repro.sim.observability.artifacts import (
 
 from repro.sim.observability.compare import (
     GateFailure,
-    RunComparison,
     check_regressions,
     compare_runs,
     diff_profiles,
     diff_spawn_regions,
     flatten_metrics,
+    render_comparison,
     render_sweep_table,
 )
 from repro.sim.observability.aggregate import (
@@ -69,11 +73,11 @@ from repro.sim.observability.aggregate import (
 from repro.sim.observability.core import PROBES, Observability
 from repro.sim.observability.events import EventStream, SpanEvent
 from repro.sim.observability.explain import (
-    AccountingDelta,
     build_explain,
     diff_accounting,
     explain_diff,
     render_explain,
+    render_report,
     render_table,
     responsible_layer,
 )
@@ -133,12 +137,12 @@ __all__ = [
     "load_run",
     "write_run_dir",
     "GateFailure",
-    "RunComparison",
     "check_regressions",
     "compare_runs",
     "diff_profiles",
     "diff_spawn_regions",
     "flatten_metrics",
+    "render_comparison",
     "render_sweep_table",
     "TelemetrySampler",
     "JsonlSink",
@@ -152,11 +156,11 @@ __all__ = [
     "CycleAccountant",
     "export_accounting",
     "hop_percentiles",
-    "AccountingDelta",
     "diff_accounting",
     "responsible_layer",
     "build_explain",
     "explain_diff",
     "render_explain",
+    "render_report",
     "render_table",
 ]

@@ -13,20 +13,21 @@ write:
   cycles overall and per config-override axis, and a histogram of
   attempts per run.
 
-Renderers follow the ``xmt-compare`` conventions: ``text`` (aligned
-columns), ``markdown`` (pipe tables) and ``json`` (machine-readable,
-schema-stamped).
+Both print through the one report renderer
+(:func:`~repro.sim.observability.explain.render_report`): ``text``
+(aligned columns), ``markdown`` (pipe tables) and ``json`` (the
+schema-stamped payload).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.observability.artifacts import schema_of
-from repro.sim.observability.explain import render_table
+from repro.sim.observability.explain import (Status, Table, Title, fmt_num,
+                                             render_report)
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -147,58 +148,46 @@ def fold_stream(records: Sequence[Dict[str, Any]],
     return summary
 
 
-def _fmt(value, digits: int = 2) -> str:
-    if value is None:
-        return "--"
-    if isinstance(value, float):
-        return f"{value:.{digits}f}"
-    return str(value)
-
-
 _TOP_COLUMNS = ("run", "state", "att", "cycles", "instr", "ipc",
                 "wall_s", "eta_s", "hot")
 
 
-def _top_cells(row: TopRow) -> List[str]:
-    return [row.key, row.state, str(row.attempt or "--"),
-            _fmt(row.cycle), _fmt(row.instructions),
-            _fmt(row.ipc, 3), _fmt(row.wall_seconds, 2),
-            _fmt(row.eta_seconds, 1), row.hot_layer or "--"]
+def _top_cells(row: Dict[str, Any]) -> List[Any]:
+    return [row["key"], row["state"], row["attempt"] or "--", row["cycle"],
+            row["instructions"], fmt_num(row["ipc"], ".3f"),
+            fmt_num(row["wall_seconds"], ".2f"),
+            fmt_num(row["eta_seconds"], ".1f"), row["hot_layer"] or "--"]
 
 
 def render_top(summary: TopSummary, fmt: str = "text") -> str:
-    """Render the per-run table (text | markdown | json)."""
-    rows = list(summary.rows.values())
-    if fmt == "json":
-        payload = {
-            "schema": schema_of("top-report"),
-            "campaign_id": summary.campaign_id,
-            "runs_expected": summary.runs_expected,
-            "finished": summary.finished,
-            "counts": summary.counts,
-            "rows": [vars(r) for r in rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+    """Render the per-run table (text | markdown | json); the campaign
+    header and the state tally are terminal-only status lines."""
+    return render_report({
+        "schema": schema_of("top-report"),
+        "campaign_id": summary.campaign_id,
+        "runs_expected": summary.runs_expected,
+        "finished": summary.finished,
+        "counts": summary.counts,
+        "rows": [vars(r) for r in summary.rows.values()],
+    }, fmt, _top_parts)
 
-    table = render_table(_TOP_COLUMNS, [_top_cells(r) for r in rows], fmt,
-                         align=2)
-    if fmt == "markdown":
-        return "\n".join(table)
 
-    lines = []
-    if summary.campaign_id:
-        header = f"campaign {summary.campaign_id}"
-        if summary.runs_expected is not None:
-            header += f": {len(rows)}/{summary.runs_expected} runs seen"
-        lines.append(header)
-    lines += table
+def _top_parts(report: Dict[str, Any]) -> List[Any]:
+    rows = report["rows"]
+    parts: List[Any] = []
+    if report["campaign_id"]:
+        header = f"campaign {report['campaign_id']}"
+        if report["runs_expected"] is not None:
+            header += f": {len(rows)}/{report['runs_expected']} runs seen"
+        parts.append(Status(header))
     states: Dict[str, int] = {}
-    for r in rows:
-        states[r.state] = states.get(r.state, 0) + 1
-    lines.append("-- " + "  ".join(
-        f"{name}: {count}" for name, count in sorted(states.items()))
-        + ("  [stream ended]" if summary.finished else ""))
-    return "\n".join(lines)
+    for row in rows:
+        states[row["state"]] = states.get(row["state"], 0) + 1
+    return parts + [
+        Table(_TOP_COLUMNS, [_top_cells(row) for row in rows], align=2),
+        Status("-- " + "  ".join(f"{name}: {count}" for name, count
+                                 in sorted(states.items()))
+               + ("  [stream ended]" if report["finished"] else ""))]
 
 
 # -- xmt-campaign report: finished-campaign aggregation -----------------------
@@ -283,43 +272,32 @@ def aggregate_campaign(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 def render_campaign_report(report: Dict[str, Any],
                            fmt: str = "text") -> str:
     """Render an aggregated campaign report (text | markdown | json)."""
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+    return render_report(report, fmt, _campaign_parts)
 
-    def stats_cells(coord: str, stats: Dict[str, Any]) -> List[str]:
-        return [coord, str(stats["runs"]),
-                _fmt(stats["wall_p50"], 3), _fmt(stats["wall_p95"], 3),
-                _fmt(stats["cycles_p50"], 0), _fmt(stats["cycles_p95"], 0)]
+
+def _campaign_parts(report: Dict[str, Any]) -> List[Any]:
+    def stats_cells(coord: str, stats: Dict[str, Any]) -> List[Any]:
+        return [coord, stats["runs"],
+                fmt_num(stats["wall_p50"], ".3f"),
+                fmt_num(stats["wall_p95"], ".3f"),
+                fmt_num(stats["cycles_p50"], ".0f"),
+                fmt_num(stats["cycles_p95"], ".0f")]
 
     rows = [stats_cells("(all)", report["overall"])]
     for name in sorted(report["axes"]):
         for coord, stats in report["axes"][name].items():
             rows.append(stats_cells(coord, stats))
-    table = render_table(["axis", "runs", "wall p50", "wall p95",
-                          "cyc p50", "cyc p95"], rows, fmt, align=1)
-
     counts_line = "  ".join(f"{name}: {count}" for name, count
                             in sorted(report["counts"].items()))
     retry_line = "  ".join(
         f"{attempts}x: {count}" for attempts, count
         in sorted(report["retry_histogram"].items(),
                   key=lambda kv: int(kv[0])))
-
-    if fmt == "markdown":
-        out = [f"## campaign report"
-               + (f" `{report['campaign_id']}`"
-                  if report["campaign_id"] else ""),
-               "",
-               f"{report['runs']} runs -- {counts_line}",
-               "", *table]
-        if retry_line:
-            out += ["", f"attempts histogram: {retry_line}"]
-        return "\n".join(out)
-
-    lines = [("campaign report"
-              + (f" {report['campaign_id']}" if report["campaign_id"]
-                 else "")),
-             f"{report['runs']} runs -- {counts_line}", "", *table]
+    parts: List[Any] = [
+        Title("campaign report", report["campaign_id"]),
+        f"{report['runs']} runs -- {counts_line}", "",
+        Table(["axis", "runs", "wall p50", "wall p95", "cyc p50", "cyc p95"],
+              rows, align=1)]
     if retry_line:
-        lines += ["", f"attempts histogram: {retry_line}"]
-    return "\n".join(lines)
+        parts += ["", f"attempts histogram: {retry_line}"]
+    return parts

@@ -1,4 +1,5 @@
-"""Bottleneck reports over accounting + lifecycle exports.
+"""Bottleneck reports over accounting + lifecycle exports, and the one
+renderer every report goes through.
 
 ``xmt-explain`` turns one run's ``xmt-accounting/1`` +
 ``xmt-lifecycle/1`` payloads into the report every architectural study
@@ -9,16 +10,17 @@ The same :func:`diff_accounting` rows feed ``xmt-compare diff``.
 
 Everything here works on the exported dict payloads (not live
 simulator objects) so reports can be rebuilt from a ledger long after
-the run.
+the run.  A report *is* its payload: :func:`render_report` prints it as
+JSON, or lays it out as lines and :class:`Table` s that :func:`render_table`
+writes as aligned text or markdown -- for the comparison, sweep, top and
+campaign reports too.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.sim.observability.artifacts import schema_of
+from repro.sim.observability.artifacts import artifact_json, schema_of
 from repro.sim.observability.lifecycle import HOP_LAYER, hop_percentiles
 
 #: categories that are *spent well* or derived idle -- never named as
@@ -26,26 +28,12 @@ from repro.sim.observability.lifecycle import HOP_LAYER, hop_percentiles
 _NOT_RESPONSIBLE = ("retiring",)
 
 
-@dataclass
-class AccountingDelta:
-    """One top-down category compared across two runs (cycles are
-    machine-wide sums over all processors)."""
-    category: str
-    cycles_a: int
-    cycles_b: int
-    delta: int
-    pct: Optional[float]  # relative change; None when a is 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"category": self.category, "cycles_a": self.cycles_a,
-                "cycles_b": self.cycles_b, "delta": self.delta,
-                "pct": self.pct}
-
-
 def diff_accounting(a: Dict[str, Any],
-                    b: Dict[str, Any]) -> List[AccountingDelta]:
-    """Per-category deltas between two accounting exports, largest
-    absolute movement first."""
+                    b: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Per-category rows (``category``, ``cycles_a``, ``cycles_b``,
+    ``delta``, ``pct`` -- the relative change, ``None`` when a is 0) of
+    two accounting exports, largest absolute movement first.  Cycles
+    are machine-wide sums over all processors."""
     flat_a = a.get("machine", {}).get("flat", {})
     flat_b = b.get("machine", {}).get("flat", {})
     rows = []
@@ -54,23 +42,25 @@ def diff_accounting(a: Dict[str, Any],
         cb = flat_b.get(cat, 0)
         if not ca and not cb:
             continue
-        pct = round(100.0 * (cb - ca) / ca, 2) if ca else None
-        rows.append(AccountingDelta(cat, ca, cb, cb - ca, pct))
-    rows.sort(key=lambda r: -abs(r.delta))
+        rows.append({"category": cat, "cycles_a": ca, "cycles_b": cb,
+                     "delta": cb - ca,
+                     "pct": round(100.0 * (cb - ca) / ca, 2) if ca else None})
+    rows.sort(key=lambda r: -abs(r["delta"]))
     return rows
 
 
-def responsible_layer(rows: List[AccountingDelta]) -> Optional[Dict[str, Any]]:
+def responsible_layer(rows: List[Dict[str, Any]]
+                      ) -> Optional[Dict[str, Any]]:
     """The category that grew the most -- the *layer* a regression is
     charged to.  ``None`` when nothing grew."""
     grew = [r for r in rows
-            if r.delta > 0 and r.category not in _NOT_RESPONSIBLE]
+            if r["delta"] > 0 and r["category"] not in _NOT_RESPONSIBLE]
     if not grew:
         return None
-    worst = max(grew, key=lambda r: r.delta)
-    total_growth = sum(r.delta for r in grew)
-    return {"category": worst.category, "delta": worst.delta,
-            "share": round(100.0 * worst.delta / total_growth, 1)
+    worst = max(grew, key=lambda r: r["delta"])
+    total_growth = sum(r["delta"] for r in grew)
+    return {"category": worst["category"], "delta": worst["delta"],
+            "share": round(100.0 * worst["delta"] / total_growth, 1)
             if total_growth else 0.0}
 
 
@@ -179,42 +169,69 @@ def explain_diff(bundle_a: Dict[str, Any], bundle_b: Dict[str, Any],
         "cycles_delta": cyc_b - cyc_a,
         "cycles_pct": round(100.0 * (cyc_b - cyc_a) / cyc_a, 2)
         if cyc_a else None,
-        "layer_table": [r.to_dict() for r in rows[:top]],
+        "layer_table": rows[:top],
         "responsible": responsible_layer(rows),
         "hop_deltas": hop_deltas,
     }
 
 
-# -- renderers ---------------------------------------------------------------
+# -- the one report renderer ---------------------------------------------------
 
-def render_explain(report: Dict[str, Any], fmt: str = "text",
-                   top: int = 8) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
-    if report.get("kind") == "diff":
-        return _render_diff(report, fmt)
-    return _render_report(report, fmt, top)
+class Table(NamedTuple):
+    """One table of a report.  A titled table is a section: a blank
+    line, the title (a ``###`` heading in markdown), the rows indented."""
+
+    headers: Sequence[str]
+    rows: Sequence[Sequence[Any]]
+    title: str = ""
+    #: leading left-justified columns (``None``: all); see render_table
+    align: Optional[int] = None
+    rule: bool = False
 
 
-def _num(v) -> str:
-    return "-" if v is None else (f"{v:g}" if isinstance(v, float) else str(v))
+class Title(NamedTuple):
+    """A report's first line; in markdown a ``##`` heading with ``code``
+    (an id) in backticks, then a blank line."""
+
+    text: str
+    code: str = ""
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
+class Status(str):
+    """A line only the terminal view prints: markdown leaves it out."""
+
+
+def fmt_num(value: Any, spec: str = "") -> str:
+    """A report cell: ``--`` for a missing value, a float through
+    ``spec`` (default: at most three decimals, trailing zeros dropped),
+    anything else -- integers, text -- as ``str`` gives it."""
+    if value is None:
+        return "--"
+    if not isinstance(value, float):
+        return str(value)
+    if spec:
+        return format(value, spec)
+    return f"{value:.3f}".rstrip("0").rstrip(".")
+
+
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
                  fmt: str = "text", *, align: Optional[int] = None,
                  indent: str = "", rule: bool = False) -> List[str]:
-    """The lines of one report table, for every renderer that has one.
+    """The lines of one report table; every cell goes through
+    :func:`fmt_num`.
 
-    ``markdown`` is a pipe table; anything else is columns padded to
-    their widest cell: the first ``align`` left-justified and the rest
-    right-justified (``None``: all left), each line behind ``indent``,
-    with a dashed ``rule`` under the header on request.
+    ``markdown`` is a pipe table (a ``|`` inside a cell escaped);
+    anything else is columns padded to their widest cell: the first
+    ``align`` left-justified and the rest right-justified (``None``: all
+    left), each line behind ``indent``, with a dashed ``rule`` under the
+    header on request.
     """
+    table = [[fmt_num(cell) for cell in row] for row in (headers, *rows)]
     if fmt == "markdown":
-        return ["| " + " | ".join(headers) + " |",
-                "|" + "---|" * len(headers),
-                *("| " + " | ".join(row) + " |" for row in rows)]
-    table = [headers, *rows]
+        lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row)
+                 + " |" for row in table]
+        lines.insert(1, "|" + "---|" * len(headers))
+        return lines
     widths = [max(len(row[i]) for row in table)
               for i in range(len(headers))]
     left = len(headers) if align is None else align
@@ -226,103 +243,121 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return lines
 
 
-def _section(title: str, headers: Sequence[str],
-             rows: Sequence[Sequence[str]], fmt: str) -> List[str]:
-    """One titled table of an explain report, after a blank line."""
-    return ["", f"### {title}" if fmt == "markdown" else title,
-            *render_table(headers, rows, fmt, indent="  ")]
+def render_report(payload: Dict[str, Any], fmt: str,
+                  layout: Callable[[Dict[str, Any]], List[Any]]) -> str:
+    """Print a report: ``json`` is the payload itself; ``text`` and
+    ``markdown`` both render the one list ``layout(payload)`` returns --
+    plain lines, a :class:`Title`, :class:`Status` lines and
+    :class:`Table` s.  Any other format is a ``ValueError``."""
+    if fmt == "json":
+        return artifact_json(payload)[:-1]  # print() adds the newline
+    if fmt not in ("text", "markdown"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    markdown = fmt == "markdown"
+    lines: List[str] = []
+    for part in layout(payload):
+        if isinstance(part, Table):
+            if part.title:
+                lines += ["", f"### {part.title}" if markdown else part.title]
+            lines += render_table(part.headers, part.rows, fmt,
+                                  align=part.align, rule=part.rule,
+                                  indent="  " if part.title else "")
+        elif isinstance(part, Title):
+            if markdown:
+                code = f" `{part.code}`" if part.code else ""
+                lines += [f"## {part.text}{code}", ""]
+            else:
+                lines.append(f"{part.text} {part.code}".rstrip())
+        elif not (markdown and isinstance(part, Status)):
+            lines.append(part)
+    return "\n".join(lines)
 
 
-def _render_report(report: Dict[str, Any], fmt: str, top: int) -> str:
+def responsible_line(responsible: Dict[str, Any]) -> str:
+    """How every report names the layer a regression is charged to."""
+    return (f"layer responsible: {responsible['category']} "
+            f"({responsible['delta']:+d} cycles, "
+            f"{responsible['share']:.1f}% of the growth)")
+
+
+def render_explain(report: Dict[str, Any], fmt: str = "text",
+                   top: int = 8) -> str:
+    """Render an :func:`build_explain` or :func:`explain_diff` report."""
+    if report.get("kind") == "diff":
+        return render_report(report, fmt, _diff_parts)
+    return render_report(report, fmt, lambda r: _report_parts(r, top))
+
+
+def _report_parts(report: Dict[str, Any], top: int) -> List[Any]:
     run = report["run"]
     head = "xmt-explain"
     if run.get("label"):
         head += f": {run['label']}"
     if run.get("run_id"):
         head += f" ({run['run_id'][:12]})"
-    lines = [f"## {head}", ""] if fmt == "markdown" else [head]
-    lines.append(f"cycles: {run['cycles']}  processors: "
-                 f"{run['n_processors']}  accounting: "
-                 f"{'exact' if run['exact'] else 'INEXACT'}")
-    lines += _section(
-        "top-down cycle accounting (% of all processor cycles)",
-        ["category", "cycles", "share"],
-        [[row["category"], str(row["cycles"]), f"{row['share']:.1f}%"]
-         for row in report["topdown"][:max(top, len(report["topdown"]))]],
-        fmt)
+    parts: List[Any] = [
+        Title(head),
+        f"cycles: {run['cycles']}  processors: {run['n_processors']}  "
+        f"accounting: {'exact' if run['exact'] else 'INEXACT'}",
+        Table(["category", "cycles", "share"],
+              [[row["category"], row["cycles"], f"{row['share']:.1f}%"]
+               for row in report["topdown"]],
+              "top-down cycle accounting (% of all processor cycles)")]
     hops = report.get("hops")
     if hops:
-        lines += _section(
-            "hop latencies (cycles)",
+        parts.append(Table(
             ["hop", "layer", "count", "mean", "p50", "p95", "max"],
-            [[name, HOP_LAYER.get(name, "-"), str(row["count"]),
-              _num(row["mean"]), _num(row["p50"]), _num(row["p95"]),
-              _num(row["max"])]
+            [[name, HOP_LAYER.get(name, "-"), row["count"], row["mean"],
+              row["p50"], row["p95"], row["max"]]
              for name, row in sorted(hops.items())],
-            fmt)
+            "hop latencies (cycles)"))
     contention = report.get("contention") or {}
-    mods = contention.get("cache_modules")
-    ports = contention.get("send_ports")
-    if mods or ports:
-        rows = []
-        for row in (mods or [])[:top]:
-            rows.append([f"cache module {row['module']:02d}",
-                         str(row["requests"]), str(row["wait_cycles"]),
-                         _num(row["mean_wait"])])
-        for row in (ports or [])[:top]:
-            name = ("master port" if row["cluster"] < 0
-                    else f"send port c{row['cluster']:02d}")
-            rows.append([name, str(row["requests"]),
-                         str(row["wait_cycles"]), _num(row["mean_wait"])])
-        lines += _section("contention hot spots",
-                          ["where", "requests", "wait_cycles", "mean"],
-                          rows, fmt)
+    where = [[f"cache module {row['module']:02d}", row["requests"],
+              row["wait_cycles"], row["mean_wait"]]
+             for row in (contention.get("cache_modules") or [])[:top]]
+    where += [["master port" if row["cluster"] < 0
+               else f"send port c{row['cluster']:02d}", row["requests"],
+               row["wait_cycles"], row["mean_wait"]]
+              for row in (contention.get("send_ports") or [])[:top]]
+    if where:
+        parts.append(Table(["where", "requests", "wait_cycles", "mean"],
+                           where, "contention hot spots"))
     bottleneck = report.get("bottleneck")
     if bottleneck:
-        lines.append("")
         text = (f"bottleneck: {bottleneck['category']} -- "
                 f"{bottleneck['share']:.1f}% of all cycles")
         hop = bottleneck.get("dominant_hop")
         if hop:
-            text += (f"; dominant hop {hop['hop']} "
-                     f"(mean {_num(hop['mean'])}, p95 {_num(hop['p95'])})")
-        lines.append(text)
-    return "\n".join(lines)
+            text += (f"; dominant hop {hop['hop']} (mean "
+                     f"{fmt_num(hop['mean'])}, p95 {fmt_num(hop['p95'])})")
+        parts += ["", text]
+    return parts
 
 
-def _render_diff(report: Dict[str, Any], fmt: str) -> str:
+def _diff_parts(report: Dict[str, Any]) -> List[Any]:
     a = report["run_a"]
     b = report["run_b"]
     name_a = a.get("label") or a.get("run_id", "run A")[:12]
     name_b = b.get("label") or b.get("run_id", "run B")[:12]
-    head = f"xmt-explain diff: {name_a} -> {name_b}"
-    lines = [f"## {head}", ""] if fmt == "markdown" else [head]
     pct = report.get("cycles_pct")
-    lines.append(f"cycles: {a['cycles']} -> {b['cycles']} "
-                 f"({report['cycles_delta']:+d}"
-                 + (f", {pct:+.2f}%" if pct is not None else "") + ")")
-    lines += _section(
-        "layer attribution (machine-wide cycles by category)",
-        ["category", name_a, name_b, "delta", "pct"],
-        [[r["category"], str(r["cycles_a"]), str(r["cycles_b"]),
-          f"{r['delta']:+d}",
-          "-" if r["pct"] is None else f"{r['pct']:+.1f}%"]
-         for r in report["layer_table"]],
-        fmt)
-    responsible = report.get("responsible")
-    if responsible:
-        lines.append("")
-        lines.append(f"layer responsible: {responsible['category']} "
-                     f"({responsible['delta']:+d} cycles, "
-                     f"{responsible['share']:.1f}% of the growth)")
-    hop_deltas = [h for h in report.get("hop_deltas", [])
-                  if h["mean_a"] is not None and h["mean_b"] is not None
-                  and h["mean_a"] != h["mean_b"]]
-    if hop_deltas:
-        lines += _section(
-            "hop latency movement (mean cycles)",
-            ["hop", "layer", name_a, name_b],
-            [[h["hop"], h["layer"], _num(h["mean_a"]), _num(h["mean_b"])]
-             for h in hop_deltas],
-            fmt)
-    return "\n".join(lines)
+    parts: List[Any] = [
+        Title(f"xmt-explain diff: {name_a} -> {name_b}"),
+        f"cycles: {a['cycles']} -> {b['cycles']} "
+        f"({report['cycles_delta']:+d}"
+        + (f", {pct:+.2f}%" if pct is not None else "") + ")",
+        Table(["category", name_a, name_b, "delta", "pct"],
+              [[r["category"], r["cycles_a"], r["cycles_b"],
+                f"{r['delta']:+d}",
+                "-" if r["pct"] is None else f"{r['pct']:+.1f}%"]
+               for r in report["layer_table"]],
+              "layer attribution (machine-wide cycles by category)")]
+    if report.get("responsible"):
+        parts += ["", responsible_line(report["responsible"])]
+    moved = [[h["hop"], h["layer"], h["mean_a"], h["mean_b"]]
+             for h in report.get("hop_deltas", [])
+             if h["mean_a"] is not None and h["mean_b"] is not None
+             and h["mean_a"] != h["mean_b"]]
+    if moved:
+        parts.append(Table(["hop", "layer", name_a, name_b], moved,
+                           "hop latency movement (mean cycles)"))
+    return parts

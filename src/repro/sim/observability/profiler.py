@@ -105,21 +105,24 @@ class CycleProfiler:
         }
 
 
-def _source_text(data: Dict[str, Any], source: Optional[str],
-                 line: int) -> str:
-    text = source if source is not None else data.get("source")
-    if not text or line <= 0:
-        return ""
-    src_lines = text.splitlines()
-    if 1 <= line <= len(src_lines):
-        return "| " + src_lines[line - 1].strip()
-    return ""
+def source_line(source: Optional[str], line: int) -> str:
+    """Line ``line`` (1-based) of ``source``, stripped -- the quote every
+    report prints next to a line number; ``""`` when there is none."""
+    lines = source.splitlines() if source else []
+    return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
 
 
 def render_profile(data: Dict[str, Any], source: Optional[str] = None,
                    top: int = 20) -> str:
     """Render a profile payload (from :meth:`CycleProfiler.to_data` or a
     ``--profile-out`` JSON file) as the gprof-style hotspot table."""
+    if source is None:
+        source = data.get("source")
+
+    def quoted(line: int) -> str:
+        quote = source_line(source, line)
+        return f"| {quote}" if quote else ""
+
     total = data["total_cycles"] or 1
     out = [f"cycle profile: {data['total_cycles']} attributed issue-slot "
            f"cycles ({data['total_issues']} issues, "
@@ -129,8 +132,7 @@ def render_profile(data: Dict[str, Any], source: Optional[str] = None,
     for row in data["lines"][:top]:
         line = row["line"]
         where = f"{line:>5}" if line > 0 else "   --"
-        text = (_source_text(data, source, line)
-                if line > 0 else "(assembly/runtime only)")
+        text = quoted(line) if line > 0 else "(assembly/runtime only)"
         out.append(f"{100.0 * row['cycles'] / total:>7.1f}%  "
                    f"{row['cycles']:>10}  {row['issues']:>10}  "
                    f"{row['stalls']:>10}  {where}  {text}")
@@ -149,7 +151,7 @@ def render_profile(data: Dict[str, Any], source: Optional[str] = None,
             out.append(f"{100.0 * site['cum_cycles'] / total:>7.1f}%  "
                        f"{site['cum_cycles']:>10}  "
                        f"{site['flat_cycles']:>10}  {where}  "
-                       f"{_source_text(data, source, line)}")
+                       f"{quoted(line)}")
     if data["stall_causes"]:
         ranked = sorted(data["stall_causes"].items(), key=lambda kv: -kv[1])
         out.append("")

@@ -485,7 +485,7 @@ class ProcessorBase:
                     for _ in range(due + block.n):
                         u = uops[core.pc]
                         self._handlers[u.code](now, u)
-                    # (what is left of the block is one too: ``lone``)
+                    # the rest is still owed: a block forms at any PC
                     chain[core.pc] = chain.get(core.pc, 0) + 1
         counters = self._counters
         for pc, times in done.items():

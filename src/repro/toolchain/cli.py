@@ -70,6 +70,7 @@ from repro.sim.observability import (
     load_artifact,
     load_run,
     read_jsonl,
+    render_comparison,
     render_explain,
     render_profile,
     render_sweep_table,
@@ -1313,7 +1314,7 @@ def _compare_diff(args) -> int:
     comparison = compare_runs(_resolve_run(args.run_a, args.ledger),
                               _resolve_run(args.run_b, args.ledger),
                               threshold=args.threshold)
-    print(comparison.render(args.format, top=args.top))
+    print(render_comparison(comparison, args.format, top=args.top))
     return 0
 
 
@@ -1397,9 +1398,13 @@ def _compare_check(args) -> int:
               "run (stale baseline? rerun with --update-baseline)",
               file=sys.stderr)
     comparison = compare_runs(baseline, fresh, threshold=args.threshold)
-    print(comparison.render(args.format, top=args.top))
-    failures = check_regressions(comparison,
-                                 metrics=["cycles"] + args.metric)
+    try:
+        failures = check_regressions(baseline, fresh,
+                                     ["cycles"] + args.metric,
+                                     threshold=args.threshold)
+    except KeyError as exc:
+        raise CliError(f"--metric {_message(exc)}") from exc
+    print(render_comparison(comparison, args.format, top=args.top))
     if failures:
         for failure in failures:
             print(f"xmt-compare: {failure.format()}", file=sys.stderr)

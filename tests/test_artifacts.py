@@ -38,6 +38,7 @@ from repro.sim.observability import (
     load_run,
     read_jsonl,
     render_campaign_report,
+    render_comparison,
     render_explain,
     render_top,
 )
@@ -106,7 +107,8 @@ def written(tmp_path_factory):
     recorded = load_run(run.path)
     reports = {
         "fuzz-summary": artifact_json(summary),
-        "comparison": compare_runs(recorded, powered).render("json"),
+        "comparison": render_comparison(compare_runs(recorded, powered),
+                                        "json"),
         "explain": render_explain(build_explain(
             recorded.payload("accounting"),
             lifecycle=recorded.payload("lifecycle")), "json"),

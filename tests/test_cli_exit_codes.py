@@ -271,6 +271,12 @@ ROWS = [
      ["sweep", "{good}", *TINY, "--vary", "dram_latency=6,30",
       "--workers", "-3"], 2,
      "xmt-compare: error: --workers: must be at least 1, got -3"),
+    # a misspelled gate metric used to gate nothing ("OK", exit 0)
+    ("compare-2-unknown-metric-was-ignored", "xmt_compare_main",
+     ["check", "{good}", "--baseline", "{baseline}", "--threshold", "0",
+      "--metric", "stats.icn.pakages_typo"], 2,
+     "xmt-compare: error: --metric stats.icn.pakages_typo: not a metric "
+     "of either run"),
     ("compare-2-vary-type", "xmt_compare_main",
      ["sweep", "{good}", *TINY, "--vary", "icn_period=fast"], 2,
      "--vary icn_period: configuration field 'icn_period' takes int"),

@@ -19,6 +19,7 @@ from repro.sim.observability import (
     instrumented_run,
     load_artifact,
     load_run,
+    render_comparison,
     render_sweep_table,
 )
 from repro.sim.observability.ledger import manifest_run_id
@@ -142,49 +143,52 @@ class TestLedger:
 
 class TestCompare:
     def test_self_compare_is_clean(self, run_fast):
-        cmp = compare_runs(run_fast.as_record(), run_fast.as_record())
-        assert cmp.cycles_a == cmp.cycles_b
-        assert cmp.metric_deltas == []
-        assert cmp.line_deltas == []
-        assert cmp.config_changes() == []
-        assert check_regressions(cmp) == []
+        rec = run_fast.as_record()
+        cmp = compare_runs(rec, rec)
+        assert cmp["cycles"]["a"] == cmp["cycles"]["b"]
+        assert cmp["metric_deltas"] == []
+        assert cmp["line_deltas"] == []
+        assert cmp["config_changes"] == []
+        assert check_regressions(rec, rec) == []
 
     def test_config_diff_produces_deltas(self, run_fast, run_slow):
         """Acceptance criterion: two runs under different XMTConfigs
         name at least one metric delta and one per-line profile delta."""
         cmp = compare_runs(run_fast.as_record(), run_slow.as_record())
-        assert cmp.cycles_b != cmp.cycles_a
-        assert cmp.metric_deltas, "expected metric deltas"
-        assert cmp.line_deltas, "expected per-line profile deltas"
-        changed = dict(
-            (k, (a, b)) for k, a, b in cmp.config_changes())
+        assert cmp["cycles"]["b"] != cmp["cycles"]["a"]
+        assert cmp["metric_deltas"], "expected metric deltas"
+        assert cmp["line_deltas"], "expected per-line profile deltas"
+        changed = {d["field"]: (d["a"], d["b"])
+                   for d in cmp["config_changes"]}
         assert changed["dram_latency"] == (6, 30)
-        statuses = {d.status for d in cmp.line_deltas}
+        statuses = {d["status"] for d in cmp["line_deltas"]}
         assert statuses <= {"regressed", "improved", "new", "vanished"}
 
     def test_line_deltas_sorted_by_magnitude(self, run_fast, run_slow):
         cmp = compare_runs(run_fast.as_record(), run_slow.as_record())
-        mags = [abs(d.delta) for d in cmp.line_deltas]
+        mags = [abs(d["delta"]) for d in cmp["line_deltas"]]
         assert mags == sorted(mags, reverse=True)
 
     def test_gate_detects_regression(self, run_fast, run_slow):
-        cmp = compare_runs(run_fast.as_record(), run_slow.as_record(),
-                           threshold=0.01)
-        failures = check_regressions(cmp)
+        fast, slow = run_fast.as_record(), run_slow.as_record()
+        failures = check_regressions(fast, slow, threshold=0.01)
         assert [f.metric for f in failures] == ["cycles"]
         assert "REGRESSION" in failures[0].format()
         # the reverse direction (slow baseline, fast fresh) passes
-        reverse = compare_runs(run_slow.as_record(),
-                               run_fast.as_record(), threshold=0.01)
-        assert check_regressions(reverse) == []
+        assert check_regressions(slow, fast, threshold=0.01) == []
 
     def test_gate_extra_metric(self, run_fast, run_slow):
-        cmp = compare_runs(run_fast.as_record(), run_slow.as_record(),
-                           threshold=0.01)
+        fast, slow = run_fast.as_record(), run_slow.as_record()
         failures = check_regressions(
-            cmp, metrics=["cycles", "stats.tcu.stall.drain"])
+            fast, slow, metrics=["cycles", "stats.tcu.stall.drain"],
+            threshold=0.01)
         assert {f.metric for f in failures} == \
             {"cycles", "stats.tcu.stall.drain"}
+        # an unchanged metric gates too: it is read from both runs'
+        # whole metric space, not from the delta rows
+        assert check_regressions(fast, fast, ["stats.cycles"], 0) == []
+        with pytest.raises(KeyError, match="not a metric of either run"):
+            check_regressions(fast, slow, ["stats.no_such_metric"])
 
     def test_flatten_metrics_space(self, run_fast):
         flat = flatten_metrics(run_fast.metrics)
@@ -195,21 +199,23 @@ class TestCompare:
 
     def test_renderers(self, run_fast, run_slow):
         cmp = compare_runs(run_fast.as_record(), run_slow.as_record())
-        text = cmp.render("text")
+        text = render_comparison(cmp, "text")
         assert "cycles:" in text and "config changes" in text
-        md = cmp.render("markdown")
+        md = render_comparison(cmp, "markdown")
         assert "| metric |" in md and "| line |" in md
-        payload = json.loads(cmp.render("json"))
+        payload = json.loads(render_comparison(cmp, "json"))
+        assert payload == cmp
         assert payload["schema"] == "xmt-compare/1"
-        assert payload["cycles"]["delta"] == cmp.cycles_b - cmp.cycles_a
+        assert payload["cycles"]["delta"] == \
+            cmp["cycles"]["b"] - cmp["cycles"]["a"]
         with pytest.raises(ValueError):
-            cmp.render("html")
+            render_comparison(cmp, "html")
 
     def test_spawn_deltas(self, run_fast, run_slow):
         cmp = compare_runs(run_fast.as_record(), run_slow.as_record())
         # one spawn site in SRC; rollup delta only appears if totals move
-        for d in cmp.spawn_deltas:
-            assert d.src_line > 0 and d.delta != 0
+        for d in cmp["spawn_deltas"]:
+            assert d["src_line"] > 0 and d["delta"] != 0
 
     def test_sweep_table(self, run_fast, run_slow):
         records = [run_fast.as_record(), run_slow.as_record()]

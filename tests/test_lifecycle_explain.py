@@ -31,6 +31,7 @@ from repro.sim.observability import (
     export_accounting,
     instrumented_run,
     read_jsonl,
+    render_comparison,
     render_explain,
     responsible_layer,
 )
@@ -312,15 +313,15 @@ class TestExplain:
         rec_b = ledger.record_artifacts(
             self._artifacts(label="b", config=slow_cfg))
         comparison = compare_runs(rec_a, rec_b, threshold=0.0)
-        assert comparison.accounting_deltas
-        assert comparison.responsible() is not None
-        text = comparison.render("text")
+        assert comparison["accounting_deltas"]
+        assert comparison["responsible"] is not None
+        text = render_comparison(comparison, "text")
         assert "layer attribution" in text
         assert "layer responsible" in text
-        payload = json.loads(comparison.render("json"))
+        payload = json.loads(render_comparison(comparison, "json"))
         assert payload["accounting_deltas"]
         assert payload["responsible"]["category"] == \
-            comparison.responsible()["category"]
+            comparison["responsible"]["category"]
 
     def test_explain_cli_report_and_diff(self, tmp_path, capsys):
         from repro.toolchain.cli import xmt_explain_main

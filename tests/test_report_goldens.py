@@ -2,10 +2,13 @@
 
 The files under ``tests/golden/reports/`` pin what the report renderers
 print -- ``render_profile``, ``render_explain`` (report and diff),
-``RunComparison.render``, ``render_sweep_table``, ``render_top`` and
+``render_comparison``, ``render_sweep_table``, ``render_top`` and
 ``render_campaign_report`` -- in each format they have (text, markdown,
-json).  The inputs are the two committed baseline programs, each run on
-``tiny`` and again with a slow DRAM (so every comparison table has
+json).  All but the profile go through ``render_report``: the json is
+the report's payload, and text and markdown are one layout of it, so
+both show the same tables with the same rows (checked for every report
+below).  The inputs are the two committed baseline programs, each run
+on ``tiny`` and again with a slow DRAM (so every comparison table has
 rows), and the hand-written campaign stream of
 ``test_telemetry.TestAggregation``.  A refactor of the table rendering
 must reproduce them exactly.
@@ -17,6 +20,7 @@ Regenerate (only when a report's wording is meant to change)::
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -26,10 +30,12 @@ from repro.sim.observability import (
     aggregate_campaign,
     build_explain,
     compare_runs,
+    explain,
     explain_diff,
     fold_stream,
     instrumented_run,
     render_campaign_report,
+    render_comparison,
     render_explain,
     render_profile,
     render_sweep_table,
@@ -46,6 +52,13 @@ FORMATS = {"text": "txt", "markdown": "md", "json": "json"}
 
 STREAM = test_telemetry.TestAggregation.STREAM
 
+#: report kind -> fmt -> text, for the campaign-stream views
+STREAM_REPORTS = {
+    "top": lambda fmt: render_top(fold_stream(STREAM), fmt),
+    "campaign-report": lambda fmt: render_campaign_report(
+        aggregate_campaign(STREAM), fmt),
+}
+
 
 def _bundle(artifacts) -> dict:
     return {"accounting": artifacts.accounting,
@@ -53,42 +66,49 @@ def _bundle(artifacts) -> dict:
             "metrics": artifacts.metrics, "manifest": artifacts.manifest}
 
 
-def program_reports(name: str) -> dict:
-    """Golden file name -> text for one baseline program."""
+def program_runs(name: str) -> tuple:
+    """One baseline program's run on ``tiny`` and on a slow DRAM."""
     path = os.path.join(ROOT, "benchmarks", "baselines", name, "program.c")
     with open(path) as fh:
         source = fh.read()
     program = compile_source(source)
-    fast, slow = (
+    return tuple(
         instrumented_run(program, tiny(**overrides), source=source,
                          label=label, accounting=True)
         for label, overrides in ((name, {}),
                                  (f"{name}-slow", {"dram_latency": 60})))
+
+
+def program_renderers(fast, slow) -> dict:
+    """Report kind -> fmt -> text, for the reports over two runs."""
     comparison = compare_runs(fast.as_record(), slow.as_record())
     records = [fast.as_record(), slow.as_record()]
+    return {
+        "explain": lambda fmt: render_explain(
+            build_explain(**_bundle(fast)), fmt),
+        "explain-diff": lambda fmt: render_explain(
+            explain_diff(_bundle(fast), _bundle(slow)), fmt),
+        "compare": lambda fmt: render_comparison(comparison, fmt),
+        "sweep": lambda fmt: render_sweep_table(
+            records, ["dram_latency"], fmt),
+    }
+
+
+def program_reports(name: str) -> dict:
+    """Golden file name -> text for one baseline program."""
+    fast, slow = program_runs(name)
     reports = {f"{name}.profile.txt": render_profile(fast.profile, top=5)}
-    for fmt, ext in FORMATS.items():
-        reports.update({
-            f"{name}.explain.{ext}": render_explain(
-                build_explain(**_bundle(fast)), fmt),
-            f"{name}.explain-diff.{ext}": render_explain(
-                explain_diff(_bundle(fast), _bundle(slow)), fmt),
-            f"{name}.compare.{ext}": comparison.render(fmt),
-            f"{name}.sweep.{ext}": render_sweep_table(
-                records, ["dram_latency"], fmt),
-        })
+    for kind, render in program_renderers(fast, slow).items():
+        for fmt, ext in FORMATS.items():
+            reports[f"{name}.{kind}.{ext}"] = render(fmt)
     return reports
 
 
 def stream_reports() -> dict:
     """Golden file name -> text for the campaign-stream views."""
-    reports = {}
-    for fmt, ext in FORMATS.items():
-        reports[f"top.{ext}"] = render_top(
-            fold_stream(STREAM), fmt)
-        reports[f"campaign-report.{ext}"] = render_campaign_report(
-            aggregate_campaign(STREAM), fmt)
-    return reports
+    return {f"{kind}.{ext}": render(fmt)
+            for kind, render in STREAM_REPORTS.items()
+            for fmt, ext in FORMATS.items()}
 
 
 @pytest.mark.parametrize("build", [stream_reports,
@@ -100,6 +120,53 @@ def test_reports_match_golden_bytes(build):
         with open(os.path.join(GOLDEN, filename)) as fh:
             assert text + "\n" == fh.read(), \
                 f"{filename} drifted from its golden"
+
+
+@pytest.fixture(scope="module")
+def every_report():
+    """Report kind -> fmt -> text, for all six reports."""
+    return {**program_renderers(*program_runs("vecadd")), **STREAM_REPORTS}
+
+
+def _tables(monkeypatch, render, fmt: str):
+    """What ``render(fmt)`` prints, and the (headers, rows, lines) of
+    every table the one table writer wrote for it."""
+    tables = []
+    write = explain.render_table
+
+    def recording(headers, rows, fmt="text", **options):
+        lines = write(headers, rows, fmt, **options)
+        tables.append((list(headers), [list(row) for row in rows], lines))
+        return lines
+
+    monkeypatch.setattr(explain, "render_table", recording)
+    text = render(fmt)
+    monkeypatch.setattr(explain, "render_table", write)
+    return text, tables
+
+
+@pytest.mark.parametrize("fmt", ["text", "markdown", "json", "html"])
+@pytest.mark.parametrize("kind", ["compare", "sweep", "explain",
+                                  "explain-diff", "top", "campaign-report"])
+def test_every_report_in_every_format(every_report, monkeypatch, kind, fmt):
+    render = every_report[kind]
+    if fmt == "html":
+        with pytest.raises(ValueError, match="'html'"):
+            render(fmt)
+        return
+    text, tables = _tables(monkeypatch, render, fmt)
+    if fmt == "json":
+        assert json.loads(text)["schema"].startswith("xmt-")
+        return
+    assert tables, f"{kind} printed no table"
+    for _, _, lines in tables:
+        assert "\n".join(lines) in text
+    if fmt == "markdown":
+        assert sum(line.startswith("|---") for line in text.splitlines()) \
+            == len(tables)
+        _, in_text = _tables(monkeypatch, render, "text")
+        assert [table[:2] for table in in_text] == \
+            [table[:2] for table in tables]
 
 
 if __name__ == "__main__":
