@@ -80,6 +80,14 @@ class Cluster:
             return True
         raise AssertionError(f"unknown shared FU {fu}")
 
+    def fu_free_at(self, fu: str) -> int:
+        """When a loser of ``fu``'s arbitration can win at the earliest:
+        a non-pipelined unit's release time, -1 for a pipelined one
+        (free again on the next edge)."""
+        if fu == FU_FPU:
+            return -1 if self._fpu_pipelined else self._fpu_busy_until
+        return -1 if self._mdu_pipelined else self._mdu_busy_until
+
     def tick(self, cycle: int) -> None:
         """One clock edge for the TCUs that have something to do.
 

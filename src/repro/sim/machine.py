@@ -43,24 +43,33 @@ class CacheBank:
 
     Iterating 128 idle modules every cycle dominates host time for
     serial phases (the paper's Section III-D grouping argument); the
-    bank keeps an *active set* -- a module is ticked only while it
-    holds a package.  (A module waiting only for DRAM or for the ICN to
-    drain it keeps its place, although its ticks do nothing: DRAM
-    requests queue in the set's order.)
+    bank keeps an *active set* of the modules that hold a package, and
+    of those ticks only the ones whose *due time* has come -- a queued
+    request, a response whose latency has elapsed.  A module waiting
+    for its hit latency, for DRAM or for the ICN to drain it keeps its
+    place in the set without being ticked: DRAM requests queue in the
+    set's order, and a skipped tick would have released and dequeued
+    nothing.
     """
 
     def __init__(self, machine, modules):
         self.machine = machine
         self.modules = modules
+        self._sched = machine.scheduler
         self._active = []
         self._in_active = [False] * len(modules)
-        self._work = NEVER  # earliest ``next_work`` over the active set
+        #: per module, the earliest time its tick can do something
+        #: (``ready_at`` after its last tick, lowered by ``activate``)
+        self._due = [NEVER] * len(modules)
+        self._work = NEVER  # earliest due time over the active set
 
     def activate(self, module_id: int, time: int) -> None:
         """Module ``module_id`` has something to do at ``time``."""
         if not self._in_active[module_id]:
             self._in_active[module_id] = True
             self._active.append(module_id)
+        if time < self._due[module_id]:
+            self._due[module_id] = time
         if time < self._work:  # (else an edge by then is booked already)
             self._work = time
             self.domain.arm(time)
@@ -68,10 +77,14 @@ class CacheBank:
     def tick(self, cycle: int) -> None:
         survivors = []
         work = NEVER
+        now = self._sched.now
+        due = self._due
         for module_id in self._active:
             module = self.modules[module_id]
-            module.tick(cycle)
-            at = module.ready_at()
+            at = due[module_id]
+            if at <= now:
+                module.tick(cycle)
+                at = due[module_id] = module.ready_at()
             if at < work:
                 work = at
             if at < NEVER or module.pending_misses or module.out_queue._items:

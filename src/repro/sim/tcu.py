@@ -132,8 +132,9 @@ class ProcessorBase:
     region = None
     #: None while the processor is ticked.  Else its tick said that
     #: every further tick could only repeat one stall until a delivery
-    #: arrives, and this is the key of that stall's counter, credited
-    #: the skipped cycles on wake (or one of the two keys above)
+    #: arrives (or a booked wake-up: a busy shared FU's release), and
+    #: this is the key of that stall's counter, credited the skipped
+    #: cycles on wake (or one of the two keys above)
     asleep_on: Optional[str] = None
     #: the clock domain that ticks it (set by the machine)
     domain = None
@@ -828,17 +829,31 @@ class TCU(ProcessorBase):
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return self.cluster.try_issue_fu(fu, now, latency)
 
-    def _h_alu_shared(self, now: int, u: MicroOp) -> None:
-        # contention-heavy: most attempts lose the per-cycle arbitration,
-        # so the losing path is kept to one call and one counter bump
+    def _lost_fu(self, now: int, fu: str) -> Optional[str]:
+        """Count a lost arbitration for ``fu``.  Until a non-pipelined
+        unit frees, every tick could only lose again: if that is after
+        the next edge, book a wake-up there and sleep on the stall (on
+        the release edge every waiter re-arbitrates in ``local_id``
+        order, as if all had been ticked)."""
+        self._counters[self._k_fu] += 1
+        obs = self.machine.obs
+        if obs is not None:
+            cycle = self.domain.cycle
+            obs.stalled(self, "fu", cycle, cycle)
+        cluster = self.cluster
+        free = cluster.fu_free_at(fu)
+        if free > now + cluster.domain.period:
+            self.wake_at(free)
+            return self._k_fu
+        return None
+
+    def _h_alu_shared(self, now: int, u: MicroOp) -> Optional[str]:
+        # contention-heavy: most attempts lose the arbitration, so the
+        # losing path is one call; a loser of a busy non-pipelined unit
+        # sleeps until it frees
         latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
-            self._counters[self._k_fu] += 1
-            obs = self.machine.obs
-            if obs is not None:
-                cycle = self.domain.cycle
-                obs.stalled(self, "fu", cycle, cycle)
-            return
+            return self._lost_fu(now, u.fu)
         self._count_issue(u)
         regs = self.core.regs
         try:
@@ -852,15 +867,10 @@ class TCU(ProcessorBase):
                      ("reg", rd, value))
         self.core.pc += 1
 
-    def _h_unary_shared(self, now: int, u: MicroOp) -> None:
+    def _h_unary_shared(self, now: int, u: MicroOp) -> Optional[str]:
         latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
-            self._counters[self._k_fu] += 1
-            obs = self.machine.obs
-            if obs is not None:
-                cycle = self.domain.cycle
-                obs.stalled(self, "fu", cycle, cycle)
-            return
+            return self._lost_fu(now, u.fu)
         self._count_issue(u)
         try:
             value = u.fn(self.core.regs[u.rs])
@@ -1089,7 +1099,8 @@ class TCU(ProcessorBase):
             if machine.obs is not None:
                 machine.obs.stalled(self, "memory", cycle, cycle)
             return self._k_memory
-        # (only a fence hands back a key: a stall deliveries alone end)
+        # (a fence hands back a key, and a loser of a busy non-pipelined
+        # FU: stalls that a delivery, or the booked release, ends)
         return self._handlers[u.code](now, u)
 
     def _check_escape(self, pc: int) -> None:

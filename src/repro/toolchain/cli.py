@@ -1275,7 +1275,7 @@ def _compare_parser() -> argparse.ArgumentParser:
                          metavar="NAME",
                          help="additional lower-is-better gate metric "
                               "from the flattened metric space (e.g. "
-                              "stats.icn.packages); cycles is always "
+                              "stats.icn.send); cycles is always "
                               "gated")
     p_check.add_argument("--update-baseline", action="store_true",
                          help="rewrite the baseline directory from the "

@@ -21,6 +21,7 @@ Mutants this file must fail (checked by hand when it was written):
 
 from __future__ import annotations
 
+import json
 import os
 from types import SimpleNamespace
 
@@ -56,6 +57,7 @@ from test_sleep_wake import (
     NoRuns,
     assert_same,
     build,
+    fu_load_program,
     kernel,
     never_asleep,
     run_both,
@@ -325,6 +327,19 @@ class TestStallShapes:
         assert got["counters"]["instructions.fence"] > 0
         if name in ("fence-asm", "fenced-ps"):  # (acks still in flight)
             assert got["counters"]["tcu.stall.fence"] > 0
+
+    @pytest.mark.parametrize("blocking", [True, False],
+                             ids=["blocking-loads", "scoreboard"])
+    def test_fu_sleepers(self, blocking):
+        """A loser of the busy MDU sleeps until it frees and is heard as
+        one span: the accountant's ``fu_busy`` cells add up to
+        ``tcu.stall.fu``."""
+        got = run_observed(fu_load_program(), lambda: tiny(
+            tcus_per_cluster=4, mdu_latency=10, tcu_blocking_loads=blocking))
+        accounting = json.loads(got["accounting"])
+        assert got["counters"]["tcu.stall.fu"] > 0
+        assert accounting["machine"]["flat"]["fu_busy"] == \
+            got["counters"]["tcu.stall.fu"]
 
     @pytest.mark.parametrize("overrides", [{}, {"alu_latency": 5}], ids=str)
     def test_master_sleeps(self, overrides):

@@ -480,6 +480,147 @@ class TestStallShapes:
         assert_same(plain, *oracles)
 
 
+# --------------------------------------------------------------------------- shared FUs
+
+#: one shared-unit op per thread, on operands every TCU has at the same
+#: cycle: the k TCUs of the one cluster reach the unit together
+FU_ONCE = {
+    "mdu": "int B[%d]; int main() { spawn(0, %d) { B[$] = $ * 7; } "
+           "return 0; }",
+    "fpu": "float F[%d]; float X = 1.5; int main() { float x = X; "
+           "spawn(0, %d) { F[$] = x * x; } return 0; }",
+}
+
+FU_SLEEP = "tcu.stall.fu"
+
+
+def fu_loss_ticks(machine: Machine) -> list:
+    """``[n]``: how many TCU ticks of ``machine`` lost an arbitration
+    (bumped ``tcu.stall.fu`` themselves, not by settling a sleep)."""
+    counters = machine.stats.counters
+    lost = [0]
+    for tcu in machine.tcus:
+        def counted(cycle, original=tcu.tick):
+            before = counters[FU_SLEEP]
+            key = original(cycle)
+            lost[0] += counters[FU_SLEEP] - before
+            return key
+        tcu.tick = counted
+    return lost
+
+
+def asleep_on_fu(machine: Machine) -> bool:
+    return any(tcu.asleep_on == FU_SLEEP for tcu in machine.tcus)
+
+
+class TestSharedFuClosedForm:
+    """k TCUs reach one shared unit on the same cycle; they are served
+    in ``local_id`` order, the j-th after j waits of L cycles (the
+    unit's latency) on a non-pipelined unit, of one on a pipelined one.
+    So ``tcu.stall.fu`` is L k(k-1)/2, or k(k-1)/2 -- and since a loser
+    of a busy non-pipelined unit sleeps until it frees, either way only
+    k(k-1)/2 ticks lose."""
+
+    @pytest.mark.parametrize("pipelined", [False, True],
+                             ids=["serial", "pipelined"])
+    @pytest.mark.parametrize("latency", [3, 8])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("unit", sorted(FU_ONCE))
+    def test_k_tcus_one_unit(self, unit, k, latency, pipelined):
+        program = build(FU_ONCE[unit] % (k, k - 1))
+
+        def config():
+            return tiny(n_clusters=1, tcus_per_cluster=k,
+                        **{f"{unit}_latency": latency,
+                           f"{unit}_pipelined": pipelined})
+        plain, *oracles = run_both(program, config)
+        assert_same(plain, *oracles)
+        pairs = k * (k - 1) // 2
+        counters = plain["counters"]
+        assert counters[FU_SLEEP] == (pairs if pipelined else latency * pairs)
+        assert counters[f"cluster.{unit}_ops"] == k
+        machine = machine_for(program, config(), PLAIN)
+        lost = fu_loss_ticks(machine)
+        machine.run(max_cycles=100_000)
+        assert lost[0] == pairs
+
+
+#: per thread a load in flight (scoreboard loads) while the TCU queues
+#: for the MDU behind three others: replies land on FU sleepers
+FU_LOAD_ASM = """
+    .data
+A:  .space 256
+    .text
+main:
+    li   $t0, 0
+    li   $t1, 31
+    spawn $t0, $t1
+vt:
+    getvt $k0
+    chkid $k0
+    la   $t2, A
+    slli $t3, $k0, 2
+    add  $t2, $t2, $t3
+    lw   $t4, 0($t2)
+    mul  $t5, $k0, $k0
+    mul  $t6, $t5, $k0
+    add  $t4, $t4, $t6
+    sw   $t4, 0($t2)
+    j    vt
+    join
+    halt
+"""
+
+
+def fu_load_program():
+    program = assemble(FU_LOAD_ASM)
+    program.write_global("A", list(range(11, 75)))
+    return program
+
+
+def slow_mdu(**overrides):
+    return tiny(tcus_per_cluster=4, mdu_latency=10, tcu_blocking_loads=False,
+                **overrides)
+
+
+class TestFuSleep:
+    """What can land while a loser of the MDU sleeps until it frees."""
+
+    def test_load_reply_delivered_mid_sleep(self):
+        prints, landed = [], [0]
+        for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
+            machine = machine_for(fu_load_program(), slow_mdu(), kind)
+            if kind == PLAIN:
+                for tcu in machine.tcus:
+                    def deliver(time, item, tcu=tcu, original=tcu.deliver):
+                        landed[0] += (not isinstance(item, tuple)
+                                      and tcu.asleep_on == FU_SLEEP)
+                        original(time, item)
+                    tcu.deliver = deliver
+            prints.append(fingerprint(machine,
+                                      machine.run(max_cycles=100_000)))
+        assert landed[0] > 0
+        assert_same(*prints)
+
+    def test_checkpoint_round_trips(self):
+        program = fu_load_program()
+        reference = machine_for(program, slow_mdu(), AS_IT_WAS)
+        expected = fingerprint(reference, reference.run(max_cycles=100_000))
+        for cycle in cycles_where(program, slow_mdu, asleep_on_fu):
+            plain, payload = paused_at(program, slow_mdu(), PLAIN, cycle)
+            oracle, _ = paused_at(program, slow_mdu(), AS_IT_WAS, cycle)
+            restored = CP.load_bytes(payload)
+            assert asleep_on_fu(restored)
+            assert [t.asleep_on for t in restored.tcus] == \
+                [t.asleep_on for t in plain.tcus]
+            assert dict(restored.stats.counters) == \
+                dict(oracle.stats.counters), f"cycle {cycle}"
+            for machine in (restored, plain):
+                assert_same(fingerprint(machine,
+                                        machine.run(max_cycles=100_000)),
+                            expected)
+
+
 #: every registered backend combination (runtime-registered ones too)
 BACKENDS = [
     pytest.param({"icn_backend": icn, "dram_backend": dram,
@@ -531,16 +672,20 @@ class TestUnequalPeriods:
 
 class _ThrottleAndGate(ActivityPlugin):
     """Halves the clusters clock, gates it, un-gates it and restores
-    it, all inside the first spawn."""
+    it, all inside the first spawn, and notes the samples that found a
+    TCU asleep on a busy shared FU."""
 
     def __init__(self):
         super().__init__(interval_cycles=15)
         self.samples = 0
         self.saw_parallel = False
+        self.mid_fu_sleep = set()
 
     def sample(self, machine, time):
         self.samples += 1
         self.saw_parallel |= machine.parallel_active
+        if asleep_on_fu(machine):
+            self.mid_fu_sleep.add(self.samples)
         domain = machine.domains["clusters"]
         if self.samples == 2:
             machine.set_domain_scale("clusters", 0.5)
@@ -570,6 +715,23 @@ class TestDomainCycles:
             program, lambda: tiny(merge_clock_domains=merge), make_plugins)
         assert all(p.samples >= 8 and p.saw_parallel for p in plugins)
         assert_same(plain, *oracles)
+
+    @pytest.mark.parametrize("merge", [False, True],
+                             ids=["own-domains", "merged-domains"])
+    def test_fu_sleepers_retimed_and_gated(self, merge):
+        """The same for a loser of a busy MDU, asleep until a release
+        time booked in picoseconds: every retiming, gating and
+        un-gating lands on one."""
+        plugins = []
+
+        def make_plugins():
+            plugins.append(_ThrottleAndGate())
+            return [plugins[-1]]
+
+        assert_same(*run_both(fu_load_program(),
+                              lambda: slow_mdu(merge_clock_domains=merge),
+                              make_plugins))
+        assert {2, 4, 6, 8} <= plugins[0].mid_fu_sleep
 
 
 class TestCheckpoints:
