@@ -34,26 +34,23 @@ class CacheArray:
     __slots__ = ("sets", "assoc", "line_words", "_line_shift", "_lines")
 
     def __init__(self, sets: int, assoc: int, line_words: int):
-        if sets & (sets - 1):
-            raise ValueError("cache sets must be a power of two")
         self.sets = sets
         self.assoc = assoc
         self.line_words = line_words
         self._line_shift = 2 + (line_words - 1).bit_length() if line_words > 1 else 2
-        # per-set OrderedDict tag -> dirty flag; LRU order = insertion order
-        self._lines: List[OrderedDict] = [OrderedDict() for _ in range(sets)]
+        # per-set OrderedDict tag -> dirty flag; LRU order = insertion
+        # order.  None until the set's first fill: most sets of a big
+        # machine are never touched
+        self._lines: List[Optional[OrderedDict]] = [None] * sets
 
     def line_addr(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    def _set_of(self, line: int) -> OrderedDict:
-        return self._lines[line & (self.sets - 1)]
-
     def lookup(self, addr: int, write: bool = False) -> bool:
         """Probe (and on hit, touch) the line containing ``addr``."""
         line = self.line_addr(addr)
-        entries = self._set_of(line)
-        if line in entries:
+        entries = self._lines[line & (self.sets - 1)]
+        if entries is not None and line in entries:
             entries.move_to_end(line)
             if write:
                 entries[line] = True
@@ -66,7 +63,10 @@ class CacheArray:
         Returns ``(victim_line, victim_dirty)`` if an eviction occurred.
         """
         line = self.line_addr(addr)
-        entries = self._set_of(line)
+        index = line & (self.sets - 1)
+        entries = self._lines[index]
+        if entries is None:
+            entries = self._lines[index] = OrderedDict()
         victim = None
         if line in entries:
             entries.move_to_end(line)
@@ -80,7 +80,7 @@ class CacheArray:
     def invalidate_all(self) -> int:
         """Drop every line; returns how many were dirty (write-back cost)."""
         dirty = 0
-        for entries in self._lines:
+        for entries in filter(None, self._lines):
             dirty += sum(1 for d in entries.values() if d)
             entries.clear()
         return dirty
@@ -88,12 +88,12 @@ class CacheArray:
     def cached_lines(self) -> List[int]:
         """All resident line addresses, in deterministic set/LRU order."""
         out: List[int] = []
-        for entries in self._lines:
+        for entries in filter(None, self._lines):
             out.extend(entries.keys())
         return out
 
     def occupancy(self) -> int:
-        return sum(len(e) for e in self._lines)
+        return sum(len(e) for e in filter(None, self._lines))
 
 
 class CacheModule(Component):

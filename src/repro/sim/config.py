@@ -153,8 +153,12 @@ class XMTConfig:
                         f"{name} must be >= {least}, got {value!r}")
         if self.prefetch_policy not in ("fifo", "lru"):
             raise ValueError("prefetch_policy must be 'fifo' or 'lru'")
-        if self.cache_line_words & (self.cache_line_words - 1):
-            raise ValueError("cache_line_words must be a power of two")
+        # (a tag array picks a set with a mask and a line with a shift)
+        for name in ("cache_line_words", "cache_sets", "master_cache_sets"):
+            value = getattr(self, name)
+            if value & (value - 1):
+                raise ValueError(
+                    f"{name} must be a power of two, got {value!r}")
         # backend names resolve against the fabric registry, so a typo
         # fails here with the registered alternatives listed and a
         # runtime-registered backend is accepted like a built-in

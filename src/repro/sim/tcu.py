@@ -13,7 +13,7 @@ of Section III-A.
 The issue slot is the simulator's hottest code.  Processors execute the
 pre-decoded micro-op stream (:mod:`repro.isa.decode`): every fetch
 returns a :class:`~repro.isa.decode.MicroOp` whose integer opcode
-indexes a flat per-instance table of bound handler methods, whose
+indexes its processor class's flat table of handler functions, whose
 pre-resolved ``reads``/``wr`` feed the scoreboard without re-calling the
 instruction's classification methods, and whose ``fn`` slot carries the
 operational definition shared with the functional mode.
@@ -63,10 +63,11 @@ from repro.isa.semantics import TrapError, format_print, to_signed, to_unsigned
 from repro.sim import packages as P
 from repro.sim.functional import CoreState, SimulationError
 
-#: opcode -> handler method name; resolved to bound methods per instance
-#: by :meth:`ProcessorBase._build_handlers` (so subclass overrides of the
-#: ``_issue_*`` hooks are respected).  Built as a dict keyed on the named
-#: constants, flattened to a list indexed by opcode.
+#: opcode -> handler method name; resolved to plain functions once per
+#: processor class by :meth:`ProcessorBase.__init_subclass__` (so a
+#: subclass's override of a handler or an ``_issue_*`` hook wins).  Built
+#: as a dict keyed on the named constants, flattened to a list indexed by
+#: opcode.
 _HANDLER_NAMES_BY_CODE = {
     OP_ALU: "_h_aluop",
     OP_ALU_SHARED: "_h_alu_shared",
@@ -142,6 +143,24 @@ class ProcessorBase:
     #: region (``start_region``), the Master's go anywhere
     _region_start = 0
     _region_join = float("inf")
+    #: where the ops of a run lead, computed when it is entered:
+    #: ``(registers, pc, {block pc: times still to credit})`` -- PCs, not
+    #: blocks, so it rides a checkpoint (an instance field once set)
+    _run_ahead: Tuple[List[int], int, Dict[int, int]] = ([], 0, {})
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        #: opcode -> handler function, called as ``(self, now, u)``
+        cls._handlers = [getattr(cls, name) for name in _HANDLER_NAMES]
+        #: stall cause -> interned stats key ("tcu.stall.memory", ...),
+        #: and the keys of the causes hit every blocked cycle
+        cls._stall_keys = {}
+        kind = cls.kind
+        cls._k_memory = kind + ".stall.memory"
+        cls._k_fu = kind + ".stall.fu"
+        cls._k_latency = kind + ".stall.latency"
+        cls._k_store_ack = kind + ".stall.store_ack"
+        cls._k_drain = kind + ".stall.drain"
 
     def __init__(self, machine, tcu_id: int):
         self.machine = machine
@@ -169,30 +188,16 @@ class ProcessorBase:
         self.run_pc = 0
         self.run_end = 0
         self.run_left = 0
-        #: where those ops lead, computed when the run was entered:
-        #: ``(registers, pc, {block pc: times still to credit})`` -- PCs,
-        #: not blocks, so it rides a checkpoint
-        self._run_ahead: Tuple[List[int], int, Dict[int, int]] = ([], 0, {})
-        #: stall cause -> interned stats key ("tcu.stall.memory", ...)
-        self._stall_keys: Dict[str, str] = {}
         # hot-path caches: the counter dict and scheduler live as long as
         # the machine (checkpoints preserve identity through the pickle
         # memo); the latencies are fixed once the config validates
         self._counters = machine.stats.counters
         self._sched = machine.scheduler
-        # interned keys for the stall causes hit every blocked cycle
-        kind = self.kind
-        self._k_memory = kind + ".stall.memory"
-        self._k_fu = kind + ".stall.fu"
-        self._k_latency = kind + ".stall.latency"
-        self._k_store_ack = kind + ".stall.store_ack"
-        self._k_drain = kind + ".stall.drain"
         cfg = machine.config
         self._mdu_latency = cfg.mdu_latency
         self._fpu_latency = cfg.fpu_latency
         self._alu_extra = cfg.alu_latency - 1
         self._branch_extra = cfg.branch_latency - 1
-        self._build_handlers()
 
     # -- delivery -------------------------------------------------------------
 
@@ -380,7 +385,7 @@ class ProcessorBase:
                 return RUN_KEY
         if not self._sources_ready(u):
             return self._stall("memory")
-        return self._handlers[u.code](now, u)
+        return self._handlers[u.code](self, now, u)
 
     def _enter_run(self, block, cycle: int) -> bool:
         """Chain the blocks from ``block``, the one at the PC, on: each
@@ -485,7 +490,7 @@ class ProcessorBase:
                     uops = machine.decoded.uops
                     for _ in range(due + block.n):
                         u = uops[core.pc]
-                        self._handlers[u.code](now, u)
+                        self._handlers[u.code](self, now, u)
                     # the rest is still owed: a block forms at any PC
                     chain[core.pc] = chain.get(core.pc, 0) + 1
         counters = self._counters
@@ -505,12 +510,9 @@ class ProcessorBase:
 
     # -- dispatch ------------------------------------------------------------------
     #
-    # Issue dispatch goes through a per-instance flat list of bound
-    # methods indexed by the micro-op's integer opcode (built from
+    # Issue dispatch goes through the class's flat list of handler
+    # functions indexed by the micro-op's integer opcode (built from
     # _HANDLER_NAMES so subclasses override by redefining the method).
-
-    def _build_handlers(self) -> None:
-        self._handlers = [getattr(self, name) for name in _HANDLER_NAMES]
 
     def _alu_tail(self, now: int) -> None:
         self.core.pc += 1
@@ -782,6 +784,10 @@ class TCU(ProcessorBase):
     DRAINING = 1
     PARKED = 2
 
+    _k_pf_hit = "tcu.prefetch.hit"
+    _k_pf_pending_hit = "tcu.prefetch.pending_hit"
+    _k_pf_late_hit = "tcu.prefetch.late_hit"
+
     def __init__(self, machine, cluster, tcu_id: int, local_id: int):
         super().__init__(machine, tcu_id)
         self.cluster = cluster
@@ -809,9 +815,6 @@ class TCU(ProcessorBase):
         #: memory-model flush point: prefetches issued before the last
         #: fence must not land in the buffer (Fig. 7's staleness hazard)
         self.last_fence_time = -1
-        self._k_pf_hit = "tcu.prefetch.hit"
-        self._k_pf_pending_hit = "tcu.prefetch.pending_hit"
-        self._k_pf_late_hit = "tcu.prefetch.late_hit"
         self.asleep_on = PARKED_KEY
 
     def cluster_id(self) -> int:
@@ -1101,7 +1104,7 @@ class TCU(ProcessorBase):
             return self._k_memory
         # (a fence hands back a key, and a loser of a busy non-pipelined
         # FU: stalls that a delivery, or the booked release, ends)
-        return self._handlers[u.code](now, u)
+        return self._handlers[u.code](self, now, u)
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the

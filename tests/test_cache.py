@@ -1,6 +1,5 @@
 """Cache-hierarchy unit tests: tag arrays, address hashing, modules."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,10 +51,6 @@ class TestCacheArray:
         arr.fill(0x08, dirty=True)
         assert arr.invalidate_all() == 2
         assert arr.occupancy() == 0
-
-    def test_sets_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            CacheArray(sets=3, assoc=1, line_words=1)
 
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), min_size=1,
                     max_size=200))

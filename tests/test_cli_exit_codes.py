@@ -96,6 +96,9 @@ def ws(tmp_path_factory):
                        ("spawn.s", SPAWN_S), ("crash.s", CRASH_S),
                        ("typed.json", '{"n_clusters": "four"}'),
                        ("slow.json", '{"base": "tiny", "dram_latency": 60}'),
+                       ("sets96.json", '{"base": "fpga64", "cache_sets": 96}'),
+                       ("msets48.json",
+                        '{"base": "fpga64", "master_cache_sets": 48}'),
                        ("not-a-profile.json", '{"schema": "other/1"}')):
         (root / name).write_text(text)
         paths[name.split(".")[0].replace("-", "_")] = str(root / name)
@@ -188,6 +191,14 @@ ROWS = [
     ("xmtsim-2-config-file-type-was-traceback", "xmtsim_main",
      ["{good}", "--config-file", "{typed}"], 2,
      "xmtsim: error: --config-file: configuration field 'n_clusters'"),
+    # a set count that is no power of two failed inside the machine's
+    # construction without the field's name, and passed functional mode
+    *[(f"xmtsim-2-{field}-not-power-of-two-{mode}", "xmtsim_main",
+       ["{good}", "--config-file", f"{{{path}}}", "--mode", mode], 2,
+       f"xmtsim: error: --config-file: {field} must be a power of two")
+      for field, path in (("cache_sets", "sets96"),
+                          ("master_cache_sets", "msets48"))
+      for mode in ("cycle", "functional")],
     ("xmtsim-2-print-unknown-global", "xmtsim_main",
      ["{good}", *TINY, "--print-global", "Q"], 2,
      "--print-global Q: no such global 'Q'"),

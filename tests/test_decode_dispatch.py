@@ -64,10 +64,12 @@ from repro.isa.decode import (
 )
 from repro.isa.disasm import format_instruction
 from repro.sim import checkpoint as CP
+from repro.sim import cluster as cluster_module
 from repro.sim.config import tiny
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.machine import Machine, Simulator
-from repro.sim.tcu import _HANDLER_NAMES
+from repro.sim.mtcu import MasterTCU
+from repro.sim.tcu import TCU, _HANDLER_NAMES
 
 
 # -- the opcode space itself --------------------------------------------------
@@ -207,6 +209,67 @@ def test_decoded_flags_consistent():
         assert u.reads == u.ins.reads()
         wr = u.ins.writes()
         assert u.wr == (-1 if wr is None else wr)
+
+
+# -- the issue tables ------------------------------------------------------------
+
+
+NOP_SPAWN_ASM = r"""
+    .data
+A:  .space 16
+    .text
+main:
+    li    $t0, 0
+    li    $t1, 3
+    spawn $t0, $t1
+vt:
+    getvt $k0
+    chkid $k0
+    la    $t2, A
+    slli  $t3, $k0, 2
+    add   $t2, $t2, $t3
+    sw    $k0, 0($t2)
+    nop
+    j     vt
+    join
+    halt
+"""
+
+
+def test_each_processor_class_has_one_issue_table():
+    """A table is built once per class from ``_HANDLER_NAMES`` and shared
+    by its instances; the Master's and a TCU's differ exactly at the
+    handlers one of the two classes overrides."""
+    for cls in (TCU, MasterTCU):
+        assert cls._handlers == [getattr(cls, name) for name in _HANDLER_NAMES]
+    machine = Machine(assemble(NOP_SPAWN_ASM), tiny())
+    assert machine.master._handlers is MasterTCU._handlers
+    assert all(tcu._handlers is TCU._handlers for tcu in machine.tcus)
+    differ = {name for name, tcu, master in zip(
+        _HANDLER_NAMES, TCU._handlers, MasterTCU._handlers)
+        if tcu is not master}
+    assert differ == {name for name in _HANDLER_NAMES
+                      if name in vars(TCU) or name in vars(MasterTCU)}
+    assert {"_issue_spawn", "_issue_halt", "_issue_getvt"} <= differ
+
+
+def test_a_subclass_override_is_dispatched_to(monkeypatch):
+    """A TCU subclass that overrides one handler gets it from its own
+    table, built when the class is made, when the cluster builds it."""
+    heard = []
+
+    class NopCountingTCU(TCU):
+        def _h_nop(self, now, u):
+            heard.append(self.tcu_id)
+            return super()._h_nop(now, u)
+
+    plain = run_asm_cycle(NOP_SPAWN_ASM)[1]
+    monkeypatch.setattr(cluster_module, "TCU", NopCountingTCU)
+    _, result = run_asm_cycle(NOP_SPAWN_ASM)
+    assert len(heard) == 4  # (one nop per thread)
+    assert (result.cycles, result.instructions) == (
+        plain.cycles, plain.instructions)
+    assert result.read_global("A") == plain.read_global("A") == [0, 1, 2, 3]
 
 
 # -- the decode cache ---------------------------------------------------------
@@ -418,11 +481,11 @@ class TestCheckpointDecode:
 #
 # The two pipelines execute the same micro-ops two ways: the functional
 # engine as generated blocks (``block_source``; a step is a block of one
-# op), the cycle-accurate processors through per-opcode bound methods
-# (tcu.py).  Random programs must reach the same architectural state
-# through both, which makes the cycle machine the reference for every op
-# the functional engine translates; a divergence means one drifted from
-# the other.  The *wide* input set adds the memory, prefix-sum, global-
+# op), the cycle-accurate processors through their class's per-opcode
+# handler table (tcu.py).  Random programs must reach the same
+# architectural state through both, which makes the cycle machine the
+# reference for every op the functional engine translates; a divergence
+# means one drifted from the other.  The *wide* input set adds the memory, prefix-sum, global-
 # register, ordering and float ops under the memory model's rules: what
 # returns a thread-order-dependent value (``ps``, ``psm``) stays serial,
 # ``lwro`` reads only a table nothing writes, and a ``fence`` follows

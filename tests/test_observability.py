@@ -363,9 +363,11 @@ class TestCommandLine:
         chrome = json.loads(trace.read_text())
         tids = {e["tid"] for e in chrome["traceEvents"] if e["ph"] != "M"}
         assert len(tids) >= 2
-        payload = json.loads(metrics.read_text())
+        # the toolchain's own reader: a format drift fails where the
+        # file is produced
+        payload = load_artifact(str(metrics), "metrics")
         assert payload["histograms"]["mem.latency.all"]["count"] > 0
-        data = json.loads(profile.read_text())
+        data = load_artifact(str(profile), "profile")
         assert data["lines"][0]["line"] == BODY_LINE
         assert "cycle profile:" in capsys.readouterr().err
 

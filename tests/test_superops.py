@@ -417,10 +417,10 @@ def spy_on_runs(machine: Machine) -> dict:
         stepped = []  # PCs stepped one by one; None outside a settle
 
         def handler(issue, stepped=stepped):
-            def counted(now, u):
+            def counted(proc, now, u):
                 if stepped and stepped[0] is None:
                     stepped.append(u.index)
-                return issue(now, u)
+                return issue(proc, now, u)
             return counted
         proc._handlers = [handler(issue) for issue in proc._handlers]
 

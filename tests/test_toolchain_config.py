@@ -48,6 +48,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             XMTConfig(cache_line_words=3).validate()
 
+    def test_cache_set_counts_must_be_powers_of_two(self):
+        """A tag array picks a set with a mask, so a set count that is no
+        power of two is rejected by ``validate``, naming the field, before
+        any mode runs (it was an unnamed error from inside the machine's
+        construction, and no error at all in functional mode)."""
+        for name in ("cache_sets", "master_cache_sets"):
+            fpga64().scaled(**{name: 64}).validate()
+            with pytest.raises(ValueError, match=(
+                    f"^{name} must be a power of two, got 96$")):
+                fpga64().scaled(**{name: 96}).validate()
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                tiny(**{name: 3})
+
     @pytest.mark.parametrize("name, least", [
         (name, least) for least, names in _LEAST.items()
         for name in names.split()])
