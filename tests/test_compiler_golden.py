@@ -2,9 +2,11 @@
 
 ``tests/golden/asm.json`` holds, for every program of the corpus below,
 the sha256 of the text ``compile_to_asm`` returns and of everything the
-``Program`` from ``compile_source`` carries: each instruction's fields
-(``line`` and ``src_line`` included), labels in binding order, the data
-image, the string table, globals, spawn regions and the source text.
+``Program`` from ``compile_source`` carries: each instruction's rendered
+text and decoded fields (``line`` and ``src_line`` included), labels in
+binding order, the data image, the string table, globals, spawn regions
+and the source text.  An instruction is keyed on what it means, not on
+the Python class that holds it.
 Any change to a compiler stage that is meant to be a pure refactor or
 speed-up must leave every row alone.  Regenerate only for an intended
 change of the compiler's output::
@@ -16,6 +18,8 @@ import hashlib
 import json
 import os
 
+from repro.isa.decode import decode_program
+from repro.isa.disasm import format_instruction
 from repro.workloads import microbench as MB
 from repro.workloads import programs as W
 from repro.xmtc.analysis.linter import collect_litmus_cases
@@ -68,16 +72,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _fields(ins) -> list:
-    slots = sorted({slot for cls in type(ins).__mro__
-                    for slot in getattr(cls, "__slots__", ())})
-    return [type(ins).__name__] + [[slot, getattr(ins, slot)]
-                                   for slot in slots]
+#: the decoded fields an instruction is keyed on, beside its text
+DECODED_FIELDS = ("code", "fu", "rd", "rs", "rt", "imm", "target", "reads",
+                  "wr", "index", "line", "src_line")
+
+
+def _fields(ins, uop) -> list:
+    return [format_instruction(ins)] + [[name, getattr(uop, name)]
+                                        for name in DECODED_FIELDS]
 
 
 def program_sha256(program) -> str:
     return _sha256(json.dumps({
-        "instructions": [_fields(ins) for ins in program.instructions],
+        "instructions": [_fields(ins, uop) for ins, uop in zip(
+            program.instructions, decode_program(program).uops)],
         "labels": list(program.labels.items()),
         "data_labels": list(program.data_labels.items()),
         "data_image": sorted(program.data_image.items()),
