@@ -4,10 +4,14 @@ This package defines the XMT assembly language used by both the XMTC
 compiler back end and the XMTSim-style simulator:
 
 - :mod:`repro.isa.registers` -- register-file conventions,
-- :mod:`repro.isa.instructions` -- the ``Instruction`` class hierarchy
-  (the paper's core simulator class of the same name),
-- :mod:`repro.isa.semantics` -- operational definitions shared by the
-  functional and cycle-accurate models,
+- :mod:`repro.isa.instructions` -- the instruction table (one row per
+  mnemonic: syntax, opcode, functional unit, operational definition) and
+  the ``Instruction`` record built from it (the paper's core simulator
+  class of the same name),
+- :mod:`repro.isa.semantics` -- the helpers the operational definitions
+  call, and the code generation both simulation modes share,
+- :mod:`repro.isa.decode` -- a program's blocks, executed as one
+  generated function each,
 - :mod:`repro.isa.assembler` -- text assembly -> :class:`Program`,
 - :mod:`repro.isa.program` -- loaded-program container (text segment,
   initial memory map, spawn regions, string table),

@@ -26,9 +26,9 @@ regions are resolved at assembly time; nested spawns are rejected
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.isa import instructions as I
+from repro.isa.instructions import ALIASES, TABLE, Instruction
 from repro.isa.program import DATA_BASE, GlobalSymbol, Program
 from repro.isa.registers import parse_global_reg, parse_reg
 from repro.isa.semantics import f32_to_bits, to_unsigned
@@ -46,50 +46,22 @@ _LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
 _INT_RE = re.compile(r"^-?(0x[0-9a-fA-F]+|\d+)$")
 _MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))?\(\s*(\$\w+)\s*\)$")
 
-_INT_BIN_OPS = {"add", "sub", "and", "or", "xor", "nor", "sll", "srl", "sra",
-                "slt", "sltu", "seq", "sne", "sle", "sgt", "sge"}
-_MDU_OPS = {"mul", "div", "rem"}
-_FPU_BIN_OPS = {"fadd", "fsub", "fmul", "fdiv", "feq", "flt", "fle"}
-_IMM_OPS = {"addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti"}
-_UNARY_OPS = {"neg": I.FU_ALU, "not": I.FU_ALU, "fneg": I.FU_FPU,
-              "itof": I.FU_FPU, "ftoi": I.FU_FPU}
-_BRANCH2_OPS = {"beq", "bne"}
-_BRANCH1_OPS = {"blez", "bgtz", "bltz", "bgez"}
-
-
-def register_instruction(mnemonic: str, shape: str,
-                         fu: str = I.FU_ALU) -> None:
-    """Extension hook: teach the assembler a new mnemonic.
-
-    ``shape`` is ``"binary"`` (``op $d, $s, $t``) or ``"unary"``
-    (``op $d, $s``).  Pair with
-    :func:`repro.isa.semantics.register_binop` /
-    :func:`~repro.isa.semantics.register_unop` -- the paper's two-step
-    instruction-extension recipe (Section III-A).
-    """
-    known = (_INT_BIN_OPS | _MDU_OPS | _FPU_BIN_OPS | _IMM_OPS
-             | set(_UNARY_OPS))
-    if mnemonic in known:
-        raise ValueError(f"mnemonic {mnemonic!r} already defined")
-    if shape == "binary":
-        if fu == I.FU_FPU:
-            _FPU_BIN_OPS.add(mnemonic)
-        elif fu == I.FU_MDU:
-            _MDU_OPS.add(mnemonic)
-        else:
-            _INT_BIN_OPS.add(mnemonic)
-    elif shape == "unary":
-        _UNARY_OPS[mnemonic] = fu
-    else:
-        raise ValueError("shape must be 'binary' or 'unary'")
-
 
 def _parse_int(tok: str, line: int) -> int:
+    """Every immediate, memory offset, ``.word`` and ``.greg`` value: an
+    ``_INT_RE`` literal in [-2**31, 2**32), the values a 32-bit field
+    holds as a signed or an unsigned number."""
     tok = tok.strip()
     try:
-        return int(tok, 0)
-    except ValueError:
-        raise AssemblerError(f"malformed integer literal {tok!r}", line) from None
+        value = int(tok, 0) if _INT_RE.match(tok) else None
+    except ValueError:  # a leading zero: "010"
+        value = None
+    if value is None:
+        raise AssemblerError(f"malformed integer literal {tok!r}", line)
+    if not -(1 << 31) <= value < (1 << 32):
+        raise AssemblerError(
+            f"integer literal {tok} out of range [-2**31, 2**32)", line)
+    return value
 
 
 def _split_operands(text: str) -> List[str]:
@@ -146,7 +118,7 @@ class _Assembler:
         self._section = ".text"
         self._pending_labels: List[Tuple[str, int]] = []
         self._last_data_labels: List[str] = []
-        self._fixups: List[Tuple[I.Instruction, str, str, int]] = []
+        self._fixups: List[Tuple[Instruction, str, str, int]] = []
 
     # -- pass 1: build instructions / data with label placeholders ---------
 
@@ -317,140 +289,69 @@ class _Assembler:
         ins.src_line = src_line
         self.program.instructions.append(ins)
 
-    def _reg(self, tok: str, lineno: int) -> int:
-        try:
-            return parse_reg(tok)
-        except ValueError as exc:
-            raise AssemblerError(str(exc), lineno) from None
-
     def _need(self, ops: List[str], n: int, op: str, lineno: int) -> None:
         if len(ops) != n:
             raise AssemblerError(f"{op} expects {n} operands, got {len(ops)}", lineno)
 
     def _mem_operand(self, tok: str, lineno: int) -> Tuple[int, int]:
+        """``off($base)`` -> (base, off); a bad register raises ValueError."""
         m = _MEM_OPERAND_RE.match(tok.replace(" ", ""))
         if not m:
             raise AssemblerError(f"malformed memory operand {tok!r}", lineno)
         off = _parse_int(m.group(1), lineno) if m.group(1) else 0
-        return self._reg(m.group(2), lineno), off
+        return parse_reg(m.group(2)), off
 
-    def _build(self, op: str, ops: List[str], lineno: int) -> I.Instruction:
-        if op in _INT_BIN_OPS:
-            self._need(ops, 3, op, lineno)
-            return I.ALUOp(op, *(self._reg(t, lineno) for t in ops), line=lineno)
-        if op in _MDU_OPS:
-            self._need(ops, 3, op, lineno)
-            return I.ALUOp(op, *(self._reg(t, lineno) for t in ops),
-                           line=lineno, fu=I.FU_MDU)
-        if op in _FPU_BIN_OPS:
-            self._need(ops, 3, op, lineno)
-            return I.ALUOp(op, *(self._reg(t, lineno) for t in ops),
-                           line=lineno, fu=I.FU_FPU)
-        if op in _IMM_OPS:
-            self._need(ops, 3, op, lineno)
-            return I.ALUImm(op, self._reg(ops[0], lineno), self._reg(ops[1], lineno),
-                            _parse_int(ops[2], lineno), line=lineno)
-        if op in _UNARY_OPS:
-            self._need(ops, 2, op, lineno)
-            return I.UnaryOp(op, self._reg(ops[0], lineno), self._reg(ops[1], lineno),
-                             line=lineno, fu=_UNARY_OPS[op])
-        if op in ("li", "la"):
-            self._need(ops, 2, op, lineno)
-            rd = self._reg(ops[0], lineno)
-            tok = ops[1]
-            if _INT_RE.match(tok):
-                return I.LoadImm(rd, _parse_int(tok, lineno), line=lineno)
-            ins = I.LoadImm(rd, 0, line=lineno)
-            self._fixups.append((ins, "imm", tok, lineno))
-            return ins
-        if op == "move":
-            self._need(ops, 2, op, lineno)
-            return I.ALUOp("add", self._reg(ops[0], lineno), self._reg(ops[1], lineno),
-                           0, line=lineno)
-        if op in _BRANCH2_OPS:
-            self._need(ops, 3, op, lineno)
-            ins = I.Branch(op, self._reg(ops[0], lineno), self._reg(ops[1], lineno),
-                           ops[2], line=lineno)
-            self._fixups.append((ins, "target", ops[2], lineno))
-            return ins
-        if op in ("beqz", "bnez"):
-            self._need(ops, 2, op, lineno)
-            real = "beq" if op == "beqz" else "bne"
-            ins = I.Branch(real, self._reg(ops[0], lineno), 0, ops[1], line=lineno)
-            self._fixups.append((ins, "target", ops[1], lineno))
-            return ins
-        if op in _BRANCH1_OPS:
-            self._need(ops, 2, op, lineno)
-            ins = I.Branch(op, self._reg(ops[0], lineno), -1, ops[1], line=lineno)
-            self._fixups.append((ins, "target", ops[1], lineno))
-            return ins
-        if op in ("j", "jal", "b"):
-            self._need(ops, 1, op, lineno)
-            ins = I.Jump("j" if op == "b" else op, ops[0], line=lineno)
-            self._fixups.append((ins, "target", ops[0], lineno))
-            return ins
-        if op == "jr":
-            self._need(ops, 1, op, lineno)
-            return I.JumpReg(self._reg(ops[0], lineno), line=lineno)
-        if op in ("lw", "lwro"):
-            self._need(ops, 2, op, lineno)
-            base, off = self._mem_operand(ops[1], lineno)
-            return I.Load(self._reg(ops[0], lineno), base, off,
-                          readonly=(op == "lwro"), line=lineno)
-        if op in ("sw", "swnb"):
-            self._need(ops, 2, op, lineno)
-            base, off = self._mem_operand(ops[1], lineno)
-            return I.Store(self._reg(ops[0], lineno), base, off,
-                           nonblocking=(op == "swnb"), line=lineno)
-        if op == "pref":
-            self._need(ops, 1, op, lineno)
-            base, off = self._mem_operand(ops[0], lineno)
-            return I.Prefetch(base, off, line=lineno)
-        if op == "psm":
-            self._need(ops, 2, op, lineno)
-            base, off = self._mem_operand(ops[1], lineno)
-            return I.Psm(self._reg(ops[0], lineno), base, off, line=lineno)
-        if op in ("ps", "getg", "setg"):
-            self._need(ops, 2, op, lineno)
-            try:
-                greg = parse_global_reg(ops[1])
-            except ValueError as exc:
-                raise AssemblerError(str(exc), lineno) from None
-            mode = {"ps": "ps", "getg": "get", "setg": "set"}[op]
-            return I.Ps(self._reg(ops[0], lineno), greg, mode=mode, line=lineno)
-        if op == "spawn":
-            self._need(ops, 2, op, lineno)
-            return I.Spawn(self._reg(ops[0], lineno), self._reg(ops[1], lineno),
-                           line=lineno)
-        if op == "join":
-            self._need(ops, 0, op, lineno)
-            return I.Join(line=lineno)
-        if op == "getvt":
-            self._need(ops, 1, op, lineno)
-            return I.GetVT(self._reg(ops[0], lineno), line=lineno)
-        if op == "gettcu":
-            self._need(ops, 1, op, lineno)
-            return I.GetTCU(self._reg(ops[0], lineno), line=lineno)
-        if op == "chkid":
-            self._need(ops, 1, op, lineno)
-            return I.ChkID(self._reg(ops[0], lineno), line=lineno)
-        if op == "fence":
-            self._need(ops, 0, op, lineno)
-            return I.Fence(line=lineno)
-        if op == "halt":
-            self._need(ops, 0, op, lineno)
-            return I.Halt(line=lineno)
-        if op == "nop":
-            self._need(ops, 0, op, lineno)
-            return I.Nop(line=lineno)
-        if op == "print":
-            if not ops:
-                raise AssemblerError("print expects a format label", lineno)
-            regs = [self._reg(t, lineno) for t in ops[1:]]
-            ins = I.Print(ops[0], regs, line=lineno)
-            self._fixups.append((ins, "fmt", ops[0], lineno))
-            return ins
-        raise AssemblerError(f"unknown opcode {op!r}", lineno)
+    def _build(self, op: str, ops: List[str], lineno: int) -> Instruction:
+        """The record of one line, built from its row of ``TABLE``: each
+        operand letter of the row's syntax fills its field (the letters
+        are listed in :mod:`repro.isa.instructions`)."""
+        mnemonic = op
+        if op in ALIASES:
+            mnemonic, template = ALIASES[op]
+            self._need(ops, sum(isinstance(t, int) for t in template), op,
+                       lineno)
+            ops = [ops[t] if isinstance(t, int) else t for t in template]
+        if mnemonic not in TABLE:
+            raise AssemblerError(f"unknown opcode {op!r}", lineno)
+        syntax = TABLE[mnemonic].syntax
+        if syntax != "p":
+            self._need(ops, len(syntax), op, lineno)
+        elif not ops:
+            raise AssemblerError("print expects a format label", lineno)
+        ins = Instruction(mnemonic, lineno)
+        try:
+            for letter, tok in zip(syntax, ops):
+                if letter == "d":
+                    ins.rd = ins.wr = parse_reg(tok)
+                elif letter == "s":
+                    ins.rs = parse_reg(tok)
+                    ins.reads += (ins.rs,)
+                elif letter == "t":
+                    ins.rt = parse_reg(tok)
+                    ins.reads += (ins.rt,)
+                elif letter == "m":
+                    ins.rs, ins.imm = self._mem_operand(tok, lineno)
+                    ins.reads += (ins.rs,)
+                elif letter in "Dr":
+                    ins.rd = parse_reg(tok)
+                    ins.reads += (ins.rd,)
+                    if letter == "D":
+                        ins.wr = ins.rd
+                elif letter == "g":
+                    ins.imm = parse_global_reg(tok)
+                elif letter == "i" or (letter == "a" and _INT_RE.match(tok)):
+                    ins.imm = _parse_int(tok, lineno) & 0xFFFFFFFF
+                elif letter == "a":  # a label: its address, in pass 2
+                    self._fixups.append((ins, "imm", tok, lineno))
+                else:  # "L" a branch target, "p" a format and its registers
+                    ins.label = tok
+                    self._fixups.append(
+                        (ins, "target" if letter == "L" else "fmt", tok, lineno))
+                    if letter == "p":
+                        ins.reads = tuple([parse_reg(t) for t in ops[1:]])
+        except ValueError as exc:  # a malformed register
+            raise AssemblerError(str(exc), lineno) from None
+        return ins
 
     # -- pass 2: resolution ----------------------------------------------------
 
@@ -473,7 +374,7 @@ class _Assembler:
                 fmt_id = self.fmt_labels.get(name)
                 if fmt_id is None:
                     raise AssemblerError(f"undefined format label {name!r}", where)
-                ins.fmt_id = fmt_id
+                ins.imm = fmt_id
             elif kind == "data":
                 addr = prog.data_labels.get(name)
                 if addr is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Spawn
+from repro.isa.instructions import Instruction
 from repro.isa.semantics import to_signed, to_unsigned
 
 #: Default base address of the data segment.
@@ -105,9 +105,7 @@ class Program:
                         f"join without spawn at text index {i} (line {ins.line})"
                     )
                 region = SpawnRegion(open_spawn, i)
-                spawn = self.instructions[open_spawn]
-                assert isinstance(spawn, Spawn)
-                spawn.join_index = i
+                self.instructions[open_spawn].target = i
                 self.spawn_regions.append(region)
                 open_spawn = None
         if open_spawn is not None:

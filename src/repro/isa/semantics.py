@@ -1,10 +1,11 @@
-"""Operational definitions of XMT instructions.
+"""The helpers XMT operational definitions call, and their code generation.
 
 The paper's simulator is *execution-driven*: a functional model holds
 "the operational definition of the instructions, as well as the state of
-the registers and the memory" (Section III-A).  This module is that
-single source of truth.  Both the fast functional mode and the
-cycle-accurate mode call into these helpers, so the two modes cannot
+the registers and the memory" (Section III-A).  Each definition is the
+``spec`` of its row of :data:`repro.isa.instructions.TABLE`; this module
+holds what those specs call and compiles the code both the fast
+functional mode and the cycle-accurate mode run, so the two modes cannot
 diverge on instruction semantics -- only on timing.
 
 Registers hold raw 32-bit patterns (Python ints in ``[0, 2**32)``).
@@ -18,7 +19,9 @@ evaluation in ``tests/test_hypothesis_programs.py``.
 from __future__ import annotations
 
 import math
+import operator
 import struct
+from typing import Optional
 
 MASK32 = 0xFFFFFFFF
 SIGN_BIT = 0x80000000
@@ -68,111 +71,6 @@ def _rem_trunc(a: int, b: int) -> int:
     return a - _div_trunc(a, b) * b
 
 
-# -- the operational definitions, as text --------------------------------------
-#
-# Each definition is one Python expression over the operand placeholders
-# ``{a}``/``{b}``.  The per-op callables below are built from these
-# strings, and so is the straight-line code a basic block is fused into
-# (:mod:`repro.isa.decode` substitutes register locals and immediates
-# for the placeholders), so the one-instruction path and the fused path
-# evaluate the same text and cannot diverge.  An operand is substituted
-# as an atom (a name, a literal, or a parenthesised literal); helpers a
-# spec calls must live in this module.
-
-def _signed(x: str) -> str:
-    """Expression text: the 32-bit pattern ``x`` as a signed integer."""
-    return f"((({x} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-
-
-_SA, _SB = _signed("{a}"), _signed("{b}")
-
-#: Binary integer ALU/MDU operations.  The value of an op is its spec
-#: truncated to 32 bits (:func:`_define` and the block generator both
-#: append the mask).
-INT_BINOP_SPECS = {
-    "add": "{a} + {b}",
-    "sub": "{a} - {b}",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "nor": "~({a} | {b})",
-    "sll": "{a} << ({b} & 31)",
-    "srl": "({a} & 0xFFFFFFFF) >> ({b} & 31)",
-    "sra": f"{_SA} >> ({{b}} & 31)",
-    "slt": f"{_SA} < {_SB}",
-    "sltu": "({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF)",
-    "seq": "{a} == {b}",
-    "sne": "{a} != {b}",
-    "sle": f"{_SA} <= {_SB}",
-    "sgt": f"{_SA} > {_SB}",
-    "sge": f"{_SA} >= {_SB}",
-    "mul": f"{_SA} * {_SB}",
-    "div": f"_div_trunc({_SA}, {_SB})",
-    "rem": f"_rem_trunc({_SA}, {_SB})",
-}
-
-#: Unary operations (integer and float), same convention.
-UNOP_SPECS = {
-    "neg": f"-{_SA}",
-    "not": "~{a}",
-    "fneg": "f32_to_bits(-bits_to_f32({a}))",
-    "itof": f"f32_to_bits(float({_SA}))",
-    "ftoi": "_ftoi({a})",
-}
-
-#: Branch-condition predicates on raw 32-bit patterns (one-operand
-#: branches are handed ``b = 0``).  Truth values: no truncation.
-BRANCH_SPECS = {
-    "beq": "{a} == {b}",
-    "bne": "{a} != {b}",
-    "blez": f"{_SA} <= 0",
-    "bgtz": f"{_SA} > 0",
-    "bltz": f"{_SA} < 0",
-    "bgez": f"{_SA} >= 0",
-}
-
-
-def value_expr(spec: str, a: str, b: str = "0") -> str:
-    """Expression text of a value op applied to operand atoms."""
-    return f"({spec.format(a=a, b=b)}) & 0xFFFFFFFF"
-
-
-# Code built from spec strings is compiled under this module's file
-# name: profilers and the benchmark's per-layer tracer then charge the
-# evaluation of an operational definition -- one op or a fused block --
-# to this module, where the definition lives.
-
-def _define(params: str, body: str):
-    return eval(compile(f"lambda {params}: {body}", __file__, "eval"),
-                globals())
-
-
-def define_function(source: str):
-    """Compile one ``def`` generated from spec expressions; the helpers
-    they call resolve in this module, as they do for the callables."""
-    namespace: dict = {}
-    exec(compile(source, __file__, "exec"), globals(), namespace)
-    (function,) = namespace.values()
-    return function
-
-
-#: Binary integer ALU/MDU operations: raw-bits x raw-bits -> raw-bits.
-INT_BINOPS = {op: _define("a, b", value_expr(spec, "a", "b"))
-              for op, spec in INT_BINOP_SPECS.items()}
-
-#: Immediate-form aliases map onto the same definitions.
-IMM_ALIASES = {
-    "addi": "add",
-    "andi": "and",
-    "ori": "or",
-    "xori": "xor",
-    "slli": "sll",
-    "srli": "srl",
-    "srai": "sra",
-    "slti": "slt",
-}
-
-
 def _fbin(op):
     def run(a_bits: int, b_bits: int) -> int:
         a = bits_to_f32(a_bits)
@@ -186,17 +84,12 @@ def _fbin(op):
     return run
 
 
-#: Binary FPU operations: raw-bits x raw-bits -> raw-bits.
-FLOAT_BINOPS = {
-    "fadd": _fbin(lambda a, b: a + b),
-    "fsub": _fbin(lambda a, b: a - b),
-    "fmul": _fbin(lambda a, b: a * b),
-    "fdiv": _fbin(lambda a, b: a / b),
-    # Comparisons produce an integer 0/1 pattern.
-    "feq": lambda a, b: int(bits_to_f32(a) == bits_to_f32(b)),
-    "flt": lambda a, b: int(bits_to_f32(a) < bits_to_f32(b)),
-    "fle": lambda a, b: int(bits_to_f32(a) <= bits_to_f32(b)),
-}
+#: IEEE-754 single arithmetic on raw bit patterns
+_fadd = _fbin(operator.add)
+_fsub = _fbin(operator.sub)
+_fmul = _fbin(operator.mul)
+_fdiv = _fbin(operator.truediv)
+
 
 def _ftoi(bits: int) -> int:
     value = bits_to_f32(bits)
@@ -209,65 +102,40 @@ def _ftoi(bits: int) -> int:
     return to_unsigned(value)
 
 
-#: Unary operations (integer and float): raw-bits -> raw-bits.
-UNOPS = {op: _define("a", value_expr(spec, "a"))
-         for op, spec in UNOP_SPECS.items()}
+# -- code generated from the operational definitions ---------------------------
+#
+# An operational definition (the ``spec`` of a row of
+# :data:`repro.isa.instructions.TABLE`) is one Python expression over the
+# operand placeholders ``{a}``/``{b}``.  A row's callable is built from
+# that text, and so is the straight-line code a basic block is fused
+# into (:mod:`repro.isa.decode` substitutes register locals and
+# immediates for the placeholders), so the one-instruction path and the
+# fused path evaluate the same text and cannot diverge.  An operand is
+# substituted as an atom (a name, a literal, or a parenthesised literal);
+# helpers a spec calls must live in this module.
 
-#: Branch-condition predicates on raw 32-bit patterns.
-BRANCH_CONDS = {op: _define("a, b", spec.format(a="a", b="b"))
-                for op, spec in BRANCH_SPECS.items()}
-
-
-def eval_binop(op: str, a: int, b: int) -> int:
-    """Evaluate any binary opcode (int, imm alias, or float)."""
-    op = IMM_ALIASES.get(op, op)
-    fn = INT_BINOPS.get(op)
-    if fn is None:
-        fn = FLOAT_BINOPS[op]
-    return fn(a, b)
-
-
-def register_binop(op: str, fn, float_unit: bool = False) -> None:
-    """Extension hook: define a new binary instruction's semantics.
-
-    The paper's two-step recipe for adding an instruction ("modify the
-    assembly language definition file ... create a new class [that]
-    follows the Instruction API") maps here to: (1) register the
-    operational definition with this function (or :func:`register_unop`),
-    (2) register the mnemonic with
-    :func:`repro.isa.assembler.register_instruction`.  Both simulation
-    modes pick the definition up automatically.
-
-    ``fn`` is either a spec string in the convention of
-    :data:`INT_BINOP_SPECS` (an expression over ``{a}``/``{b}``, its
-    value truncated to 32 bits) or a bare callable on raw bit patterns.
-    Only an integer op with a spec string can be fused into a block of
-    the cycle machine; a callable -- and every float op -- ends the
-    block it sits in there, and is called by name inside a block of the
-    functional engine.
-    """
-    _check_undefined(op)
-    if isinstance(fn, str):
-        if not float_unit:
-            INT_BINOP_SPECS[op] = fn
-        fn = _define("a, b", value_expr(fn, "a", "b"))
-    (FLOAT_BINOPS if float_unit else INT_BINOPS)[op] = fn
+def value_expr(spec: str, a: str, b: str = "0") -> str:
+    """Expression text of a value op applied to operand atoms: its spec,
+    truncated to 32 bits as a register write is."""
+    return f"({spec.format(a=a, b=b)}) & 0xFFFFFFFF"
 
 
-def register_unop(op: str, fn) -> None:
-    """Extension hook: define a new unary instruction's semantics
-    (a spec string over ``{a}`` or a callable; see
-    :func:`register_binop`)."""
-    _check_undefined(op)
-    if isinstance(fn, str):
-        UNOP_SPECS[op] = fn
-        fn = _define("a", value_expr(fn, "a"))
-    UNOPS[op] = fn
+def define_function(source: str, names: Optional[dict] = None):
+    """Compile one ``def`` generated from spec expressions.  The helpers
+    a spec calls resolve in this module; ``names``, when given, is the
+    whole scope instead -- this module's names plus what the generated
+    code calls besides (``dict(vars(semantics), TABLE=...)``, built
+    once by the caller).
 
-
-def _check_undefined(op: str) -> None:
-    if op in INT_BINOPS or op in FLOAT_BINOPS or op in UNOPS:
-        raise ValueError(f"opcode {op!r} already defined")
+    The code is compiled under this module's file name: profilers and
+    the benchmark's per-layer tracer then charge the evaluation of an
+    operational definition -- one op or a fused block -- to this module,
+    where its helpers live."""
+    namespace: dict = {}
+    exec(compile(source, __file__, "exec"),
+         globals() if names is None else names, namespace)
+    (function,) = namespace.values()
+    return function
 
 
 #: A 32-bit address pattern ``{a}`` is one :func:`check_word_addr` traps

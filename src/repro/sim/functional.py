@@ -9,8 +9,8 @@ debugging tool for XMTC programs" -- but, as the paper notes, it cannot
 reveal concurrency bugs, because each spawn block executes its virtual
 threads one after the other on a single execution context.
 
-Execution runs over the pre-decoded micro-op form of the program
-(:mod:`repro.isa.decode`) and is *translated*, not interpreted: the
+Execution runs over the program's assembled instructions and their
+blocks (:mod:`repro.isa.decode`) and is *translated*, not interpreted: the
 main loops take the program's blocks (``blocks(memory=True)``) -- loads,
 stores, prefix-sums and the thread loop included -- as one generated
 function each, built from the spec strings the cycle-accurate
@@ -34,11 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.isa import instructions as I
-from repro.isa.decode import (
-    REGION_DONE,
-    Block,
-    MicroOp,
+from repro.isa.decode import REGION_DONE, Block, decode_program
+from repro.isa.instructions import (
     OP_CHKID,
     OP_GETTCU,
     OP_GETVT,
@@ -47,7 +44,7 @@ from repro.isa.decode import (
     OP_PREFETCH,
     OP_PRINT,
     OP_SPAWN,
-    decode_program,
+    Instruction,
 )
 from repro.isa.program import Program
 from repro.isa.registers import NUM_GLOBAL_REGS, NUM_REGS, REG_SP, REG_ZERO
@@ -93,7 +90,7 @@ class CoreState:
     """Register file + program counter of one execution context.
 
     The register file is a fixed-size list indexed by the pre-resolved
-    register numbers on each micro-op.  ``$zero`` is hard-wired: *all*
+    register numbers on each instruction.  ``$zero`` is hard-wired: *all*
     architectural writes funnel through :meth:`write`, which discards
     stores to register 0, so ``regs[0]`` is invariantly 0 and reads need
     no special case.
@@ -137,7 +134,7 @@ class FunctionalSimulator:
 
     def __init__(self, program: Program, stack_top: int = DEFAULT_STACK_TOP,
                  max_instructions: Optional[int] = None,
-                 on_instruction: Optional[Callable[[I.Instruction, CoreState], None]] = None,
+                 on_instruction: Optional[Callable[[Instruction, CoreState], None]] = None,
                  sanitizer=None):
         self.program = program
         self.decoded = decode_program(program)
@@ -171,7 +168,7 @@ class FunctionalSimulator:
         machine hands its live memory / global registers / output list
         to a functional executor to fast-forward a parallel section.
         The decode cache is shared too -- both modes read the same
-        micro-ops.
+        instructions and blocks.
         """
         sim = cls(program, max_instructions=max_instructions)
         sim.memory = memory
@@ -207,7 +204,7 @@ class FunctionalSimulator:
 
     # -- execution ---------------------------------------------------------------
 
-    def _bump(self, u: MicroOp) -> None:
+    def _bump(self, u: Instruction) -> None:
         self.instructions_executed += 1
         counts = self.instruction_counts
         counts[u.op] = counts.get(u.op, 0) + 1
@@ -217,7 +214,7 @@ class FunctionalSimulator:
                 f"instruction budget exceeded ({self.max_instructions}); "
                 "likely an infinite loop")
         if self.on_instruction is not None:
-            self.on_instruction(u.ins, self._current_core)
+            self.on_instruction(u, self._current_core)
 
     def _trap(self, u, message: str) -> "SimulationError":
         return SimulationError(
@@ -260,7 +257,7 @@ class FunctionalSimulator:
                 counts[op] = counts.get(op, 0) + count * times
         self._block_runs.clear()
 
-    def _step(self, core: CoreState, u: MicroOp,
+    def _step(self, core: CoreState, u: Instruction,
               threads: Optional[List[int]] = None) -> None:
         """Execute one instruction: counted, shown to the sanitizer, then
         run as the one-op block of its PC (:mod:`repro.isa.decode`)."""
@@ -272,7 +269,7 @@ class FunctionalSimulator:
             elif u.is_mem and u.code != OP_PREFETCH:
                 hook = (sanitizer.on_load if u.is_load else sanitizer.on_store
                         if u.is_store else sanitizer.on_psm)
-                hook((core.regs[u.rs] + u.imm) & 0xFFFFFFFF, u.ins)
+                hook((core.regs[u.rs] + u.imm) & 0xFFFFFFFF, u)
         pc = core.pc
         fn = self._steps.get(pc)
         if fn is None:
@@ -283,7 +280,7 @@ class FunctionalSimulator:
         except TrapError as exc:
             raise self._trap(u, str(exc)) from None
 
-    def _print(self, core: CoreState, u: MicroOp) -> None:
+    def _print(self, core: CoreState, u: Instruction) -> None:
         regs = core.regs
         try:
             self.output.append(format_print(self.program.strings[u.imm],

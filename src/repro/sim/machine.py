@@ -268,8 +268,8 @@ class Machine:
     def _bind_decode(self) -> None:
         """(Re)derive the shared decode of the program: left behind by
         checkpoints (:meth:`__getstate__`) and rebuilt on restore."""
-        #: one MicroOp per instruction, read-only across the Master and
-        #: all TCUs
+        #: the text segment and its blocks, read-only across the Master
+        #: and all TCUs
         self.decoded = decode_program(self.program)
         cfg = self.config
         #: the block table processors chain runs from; None when an ALU

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.isa.decode import MicroOp, OP_CHKID, OP_GETVT, OP_JOIN
+from repro.isa.instructions import OP_CHKID, OP_GETVT, OP_JOIN, Instruction
 from repro.isa.registers import REG_ZERO
 from repro.isa.semantics import to_signed
 from repro.sim import packages as P
@@ -62,7 +62,7 @@ class MasterTCU(ProcessorBase):
 
     # -- master cache ----------------------------------------------------------
 
-    def _try_local_load(self, now: int, u: MicroOp, addr: int) -> bool:
+    def _try_local_load(self, now: int, u: Instruction, addr: int) -> bool:
         if not self.cache.probe_read(addr):
             return False
         value = self.machine.memory.load(addr)
@@ -74,7 +74,7 @@ class MasterTCU(ProcessorBase):
             self.deliver(now + latency * self._period(), ("reg", u.rd, value))
         return True
 
-    def _apply_mem_issue(self, now: int, pkg: P.Package, u: MicroOp) -> None:
+    def _apply_mem_issue(self, now: int, pkg: P.Package, u: Instruction) -> None:
         super()._apply_mem_issue(now, pkg, u)
         if pkg.kind == P.LOAD:
             self._loads_in_flight.append(pkg)
@@ -103,7 +103,7 @@ class MasterTCU(ProcessorBase):
 
     # -- spawn / halt / resume -----------------------------------------------------
 
-    def _issue_spawn(self, now: int, u: MicroOp) -> Optional[str]:
+    def _issue_spawn(self, now: int, u: Instruction) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
             # memory operations are ordered with respect to the beginning
             # of the spawn: drain the write buffer first
@@ -142,7 +142,7 @@ class MasterTCU(ProcessorBase):
         self.core.pc = pc
         self.active = True
 
-    def _issue_halt(self, now: int, u: MicroOp) -> Optional[str]:
+    def _issue_halt(self, now: int, u: Instruction) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
             return self._stall("halt_drain")
         self._count_issue(u)
@@ -199,7 +199,7 @@ class MasterTCU(ProcessorBase):
             self.machine.note_progress()  # as the skipped ticks would have
         super().settle(cycle)
 
-    def _check_fetch(self, pc: int) -> MicroOp:
+    def _check_fetch(self, pc: int) -> Instruction:
         uops = self.machine.decoded.uops
         if not 0 <= pc < len(uops):
             raise SimulationError(f"Master PC out of range: {pc}")

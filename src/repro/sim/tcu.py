@@ -11,12 +11,12 @@ when the response returns to the commit stage -- the package life cycle
 of Section III-A.
 
 The issue slot is the simulator's hottest code.  Processors execute the
-pre-decoded micro-op stream (:mod:`repro.isa.decode`): every fetch
-returns a :class:`~repro.isa.decode.MicroOp` whose integer opcode
-indexes its processor class's flat table of handler functions, whose
-pre-resolved ``reads``/``wr`` feed the scoreboard without re-calling the
-instruction's classification methods, and whose ``fn`` slot carries the
-operational definition shared with the functional mode.
+assembled records themselves (:mod:`repro.isa.instructions`): every
+fetch returns an :class:`~repro.isa.instructions.Instruction` whose
+integer opcode indexes its processor class's flat table of handler
+functions, whose ``reads``/``wr`` feed the scoreboard, and whose ``fn``
+slot carries the operational definition shared with the functional
+mode.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import heapq
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa import instructions as I
-from repro.isa.decode import (
-    MicroOp,
+from repro.isa.instructions import (
+    FU_MDU,
     N_OPCODES,
     OP_ALU,
     OP_ALU_IMM,
@@ -57,6 +56,7 @@ from repro.isa.decode import (
     OP_STORE_NB,
     OP_UNARY,
     OP_UNARY_SHARED,
+    Instruction,
 )
 from repro.isa.registers import REG_RA, REG_ZERO
 from repro.isa.semantics import TrapError, format_print, to_signed, to_unsigned
@@ -173,7 +173,7 @@ class ProcessorBase:
         self.wait_store_ack = False
         self.stall_until = -1
         self.inbox: List[Tuple[int, int, object]] = []
-        self._retry: Optional[Tuple[P.Package, MicroOp]] = None
+        self._retry: Optional[Tuple[P.Package, Instruction]] = None
         self.instructions_issued = 0
         #: domain cycle of the last tick accounted for (the one it fell
         #: asleep on, moved forward whenever it is settled)
@@ -277,7 +277,7 @@ class ProcessorBase:
             obs.stalled(self, cause, cycle, cycle)
         return key
 
-    def _sources_ready(self, u: MicroOp) -> bool:
+    def _sources_ready(self, u: Instruction) -> bool:
         pending = self.pending_regs
         if not pending:
             return True
@@ -352,14 +352,14 @@ class ProcessorBase:
             return True
         return False
 
-    def _try_local_load(self, now: int, u: MicroOp, addr: int) -> bool:
+    def _try_local_load(self, now: int, u: Instruction, addr: int) -> bool:
         """Service a load locally (prefetch buffer / master cache).
         Returns True if handled."""
         return False
 
     # -- the issue slot ---------------------------------------------------------
 
-    def _check_fetch(self, pc: int) -> MicroOp:
+    def _check_fetch(self, pc: int) -> Instruction:
         raise NotImplementedError
 
     def _issue(self, now: int, cycle: int) -> Optional[str]:
@@ -498,7 +498,7 @@ class ProcessorBase:
             for key, count in blocks[pc].tally:
                 counters[key] += count * times
 
-    def _count_issue(self, u: MicroOp) -> None:
+    def _count_issue(self, u: Instruction) -> None:
         self.instructions_issued += 1
         counters = self._counters
         counters[u.stat_key] += 1
@@ -511,7 +511,7 @@ class ProcessorBase:
     # -- dispatch ------------------------------------------------------------------
     #
     # Issue dispatch goes through the class's flat list of handler
-    # functions indexed by the micro-op's integer opcode (built from
+    # functions indexed by the instruction's integer opcode (built from
     # _HANDLER_NAMES so subclasses override by redefining the method).
 
     def _alu_tail(self, now: int) -> None:
@@ -520,7 +520,7 @@ class ProcessorBase:
         if extra > 0:
             self.stall_until = now + extra * self._period()
 
-    def _h_aluop(self, now: int, u: MicroOp) -> None:
+    def _h_aluop(self, now: int, u: Instruction) -> None:
         core = self.core
         self._count_issue(u)
         regs = core.regs
@@ -530,11 +530,11 @@ class ProcessorBase:
             raise self._trap(u, str(exc)) from None
         self._alu_tail(now)
 
-    def _h_alu_shared(self, now: int, u: MicroOp) -> None:
+    def _h_alu_shared(self, now: int, u: Instruction) -> None:
         # arbitrate *before* touching operands: on contention-heavy
         # workloads most attempts stall, and the stall path must stay
         # cheap (no closures, no evaluation)
-        latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
+        latency = self._mdu_latency if u.fu == FU_MDU else self._fpu_latency
         if not self._try_issue_fu(u.fu, now, latency):
             self._stall("fu")
             return
@@ -550,7 +550,7 @@ class ProcessorBase:
         self.deliver(now + latency * self._period(), ("reg", rd, value))
         self.core.pc += 1
 
-    def _h_unary(self, now: int, u: MicroOp) -> None:
+    def _h_unary(self, now: int, u: Instruction) -> None:
         core = self.core
         self._count_issue(u)
         try:
@@ -559,8 +559,8 @@ class ProcessorBase:
             raise self._trap(u, str(exc)) from None
         self._alu_tail(now)
 
-    def _h_unary_shared(self, now: int, u: MicroOp) -> None:
-        latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
+    def _h_unary_shared(self, now: int, u: Instruction) -> None:
+        latency = self._mdu_latency if u.fu == FU_MDU else self._fpu_latency
         if not self._try_issue_fu(u.fu, now, latency):
             self._stall("fu")
             return
@@ -575,7 +575,7 @@ class ProcessorBase:
         self.deliver(now + latency * self._period(), ("reg", rd, value))
         self.core.pc += 1
 
-    def _h_aluimm(self, now: int, u: MicroOp) -> None:
+    def _h_aluimm(self, now: int, u: Instruction) -> None:
         core = self.core
         self._count_issue(u)
         try:
@@ -584,12 +584,12 @@ class ProcessorBase:
             raise self._trap(u, str(exc)) from None
         self._alu_tail(now)
 
-    def _h_loadimm(self, now: int, u: MicroOp) -> None:
+    def _h_loadimm(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         self.core.write(u.rd, u.imm)
         self._alu_tail(now)
 
-    def _h_branch(self, now: int, u: MicroOp) -> None:
+    def _h_branch(self, now: int, u: Instruction) -> None:
         core = self.core
         self._count_issue(u)
         regs = core.regs
@@ -601,21 +601,21 @@ class ProcessorBase:
         if extra > 0:
             self.stall_until = now + extra * self._period()
 
-    def _h_jump(self, now: int, u: MicroOp) -> None:
+    def _h_jump(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         self.core.pc = u.target
 
-    def _h_jal(self, now: int, u: MicroOp) -> None:
+    def _h_jal(self, now: int, u: Instruction) -> None:
         core = self.core
         self._count_issue(u)
         core.write(REG_RA, to_unsigned(core.pc + 1))
         core.pc = u.target
 
-    def _h_jumpreg(self, now: int, u: MicroOp) -> None:
+    def _h_jumpreg(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         self.core.pc = to_unsigned(self.core.regs[u.rs])
 
-    def _ps_common(self, now: int, u: MicroOp, kind: str) -> None:
+    def _ps_common(self, now: int, u: Instruction, kind: str) -> None:
         core = self.core
         self._count_issue(u)
         pkg = P.Package(kind, self.tcu_id, self.cluster_id(),
@@ -626,23 +626,23 @@ class ProcessorBase:
             self.pending_regs.add(u.rd)
         core.pc += 1
 
-    def _h_ps(self, now: int, u: MicroOp) -> None:
+    def _h_ps(self, now: int, u: Instruction) -> None:
         self._ps_common(now, u, P.PS)
 
-    def _h_getg(self, now: int, u: MicroOp) -> None:
+    def _h_getg(self, now: int, u: Instruction) -> None:
         self._ps_common(now, u, P.PS_GET)
 
-    def _h_setg(self, now: int, u: MicroOp) -> None:
+    def _h_setg(self, now: int, u: Instruction) -> None:
         self._ps_common(now, u, P.PS_SET)
 
-    def _h_fence(self, now: int, u: MicroOp) -> Optional[str]:
+    def _h_fence(self, now: int, u: Instruction) -> Optional[str]:
         if self.outstanding_loads or self.outstanding_stores:
             return self._stall("fence")
         self._count_issue(u)
         self._on_fence(now)
         self.core.pc += 1
 
-    def _h_print(self, now: int, u: MicroOp) -> None:
+    def _h_print(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
         self._count_issue(u)
         machine = self.machine
@@ -653,16 +653,16 @@ class ProcessorBase:
             raise self._trap(u, str(exc)) from None
         self.core.pc += 1
 
-    def _h_nop(self, now: int, u: MicroOp) -> None:
+    def _h_nop(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         self._alu_tail(now)
 
-    def _h_join(self, now: int, u: MicroOp) -> None:
+    def _h_join(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "join executed directly")
 
     # -- memory instructions --------------------------------------------------------
 
-    def _h_load(self, now: int, u: MicroOp) -> None:
+    def _h_load(self, now: int, u: Instruction) -> None:
         core = self.core
         addr = to_unsigned(core.regs[u.rs] + u.imm)
         if self._try_local_load(now, u, addr):
@@ -674,28 +674,28 @@ class ProcessorBase:
                         issue_time=now)
         self._send_mem(now, pkg, u)
 
-    def _h_store(self, now: int, u: MicroOp) -> None:
+    def _h_store(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
         pkg = P.Package(self._store_kind, self.tcu_id, self.cluster_id(),
                         addr=to_unsigned(regs[u.rs] + u.imm),
                         value=regs[u.rt], issue_time=now)
         self._send_mem(now, pkg, u)
 
-    def _h_store_nb(self, now: int, u: MicroOp) -> None:
+    def _h_store_nb(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
         pkg = P.Package(P.STORE_NB, self.tcu_id, self.cluster_id(),
                         addr=to_unsigned(regs[u.rs] + u.imm),
                         value=regs[u.rt], issue_time=now)
         self._send_mem(now, pkg, u)
 
-    def _h_psm(self, now: int, u: MicroOp) -> None:
+    def _h_psm(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
         pkg = P.Package(P.PSM, self.tcu_id, self.cluster_id(),
                         addr=to_unsigned(regs[u.rs] + u.imm),
                         value=regs[u.rd], rd=u.rd, issue_time=now)
         self._send_mem(now, pkg, u)
 
-    def _h_prefetch(self, now: int, u: MicroOp) -> None:
+    def _h_prefetch(self, now: int, u: Instruction) -> None:
         core = self.core
         addr = to_unsigned(core.regs[u.rs] + u.imm)
         if not self._want_prefetch(addr):
@@ -706,7 +706,7 @@ class ProcessorBase:
                         issue_time=now)
         self._send_mem(now, pkg, u)
 
-    def _send_mem(self, now: int, pkg: P.Package, u: MicroOp) -> None:
+    def _send_mem(self, now: int, pkg: P.Package, u: Instruction) -> None:
         pkg.src_line = u.src_line
         if not self._push_package(now, pkg):
             self._retry = (pkg, u)
@@ -714,7 +714,7 @@ class ProcessorBase:
             return
         self._apply_mem_issue(now, pkg, u)
 
-    def _apply_mem_issue(self, now: int, pkg: P.Package, u: MicroOp) -> None:
+    def _apply_mem_issue(self, now: int, pkg: P.Package, u: Instruction) -> None:
         """Bookkeeping once the package is accepted by the send port."""
         self._count_issue(u)
         kind = pkg.kind
@@ -758,19 +758,19 @@ class ProcessorBase:
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         raise NotImplementedError
 
-    def _issue_getvt(self, now: int, u: MicroOp) -> None:
+    def _issue_getvt(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "getvt outside parallel mode")
 
-    def _issue_chkid(self, now: int, u: MicroOp) -> None:
+    def _issue_chkid(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "chkid outside parallel mode")
 
-    def _issue_gettcu(self, now: int, u: MicroOp) -> None:
+    def _issue_gettcu(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "gettcu outside parallel mode")
 
-    def _issue_spawn(self, now: int, u: MicroOp) -> None:
+    def _issue_spawn(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "spawn is a Master-only instruction")
 
-    def _issue_halt(self, now: int, u: MicroOp) -> None:
+    def _issue_halt(self, now: int, u: Instruction) -> None:
         raise self._trap(u, "halt is a Master-only instruction")
 
 
@@ -850,11 +850,11 @@ class TCU(ProcessorBase):
             return self._k_fu
         return None
 
-    def _h_alu_shared(self, now: int, u: MicroOp) -> Optional[str]:
+    def _h_alu_shared(self, now: int, u: Instruction) -> Optional[str]:
         # contention-heavy: most attempts lose the arbitration, so the
         # losing path is one call; a loser of a busy non-pipelined unit
         # sleeps until it frees
-        latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
+        latency = self._mdu_latency if u.fu == FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
             return self._lost_fu(now, u.fu)
         self._count_issue(u)
@@ -870,8 +870,8 @@ class TCU(ProcessorBase):
                      ("reg", rd, value))
         self.core.pc += 1
 
-    def _h_unary_shared(self, now: int, u: MicroOp) -> Optional[str]:
-        latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
+    def _h_unary_shared(self, now: int, u: Instruction) -> Optional[str]:
+        latency = self._mdu_latency if u.fu == FU_MDU else self._fpu_latency
         if not self.cluster.try_issue_fu(u.fu, now, latency):
             return self._lost_fu(now, u.fu)
         self._count_issue(u)
@@ -917,7 +917,7 @@ class TCU(ProcessorBase):
         d["wait_load"] = self.wait_load
         return d
 
-    def _issue_getvt(self, now: int, u: MicroOp) -> None:
+    def _issue_getvt(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         pkg = P.Package(P.GETVT, self.tcu_id, self.cluster_id(), rd=u.rd,
                         issue_time=now)
@@ -926,12 +926,12 @@ class TCU(ProcessorBase):
             self.pending_regs.add(u.rd)
         self.core.pc += 1
 
-    def _issue_gettcu(self, now: int, u: MicroOp) -> None:
+    def _issue_gettcu(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         self.core.write(u.rd, self.tcu_id)
         self.core.pc += 1
 
-    def _issue_chkid(self, now: int, u: MicroOp) -> None:
+    def _issue_chkid(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
         vt = to_signed(self.core.regs[u.rs])
         if vt > self.machine.spawn_unit.high:
@@ -1005,7 +1005,7 @@ class TCU(ProcessorBase):
             self._pf_pending.discard(pkg.addr)
             self._pf_cancelled.add(pkg.addr)
 
-    def _try_local_load(self, now: int, u: MicroOp, addr: int) -> bool:
+    def _try_local_load(self, now: int, u: Instruction, addr: int) -> bool:
         if u.code == OP_LOAD_RO:
             ro = self.cluster.ro_cache
             if ro.lookup(addr):
@@ -1118,5 +1118,5 @@ class TCU(ProcessorBase):
             raise SimulationError(
                 f"TCU {self.tcu_id}: PC out of range: {pc}")
 
-    def _check_fetch(self, pc: int) -> MicroOp:
+    def _check_fetch(self, pc: int) -> Instruction:
         return self.machine.decoded.uops[pc]

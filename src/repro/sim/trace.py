@@ -67,9 +67,6 @@ class Trace:
     # -- probes (see repro.sim.observability.core.PROBES) --------------------
 
     def issued(self, proc, ins) -> None:
-        # cycle-accurate processors issue MicroOps; render the original
-        # Instruction carried on the micro-op
-        ins = getattr(ins, "ins", ins)
         if not self._want(proc.tcu_id, ins.op):
             return
         now = proc.machine.scheduler.now

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.isa.semantics import TrapError, eval_binop, to_signed, UNOPS
+from repro.isa.instructions import TABLE
+from repro.isa.semantics import TrapError, to_signed
 from repro.xmtc import ir as IR
 
 _COMMUTATIVE = {"add", "and", "or", "xor", "mul", "fadd", "fmul",
@@ -24,7 +25,7 @@ def _fold_bin(ins: IR.Bin) -> Optional[IR.IRInstr]:
     a, b, op = ins.a, ins.b, ins.op
     if isinstance(a, IR.Const) and isinstance(b, IR.Const):
         try:
-            return IR.Mov(ins.dst, IR.Const(eval_binop(op, a.value, b.value)),
+            return IR.Mov(ins.dst, IR.Const(TABLE[op].fn(a.value, b.value)),
                           ins.line)
         except (TrapError, KeyError):
             return None  # e.g. division by constant zero: leave for runtime
@@ -67,7 +68,7 @@ def _fold_bin(ins: IR.Bin) -> Optional[IR.IRInstr]:
 def _fold_un(ins: IR.Un) -> Optional[IR.IRInstr]:
     if isinstance(ins.a, IR.Const):
         try:
-            return IR.Mov(ins.dst, IR.Const(UNOPS[ins.op](ins.a.value)), ins.line)
+            return IR.Mov(ins.dst, IR.Const(TABLE[ins.op].fn(ins.a.value)), ins.line)
         except (TrapError, KeyError):
             return None
     return None

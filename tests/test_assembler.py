@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.isa import instructions as I
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.disasm import format_instruction, format_program
 from repro.isa.program import DATA_BASE
@@ -17,7 +16,7 @@ def test_minimal_program():
     """)
     assert len(prog) == 1
     assert prog.entry == 0
-    assert isinstance(prog.instructions[0], I.Halt)
+    assert prog.instructions[0].op == "halt"
 
 
 def test_entry_prefers_start():
@@ -81,7 +80,8 @@ def test_fmt_strings_not_in_memory():
     """)
     assert "L0" not in prog.data_labels
     assert prog.strings == ["x=%d\n"]
-    assert prog.instructions[0].fmt_id == 0
+    assert prog.instructions[0].imm == 0
+    assert prog.instructions[0].label == "L0"
 
 
 def test_greg_directive():
@@ -177,7 +177,7 @@ def test_spawn_region_resolution():
     assert region.length == 2
     assert region.contains(1) and region.contains(2)
     assert not region.contains(3)
-    assert prog.instructions[0].join_index == 3
+    assert prog.instructions[0].target == 3
 
 
 def test_nested_spawn_rejected():
@@ -212,12 +212,12 @@ def test_mem_operand_forms():
         halt
     """)
     lw = prog.instructions[0]
-    assert (lw.rd, lw.base, lw.offset) == (8, 29, 8)
-    assert prog.instructions[1].offset == -4
-    assert prog.instructions[2].offset == 0
+    assert (lw.rd, lw.rs, lw.imm) == (8, 29, 8)
+    assert prog.instructions[1].imm == -4
+    assert prog.instructions[2].imm == 0
     assert prog.instructions[3].op == "psm"
-    assert prog.instructions[5].readonly
-    assert prog.instructions[6].nonblocking
+    assert prog.instructions[5].op == "lwro"
+    assert prog.instructions[6].op == "swnb"
 
 
 def test_ps_family():
@@ -229,10 +229,10 @@ def test_ps_family():
         setg $t2, $g7
         halt
     """)
-    assert prog.instructions[0].mode == "ps"
-    assert prog.instructions[1].mode == "get"
-    assert prog.instructions[2].mode == "set"
-    assert prog.instructions[2].greg == 7
+    assert prog.instructions[0].op == "ps"
+    assert prog.instructions[1].op == "getg"
+    assert prog.instructions[2].op == "setg"
+    assert prog.instructions[2].imm == 7
 
 
 def test_bad_global_register():
@@ -259,6 +259,44 @@ def test_unknown_opcode():
 def test_operand_count_checked():
     with pytest.raises(AssemblerError, match="expects 3 operands"):
         assemble("    .text\nmain: add $t0, $t1\n    halt\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("main: li $t0, 4294967296", "out of range"),
+    ("main: addi $t0, $zero, 8589934593", "out of range"),
+    ("main: addi $t0, $zero, -2147483649", "out of range"),
+    ("main: lw $t0, 4294967300($sp)", "out of range"),
+    ("main: addi $t0, $zero, 0x1_0000_0001", "malformed integer"),
+    (".data\nW: .word 4294967296\n.text\nmain: halt", "out of range"),
+    (".data\n.greg 1, 8589934592\n.text\nmain: halt", "out of range"),
+], ids=["li", "addi", "addi-negative", "offset", "underscores", "word",
+        "greg"])
+def test_out_of_range_literal_rejected(text, message):
+    """Every immediate, offset, ``.word`` and ``.greg`` value must fit a
+    32-bit field as a signed or an unsigned number; none wraps."""
+    with pytest.raises(AssemblerError, match=message) as info:
+        assemble(".text\n" + text + "\n halt\n")
+    assert info.value.line > 0
+
+
+def test_literal_range_edges_accepted():
+    prog = assemble("""
+        .data
+    W:  .word -2147483648, 4294967295
+        .greg 1, 4294967295
+        .text
+    main:
+        li   $t0, -2147483648
+        addi $t1, $t0, 4294967295
+        lw   $t2, -2147483648($sp)
+        halt
+    """)
+    assert [ins.imm for ins in prog.instructions[:3]] == [
+        0x80000000, 0xFFFFFFFF, -0x80000000]
+    w = prog.data_labels["W"]
+    assert (prog.data_image[w], prog.data_image[w + 4]) == (
+        0x80000000, 0xFFFFFFFF)
+    assert prog.greg_init == {1: 0xFFFFFFFF}
 
 
 def test_write_and_read_global_helpers():

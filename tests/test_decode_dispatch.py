@@ -1,14 +1,15 @@
-"""The pre-decoded micro-op layer shared by both pipelines.
+"""The instruction table and the decode shared by both pipelines.
 
-Covers the decode-once contract (one :class:`DecodedProgram` per
-program, cache freshness, loud failure for unregistered instruction
-classes), a table-driven opcode/disasm round-trip over *every* opcode
-in the dispatch space, the ``$zero`` hard-wiring in both simulation
-modes, checkpoint reconstruction of the decode cache, and a hypothesis
-differential pitting the functional pipeline against the cycle-accurate
-one on random straight-line + spawn programs (both consume the same
-micro-ops, so any divergence is a bug in one of the two executions,
-not a semantics gap).
+Covers the table (every row's opcode has a handler, an unknown mnemonic
+fails at assembly), the decode-once contract (one
+:class:`DecodedProgram` per program, cache freshness), a table-driven
+assemble/disasm round-trip over *every* opcode in the dispatch space and
+a property over every row and alias, the ``$zero`` hard-wiring in both
+simulation modes, checkpoint reconstruction of the decode cache, and a
+hypothesis differential pitting the functional pipeline against the
+cycle-accurate one on random straight-line + spawn programs (both
+execute the same instructions, so any divergence is a bug in one of the
+two executions, not a semantics gap).
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_asm_cycle, run_asm_functional
-from repro.isa import instructions as I
-from repro.isa import semantics as S
-from repro.isa.assembler import assemble, register_instruction
-from repro.isa.decode import (
-    DECODERS,
-    Block,
-    DecodeError,
-    MicroOp,
+from repro.isa.assembler import AssemblerError, assemble
+from repro.isa.decode import Block, decode_program
+from repro.isa.instructions import (
+    ALIASES,
     N_OPCODES,
     OP_ALU,
     OP_ALU_IMM,
@@ -59,10 +56,12 @@ from repro.isa.decode import (
     OP_UNARY,
     OP_UNARY_SHARED,
     OPCODE_NAMES,
-    decode_instruction,
-    decode_program,
+    TABLE,
+    Instruction,
+    register_instruction,
 )
-from repro.isa.disasm import format_instruction
+from repro.isa.disasm import format_instruction, format_program
+from repro.isa.registers import REG_RA, parse_reg, reg_name
 from repro.sim import checkpoint as CP
 from repro.sim import cluster as cluster_module
 from repro.sim.config import tiny
@@ -80,28 +79,19 @@ def test_opcode_space_fully_described():
     assert len(_HANDLER_NAMES) == N_OPCODES
 
 
-def test_every_instruction_class_has_a_decoder():
-    """A new Instruction subclass without a decoder entry must fail this
-    test, not fail silently at dispatch time."""
-    abstract = {I.Instruction, I.MemAccess}
-    concrete = [obj for obj in vars(I).values()
-                if isinstance(obj, type)
-                and issubclass(obj, I.Instruction)
-                and obj not in abstract]
-    missing = [cls.__name__ for cls in concrete if cls not in DECODERS]
-    assert not missing, f"instruction classes without decoders: {missing}"
+def test_every_row_has_a_tcu_handler():
+    """A row whose opcode no processor handles must fail this test, not
+    fail silently at dispatch time."""
+    missing = [op for op, row in TABLE.items()
+               if not 0 <= row.code < N_OPCODES
+               or not callable(TCU._handlers[row.code])]
+    assert not missing, f"rows without a TCU handler: {missing}"
+    assert all(TABLE[real] for real, _ in ALIASES.values())
 
 
-def test_unregistered_class_fails_loudly():
-    class Mystery(I.Instruction):
-        def __init__(self):
-            super().__init__("mystery")
-
-        def operand_str(self):
-            return ""
-
-    with pytest.raises(DecodeError, match="Mystery"):
-        decode_instruction(Mystery())
+def test_unknown_mnemonic_fails_at_assembly_and_names_itself():
+    with pytest.raises(AssemblerError, match="line 3: unknown opcode 'mystery'"):
+        assemble(".text\nmain:\n mystery $t0\n halt\n")
 
 
 # -- table-driven decode + disasm round-trip over every opcode ----------------
@@ -182,21 +172,28 @@ def test_functional_opcode_partition():
 
 
 def test_decode_disasm_round_trip_every_opcode():
-    """Table-driven: every micro-op renders back to text and re-decodes
-    to an identical micro-op."""
+    """Table-driven: every instruction renders back to text and
+    re-assembles to an identical record."""
     program = assemble(ALL_OPCODES_ASM)
-    decoded = decode_program(program)
-    for u in decoded.uops:
-        rendered = format_instruction(u.ins)
-        # the mnemonic survives the trip through the decoder
+    data = ALL_OPCODES_ASM[:ALL_OPCODES_ASM.index(".text")]
+    again = assemble(data + ".text\n" + format_program(program))
+    assert len(again) == len(program)
+    for u, v in zip(decode_program(program).uops, again.instructions):
+        rendered = format_instruction(u)
+        # the mnemonic survives the trip through the text
         assert rendered.split()[0] == u.op, (u, rendered)
-        redecoded = decode_instruction(u.ins)
         for attr in ("code", "op", "fu", "rd", "rs", "rt", "imm", "target",
                      "reads", "wr", "is_load", "is_store", "is_mem",
-                     "stat_key", "class_key"):
-            assert getattr(redecoded, attr) == getattr(u, attr), \
+                     "stat_key", "class_key", "label", "fn"):
+            assert getattr(v, attr) == getattr(u, attr), \
                 f"{attr} drifted for {rendered!r}"
-        assert redecoded.ins is u.ins
+
+
+#: register operand letter -> (field, read, written), as the assembler
+#: reads a row's syntax
+_ROLES = {"d": ("rd", False, True), "D": ("rd", True, True),
+          "r": ("rd", True, False), "s": ("rs", True, False),
+          "t": ("rt", True, False), "m": ("rs", True, False)}
 
 
 def test_decoded_flags_consistent():
@@ -206,9 +203,83 @@ def test_decoded_flags_consistent():
         assert u.is_store == (u.code in (OP_STORE, OP_STORE_NB))
         assert u.is_mem == (u.is_load or u.is_store
                             or u.code in (OP_PSM, OP_PREFETCH))
-        assert u.reads == u.ins.reads()
-        wr = u.ins.writes()
-        assert u.wr == (-1 if wr is None else wr)
+        roles = [_ROLES[letter] for letter in TABLE[u.op].syntax
+                 if letter in _ROLES]
+        reads = [getattr(u, f) for f, read, _ in roles if read]
+        if u.op == "print":  # the registers after the format label
+            reads = [parse_reg(t.strip())
+                     for t in format_instruction(u).split(",")[1:]]
+        assert u.reads == tuple(reads), u
+        written = [getattr(u, f) for f, _, wr in roles if wr]
+        assert u.wr == (written[0] if written
+                        else REG_RA if u.code == OP_JAL else -1), u
+
+
+# -- one property over the whole table ----------------------------------------
+
+BUILT_IN = sorted(TABLE) + sorted(ALIASES)
+ROUND_TRIP_FRAME = """
+    .data
+A:  .word 0
+F:  .fmt "%d"
+    .text
+main:
+top:
+    {line}
+end:
+    halt
+"""
+_REG_NAMES = [reg_name(i) for i in range(32)] + ["$0", "$31", "$7"]
+_LITERAL = st.integers(-(1 << 31), (1 << 32) - 1).flatmap(
+    lambda v: st.sampled_from([str(v), hex(v)]))
+
+
+@st.composite
+def _operand(draw, letter):
+    reg = st.sampled_from(_REG_NAMES)
+    if letter in "dDrst":
+        return draw(reg)
+    if letter == "i":
+        return draw(_LITERAL)
+    if letter == "a":
+        return draw(st.one_of(_LITERAL, st.just("A")))
+    if letter == "m":
+        return draw(st.sampled_from(["", "0", "-4"]) | _LITERAL) \
+            + f"({draw(reg)})"
+    if letter == "g":
+        return f"$g{draw(st.integers(0, 7))}"
+    if letter == "L":
+        return draw(st.sampled_from(["top", "end", "main"]))
+    assert letter == "p"
+    return ", ".join(["F"] + draw(st.lists(reg, max_size=3)))
+
+
+@st.composite
+def _instruction_text(draw):
+    mnemonic = draw(st.sampled_from(BUILT_IN))
+    real, template = ALIASES.get(mnemonic, (mnemonic, None))
+    operands = [draw(_operand(letter)) for letter in TABLE[real].syntax]
+    if template is not None:  # the pseudo's own operands, in its order
+        operands = [operands[i] for i, t in enumerate(template)
+                    if isinstance(t, int)]
+    return f"{mnemonic} {', '.join(operands)}".strip()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_instruction_text())
+def test_every_row_round_trips_through_its_text(text):
+    """Any row or alias with operands drawn by role assembles, renders,
+    and re-assembles to a record equal in every field."""
+    def assembled(line):  # a spawn and a join come in pairs
+        at = 1 if line == "join" else 0
+        line = ("spawn $t0, $t1\n    " * at + line
+                + "\n    join" * line.startswith("spawn"))
+        return assemble(ROUND_TRIP_FRAME.format(line=line)).instructions[at]
+
+    first = assembled(text)
+    again = assembled(format_instruction(first))
+    for name in Instruction.__slots__:
+        assert getattr(again, name) == getattr(first, name), (text, name)
 
 
 # -- the issue tables ------------------------------------------------------------
@@ -295,20 +366,25 @@ def test_stale_decode_refreshes_on_text_change():
 
 
 def test_microop_pickles_by_redecoding():
+    """An instruction pickles its own fields and is re-decoded on load:
+    what its row fixes -- ``fn`` included -- it takes back from the
+    row."""
     program = assemble(ALL_OPCODES_ASM)
     for u in decode_program(program).uops:
         clone = pickle.loads(pickle.dumps(u))
-        assert isinstance(clone, MicroOp)
+        assert isinstance(clone, Instruction)
         assert (clone.code, clone.rd, clone.rs, clone.rt, clone.imm,
                 clone.target) == (u.code, u.rd, u.rs, u.rt, u.imm, u.target)
+        assert clone.fn is u.fn is TABLE[u.op].fn
+        assert repr(clone) == repr(u)
 
 
 def test_extension_instructions_decode():
-    """The paper's two-step extension recipe reuses the ALUOp shape, so
-    runtime-registered mnemonics decode with no decoder changes."""
-    if "dd_testop" not in S.INT_BINOPS:
-        S.register_binop("dd_testop", lambda a, b: (a + 2 * b) & 0xFFFFFFFF)
-        register_instruction("dd_testop", "binary")
+    """A runtime-registered mnemonic is one row: it assembles to a
+    record of the binary shape with no other change."""
+    if "dd_testop" not in TABLE:
+        register_instruction("dd_testop", "binary",
+                             lambda a, b: (a + 2 * b) & 0xFFFFFFFF)
     program = assemble("""
         .text
     main:
@@ -463,7 +539,7 @@ class TestCheckpointDecode:
         # derived state, shared machine-wide
         assert restored.decoded is decode_program(restored.program)
         assert len(restored.decoded.uops) == len(restored.program.instructions)
-        assert all(u.ins is ins for u, ins in
+        assert all(u is ins for u, ins in
                    zip(restored.decoded.uops, restored.program.instructions))
 
     def test_save_keeps_live_machine_decoded(self):
@@ -479,7 +555,7 @@ class TestCheckpointDecode:
 
 # -- hypothesis differential: functional vs cycle-accurate --------------------
 #
-# The two pipelines execute the same micro-ops two ways: the functional
+# The two pipelines execute the same instructions two ways: the functional
 # engine as generated blocks (``block_source``; a step is a block of one
 # op), the cycle-accurate processors through their class's per-opcode
 # handler table (tcu.py).  Random programs must reach the same

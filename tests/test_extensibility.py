@@ -4,16 +4,17 @@
 modify the assembly language definition file of the front-end, and (b)
 create a new Java class for the added instruction ... following its
 application programming interface" (Section III-A).  Our recipe is the
-same shape: register the operational definition, register the mnemonic,
-and both simulation modes execute it with the right functional-unit
-timing.  Plus: determinism guarantees that make such studies repeatable.
+one call: register the mnemonic with its operational definition and
+functional unit, and both simulation modes execute it with the right
+functional-unit timing.  Plus: determinism guarantees that make such studies repeatable.
 """
 
 import pytest
 
 from repro.isa import instructions as I
 from repro.isa import semantics as S
-from repro.isa.assembler import assemble, register_instruction
+from repro.isa.assembler import AssemblerError, assemble
+from repro.isa.instructions import TABLE, register_instruction
 from repro.sim.config import tiny
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.machine import Simulator
@@ -22,16 +23,17 @@ from repro.sim.machine import Simulator
 @pytest.fixture(scope="module")
 def clz_instruction():
     """Add ``clz`` (count leading zeros) once for this module."""
-    if "clz" not in S.UNOPS:
-        S.register_unop("clz", lambda a: 32 - (a & 0xFFFFFFFF).bit_length())
-        register_instruction("clz", "unary", fu=I.FU_ALU)
-    if "addmul" not in S.INT_BINOPS:
+    if "clz" not in TABLE:
+        register_instruction("clz", "unary",
+                             lambda a: 32 - (a & 0xFFFFFFFF).bit_length(),
+                             fu=I.FU_ALU)
+    if "addmul" not in TABLE:
         # a fused a*b+b toy op on the (shared, slow) MDU
-        S.register_binop(
-            "addmul",
+        register_instruction(
+            "addmul", "binary",
             lambda a, b: (S.to_signed(a) * S.to_signed(b)
-                          + S.to_signed(b)) & 0xFFFFFFFF)
-        register_instruction("addmul", "binary", fu=I.FU_MDU)
+                          + S.to_signed(b)) & 0xFFFFFFFF,
+            fu=I.FU_MDU)
     return True
 
 
@@ -87,9 +89,28 @@ class TestAddInstruction:
 
     def test_duplicate_registration_rejected(self, clz_instruction):
         with pytest.raises(ValueError):
-            S.register_unop("clz", lambda a: 0)
+            register_instruction("clz", "unary", lambda a: 0)
         with pytest.raises(ValueError):
-            register_instruction("add", "binary")
+            register_instruction("add", "binary", "{a} - {b}")
+
+    def test_built_in_mnemonic_cannot_be_redefined(self):
+        """A refused registration leaves the built-in row alone: ``lw``
+        and the ``move`` pseudo-instruction assemble exactly as before."""
+        source = ".text\nmain:\n lw $t0, 0($sp)\n move $t1, $t0\n halt\n"
+        before = [repr(ins) for ins in assemble(source).instructions]
+        with pytest.raises(ValueError, match="already defined"):
+            register_instruction("lw", "binary", "{a} + {b}")
+        with pytest.raises(ValueError, match="already defined"):
+            register_instruction("move", "unary", "-{a}")
+        assert [repr(ins) for ins in assemble(source).instructions] == before
+        assert before == ["<lw $t0, 0($sp)>", "<add $t1, $t0, $zero>",
+                          "<halt>"]
+
+    def test_registration_without_a_definition_is_refused(self):
+        with pytest.raises(ValueError, match="operational definition"):
+            register_instruction("nosem", "binary")
+        with pytest.raises(AssemblerError, match="unknown opcode 'nosem'"):
+            assemble(".text\nmain:\n nosem $t0, $t1, $t2\n halt\n")
 
     def test_counted_in_statistics(self, clz_instruction):
         prog = assemble(PROGRAM)

@@ -1,4 +1,5 @@
-"""Unit tests for the shared operational definitions (repro.isa.semantics)."""
+"""Unit tests for the operational definitions: each row's callable in
+``repro.isa.instructions.TABLE`` and the helpers of ``repro.isa.semantics``."""
 
 import math
 import struct
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import semantics as S
+from repro.isa.instructions import TABLE
 
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 S32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -32,53 +34,53 @@ class TestSignedness:
 
 class TestIntOps:
     def test_add_wraps(self):
-        assert S.eval_binop("add", 0xFFFFFFFF, 1) == 0
+        assert TABLE["add"].fn(0xFFFFFFFF, 1) == 0
 
     def test_sub_wraps(self):
-        assert S.to_signed(S.eval_binop("sub", 0, 1)) == -1
+        assert S.to_signed(TABLE["sub"].fn(0, 1)) == -1
 
     def test_mul_signed(self):
-        assert S.to_signed(S.eval_binop("mul", S.to_unsigned(-3), 7)) == -21
+        assert S.to_signed(TABLE["mul"].fn(S.to_unsigned(-3), 7)) == -21
 
     def test_div_truncates_toward_zero(self):
-        assert S.to_signed(S.eval_binop("div", S.to_unsigned(-7), 2)) == -3
-        assert S.to_signed(S.eval_binop("div", 7, S.to_unsigned(-2))) == -3
+        assert S.to_signed(TABLE["div"].fn(S.to_unsigned(-7), 2)) == -3
+        assert S.to_signed(TABLE["div"].fn(7, S.to_unsigned(-2))) == -3
 
     def test_rem_sign_follows_dividend(self):
-        assert S.to_signed(S.eval_binop("rem", S.to_unsigned(-7), 2)) == -1
-        assert S.to_signed(S.eval_binop("rem", 7, S.to_unsigned(-2))) == 1
+        assert S.to_signed(TABLE["rem"].fn(S.to_unsigned(-7), 2)) == -1
+        assert S.to_signed(TABLE["rem"].fn(7, S.to_unsigned(-2))) == 1
 
     def test_div_by_zero_traps(self):
         with pytest.raises(S.TrapError):
-            S.eval_binop("div", 1, 0)
+            TABLE["div"].fn(1, 0)
         with pytest.raises(S.TrapError):
-            S.eval_binop("rem", 1, 0)
+            TABLE["rem"].fn(1, 0)
 
     def test_sra_is_arithmetic(self):
-        assert S.to_signed(S.eval_binop("sra", S.to_unsigned(-8), 1)) == -4
+        assert S.to_signed(TABLE["sra"].fn(S.to_unsigned(-8), 1)) == -4
 
     def test_srl_is_logical(self):
-        assert S.eval_binop("srl", 0x80000000, 31) == 1
+        assert TABLE["srl"].fn(0x80000000, 31) == 1
 
     def test_shift_amount_masked(self):
-        assert S.eval_binop("sll", 1, 33) == 2  # 33 & 31 == 1
+        assert TABLE["sll"].fn(1, 33) == 2  # 33 & 31 == 1
 
     def test_comparisons_signed(self):
         neg1 = S.to_unsigned(-1)
-        assert S.eval_binop("slt", neg1, 0) == 1
-        assert S.eval_binop("sltu", neg1, 0) == 0
-        assert S.eval_binop("sge", 5, 5) == 1
-        assert S.eval_binop("sgt", 5, 5) == 0
-        assert S.eval_binop("sle", neg1, neg1) == 1
-        assert S.eval_binop("seq", 3, 3) == 1
-        assert S.eval_binop("sne", 3, 3) == 0
+        assert TABLE["slt"].fn(neg1, 0) == 1
+        assert TABLE["sltu"].fn(neg1, 0) == 0
+        assert TABLE["sge"].fn(5, 5) == 1
+        assert TABLE["sgt"].fn(5, 5) == 0
+        assert TABLE["sle"].fn(neg1, neg1) == 1
+        assert TABLE["seq"].fn(3, 3) == 1
+        assert TABLE["sne"].fn(3, 3) == 0
 
     def test_imm_aliases(self):
-        assert S.eval_binop("addi", 2, 3) == S.eval_binop("add", 2, 3)
-        assert S.eval_binop("slli", 1, 4) == 16
+        assert TABLE["addi"].fn(2, 3) == TABLE["add"].fn(2, 3)
+        assert TABLE["slli"].fn(1, 4) == 16
 
     def test_nor(self):
-        assert S.eval_binop("nor", 0, 0) == 0xFFFFFFFF
+        assert TABLE["nor"].fn(0, 0) == 0xFFFFFFFF
 
     @given(S32, S32)
     @settings(max_examples=200)
@@ -86,8 +88,8 @@ class TestIntOps:
         if b == 0:
             return
         ua, ub = S.to_unsigned(a), S.to_unsigned(b)
-        q = S.to_signed(S.eval_binop("div", ua, ub))
-        r = S.to_signed(S.eval_binop("rem", ua, ub))
+        q = S.to_signed(TABLE["div"].fn(ua, ub))
+        r = S.to_signed(TABLE["rem"].fn(ua, ub))
         if abs(q) < 2**31:  # skip INT_MIN/-1 overflow corner
             assert q * b + r == a
 
@@ -101,43 +103,43 @@ class TestFloatOps:
     def test_fadd(self):
         a = S.f32_to_bits(1.5)
         b = S.f32_to_bits(2.25)
-        assert S.bits_to_f32(S.eval_binop("fadd", a, b)) == 3.75
+        assert S.bits_to_f32(TABLE["fadd"].fn(a, b)) == 3.75
 
     def test_fdiv_by_zero_is_inf(self):
         a = S.f32_to_bits(1.0)
         z = S.f32_to_bits(0.0)
-        assert S.bits_to_f32(S.eval_binop("fdiv", a, z)) == math.inf
+        assert S.bits_to_f32(TABLE["fdiv"].fn(a, z)) == math.inf
 
     def test_fdiv_zero_by_zero_is_nan(self):
         z = S.f32_to_bits(0.0)
-        result = S.bits_to_f32(S.eval_binop("fdiv", z, z))
+        result = S.bits_to_f32(TABLE["fdiv"].fn(z, z))
         assert result != result
 
     def test_float_compare(self):
         a = S.f32_to_bits(1.0)
         b = S.f32_to_bits(2.0)
-        assert S.eval_binop("flt", a, b) == 1
-        assert S.eval_binop("fle", a, a) == 1
-        assert S.eval_binop("feq", a, b) == 0
+        assert TABLE["flt"].fn(a, b) == 1
+        assert TABLE["fle"].fn(a, a) == 1
+        assert TABLE["feq"].fn(a, b) == 0
 
     def test_itof_ftoi(self):
-        assert S.bits_to_f32(S.UNOPS["itof"](S.to_unsigned(-7))) == -7.0
-        assert S.to_signed(S.UNOPS["ftoi"](S.f32_to_bits(-3.99))) == -3
+        assert S.bits_to_f32(TABLE["itof"].fn(S.to_unsigned(-7))) == -7.0
+        assert S.to_signed(TABLE["ftoi"].fn(S.f32_to_bits(-3.99))) == -3
 
     def test_ftoi_saturates(self):
         big = S.f32_to_bits(1e30)
-        assert S.to_signed(S.UNOPS["ftoi"](big)) == 0x7FFFFFFF
+        assert S.to_signed(TABLE["ftoi"].fn(big)) == 0x7FFFFFFF
 
     def test_ftoi_nan_is_zero(self):
         nan = S.f32_to_bits(math.nan)
-        assert S.UNOPS["ftoi"](nan) == 0
+        assert TABLE["ftoi"].fn(nan) == 0
 
     def test_fneg(self):
-        assert S.bits_to_f32(S.UNOPS["fneg"](S.f32_to_bits(2.5))) == -2.5
+        assert S.bits_to_f32(TABLE["fneg"].fn(S.f32_to_bits(2.5))) == -2.5
 
     def test_overflow_rounds_to_inf(self):
         huge = S.f32_to_bits(3e38)
-        out = S.bits_to_f32(S.eval_binop("fmul", huge, huge))
+        out = S.bits_to_f32(TABLE["fmul"].fn(huge, huge))
         assert out == math.inf
 
     @given(st.floats(min_value=-1e6, max_value=1e6),
@@ -146,7 +148,7 @@ class TestFloatOps:
     def test_fadd_matches_numpy_float32(self, a, b):
         import numpy as np
 
-        got = S.bits_to_f32(S.eval_binop("fadd", S.f32_to_bits(a), S.f32_to_bits(b)))
+        got = S.bits_to_f32(TABLE["fadd"].fn(S.f32_to_bits(a), S.f32_to_bits(b)))
         want = float(np.float32(np.float32(a) + np.float32(b)))
         assert got == want
 
@@ -191,10 +193,10 @@ class TestFormatPrint:
 class TestBranchConds:
     def test_all(self):
         neg = S.to_unsigned(-5)
-        assert S.BRANCH_CONDS["beq"](3, 3)
-        assert S.BRANCH_CONDS["bne"](3, 4)
-        assert S.BRANCH_CONDS["blez"](0, 0)
-        assert S.BRANCH_CONDS["blez"](neg, 0)
-        assert not S.BRANCH_CONDS["bgtz"](neg, 0)
-        assert S.BRANCH_CONDS["bltz"](neg, 0)
-        assert S.BRANCH_CONDS["bgez"](0, 0)
+        assert TABLE["beq"].fn(3, 3)
+        assert TABLE["bne"].fn(3, 4)
+        assert TABLE["blez"].fn(0, 0)
+        assert TABLE["blez"].fn(neg, 0)
+        assert not TABLE["bgtz"].fn(neg, 0)
+        assert TABLE["bltz"].fn(neg, 0)
+        assert TABLE["bgez"].fn(0, 0)

@@ -34,18 +34,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa import decode as D
 from repro.isa import semantics as S
-from repro.isa.assembler import assemble, register_instruction
-from repro.isa.decode import (
+from repro.isa.assembler import assemble
+from repro.isa.decode import Block, _compile_block, decode_program
+from repro.isa.instructions import (
+    FU_FPU,
     OP_ALU,
     OP_ALU_IMM,
+    OP_ALU_SHARED,
     OP_BRANCH,
     OP_JUMP,
     OP_LI,
     OP_NOP,
     OP_UNARY,
-    Block,
-    _compile_block,
-    decode_program,
+    OP_UNARY_SHARED,
+    TABLE,
+    register_instruction,
 )
 from repro.sim import checkpoint as CP
 from repro.sim.config import fpga64, tiny
@@ -86,10 +89,20 @@ immediates = st.one_of(st.sampled_from([0, 1, -1, 31, 32, 33, 63, -32768,
                                         0x7FFFFFFF, -0x80000000]),
                        st.integers(-(1 << 31), (1 << 32) - 1))
 
+
+def rows(*codes, fpu=None):
+    """The built-in mnemonics of these opcodes (only, or all but, the
+    FPU's when ``fpu`` is given)."""
+    return sorted(op for op, row in TABLE.items() if row.code in codes
+                  and (fpu is None or (row.fu == FU_FPU) == fpu))
+
+
 #: the ops a block may hold (``mul``/``div``/``rem`` have spec strings
 #: too but issue to the shared MDU, and the float unaries to the FPU)
-PRIVATE_BINOPS = sorted(set(S.INT_BINOP_SPECS) - {"mul", "div", "rem"})
+PRIVATE_BINOPS = rows(OP_ALU)
 PRIVATE_UNOPS = ["neg", "not"]
+IMM_OPS = rows(OP_ALU_IMM)
+BRANCHES = rows(OP_BRANCH)
 REGS = ["$zero", "$t0", "$t1", "$t2", "$t3"]
 
 
@@ -143,39 +156,35 @@ T0, T1 = 8, 9  # $t0, $t1
 def register_so_trap():
     """``so_trap $d, $a, $b``: a private-ALU op whose spec traps on
     ``$b == 0``."""
-    if "so_trap" not in S.INT_BINOPS:
-        S.register_binop("so_trap", "_div_trunc({a}, {b})")
-        register_instruction("so_trap", "binary")
+    if "so_trap" not in TABLE:
+        register_instruction("so_trap", "binary", "_div_trunc({a}, {b})")
 
 
 # --------------------------------------------------------------------------- (a) specs
 
 class TestSpecs:
-    @pytest.mark.parametrize("table, specs, arity", [
-        (S.INT_BINOPS, S.INT_BINOP_SPECS, 2),
-        (S.UNOPS, S.UNOP_SPECS, 1),
-        (S.BRANCH_CONDS, S.BRANCH_SPECS, 2),
-    ], ids=["binops", "unops", "branches"])
-    def test_callables_are_the_strings(self, table, specs, arity):
-        """Every op with a spec has no other definition: its callable
+    def test_callables_are_the_strings(self):
+        """Every row with a spec has no other definition: its callable
         computes the spec's text with the operands substituted, which
         is also all the block generator does."""
-        assert set(specs) <= set(table)
-        assert {"add", "sra", "slt", "mul", "div"} <= set(S.INT_BINOP_SPECS)
-        for op, spec in specs.items():
+        specs = {op: row for op, row in TABLE.items() if row.spec}
+        assert {"add", "sra", "slt", "mul", "div"} <= set(specs)
+        assert set(BRANCHES) | set(IMM_OPS) | set(PRIVATE_UNOPS) <= set(specs)
+        for op, row in specs.items():
+            arity = 1 if row.code in (OP_UNARY, OP_UNARY_SHARED) else 2
             for a in EDGES:
                 for b in (EDGES if arity == 2 else [0]):
-                    text = spec.format(a=f"({a})", b=f"({b})")
-                    if table is not S.BRANCH_CONDS:
-                        text = S.value_expr(spec, f"({a})", f"({b})")
+                    text = row.spec.format(a=f"({a})", b=f"({b})")
+                    if row.code != OP_BRANCH:
+                        text = S.value_expr(row.spec, f"({a})", f"({b})")
                     args = (a, b)[:arity]
                     try:
                         want = eval(text, vars(S))
                     except S.TrapError:
                         with pytest.raises(S.TrapError):
-                            table[op](*args)
+                            row.fn(*args)
                     else:
-                        assert table[op](*args) == want, (op, a, b)
+                        assert row.fn(*args) == want, (op, a, b)
 
     @pytest.mark.parametrize("op", PRIVATE_BINOPS)
     @settings(max_examples=60, deadline=None)
@@ -185,7 +194,7 @@ class TestSpecs:
         check_block(f"{op} $zero, $t0, $t1\n {op} $t1, $t1, $t1",
                     {T0: a, T1: b})
 
-    @pytest.mark.parametrize("op", sorted(S.IMM_ALIASES))
+    @pytest.mark.parametrize("op", IMM_OPS)
     @settings(max_examples=60, deadline=None)
     @given(a=words, imm=immediates)
     def test_immediate_block_equals_stepping(self, op, a, imm):
@@ -198,7 +207,7 @@ class TestSpecs:
     def test_unop_block_equals_stepping(self, op, a):
         check_block(f"{op} $t2, $t0\n {op} $zero, $t2", {T0: a})
 
-    @pytest.mark.parametrize("op", sorted(S.BRANCH_SPECS))
+    @pytest.mark.parametrize("op", BRANCHES)
     @settings(max_examples=40, deadline=None)
     @given(a=words, b=words)
     def test_closing_branch_equals_stepping(self, op, a, b):
@@ -219,7 +228,7 @@ class TestSpecs:
                 op = data.draw(st.sampled_from(PRIVATE_BINOPS))
                 lines.append(f"{op} {rd}, {rs}, {rt}")
             elif kind == "imm":
-                op = data.draw(st.sampled_from(sorted(S.IMM_ALIASES)))
+                op = data.draw(st.sampled_from(IMM_OPS))
                 lines.append(f"{op} {rd}, {rs}, {data.draw(immediates)}")
             elif kind == "un":
                 op = data.draw(st.sampled_from(PRIVATE_UNOPS))
@@ -240,12 +249,10 @@ class TestSpecs:
     def test_callable_definition_ends_a_block_and_still_runs(self):
         """The extension recipe without a spec string: the op runs one
         instruction at a time, between two blocks.  With one, it fuses."""
-        if "so_callable" not in S.INT_BINOPS:
-            S.register_binop("so_callable",
-                             lambda a, b: (a + 2 * b) & 0xFFFFFFFF)
-            register_instruction("so_callable", "binary")
-            S.register_binop("so_spec", "{a} + 2 * {b}")
-            register_instruction("so_spec", "binary")
+        if "so_callable" not in TABLE:
+            register_instruction("so_callable", "binary",
+                                 lambda a, b: (a + 2 * b) & 0xFFFFFFFF)
+            register_instruction("so_spec", "binary", "{a} + 2 * {b}")
         asm = """
             .data
         F:  .fmt "%d %d\\n"
@@ -901,7 +908,7 @@ def loop_nests(draw):
                 op = draw(st.sampled_from(PRIVATE_BINOPS))
                 lines.append(f"{op} {rd}, {rs}, {rt}")
             elif kind == "imm":
-                op = draw(st.sampled_from(sorted(S.IMM_ALIASES)))
+                op = draw(st.sampled_from(IMM_OPS))
                 lines.append(f"{op} {rd}, {rs}, {draw(immediates)}")
             elif kind == "un":
                 op = draw(st.sampled_from(PRIVATE_UNOPS))
@@ -911,7 +918,7 @@ def loop_nests(draw):
         return lines
 
     def way_out(labels):
-        op = draw(st.sampled_from([None, *sorted(S.BRANCH_SPECS)]))
+        op = draw(st.sampled_from([None, *BRANCHES]))
         if op is None:
             return []
         label = draw(st.sampled_from(labels))
@@ -1181,8 +1188,9 @@ main:
     halt
 """
 
-VALUE_BINOPS = sorted(S.INT_BINOP_SPECS) + sorted(S.FLOAT_BINOPS)
-VALUE_UNOPS = sorted(S.UNOP_SPECS)
+VALUE_BINOPS = rows(OP_ALU, OP_ALU_SHARED, fpu=False) + \
+    rows(OP_ALU_SHARED, fpu=True)
+VALUE_UNOPS = rows(OP_UNARY, OP_UNARY_SHARED)
 
 
 @st.composite
@@ -1211,7 +1219,7 @@ def arena_op(draw):
     if kind == "un":
         return f"{draw(st.sampled_from(VALUE_UNOPS))} {rd}, {rs}"
     if kind == "imm":
-        return f"{draw(st.sampled_from(sorted(S.IMM_ALIASES)))} " \
+        return f"{draw(st.sampled_from(IMM_OPS))} " \
                f"{rd}, {rs}, {draw(immediates)}"
     if kind == "indexed":  # a data-dependent word of the arena
         access = draw(st.sampled_from(["lw", "sw", "psm"]))
@@ -1281,9 +1289,8 @@ class TestTranslated:
     def test_callable_value_is_truncated(self):
         """A definition registered as a bare callable may return any
         int; a register holds its 32-bit pattern in both modes."""
-        if "so_wide" not in S.INT_BINOPS:
-            S.register_binop("so_wide", lambda a, b: a - b)
-            register_instruction("so_wide", "binary")
+        if "so_wide" not in TABLE:
+            register_instruction("so_wide", "binary", lambda a, b: a - b)
         program = assemble("""
             .data
         A:  .word 0

@@ -33,6 +33,7 @@ from repro.sim.machine import Machine, Simulator
 from repro.sim.observability import (
     Ledger,
     Observability,
+    load_artifact,
     read_jsonl,
     schema_of,
 )
@@ -510,6 +511,16 @@ class TestMonitorClis:
                                   self._stream_file(tmp_path)])
         assert code == 0
         assert "campaign report cafe12345678" in capsys.readouterr().out
+        # the JSON output is a campaign-report artifact its reader accepts
+        code = xmt_campaign_main(["report", "--telemetry",
+                                  self._stream_file(tmp_path),
+                                  "--format", "json"])
+        assert code == 0
+        path = tmp_path / "campaign-report.json"
+        path.write_text(capsys.readouterr().out)
+        report = load_artifact(str(path), "campaign-report")
+        assert report["campaign_id"] == "cafe12345678"
+        assert report["counts"] == {"ok": 1, "failed": 1}
 
     def test_campaign_report_needs_input(self, capsys):
         assert xmt_campaign_main(["report"]) == 2
