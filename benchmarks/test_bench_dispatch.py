@@ -1,9 +1,9 @@
-"""Dispatch-layer throughput: pre-decoded micro-ops vs per-step decode.
+"""Dispatch-layer throughput over the assembled instruction records.
 
-The execution core decodes every instruction exactly once at program
-load (``repro.isa.decode``) and both pipelines dispatch through
-opcode-indexed tables instead of classifying ``Instruction`` objects
-with ``isinstance`` chains on every step.  These benchmarks report the
+The assembler builds every instruction once, from its row of the
+instruction table, with its opcode and operands resolved, and both
+pipelines dispatch through opcode-indexed tables instead of classifying
+instructions on every step.  These benchmarks report the
 resulting hot-loop throughput in instructions per host-second and
 assert the two invariants behind it: decode is amortised over the run,
 and matmul still takes exactly 5933 cycles.
