@@ -163,15 +163,24 @@ def register_so_trap():
 # --------------------------------------------------------------------------- (a) specs
 
 class TestSpecs:
-    def test_callables_are_the_strings(self):
+    @pytest.mark.parametrize("codes, arity", [
+        ((OP_ALU, OP_ALU_SHARED, OP_ALU_IMM), 2),
+        ((OP_UNARY, OP_UNARY_SHARED), 1),
+        ((OP_BRANCH,), 2),
+    ], ids=["binops", "unops", "branches"])
+    def test_callables_are_the_strings(self, codes, arity):
         """Every row with a spec has no other definition: its callable
         computes the spec's text with the operands substituted, which
         is also all the block generator does."""
-        specs = {op: row for op, row in TABLE.items() if row.spec}
-        assert {"add", "sra", "slt", "mul", "div"} <= set(specs)
-        assert set(BRANCHES) | set(IMM_OPS) | set(PRIVATE_UNOPS) <= set(specs)
+        with_spec = {op: row for op, row in TABLE.items() if row.spec}
+        assert {"add", "sra", "slt", "mul", "div"} <= set(with_spec)
+        assert set(BRANCHES) | set(IMM_OPS) | set(PRIVATE_UNOPS) <= set(with_spec)
+        assert {row.code for row in with_spec.values()} <= {
+            OP_ALU, OP_ALU_SHARED, OP_ALU_IMM, OP_UNARY, OP_UNARY_SHARED,
+            OP_BRANCH}
+        specs = {op: row for op, row in with_spec.items() if row.code in codes}
+        assert specs
         for op, row in specs.items():
-            arity = 1 if row.code in (OP_UNARY, OP_UNARY_SHARED) else 2
             for a in EDGES:
                 for b in (EDGES if arity == 2 else [0]):
                     text = row.spec.format(a=f"({a})", b=f"({b})")
