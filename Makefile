@@ -2,13 +2,24 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples all clean
+.PHONY: install test check bench examples all clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# the tier-1 gate, as CI runs it: the console scripts resolve (the
+# package must be installed, e.g. by `make install`), then the test
+# suite and the benchmark's self-tests
+TOOLS = xmtcc xmtsim xmtc-lint xmtc-fuzz xmt-prof xmt-explain xmt-compare \
+	xmt-campaign xmt-top
+
+check:
+	for tool in $(TOOLS); do $$tool --help > /dev/null || exit 1; done
+	$(PYTHON) -m pytest tests/ -q
+	$(PYTHON) -m pytest benchmarks/xmt_bench/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

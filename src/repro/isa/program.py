@@ -24,6 +24,9 @@ from repro.isa.semantics import to_signed, to_unsigned
 
 #: Default base address of the data segment.
 DATA_BASE = 0x1000
+#: Room the Master's serial stack must keep between the end of the data
+#: segment and ``stack_top`` (the stack grows down towards the data).
+MIN_SERIAL_STACK = 0x10000
 
 
 @dataclass
@@ -111,6 +114,19 @@ class Program:
         if open_spawn is not None:
             raise ValueError("spawn without matching join")
         self._region_of = {r.spawn_index: r for r in self.spawn_regions}
+
+    def check_stack_room(self, stack_top: int) -> None:
+        """Raise ``ValueError`` if the data segment ends above
+        ``stack_top`` minus :data:`MIN_SERIAL_STACK`: the serial stack
+        would overwrite globals (and saved registers live in them)."""
+        if self.data_end > stack_top - MIN_SERIAL_STACK:
+            big = max(self.globals_table.values(), default=None,
+                      key=lambda sym: sym.n_words)
+            raise ValueError(
+                f"data segment ends at {self.data_end:#x}, above stack_top "
+                f"{stack_top:#x} minus the {MIN_SERIAL_STACK:#x}-byte minimum "
+                "serial stack" + (f"; the largest global is {big.name!r} "
+                                  f"({4 * big.n_words} bytes)" if big else ""))
 
     # -- memory-map I/O ----------------------------------------------------
 

@@ -136,6 +136,7 @@ class FunctionalSimulator:
                  max_instructions: Optional[int] = None,
                  on_instruction: Optional[Callable[[Instruction, CoreState], None]] = None,
                  sanitizer=None):
+        program.check_stack_room(stack_top)
         self.program = program
         self.decoded = decode_program(program)
         #: optional dynamic race sanitizer (duck-typed like

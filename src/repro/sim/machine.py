@@ -187,6 +187,7 @@ class Machine:
         self.config = config or fpga64()
         self.config.validate()
         cfg = self.config
+        program.check_stack_room(cfg.stack_top)
         self._bind_decode()
 
         self.scheduler = Scheduler()

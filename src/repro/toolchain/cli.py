@@ -986,7 +986,7 @@ def _xmtsim(args) -> int:
             if args.sanitize:
                 sanitizer = RaceSanitizer()
             result = FunctionalSimulator(
-                program, sanitizer=sanitizer,
+                program, stack_top=config.stack_top, sanitizer=sanitizer,
                 on_instruction=None if trace is None else trace.executed
             ).run()
             sys.stdout.write(result.output)

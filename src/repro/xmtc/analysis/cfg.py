@@ -16,14 +16,13 @@ from repro.xmtc import ir as IR
 class Block:
     """A basic block: [start, end) indices into the instruction list."""
 
-    __slots__ = ("index", "start", "end", "succs", "live_out")
+    __slots__ = ("index", "start", "end", "succs")
 
     def __init__(self, index: int, start: int, end: int):
         self.index = index
         self.start = start
         self.end = end
         self.succs: List[int] = []
-        self.live_out = set()
 
 
 def split_blocks(instrs: List[IR.IRInstr]) -> Tuple[List[Block], Dict[str, int]]:
@@ -41,13 +40,13 @@ def split_blocks(instrs: List[IR.IRInstr]) -> Tuple[List[Block], Dict[str, int]]
             leaders.add(i + 1)
     starts = sorted(s for s in leaders if s < len(instrs))
     blocks: List[Block] = []
-    block_of_pos: Dict[int, int] = {}
+    block_at: Dict[int, int] = {}
     for bi, start in enumerate(starts):
         end = starts[bi + 1] if bi + 1 < len(starts) else len(instrs)
         blocks.append(Block(bi, start, end))
-        for pos in range(start, end):
-            block_of_pos[pos] = bi
-    label_block = {name: block_of_pos[pos] for name, pos in label_at.items()}
+        block_at[start] = bi
+    # every label is a leader, so it starts its block
+    label_block = {name: block_at[pos] for name, pos in label_at.items()}
     for block in blocks:
         if block.start == block.end:
             continue
@@ -65,11 +64,3 @@ def split_blocks(instrs: List[IR.IRInstr]) -> Tuple[List[Block], Dict[str, int]]
                 block.succs = [block.index + 1]
     return blocks, label_block
 
-
-def predecessors(blocks: List[Block]) -> List[List[int]]:
-    """Predecessor lists, index-aligned with ``blocks``."""
-    preds: List[List[int]] = [[] for _ in blocks]
-    for block in blocks:
-        for s in block.succs:
-            preds[s].append(block.index)
-    return preds

@@ -17,10 +17,11 @@ the compiler and the linters:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.xmtc import ir as IR
-from repro.xmtc.analysis.cfg import Block, predecessors, split_blocks
+from repro.xmtc.analysis.cfg import Block, split_blocks
 
 
 def solve(blocks: List[Block],
@@ -64,10 +65,10 @@ def solve(blocks: List[Block],
 
     in_facts = [bottom() for _ in range(n)]
     out_facts = [bottom() for _ in range(n)]
-    work = list(range(n) if forward else range(n - 1, -1, -1))
+    work = deque(range(n) if forward else range(n - 1, -1, -1))
     on_work = set(work)
     while work:
-        bi = work.pop(0)
+        bi = work.popleft()
         on_work.discard(bi)
         incoming = [out_facts[p] for p in flow_in[bi]]
         merged = join(incoming)
@@ -94,11 +95,16 @@ def instr_uses(ins: IR.IRInstr) -> Set[IR.Temp]:
     return set(ins.uses())
 
 
-def spawn_live_ins(spawn: IR.SpawnIR) -> Set[IR.Temp]:
+def spawn_live_ins(spawn: IR.SpawnIR,
+                   body_live_in: Optional[Set[IR.Temp]] = None
+                   ) -> Set[IR.Temp]:
     """Temps the spawn body needs from the enclosing (master) context:
     the exact live-in set of the body under the hardware's virtual-
-    thread dispatch loop, plus the bounds the spawn hardware reads."""
-    live = region_live_in(spawn.body, loop_back=True)
+    thread dispatch loop, plus the bounds the spawn hardware reads.
+    ``body_live_in`` is that body live-in if the caller has solved the
+    body already."""
+    live = set(region_live_in(spawn.body, loop_back=True)
+               if body_live_in is None else body_live_in)
     live.discard(spawn.dollar)
     live.update(t for t in (spawn.low, spawn.high) if isinstance(t, IR.Temp))
     return live

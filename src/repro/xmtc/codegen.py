@@ -1,8 +1,10 @@
-"""IR + register allocation -> XMT assembly text.
+"""IR + register allocation -> XMT assembly lines.
 
-The compiler emits textual assembly (the real toolchain's interface to
-the simulator front end), which then goes through the post-pass verifier
-and finally the assembler.  Conventions:
+The compiler emits assembly as :class:`~repro.xmtc.postpass.AsmLine`
+records (labels, opcode, operand texts, source line), which go straight
+through the post-pass verifier to the assembler; :func:`generate`
+renders them as the textual assembly (the real toolchain's interface to
+the simulator front end).  Conventions:
 
 - args in ``$a0-$a3``, extra args on the stack (caller's outgoing area);
 - result in ``$v0``; ``$ra`` return address;
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.registers import REG_A0, REG_RA, REG_SP, REG_V0, REG_VT, reg_name
+from repro.isa.registers import REG_A0, REG_VT, reg_name
 from repro.isa.semantics import f32_to_bits, to_signed
 from repro.xmtc import ir as IR
 from repro.xmtc.errors import CompileError
-from repro.xmtc.regalloc import REG, SPILL, SCRATCH, FuncAllocation, allocate
+from repro.xmtc.postpass import AsmLine, render
+from repro.xmtc.regalloc import REG, SCRATCH, FuncAllocation, allocate
 from repro.xmtc.semantic import _fold_const
 
 _SCRATCH_NAMES = [reg_name(SCRATCH[0]), reg_name(SCRATCH[1]), "$at"]
@@ -49,7 +52,9 @@ class _FuncEmitter:
         self.u = unit
         self.func = func
         self.alloc: FuncAllocation = allocate(func)
-        self.lines: List[str] = []
+        self.lines: List[AsmLine] = []
+        #: labels waiting for the next instruction
+        self._labels: List[str] = []
         self.outgoing = func.max_outgoing_stack_args * 4
         saved = sorted(self.alloc.serial.used_callee)
         self.saved_regs = saved
@@ -70,15 +75,15 @@ class _FuncEmitter:
 
     # -- emission helpers ---------------------------------------------------
 
-    def emit(self, text: str) -> None:
-        if self._src_line:
-            # source-line marker: lets simulator plug-ins refer hot
-            # assembly back to XMTC lines (paper Section III-B)
-            text = f"{text}  # @{self._src_line}"
-        self.lines.append("    " + text)
+    def emit(self, op: str, *operands: str) -> None:
+        # the source line lets simulator plug-ins refer hot assembly
+        # back to XMTC lines (paper Section III-B)
+        self.lines.append(AsmLine(self._labels, op, list(operands),
+                                  self._src_line))
+        self._labels = []
 
     def label(self, name: str) -> None:
-        self.lines.append(f"{name}:")
+        self._labels.append(name)
 
     def _frame_off(self, raw: int) -> int:
         return self.outgoing + raw
@@ -92,13 +97,13 @@ class _FuncEmitter:
             if op.value == 0:
                 return "$zero"
             name = _SCRATCH_NAMES[scratch_slot]
-            self.emit(f"li   {name}, {to_signed(op.value)}")
+            self.emit("li", name, str(to_signed(op.value)))
             return name
         kind, n = alloc.where(op)
         if kind == REG:
             return reg_name(n)
         name = _SCRATCH_NAMES[scratch_slot]
-        self.emit(f"lw   {name}, {self._frame_off(n)}({self.frame_reg})")
+        self.emit("lw", name, f"{self._frame_off(n)}({self.frame_reg})")
         return name
 
     # destination register; returns (reg_name, flush_fn)
@@ -110,13 +115,13 @@ class _FuncEmitter:
         off = self._frame_off(n)
 
         def flush():
-            self.emit(f"sw   {name}, {off}({self.frame_reg})")
+            self.emit("sw", name, f"{off}({self.frame_reg})")
 
         return name, flush
 
     # -- function body ---------------------------------------------------------
 
-    def run(self) -> List[str]:
+    def run(self) -> List[AsmLine]:
         func = self.func
         self.label(func.name)
         self._prologue()
@@ -134,54 +139,54 @@ class _FuncEmitter:
             if i < 4:
                 if kind == REG:
                     if reg_name(n) != src:
-                        self.emit(f"move {reg_name(n)}, {src}")
+                        self.emit("move", reg_name(n), src)
                 else:
-                    self.emit(f"sw   {src}, {self._frame_off(n)}($sp)")
+                    self.emit("sw", src, f"{self._frame_off(n)}($sp)")
             else:
                 stack_off = self.frame_size + 4 * (i - 4)
                 if kind == REG:
-                    self.emit(f"lw   {reg_name(n)}, {stack_off}($sp)")
+                    self.emit("lw", reg_name(n), f"{stack_off}($sp)")
                 else:
-                    self.emit(f"lw   $t8, {stack_off}($sp)")
-                    self.emit(f"sw   $t8, {self._frame_off(n)}($sp)")
+                    self.emit("lw", "$t8", f"{stack_off}($sp)")
+                    self.emit("sw", "$t8", f"{self._frame_off(n)}($sp)")
         self._region(func.body, self.alloc.serial, spawn=None)
         # safety net: fall off the end
-        if not self.lines or not self.lines[-1].strip().startswith("jr"):
+        if self._labels or not self.lines or self.lines[-1].op != "jr":
             self._emit_epilogue(None)
         return self.lines
 
     def _prologue(self) -> None:
         if self.frame_size:
-            self.emit(f"addi $sp, $sp, -{self.frame_size}")
+            self.emit("addi", "$sp", "$sp", f"-{self.frame_size}")
         base = self._save_area()
         for i, reg in enumerate(self.saved_regs):
-            self.emit(f"sw   {reg_name(reg)}, {base + 4 * i}($sp)")
+            self.emit("sw", reg_name(reg), f"{base + 4 * i}($sp)")
         slot = base + 4 * len(self.saved_regs)
         if self.save_ra:
-            self.emit(f"sw   $ra, {slot}($sp)")
+            self.emit("sw", "$ra", f"{slot}($sp)")
             slot += 4
         if self.uses_fp:
-            self.emit(f"sw   $fp, {slot}($sp)")
-            self.emit("move $fp, $sp")
+            self.emit("sw", "$fp", f"{slot}($sp)")
+            self.emit("move", "$fp", "$sp")
 
     def _emit_epilogue(self, value: Optional[IR.Operand],
                        alloc=None) -> None:
         if value is not None:
             src = self.read_op(value, alloc or self.alloc.serial, 0)
             if src != "$v0":
-                self.emit(f"move $v0, {src}")
+                self.emit("move", "$v0", src)
         base = self._save_area()
         for i, reg in enumerate(self.saved_regs):
-            self.emit(f"lw   {reg_name(reg)}, {base + 4 * i}($sp)")
+            self.emit("lw", reg_name(reg), f"{base + 4 * i}($sp)")
         slot = base + 4 * len(self.saved_regs)
         if self.save_ra:
-            self.emit(f"lw   $ra, {slot}($sp)")
+            self.emit("lw", "$ra", f"{slot}($sp)")
             slot += 4
         if self.uses_fp:
-            self.emit(f"lw   $fp, {slot}($sp)")
+            self.emit("lw", "$fp", f"{slot}($sp)")
         if self.frame_size:
-            self.emit(f"addi $sp, $sp, {self.frame_size}")
-        self.emit("jr   $ra")
+            self.emit("addi", "$sp", "$sp", str(self.frame_size))
+        self.emit("jr", "$ra")
 
     # -- regions -----------------------------------------------------------------
 
@@ -194,7 +199,7 @@ class _FuncEmitter:
         if isinstance(ins, IR.Label):
             self.label(ins.name)
         elif isinstance(ins, IR.Jump):
-            self.emit(f"j    {ins.target}")
+            self.emit("j", ins.target)
         elif isinstance(ins, IR.CondJump):
             self._condjump(ins, alloc)
         elif isinstance(ins, IR.Bin):
@@ -202,37 +207,37 @@ class _FuncEmitter:
         elif isinstance(ins, IR.Un):
             a = self.read_op(ins.a, alloc, 0)
             dst, flush = self.write_op(ins.dst, alloc, 0)
-            self.emit(f"{ins.op:<4} {dst}, {a}")
+            self.emit(ins.op, dst, a)
             if flush:
                 flush()
         elif isinstance(ins, IR.Mov):
             self._mov(ins, alloc)
         elif isinstance(ins, IR.La):
             dst, flush = self.write_op(ins.dst, alloc, 0)
-            self.emit(f"la   {dst}, {ins.symbol}")
+            self.emit("la", dst, ins.symbol)
             if flush:
                 flush()
         elif isinstance(ins, IR.FrameAddr):
             dst, flush = self.write_op(ins.dst, alloc, 0)
-            self.emit(f"addi {dst}, {self.frame_reg}, "
-                      f"{self._frame_off(ins.offset)}")
+            self.emit("addi", dst, self.frame_reg,
+                      str(self._frame_off(ins.offset)))
             if flush:
                 flush()
         elif isinstance(ins, IR.Load):
             addr = self.read_op(ins.addr, alloc, 1)
             dst, flush = self.write_op(ins.dst, alloc, 0)
             op = "lwro" if ins.readonly else "lw"
-            self.emit(f"{op:<4} {dst}, 0({addr})")
+            self.emit(op, dst, f"0({addr})")
             if flush:
                 flush()
         elif isinstance(ins, IR.Store):
             src = self.read_op(ins.src, alloc, 0)
             addr = self.read_op(ins.addr, alloc, 1)
             op = "swnb" if ins.nonblocking else "sw"
-            self.emit(f"{op:<4} {src}, 0({addr})")
+            self.emit(op, src, f"0({addr})")
         elif isinstance(ins, IR.Pref):
             addr = self.read_op(ins.addr, alloc, 1)
-            self.emit(f"pref 0({addr})")
+            self.emit("pref", f"0({addr})")
         elif isinstance(ins, IR.Call):
             self._call(ins, alloc)
         elif isinstance(ins, IR.Ret):
@@ -257,16 +262,16 @@ class _FuncEmitter:
             dst, flush = self.write_op(ins.dst, alloc, 0)
             value = to_signed(ins.src.value)
             if value == 0:
-                self.emit(f"move {dst}, $zero")
+                self.emit("move", dst, "$zero")
             else:
-                self.emit(f"li   {dst}, {value}")
+                self.emit("li", dst, str(value))
             if flush:
                 flush()
             return
         src = self.read_op(ins.src, alloc, 1)
         dst, flush = self.write_op(ins.dst, alloc, 0)
         if dst != src:
-            self.emit(f"move {dst}, {src}")
+            self.emit("move", dst, src)
         if flush:
             flush()
 
@@ -276,21 +281,21 @@ class _FuncEmitter:
         if isinstance(ins.b, IR.Const) and op in _IMM_FORMS:
             a = self.read_op(ins.a, alloc, 0)
             dst, flush = self.write_op(ins.dst, alloc, 0)
-            self.emit(f"{_IMM_FORMS[op]:<4} {dst}, {a}, {to_signed(ins.b.value)}")
+            self.emit(_IMM_FORMS[op], dst, a, str(to_signed(ins.b.value)))
             if flush:
                 flush()
             return
         if isinstance(ins.b, IR.Const) and op == "sub":
             a = self.read_op(ins.a, alloc, 0)
             dst, flush = self.write_op(ins.dst, alloc, 0)
-            self.emit(f"addi {dst}, {a}, {-to_signed(ins.b.value)}")
+            self.emit("addi", dst, a, str(-to_signed(ins.b.value)))
             if flush:
                 flush()
             return
         a = self.read_op(ins.a, alloc, 0)
         b = self.read_op(ins.b, alloc, 1)
         dst, flush = self.write_op(ins.dst, alloc, 0)
-        self.emit(f"{op:<4} {dst}, {a}, {b}")
+        self.emit(op, dst, a, b)
         if flush:
             flush()
 
@@ -299,16 +304,16 @@ class _FuncEmitter:
         if ins.cond in ("eq", "ne"):
             b = self.read_op(ins.b, alloc, 1)
             op = "beq" if ins.cond == "eq" else "bne"
-            self.emit(f"{op:<4} {a}, {b}, {ins.target}")
+            self.emit(op, a, b, ins.target)
             return
         # relational: compare against zero fast paths
         if isinstance(ins.b, IR.Const) and ins.b.value == 0:
             fast = {"lt": "bltz", "le": "blez", "gt": "bgtz", "ge": "bgez"}
-            self.emit(f"{fast[ins.cond]} {a}, {ins.target}")
+            self.emit(fast[ins.cond], a, ins.target)
             return
         b = self.read_op(ins.b, alloc, 1)
-        self.emit(f"{_CJ_SIGNED[ins.cond]:<4} $at, {a}, {b}")
-        self.emit(f"bnez $at, {ins.target}")
+        self.emit(_CJ_SIGNED[ins.cond], "$at", a, b)
+        self.emit("bnez", "$at", ins.target)
 
     def _call(self, ins: IR.Call, alloc) -> None:
         self.u.called.add(ins.name)
@@ -316,49 +321,49 @@ class _FuncEmitter:
             if i < 4:
                 dst = reg_name(REG_A0 + i)
                 if isinstance(arg, IR.Const):
-                    self.emit(f"li   {dst}, {to_signed(arg.value)}")
+                    self.emit("li", dst, str(to_signed(arg.value)))
                 else:
                     kind, n = alloc.where(arg)
                     if kind == REG:
                         if reg_name(n) != dst:
-                            self.emit(f"move {dst}, {reg_name(n)}")
+                            self.emit("move", dst, reg_name(n))
                     else:
-                        self.emit(f"lw   {dst}, {self._frame_off(n)}({self.frame_reg})")
+                        self.emit("lw", dst, f"{self._frame_off(n)}({self.frame_reg})")
             else:
                 src = self.read_op(arg, alloc, 0)
-                self.emit(f"sw   {src}, {4 * (i - 4)}($sp)")
-        self.emit(f"jal  {ins.name}")
+                self.emit("sw", src, f"{4 * (i - 4)}($sp)")
+        self.emit("jal", ins.name)
         if ins.dst is not None:
             kind, n = alloc.where(ins.dst)
             if kind == REG:
                 if reg_name(n) != "$v0":
-                    self.emit(f"move {reg_name(n)}, $v0")
+                    self.emit("move", reg_name(n), "$v0")
             else:
-                self.emit(f"sw   $v0, {self._frame_off(n)}({self.frame_reg})")
+                self.emit("sw", "$v0", f"{self._frame_off(n)}({self.frame_reg})")
 
     def _ps(self, ins: IR.PsIR, alloc) -> None:
         op = {"ps": "ps", "get": "getg", "set": "setg"}[ins.mode]
         kind, n = alloc.where(ins.temp)
         if kind == REG:
-            self.emit(f"{op:<4} {reg_name(n)}, $g{ins.greg}")
+            self.emit(op, reg_name(n), f"$g{ins.greg}")
             return
         off = self._frame_off(n)
         if ins.mode in ("ps", "set"):
-            self.emit(f"lw   $t8, {off}({self.frame_reg})")
-        self.emit(f"{op:<4} $t8, $g{ins.greg}")
+            self.emit("lw", "$t8", f"{off}({self.frame_reg})")
+        self.emit(op, "$t8", f"$g{ins.greg}")
         if ins.mode in ("ps", "get"):
-            self.emit(f"sw   $t8, {off}({self.frame_reg})")
+            self.emit("sw", "$t8", f"{off}({self.frame_reg})")
 
     def _psm(self, ins: IR.PsmIR, alloc) -> None:
         addr = self.read_op(ins.addr, alloc, 1)
         kind, n = alloc.where(ins.temp)
         if kind == REG:
-            self.emit(f"psm  {reg_name(n)}, 0({addr})")
+            self.emit("psm", reg_name(n), f"0({addr})")
             return
         off = self._frame_off(n)
-        self.emit(f"lw   $t8, {off}({self.frame_reg})")
-        self.emit(f"psm  $t8, 0({addr})")
-        self.emit(f"sw   $t8, {off}({self.frame_reg})")
+        self.emit("lw", "$t8", f"{off}({self.frame_reg})")
+        self.emit("psm", "$t8", f"0({addr})")
+        self.emit("sw", "$t8", f"{off}({self.frame_reg})")
 
     def _print(self, ins: IR.PrintIR, alloc) -> None:
         fmt_label = self.u.fmt_label(ins.fmt)
@@ -375,7 +380,7 @@ class _FuncEmitter:
                         "call (max 3); split the printf")
                 name = _SCRATCH_NAMES[scratch]
                 scratch += 1
-                self.emit(f"li   {name}, {to_signed(arg.value)}")
+                self.emit("li", name, str(to_signed(arg.value)))
                 regs.append(name)
             else:
                 kind, n = alloc.where(arg)
@@ -388,10 +393,9 @@ class _FuncEmitter:
                             "one call (max 3); split the printf")
                     name = _SCRATCH_NAMES[scratch]
                     scratch += 1
-                    self.emit(f"lw   {name}, {self._frame_off(n)}({self.frame_reg})")
+                    self.emit("lw", name, f"{self._frame_off(n)}({self.frame_reg})")
                     regs.append(name)
-        operands = ", ".join([fmt_label] + regs)
-        self.emit(f"print {operands}")
+        self.emit("print", fmt_label, *regs)
 
     def _spawn(self, ins: IR.SpawnIR, alloc) -> None:
         body_alloc = self.alloc.bodies[id(ins)]
@@ -399,28 +403,28 @@ class _FuncEmitter:
         low = self.read_op(ins.low, alloc, 0)
         high = self.read_op(ins.high, alloc, 1)
         loop = self.u.new_label("vt_loop")
-        self.emit(f"spawn {low}, {high}")
+        self.emit("spawn", low, high)
         if has_calls:
             # parallel-calls extension: each TCU switches to its private
             # stack before dispatching virtual threads (runs once per
             # TCU at broadcast); Master-frame accesses go through $fp
-            self.emit("gettcu $t8")
-            self.emit(f"slli $t9, $t8, {PARALLEL_STACK_LOG2_SIZE}")
-            self.emit(f"li   $at, {PARALLEL_STACK_TOP}")
-            self.emit("sub  $sp, $at, $t9")
+            self.emit("gettcu", "$t8")
+            self.emit("slli", "$t9", "$t8", str(PARALLEL_STACK_LOG2_SIZE))
+            self.emit("li", "$at", str(PARALLEL_STACK_TOP))
+            self.emit("sub", "$sp", "$at", "$t9")
             if self.outgoing:
                 # reserve this pseudo-frame's outgoing-argument area so
                 # >4-arg calls from the body don't write above the stack
-                self.emit(f"addi $sp, $sp, -{self.outgoing}")
+                self.emit("addi", "$sp", "$sp", f"-{self.outgoing}")
         self.label(loop)
-        self.emit(f"getvt {reg_name(REG_VT)}")
-        self.emit(f"chkid {reg_name(REG_VT)}")
+        self.emit("getvt", reg_name(REG_VT))
+        self.emit("chkid", reg_name(REG_VT))
         prev_frame_reg = self.frame_reg
         if has_calls:
             self.frame_reg = "$fp"
         self._region(ins.body, body_alloc, spawn=ins)
         self.frame_reg = prev_frame_reg
-        self.emit(f"j    {loop}")
+        self.emit("j", loop)
         self.emit("join")
 
 
@@ -442,12 +446,11 @@ class CodeGenerator:
             self.fmt_labels[fmt] = label
         return label
 
-    def run(self) -> str:
-        text_lines: List[str] = []
-        # entry stub
-        text_lines.append("__start:")
-        text_lines.append("    jal  main")
-        text_lines.append("    halt")
+    def run(self) -> Tuple[List[str], List[AsmLine]]:
+        """The data section's text lines (through ``.text``) and the
+        text section's instruction lines."""
+        text_lines = [AsmLine(["__start"], "jal", ["main"]),
+                      AsmLine([], "halt", [])]
         for func in self.unit.functions:
             text_lines.extend(_FuncEmitter(self, func).run())
         if "malloc" in self.called:
@@ -467,7 +470,7 @@ class CodeGenerator:
             data_lines.append("__heap_ptr: .word __heap_end")
             data_lines.append("__heap_end: .space 0")
 
-        return "\n".join(data_lines + ["", "    .text"] + text_lines) + "\n"
+        return data_lines + ["", "    .text"], text_lines
 
     def _emit_global(self, name: str, gvar) -> List[str]:
         t = gvar.var_type
@@ -498,24 +501,21 @@ class CodeGenerator:
         return [f"{name}: .word {value}"]
 
     @staticmethod
-    def _malloc_runtime() -> List[str]:
+    def _malloc_runtime() -> List[AsmLine]:
         # fetch-and-add through psm: the bump is atomic at the cache
         # module, so the allocator is safe from parallel code too (the
         # parallel-calls extension's "parallel dynamic memory
-        # allocation" -- paper Section IV-D future work)
-        return [
-            "malloc:",
-            "    # word-align the size and atomically bump __heap_ptr",
-            "    addi $a0, $a0, 3",
-            "    srli $a0, $a0, 2",
-            "    slli $a0, $a0, 2",
-            "    la   $t0, __heap_ptr",
-            "    psm  $a0, 0($t0)",
-            "    move $v0, $a0",
-            "    jr   $ra",
-        ]
+        # allocation" -- paper Section IV-D future work).  Word-align
+        # the size, then atomically bump __heap_ptr.
+        return [AsmLine(["malloc"], "addi", ["$a0", "$a0", "3"]),
+                AsmLine([], "srli", ["$a0", "$a0", "2"]),
+                AsmLine([], "slli", ["$a0", "$a0", "2"]),
+                AsmLine([], "la", ["$t0", "__heap_ptr"]),
+                AsmLine([], "psm", ["$a0", "0($t0)"]),
+                AsmLine([], "move", ["$v0", "$a0"]),
+                AsmLine([], "jr", ["$ra"])]
 
 
 def generate(unit: IR.IRUnit) -> str:
     """Emit assembly text for an optimized IR unit."""
-    return CodeGenerator(unit).run()
+    return render(*CodeGenerator(unit).run())

@@ -16,13 +16,12 @@ from typing import List, Optional, Tuple
 from repro.isa.assembler import assemble_lines
 from repro.isa.program import Program
 from repro.xmtc import parser as xparser
-from repro.xmtc.errors import CompileError
 from repro.xmtc.lowering import lower
 from repro.xmtc.optimizer import OptimizerOptions, optimize_unit
 from repro.xmtc.outline import cluster_spawns, outline_spawns, serialize_nested_spawns
 from repro.xmtc.postpass import AsmLine, postpass_lines, render
 from repro.xmtc.semantic import analyze
-from repro.xmtc.codegen import generate
+from repro.xmtc.codegen import CodeGenerator
 
 
 @dataclass
@@ -91,11 +90,12 @@ def _compile(source: str, options: CompileOptions
         ro_cache=options.ro_cache,
     )
     report = optimize_unit(ir_unit, opt)
-    asm_text = generate(ir_unit)
+    header, body = CodeGenerator(ir_unit).run()
 
     # ---- post-pass (SableCC equivalent) -------------------------------------
+    # codegen's lines go to the post-pass as they are, never through text
     header, body, pp_report = postpass_lines(
-        asm_text, parallel_calls=options.parallel_calls)
+        header, body, parallel_calls=options.parallel_calls)
 
     result = CompileResult(program=None, asm_text=None,
                            optimizer_report=report, postpass_report=pp_report)

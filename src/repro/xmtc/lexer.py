@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.xmtc.errors import CompileError
 
@@ -41,8 +40,7 @@ _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0", "%": "%"}
 _CHAR_ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # 'ident' | 'keyword' | 'int' | 'float' | 'string' | 'op' | 'eof'
     text: str
     line: int

@@ -1,15 +1,16 @@
 """Block-local copy and constant propagation.
 
 Within one basic block, a ``Mov dst, src`` makes later uses of ``dst``
-replaceable by ``src`` until either is redefined.  Loads are values like
-any other (register allocation of parallel code "is performed as if the
-code were serial", Section IV-A); ``volatile`` is the programmer's
-opt-out and volatile loads are never propagated from.
+replaceable by ``src`` until either is redefined.  Only a ``Mov``'s
+source (a temp or a constant) is propagated, never a load, so even a
+``volatile`` load's result is a register value like any other here and
+there is nothing volatile to skip (register allocation of parallel code
+"is performed as if the code were serial", Section IV-A).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.xmtc import ir as IR
 
@@ -20,15 +21,21 @@ def _replace(op, env: Dict[int, IR.Operand]):
     return op
 
 
-def _kill(env: Dict[int, IR.Operand], temp: IR.Temp) -> None:
+def _kill(env: Dict[int, IR.Operand], copies: Dict[int, Set[int]],
+          temp: IR.Temp) -> None:
+    """Forget ``temp``'s copy and every copy of ``temp``; ``copies``
+    indexes the copies by source (entries may be stale, so each is
+    re-checked)."""
     env.pop(temp.id, None)
-    for key in [k for k, v in env.items()
-                if isinstance(v, IR.Temp) and v.id == temp.id]:
-        del env[key]
+    for key in copies.pop(temp.id, ()):
+        value = env.get(key)
+        if isinstance(value, IR.Temp) and value.id == temp.id:
+            del env[key]
 
 
 def propagate_region(instrs: List[IR.IRInstr]) -> None:
     env: Dict[int, IR.Operand] = {}
+    copies: Dict[int, Set[int]] = {}
     for ins in instrs:
         if isinstance(ins, (IR.Label, IR.Jump, IR.CondJump, IR.Ret)):
             if isinstance(ins, IR.CondJump):
@@ -38,12 +45,14 @@ def propagate_region(instrs: List[IR.IRInstr]) -> None:
                 ins.src = _replace(ins.src, env)
             if isinstance(ins, IR.Label):
                 env.clear()  # block boundary: joins invalidate everything
+                copies.clear()
             continue
         if isinstance(ins, IR.SpawnIR):
             ins.low = _replace(ins.low, env)
             ins.high = _replace(ins.high, env)
             propagate_region(ins.body)
             env.clear()  # barrier
+            copies.clear()
             continue
         # rewrite uses
         if isinstance(ins, IR.Bin):
@@ -77,17 +86,16 @@ def propagate_region(instrs: List[IR.IRInstr]) -> None:
             # ins.temp is read AND written: do not substitute it away
         # update environment
         for d in ins.defs():
-            _kill(env, d)
+            _kill(env, copies, d)
         if isinstance(ins, IR.Mov) and isinstance(ins.dst, IR.Temp):
+            # a pinned source ($) is hardware-written; propagating the
+            # name is fine, it is still the same register
             src = ins.src
-            is_volatile_source = False
-            if isinstance(src, IR.Temp) and src.pinned is not None:
-                # pinned temps ($) are hardware-written; propagating the
-                # name is fine, it is still the same register
-                pass
-            if not is_volatile_source and not (
-                    isinstance(src, IR.Temp) and src.id == ins.dst.id):
+            if not isinstance(src, IR.Temp):
                 env[ins.dst.id] = src
+            elif src.id != ins.dst.id:
+                env[ins.dst.id] = src
+                copies.setdefault(src.id, set()).add(ins.dst.id)
 
 
 def run(func: IR.IRFunc) -> None:

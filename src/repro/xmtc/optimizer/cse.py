@@ -31,15 +31,22 @@ class _BlockState:
         self.exprs: Dict[Tuple, IR.Temp] = {}
         # address temp id -> temp holding the loaded value
         self.loads: Dict[int, IR.Temp] = {}
+        # temp id -> the (table, key, value) entries that name it; an
+        # entry is killed only while its table still holds it unchanged
+        self.mentions: Dict[int, List[Tuple]] = {}
+
+    def remember(self, table: Dict, key, temp: IR.Temp) -> None:
+        table[key] = temp
+        # a load is keyed by its address temp, an expression by operands
+        named = ([key] if table is self.loads
+                 else [part[1] for part in key[2:] if part[0] == "t"])
+        for tid in [temp.id] + named:
+            self.mentions.setdefault(tid, []).append((table, key, temp))
 
     def kill_temp(self, temp: IR.Temp) -> None:
-        tid = temp.id
-        for key in [k for k, v in self.exprs.items()
-                    if v.id == tid or ("t", tid) in k]:
-            del self.exprs[key]
-        for key in [k for k, v in self.loads.items()
-                    if v.id == tid or k == tid]:
-            del self.loads[key]
+        for table, key, value in self.mentions.pop(temp.id, ()):
+            if table.get(key) is value:
+                del table[key]
 
     def kill_memory(self) -> None:
         self.loads.clear()
@@ -47,6 +54,7 @@ class _BlockState:
     def clear(self) -> None:
         self.exprs.clear()
         self.loads.clear()
+        self.mentions.clear()
 
 
 def cse_region(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
@@ -89,7 +97,7 @@ def cse_region(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
                 continue
             out.append(ins)
             state.kill_temp(ins.dst)
-            state.exprs[key] = ins.dst
+            state.remember(state.exprs, key, ins.dst)
             continue
         if isinstance(ins, IR.Un):
             key = ("un", ins.op, _key_op(ins.a))
@@ -100,7 +108,7 @@ def cse_region(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
                 continue
             out.append(ins)
             state.kill_temp(ins.dst)
-            state.exprs[key] = ins.dst
+            state.remember(state.exprs, key, ins.dst)
             continue
         if isinstance(ins, (IR.La, IR.FrameAddr)):
             key = (("la", ins.symbol) if isinstance(ins, IR.La)
@@ -112,7 +120,7 @@ def cse_region(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
                 continue
             out.append(ins)
             state.kill_temp(ins.dst)
-            state.exprs[key] = ins.dst
+            state.remember(state.exprs, key, ins.dst)
             continue
         if isinstance(ins, IR.Load) and not ins.volatile:
             hit = state.loads.get(ins.addr.id)
@@ -123,7 +131,7 @@ def cse_region(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
             out.append(ins)
             state.kill_temp(ins.dst)
             if ins.addr.id != ins.dst.id:
-                state.loads[ins.addr.id] = ins.dst
+                state.remember(state.loads, ins.addr.id, ins.dst)
             continue
         if isinstance(ins, IR.Load):  # volatile
             out.append(ins)

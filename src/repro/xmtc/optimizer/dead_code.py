@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.xmtc import ir as IR
-from repro.xmtc.analysis.dataflow import _liveness_blocks, instr_uses
+from repro.xmtc.analysis.dataflow import _liveness_blocks, spawn_live_ins
 
 
 def _remove_unreachable(instrs: List[IR.IRInstr]) -> List[IR.IRInstr]:
@@ -71,17 +71,21 @@ def _dead(ins: IR.IRInstr, live: Set[IR.Temp]) -> bool:
 
 
 def dce_region(instrs: List[IR.IRInstr], is_spawn_body: bool) -> List[IR.IRInstr]:
-    # recurse first so body shrinkage is visible to the outer problem
+    # recurse first so body shrinkage is visible to the outer problem;
+    # the bodies are final then, so each spawn's live-ins are solved once
+    spawn_uses = {}
     for ins in instrs:
         if isinstance(ins, IR.SpawnIR):
             ins.body = dce_region(ins.body, True)
+            spawn_uses[id(ins)] = spawn_live_ins(ins)
 
     changed = True
     while changed:
         changed = False
         instrs = _remove_unreachable(instrs)
         instrs = _drop_redundant_jumps(instrs)
-        uses = [instr_uses(ins) for ins in instrs]
+        uses = [spawn_uses[id(ins)] if isinstance(ins, IR.SpawnIR)
+                else set(ins.uses()) for ins in instrs]
         blocks, _, live_out = _liveness_blocks(instrs, is_spawn_body, None,
                                                uses)
         # one backward walk per block: a deleted instruction's uses are

@@ -34,11 +34,17 @@ _BIN_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: deepest nesting accepted (each statement, operand and chained operator
+#: is a level); every later stage recurses over the tree, so deeper input
+#: would exhaust Python's stack instead of failing with a position
+MAX_NESTING = 100
+
 
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -59,7 +65,8 @@ class Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def at_op(self, text: str, offset: int = 0) -> bool:
-        return self.at("op", text, offset)
+        tok = self.tokens[self.pos] if not offset else self.peek(offset)
+        return tok.text == text and tok.kind == "op"
 
     def accept_op(self, text: str) -> bool:
         if self.at_op(text):
@@ -91,6 +98,13 @@ class Parser:
     def error(self, message: str) -> CompileError:
         tok = self.peek()
         return CompileError(message, tok.line, tok.col)
+
+    def nest(self) -> None:
+        """Enter one level of nesting; the caller leaves it with
+        ``self.depth -= 1`` (an error abandons the parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- types ------------------------------------------------------------------
 
@@ -145,7 +159,8 @@ class Parser:
             try:
                 base = Array(base, size)
             except ValueError as exc:
-                raise CompileError(str(exc), tok.line, tok.col) from None
+                raise CompileError(f"array {tok.text!r}: {exc}",
+                                   tok.line, tok.col) from None
         return base
 
     def parse_const_int(self) -> int:
@@ -254,6 +269,12 @@ class Parser:
         return A.Block(stmts, tok.line, tok.col)
 
     def parse_statement(self) -> A.Stmt:
+        self.nest()
+        stmt = self._statement()
+        self.depth -= 1
+        return stmt
+
+    def _statement(self) -> A.Stmt:
         tok = self.peek()
         if self.at_op("{"):
             return self.parse_block()
@@ -425,7 +446,9 @@ class Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text in _ASSIGN_OPS:
             self.next()
+            self.nest()
             value = self.parse_assignment()
+            self.depth -= 1
             return A.Assign(tok.text, left, value, tok.line, tok.col)
         return left
 
@@ -433,24 +456,35 @@ class Parser:
         cond = self.parse_binary(1)
         if self.at_op("?"):
             tok = self.next()
+            self.nest()
             then = self.parse_assignment()
             self.expect_op(":")
             els = self.parse_conditional()
+            self.depth -= 1
             return A.Cond(cond, then, els, tok.line, tok.col)
         return cond
 
     def parse_binary(self, min_prec: int) -> A.Expr:
         left = self.parse_unary()
+        depth = self.depth
         while True:
             tok = self.peek()
             prec = _BIN_PRECEDENCE.get(tok.text) if tok.kind == "op" else None
             if prec is None or prec < min_prec:
+                self.depth = depth
                 return left
             self.next()
+            self.nest()     # each operator nests ``left`` one level deeper
             right = self.parse_binary(prec + 1)
             left = A.Binary(tok.text, left, right, tok.line, tok.col)
 
     def parse_unary(self) -> A.Expr:
+        self.nest()
+        expr = self._unary()
+        self.depth -= 1
+        return expr
+
+    def _unary(self) -> A.Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("-", "!", "~", "*", "&", "+"):
             self.next()

@@ -10,8 +10,10 @@ wrote a pass [SableCC] to check for this situation and fix it by
 relocating such misplaced basic-blocks between the spawn and join
 instructions."
 
-This module is that pass, working -- like the original -- on assembly
-text: it finds each spawn-join region, follows control flow from inside
+This module is that pass, working on the core pass's assembly lines
+(codegen hands them over as :class:`AsmLine` records; hand-written
+assembly text comes in through :func:`run_postpass`, which parses it
+first): it finds each spawn-join region, follows control flow from inside
 the region, relocates any reachable basic block that was laid out
 outside the region back in front of the ``join`` (adding the jump the
 relocation requires, exactly as in Fig. 9b), and finally verifies that
@@ -37,14 +39,17 @@ _PARALLEL_ILLEGAL = {"jal", "jr", "halt", "spawn"}
 
 
 class AsmLine:
-    __slots__ = ("labels", "op", "operands", "raw", "src_line")
+    """One text-section line: the labels bound to it, its opcode (None
+    for labels at the very end) and operand texts, and the XMTC source
+    line it came from (0 if none)."""
+
+    __slots__ = ("labels", "op", "operands", "src_line")
 
     def __init__(self, labels: List[str], op: Optional[str],
-                 operands: List[str], raw: str, src_line: int = 0):
+                 operands: List[str], src_line: int = 0):
         self.labels = labels
         self.op = op
         self.operands = operands
-        self.raw = raw
         self.src_line = src_line
 
     def render(self) -> List[str]:
@@ -96,11 +101,10 @@ def _parse(text: str) -> Tuple[List[str], List[AsmLine]]:
         op = parts[0]
         operands = ([p.strip() for p in parts[1].split(",")]
                     if len(parts) > 1 else [])
-        body.append(AsmLine(pending_labels + labels, op, operands, raw,
-                            src_line))
+        body.append(AsmLine(pending_labels + labels, op, operands, src_line))
         pending_labels = []
     if pending_labels:
-        body.append(AsmLine(pending_labels, None, [], ""))
+        body.append(AsmLine(pending_labels, None, []))
     return header, body
 
 
@@ -243,11 +247,12 @@ def _verify(body: List[AsmLine], parallel_calls: bool = False) -> None:
                 "post-pass: spawn-region code falls through into the join")
 
 
-def postpass_lines(asm_text: str, parallel_calls: bool = False
+def postpass_lines(header: List[str], body: List[AsmLine],
+                   parallel_calls: bool = False
                    ) -> Tuple[List[str], List[AsmLine], PostPassReport]:
-    """Verify (and fix) XMT layout semantics of an assembly module;
-    returns the verified ``(header, body)`` lines and the report."""
-    header, body = _parse(asm_text)
+    """Verify (and fix) XMT layout semantics of an assembly module given
+    as lines (``header`` is the text through ``.text``); returns the
+    verified ``(header, body)`` lines and the report."""
     report = PostPassReport()
     for _ in range(1 + len(body)):
         new_body = _relocate_once(body, report)
@@ -270,6 +275,8 @@ def render(header: List[str], body: List[AsmLine]) -> str:
 
 def run_postpass(asm_text: str,
                  parallel_calls: bool = False) -> Tuple[str, PostPassReport]:
-    """Verify (and fix) XMT layout semantics of an assembly module."""
-    header, body, report = postpass_lines(asm_text, parallel_calls)
+    """Verify (and fix) XMT layout semantics of an assembly module given
+    as text (hand-written assembly's front door)."""
+    header, body, report = postpass_lines(*_parse(asm_text),
+                                          parallel_calls=parallel_calls)
     return render(header, body), report

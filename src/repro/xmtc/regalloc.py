@@ -17,17 +17,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.isa.registers import (
-    CALLEE_SAVED,
-    CALLER_SAVED,
-    REG_A0,
-    REG_V0,
-    REG_VT,
-    reg_name,
-)
+from repro.isa.registers import CALLEE_SAVED, REG_VT
 from repro.xmtc import ir as IR
-from repro.xmtc.errors import CompileError, RegisterSpillError
-from repro.xmtc.analysis.dataflow import instr_uses, liveness
+from repro.xmtc.errors import RegisterSpillError
+from repro.xmtc.analysis.dataflow import (_liveness_blocks, instr_uses,
+                                          spawn_live_ins)
 
 #: registers reserved as codegen/spill scratch
 SCRATCH = (24, 25)  # $t8, $t9
@@ -54,10 +48,6 @@ class Allocation:
             return (REG, temp.pinned)
         return self.map[temp.id]
 
-    def describe(self, temp: IR.Temp) -> str:
-        kind, n = self.where(temp)
-        return reg_name(n) if kind == REG else f"[frame+{n}]"
-
 
 class _Interval:
     __slots__ = ("temp", "start", "end", "crosses_call")
@@ -69,45 +59,57 @@ class _Interval:
         self.crosses_call = False
 
 
-def _build_intervals(instrs: List[IR.IRInstr], loop_back: bool):
-    """Live intervals of a region, and each instruction's uses (a
-    spawn's are its live-ins: a whole body liveness, computed once)."""
-    uses = [instr_uses(ins) for ins in instrs]
-    live = liveness(instrs, loop_back=loop_back, uses=uses)
+def _build_intervals(instrs: List[IR.IRInstr], loop_back: bool,
+                     uses: Optional[List[Set[IR.Temp]]] = None):
+    """Live intervals of a region and its live-in set, from one liveness
+    solve (``uses`` is each instruction's, a spawn's being its live-ins).
+    An interval spans the positions where its temp is used,
+    defined or live at a block edge: inside a block a live range only
+    starts at a def and ends at a use.  Live sets are copied only at
+    calls, for ``crosses_call``."""
+    if uses is None:
+        uses = [instr_uses(ins) for ins in instrs]
+    blocks, live_in, live_out = _liveness_blocks(instrs, loop_back, None,
+                                                 uses)
     intervals: Dict[int, _Interval] = {}
 
-    def touch(temp: IR.Temp, pos: int) -> None:
-        if temp.pinned is not None:
-            return
-        iv = intervals.get(temp.id)
-        if iv is None:
-            intervals[temp.id] = iv = _Interval(temp, pos)
-        iv.start = min(iv.start, pos)
-        iv.end = max(iv.end, pos + 1)
+    def touch(temps, pos: int) -> None:
+        for temp in temps:
+            if temp.pinned is not None:
+                continue
+            iv = intervals.get(temp.id)
+            if iv is None:
+                intervals[temp.id] = _Interval(temp, pos)
+            elif pos < iv.start:
+                iv.start = pos
+            elif pos >= iv.end:
+                iv.end = pos + 1
 
-    for pos, ins in enumerate(instrs):
-        for t in uses[pos]:
-            touch(t, pos)
-        for t in ins.defs():
-            touch(t, pos)
-        for t in live[pos]:
-            touch(t, pos)
-    # mark call-crossing temps; a spawn whose body calls functions
-    # behaves like a call for its live-ins (callees run on TCUs reading
-    # the broadcast registers, so those values must sit in callee-saved
-    # registers that the callees preserve)
-    for pos, ins in enumerate(instrs):
-        spawn_calls = (isinstance(ins, IR.SpawnIR)
-                       and IR.region_has_calls(ins.body))
-        if isinstance(ins, IR.Call) or spawn_calls:
-            for iv in intervals.values():
-                if iv.start < pos and iv.end > pos + 1:
-                    iv.crosses_call = True
-                elif iv.start < pos and iv.temp in live[pos]:
-                    iv.crosses_call = True
-                elif spawn_calls and iv.start <= pos and iv.temp in uses[pos]:
-                    iv.crosses_call = True
-    return intervals, uses
+    # a spawn whose body calls functions behaves like a call for its
+    # live-ins (callees run on TCUs reading the broadcast registers, so
+    # those values must sit in callee-saved registers that the callees
+    # preserve)
+    calls = []
+    for block in blocks:
+        live = set(live_out[block.index])
+        touch(live, block.end - 1)
+        for pos in range(block.end - 1, block.start - 1, -1):
+            ins = instrs[pos]
+            if isinstance(ins, IR.Call) or (isinstance(ins, IR.SpawnIR)
+                                            and IR.region_has_calls(ins.body)):
+                calls.append((pos, set(live), isinstance(ins, IR.SpawnIR)))
+            defs = ins.defs()
+            touch(defs, pos)
+            touch(uses[pos], pos)
+            live.difference_update(defs)
+            live |= uses[pos]
+        touch(live, block.start)
+    for pos, live, spawn_calls in calls:
+        for iv in intervals.values():
+            if iv.start < pos and (iv.end > pos + 1 or iv.temp in live) or (
+                    spawn_calls and iv.start <= pos and iv.temp in uses[pos]):
+                iv.crosses_call = True
+    return intervals, set(live_in[0]) if blocks else set()
 
 
 def _linear_scan(intervals: List[_Interval], caller_pool: List[int],
@@ -186,8 +188,18 @@ class FuncAllocation:
 def allocate(func: IR.IRFunc) -> FuncAllocation:
     result = FuncAllocation(func)
 
+    # one liveness solve per spawn body gives the body's intervals and,
+    # at its entry, the spawn's live-ins
+    bodies = {}
+    for ins in func.body:
+        if isinstance(ins, IR.SpawnIR):
+            body_intervals, entry = _build_intervals(ins.body, True)
+            bodies[id(ins)] = body_intervals, spawn_live_ins(ins, entry)
+
     # ---- serial region
-    intervals, uses = _build_intervals(func.body, loop_back=False)
+    uses = [bodies[id(ins)][1] if isinstance(ins, IR.SpawnIR)
+            else set(ins.uses()) for ins in func.body]
+    intervals, _ = _build_intervals(func.body, False, uses)
     _linear_scan(list(intervals.values()), list(POOL_CALLER),
                  list(POOL_CALLEE), result.serial, allow_spill=True,
                  func=func, region_desc=func.name)
@@ -207,7 +219,7 @@ def allocate(func: IR.IRFunc) -> FuncAllocation:
         # live-ins keep their master registers inside the body
         for t in live_ins:
             body_alloc.map[t.id] = result.serial.where(t)
-        body_intervals, _ = _build_intervals(ins.body, loop_back=True)
+        body_intervals = bodies[id(ins)][0]
         for t in live_ins:
             body_intervals.pop(t.id, None)
         if IR.region_has_calls(ins.body):

@@ -126,6 +126,9 @@ class Array(Type):
             raise ValueError("array size must be positive")
         self.elem = elem
         self.size = size
+        if self.sizeof() >= 2 ** 32:
+            raise ValueError(f"{self.sizeof()} bytes do not fit the 32-bit "
+                             "address space")
 
     def is_array(self):
         return True

@@ -99,7 +99,13 @@ def ws(tmp_path_factory):
                        ("sets96.json", '{"base": "fpga64", "cache_sets": 96}'),
                        ("msets48.json",
                         '{"base": "fpga64", "master_cache_sets": 48}'),
-                       ("not-a-profile.json", '{"schema": "other/1"}')):
+                       ("not-a-profile.json", '{"schema": "other/1"}'),
+                       ("deep.c", "int main() { return "
+                        + "(" * 1000 + "1" + ")" * 1000 + "; }"),
+                       ("huge.c", "int A[100000000000];\n"
+                                  "int main() { return 0; }"),
+                       ("lowstack.json",
+                        '{"base": "tiny", "stack_top": 69632}')):
         (root / name).write_text(text)
         paths[name.split(".")[0].replace("-", "_")] = str(root / name)
     paths.update(ledger=str(root / "ledger"), profile=str(root / "p.json"),
@@ -144,6 +150,11 @@ ROWS = [
     ("xmtcc-0", "xmtcc_main", ["{good}"], 0, ""),
     ("xmtcc-1-compile-error", "xmtcc_main", ["{bad}"], 1,
      "xmtcc: compile error:"),
+    ("xmtcc-1-deep-nesting-was-traceback", "xmtcc_main", ["{deep}"], 1,
+     "xmtcc: compile error: nesting deeper than 100 levels (line 1:"),
+    ("xmtcc-1-huge-array-was-assembler-error", "xmtcc_main", ["{huge}"], 1,
+     "xmtcc: compile error: array 'A': 400000000000 bytes do not fit the "
+     "32-bit address space (line 1:5)"),
     ("xmtcc-2-missing-source", "xmtcc_main", ["{missing}.c"], 2,
      "xmtcc: error: "),
     ("xmtcc-2-output-dir-was-traceback", "xmtcc_main",
@@ -177,6 +188,12 @@ ROWS = [
     ("xmtsim-1-runtime-error", "xmtsim_main",
      ["{crash}", *TINY, "--mode", "functional"], 1,
      "xmtsim: runtime error:"),
+    # globals reaching into the Master stack were silently overwritten
+    *[(f"xmtsim-2-data-reaches-stack-{mode}", "xmtsim_main",
+       ["{good}", "--config-file", "{lowstack}", "--mode", mode], 2,
+       "xmtsim: error: data segment ends at 0x1040, above stack_top "
+       "0x11000 minus the 0x10000-byte minimum serial stack; the largest "
+       "global is 'A' (32 bytes)") for mode in ("cycle", "functional")],
     ("xmtsim-2-missing-program", "xmtsim_main", ["{missing}.s"], 2,
      "xmtsim: error: "),
     ("xmtsim-2-set-not-a-number-was-traceback", "xmtsim_main",

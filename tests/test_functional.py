@@ -291,3 +291,35 @@ def test_missing_halt():
     # jr $ra with ra=0 jumps to main... actually ra=0 -> pc=0 infinite loop
     with pytest.raises(SimulationError):
         FunctionalSimulator(prog, max_instructions=100).run()
+
+
+@pytest.mark.parametrize("engine", ["functional", "cycle"])
+def test_data_reaching_the_master_stack_is_rejected(engine):
+    """Both engines refuse a data segment that ends within
+    ``MIN_SERIAL_STACK`` of ``stack_top``: the serial stack used to
+    overwrite the top of such a global silently (and with it saved
+    return addresses)."""
+    from repro.isa.program import MIN_SERIAL_STACK
+    from repro.sim.config import tiny
+    from repro.sim.machine import Simulator
+    from repro.xmtc.compiler import compile_source
+
+    program = compile_source("int A[64]; int B[2];\n"
+                             "int main() { A[63] = B[1]; return 0; }")
+    assert program.data_end == 0x1000 + 4 * 66
+
+    def start(stack_top):
+        if engine == "functional":
+            return FunctionalSimulator(program, stack_top=stack_top)
+        config = tiny()
+        config.stack_top = stack_top
+        return Simulator(program, config)
+
+    start(program.data_end + MIN_SERIAL_STACK)        # just enough room
+    with pytest.raises(ValueError) as info:
+        start(program.data_end + MIN_SERIAL_STACK - 8)
+    message = str(info.value)
+    for part in (f"stack_top {program.data_end + MIN_SERIAL_STACK - 8:#x}",
+                 f"data segment ends at {program.data_end:#x}",
+                 "largest global is 'A' (256 bytes)"):
+        assert part in message

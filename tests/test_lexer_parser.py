@@ -305,6 +305,62 @@ class TestParserErrors:
             pytest.fail("no error raised")
 
 
+class TestNestingLimit:
+    """Nesting deeper than ``MAX_NESTING`` is a positioned diagnostic;
+    it used to be a ``RecursionError`` from the parser (150 parentheses,
+    200 nested ``if`` blocks) or from a later stage (1000-term sums)."""
+
+    @staticmethod
+    def parens(levels):
+        # printf is a level, each parenthesis one, the innermost x one
+        return ('int main() { int x = 3; printf("%d", ' + "(" * (levels - 2)
+                + "x" + ")" * (levels - 2) + "); return 0; }")
+
+    @staticmethod
+    def ifs(levels):
+        # each ``if`` and its block are a level; ``x = -x;`` adds four,
+        # ``x = -(x);`` five
+        inner = "x = -(x);" if levels % 2 else "x = -x;"
+        depth = (levels - 4) // 2
+        return ("int main() { int x = 3; " + "if (x) { " * depth + inner
+                + "}" * depth + ' printf("%d", x); return 0; }')
+
+    def test_the_limit_compiles_and_runs(self):
+        from repro.sim.functional import FunctionalSimulator
+        from repro.xmtc.compiler import compile_source
+        from repro.xmtc.parser import MAX_NESTING
+
+        for source, out in ((self.parens(MAX_NESTING), "3"),
+                            (self.ifs(MAX_NESTING), "-3"),
+                            (self.ifs(MAX_NESTING - 1), "-3")):
+            program = compile_source(source)
+            assert FunctionalSimulator(program).run().output == out
+
+    @pytest.mark.parametrize("build", ["parens", "ifs"])
+    @pytest.mark.parametrize("extra", [1, 1000])
+    def test_beyond_the_limit_is_positioned(self, build, extra):
+        from repro.xmtc.compiler import compile_source
+        from repro.xmtc.parser import MAX_NESTING
+
+        source = getattr(self, build)(MAX_NESTING + extra)
+        with pytest.raises(CompileError, match=(
+                rf"nesting deeper than {MAX_NESTING} levels \(line 1:\d+\)")):
+            compile_source(source)
+
+    @pytest.mark.parametrize("source", [
+        "int main() { int x; return " + "+".join(["x"] * 1000) + "; }",
+        "int main() { int x; " + "x = " * 1000 + "1; return x; }",
+        "int main() { int x; return " + "x ? 1 : " * 1000 + "2; }",
+        "int A[4]; int main() { return " + "A[" * 1000 + "0" + "]" * 1000
+        + "; }",
+    ])
+    def test_long_chains_are_positioned(self, source):
+        from repro.xmtc.compiler import compile_source
+
+        with pytest.raises(CompileError, match="nesting deeper"):
+            compile_source(source)
+
+
 class TestFrontEndFuzz:
     """Robustness: arbitrary input must produce CompileError diagnostics,
     never interpreter-level crashes."""

@@ -127,6 +127,20 @@ class TestCopyPropagation:
         copy_propagation.run(f)
         assert f.body[2].a is b
 
+    def test_stale_index_entry_never_kills(self):
+        # the kill index still lists b as a copy of a after b was
+        # redefined as a copy of c; redefining a must not forget b -> c
+        f = make_func()
+        a, b, c, d = (f.new_temp() for _ in range(4))
+        f.body = [
+            IR.Mov(b, a),
+            IR.Mov(b, c),
+            IR.Mov(a, IR.Const(9)),
+            IR.Bin(d, "add", b, IR.Const(1)),
+        ]
+        copy_propagation.run(f)
+        assert f.body[3].a is c
+
 
 class TestCSE:
     def test_common_binop_dedupe(self):
@@ -214,6 +228,21 @@ class TestCSE:
         ]
         f.body = cse.cse_region(f.body)
         assert isinstance(f.body[2], IR.Bin)
+
+    def test_stale_index_entry_never_kills(self):
+        # a + b was first held by x; after a's redefinition it is held
+        # by y, and redefining x must not forget that
+        f = make_func()
+        a, b, x, y, z = (f.new_temp() for _ in range(5))
+        f.body = [
+            IR.Bin(x, "add", a, b),
+            IR.Mov(a, IR.Const(1)),
+            IR.Bin(y, "add", a, b),
+            IR.Mov(x, IR.Const(7)),
+            IR.Bin(z, "add", a, b),
+        ]
+        f.body = cse.cse_region(f.body)
+        assert isinstance(f.body[4], IR.Mov) and f.body[4].src is y
 
 
 class TestDeadCode:

@@ -182,3 +182,74 @@ int main() { out = g(5); return 0; }
 """
         _, res = run_xmtc_cycle(src)
         assert res.read_global("out") == 6
+
+
+def _reference_intervals(instrs, loop_back):
+    """The allocator's earlier interval builder, kept as an oracle: it
+    touches every temp used, defined or live-out at every position and
+    copies the live set there."""
+    from repro.xmtc import ir as IR
+    from repro.xmtc.analysis.dataflow import instr_uses, liveness
+
+    uses = [instr_uses(ins) for ins in instrs]
+    live = liveness(instrs, loop_back=loop_back, uses=uses)
+    spans = {}
+
+    def touch(temp, pos):
+        if temp.pinned is None:
+            start, end, _ = spans.get(temp.id, (pos, pos + 1, False))
+            spans[temp.id] = [min(start, pos), max(end, pos + 1), temp]
+
+    for pos, ins in enumerate(instrs):
+        for t in list(uses[pos]) + list(ins.defs()) + list(live[pos]):
+            touch(t, pos)
+    crosses = set()
+    for pos, ins in enumerate(instrs):
+        spawn_calls = (isinstance(ins, IR.SpawnIR)
+                       and IR.region_has_calls(ins.body))
+        if isinstance(ins, IR.Call) or spawn_calls:
+            for tid, (start, end, temp) in spans.items():
+                if (start < pos and end > pos + 1
+                        or start < pos and temp in live[pos]
+                        or spawn_calls and start <= pos
+                        and temp in uses[pos]):
+                    crosses.add(tid)
+    return {tid: (start, end, tid in crosses)
+            for tid, (start, end, _) in spans.items()}
+
+
+def test_block_edge_intervals_match_the_per_position_builder():
+    """Intervals read off block edges equal the per-position ones,
+    crossing flags included, for every region of the golden corpus."""
+    import dataclasses
+
+    from test_compiler_golden import corpus
+
+    from repro.xmtc import ir as IR
+    from repro.xmtc import regalloc
+
+    # a call ending a spawn body: t is live across it only by the call's
+    # live-out set (the dispatch loop's back edge), its interval ending
+    # at the call
+    t, x = IR.Temp(0), IR.Temp(1)
+    edge = [IR.Bin(x, "add", t, IR.Const(1)), IR.Mov(t, IR.Const(1)),
+            IR.Call(None, "f", [])]
+    intervals, _ = regalloc._build_intervals(edge, True)
+    assert (intervals[0].start, intervals[0].end) == (0, 3)
+    assert intervals[0].crosses_call
+    assert _reference_intervals(edge, True)[0] == (0, 3, True)
+
+    regions = 0
+    for source, options in corpus().values():
+        options = dataclasses.replace(options or CompileOptions(),
+                                      keep_intermediates=True)
+        for func in compile_to_asm(source, options).ir.functions:
+            for instrs, loop_back in [(func.body, False)] + [
+                    (ins.body, True) for ins in func.body
+                    if isinstance(ins, IR.SpawnIR)]:
+                intervals, _ = regalloc._build_intervals(instrs, loop_back)
+                got = {tid: (iv.start, iv.end, iv.crosses_call)
+                       for tid, iv in intervals.items()}
+                assert got == _reference_intervals(instrs, loop_back)
+                regions += 1
+    assert regions > 300        # 396 serial regions and spawn bodies
