@@ -274,7 +274,7 @@ class CampaignEngine:
         #: per-campaign telemetry stream: worker frames interleaved with
         #: engine records (campaign-start/outcome/campaign-end)
         self.telemetry_path = telemetry_path
-        self.telemetry_every = max(1, telemetry_every)
+        self.telemetry_every = telemetry_every
 
         #: keyed by request index (unique even if two requests collide
         #: on fingerprint), so no outcome can shadow another

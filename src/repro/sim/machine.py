@@ -11,7 +11,8 @@ and activity counters, and the plug-in interfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import zip_longest
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.decode import decode_program
 from repro.isa.program import Program
@@ -20,14 +21,12 @@ from repro.sim.cluster import Cluster
 from repro.sim.cache import CacheModule
 from repro.sim.config import XMTConfig, fpga64
 from repro.sim.engine import (
-    Actor,
     ClockDomain,
     NEVER,
     PRIO_CACHE,
     PRIO_CLUSTERS,
     PRIO_DRAM,
     PRIO_ICN,
-    PRIO_PLUGIN,
     Scheduler,
 )
 from repro.sim.fabric import create_backend
@@ -131,30 +130,6 @@ class ClusterBank:
                     work = min(work,
                                self.domain.time_of(cluster.resumes[0][0]))
         return work
-
-
-class _PluginActor(Actor):
-    """Drives one activity plug-in at its sampling interval."""
-
-    #: plug-ins may hold unpicklable state (policy closures); their
-    #: events are stripped from checkpoints and re-armed on resume
-    checkpoint_transient = True
-
-    def __init__(self, machine, plugin):
-        self.machine = machine
-        self.plugin = plugin
-
-    def start(self, scheduler: Scheduler) -> None:
-        interval = self.plugin.interval_cycles * self.machine.config.cluster_period
-        scheduler.schedule(interval, self, PRIO_PLUGIN)
-
-    def notify(self, scheduler, time, arg):
-        if self.machine.halted:
-            return
-        self.machine.settle()  # samplers read the activity counters
-        self.plugin.sample(self.machine, time)
-        interval = self.plugin.interval_cycles * self.machine.config.cluster_period
-        scheduler.schedule(interval, self, PRIO_PLUGIN)
 
 
 @dataclass
@@ -282,8 +257,8 @@ class Machine:
         """What a checkpoint holds: everything but what only a live
         process can (whoever restores puts those back, MANUAL 4.4)."""
         state = self.__dict__.copy()
-        # observation consumers and plug-ins hold open files, sockets
-        # and closures.  (Package ``rec`` stamps are plain tuples and
+        # observation consumers and plug-ins hold open files and
+        # closures.  (Package ``rec`` stamps are plain tuples and
         # stay: the restored machine just stops appending to them until
         # a recorder is subscribed again)
         state.update(obs=None, activity_plugins=[], filter_plugins=[],
@@ -339,16 +314,10 @@ class Machine:
         if hasattr(plugin, "sample"):
             self.activity_plugins.append(plugin)
             if self._started:
-                self._start_plugin(plugin)
+                plugin.on_start(self, self.scheduler)
         if hasattr(plugin, "on_access"):
             self.filter_plugins.append(plugin)
             self.filter_hook = self._dispatch_filter
-
-    def _start_plugin(self, plugin) -> None:
-        on_start = getattr(plugin, "on_start", None)
-        if on_start is not None and on_start(self, self.scheduler):
-            return  # plug-in schedules its own events
-        _PluginActor(self, plugin).start(self.scheduler)
 
     def _dispatch_filter(self, pkg) -> None:
         for plugin in self.filter_plugins:
@@ -409,6 +378,28 @@ class Machine:
         for cluster in self.clusters:
             cluster.settle(cycle)
 
+    def occupancy(self) -> Tuple[dict, dict, dict]:
+        """Queue occupancy per layer, ``(icn, caches, dram)``: the
+        network's own snapshot plus its ``send_ports``, and the sums
+        over the cache modules and over the DRAM ports (what telemetry
+        gauges and diagnostic dumps report).  Counts add, per-slot lists
+        (a banked DRAM port's ``banks``) add slot by slot; a backend may
+        report ``{}``, so readers default a missing key to 0."""
+        icn = dict(self.icn.occupancy())
+        icn["send_ports"] = sum(len(port) for port in self.send_ports)
+        caches: Dict[str, object] = {}
+        dram: Dict[str, object] = {}
+        for total, parts in ((caches, self.cache_modules),
+                             (dram, self.dram_ports)):
+            for part in parts:
+                for key, value in part.occupancy().items():
+                    if isinstance(value, list):
+                        total[key] = [a + b for a, b in zip_longest(
+                            total.get(key, ()), value, fillvalue=0)]
+                    else:
+                        total[key] = total.get(key, 0) + value
+        return icn, caches, dram
+
     def finish_spawn(self, resume_time: int, region) -> None:
         """All TCUs parked: end parallel mode, resume the Master."""
         self.parallel_active = False
@@ -456,7 +447,7 @@ class Machine:
                 started.add(id(domain))
         self._watchdog.arm(self.scheduler)
         for plugin in self.activity_plugins:
-            self._start_plugin(plugin)
+            plugin.on_start(self, self.scheduler)
 
     def _arm_guards(self, wall_limit_s: Optional[float] = None,
                     max_events: Optional[int] = None) -> None:
@@ -501,9 +492,7 @@ class Machine:
         """End-of-run bookkeeping shared by `run` and `run_resilient`."""
         self.settle()  # a timed-out run can end with TCUs still asleep
         for plugin in self.activity_plugins:
-            finish = getattr(plugin, "finish", None)
-            if finish is not None:
-                finish(self)
+            plugin.finish(self)
         for plugin in self.filter_plugins:
             finish = getattr(plugin, "finish", None)
             if finish is not None:

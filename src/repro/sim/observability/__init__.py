@@ -30,17 +30,19 @@ The cooperating pieces:
   gate;
 - :mod:`~repro.sim.observability.telemetry` /
   :mod:`~repro.sim.observability.aggregate` -- live progress frames
-  from a running simulation (JSONL sinks, Unix-socket publisher) and
-  the ``xmt-top`` / ``xmt-campaign report`` views over the streams;
+  from a running simulation (an activity plug-in writing JSONL sinks)
+  and the ``xmt-top`` / ``xmt-campaign report`` views over the streams;
 - :mod:`~repro.sim.observability.artifacts` -- the one table of every
   file the above write (name, schema id, file name, whole-file or
   JSONL, required keys) and the only readers of them:
   :func:`load_artifact`, :func:`read_jsonl`, :class:`JsonlTail`.
 
-Everything that watches a live machine is a consumer subscribed on the
-one ``machine.obs`` attach point (:class:`Observability`; the probe
-vocabulary is :data:`PROBES`); the ledger, compare, explain and
-aggregate layers operate on the exported artifacts.
+Everything that watches a live machine's events is a consumer
+subscribed on the one ``machine.obs`` attach point
+(:class:`Observability`; the probe vocabulary is :data:`PROBES`); the
+telemetry sampler, which samples at an interval instead, is an
+activity plug-in.  The ledger, compare, explain and aggregate layers
+operate on the exported artifacts.
 """
 
 from repro.sim.observability.artifacts import (
@@ -106,7 +108,6 @@ from repro.sim.observability.metrics import (
 from repro.sim.observability.profiler import CycleProfiler, render_profile
 from repro.sim.observability.telemetry import (
     JsonlSink,
-    SocketPublisher,
     TelemetrySampler,
 )
 
@@ -146,7 +147,6 @@ __all__ = [
     "render_sweep_table",
     "TelemetrySampler",
     "JsonlSink",
-    "SocketPublisher",
     "TopSummary",
     "fold_stream",
     "render_top",

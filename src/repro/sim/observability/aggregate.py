@@ -6,8 +6,8 @@ write:
 
 - **``xmt-top``** folds a stream of frames / heartbeats / engine
   records into one row per run (state, cycle, interval IPC, attempt,
-  wall, ETA) -- live against a socket or a growing file, or one-shot
-  via ``xmt-top report`` on a finished stream;
+  wall, ETA) -- live against a growing file (``xmt-top watch
+  --follow``), or one-shot via ``xmt-top report`` on a finished stream;
 - **``xmt-campaign report``** aggregates finished campaigns: outcome
   counts (exactly the ``summary.json`` counts), p50/p95 wall time and
   cycles overall and per config-override axis, and a histogram of

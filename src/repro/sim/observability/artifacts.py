@@ -157,7 +157,7 @@ def load_artifact(path: str, name: str) -> Dict[str, Any]:
 
 
 class JsonlTail:
-    """Incremental JSON Lines parser for a growing file or a socket.
+    """Incremental JSON Lines parser for a growing file.
 
     The one torn-tail rule: bytes after the last newline are held back
     until their newline arrives, and a complete line that is not a JSON

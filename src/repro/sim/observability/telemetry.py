@@ -9,38 +9,37 @@ discrete-event scheduler and periodically emits a small **telemetry
 frame** (schema ``xmtsim-telemetry/1``) describing where the run is --
 
 - simulated position: cycle, retired instructions, pending events,
-  queue-occupancy gauges (ICN / cache / DRAM) and the spawn regions
+  queue-occupancy gauges (ICN / cache / DRAM) and the spawn region
   currently in flight;
 - progress rate: per-interval cycle/instruction deltas, the interval
   IPC, and host cycles/second;
 - host position: wall seconds since the run started, plus an ETA when
   a target cycle count is known (``--max-cycles`` campaigns).
 
-Frames go to any number of **sinks**: a JSONL file
-(:class:`JsonlSink`, tail it or feed it to ``xmt-top report``) and/or a
-Unix-domain socket publisher (:class:`SocketPublisher`) that ``xmt-top``
-subscribes to live.  The publisher is strictly non-blocking: a slow or
-vanished subscriber gets frames dropped, never a stalled simulation.
+Frames go to any number of **sinks**, each anything with
+``write_line(str)``: a JSONL file (:class:`JsonlSink`) that ``xmt-top
+watch --follow`` tails live and ``xmt-top report`` tabulates, or a
+campaign worker's pipe.
 
-The sampler is a scheduler actor at ``PRIO_PLUGIN`` -- the same
-non-perturbing slot activity plug-ins use -- so cycle counts with
-telemetry enabled are bit-identical to a bare run, and with telemetry
-disabled no code is on the hot path at all.  Its events are
-``checkpoint_transient``: snapshots never capture open file handles or
-sockets, and a restored machine simply runs without telemetry until a
-new sampler is armed.
+The sampler is an activity plug-in (:class:`~repro.sim.plugins.
+ActivityPlugin`, Section III-B) -- the one interval loop, in the
+non-perturbing ``PRIO_PLUGIN`` slot -- so cycle counts with telemetry
+enabled are bit-identical to a bare run, and with telemetry disabled no
+code is on the hot path at all.  Like every plug-in it is
+``checkpoint_transient``: snapshots never capture open file handles,
+and a restored machine runs without telemetry until the sampler is
+armed on it again.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.sim.engine import PRIO_PLUGIN, Actor
 from repro.sim.observability.artifacts import schema_of
+from repro.sim.plugins import ActivityPlugin
 
 
 def machine_gauges(machine) -> Dict[str, int]:
@@ -50,26 +49,14 @@ def machine_gauges(machine) -> Dict[str, int]:
     the components so telemetry works even when the metrics registry is
     off.
     """
-    gauges: Dict[str, int] = {}
-    icn = machine.icn.occupancy()
-    gauges["icn.in_flight_send"] = icn.get("in_flight_send", 0)
-    gauges["icn.in_flight_return"] = icn.get("in_flight_return", 0)
-    gauges["icn.send_ports"] = sum(len(p) for p in machine.send_ports)
-    in_q = out_q = 0
-    for module in machine.cache_modules:
-        occ = module.occupancy()
-        in_q += occ.get("in_queue", 0)
-        out_q += occ.get("out_queue", 0)
-    gauges["cache.in_queue"] = in_q
-    gauges["cache.out_queue"] = out_q
-    queued = in_flight = 0
-    for port in machine.dram_ports:
-        occ = port.occupancy()
-        queued += occ.get("queued", 0)
-        in_flight += occ.get("in_flight", 0)
-    gauges["dram.queued"] = queued
-    gauges["dram.in_flight"] = in_flight
-    return gauges
+    icn, caches, dram = machine.occupancy()
+    return {f"{layer}.{key}": totals.get(key, 0)
+            for layer, totals, keys in (
+                ("icn", icn, ("in_flight_send", "in_flight_return",
+                              "send_ports")),
+                ("cache", caches, ("in_queue", "out_queue")),
+                ("dram", dram, ("queued", "in_flight")))
+            for key in keys}
 
 
 class JsonlSink:
@@ -100,114 +87,20 @@ class JsonlSink:
             self._fh.close()
 
 
-class SocketPublisher:
-    """Publish telemetry lines on a Unix-domain stream socket.
+class TelemetrySampler(ActivityPlugin):
+    """Activity plug-in emitting telemetry frames from a live machine.
 
-    Strictly non-blocking on the simulator side: subscribers are
-    accepted opportunistically at each publish, writes go through a
-    small per-subscriber backlog, and a subscriber that stops reading
-    (backlog full) gets whole frames **dropped** -- counted in
-    :attr:`dropped` -- while one that disconnects is pruned.  Under no
-    circumstance does a publish call block the simulation.
-    """
-
-    def __init__(self, path: str, max_buffer: int = 65536):
-        self.path = path
-        self.dropped = 0
-        self.max_buffer = max_buffer
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._server.setblocking(False)
-        self._server.bind(path)
-        self._server.listen(8)
-        #: ``[sock, backlog bytearray]`` per connected subscriber
-        self._clients: List[list] = []
-
-    @property
-    def subscribers(self) -> int:
-        return len(self._clients)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                client, _ = self._server.accept()
-            except (BlockingIOError, InterruptedError, OSError):
-                return
-            client.setblocking(False)
-            self._clients.append([client, bytearray()])
-
-    def write_line(self, line: str) -> None:
-        self._accept()
-        data = (line + "\n").encode("utf-8")
-        for entry in list(self._clients):
-            backlog = entry[1]
-            if len(backlog) + len(data) > self.max_buffer:
-                # slow subscriber: drop this frame for them (whole
-                # frames only -- a partial line would corrupt their
-                # stream), never block the simulation
-                self.dropped += 1
-            else:
-                backlog += data
-            self._flush(entry)
-
-    def _flush(self, entry) -> None:
-        sock, backlog = entry
-        while backlog:
-            try:
-                sent = sock.send(bytes(backlog))
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._disconnect(entry)
-                return
-            if sent == 0:
-                self._disconnect(entry)
-                return
-            del backlog[:sent]
-
-    def _disconnect(self, entry) -> None:
-        try:
-            entry[0].close()
-        except OSError:
-            pass
-        if entry in self._clients:
-            self._clients.remove(entry)
-
-    def close(self) -> None:
-        for entry in list(self._clients):
-            self._flush(entry)
-            self._disconnect(entry)
-        try:
-            self._server.close()
-        finally:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-
-class TelemetrySampler(Actor):
-    """Interval sampler emitting telemetry frames from a live machine.
-
-    Scheduled at ``PRIO_PLUGIN`` every ``every_cycles`` cycles -- the
-    non-perturbing slot, so enabling telemetry never changes cycle
-    counts.  ``meta`` fields (campaign label, attempt, worker pid) are
-    merged into every frame.  ``eta_cycles`` is the target cycle count
-    when one is known (a ``--max-cycles`` budget); it turns the overall
+    Samples every ``every_cycles`` cycles (its ``interval_cycles``).
+    ``meta`` fields (campaign label, attempt, worker pid) are merged
+    into every frame.  ``eta_cycles`` is the target cycle count when one
+    is known (a ``--max-cycles`` budget); it turns the overall
     cycles/second rate into an ETA.
     """
-
-    #: sinks hold file handles / sockets: strip our events from
-    #: checkpoints, a restored machine re-arms a fresh sampler
-    checkpoint_transient = True
 
     def __init__(self, every_cycles: int = 2000, sinks=(),
                  meta: Optional[Dict[str, Any]] = None,
                  eta_cycles: Optional[int] = None):
-        self.every_cycles = max(1, int(every_cycles))
+        super().__init__(every_cycles)
         self.sinks = list(sinks)
         self.meta = dict(meta or {})
         self.eta_cycles = eta_cycles
@@ -221,53 +114,37 @@ class TelemetrySampler(Actor):
         self._prev_wall = 0.0
         self._prev_gauges: Dict[str, int] = {}
         self._finished = False
-        #: spawn_index -> begin time of the in-flight region
-        self._spawn_begin: Dict[int, int] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Bind to a machine.  When it carries an ``obs`` the sampler
-        subscribes for the spawn probes (frames then name the regions in
-        flight, and diagnostic dumps find the last frame there)."""
+        """Bind to a machine (a fresh one, or a restored one)."""
         self.machine = machine
-        if machine.obs is not None:
-            machine.obs.subscribe(self)
 
-    def spawn_began(self, region, now: int, n_threads: int) -> None:
-        self._spawn_begin[region.spawn_index] = now
-
-    def spawn_ended(self, region, now: int) -> None:
-        self._spawn_begin.pop(region.spawn_index, None)
-
-    def arm(self, scheduler=None) -> None:
+    def arm(self) -> None:
         """Start sampling: emits one ``heartbeat`` frame immediately
         (liveness signal before the first interval elapses) and
-        schedules the first interval tick."""
-        if self.machine is None:
+        registers the sampler as a plug-in of the machine."""
+        machine = self.machine
+        if machine is None:
             raise RuntimeError("attach() the sampler to a machine first")
-        sched = scheduler if scheduler is not None else \
-            self.machine.scheduler
         self._wall_start = time.perf_counter()
-        period = self.machine.config.cluster_period
-        self._prev_cycle = sched.now // period
-        self._prev_instructions = self.machine.stats.instruction_total()
+        period = machine.config.cluster_period
+        self._prev_cycle = machine.scheduler.now // period
+        self._prev_instructions = machine.stats.instruction_total()
         self._prev_wall = 0.0
-        self._prev_gauges = machine_gauges(self.machine)
+        self._prev_gauges = machine_gauges(machine)
         self._finished = False
         self._emit("heartbeat")
-        sched.schedule(self.every_cycles * period, self, PRIO_PLUGIN)
+        machine.add_plugin(self)
 
-    def notify(self, scheduler, now, arg):
-        if self.machine is None or self.machine.halted or self._finished:
-            return
-        self._emit("frame")
-        period = self.machine.config.cluster_period
-        scheduler.schedule(self.every_cycles * period, self, PRIO_PLUGIN)
+    def sample(self, machine, time: int) -> None:
+        if not self._finished:  # (a sampler closed mid-run goes quiet)
+            self._emit("frame")
 
-    def finish(self) -> None:
-        """Emit the closing ``final`` frame (also on abnormal ends:
-        budget trips still get a last-known-position frame)."""
+    def finish(self, machine=None) -> None:
+        """Emit the closing ``final`` frame, once (also on abnormal
+        ends: budget trips still get a last-known-position frame)."""
         if self.machine is None or self._finished:
             return
         self._finished = True
@@ -275,8 +152,7 @@ class TelemetrySampler(Actor):
 
     def close(self) -> None:
         """Finish (if not already) and close every sink."""
-        if self.machine is not None and not self._finished:
-            self.finish()
+        self.finish()
         for sink in self.sinks:
             try:
                 sink.close()
@@ -286,14 +162,6 @@ class TelemetrySampler(Actor):
     # -- frame construction --------------------------------------------------
 
     def _emit(self, kind: str) -> None:
-        frame = self.build_frame(kind)
-        self.last_frame = frame
-        self.emitted += 1
-        line = json.dumps(frame, sort_keys=True)
-        for sink in self.sinks:
-            sink.write_line(line)
-
-    def build_frame(self, kind: str = "frame") -> Dict[str, Any]:
         machine = self.machine
         machine.settle()  # count the instructions of runs in flight
         scheduler = machine.scheduler
@@ -327,9 +195,10 @@ class TelemetrySampler(Actor):
             elif remaining <= 0:
                 eta = 0.0
 
-        active_spawns = [
-            {"spawn_index": spawn_index, "since_cycle": began // period}
-            for spawn_index, began in sorted(self._spawn_begin.items())]
+        spawn = machine.spawn_unit
+        active_spawns = ([] if spawn.region is None else
+                         [{"spawn_index": spawn.region.spawn_index,
+                           "since_cycle": spawn.began // period}])
 
         # flight-recorder pile-ups: per-layer queue-wait p50/p95 over the
         # lifecycles that completed during this interval
@@ -359,4 +228,8 @@ class TelemetrySampler(Actor):
         self._prev_instructions = instructions
         self._prev_wall = wall
         self._prev_gauges = gauges
-        return frame
+        self.last_frame = frame
+        self.emitted += 1
+        line = json.dumps(frame, sort_keys=True)
+        for sink in self.sinks:
+            sink.write_line(line)

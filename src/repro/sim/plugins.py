@@ -22,28 +22,55 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.sim.engine import PRIO_PLUGIN, Actor
 from repro.sim.stats import IntervalSeries, diff_snapshots
 
 
-class ActivityPlugin:
+class ActivityPlugin(Actor):
     """Base class: override :meth:`sample` (and optionally :meth:`finish`).
 
-    A plug-in that needs finer control than interval sampling (e.g. the
+    The plug-in is its own scheduler actor: :meth:`on_start` books the
+    first sample, :meth:`notify` settles the machine (the activity
+    counters include what sleepers and runs have not yet credited),
+    samples and books the next one.  It rides the non-perturbing
+    ``PRIO_PLUGIN`` slot, so sampling never changes cycle counts.  A
+    plug-in that needs finer control than interval sampling (e.g. the
     resilience layer's fault injector, which fires at exact simulated
-    times) overrides :meth:`on_start` to schedule its own events and
-    returns True to opt out of the default sampling loop.
+    times) overrides :meth:`on_start` to schedule its own events.
     """
+
+    #: plug-ins may hold unpicklable state (policy closures, open
+    #: sinks): their events are stripped from checkpoints, and whoever
+    #: resumes re-registers them
+    checkpoint_transient = True
 
     #: sampling interval in cluster-domain cycles
     interval_cycles: int = 10_000
 
     def __init__(self, interval_cycles: int = 10_000):
+        if interval_cycles < 1:
+            raise ValueError(f"{type(self).__name__}: the sampling interval "
+                             f"must be at least 1 cycle, got "
+                             f"{interval_cycles}")
         self.interval_cycles = interval_cycles
 
-    def on_start(self, machine, scheduler) -> bool:
-        """Called when the machine starts.  Return True to take over
-        scheduling (the machine then skips the periodic sampler)."""
-        return False
+    def on_start(self, machine, scheduler) -> None:
+        """Called when the machine starts (or, for a plug-in added to a
+        started machine, at once): books the first sample."""
+        self.machine = machine
+        self._book(scheduler)
+
+    def notify(self, scheduler, time, arg):
+        machine = self.machine
+        if machine.halted:
+            return
+        machine.settle()
+        self.sample(machine, time)
+        self._book(scheduler)
+
+    def _book(self, scheduler) -> None:
+        period = self.machine.config.cluster_period
+        scheduler.schedule(self.interval_cycles * period, self, PRIO_PLUGIN)
 
     def sample(self, machine, time: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Dict, List, Optional
 
 from repro.sim import engine as E
@@ -191,18 +190,6 @@ def event_histogram(scheduler) -> Dict[str, int]:
     return hist
 
 
-def _add_occupancy(total: Dict[str, object], occupancy: dict) -> None:
-    """Fold one component's occupancy snapshot into an aggregate: counts
-    add, per-slot lists (a banked DRAM port's ``banks``) add slot by
-    slot."""
-    for key, value in occupancy.items():
-        if isinstance(value, list):
-            total[key] = [a + b for a, b in zip_longest(
-                total.get(key, ()), value, fillvalue=0)]
-        else:
-            total[key] = total.get(key, 0) + value
-
-
 def collect(machine, reason: str) -> DiagnosticDump:
     """Snapshot a machine into a :class:`DiagnosticDump`."""
     scheduler = machine.scheduler
@@ -211,19 +198,10 @@ def collect(machine, reason: str) -> DiagnosticDump:
     processors = [machine.master.describe_state()]
     processors += [tcu.describe_state() for tcu in machine.tcus]
 
-    icn = dict(machine.icn.occupancy())
-    icn["send_ports"] = sum(len(port) for port in machine.send_ports)
+    icn, caches, dram = machine.occupancy()
 
-    caches: Dict[str, object] = {}
-    for module in machine.cache_modules:
-        _add_occupancy(caches, module.occupancy())
-
-    dram: Dict[str, object] = {}
-    for port in machine.dram_ports:
-        _add_occupancy(dram, port.occupancy())
-
-    # what the subscribed consumers can add to a post-mortem: the event
-    # ring, current gauge levels, and the last telemetry frame
+    # what observation can add to a post-mortem: the consumers' event
+    # ring and gauge levels, and a telemetry sampler's last frame
     obs = machine.obs
     events = getattr(obs, "events", None)
     recent_events = ([event.to_dict() for event in events.recent]
@@ -231,8 +209,8 @@ def collect(machine, reason: str) -> DiagnosticDump:
     metrics = getattr(obs, "metrics", None)
     gauges = metrics.gauge_values() if metrics is not None else {}
     last_telemetry = None
-    for consumer in (obs.consumers if obs is not None else ()):
-        last_telemetry = getattr(consumer, "last_frame", last_telemetry)
+    for plugin in machine.activity_plugins:
+        last_telemetry = getattr(plugin, "last_frame", last_telemetry)
 
     return DiagnosticDump(
         reason=reason,

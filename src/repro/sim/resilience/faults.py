@@ -27,8 +27,9 @@ fault: rolling back and replaying past the injection point recovers the
 run, which is exactly the semantics of a *transient* fault.
 
 The injector rides the existing activity plug-in mechanism
-(:meth:`~repro.sim.machine.Machine.add_plugin`), using the ``on_start``
-hook to schedule its injections at exact simulated times.
+(:meth:`~repro.sim.machine.Machine.add_plugin`): its ``on_start``
+schedules the injections at exact simulated times in place of the
+interval sample.
 """
 
 from __future__ import annotations
@@ -113,16 +114,13 @@ class FaultInjector(ActivityPlugin):
         #: ``(site, cycle, description)`` per fault actually applied
         self.log: List[Tuple[str, int, str]] = []
 
-    def on_start(self, machine, scheduler) -> bool:
+    def on_start(self, machine, scheduler) -> None:
+        """Books every planned fault instead of an interval sample."""
         period = machine.config.cluster_period
         for spec in self.faults:
             when = max(spec.cycle * period, scheduler.now)
             scheduler.schedule_at(when, _InjectionActor(machine, self, spec),
                                   PRIO_PLUGIN)
-        return True  # no periodic sampling needed
-
-    def sample(self, machine, time):  # pragma: no cover - on_start replaces it
-        pass
 
     # -- the injection dispatch ------------------------------------------------
 

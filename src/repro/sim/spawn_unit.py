@@ -39,7 +39,10 @@ class SpawnUnit:
         self.domain = None            # set by the machine
 
         self.state = IDLE
+        #: the spawn region in flight (None between spawns) and the
+        #: time it began
         self.region = None
+        self.began = 0
         self.counter = 0
         self.high = 0
         self._release_time: Optional[int] = None
@@ -57,6 +60,7 @@ class SpawnUnit:
         self.machine.stats.inc("spawn.count")
         self.state = BROADCASTING
         self.region = region
+        self.began = now
         self.counter = low
         self.high = high
         self._master_regs = list(master_regs)

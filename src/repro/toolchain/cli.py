@@ -83,11 +83,7 @@ from repro.sim.observability.aggregate import (
     render_campaign_report,
     render_top,
 )
-from repro.sim.observability.telemetry import (
-    JsonlSink,
-    SocketPublisher,
-    TelemetrySampler,
-)
+from repro.sim.observability.telemetry import JsonlSink, TelemetrySampler
 from repro.sim.plugins import RaceSanitizer
 from repro.sim.resilience import (
     FaultInjector,
@@ -257,15 +253,11 @@ def _add_report_options(parser, *, format_help: Optional[str] = None,
                             help="also write the report to FILE")
 
 
-def _add_telemetry_options(parser, *, out_help: str, every_help: str,
-                           socket_help: Optional[str] = None) -> None:
+def _add_telemetry_options(parser, *, out_help: str, every_help: str) -> None:
     parser.add_argument("--telemetry-out", default=None, metavar="PATH",
                         help=out_help)
     parser.add_argument("--telemetry-every", type=int, default=2000,
                         metavar="CYCLES", help=every_help)
-    if socket_help is not None:
-        parser.add_argument("--telemetry-socket", default=None,
-                            metavar="PATH", help=socket_help)
 
 
 _VARY_HELP = ("sweep an XMTConfig field over values (repeatable; repeats "
@@ -706,11 +698,7 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                  "instructions, interval IPC, queue occupancy, active "
                  "spawns, ETA) to PATH as JSONL; watch with 'xmt-top "
                  "watch --follow'",
-        every_help="telemetry frame interval in cycles (default 2000)",
-        socket_help="additionally publish frames on a Unix-domain socket "
-                    "at PATH ('xmt-top watch --socket' subscribes live); "
-                    "slow subscribers get frames dropped, the simulation "
-                    "never blocks")
+        every_help="telemetry frame interval in cycles (default 2000)")
     obsgroup.add_argument("--ledger", default=None, metavar="DIR",
                           help="record this run (manifest + metrics + "
                                "profile) into the experiment ledger at "
@@ -792,17 +780,12 @@ def _observability_for(args, program, source):
 
 
 def _telemetry_for(args):
-    if not (args.telemetry_out or args.telemetry_socket):
+    if not args.telemetry_out:
         return None
-    sinks = []
-    if args.telemetry_out:
-        with _flag("--telemetry-out", OSError):
-            sinks.append(JsonlSink(args.telemetry_out))
-    if args.telemetry_socket:
-        with _flag("--telemetry-socket", OSError):
-            sinks.append(SocketPublisher(args.telemetry_socket))
+    with _flag("--telemetry-out", OSError):
+        sink = JsonlSink(args.telemetry_out)
     return TelemetrySampler(
-        every_cycles=args.telemetry_every, sinks=sinks,
+        every_cycles=args.telemetry_every, sinks=[sink],
         eta_cycles=args.max_cycles,
         meta={"label": args.run_label or None,
               "program": os.path.basename(args.program)})
@@ -848,10 +831,6 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
     auto-recovery, observed or not.  Returns the final memory image."""
     observability = _observability_for(args, program, source)
     telemetry = _telemetry_for(args)
-    if telemetry is not None and observability is None:
-        # a bare facade lets the sampler report active spawn regions
-        # and diagnostic dumps embed the last frame
-        observability = Observability()
     sim = Simulator(program, config, plugins=plugins, trace=trace,
                     observability=observability)
     machine = sim.machine
@@ -863,17 +842,17 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
             telemetry.arm()
         if args.checkpoint_every > 0 or args.max_retries is not None:
             # rollback builds a *new* machine from the checkpoint;
-            # checkpoints strip observability, so re-attach it (the
-            # fault plug-ins stay detached on purpose: planned faults
-            # are transient and must not replay)
+            # checkpoints strip observability and plug-ins, so re-attach
+            # the consumers and re-arm telemetry (the fault plug-ins
+            # stay detached on purpose: planned faults are transient
+            # and must not replay)
             obs = machine.obs  # --trace alone makes the machine build one
 
             def reattach(restored):
-                restored.obs = obs
-                obs.attach(restored)
+                if obs is not None:
+                    restored.obs = obs
+                    obs.attach(restored)
                 if telemetry is not None:
-                    # checkpoints strip sampler events too: bind to the
-                    # restored machine and restart the interval
                     telemetry.attach(restored)
                     telemetry.arm()
 
@@ -883,7 +862,7 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
                              else args.max_retries),
                 max_cycles=args.max_cycles, wall_limit_s=args.wall_limit,
                 max_events=args.event_budget,
-                reattach=reattach if obs is not None else None)
+                reattach=reattach)
             print(report.format(), file=sys.stderr)
             if report.machine is not None:
                 machine = report.machine
@@ -898,14 +877,8 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
             # close() emits the closing "final" frame even when the run
             # ended in an exception: the stream records where it died
             telemetry.close()
-            targets = [t for t in (args.telemetry_out,
-                                   args.telemetry_socket) if t]
-            dropped = sum(getattr(s, "dropped", 0) for s in telemetry.sinks)
-            note = (f"xmtsim: telemetry: {telemetry.emitted} frame(s) to "
-                    f"{', '.join(targets)}")
-            if dropped:
-                note += f" ({dropped} dropped for slow subscribers)"
-            print(note, file=sys.stderr)
+            print(f"xmtsim: telemetry: {telemetry.emitted} frame(s) to "
+                  f"{args.telemetry_out}", file=sys.stderr)
     completed = report is None or report.completed
     sys.stdout.write(result.output)
     if completed:
@@ -938,7 +911,6 @@ def _xmtsim(args) -> int:
         ("--accounting-out", args.accounting_out),
         ("--lifecycle-out", args.lifecycle_out), ("--explain", args.explain),
         ("--telemetry-out", args.telemetry_out),
-        ("--telemetry-socket", args.telemetry_socket),
         ("--ledger", args.ledger), ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
         ("--event-budget", args.event_budget is not None),
@@ -955,6 +927,7 @@ def _xmtsim(args) -> int:
         raise CliError("--sanitize requires --mode functional")
     _at_least(0, "--checkpoint-every", args.checkpoint_every)
     _at_least(0, "--max-retries", args.max_retries or 0)
+    _at_least(1, "--telemetry-every", args.telemetry_every)
 
     program, source, config, inputs = _load_run(args)
     if args.watchdog is not None:
@@ -1542,7 +1515,8 @@ def _campaign(args) -> int:
         sanitize=args.sanitize,
         on_outcome=_progress_printer("xmt-campaign", args.quiet),
         telemetry_path=args.telemetry_out,
-        telemetry_every=args.telemetry_every)
+        telemetry_every=_at_least(1, "--telemetry-every",
+                                  args.telemetry_every))
     result = engine.run()
 
     print(result.format())
@@ -1621,12 +1595,8 @@ def _top_parser() -> argparse.ArgumentParser:
     _add_report_options(report)
     watch = sub.add_parser(
         "watch", help="follow a stream live and redraw the table")
-    source = watch.add_mutually_exclusive_group(required=True)
-    source.add_argument("--follow", default=None, metavar="PATH",
-                        help="tail a growing telemetry JSONL file")
-    source.add_argument("--socket", default=None, metavar="PATH",
-                        help="subscribe to an xmtsim --telemetry-socket "
-                             "publisher")
+    watch.add_argument("--follow", required=True, metavar="PATH",
+                       help="tail a growing telemetry JSONL file")
     watch.add_argument("--interval", type=float, default=0.5,
                        metavar="SECONDS",
                        help="redraw interval (default 0.5)")
@@ -1651,8 +1621,6 @@ def _top(args) -> int:
 
 
 def _top_watch(args) -> int:
-    import socket as _socket
-
     summary = TopSummary()
     updates = 0
 
@@ -1676,41 +1644,20 @@ def _top_watch(args) -> int:
         return bool(summary.rows) and all(
             row.state in terminal for row in summary.rows.values())
 
-    def pump(read, pause: float = 0.0) -> int:
-        """Fold what ``read()`` returns -- the stream's next bytes,
-        ``b""`` for nothing new, ``None`` at its end -- and redraw."""
-        tail = JsonlTail()
-        while True:
-            data = read()
-            if data:
-                fold_stream(tail.feed(data), summary)
-            redraw()
-            if data is None or done():
-                return 0
-            time.sleep(pause)
-
     try:
-        if args.socket:
-            sock = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM)
-            with _flag(f"--socket {args.socket}", OSError):
-                sock.connect(args.socket)
-            sock.settimeout(args.interval)
-
-            def receive():
-                try:
-                    return sock.recv(65536) or None
-                except _socket.timeout:
-                    return b""
-
-            with sock:
-                return pump(receive)
         deadline = time.monotonic() + 10.0
         while not os.path.exists(args.follow):
             if time.monotonic() >= deadline:
                 raise CliError(f"--follow {args.follow}: no such stream")
             time.sleep(min(args.interval, 0.1))
+        tail = JsonlTail()
         with open(args.follow, "rb") as fh:
-            return pump(fh.read, args.interval)
+            while True:
+                fold_stream(tail.feed(fh.read()), summary)
+                redraw()
+                if done():
+                    return 0
+                time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 
@@ -1718,9 +1665,8 @@ def _top_watch(args) -> int:
 def xmt_top_main(argv: Optional[List[str]] = None) -> int:
     """``xmt-top``: live monitor over telemetry streams.
 
-    ``watch`` tails a growing JSONL stream (``--follow``) or subscribes
-    to a ``--telemetry-socket`` publisher and redraws a per-run table;
-    ``report`` renders the same table once from a finished stream.
-    Exit codes: 0 = ok, 2 = unreadable stream / unreachable socket.
+    ``watch`` tails a growing JSONL stream (``--follow``) and redraws a
+    per-run table; ``report`` renders the same table once from a
+    finished stream.  Exit codes: 0 = ok, 2 = unreadable stream.
     """
     return _run(_top_parser, _top, argv)

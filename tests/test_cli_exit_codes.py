@@ -250,6 +250,12 @@ ROWS = [
     ("xmtsim-2-negative-retries-was-zero", "xmtsim_main",
      ["{good}", *TINY, "--max-retries", "-1"], 2,
      "xmtsim: error: --max-retries: must be at least 0, got -1"),
+    # a frame interval below 1 used to be read as 1 (a frame per cycle)
+    *[(f"xmtsim-2-telemetry-every-{value}-was-one", "xmtsim_main",
+       ["{good}", *TINY, "--telemetry-out", "{dir}/t.jsonl",
+        "--telemetry-every", value], 2,
+       f"xmtsim: error: --telemetry-every: must be at least 1, got {value}")
+      for value in ("0", "-5")],
     ("xmtsim-3-stalled", "xmtsim_main",
      ["{spawn}", *TINY, "--watchdog", "500", "--inject", "icn.drop@38"], 3,
      "xmtsim: stalled:"),
@@ -317,6 +323,9 @@ ROWS = [
     ("campaign-2-negative-retries-was-zero", "xmt_campaign_main",
      ["{good}", *TINY, "--serial", "--quiet", "--max-retries", "-1"], 2,
      "xmt-campaign: error: --max-retries: must be at least 0, got -1"),
+    ("campaign-2-telemetry-every-was-clamped-to-one", "xmt_campaign_main",
+     ["{good}", *TINY, "--serial", "--quiet", "--telemetry-every", "0"], 2,
+     "xmt-campaign: error: --telemetry-every: must be at least 1, got 0"),
     ("campaign-2-workers-was-clamped-to-one", "xmt_campaign_main",
      ["{good}", *TINY, "--quiet", "--workers", "0"], 2,
      "xmt-campaign: error: --workers: must be at least 1, got 0"),

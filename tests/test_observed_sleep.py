@@ -15,7 +15,7 @@ accounting exact (``xmt-explain report --assert-exact``).
 Mutants this file must fail (checked by hand when it was written):
 ``layers_over`` taking a stamp made *at* the tick's time (``<=``);
 ``FlightRecorder.replied`` dropping the retired record at once;
-``_PluginActor.notify`` not settling before ``sample()``;
+``ActivityPlugin.notify`` not settling before ``sample()``;
 ``ProcessorBase.settle`` crediting ``Stats`` without firing the span.
 """
 
@@ -414,9 +414,10 @@ class _GateMidSleep(ActivityPlugin):
 
 
 class _EveryCycle(ActivityPlugin):
-    """``Machine.settle()`` on every cycle (the plug-in actor calls it
-    before each sample): it lands between every ``replied`` and the
-    wake-up that booked, so the retired record must answer still."""
+    """``Machine.settle()`` on every cycle (``ActivityPlugin.notify``
+    calls it before each sample): it lands between every ``replied``
+    and the wake-up that booked, so the retired record must answer
+    still."""
 
     def __init__(self):
         super().__init__(interval_cycles=1)

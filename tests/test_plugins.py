@@ -91,6 +91,21 @@ class TestActivityRecorder:
         for snap in rec.series.snapshots:
             assert all(k.startswith("cache") for k in snap)
 
+    @pytest.mark.parametrize("interval", [0, -10])
+    def test_interval_below_one_is_refused(self, interval):
+        """A zero interval used to sample forever at one instant (the
+        run never returned); a negative one failed deep in the
+        scheduler.  Both are refused where the plug-in is made."""
+        from repro.sim.observability import TelemetrySampler
+
+        for make in (lambda: ActivityRecorder(interval_cycles=interval),
+                     lambda: TelemetrySampler(every_cycles=interval)):
+            with pytest.raises(ValueError,
+                               match=r"^(ActivityRecorder|TelemetrySampler): "
+                                     r"the sampling interval must be at "
+                                     rf"least 1 cycle, got {interval}$"):
+                make()
+
 
 class TestFrequencyController:
     def test_policy_can_retime_domains(self):
