@@ -35,6 +35,7 @@ what the ledger accumulates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -79,7 +80,20 @@ def config_fingerprint(config) -> Dict[str, Any]:
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """Current git commit hash, or ``None`` outside a repository."""
+    """Current git commit hash, or ``None`` outside a repository.
+
+    Asked once per directory per process: every manifest carries it,
+    and each ``git rev-parse`` is a process start.
+    """
+    try:
+        cwd = os.path.realpath(cwd or os.getcwd())
+    except OSError:
+        return None
+    return _git_revision(cwd)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision(cwd: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=cwd, timeout=10,

@@ -654,7 +654,7 @@ def max_flow(n: int, avg_degree: float = 3.0, seed: int = 41,
     # arcs with independent capacities; plus reverse (0-capacity) arcs
     # are just the partner arc (undirected -> symmetric structure)
     arcs = []  # (u, v, cap)
-    for u, v in sorted(g.edges()):
+    for u, v in zip(*G.to_edge_list(g)):
         arcs.append((u, v, rng.randint(1, 4)))
         arcs.append((v, u, rng.randint(1, 4)))
     # CSR over arcs
@@ -681,17 +681,7 @@ def max_flow(n: int, avg_degree: float = 3.0, seed: int = 41,
             seen[(u, v)] = idx
     rev = [pos_of[partner_of_arc[a]] for a in order]
 
-    # host-side reference via networkx
-    import networkx as nx
-
-    dg = nx.DiGraph()
-    dg.add_nodes_from(range(n))
-    for u, v, c in arcs:
-        if dg.has_edge(u, v):
-            dg[u][v]["capacity"] += c
-        else:
-            dg.add_edge(u, v, capacity=c)
-    expected = int(nx.maximum_flow_value(dg, s, t)) if dg.has_node(t) else 0
+    expected = G.reference_max_flow(n, arcs, s, t)
 
     m = max(1, len(order))
     bfs_body = f"""

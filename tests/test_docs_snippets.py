@@ -1,9 +1,11 @@
 """Documentation must not rot: every XMTC snippet in docs/TEACHING.md
 and the README quick-tour compiles and produces its stated result, and
-the MANUAL's artifact reference table is the code's table."""
+the MANUAL's artifact and instruction tables are the code's tables."""
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +95,25 @@ class TestManualArtifactTable:
             assert kind == ("JSONL" if row.jsonl else "whole-file"), name
             if row.file:
                 assert file == f"`{row.file}`", name
+
+
+class TestManualInstructionTable:
+    def test_mnemonics_are_the_assemblers(self):
+        """MANUAL 3: the instruction table names exactly the mnemonics
+        the assembler accepts -- the rows of ``TABLE`` and ``ALIASES``.
+        Read in a fresh interpreter: tests register extra mnemonics."""
+        section = open(MANUAL).read().split("## 3. The XMT assembly", 1)[1]
+        section = section.split("\n#", 1)[0]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| ") and not line.startswith("| class"):
+                for span in re.findall(r"`([^`]*)`", line.split("|")[2]):
+                    documented.update(w for w in span.split()
+                                      if re.fullmatch(r"[a-z]+", w))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.isa.instructions import TABLE, ALIASES;"
+             "print(' '.join(sorted(set(TABLE) | set(ALIASES))))"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert documented == set(out.stdout.split())

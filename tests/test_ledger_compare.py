@@ -97,6 +97,32 @@ class TestManifest:
                        created_unix=0.0, git_revision="deadbeef")
         assert manifest_run_id(tweaked) == run_fast.manifest["run_id"]
 
+    def test_git_revision_is_read_once_per_directory(self, tmp_path,
+                                                     monkeypatch):
+        import subprocess
+
+        from repro.sim.observability import ledger
+
+        calls = []
+
+        def fake_run(argv, cwd=None, **kw):
+            calls.append(cwd)
+            return subprocess.CompletedProcess(argv, 0, f"rev-{len(calls)}\n")
+
+        other = tmp_path / "other"
+        other.mkdir()
+        monkeypatch.setattr(ledger.subprocess, "run", fake_run)
+        ledger._git_revision.cache_clear()
+        try:
+            assert ledger.git_revision(str(tmp_path)) == "rev-1"
+            assert ledger.git_revision(str(tmp_path)) == "rev-1"
+            monkeypatch.chdir(tmp_path)
+            assert ledger.git_revision() == "rev-1"
+            assert ledger.git_revision(str(other)) == "rev-2"
+        finally:
+            ledger._git_revision.cache_clear()
+        assert calls == [os.path.realpath(tmp_path), os.path.realpath(other)]
+
 
 class TestLedger:
     def test_record_list_load(self, tmp_path, run_fast, run_slow):

@@ -1,6 +1,14 @@
 """Workload-library tests: every kernel validated against its host-side
 reference implementation, in cycle-accurate mode."""
 
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+
+import networkx as nx
 import pytest
 
 from conftest import run_xmtc_cycle
@@ -165,29 +173,162 @@ class TestMergeSort:
         assert res.read_global(where) == expected
 
 
+def nx_graph(adj):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from(zip(*G.to_edge_list(adj)))
+    return g
+
+
+def nx_random_graph(n, avg_degree, seed):
+    """The generator as networkx builds it: the same draws, so the same
+    graph, with networkx keeping the adjacency."""
+    rng = random.Random(seed)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for _ in range(int(n * avg_degree / 2)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            g.add_edge(u, v)
+    for i in range(0, n - 1, max(1, n // 8)):
+        g.add_edge(i, i + 1)
+    return g
+
+
+#: (n, avg_degree, seed): tiny, sparse (many components), dense
+SPREAD = [(1, 0.0, 1), (2, 0.0, 1), (5, 0.5, 2), (16, 0.5, 3),
+          (30, 1.0, 99), (40, 3.0, 8), (64, 2.0, 5), (12, 20, 11),
+          (128, 1.0, 7), (200, 4.0, 41)]
+
+
 class TestGraphHelpers:
     def test_csr_roundtrip(self):
         g = G.random_graph(20, 3.0, seed=5)
         row_ptr, col = G.to_csr(g)
         assert len(row_ptr) == 21
-        assert row_ptr[-1] == len(col) == 2 * g.number_of_edges()
+        assert row_ptr[-1] == len(col) == sum(map(len, g))
         for u in range(20):
-            neighbors = col[row_ptr[u]:row_ptr[u + 1]]
-            assert sorted(neighbors) == sorted(g.neighbors(u))
-
-    def test_reference_bfs_agrees_with_networkx(self):
-        import networkx as nx
-
-        g = G.random_graph(30, 3.0, seed=8)
-        ours = G.reference_bfs_levels(g, 0)
-        lengths = nx.single_source_shortest_path_length(g, 0)
-        for v in range(30):
-            assert ours[v] == lengths.get(v, -1)
+            assert col[row_ptr[u]:row_ptr[u + 1]] == sorted(g[u])
 
     def test_deterministic_generation(self):
         a = G.random_graph(25, 2.5, seed=3)
         b = G.random_graph(25, 2.5, seed=3)
-        assert sorted(a.edges()) == sorted(b.edges())
+        assert a == b
+        assert G.to_edge_list(a) == G.to_edge_list(b)
+
+    @pytest.mark.parametrize("n,degree,seed", SPREAD)
+    def test_generator_matches_networkx(self, n, degree, seed):
+        adj = G.random_graph(n, degree, seed)
+        want = nx_random_graph(n, degree, seed)
+        assert list(zip(*G.to_edge_list(adj))) == sorted(want.edges())
+        for u in range(n):
+            assert adj[u] == set(want.neighbors(u))
+
+    def test_reference_bfs_agrees_with_networkx(self):
+        for n, degree, seed in SPREAD:
+            adj = G.random_graph(n, degree, seed)
+            for src in {0, n // 2, n - 1}:
+                lengths = nx.single_source_shortest_path_length(
+                    nx_graph(adj), src)
+                assert G.reference_bfs_levels(adj, src) == [
+                    lengths.get(v, -1) for v in range(n)], (n, degree, seed)
+
+    @pytest.mark.parametrize("n,degree,seed", SPREAD)
+    def test_reference_components_agree_with_networkx(self, n, degree, seed):
+        adj = G.random_graph(n, degree, seed)
+        want = list(range(n))
+        for comp in nx.connected_components(nx_graph(adj)):
+            for v in comp:
+                want[v] = min(comp)
+        assert G.reference_components(adj) == want
+
+    def test_spread_includes_disconnected_graphs(self):
+        multi = [args for args in SPREAD
+                 if len(set(G.reference_components(G.random_graph(*args))))
+                 > 1]
+        assert len(multi) >= 4
+
+    @pytest.mark.parametrize("n,degree,seed", [a for a in SPREAD if a[0] > 1])
+    def test_reference_max_flow_agrees_with_networkx(self, n, degree, seed):
+        rng = random.Random(seed)
+        arcs = []
+        for u, v in zip(*G.to_edge_list(G.random_graph(n, degree, seed))):
+            arcs.append((u, v, rng.randint(1, 4)))
+            arcs.append((v, u, rng.randint(0, 4)))
+            if rng.random() < 0.2:  # a parallel arc adds its capacity
+                arcs.append((u, v, rng.randint(1, 4)))
+        dg = nx.DiGraph()
+        dg.add_nodes_from(range(n))
+        for u, v, c in arcs:
+            if dg.has_edge(u, v):
+                dg[u][v]["capacity"] += c
+            else:
+                dg.add_edge(u, v, capacity=c)
+        for s, t in {(0, n - 1), (n - 1, 0), (n // 2, 0)}:
+            if s != t:
+                assert G.reference_max_flow(n, arcs, s, t) == \
+                    nx.maximum_flow_value(dg, s, t)
+
+    def test_reference_max_flow_undoes_a_blocking_path(self):
+        """The first shortest path 0-1-2-3 blocks both others; the
+        maximum of 2 needs flow pushed back along 2->1."""
+        arcs = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1), (4, 2, 1),
+                (1, 5, 1), (5, 3, 1)]
+        assert G.reference_max_flow(6, arcs, 0, 3) == 2
+
+    @pytest.mark.parametrize("n,degree,seed", [(24, 3.0, 41), (24, 3.0, 7),
+                                               (16, 0.5, 3), (96, 4.0, 5),
+                                               (8, 14, 41)])
+    def test_max_flow_workload_expects_networkx_value(self, n, degree, seed):
+        """The value the max-flow kernel is checked against is the flow
+        networkx finds on the kernel's own CSR arcs."""
+        _, inputs, expected = W.max_flow(n, degree, seed)
+        row_ptr, head, cap = inputs["row_ptr"], inputs["head"], inputs["cap"]
+        dg = nx.DiGraph()
+        dg.add_nodes_from(range(n))
+        for u in range(n):
+            for e in range(row_ptr[u], row_ptr[u + 1]):
+                dg.add_edge(u, head[e], capacity=cap[e])
+        assert expected == nx.maximum_flow_value(dg, 0, n - 1)
+
+    #: sha256 over json([inputs, expected]) of each case, as generated
+    #: when networkx built the graphs: the inputs must not move
+    PINNED = {
+        "bfs": ([(24,), (64, 3.0), (128,), (1024,), (30, 1.0, 99),
+                 (12, 20)],
+                "9fdc7e609dd07bf09b122f603a245119"
+                "d6a25cdb8afc607f4153b623fb068f51"),
+        "connectivity": ([(16,), (64,), (512,), (28, 2.0), (12, 14)],
+                         "546672108578df19c30ce783c1e5df88"
+                         "83acf57c5f42075078500795823695ea"),
+        "max_flow": ([(24, 3.0, 41), (24, 3.0, 7), (16, 0.5, 3),
+                      (96, 4.0, 5), (8, 14), (16, 2.0)],
+                     "42918b780f359f7176bb34d38f22b9ef"
+                     "6117e79e07bba792256d43973f7d3e23"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_inputs_are_pinned(self, name):
+        cases, digest = self.PINNED[name]
+        h = hashlib.sha256()
+        for args in cases:
+            _, inputs, expected = getattr(W, name)(*args)
+            h.update(json.dumps([inputs, expected], sort_keys=True).encode())
+        assert h.hexdigest() == digest
+
+
+class TestImportFootprint:
+    def test_core_imports_load_neither_networkx_nor_numpy(self):
+        """networkx is the tests' oracle and numpy the thermal model's;
+        importing the toolchain or a workload must load neither."""
+        code = ("import sys, repro, repro.workloads, repro.toolchain.driver;"
+                "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "[]"
 
 
 class TestMicrobenchmarks:
