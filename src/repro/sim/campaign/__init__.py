@@ -7,9 +7,8 @@ the experiment ledger (so a killed campaign resumes where it died),
 forks one worker per attempt and sleeps on their pipes, enforces
 per-run budgets through the watchdog and a per-attempt deadline by
 SIGKILL, requeues dead or killed attempts, and streams typed outcomes
-to a JSONL results file.  Exposed on
-the command line as ``xmt-campaign``; ``xmt-compare sweep`` is a thin
-client of the same engine.
+into its telemetry stream.  Exposed on the command line as
+``xmt-campaign``; ``xmt-top report`` reads the stream.
 
 See MANUAL 4.9 for the operational guide and
 :mod:`~repro.sim.campaign.engine` for the design notes.

@@ -22,13 +22,14 @@ complete, typed result set no matter what the individual runs do:
   index, never by its fingerprint: two identical requests are two runs
   in flight that share nothing;
 - **single writer**: only the supervisor records manifests and writes
-  the campaign's files (results, attempts log, summary, telemetry
-  stream), so no worker death can corrupt any of them -- and a worker
-  whose supervisor died gets ``BrokenPipeError`` on its next send;
+  the campaign's files (attempts log, summary, telemetry stream), so no
+  worker death can corrupt any of them -- and a worker whose supervisor
+  died gets ``BrokenPipeError`` on its next send;
 - **typed outcomes, streamed**: every run ends as exactly one of
-  ``ok | cached | failed | timeout | gave-up``, appended to a JSONL
-  results file the moment it is known (tailing the file shows campaign
-  progress live; a killed campaign leaves a valid prefix);
+  ``ok | cached | failed | timeout | gave-up``, appended to the
+  telemetry stream as an ``outcome`` record the moment it is known
+  (tailing the stream shows campaign progress live; a killed campaign
+  leaves a valid prefix);
 - **graceful degradation**: permanently failing runs become ``failed``/
   ``timeout``/``gave-up`` outcomes in an otherwise complete campaign,
   never a hang or a crash of the campaign itself.
@@ -99,13 +100,13 @@ class RunOutcome:
     sanitizer: Optional[Dict[str, Any]] = None
     #: host wall seconds of the recorded run (aggregation recipes)
     wall_seconds: Optional[float] = None
-    #: the request's config overrides: the sweep coordinates
-    #: ``xmt-campaign report`` groups its percentiles by
+    #: the request's config overrides: the grid coordinates
+    #: ``xmt-top report`` groups its percentiles by
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
+        """The fields of this run's ``outcome`` record in the stream."""
         data = {
-            "schema": schema_of("campaign-result"),
             "index": self.index,
             "label": self.label,
             "fingerprint": self.fingerprint,
@@ -143,7 +144,6 @@ class CampaignResult:
     attempts_total: int
     retries_total: int
     workers_died: int
-    results_path: Optional[str] = None
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -228,7 +228,6 @@ class CampaignEngine:
 
     def __init__(self, requests: Sequence[RunRequest], *,
                  ledger: Optional[Ledger] = None,
-                 results_path: Optional[str] = None,
                  base_config: Optional[XMTConfig] = None,
                  compile_options=None,
                  workers: int = 2,
@@ -244,7 +243,6 @@ class CampaignEngine:
                  telemetry_every: int = 2000):
         self.requests = list(requests)
         self.ledger = ledger
-        self.results_path = results_path
         self.base_config = base_config
         self.compile_options = compile_options
         self.workers = max(1, workers)
@@ -283,7 +281,6 @@ class CampaignEngine:
         self._pids: Dict[int, List[int]] = {}
         self._attempts_total = 0
         self._workers_died = 0
-        self._results_sink = None
         self._attempts_log_fh = None
         self._telemetry_sink = None
 
@@ -346,11 +343,9 @@ class CampaignEngine:
             index[fingerprint] = record
         return index
 
-    # -- result/attempt streaming --------------------------------------------
+    # -- outcome/attempt streaming -------------------------------------------
 
     def _open_streams(self, campaign_id: str) -> None:
-        if self.results_path:
-            self._results_sink = JsonlSink(self.results_path)
         if self.telemetry_path:
             self._telemetry_sink = JsonlSink(self.telemetry_path)
         if self.ledger is not None:
@@ -359,11 +354,9 @@ class CampaignEngine:
             self._attempts_log_fh = open(log_path, "a")
 
     def _close_streams(self) -> None:
-        for stream in (self._results_sink, self._attempts_log_fh,
-                       self._telemetry_sink):
+        for stream in (self._attempts_log_fh, self._telemetry_sink):
             if stream is not None:
                 stream.close()
-        self._results_sink = None
         self._attempts_log_fh = None
         self._telemetry_sink = None
 
@@ -432,10 +425,7 @@ class CampaignEngine:
             sanitizer=sanitizer, wall_seconds=wall_seconds,
             overrides=dict(prepared.request.overrides))
         self._outcomes[prepared.request.index] = outcome
-        if self._results_sink is not None:
-            self._results_sink.write_line(json.dumps(outcome.to_json()))
-        # mirror the outcome into the telemetry stream so the stream
-        # alone reproduces the campaign's outcome counts exactly
+        # the stream alone reproduces the campaign's outcome counts
         self._emit_telemetry(dict(outcome.to_json(), kind="outcome"))
         if self.on_outcome is not None:
             self.on_outcome(outcome)
@@ -482,8 +472,7 @@ class CampaignEngine:
             wall_seconds=time.perf_counter() - started,
             attempts_total=self._attempts_total,
             retries_total=retries,
-            workers_died=self._workers_died,
-            results_path=self.results_path)
+            workers_died=self._workers_died)
         if self.ledger is not None:
             summary_path = os.path.join(
                 self.ledger.campaign_dir(campaign_id), "summary.json")

@@ -5,8 +5,7 @@ each, fully described by data (program path, configuration, overrides,
 global-memory inputs, seed, label).  Requests come from two places:
 
 - :func:`grid_requests` expands a sweep grid (the ``--vary`` axes of
-  ``xmt-campaign`` and ``xmt-compare sweep``) in a stable, deterministic
-  order, so re-invoking the same grid always yields the same requests
+  ``xmt-campaign``) in a stable, deterministic order, so re-invoking the same grid always yields the same requests
   in the same positions;
 - :func:`load_queue` parses a JSONL queue file (one request object per
   line, ``#`` comments and blank lines ignored), the batch-submission
@@ -113,11 +112,11 @@ def grid_requests(program: str,
                   max_cycles: Optional[int] = None) -> List[RunRequest]:
     """Expand a sweep grid into requests, in stable cartesian order.
 
-    Labels are the ``field=value`` coordinates joined with commas --
-    the same labels ``xmt-compare sweep`` has always recorded, so grid
-    campaigns dedup against historical sweep runs.  An empty grid is a
-    single unlabelled run of the program (the product of no axes is one
-    empty point).
+    Labels are the ``field=value`` coordinates joined with commas; a
+    label is part of the fingerprint, so grid campaigns dedup against
+    every grid run ever recorded under the same labels.  An empty grid
+    is a single unlabelled run of the program (the product of no axes
+    is one empty point).
     """
     requests: List[RunRequest] = []
     names = [name for name, _ in axes]

@@ -91,6 +91,9 @@ class Scheduler:
     #: cancelled events trigger a heap compaction once they outnumber
     #: the live ones (and the heap is big enough for it to matter)
     COMPACT_MIN = 64
+    #: processed events between two ``check_hook`` calls, unless a
+    #: budget asks for an earlier first check (:attr:`check_interval`)
+    CHECK_INTERVAL = 2048
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
@@ -108,7 +111,7 @@ class Scheduler:
         #: raise to abort the run (wall-clock / event budgets live here
         #: so the hot loop stays free of time syscalls)
         self.check_hook: Optional[Callable[["Scheduler", int], None]] = None
-        self.check_interval = 2048
+        self.check_interval = self.CHECK_INTERVAL
 
     def __getstate__(self):
         """What a checkpoint holds of the event list."""

@@ -26,12 +26,12 @@ The cooperating pieces:
   content-addressed run ledger (``xmtsim --ledger``);
 - :mod:`~repro.sim.observability.compare` -- differential layer over
   the ledger: the ``xmt-compare/1`` report of metric/profile/spawn/layer
-  deltas, sweep tables and the ``xmt-compare check`` perf-regression
-  gate;
+  deltas and the ``xmt-compare check`` perf-regression gate;
 - :mod:`~repro.sim.observability.telemetry` /
   :mod:`~repro.sim.observability.aggregate` -- live progress frames
   from a running simulation (an activity plug-in writing JSONL sinks)
-  and the ``xmt-top`` / ``xmt-campaign report`` views over the streams;
+  and the one ``xmt-top`` view over the streams (per-run rows plus a
+  campaign's outcome counts and percentiles);
 - :mod:`~repro.sim.observability.artifacts` -- the one table of every
   file the above write (name, schema id, file name, whole-file or
   JSONL, required keys) and the only readers of them:
@@ -63,14 +63,12 @@ from repro.sim.observability.compare import (
     diff_spawn_regions,
     flatten_metrics,
     render_comparison,
-    render_sweep_table,
 )
 from repro.sim.observability.aggregate import (
     TopSummary,
-    aggregate_campaign,
     fold_stream,
-    render_campaign_report,
     render_top,
+    top_report,
 )
 from repro.sim.observability.core import PROBES, Observability
 from repro.sim.observability.events import EventStream, SpanEvent
@@ -144,14 +142,12 @@ __all__ = [
     "diff_spawn_regions",
     "flatten_metrics",
     "render_comparison",
-    "render_sweep_table",
     "TelemetrySampler",
     "JsonlSink",
     "TopSummary",
     "fold_stream",
     "render_top",
-    "aggregate_campaign",
-    "render_campaign_report",
+    "top_report",
     "FlightRecorder",
     "CycleAccountant",
     "export_accounting",

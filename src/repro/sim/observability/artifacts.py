@@ -61,7 +61,6 @@ ARTIFACTS: Dict[str, Artifact] = {
     "lifecycle-stream": Artifact("xmt-lifecycle/1", jsonl=True),
     "telemetry": Artifact("xmtsim-telemetry/1", jsonl=True),
     "campaign-telemetry": Artifact("xmt-campaign-telemetry/1", jsonl=True),
-    "campaign-result": Artifact("xmt-campaign-result/1", jsonl=True),
     "campaign-request": Artifact("xmt-campaign-request/1", jsonl=True),
     "fuzz-outcome": Artifact("xmtc-fuzz-outcome/1", jsonl=True),
     "events": Artifact(None, jsonl=True),
@@ -73,8 +72,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     # what the report commands print under --format json
     "comparison": Artifact("xmt-compare/1"),
     "explain": Artifact("xmt-explain/1"),
-    "top-report": Artifact("xmt-top-report/1"),
-    "campaign-report": Artifact("xmt-campaign-report/1"),
+    "top-report": Artifact("xmt-top-report/2"),
 }
 
 #: what a run directory holds next to its manifest, by artifact name

@@ -17,8 +17,8 @@ with four delta layers:
   both runs recorded top-down accounting): per-category cycle deltas
   and the memory layer named responsible for a cycle regression.
 
-:func:`render_comparison` and :func:`render_sweep_table` print it as
-text (terminal), Markdown (PRs, EXPERIMENTS.md) or JSON (tooling).
+:func:`render_comparison` prints it as text (terminal), Markdown (PRs,
+EXPERIMENTS.md) or JSON (tooling).
 :func:`check_regressions` implements the CI gate semantics of
 ``xmt-compare check``: lower-is-better gate metrics (cycles by default)
 may not exceed the baseline by more than the threshold.  Schema fields
@@ -321,35 +321,3 @@ def check_regressions(a: RunRecord, b: RunRecord,
                                         _rel(base, fresh), threshold))
     return failures
 
-
-# -- sweeps ------------------------------------------------------------------
-
-
-def render_sweep_table(records: Sequence[RunRecord],
-                       varied: Sequence[str],
-                       fmt: str = "text") -> str:
-    """Comparison table for a config sweep (first record = baseline).
-
-    One row per run: the varied config fields, the cycle count, and the
-    relative cycle delta against the first row.
-    """
-    return render_report({
-        "schema": schema_of("comparison"),
-        "varied": list(varied),
-        "rows": [{
-            "run_id": r.run_id,
-            "label": r.manifest.get("label"),
-            **{k: r.config_value(k) for k in varied},
-            "cycles": r.cycles,
-            "rel": _rel(records[0].cycles, r.cycles),
-        } for r in records],
-    }, fmt, _sweep_parts)
-
-
-def _sweep_parts(sweep: Dict[str, Any]) -> List[Any]:
-    varied = sweep["varied"]
-    return [Table(
-        [*varied, "cycles", "vs base", "run id"],
-        [[*(row[k] for k in varied), row["cycles"],
-          fmt_num(row["rel"], "+.1%") if i else "base", row["run_id"]]
-         for i, row in enumerate(sweep["rows"])], rule=True)]

@@ -12,8 +12,8 @@ Everything here works on the exported dict payloads (not live
 simulator objects) so reports can be rebuilt from a ledger long after
 the run.  A report *is* its payload: :func:`render_report` prints it as
 JSON, or lays it out as lines and :class:`Table` s that :func:`render_table`
-writes as aligned text or markdown -- for the comparison, sweep, top and
-campaign reports too.
+writes as aligned text or markdown -- for the comparison and ``xmt-top``
+reports too.
 """
 
 from __future__ import annotations

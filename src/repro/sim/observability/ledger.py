@@ -516,8 +516,8 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
     """Run ``program`` under ``config`` with metrics + profiler attached
     and fold the outcome into ledger-ready artifacts.
 
-    The workhorse behind ``xmt-compare sweep``/``check`` and the
-    campaign engine: one call per grid point, each returning a
+    The workhorse behind ``xmt-compare check`` and the campaign
+    engine: one call per grid point, each returning a
     manifest/metrics/profile bundle that :meth:`Ledger.record_artifacts`
     persists.  ``wall_limit_s``/``max_events`` are enforced by the
     watchdog (raising ``SimulationBudgetExceeded``), giving campaign

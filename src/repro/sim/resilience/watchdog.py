@@ -80,9 +80,16 @@ class Watchdog(Actor):
     def begin_run(self, scheduler: Scheduler,
                   wall_limit_s: Optional[float] = None,
                   max_events: Optional[int] = None) -> None:
-        """Start (or restart) the wall-clock and event budgets."""
+        """Start (or restart) the wall-clock and event budgets.
+
+        An event budget below the scheduler's check interval shortens
+        the interval to the budget, so the first check falls on it."""
         self.wall_limit_s = wall_limit_s
         self.max_events = max_events
+        scheduler.check_interval = Scheduler.CHECK_INTERVAL
+        if max_events is not None:
+            scheduler.check_interval = max(1, min(max_events,
+                                                  Scheduler.CHECK_INTERVAL))
         self._wall_start = time.monotonic()
         self._event_base = scheduler.events_processed
 

@@ -28,7 +28,6 @@ from repro.sim.observability import (
     JsonlTail,
     Ledger,
     SchemaError,
-    aggregate_campaign,
     artifact_json,
     build_explain,
     compare_runs,
@@ -37,7 +36,6 @@ from repro.sim.observability import (
     load_artifact,
     load_run,
     read_jsonl,
-    render_campaign_report,
     render_comparison,
     render_explain,
     render_top,
@@ -86,10 +84,9 @@ def written(tmp_path_factory):
     assert cli.xmt_campaign_main(
         [at("good.c"), "--config", "tiny", "--vary", "dram_latency=6,30",
          "--serial", "--quiet", "--ledger", at("campaign-ledger"),
-         "--results", at("r.jsonl"), "--telemetry-out", at("ct.jsonl")]) == 0
+         "--telemetry-out", at("ct.jsonl")]) == 0
     campaign_dir, = glob.glob(at("campaign-ledger/campaigns/*"))
     paths.update({
-        "campaign-result": at("r.jsonl"),
         "campaign-telemetry": at("ct.jsonl"),
         "campaign-attempts": os.path.join(campaign_dir, "attempts.jsonl"),
         "campaign-summary": os.path.join(campaign_dir, "summary.json"),
@@ -113,8 +110,6 @@ def written(tmp_path_factory):
             recorded.payload("accounting"),
             lifecycle=recorded.payload("lifecycle")), "json"),
         "top-report": render_top(fold_stream(records), "json"),
-        "campaign-report": render_campaign_report(
-            aggregate_campaign(records), "json"),
     }
     for name, text in reports.items():
         paths[name] = at(f"{name}.json")

@@ -36,7 +36,7 @@ from repro.sim.campaign import engine as campaign_engine
 from repro.sim.engine import PRIO_PLUGIN, CallbackActor, Scheduler
 from repro.sim.observability import Ledger
 from repro.sim.observability.artifacts import read_jsonl
-from repro.toolchain.cli import xmt_campaign_main
+from repro.toolchain.cli import xmt_campaign_main, xmt_top_main
 
 SRC = """
 int A[8];
@@ -57,7 +57,14 @@ spin:
 """
 
 GRID = [("dram_latency", [6, 10, 14, 18]), ("icn_return_width", [1, 2])]
+
 INPUTS = {"A": [1, 2, 3, 4, 5, 6, 7, 8]}
+
+
+def _outcome_records(stream: str) -> list:
+    """The ``outcome`` records of a campaign's telemetry stream."""
+    return [record for record in read_jsonl(stream)
+            if record.get("kind") == "outcome"]
 
 
 @pytest.fixture
@@ -174,13 +181,14 @@ class TestSerialEngine:
         assert all(o.cycles > 0 for o in result.outcomes)
 
     def test_results_file_streams_jsonl(self, src_file, tmp_path):
-        results_path = str(tmp_path / "results.jsonl")
+        """Outcomes stream into the telemetry JSONL, one ``outcome``
+        record per run."""
+        stream = str(tmp_path / "stream.jsonl")
         result = CampaignEngine(_grid8(src_file), serial=True,
-                                results_path=results_path).run()
-        with open(results_path) as fh:
-            lines = [json.loads(line) for line in fh]
+                                telemetry_path=stream).run()
+        lines = _outcome_records(stream)
         assert len(lines) == 8
-        assert all(line["schema"] == "xmt-campaign-result/1"
+        assert all(line["schema"] == "xmt-campaign-telemetry/1"
                    for line in lines)
         assert ({line["label"] for line in lines}
                 == {o.label for o in result.outcomes})
@@ -356,12 +364,12 @@ class TestCampaignCLI:
                 ("dram_latency=14,icn_return_width=1", 1)})
         rc = xmt_campaign_main(self._argv(
             src_file, tmp_path, "--workers", "2", "--max-retries", "3",
-            "--results", str(tmp_path / "results.jsonl")))
+            "--telemetry-out", str(tmp_path / "stream.jsonl")))
         captured = capsys.readouterr()
         assert rc == 0
         assert "ok: 8" in captured.out
         assert "workers died: 2" in captured.out
-        assert len(read_jsonl(str(tmp_path / "results.jsonl"))) == 8
+        assert len(_outcome_records(str(tmp_path / "stream.jsonl"))) == 8
 
     def test_resume_is_all_cache_hits(self, src_file, tmp_path, capsys):
         assert xmt_campaign_main(self._argv(
@@ -440,7 +448,7 @@ class TestSupervisorKilled:
 
     def test_kill_leaves_nothing_behind_and_rerun_resumes(self, src_file,
                                                           tmp_path):
-        results = tmp_path / "results.jsonl"
+        stream = tmp_path / "stream.jsonl"
         ledger = str(tmp_path / "ledger")
         scratch = tmp_path / "tmpdir"
         scratch.mkdir()
@@ -456,13 +464,14 @@ class TestSupervisorKilled:
             "--vary", "icn_return_width=1,2",
             "--vary", "prefetch_buffer_size=2,4",
             "--set", "A", "1,2,3,4,5,6,7,8", "--workers", "2",
-            "--ledger", ledger, "--results", str(results), "--quiet"]
+            "--ledger", ledger, "--telemetry-out", str(stream), "--quiet"]
 
         driver = subprocess.Popen(command, env=env,
                                   stdout=subprocess.DEVNULL)
         try:
             give_up = time.monotonic() + 60
-            while not (results.exists() and results.read_text().count("\n")):
+            while not (stream.exists()
+                       and _outcome_records(str(stream))):
                 assert driver.poll() is None, "campaign ended before the kill"
                 assert time.monotonic() < give_up
                 time.sleep(0.005)
@@ -470,7 +479,7 @@ class TestSupervisorKilled:
         finally:
             driver.kill()
             driver.wait(timeout=30)
-        seen = len(read_jsonl(str(results)))
+        seen = len(_outcome_records(str(stream)))
         assert 1 <= seen < 24
 
         # no orphan simulates on for no one, no temp directory is left
@@ -483,7 +492,7 @@ class TestSupervisorKilled:
         again = subprocess.run(command, env=env, capture_output=True,
                                text=True, timeout=120)
         assert again.returncode == 0, again.stderr
-        outcomes = read_jsonl(str(results))
+        outcomes = _outcome_records(str(stream))
         assert len(outcomes) == 24
         cached = sum(o["status"] == "cached" for o in outcomes)
         assert cached >= seen
@@ -492,30 +501,38 @@ class TestSupervisorKilled:
 
 
 class TestSweepThinClient:
+    """A config sweep is a grid campaign (``xmt-campaign --vary``), its
+    table ``xmt-top report`` over the campaign's stream."""
+
     def test_sweep_with_workers_matches_serial(self, src_file, tmp_path,
                                                capsys):
-        from repro.toolchain.cli import xmt_compare_main
-
-        rc = xmt_compare_main(["sweep", src_file, "--config", "tiny",
-                               "--vary", "dram_latency=6,30",
-                               "--set", "A", "1,2,3,4,5,6,7,8",
-                               "--workers", "2",
-                               "--ledger", str(tmp_path / "ledger")])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "dram_latency" in captured.out
-        runs = Ledger(str(tmp_path / "ledger")).list_runs()
+        argv = [src_file, "--config", "tiny", "--vary", "dram_latency=6,30",
+                "--set", "A", "1,2,3,4,5,6,7,8", "--quiet"]
+        streams = {}
+        for mode in (["--workers", "2"], ["--serial"]):
+            streams[mode[0]] = str(tmp_path / f"{mode[0][2:]}.jsonl")
+            assert xmt_campaign_main(
+                argv + mode + ["--ledger", str(tmp_path / mode[0][2:]),
+                               "--telemetry-out", streams[mode[0]]]) == 0
+        capsys.readouterr()
+        cycles = {mode: {r["label"]: r["cycles"]
+                         for r in _outcome_records(path)}
+                  for mode, path in streams.items()}
+        assert cycles["--workers"] == cycles["--serial"]
+        assert set(cycles["--serial"]) == {"dram_latency=6",
+                                           "dram_latency=30"}
+        runs = Ledger(str(tmp_path / "workers")).list_runs()
         assert {r.config_value("dram_latency") for r in runs} == {6, 30}
+        assert xmt_top_main(["report", streams["--workers"]]) == 0
+        out = capsys.readouterr().out
+        assert "vs first" in out and "dram_latency=30" in out
 
     def test_sweep_cache_hits_on_rerun(self, src_file, tmp_path, capsys):
-        from repro.toolchain.cli import xmt_compare_main
-
-        argv = ["sweep", src_file, "--config", "tiny",
-                "--vary", "dram_latency=6,30",
-                "--ledger", str(tmp_path / "ledger")]
-        assert xmt_compare_main(argv) == 0
+        argv = [src_file, "--config", "tiny", "--vary", "dram_latency=6,30",
+                "--serial", "--ledger", str(tmp_path / "ledger")]
+        assert xmt_campaign_main(argv) == 0
         capsys.readouterr()
-        assert xmt_compare_main(argv) == 0
+        assert xmt_campaign_main(argv) == 0
         assert "(cached)" in capsys.readouterr().err
 
 

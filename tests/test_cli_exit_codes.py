@@ -124,14 +124,12 @@ def ws(tmp_path_factory):
         accounting = json.load(fh)
     with open(paths["inexact"], "w") as fh:
         json.dump(dict(accounting, exact=False), fh)
-    # one campaign's two streams, then every stream with a torn tail:
-    # the writer was killed in the middle of its last line
-    campaign = {"results": str(root / "r.jsonl"),
-                "campaign_stream": str(root / "ct.jsonl")}
+    # one campaign's stream, then every stream with a torn tail: the
+    # writer was killed in the middle of its last line
+    campaign = {"campaign_stream": str(root / "ct.jsonl")}
     assert cli.xmt_campaign_main(
         [paths["good"], "--config", "tiny", "--serial", "--quiet",
          "--ledger", str(root / "campaign-ledger"),
-         "--results", campaign["results"],
          "--telemetry-out", campaign["campaign_stream"]]) == 0
     (root / "queue.jsonl").write_text(
         json.dumps({"program": paths["good"], "config": "tiny"}) + "\n")
@@ -256,12 +254,28 @@ ROWS = [
         "--telemetry-every", value], 2,
        f"xmtsim: error: --telemetry-every: must be at least 1, got {value}")
       for value in ("0", "-5")],
+    # a budget of no cycles tripped at cycle -1 (exit 4); the other
+    # budgets of zero or less were ignored (exit 0)
+    *[(f"xmtsim-2-{flag[2:]}-{value}-was-{was}", "xmtsim_main",
+       ["{good}", *TINY, flag, value], 2,
+       f"xmtsim: error: {flag}: must be {bound}, got {value}")
+      for flag, value, was, bound in (
+          ("--max-cycles", "-1", "a-budget-trip", "at least 1"),
+          ("--max-cycles", "0", "a-budget-trip", "at least 1"),
+          ("--event-budget", "0", "ignored", "at least 1"),
+          ("--event-budget", "-5", "ignored", "at least 1"),
+          ("--wall-limit", "0", "ignored", "greater than 0"),
+          ("--wall-limit", "-1", "ignored", "greater than 0"))],
     ("xmtsim-3-stalled", "xmtsim_main",
      ["{spawn}", *TINY, "--watchdog", "500", "--inject", "icn.drop@38"], 3,
      "xmtsim: stalled:"),
     ("xmtsim-4-budget", "xmtsim_main",
      ["{spin}", *TINY, "--max-cycles", "2000"], 4,
      "xmtsim: budget exceeded:"),
+    # a budget below the 2048-event check interval was never checked
+    ("xmtsim-4-event-budget-below-check-interval-was-ignored",
+     "xmtsim_main", ["{good}", *TINY, "--event-budget", "100"], 4,
+     "xmtsim: budget exceeded: event budget exceeded: 100 events"),
     ("xmtsim-5-partial", "xmtsim_main",
      ["{spin}", *TINY, "--max-cycles", "2000", "--max-retries", "0"], 5,
      "xmtsim: recovery failed: partial result:"),
@@ -299,21 +313,17 @@ ROWS = [
     ("compare-2-run-id-without-ledger", "xmt_compare_main",
      ["diff", "nope", "alsonope"], 2, "pass --ledger DIR"),
     ("compare-2-set-names-the-flag", "xmt_compare_main",
-     ["sweep", "{good}", "--vary", "dram_latency=6,30", "--set", "A",
+     ["check", "{good}", "--baseline", "{baseline}", "--set", "A",
       "1,x"], 2, "xmt-compare: error: --set A: 'x' is not a number"),
-    ("compare-2-sweep-workers-was-clamped-to-one", "xmt_compare_main",
-     ["sweep", "{good}", *TINY, "--vary", "dram_latency=6,30",
-      "--workers", "-3"], 2,
-     "xmt-compare: error: --workers: must be at least 1, got -3"),
+    ("compare-2-max-cycles-0-was-a-budget-trip", "xmt_compare_main",
+     ["check", "{good}", "--baseline", "{baseline}", "--max-cycles", "0"],
+     2, "xmt-compare: error: --max-cycles: must be at least 1, got 0"),
     # a misspelled gate metric used to gate nothing ("OK", exit 0)
     ("compare-2-unknown-metric-was-ignored", "xmt_compare_main",
      ["check", "{good}", "--baseline", "{baseline}", "--threshold", "0",
       "--metric", "stats.icn.pakages_typo"], 2,
      "xmt-compare: error: --metric stats.icn.pakages_typo: not a metric "
      "of either run"),
-    ("compare-2-vary-type", "xmt_compare_main",
-     ["sweep", "{good}", *TINY, "--vary", "icn_period=fast"], 2,
-     "--vary icn_period: configuration field 'icn_period' takes int"),
 
     ("campaign-0", "xmt_campaign_main",
      ["{good}", *TINY, "--serial", "--quiet"], 0, ""),
@@ -333,6 +343,22 @@ ROWS = [
      ["{good}", *TINY, "--quiet", "--attempt-deadline", "-1"], 2,
      "xmt-campaign: error: --attempt-deadline: must be greater than 0, "
      "got -1"),
+    # three retries of a budget tripped at cycle -1, then a timeout
+    # (exit 5); the other budgets of zero or less were ignored (exit 0)
+    *[(f"campaign-2-{flag[2:]}-{value}-was-{was}", "xmt_campaign_main",
+       ["{good}", *TINY, "--serial", "--quiet", flag, value], 2,
+       f"xmt-campaign: error: {flag}: must be {bound}, got {value}")
+      for flag, value, was, bound in (
+          ("--max-cycles", "-1", "a-timeout", "at least 1"),
+          ("--event-budget", "0", "ignored", "at least 1"),
+          ("--wall-budget", "0", "ignored", "greater than 0"),
+          ("--wall-budget", "-2", "ignored", "greater than 0"))],
+    ("campaign-2-vary-type", "xmt_campaign_main",
+     ["{good}", *TINY, "--vary", "icn_period=fast"], 2,
+     "--vary icn_period: configuration field 'icn_period' takes int"),
+    # 'report' is no subcommand: xmt-top report renders a campaign
+    ("campaign-2-report-is-a-missing-program", "xmt_campaign_main",
+     ["report"], 2, "xmt-campaign: error: "),
     ("campaign-2-program-or-queue", "xmt_campaign_main", [], 2,
      "xmt-campaign: error: give a program"),
     ("campaign-2-set-names-the-flag", "xmt_campaign_main",
@@ -343,11 +369,9 @@ ROWS = [
     ("campaign-2-torn-queue-names-the-line", "xmt_campaign_main",
      ["--queue", "{torn_queue}"], 2,
      "xmt-campaign: error: --queue: {torn_queue}:2: bad JSON line"),
-    ("campaign-report-2-no-inputs", "xmt_campaign_main", ["report"], 2,
-     "xmt-campaign report: error: give --results"),
-    ("campaign-report-0-torn-tails", "xmt_campaign_main",
-     ["report", "--results", "{torn_results}", "--telemetry",
-      "{torn_campaign_stream}"], 0, ""),
+    # a campaign's report: xmt-top report over its stream
+    ("campaign-report-0-torn-tails", "xmt_top_main",
+     ["report", "{torn_campaign_stream}"], 0, ""),
 
     ("top-0", "xmt_top_main", ["report", "{stream}"], 0, ""),
     ("top-0-torn-tail", "xmt_top_main", ["report", "{torn_stream}"], 0, ""),

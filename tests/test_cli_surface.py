@@ -25,14 +25,12 @@ from repro.toolchain import cli
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli",
                       "surface.json")
 
-#: (main, argv prefix that reaches the parser) -- ``xmt-campaign
-#: report`` is a second parser behind the first positional
+#: (main, argv prefix that reaches the parser)
 ENTRY_POINTS = [
     ("xmtcc_main", []), ("xmtsim_main", []), ("xmtc_lint_main", []),
     ("xmtc_fuzz_main", []), ("xmt_prof_main", []),
     ("xmt_compare_main", []), ("xmt_campaign_main", []),
-    ("xmt_campaign_main", ["report"]), ("xmt_top_main", []),
-    ("xmt_explain_main", []),
+    ("xmt_top_main", []), ("xmt_explain_main", []),
 ]
 
 
@@ -131,7 +129,7 @@ def test_golden_covers_all_nine_console_scripts():
         for sub in node["subcommands"].values():
             found += options(sub)
         return found
-    assert sum(len(options(node)) for node in golden.values()) == 159
+    assert sum(len(options(node)) for node in golden.values()) == 137
 
 
 if __name__ == "__main__":

@@ -329,33 +329,37 @@ class TestStringSweepAxes:
         assert ring.resolve_config().icn_backend == "ring"
 
     def test_sweep_cli_renders_backend_labels(self, tmp_path, capsys):
-        from repro.toolchain.cli import xmt_compare_main
+        from repro.toolchain.cli import xmt_campaign_main, xmt_top_main
 
         program = os.path.join(BASELINES, "vecadd", "program.c")
-        rc = xmt_compare_main(
-            ["sweep", program, "--config", "tiny",
-             "--vary", "icn_backend=mot,crossbar,ring",
-             "--ledger", str(tmp_path / "ledger")])
-        out = capsys.readouterr().out
+        stream = str(tmp_path / "stream.jsonl")
+        rc = xmt_campaign_main(
+            [program, "--config", "tiny",
+             "--vary", "icn_backend=mot,crossbar,ring", "--serial",
+             "--ledger", str(tmp_path / "ledger"), "--telemetry-out",
+             stream])
         assert rc == 0
-        # single-axis sweeps render the string values as the axis column
-        assert "icn_backend" in out
+        assert xmt_top_main(["report", stream]) == 0
+        out = capsys.readouterr().out
+        # string values label the runs and the axis rows
         for value in ("mot", "crossbar", "ring"):
-            assert value in out
-        assert "base" in out  # the first grid point anchors the deltas
+            assert f"icn_backend={value} " in out
+        assert "first" in out  # the first grid point anchors the deltas
 
     def test_campaign_aggregate_handles_string_axes(self):
         from repro.sim.observability import schema_of
         from repro.sim.observability.aggregate import (
-            aggregate_campaign,
-            render_campaign_report,
+            fold_stream,
+            render_top,
+            top_report,
         )
 
         records = []
         for index, (backend, cycles) in enumerate(
                 (("mot", 1497), ("crossbar", 1460), ("ring", 1517))):
             records.append({
-                "schema": schema_of("campaign-result"),
+                "schema": schema_of("campaign-telemetry"),
+                "kind": "outcome",
                 "index": index,
                 "label": f"icn_backend={backend}",
                 "status": "ok",
@@ -363,10 +367,10 @@ class TestStringSweepAxes:
                 "cycles": cycles,
                 "wall_seconds": 0.1,
             })
-        report = aggregate_campaign(records)
-        axis = report["axes"]["icn_backend"]
+        summary = fold_stream(records)
+        axis = top_report(summary)["axes"]["icn_backend"]
         assert set(axis) == {"icn_backend=mot", "icn_backend=crossbar",
                              "icn_backend=ring"}
         assert axis["icn_backend=crossbar"]["cycles_p50"] == 1460
-        rendered = render_campaign_report(report, "text")
+        rendered = render_top(summary, "text")
         assert "icn_backend=crossbar" in rendered

@@ -2,16 +2,17 @@
 
 The files under ``tests/golden/reports/`` pin what the report renderers
 print -- ``render_profile``, ``render_explain`` (report and diff),
-``render_comparison``, ``render_sweep_table``, ``render_top`` and
-``render_campaign_report`` -- in each format they have (text, markdown,
-json).  All but the profile go through ``render_report``: the json is
-the report's payload, and text and markdown are one layout of it, so
-both show the same tables with the same rows (checked for every report
-below).  The inputs are the two committed baseline programs, each run
-on ``tiny`` and again with a slow DRAM (so every comparison table has
-rows), and the hand-written campaign stream of
-``test_telemetry.TestAggregation``.  A refactor of the table rendering
-must reproduce them exactly.
+``render_comparison`` and ``render_top`` -- in each format they have
+(text, markdown, json).  All but the profile go through
+``render_report``: the json is the report's payload, and text and
+markdown are one layout of it, so both show the same tables with the
+same rows (checked for every report below).  The inputs are the two
+committed baseline programs, each run on ``tiny`` and again with a slow
+DRAM (so every comparison table has rows; ``sweep`` is the ``xmt-top``
+report of the two as a ``dram_latency`` grid campaign's outcomes), and
+the hand-written campaign stream of ``test_telemetry.TestAggregation``
+(whole, and cut before its ``campaign-end`` record).  A refactor of the
+table rendering must reproduce them exactly.
 
 Regenerate (only when a report's wording is meant to change)::
 
@@ -27,19 +28,17 @@ import pytest
 
 from repro.sim.config import tiny
 from repro.sim.observability import (
-    aggregate_campaign,
     build_explain,
     compare_runs,
     explain,
     explain_diff,
     fold_stream,
     instrumented_run,
-    render_campaign_report,
     render_comparison,
     render_explain,
     render_profile,
-    render_sweep_table,
     render_top,
+    schema_of,
 )
 from repro.xmtc.compiler import compile_source
 
@@ -52,11 +51,13 @@ FORMATS = {"text": "txt", "markdown": "md", "json": "json"}
 
 STREAM = test_telemetry.TestAggregation.STREAM
 
-#: report kind -> fmt -> text, for the campaign-stream views
+#: report kind -> fmt -> text, for the campaign-stream view: the
+#: finished campaign, and the same campaign killed before its
+#: ``campaign-end`` record (its counts come from the ``outcome`` records)
 STREAM_REPORTS = {
     "top": lambda fmt: render_top(fold_stream(STREAM), fmt),
-    "campaign-report": lambda fmt: render_campaign_report(
-        aggregate_campaign(STREAM), fmt),
+    "campaign-report": lambda fmt: render_top(fold_stream(STREAM[:-1]),
+                                              fmt),
 }
 
 
@@ -82,15 +83,21 @@ def program_runs(name: str) -> tuple:
 def program_renderers(fast, slow) -> dict:
     """Report kind -> fmt -> text, for the reports over two runs."""
     comparison = compare_runs(fast.as_record(), slow.as_record())
-    records = [fast.as_record(), slow.as_record()]
+    grid = fold_stream([{
+        "schema": schema_of("campaign-telemetry"), "kind": "outcome",
+        "index": index, "label": f"dram_latency={latency}",
+        "status": "ok", "attempts": 1, "run_id": run.manifest["run_id"],
+        "cycles": run.manifest["cycles"],
+        "instructions": run.manifest["instructions"],
+        "overrides": {"dram_latency": latency}}
+        for index, (latency, run) in enumerate(((6, fast), (60, slow)))])
     return {
         "explain": lambda fmt: render_explain(
             build_explain(**_bundle(fast)), fmt),
         "explain-diff": lambda fmt: render_explain(
             explain_diff(_bundle(fast), _bundle(slow)), fmt),
         "compare": lambda fmt: render_comparison(comparison, fmt),
-        "sweep": lambda fmt: render_sweep_table(
-            records, ["dram_latency"], fmt),
+        "sweep": lambda fmt: render_top(grid, fmt),
     }
 
 

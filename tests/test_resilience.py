@@ -25,6 +25,7 @@ from repro.sim.resilience import (
 )
 from repro.sim.resilience.faults import _InjectionActor
 from repro.toolchain.cli import xmtsim_main
+from repro.toolchain.driver import load_program
 
 # 16 virtual threads each increment one word of A, then the master halts;
 # completes in ~170 cycles on the tiny configuration.
@@ -93,6 +94,17 @@ class TestWatchdog:
         sim = Simulator(assemble(SPIN_ASM), tiny())
         with pytest.raises(SimulationBudgetExceeded, match="event budget"):
             sim.run(max_events=4_000)
+
+    def test_event_budget_below_the_check_interval(self):
+        """vecadd on ``tiny`` is 1 408 events: a budget of 1 000 trips at
+        exactly 1 000, not at the first 2 048-event check (never)."""
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "baselines", "vecadd", "program.c")
+        program, _ = load_program(path)
+        with pytest.raises(SimulationBudgetExceeded,
+                           match=r"1000 events \(budget 1000\)"):
+            Simulator(program, tiny()).run(max_events=1000)
+        assert Simulator(program, tiny()).run(max_events=2000).cycles == 1497
 
     def test_wall_clock_budget(self):
         sim = Simulator(assemble(SPIN_ASM), tiny())
