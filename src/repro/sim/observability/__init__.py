@@ -3,9 +3,9 @@
 The cooperating pieces:
 
 - :mod:`~repro.sim.observability.events` -- structured span tracing of
-  the package life cycle and spawn regions, exportable as JSON Lines
-  (optionally streamed incrementally in bounded memory) or Chrome
-  trace-event format (Perfetto-loadable);
+  the package life cycle and spawn regions, streamed as JSON Lines in
+  bounded memory, and :func:`chrome_trace`, the Chrome trace-event
+  (Perfetto-loadable) export of those records;
 - :mod:`~repro.sim.observability.metrics` -- counters, queue-occupancy
   gauges and memory-latency histograms with a JSON export;
 - :mod:`~repro.sim.observability.profiler` -- per-instruction cycle and
@@ -23,7 +23,8 @@ The cooperating pieces:
   markdown are one layout of it;
 - :mod:`~repro.sim.observability.ledger` -- versioned run manifests
   (``xmtsim-run/1``) bundled with metrics/profile exports in a
-  content-addressed run ledger (``xmtsim --ledger``);
+  content-addressed run ledger (``xmtsim --ledger``), and the run
+  directory one run writes (``xmtsim --out``);
 - :mod:`~repro.sim.observability.compare` -- differential layer over
   the ledger: the ``xmt-compare/1`` report of metric/profile/spawn/layer
   deltas and the ``xmt-compare check`` perf-regression gate;
@@ -71,7 +72,11 @@ from repro.sim.observability.aggregate import (
     top_report,
 )
 from repro.sim.observability.core import PROBES, Observability
-from repro.sim.observability.events import EventStream, SpanEvent
+from repro.sim.observability.events import (
+    EventStream,
+    SpanEvent,
+    chrome_trace,
+)
 from repro.sim.observability.explain import (
     build_explain,
     diff_accounting,
@@ -114,6 +119,7 @@ __all__ = [
     "PROBES",
     "EventStream",
     "SpanEvent",
+    "chrome_trace",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -42,7 +42,8 @@ class Artifact(NamedTuple):
 
 
 ARTIFACTS: Dict[str, Artifact] = {
-    # a run directory: <ledger>/runs/<run_id>/, a committed baseline
+    # a run directory: xmtsim --out DIR, <ledger>/runs/<run_id>/, a
+    # committed baseline
     "manifest": Artifact("xmtsim-run/1", "manifest.json",
                          required=("cycles", "config", "program")),
     "metrics": Artifact("xmtsim-metrics/1", "metrics.json",
@@ -57,13 +58,16 @@ ARTIFACTS: Dict[str, Artifact] = {
                                      "total_cycles", "exact", "machine")),
     "lifecycle": Artifact("xmt-lifecycle/1", "lifecycle.json"),
     "power": Artifact("xmt-power/1", "power.json"),
-    # streams, written while the run or the campaign is going
-    "lifecycle-stream": Artifact("xmt-lifecycle/1", jsonl=True),
-    "telemetry": Artifact("xmtsim-telemetry/1", jsonl=True),
+    # streams, written while the run or the campaign is going (a run's
+    # own streams into its directory: xmtsim --out)
+    "lifecycle-stream": Artifact("xmt-lifecycle/1", "lifecycle.jsonl",
+                                 jsonl=True),
+    "telemetry": Artifact("xmtsim-telemetry/1", "telemetry.jsonl",
+                          jsonl=True),
     "campaign-telemetry": Artifact("xmt-campaign-telemetry/1", jsonl=True),
     "campaign-request": Artifact("xmt-campaign-request/1", jsonl=True),
     "fuzz-outcome": Artifact("xmtc-fuzz-outcome/1", jsonl=True),
-    "events": Artifact(None, jsonl=True),
+    "events": Artifact(None, "events.jsonl", jsonl=True),
     "ledger-index": Artifact(None, jsonl=True),
     "campaign-attempts": Artifact(None, jsonl=True),
     # whole files outside run directories
@@ -75,9 +79,10 @@ ARTIFACTS: Dict[str, Artifact] = {
     "top-report": Artifact("xmt-top-report/2"),
 }
 
-#: what a run directory holds next to its manifest, by artifact name
+#: the whole files a run directory holds next to its manifest, by
+#: artifact name (what a ledger entry records)
 RUN_PAYLOADS = tuple(name for name, row in ARTIFACTS.items()
-                     if row.file and name != "manifest")
+                     if row.file and not row.jsonl and name != "manifest")
 
 
 def schema_of(name: str) -> Optional[str]:

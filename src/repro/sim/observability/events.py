@@ -7,15 +7,15 @@ spawn unit) fire probes; an :class:`EventStream` subscribed on
 ``machine.obs`` turns them into :class:`SpanEvent` records -- begin/end
 spans, complete spans with a known duration, and instants.  The text
 :class:`~repro.sim.trace.Trace` levels are renderers over the same
-probes; the stream itself exports as
-
-- **JSON Lines** (one event object per line), and
-- **Chrome trace-event format**, which loads directly in Perfetto or
-  ``chrome://tracing`` with one track per TCU and per cycle-accurate
-  module.
+probes.  The stream is written as **JSON Lines** (one event object
+per line, ``events.jsonl`` in a run directory) while the run goes;
+:func:`chrome_trace` turns those records into the **Chrome
+trace-event format**, which loads directly in Perfetto or
+``chrome://tracing`` with one track per TCU and per cycle-accurate
+module.
 
 Timestamps are simulated picoseconds (the engine's native unit); the
-Chrome exporter converts to the format's microseconds.
+Chrome export converts to the format's microseconds.
 """
 
 from __future__ import annotations
@@ -75,16 +75,16 @@ class EventStream:
     """Collects span events; keeps a bounded ring of the most recent.
 
     ``retain=False`` keeps only the ring buffer (enough for diagnostic
-    dumps) without accumulating a full trace -- the mode the resilience
-    layer uses when no ``--trace-out`` was requested.
+    dumps) without accumulating a full trace.
 
-    ``stream_to`` attaches an incremental JSONL sink: every emitted
-    event is serialized to the file as it happens (flushed every
-    ``flush_every`` events), so a long run with ``retain=False`` traces
-    in O(ring buffer) memory instead of buffering millions of events --
-    the mode the CLI uses for ``--trace-out`` in jsonl format.  Pass a
-    path (the stream owns and closes the file) or an open file object
-    (the caller keeps ownership); call :meth:`close` when the run ends.
+    ``stream_to`` attaches the one export, an incremental JSONL sink:
+    every emitted event is serialized to the file as it happens
+    (flushed every ``flush_every`` events), so a long run with
+    ``retain=False`` traces in O(ring buffer) memory instead of
+    buffering millions of events -- the mode ``xmtsim --observe
+    events`` uses for ``events.jsonl``.  Pass a path (the stream owns
+    and closes the file) or an open file object (the caller keeps
+    ownership); call :meth:`close` when the run ends.
     """
 
     def __init__(self, retain: bool = True, recent: int = 64,
@@ -108,10 +108,6 @@ class EventStream:
             else:
                 self._stream_fh = open(stream_to, "w")
                 self._stream_owned = True
-
-    @property
-    def streaming(self) -> bool:
-        return self._stream_fh is not None
 
     def __len__(self) -> int:
         return len(self.events) if self.events is not None else len(self.recent)
@@ -217,71 +213,47 @@ class EventStream:
     def spawn_ended(self, region, now: int) -> None:
         self.end(self._spawn_name(region), "spawn", now, "spawn")
 
-    # -- exports -------------------------------------------------------------
+    # -- reading --------------------------------------------------------------
 
     def iter_events(self) -> Iterable[SpanEvent]:
         if self.events is not None:
             return iter(self.events)
         return iter(self.recent)
 
-    def write_jsonl(self, fh: IO[str]) -> int:
-        """One JSON object per line; returns the number written."""
-        n = 0
-        for event in self.iter_events():
-            fh.write(json.dumps(event.to_dict(), sort_keys=True))
-            fh.write("\n")
-            n += 1
-        return n
 
-    def chrome_payload(self, process_name: str = "xmtsim") -> Dict[str, Any]:
-        """The trace-event JSON object Perfetto/chrome://tracing load.
+def chrome_trace(records: Iterable[Dict[str, Any]],
+                 process_name: str = "xmtsim") -> Dict[str, Any]:
+    """The trace-event JSON object Perfetto/chrome://tracing load, from
+    the records of an ``events.jsonl`` stream (``xmt-prof chrome``).
 
-        Tracks map to threads of one process: each distinct ``track``
-        string becomes a ``tid`` with a ``thread_name`` metadata record,
-        in sorted track order so TCUs group together in the UI.
-        """
-        events = list(self.iter_events())
-        tracks = sorted({e.track for e in events})
-        tid_of = {track: i + 1 for i, track in enumerate(tracks)}
-        out: List[Dict[str, Any]] = [{
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-            "args": {"name": process_name},
-        }]
-        for track in tracks:
-            out.append({"name": "thread_name", "ph": "M", "pid": 1,
-                        "tid": tid_of[track], "args": {"name": track}})
-            out.append({"name": "thread_sort_index", "ph": "M", "pid": 1,
-                        "tid": tid_of[track],
-                        "args": {"sort_index": tid_of[track]}})
-        for e in events:
-            rec: Dict[str, Any] = {
-                "name": e.name, "cat": e.cat, "ph": e.ph,
-                "ts": e.ts / 1e6,  # ps -> us
-                "pid": 1, "tid": tid_of[e.track],
-            }
-            if e.ph == PH_COMPLETE:
-                rec["dur"] = e.dur / 1e6
-            elif e.ph == PH_INSTANT:
-                rec["s"] = "t"  # thread-scoped instant
-            if e.args:
-                rec["args"] = e.args
-            out.append(rec)
-        return {"traceEvents": out, "displayTimeUnit": "ns"}
-
-    def write_chrome(self, fh: IO[str], process_name: str = "xmtsim") -> None:
-        json.dump(self.chrome_payload(process_name), fh)
-
-    def write(self, path: str, fmt: str = "jsonl") -> None:
-        """Write the stream to ``path`` as ``jsonl`` or ``chrome``."""
-        if fmt not in ("jsonl", "chrome"):
-            raise ValueError(f"unknown trace format {fmt!r}")
-        if self.streaming and self.events is None:
-            raise ValueError(
-                "events were streamed incrementally (stream_to=...) "
-                "without retain; the streaming sink already holds the "
-                "full trace")
-        with open(path, "w") as fh:
-            if fmt == "chrome":
-                self.write_chrome(fh)
-            else:
-                self.write_jsonl(fh)
+    Tracks map to threads of one process: each distinct ``track``
+    string becomes a ``tid`` with a ``thread_name`` metadata record,
+    in sorted track order so TCUs group together in the UI.
+    """
+    events = list(records)
+    tracks = sorted({e["track"] for e in events})
+    tid_of = {track: i + 1 for i, track in enumerate(tracks)}
+    out: List[Dict[str, Any]] = [{
+        "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+        "args": {"name": process_name},
+    }]
+    for track in tracks:
+        out.append({"name": "thread_name", "ph": "M", "pid": 1,
+                    "tid": tid_of[track], "args": {"name": track}})
+        out.append({"name": "thread_sort_index", "ph": "M", "pid": 1,
+                    "tid": tid_of[track],
+                    "args": {"sort_index": tid_of[track]}})
+    for e in events:
+        rec: Dict[str, Any] = {
+            "name": e["name"], "cat": e["cat"], "ph": e["ph"],
+            "ts": e["ts"] / 1e6,  # ps -> us
+            "pid": 1, "tid": tid_of[e["track"]],
+        }
+        if e["ph"] == PH_COMPLETE:
+            rec["dur"] = e["dur"] / 1e6
+        elif e["ph"] == PH_INSTANT:
+            rec["s"] = "t"  # thread-scoped instant
+        if e.get("args"):
+            rec["args"] = e["args"]
+        out.append(rec)
+    return {"traceEvents": out, "displayTimeUnit": "ns"}

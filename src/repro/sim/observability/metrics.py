@@ -10,9 +10,9 @@ adds the two shapes counters cannot express --
   its TCU)
 
 -- plus per-spawn-region cycle rollups, and one machine-readable JSON
-export (``xmtsim --metrics-out``) covering all of them alongside the
-plain counters, so architectural studies diff runs without scraping
-text reports.
+export (``metrics.json`` of an ``xmtsim --out`` run directory)
+covering all of them alongside the plain counters, so architectural
+studies diff runs without scraping text reports.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class MetricsRegistry:
 
 
 def export_metrics(machine) -> Dict[str, Any]:
-    """The full ``--metrics-out`` payload for one machine.
+    """The full ``metrics.json`` payload for one machine.
 
     Merges the machine's raw :class:`~repro.sim.stats.Stats` counters
     with the registry's gauges/histograms/rollups and the scheduler's

@@ -115,7 +115,7 @@ def source_line(source: Optional[str], line: int) -> str:
 def render_profile(data: Dict[str, Any], source: Optional[str] = None,
                    top: int = 20) -> str:
     """Render a profile payload (from :meth:`CycleProfiler.to_data` or a
-    ``--profile-out`` JSON file) as the gprof-style hotspot table."""
+    run directory's ``profile.json``) as the gprof-style hotspot table."""
     if source is None:
         source = data.get("source")
 

@@ -46,8 +46,6 @@ class _SiteStats:
     executions: int = 0
     #: per-virtual-thread cycles, exponentially averaged over samples
     cycles_per_thread: float = 0.0
-    #: fixed overhead (broadcast + join), averaged
-    overhead_cycles: float = 0.0
     skipped: int = 0
     estimated_cycles: int = 0
 
@@ -84,8 +82,7 @@ class PhaseSampler:
     def estimate_ps(self, spawn_index: int, n_threads: int,
                     period: int) -> int:
         stats = self.site(spawn_index)
-        cycles = stats.overhead_cycles + stats.cycles_per_thread * max(
-            0, n_threads)
+        cycles = stats.cycles_per_thread * max(0, n_threads)
         estimate = max(1, int(round(cycles)))
         stats.skipped += 1
         stats.estimated_cycles += estimate
@@ -104,15 +101,14 @@ class PhaseSampler:
         self._measuring = None
         cycles = (now - self._start_time) / period
         stats = self.site(spawn_index)
-        # split the cost into fixed overhead + per-thread work using two
-        # observations when available; first sample seeds both
+        # the whole cost is per-thread work: the estimate is linear in
+        # the thread count, through the origin
         per_thread = cycles / max(1, self._threads)
         if stats.sampled_runs <= 1:
             # overwrite (don't average) through the second sample: the
             # first execution of a site pays cold-cache costs that do
             # not represent the steady phase
             stats.cycles_per_thread = per_thread
-            stats.overhead_cycles = 0.0
         else:
             a = self.ewma
             stats.cycles_per_thread = (

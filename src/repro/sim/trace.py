@@ -11,8 +11,9 @@ A :class:`Trace` is a *text renderer* subscribed on ``machine.obs``
 like every other consumer: it hears the ``issued`` and ``replied``
 probes that also feed the structured
 :class:`~repro.sim.observability.EventStream` behind the
-machine-readable ``--trace-out`` exports.  Both views see the same
-underlying events; this one formats them for humans.
+machine-readable ``events.jsonl`` stream (``xmtsim --observe
+events``).  Both views see the same underlying events; this one
+formats them for humans.
 """
 
 from __future__ import annotations

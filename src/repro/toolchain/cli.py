@@ -9,9 +9,9 @@ monitor), as executables.
     xmtcc program.c -o program.s [-O2] [--cluster 4] [--no-prefetch] ...
     xmtsim program.s [--config fpga64] [--mode cycle|functional]
            [--set A 1,2,3] [--print-global B] [--stats] [--trace ...]
-           [--ledger DIR]
+           [--out RUN [--observe metrics,profile,...]] [--ledger DIR]
     xmtc-lint program.c [--json] [--dynamic] [--check-shipped]
-    xmt-prof report profile.json [--top 30]
+    xmt-prof {report,chrome} RUN [--top 30]
     xmt-explain {report,diff} ... [--format text|markdown|json]
     xmt-compare {list,diff,check} ... [--ledger DIR]
     xmt-campaign program.c --vary f=v1,v2 --workers 4 --ledger DIR
@@ -63,8 +63,8 @@ from repro.sim.observability import (
     Ledger,
     MetricsRegistry,
     Observability,
-    artifact_json,
     build_explain,
+    chrome_trace,
     check_regressions,
     collect_artifacts,
     compare_runs,
@@ -83,6 +83,7 @@ from repro.sim.observability.aggregate import (
     fold_stream,
     render_top,
 )
+from repro.sim.observability.artifacts import run_file
 from repro.sim.observability.telemetry import JsonlSink, TelemetrySampler
 from repro.sim.plugins import RaceSanitizer
 from repro.sim.resilience import (
@@ -260,13 +261,6 @@ def _add_report_options(parser, *, format_help: Optional[str] = None,
     if out:
         parser.add_argument("--out", default=None, metavar="FILE",
                             help="also write the report to FILE")
-
-
-def _add_telemetry_options(parser, *, out_help: str, every_help: str) -> None:
-    parser.add_argument("--telemetry-out", default=None, metavar="PATH",
-                        help=out_help)
-    parser.add_argument("--telemetry-every", type=int, default=2000,
-                        metavar="CYCLES", help=every_help)
 
 
 # -- resolving them ------------------------------------------------------------------
@@ -655,40 +649,21 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                              "regions and report dynamic races")
     obsgroup = parser.add_argument_group(
         "observability (cycle mode)",
-        "structured span traces, metrics export and the source-level "
-        "cycle profiler (see MANUAL.md section 4.6)")
-    obsgroup.add_argument("--trace-out", default=None, metavar="PATH",
-                          help="write the structured span-event stream "
-                               "(instruction issues, ICN transits, cache "
-                               "accesses, DRAM reads, memory round-trips, "
-                               "spawn regions) to PATH")
-    obsgroup.add_argument("--trace-format", default="jsonl",
-                          choices=("jsonl", "chrome"),
-                          help="--trace-out format: 'jsonl' = one event "
-                               "per line; 'chrome' = Chrome trace-event "
-                               "JSON (load in Perfetto / chrome://tracing)")
-    obsgroup.add_argument("--metrics-out", default=None, metavar="PATH",
-                          help="write counters, queue-occupancy gauges, "
-                               "memory-latency histograms and spawn-region "
-                               "rollups to PATH as JSON")
+        "one directory per run: the manifest, the artifacts --observe "
+        "collects and the live streams; the source-level cycle profiler "
+        "and the bottleneck report (see MANUAL.md section 4.6)")
+    obsgroup.add_argument("--out", default=None, metavar="DIR",
+                          help="write this run's directory (new or empty): "
+                               "manifest.json, the files --observe "
+                               "collects, its streams written live")
+    obsgroup.add_argument("--observe", default=None, metavar="LIST",
+                          help=f"artifacts to collect: {_OBSERVABLE} "
+                               "(default metrics,profile; the streams "
+                               "events and telemetry need --out)")
     obsgroup.add_argument("--profile", action="store_true",
                           help="attribute every issue and stall cycle to "
                                "its XMTC source line and print the "
                                "hotspot report")
-    obsgroup.add_argument("--profile-out", default=None, metavar="PATH",
-                          help="write the raw profile to PATH as JSON "
-                               "(render later with 'xmt-prof report')")
-    obsgroup.add_argument("--accounting-out", default=None, metavar="PATH",
-                          help="write top-down cycle accounting (every "
-                               "TCU cycle attributed to retiring / "
-                               "frontend / scoreboard / FU / memory-by-"
-                               "layer / sync-join) to PATH as JSON; "
-                               "render with 'xmt-explain report'")
-    obsgroup.add_argument("--lifecycle-out", default=None, metavar="PATH",
-                          help="stream sampled memory-request lifecycles "
-                               "(per-hop timestamps and queue depths, "
-                               "TCU -> cluster -> ICN -> cache -> DRAM "
-                               "and back) to PATH as JSONL")
     obsgroup.add_argument("--lifecycle-sample", type=int, default=1,
                           metavar="N",
                           help="record every Nth request lifecycle "
@@ -698,17 +673,14 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                           help="print the xmt-explain bottleneck report "
                                "(top-down tree, hop latencies, "
                                "contention hot spots) after the run")
-    _add_telemetry_options(
-        obsgroup,
-        out_help="stream live progress frames (cycle, retired "
-                 "instructions, interval IPC, queue occupancy, active "
-                 "spawns, ETA) to PATH as JSONL; watch with 'xmt-top "
-                 "watch --follow'",
-        every_help="telemetry frame interval in cycles (default 2000)")
+    obsgroup.add_argument("--telemetry-every", type=int, default=2000,
+                          metavar="CYCLES",
+                          help="interval in cycles of the telemetry.jsonl "
+                               "progress frames (default 2000)")
     obsgroup.add_argument("--ledger", default=None, metavar="DIR",
-                          help="record this run (manifest + metrics + "
-                               "profile) into the experiment ledger at "
-                               "DIR; diff runs later with xmt-compare")
+                          help="record this run (manifest + what "
+                               "--observe collects) into the experiment "
+                               "ledger at DIR; diff runs with xmt-compare")
     obsgroup.add_argument("--run-label", default=None, metavar="TEXT",
                           help="human-readable label stored in the run "
                                "manifest (shown by xmt-compare list)")
@@ -754,95 +726,81 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _observability_for(args, program, source):
-    """xmtsim's observability flags -> the consumers they subscribe
-    (``None`` when none was given)."""
-    want_profile = args.profile or args.profile_out is not None
-    want_accounting = args.explain or args.accounting_out is not None
-    want_recorder = args.lifecycle_out is not None or want_accounting
-    if not (args.trace_out or args.metrics_out or want_profile
-            or args.ledger or want_recorder):
-        return None
-    events = None
-    if args.trace_out:
-        with _flag("--trace-out", OSError):
-            # jsonl is an incremental sink: O(ring buffer) memory on
-            # long runs
-            events = (EventStream(retain=False, stream_to=args.trace_out)
-                      if args.trace_format == "jsonl" else EventStream())
+#: what ``xmtsim --observe`` can name: the artifacts of a run directory
+#: besides its manifest (``lifecycle`` is the summary and, with --out,
+#: the stream of sampled requests; the last two are streams only)
+_OBSERVABLE = "metrics,profile,accounting,lifecycle,events,telemetry"
+
+
+def _observed(args) -> List[str]:
+    """The artifacts this run collects: ``--observe`` (``metrics,profile``
+    when the run is written at all), plus what ``--profile`` and
+    ``--explain`` print."""
+    names = [name.strip() for name in (args.observe or "").split(",")
+             if name.strip()]
+    if args.observe is None and (args.out or args.ledger):
+        names = ["metrics", "profile"]
+    for name in names:
+        stream = name in ("events", "telemetry")
+        if name not in _OBSERVABLE.split(","):
+            raise CliError(f"--observe: unknown artifact {name!r} "
+                           f"(choose from {_OBSERVABLE})")
+        if not args.out and (stream or not args.ledger):
+            raise CliError(f"--observe {name}: nowhere to write it; give "
+                           f"--out DIR{'' if stream else ' or --ledger DIR'}")
+    return names + ["profile"] * args.profile + ["accounting"] * args.explain
+
+
+def _observability_for(args, observed, program, source):
+    """The consumers ``observed`` subscribes, with the live streams
+    opened in the ``--out`` directory, created here: new or empty, as a
+    run directory never mixes two runs (``None``: a plain run)."""
+    if args.out:
+        if os.path.isfile(args.out) or (os.path.isdir(args.out)
+                                        and os.listdir(args.out)):
+            raise CliError(f"--out: {args.out} is not a new or empty "
+                           f"directory; a run directory holds one run")
+        os.makedirs(args.out, exist_ok=True)
+    if not (observed or args.out or args.ledger):
+        return None  # else a manifest is written: it reads machine.obs
     recorder = None
-    if want_recorder:
+    if "lifecycle" in observed or "accounting" in observed:
+        # accounting splits memory stalls by layer with the recorder
         recorder = FlightRecorder(sample_every=max(1, args.lifecycle_sample))
-        if args.lifecycle_out:
-            with _flag("--lifecycle-out", OSError):
-                recorder.stream_to(args.lifecycle_out)
+        if "lifecycle" in observed and args.out:
+            recorder.stream_to(run_file(args.out, "lifecycle-stream"))
     return Observability(
-        events=events,
-        metrics=MetricsRegistry() if args.metrics_out or args.ledger else None,
+        events=(EventStream(retain=False,
+                            stream_to=run_file(args.out, "events"))
+                if "events" in observed else None),
+        metrics=MetricsRegistry() if "metrics" in observed else None,
         profiler=(CycleProfiler(program, source=source)
-                  if want_profile or args.ledger else None),
-        accounting=CycleAccountant() if want_accounting else None,
+                  if "profile" in observed else None),
+        accounting=CycleAccountant() if "accounting" in observed else None,
         lifecycle=recorder)
 
 
-def _telemetry_for(args):
-    if not args.telemetry_out:
-        return None
-    with _flag("--telemetry-out", OSError):
-        sink = JsonlSink(args.telemetry_out)
-    return TelemetrySampler(
-        every_cycles=args.telemetry_every, sinks=[sink],
-        eta_cycles=args.max_cycles,
-        meta={"label": args.run_label or None,
-              "program": os.path.basename(args.program)})
-
-
-def _write_observability(args, obs, artifacts) -> None:
-    """Write the --trace-out/--metrics-out/--profile/--accounting-out/
-    --lifecycle-out/--explain outputs of one observed run."""
-    if args.trace_out:
-        if obs.events.streaming:
-            # streamed during the run; all that remains is the flush
-            obs.events.close()
-            print(f"xmtsim: streamed {obs.events.emitted} jsonl events to "
-                  f"{args.trace_out}", file=sys.stderr)
-        else:
-            with _flag("--trace-out", OSError):
-                obs.events.write(args.trace_out, args.trace_format)
-            print(f"xmtsim: wrote {args.trace_format} trace to "
-                  f"{args.trace_out}", file=sys.stderr)
-    payloads = artifacts.payloads()
-    for name, what in (("metrics", "metrics"), ("profile", "profile"),
-                       ("accounting", "cycle accounting")):
-        path = getattr(args, f"{name}_out")
-        if path:
-            _write_text(f"--{name}-out", path, artifact_json(payloads[name]))
-            print(f"xmtsim: wrote {what} to {path}", file=sys.stderr)
-    if args.profile:
-        print(render_profile(artifacts.profile), file=sys.stderr)
-    if obs.lifecycle is not None:
-        obs.lifecycle.close()
-        if args.lifecycle_out:
-            print(f"xmtsim: streamed {obs.lifecycle.sampled} request "
-                  f"lifecycle(s) to {args.lifecycle_out} "
-                  f"({obs.lifecycle.completed} completed)", file=sys.stderr)
-    if args.explain:
-        report = build_explain(**{name: payloads.get(name)
-                                  for name in _EXPLAINED})
-        print(render_explain(report), file=sys.stderr)
-
-
-def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
+def _simulate_cycle(args, observed, program, source, config, inputs,
+                    plugins, trace):
     """The cycle-accurate run of ``xmtsim``: plain or under
-    auto-recovery, observed or not.  Returns the final memory image."""
-    observability = _observability_for(args, program, source)
-    telemetry = _telemetry_for(args)
-    sim = Simulator(program, config, plugins=plugins, trace=trace,
-                    observability=observability)
-    machine = sim.machine
+    auto-recovery, observed (``observed``: :func:`_observed`) or not.
+    Returns the final memory image."""
+    telemetry = None
+    with _flag("--out", OSError):
+        observability = _observability_for(args, observed, program, source)
+        if "telemetry" in observed:
+            telemetry = TelemetrySampler(
+                every_cycles=args.telemetry_every,
+                sinks=[JsonlSink(run_file(args.out, "telemetry"))],
+                eta_cycles=args.max_cycles,
+                meta={"label": args.run_label or None,
+                      "program": os.path.basename(args.program)})
     report = None
     started = time.perf_counter()
     try:
+        sim = Simulator(program, config, plugins=plugins, trace=trace,
+                        observability=observability)
+        machine = sim.machine
         if telemetry is not None:
             telemetry.attach(machine)
             telemetry.arm()
@@ -883,8 +841,10 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
             # close() emits the closing "final" frame even when the run
             # ended in an exception: the stream records where it died
             telemetry.close()
-            print(f"xmtsim: telemetry: {telemetry.emitted} frame(s) to "
-                  f"{args.telemetry_out}", file=sys.stderr)
+        if observability is not None:
+            for live in (observability.events, observability.lifecycle):
+                if live is not None:
+                    live.close()
     completed = report is None or report.completed
     sys.stdout.write(result.output)
     if completed:
@@ -897,10 +857,22 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
         artifacts = collect_artifacts(
             machine, result, wall, source=source, program_path=args.program,
             label=args.run_label, inputs=inputs or None)
-        _write_observability(args, observability, artifacts)
+        if args.profile:
+            print(render_profile(artifacts.profile), file=sys.stderr)
+        if args.explain:
+            payloads = artifacts.payloads()
+            print(render_explain(build_explain(
+                **{name: payloads.get(name) for name in _EXPLAINED})),
+                file=sys.stderr)
+    if args.out:
+        with _flag("--out", OSError):
+            record = write_run_dir(args.out, artifacts.manifest,
+                                   artifacts.payloads())
+        print(f"xmtsim: wrote run {record.run_id} to {args.out}",
+              file=sys.stderr)
     if not completed:
-        # a salvaged run still wrote its outputs above, but is no ledger
-        # entry: its cycle count is where it died
+        # a salvaged run still wrote its directory above, but is no
+        # ledger entry: its cycle count is where it died
         raise CliError(result.format(), code=5, kind="recovery failed")
     if args.ledger:
         record = Ledger(args.ledger).record_artifacts(artifacts)
@@ -911,12 +883,9 @@ def _simulate_cycle(args, program, source, config, inputs, plugins, trace):
 
 def _xmtsim(args) -> int:
     cycle_only = [flag for flag, given in (
-        ("--campaign", args.campaign is not None),
-        ("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out),
-        ("--profile", args.profile), ("--profile-out", args.profile_out),
-        ("--accounting-out", args.accounting_out),
-        ("--lifecycle-out", args.lifecycle_out), ("--explain", args.explain),
-        ("--telemetry-out", args.telemetry_out),
+        ("--campaign", args.campaign is not None), ("--out", args.out),
+        ("--observe", args.observe is not None),
+        ("--profile", args.profile), ("--explain", args.explain),
         ("--ledger", args.ledger), ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
         ("--event-budget", args.event_budget is not None),
@@ -936,6 +905,7 @@ def _xmtsim(args) -> int:
     _at_least(1, "--telemetry-every", args.telemetry_every)
     _at_least(1, "--event-budget", args.event_budget)
     _above_zero("--wall-limit", args.wall_limit)
+    observed = _observed(args)
 
     program, source, config, inputs = _load_run(args)
     if args.watchdog is not None:
@@ -994,8 +964,8 @@ def _xmtsim(args) -> int:
                 print(result.stats.report(), file=sys.stderr)
             memory = result.memory
         else:
-            memory = _simulate_cycle(args, program, source, config, inputs,
-                                     plugins, trace)
+            memory = _simulate_cycle(args, observed, program, source,
+                                     config, inputs, plugins, trace)
     except SimulationStalled as exc:
         print(f"xmtsim: stalled: {exc}", file=sys.stderr)
         if exc.dump is not None:
@@ -1033,21 +1003,34 @@ def _prof_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-prof",
         description="render xmtsim cycle profiles (gprof-style, per "
-                    "XMTC source line)")
+                    "XMTC source line) and export a run's event stream")
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
         "report", help="print the hotspot report for a profile JSON")
-    report.add_argument("profile", help="JSON written by --profile-out")
+    report.add_argument("profile", help="run directory (xmtsim --out) or "
+                                        "its profile.json")
     report.add_argument("--top", type=int, default=20, metavar="N",
                         help="show the N hottest source lines")
     report.add_argument("--source", default=None, metavar="FILE",
                         help="XMTC source to quote (overrides the text "
                              "embedded in the profile)")
+    chrome = sub.add_parser(
+        "chrome", help="print a run's events.jsonl as Chrome trace-event "
+                       "JSON (load in Perfetto / chrome://tracing)")
+    chrome.add_argument("run", help="run directory written by 'xmtsim "
+                                    "--out DIR --observe events'")
     return parser
 
 
 def _prof(args) -> int:
-    data = load_artifact(args.profile, "profile")
+    if args.command == "chrome":
+        events = read_jsonl(run_file(args.run, "events"))
+        print(json.dumps(chrome_trace(events)))
+        return 0
+    path = args.profile
+    if os.path.isdir(path):  # a run directory
+        path = run_file(path, "profile")
+    data = load_artifact(path, "profile")
     source = None
     if args.source:
         with _flag("--source", OSError):
@@ -1058,7 +1041,9 @@ def _prof(args) -> int:
 
 
 def xmt_prof_main(argv: Optional[List[str]] = None) -> int:
-    """``xmt-prof``: inspect profiles written by ``xmtsim --profile-out``.
+    """``xmt-prof``: inspect the profile of a run directory written by
+    ``xmtsim --out`` (or its ``profile.json``), and export its event
+    stream as a Chrome trace.
 
     Exit codes: 0 = report printed, 2 = unreadable or not a profile.
     """
@@ -1111,7 +1096,7 @@ def _explain_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
     """Resolve one run operand into ``{"accounting", "lifecycle",
     "metrics", "manifest"}`` (accounting required, the rest optional).
     Besides what :func:`_resolve_run` takes, the operand may be a bare
-    ``accounting.json`` export (``xmtsim --accounting-out``)."""
+    ``accounting.json`` file."""
     if os.path.isfile(token) \
             and not token.endswith(ARTIFACTS["manifest"].file):
         return {"accounting": load_artifact(token, "accounting")}
@@ -1120,7 +1105,7 @@ def _explain_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
     if bundle["accounting"] is None:
         raise CliError(
             f"{token}: run has no accounting.json -- record it with "
-            f"'xmtsim --accounting-out --ledger' or "
+            f"'xmtsim --out DIR --observe accounting' (or --explain) or "
             f"'xmt-compare check --recorder --ledger'")
     return dict(bundle, manifest=record.manifest)
 
@@ -1179,9 +1164,9 @@ def _explain(args) -> int:
 def xmt_explain_main(argv: Optional[List[str]] = None) -> int:
     """``xmt-explain``: bottleneck reports over recorded runs.
 
-    ``RUN`` is a ledger run directory, a ``manifest.json`` path, a bare
-    ``accounting.json`` export (from ``xmtsim --accounting-out``), or --
-    with ``--ledger DIR`` -- a run id prefix.  ``report`` renders one
+    ``RUN`` is a run directory (``xmtsim --out``, or a ledger's), a
+    ``manifest.json`` path, a bare ``accounting.json`` file, or -- with
+    ``--ledger DIR`` -- a run id prefix.  ``report`` renders one
     run's top-down cycle tree, per-hop latency distributions and
     contention hot spots; ``diff`` renders the layer-attribution table
     between two runs and names the layer responsible for a cycle
@@ -1382,15 +1367,16 @@ def _campaign_parser() -> argparse.ArgumentParser:
                         help="sweep an XMTConfig field over values "
                              "(repeatable; repeats form the cartesian "
                              "product)")
-    _add_telemetry_options(
-        parser,
-        out_help="multiplex worker telemetry frames and engine records "
-                 "(campaign-start, outcomes, campaign-end) "
-                 "into one JSONL stream at PATH; watch it live with "
-                 "'xmt-top watch --follow', report on it with "
-                 "'xmt-top report'",
-        every_help="worker telemetry frame interval in cycles "
-                   "(default 2000)")
+    parser.add_argument("--telemetry-out", default=None, metavar="PATH",
+                        help="multiplex worker telemetry frames and engine "
+                             "records (campaign-start, outcomes, "
+                             "campaign-end) into one JSONL stream at PATH; "
+                             "watch it live with 'xmt-top watch --follow', "
+                             "report on it with 'xmt-top report'")
+    parser.add_argument("--telemetry-every", type=int, default=2000,
+                        metavar="CYCLES",
+                        help="worker telemetry frame interval in cycles "
+                             "(default 2000)")
     parser.add_argument("--queue", default=None, metavar="FILE",
                         help="JSONL queue of run requests (one JSON "
                              "object per line; see MANUAL 4.9)")
@@ -1507,7 +1493,8 @@ def _top_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="one-shot table from a telemetry stream")
     report.add_argument("stream",
-                        help="JSONL written by xmtsim/xmt-campaign "
+                        help="JSONL written by xmtsim (telemetry.jsonl of "
+                             "an --out directory) or by xmt-campaign "
                              "--telemetry-out")
     _add_report_options(report)
     watch = sub.add_parser(
@@ -1562,6 +1549,8 @@ def _top_watch(args) -> int:
             row.state in terminal for row in summary.rows.values())
 
     try:
+        # a stream that is missing or holds no record yet has no run to
+        # show: wait (10 s at most) until its first record is folded
         deadline = time.monotonic() + 10.0
         while not os.path.exists(args.follow):
             if time.monotonic() >= deadline:
@@ -1570,10 +1559,15 @@ def _top_watch(args) -> int:
         tail = JsonlTail()
         with open(args.follow, "rb") as fh:
             while True:
-                fold_stream(tail.feed(fh.read()), summary)
-                redraw()
-                if done():
-                    return 0
+                records = tail.feed(fh.read())
+                fold_stream(records, summary)
+                if records or updates:
+                    redraw()
+                    if done():
+                        return 0
+                elif time.monotonic() >= deadline:
+                    raise CliError(f"--follow {args.follow}: no telemetry "
+                                   f"records")
                 time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0

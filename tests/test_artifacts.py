@@ -59,21 +59,19 @@ def written(tmp_path_factory):
     at = lambda name: str(root / name)  # noqa: E731
     (root / "good.c").write_text(GOOD_C)
 
-    # one observed run: the run directory and the three live streams
+    # one observed run: its directory, with the three live streams
     assert cli.xmtsim_main(
         [at("good.c"), "--config", "tiny", "--ledger", at("ledger"),
-         "--accounting-out", at("a.json"), "--lifecycle-out",
-         at("life.jsonl"), "--telemetry-out", at("t.jsonl"),
-         "--telemetry-every", "50", "--trace-out", at("ev.jsonl"),
-         "--trace-format", "jsonl"]) == 0
+         "--out", at("run"), "--observe",
+         "metrics,profile,accounting,lifecycle,events,telemetry",
+         "--telemetry-every", "50"]) == 0
     ledger = Ledger(at("ledger"))
     run, = ledger.list_runs()
-    paths = {name: os.path.join(run.path, ARTIFACTS[name].file)
+    paths = {name: os.path.join(at("run"), ARTIFACTS[name].file)
              for name in ("manifest", "metrics", "profile", "accounting",
-                          "lifecycle")}
-    paths.update({"lifecycle-stream": at("life.jsonl"),
-                  "telemetry": at("t.jsonl"), "events": at("ev.jsonl"),
-                  "ledger-index": ledger.index_path})
+                          "lifecycle", "lifecycle-stream", "telemetry",
+                          "events")}
+    paths["ledger-index"] = ledger.index_path
     program = compile_source(GOOD_C)
     powered = ledger.record_artifacts(instrumented_run(
         program, tiny(), source=GOOD_C, label="powered",
@@ -138,6 +136,8 @@ def test_whole_file_round_trips(written, name):
 def test_stream_round_trips(written, name):
     records = read_jsonl(written[name], strict=True)
     assert records
+    if ARTIFACTS[name].file:  # a run's own stream, in its directory
+        assert os.path.basename(written[name]) == ARTIFACTS[name].file
     schemas = {record.get("schema") for record in records}
     if name == "campaign-telemetry":  # worker frames ride along
         assert schemas == {ARTIFACTS[name].schema,

@@ -241,22 +241,22 @@ class TestExitCodeMatrix:
 
     def test_exit_5_still_writes_observability(self, spin_file, tmp_path,
                                                capsys):
-        metrics_path = str(tmp_path / "partial-metrics.json")
+        run = tmp_path / "partial"
         rc = xmtsim_main([spin_file, "--config", "tiny",
                           "--max-cycles", "2000", "--max-retries", "0",
-                          "--metrics-out", metrics_path])
+                          "--out", str(run)])
         assert rc == 5
-        # partial runs still flush their telemetry (the fix this class
+        # partial runs still write their directory (the fix this class
         # guards: the exit-5 path used to return before the writes)
-        import os
-        assert os.path.exists(metrics_path)
+        assert (run / "metrics.json").exists()
+        assert (run / "manifest.json").exists()
 
     def test_resilient_completion_reattaches_observability(self, src_file,
                                                            tmp_path, capsys):
-        metrics_path = str(tmp_path / "ok-metrics.json")
+        metrics_path = str(tmp_path / "run" / "metrics.json")
         rc = xmtsim_main([src_file, "--config", "tiny",
                           "--checkpoint-every", "50",
-                          "--metrics-out", metrics_path])
+                          "--out", str(tmp_path / "run")])
         captured = capsys.readouterr()
         assert rc == 0
         assert "resilient run completed" in captured.err

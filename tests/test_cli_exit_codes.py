@@ -108,15 +108,18 @@ def ws(tmp_path_factory):
                         '{"base": "tiny", "stack_top": 69632}')):
         (root / name).write_text(text)
         paths[name.split(".")[0].replace("-", "_")] = str(root / name)
-    paths.update(ledger=str(root / "ledger"), profile=str(root / "p.json"),
-                 stream=str(root / "t.jsonl"), baseline=str(root / "base"),
-                 accounting=str(root / "a.json"),
+    run = root / "run"
+    paths.update(ledger=str(root / "ledger"), run=str(run),
+                 profile=str(run / "profile.json"),
+                 stream=str(run / "telemetry.jsonl"),
+                 baseline=str(root / "base"),
+                 accounting=str(run / "accounting.json"),
                  inexact=str(root / "inexact.json"))
     assert cli.xmtsim_main(
         [paths["good"], "--config", "tiny", "--ledger", paths["ledger"],
-         "--profile-out", paths["profile"], "--telemetry-out",
-         paths["stream"], "--telemetry-every", "50",
-         "--accounting-out", paths["accounting"]]) == 0
+         "--out", paths["run"], "--observe",
+         "metrics,profile,accounting,telemetry",
+         "--telemetry-every", "50"]) == 0
     assert cli.xmt_compare_main(
         ["check", paths["good"], "--config", "tiny", "--baseline",
          paths["baseline"], "--update-baseline"]) == 0
@@ -240,8 +243,32 @@ ROWS = [
      ["{good}", *TINY, "--sanitize"], 2,
      "--sanitize requires --mode functional"),
     ("xmtsim-2-unwritable-output", "xmtsim_main",
-     ["{good}", *TINY, "--metrics-out", "{missing}.json"], 2,
-     "xmtsim: error: --metrics-out: [Errno 2]"),
+     ["{good}", *TINY, "--out", "{good}/run"], 2,
+     "xmtsim: error: --out: [Errno 20]"),
+    # a run directory never mixes two runs
+    ("xmtsim-2-out-not-empty", "xmtsim_main",
+     ["{good}", *TINY, "--out", "{run}"], 2,
+     "xmtsim: error: --out: {run} is not a new or empty directory; a run "
+     "directory holds one run"),
+    ("xmtsim-2-out-is-a-file", "xmtsim_main",
+     ["{good}", *TINY, "--out", "{good}"], 2,
+     "xmtsim: error: --out: {good} is not a new or empty directory"),
+    ("xmtsim-2-observe-unknown", "xmtsim_main",
+     ["{good}", *TINY, "--out", "{dir}/never", "--observe",
+      "metrics,trace"], 2,
+     "xmtsim: error: --observe: unknown artifact 'trace' (choose from "
+     "metrics,profile,accounting,lifecycle,events,telemetry)"),
+    *[(f"xmtsim-2-observe-{name}-without-out", "xmtsim_main",
+       ["{good}", *TINY, "--ledger", "{dir}/never", "--observe", name], 2,
+       f"xmtsim: error: --observe {name}: nowhere to write it; give "
+       f"--out DIR") for name in ("events", "telemetry")],
+    ("xmtsim-2-observe-without-out-or-ledger", "xmtsim_main",
+     ["{good}", *TINY, "--observe", "metrics"], 2,
+     "xmtsim: error: --observe metrics: nowhere to write it; give "
+     "--out DIR or --ledger DIR"),
+    ("xmtsim-2-functional-out", "xmtsim_main",
+     ["{good}", *TINY, "--mode", "functional", "--out", "{dir}/never"], 2,
+     "xmtsim: error: --out require --mode cycle"),
     ("xmtsim-2-negative-checkpoint-interval-was-ignored", "xmtsim_main",
      ["{good}", *TINY, "--checkpoint-every", "-5"], 2,
      "xmtsim: error: --checkpoint-every: must be at least 0, got -5"),
@@ -250,7 +277,7 @@ ROWS = [
      "xmtsim: error: --max-retries: must be at least 0, got -1"),
     # a frame interval below 1 used to be read as 1 (a frame per cycle)
     *[(f"xmtsim-2-telemetry-every-{value}-was-one", "xmtsim_main",
-       ["{good}", *TINY, "--telemetry-out", "{dir}/t.jsonl",
+       ["{good}", *TINY, "--out", "{dir}/never", "--observe", "telemetry",
         "--telemetry-every", value], 2,
        f"xmtsim: error: --telemetry-every: must be at least 1, got {value}")
       for value in ("0", "-5")],
@@ -458,7 +485,7 @@ READERS = [
 def test_malformed_artifact(ws, tmp_path, capsys, command, name, argv,
                             corruption):
     row = ARTIFACTS[name]
-    if name in ("profile", "accounting"):   # exports: xmtsim --<name>-out
+    if name in ("profile", "accounting"):   # a file read on its own
         bad = path = str(tmp_path / row.file)
         shutil.copy(ws[name], path)
     else:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.sim.observability import (
     SchemaError,
     build_manifest,
     check_regressions,
+    chrome_trace,
     compare_runs,
     flatten_metrics,
     instrumented_run,
@@ -30,6 +33,8 @@ from repro.sim.observability.ledger import manifest_run_id
 from repro.toolchain.cli import (
     xmt_campaign_main,
     xmt_compare_main,
+    xmt_explain_main,
+    xmt_prof_main,
     xmt_top_main,
     xmtsim_main,
 )
@@ -335,13 +340,6 @@ class TestStreamingTraceSink:
             assert not fh.closed
         assert len(path.read_text().splitlines()) == events.emitted
 
-    def test_write_refuses_after_streaming(self, tmp_path):
-        events = EventStream(retain=False,
-                             stream_to=str(tmp_path / "t.jsonl"))
-        events.instant("x", "test", 0, "trk")
-        with pytest.raises(ValueError, match="stream"):
-            events.write(str(tmp_path / "other.jsonl"))
-
     def test_streaming_with_retain_keeps_both(self, tmp_path):
         path = tmp_path / "t.jsonl"
         events = EventStream(retain=True, stream_to=str(path))
@@ -372,25 +370,72 @@ class TestCLI:
                           "--ledger", str(tmp_path / "l")])
         assert rc == 2
 
-    def test_xmtsim_trace_out_jsonl_streams(self, tmp_path, src_path,
-                                            capsys):
-        out = str(tmp_path / "trace.jsonl")
-        rc = xmtsim_main([src_path, "--config", "tiny",
-                          "--trace-out", out])
+    def test_out_directory_is_the_ledger_entry(self, tmp_path, src_path,
+                                               capsys):
+        """One run written both ways: ``--out D`` holds what the ledger
+        entry holds, under the same run id, plus the three streams, and
+        every reader takes the directory."""
+        out, ledger_dir = tmp_path / "run", str(tmp_path / "ledger")
+        assert xmtsim_main(
+            [src_path, "--config", "tiny", "--out", str(out), "--observe",
+             "metrics,profile,accounting,lifecycle,events,telemetry",
+             "--ledger", ledger_dir, "--telemetry-every", "100"]) == 0
+        manifest = load_artifact(str(out / "manifest.json"), "manifest")
+        entry, = Ledger(ledger_dir).list_runs()
+        assert manifest["run_id"] == entry.run_id
+        recorded = sorted(os.listdir(entry.path))
+        assert recorded == ["accounting.json", "lifecycle.json",
+                            "manifest.json", "metrics.json", "profile.json"]
+        assert sorted(os.listdir(out)) == sorted(
+            recorded + ["events.jsonl", "lifecycle.jsonl", "telemetry.jsonl"])
+
+        def masked(path):  # the manifest's host-clock fields
+            text = path.read_text()
+            for key in ("wall_seconds", "created_unix"):
+                text = re.sub(rf'"{key}": [0-9.e+-]+', f'"{key}": 0', text)
+            return text
+
+        for name in recorded:
+            assert masked(out / name) == masked(Path(entry.path) / name), \
+                name
+        for name in ("events.jsonl", "lifecycle.jsonl", "telemetry.jsonl"):
+            assert read_jsonl(str(out / name), strict=True), name
+        capsys.readouterr()
+        assert xmt_explain_main(["report", str(out), "--assert-exact"]) == 0
+        assert xmt_prof_main(["report", str(out)]) == 0
+        assert xmt_compare_main(["diff", str(out), entry.path]) == 0
+
+    def test_xmtsim_out_streams_events(self, tmp_path, src_path, capsys):
+        out = tmp_path / "run"
+        rc = xmtsim_main([src_path, "--config", "tiny", "--out", str(out),
+                          "--observe", "events"])
         assert rc == 0
-        assert "streamed" in capsys.readouterr().err
-        with open(out) as fh:
+        assert "wrote run " in capsys.readouterr().err
+        # only what was asked for, next to the manifest
+        assert sorted(os.listdir(out)) == ["events.jsonl", "manifest.json"]
+        with open(out / "events.jsonl") as fh:
             first = json.loads(fh.readline())
         assert {"name", "cat", "ph", "ts", "track"} <= set(first)
 
-    def test_xmtsim_trace_out_chrome_still_buffers(self, tmp_path,
-                                                   src_path, capsys):
-        out = str(tmp_path / "trace.json")
-        rc = xmtsim_main([src_path, "--config", "tiny",
-                          "--trace-out", out, "--trace-format", "chrome"])
-        assert rc == 0
-        with open(out) as fh:
-            assert "traceEvents" in json.load(fh)
+    def test_xmt_prof_chrome_exports_the_event_stream(self, tmp_path,
+                                                      src_path, capsys):
+        out = tmp_path / "run"
+        assert xmtsim_main([src_path, "--config", "tiny", "--out", str(out),
+                            "--observe", "events"]) == 0
+        capsys.readouterr()
+        assert xmt_prof_main(["chrome", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == chrome_trace(read_jsonl(str(out / "events.jsonl")))
+        assert "traceEvents" in payload
+
+    def test_xmt_prof_chrome_needs_the_event_stream(self, tmp_path,
+                                                    src_path, capsys):
+        out = tmp_path / "run"
+        assert xmtsim_main([src_path, "--config", "tiny",
+                            "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert xmt_prof_main(["chrome", str(out)]) == 2
+        assert "events.jsonl" in capsys.readouterr().err
 
     @pytest.fixture()
     def two_runs(self, tmp_path, src_path):

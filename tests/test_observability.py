@@ -1,6 +1,7 @@
 """End-to-end observability layer: span tracing, metrics, profiler."""
 
 import json
+import os
 
 import pytest
 
@@ -15,8 +16,10 @@ from repro.sim.observability import (
     MetricsRegistry,
     Observability,
     artifact_json,
+    chrome_trace,
     export_metrics,
     load_artifact,
+    read_jsonl,
     render_profile,
 )
 from repro.sim.resilience.diagnostics import collect
@@ -39,13 +42,21 @@ BODY_LINE = 6    # "B[$] = A[$] + 1;"
 
 
 @pytest.fixture(scope="module")
-def full_run():
-    """One fully instrumented cycle run shared by the read-only tests."""
+def events_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("events") / "events.jsonl")
+
+
+@pytest.fixture(scope="module")
+def full_run(events_file):
+    """One fully instrumented cycle run shared by the read-only tests;
+    its events are kept and streamed to ``events_file``."""
     program = compile_source(SRC)
-    obs = Observability(events=EventStream(), metrics=MetricsRegistry(),
+    obs = Observability(events=EventStream(stream_to=events_file),
+                        metrics=MetricsRegistry(),
                         profiler=CycleProfiler(program, source=SRC))
     sim = Simulator(program, tiny(), observability=obs)
     result = sim.run(max_cycles=2_000_000)
+    obs.events.close()
     return program, sim.machine, obs, result
 
 
@@ -74,21 +85,15 @@ class TestSpanTracing:
             assert e.ph == "X"
             assert e.dur == e.args["latency_ps"] > 0
 
-    def test_jsonl_roundtrip(self, full_run, tmp_path):
+    def test_jsonl_roundtrip(self, full_run, events_file):
         _, _, obs, _ = full_run
-        path = tmp_path / "trace.jsonl"
-        obs.events.write(str(path), "jsonl")
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(obs.events)
-        parsed = [json.loads(line) for line in lines]
+        parsed = read_jsonl(events_file, strict=True)
+        assert parsed == [e.to_dict() for e in obs.events.iter_events()]
         assert all({"name", "cat", "ph", "ts", "track"} <= set(p)
                    for p in parsed)
 
-    def test_chrome_trace_valid(self, full_run, tmp_path):
-        _, _, obs, _ = full_run
-        path = tmp_path / "trace.json"
-        obs.events.write(str(path), "chrome")
-        payload = json.loads(path.read_text())
+    def test_chrome_trace_valid(self, full_run, events_file):
+        payload = chrome_trace(read_jsonl(events_file))
         events = payload["traceEvents"]
         names = {e["args"]["name"] for e in events
                  if e.get("name") == "thread_name"}
@@ -104,10 +109,6 @@ class TestSpanTracing:
                 assert e["dur"] >= 0
             if e["ph"] == "i":
                 assert e["s"] == "t"
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            EventStream().write(str(tmp_path / "x"), "csv")
 
     def test_ring_only_mode_keeps_tail(self):
         program = compile_source(SRC)
@@ -349,39 +350,40 @@ class TestCommandLine:
         return str(path)
 
     def test_xmtsim_writes_all_artifacts(self, src_file, tmp_path, capsys):
-        from repro.toolchain.cli import xmtsim_main
+        from repro.toolchain.cli import xmt_prof_main, xmtsim_main
 
-        trace = tmp_path / "t.json"
-        metrics = tmp_path / "m.json"
-        profile = tmp_path / "p.json"
+        run = tmp_path / "run"
         rc = xmtsim_main([src_file, "--config", "tiny", "--profile",
-                          "--trace-out", str(trace),
-                          "--trace-format", "chrome",
-                          "--metrics-out", str(metrics),
-                          "--profile-out", str(profile)])
+                          "--out", str(run),
+                          "--observe", "metrics,profile,events"])
         assert rc == 0
-        chrome = json.loads(trace.read_text())
+        assert "cycle profile:" in capsys.readouterr().err
+        assert sorted(os.listdir(run)) == [
+            "events.jsonl", "manifest.json", "metrics.json", "profile.json"]
+        assert xmt_prof_main(["chrome", str(run)]) == 0
+        chrome = json.loads(capsys.readouterr().out)
         tids = {e["tid"] for e in chrome["traceEvents"] if e["ph"] != "M"}
         assert len(tids) >= 2
         # the toolchain's own reader: a format drift fails where the
         # file is produced
-        payload = load_artifact(str(metrics), "metrics")
+        payload = load_artifact(str(run / "metrics.json"), "metrics")
         assert payload["histograms"]["mem.latency.all"]["count"] > 0
-        data = load_artifact(str(profile), "profile")
+        data = load_artifact(str(run / "profile.json"), "profile")
         assert data["lines"][0]["line"] == BODY_LINE
-        assert "cycle profile:" in capsys.readouterr().err
 
     def test_xmt_prof_report(self, src_file, tmp_path, capsys):
         from repro.toolchain.cli import xmt_prof_main, xmtsim_main
 
-        profile = tmp_path / "p.json"
+        run = tmp_path / "run"
         assert xmtsim_main([src_file, "--config", "tiny",
-                            "--profile-out", str(profile)]) == 0
+                            "--out", str(run)]) == 0
         capsys.readouterr()
-        assert xmt_prof_main(["report", str(profile), "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "cycle profile:" in out
-        assert "B[$] = A[$] + 1;" in out
+        # the run directory, or the profile.json inside it
+        for operand in (run, run / "profile.json"):
+            assert xmt_prof_main(["report", str(operand), "--top", "3"]) == 0
+            out = capsys.readouterr().out
+            assert "cycle profile:" in out
+            assert "B[$] = A[$] + 1;" in out
 
     def test_xmt_prof_rejects_non_profile(self, tmp_path, capsys):
         from repro.toolchain.cli import xmt_prof_main

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/observability/`` pin what one fully
 observed run of each committed baseline program writes -- structured
-events (JSONL and Chrome trace), metrics, profile, cycle accounting,
+events (the JSONL stream, and the Chrome trace ``xmt-prof chrome``
+exports from it), metrics, profile, cycle accounting,
 the flight recorder's summary, the cycle-level text trace and the
 telemetry frames.  A refactor of the observation path must reproduce
 them exactly.  The rest of the module holds the contract of
@@ -17,9 +18,11 @@ Regenerate (only when a schema change is intended)::
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import tempfile
 from collections import Counter
 
 import pytest
@@ -43,6 +46,7 @@ from repro.sim.observability import (
     export_metrics,
 )
 from repro.sim.trace import LEVEL_CYCLE, Trace
+from repro.toolchain.cli import xmt_prof_main
 from repro.xmtc.compiler import compile_source
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,11 +54,16 @@ GOLDEN = os.path.join(ROOT, "tests", "golden", "observability")
 PROGRAMS = ("vecadd", "compact")
 
 
-def _written(writer, *args) -> str:
-    """The text a ``write_*(..., fh)`` artifact writer produces."""
-    fh = io.StringIO()
-    writer(*args, fh)
-    return fh.getvalue()
+def _chrome_export(events_jsonl: str) -> str:
+    """What ``xmt-prof chrome RUN`` prints for a run directory holding
+    ``events_jsonl`` as its event stream."""
+    with tempfile.TemporaryDirectory() as run_dir:
+        with open(os.path.join(run_dir, "events.jsonl"), "w") as fh:
+            fh.write(events_jsonl)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert xmt_prof_main(["chrome", run_dir]) == 0
+    return out.getvalue()
 
 
 def _mask_host_clock(frame: dict) -> dict:
@@ -92,7 +101,9 @@ def observed_run(name: str):
     # the fresh interpreter that wrote the golden files
     packages._SEQ = 0
     recorder = FlightRecorder()
-    obs = Observability(events=EventStream(), metrics=MetricsRegistry(),
+    events = io.StringIO()
+    obs = Observability(events=EventStream(stream_to=events),
+                        metrics=MetricsRegistry(),
                         profiler=CycleProfiler(program, source=source),
                         accounting=CycleAccountant(), lifecycle=recorder)
     counter, fired = _probe_counter()
@@ -110,9 +121,10 @@ def observed_run(name: str):
     telemetry = "".join(
         json.dumps(_mask_host_clock(json.loads(line)), sort_keys=True) + "\n"
         for line in frames.getvalue().splitlines())
+    obs.events.close()
     artifacts = {
-        f"{name}.events.jsonl": _written(obs.events.write_jsonl),
-        f"{name}.chrome.json": _written(obs.events.write_chrome),
+        f"{name}.events.jsonl": events.getvalue(),
+        f"{name}.chrome.json": _chrome_export(events.getvalue()),
         f"{name}.metrics.json": artifact_json(export_metrics(machine)),
         f"{name}.profile.json": artifact_json(obs.profiler.to_data()),
         f"{name}.accounting.json": artifact_json(

@@ -207,14 +207,12 @@ class TestXmtsimCli:
             return capsys.readouterr().err
 
         bare = run([])
-        out = tmp_path / "telemetry.jsonl"
-        instrumented = run(["--telemetry-out", str(out),
-                            "--telemetry-every", "40"])
+        instrumented = run(["--out", str(tmp_path / "run"), "--observe",
+                            "telemetry", "--telemetry-every", "40"])
         # same "[tiny] N cycles" line with and without telemetry
         assert [l for l in bare.splitlines() if l.startswith("[tiny]")] == \
             [l for l in instrumented.splitlines() if l.startswith("[tiny]")]
-        assert "telemetry:" in instrumented
-        frames = read_frames(str(out))
+        frames = read_frames(str(tmp_path / "run" / "telemetry.jsonl"))
         assert frames[-1]["kind"] == "final"
         cycles_line = [l for l in bare.splitlines()
                        if l.startswith("[tiny]")][0]
@@ -224,9 +222,10 @@ class TestXmtsimCli:
         """Telemetry alone (no other observation) is re-armed on every
         restored machine: a heartbeat where each retry resumes, frames
         from there on, and one ``final`` at the recovered run's end."""
-        out = str(tmp_path / "telemetry.jsonl")
+        out = str(tmp_path / "run" / "telemetry.jsonl")
         code = xmtsim_main(
-            [VECADD, "--config", "tiny", "--telemetry-out", out,
+            [VECADD, "--config", "tiny", "--out", str(tmp_path / "run"),
+             "--observe", "telemetry",
              "--watchdog", "1500", "--inject", "icn.drop@600",
              "--checkpoint-every", "300", "--telemetry-every", "200"])
         err = capsys.readouterr().err
@@ -245,8 +244,8 @@ class TestXmtsimCli:
     def test_telemetry_requires_cycle_mode(self, src_file, tmp_path,
                                            capsys):
         code = xmtsim_main([src_file, "--mode", "functional",
-                            "--telemetry-out",
-                            str(tmp_path / "t.jsonl")])
+                            "--out", str(tmp_path / "run"),
+                            "--observe", "telemetry"])
         assert code == 2
         assert "--mode cycle" in capsys.readouterr().err
 
@@ -501,12 +500,13 @@ class TestMonitorClis:
 
     def test_top_watch_follows_a_live_run(self, tmp_path, capsys):
         """The watcher starts before ``xmtsim`` (in a subprocess) has
-        written its ``final`` frame -- before the stream even exists --,
-        shows the run while it goes, and exits 0 on ``final`` showing
-        the cycle count ``xmtsim`` printed."""
+        written its ``final`` frame -- before its run directory even
+        exists --, shows the run while it goes, and exits 0 on ``final``
+        showing the cycle count ``xmtsim`` printed."""
         program = tmp_path / "long.c"
         program.write_text(LONG_SRC)
-        stream = tmp_path / "live.jsonl"
+        run = tmp_path / "run"
+        stream = run / "telemetry.jsonl"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC_ROOT] + [p for p in os.environ.get("PYTHONPATH", "")
                           .split(os.pathsep) if p]))
@@ -514,8 +514,8 @@ class TestMonitorClis:
             [sys.executable, "-c",
              "import sys; from repro.toolchain.cli import xmtsim_main; "
              "sys.exit(xmtsim_main(sys.argv[1:]))",
-             str(program), "--config", "tiny", "--telemetry-out",
-             str(stream), "--telemetry-every", "500"],
+             str(program), "--config", "tiny", "--out", str(run),
+             "--observe", "telemetry", "--telemetry-every", "500"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
         try:
