@@ -32,6 +32,7 @@ from repro.isa.instructions import (
     OP_GETTCU,
     OP_GETVT,
     OP_JAL,
+    OP_JOIN,
     OP_JR,
     OP_JUMP,
     OP_LI,
@@ -42,6 +43,7 @@ from repro.isa.instructions import (
     OP_PS,
     OP_PSM,
     OP_SETG,
+    OP_SPAWN,
     OP_STORE,
     OP_STORE_NB,
     OP_UNARY,
@@ -58,39 +60,48 @@ class DecodeError(Exception):
 
 # -- basic blocks --------------------------------------------------------------
 #
-# A *block* is a maximal straight-line run of instructions that one
-# generated function ``_block(r, m, g, c) -> next_pc`` executes in place
-# of one dispatch per instruction.  Blocks are formed on demand -- the
-# first time a pipeline is about to execute a PC (:class:`BlockTable`)
-# -- never by :func:`decode_program`, and the function is generated from
-# the spec strings of :data:`~repro.isa.instructions.TABLE`, the same
-# text each row's callable (``Instruction.fn``) is built from.  The cycle
-# machine's table holds what takes exactly one issue slot and touches
-# nothing but the issuing core's registers (its functions are called
-# ``fn(regs)``): private-ALU value ops, ``li`` and ``nop``, optionally
-# closed by one branch or ``j``.  The functional engine's
-# (``memory=True``) has no timing to respect and admits all but
+# A *block* is a run of instructions that one generated function
+# ``_block(r, m, g, c) -> next_pc`` executes in place of one dispatch
+# per instruction.  Blocks are formed on demand -- the first time a
+# pipeline is about to execute a PC (:class:`BlockTable`) -- never by
+# :func:`decode_program`, and the function is generated from the spec
+# strings of :data:`~repro.isa.instructions.TABLE`, the same text each
+# row's callable (``Instruction.fn``) is built from.  The cycle
+# machine's table holds straight-line runs of what takes exactly one
+# issue slot and touches nothing but the issuing core's registers (its
+# functions are called ``fn(regs)``): private-ALU value ops, ``li`` and
+# ``nop``, optionally closed by one branch or ``j``.  The functional
+# engine's (``memory=True``) has no timing to respect and admits all but
 # ``print``/``spawn``/``join``/``halt``: loads, stores and prefix-sums
 # on ``m`` (``Memory.words``) and ``g`` (the global registers), the
 # thread ops of a spawn region (``c``: ``[next id, last id]``), closed
-# by any branch or jump or by ``chkid`` -- under two rules.  *One
-# commit*: values, loaded words and checked addresses live in locals and
-# every effect comes at the end, in program order, so a trap leaves
-# nothing behind.  *One cut*: a read of memory, global or thread state
-# after a deferred effect starts a new block, so nothing is forwarded.
+# by any branch or jump or by ``chkid``.  It also follows an
+# unconditional ``j`` into its target when both lie in the same span (one
+# spawn-region body, or serial code), the target is not yet in the
+# block and the block is shorter than ``_FOLLOW_CAP`` -- so a ``j`` that
+# leaves a region still returns to the main loop and its checks.  Two
+# rules hold.  *One commit*: values, loaded words and checked addresses
+# live in locals and every effect comes at the end, in program order, so
+# a trap leaves nothing behind.  *A cut per state space*: a read of
+# memory (``lw``/``lwro``/``psm``), of the global registers
+# (``ps``/``getg``) or of the thread counter (``getvt``) after a deferred
+# effect on the same space starts a new block, so nothing is forwarded.
 # A functional *step* is the same function for a block of one op.
 
 _UNARY = (OP_UNARY, OP_UNARY_SHARED)
 _VALUE_OPS = (OP_ALU, OP_ALU_SHARED, OP_ALU_IMM) + _UNARY
-#: reads of state a deferred effect may have changed, and what defers one
-_STATE_READS = frozenset((OP_LOAD, OP_LOAD_RO, OP_PSM, OP_PS, OP_GETG,
-                          OP_GETVT))
-_EFFECTS = frozenset((OP_STORE, OP_STORE_NB, OP_PSM, OP_PS, OP_SETG,
-                      OP_GETVT))
+#: what a read of state reads, and what a deferred effect changes: memory,
+#: the global registers, the thread counter
+_STATE_READS = {OP_LOAD: "m", OP_LOAD_RO: "m", OP_PSM: "m", OP_PS: "g",
+                OP_GETG: "g", OP_GETVT: "c"}
+_EFFECTS = {OP_STORE: "m", OP_STORE_NB: "m", OP_PSM: "m", OP_PS: "g",
+            OP_SETG: "g", OP_GETVT: "c"}
 #: what the functional engine's blocks hold, and what may close one
-_TRANSLATED = _STATE_READS | _EFFECTS | frozenset(
+_TRANSLATED = frozenset(_STATE_READS) | frozenset(_EFFECTS) | frozenset(
     _VALUE_OPS + (OP_LI, OP_NOP, OP_PREFETCH, OP_FENCE, OP_GETTCU))
 _CLOSERS = frozenset((OP_BRANCH, OP_JUMP, OP_JAL, OP_JR, OP_CHKID))
+#: a functional block follows a ``j`` only while it has fewer ops
+_FOLLOW_CAP = 64
 #: what a block returns whose ``chkid`` finds the spawn's ids used up
 REGION_DONE = -1
 
@@ -113,12 +124,14 @@ def _value_text(u: Instruction, a: str, b: str) -> str:
     return f"TABLE[{u.op!r}].fn({args}) & 0xFFFFFFFF"
 
 
-def block_source(uops: List[Instruction], next_pc: int) -> str:
+def block_source(uops: List[Instruction]) -> str:
     """Python source of ``_block(r, m, g, c) -> next_pc`` for a block's
-    instructions (``next_pc`` is the fall-through PC).  A register lives in
+    instructions (the fall-through PC is the one after the last op; a
+    ``j`` before it was followed and emits nothing).  A register lives in
     a fresh local per write; effects on ``m``/``g``/``c`` are collected
     and emitted -- then one store per written register -- after the last
     line that can trap."""
+    next_pc = uops[-1].index + 1
     lines = ["def _block(r, m=None, g=None, c=None):"]
     names: Dict[int, str] = {}  # register -> the local of its value
     effects: List[str] = []
@@ -152,7 +165,8 @@ def block_source(uops: List[Instruction], next_pc: int) -> str:
         if code in (OP_NOP, OP_PREFETCH, OP_FENCE):
             continue
         if code == OP_JUMP:
-            result = f" return {u.target}"
+            if u is uops[-1]:
+                result = f" return {u.target}"
             continue
         if code == OP_JR:
             result = f" return {atom(u.rs)}"
@@ -223,7 +237,9 @@ _BLOCK_NAMES = dict(vars(S), TABLE=TABLE)
 
 
 class Block:
-    """One formed block: ``n`` instructions starting at ``pc``.
+    """One formed block: ``n`` instructions starting at ``pc``, in the
+    order they execute (a functional block goes on at a followed ``j``'s
+    target).
 
     ``regs`` is every register the block reads or writes (what a
     scoreboard must find clear before the block can run unattended);
@@ -256,8 +272,7 @@ class Block:
         self.fn: Optional[Callable[[List[int]], int]] = None
 
     def compile(self) -> Callable[[List[int]], int]:
-        fn = self.fn = _compile_block(
-            block_source(self.uops, self.pc + self.n))
+        fn = self.fn = _compile_block(block_source(self.uops))
         return fn
 
 
@@ -265,35 +280,69 @@ class BlockTable(dict):
     """``pc -> Block`` (``False`` where no block starts), filled in on
     demand: looking up a PC for the first time forms its block."""
 
-    __slots__ = ("uops", "memory", "closers")
+    __slots__ = ("uops", "memory", "closers", "spans")
 
     def __init__(self, uops: List[Instruction], branches: bool, memory: bool):
         super().__init__()
         self.uops = uops
         #: the functional engine's table (see the section comment)
         self.memory = memory
-        #: what may close a block; a branch that costs more than one
-        #: issue slot (not ``branches``) ends the run before it instead
-        self.closers = (_CLOSERS if memory else
-                        (OP_JUMP, OP_BRANCH) if branches else (OP_JUMP,))
+        #: what may close a register-only block; a branch that costs
+        #: more than one issue slot (not ``branches``) ends the run
+        #: before it instead
+        self.closers = (OP_JUMP, OP_BRANCH) if branches else (OP_JUMP,)
+        #: per PC, the ``spawn`` whose region body holds it (-1: serial)
+        self.spans: List[int] = []
+        if memory:
+            span = -1
+            for i, u in enumerate(uops):
+                if u.code == OP_JOIN:
+                    span = -1
+                self.spans.append(span)
+                if u.code == OP_SPAWN:
+                    span = i
 
     def __missing__(self, pc: int):
+        uops = self._chain(pc) if self.memory else self._run(pc)
+        block = self[pc] = Block(uops, pc) if uops else False
+        return block
+
+    def _run(self, pc: int) -> List[Instruction]:
+        """The register-only block at ``pc``: a straight-line run."""
+        uops = self.uops
+        end = pc
+        while end < len(uops) and _fusable(uops[end]):
+            end += 1
+        if end < len(uops) and uops[end].code in self.closers:
+            end += 1
+        return uops[pc:end]
+
+    def _chain(self, pc: int) -> List[Instruction]:
+        """The functional block at ``pc``: straight-line runs joined
+        where a ``j`` is followed (see the section comment)."""
         uops = self.uops
         n = len(uops)
+        spans = self.spans
+        ops: List[Instruction] = []
+        dirty = set()  # the spaces with a deferred effect: a read cuts
         end = pc
-        if self.memory:
-            dirty = False  # an effect is deferred: the next read cuts
-            while end < n and uops[end].code in _TRANSLATED and not (
-                    dirty and uops[end].code in _STATE_READS):
-                dirty = dirty or uops[end].code in _EFFECTS
+        while True:
+            while end < n and uops[end].code in _TRANSLATED and (
+                    _STATE_READS.get(uops[end].code) not in dirty):
+                if uops[end].code in _EFFECTS:
+                    dirty.add(_EFFECTS[uops[end].code])
+                ops.append(uops[end])
                 end += 1
-        else:
-            while end < n and _fusable(uops[end]):
-                end += 1
-        if end < n and uops[end].code in self.closers:
-            end += 1
-        block = self[pc] = Block(uops[pc:end], pc) if end > pc else False
-        return block
+            if end == n or uops[end].code not in _CLOSERS:
+                return ops
+            u = uops[end]
+            ops.append(u)
+            target = u.target
+            if (u.code != OP_JUMP or len(ops) >= _FOLLOW_CAP
+                    or not 0 <= target < n or spans[target] != spans[end]
+                    or any(op.index == target for op in ops)):
+                return ops
+            end = target
 
 
 class DecodedProgram:

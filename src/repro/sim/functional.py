@@ -31,6 +31,7 @@ serialized run itself produces one deterministic answer.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -178,14 +179,12 @@ class FunctionalSimulator:
         return sim
 
     def run_spawn_region(self, region, low: int, high: int,
-                         master_regs: List[int]) -> int:
-        """Execute one spawn region functionally (serialized); returns
-        the number of instructions executed."""
+                         master_regs: List[int]) -> None:
+        """Execute one spawn region functionally (serialized)."""
         master = CoreState()
         master.regs[:] = master_regs
         self._run_spawn_serialized(master, region, low, high)
         self._credit_blocks()
-        return self.instructions_executed
 
     # -- public API -----------------------------------------------------------
 
@@ -230,25 +229,39 @@ class FunctionalSimulator:
             return None
         return self.decoded.blocks(memory=self.sanitizer is None)
 
-    def _run_block(self, core: CoreState, block: Block,
-                   threads: Optional[List[int]] = None) -> bool:
-        """Execute a whole block (:mod:`repro.isa.decode`) in one call.
-        False -- the caller steps one instruction instead -- when the
-        instruction budget has no room for all of it, so the budget
-        trips on the same instruction either way, and when it traps."""
-        executed = self.instructions_executed + block.n
-        if (self.max_instructions is not None
-                and executed > self.max_instructions):
-            return False
-        try:
-            core.pc = (block.fn or block.compile())(
-                core.regs, self.memory.words, self.global_regs, threads)
-        except TrapError:
-            return False  # nothing committed: stepping names the op
-        self.instructions_executed = executed
+    def _run_blocks(self, core: CoreState, blocks, start: int, stop: int,
+                    threads: Optional[List[int]] = None) -> None:
+        """Execute blocks (:mod:`repro.isa.decode`) back to back while the
+        PC stays in ``[start, stop)``.  Returns -- the caller checks the PC
+        and steps one instruction -- where no block starts, where a
+        serial flow meets a block with thread ops, where the instruction
+        budget has no room for all of the block (so the budget trips on
+        the same instruction either way) and where the block traps
+        (nothing committed: stepping names the op)."""
+        regs = core.regs
+        words = self.memory.words
+        gregs = self.global_regs
         runs = self._block_runs
-        runs[block] = runs.get(block, 0) + 1
-        return True
+        serial = threads is None
+        executed = self.instructions_executed
+        limit = self.max_instructions
+        if limit is None:
+            limit = sys.maxsize
+        pc = core.pc
+        try:
+            while start <= pc < stop:
+                block = blocks[pc]
+                if (not block or serial and block.threaded
+                        or executed + block.n > limit):
+                    break
+                pc = (block.fn or block.compile())(regs, words, gregs,
+                                                   threads)
+                executed += block.n
+                runs[block] = runs.get(block, 0) + 1
+        except TrapError:
+            pass
+        core.pc = pc
+        self.instructions_executed = executed
 
     def _credit_blocks(self) -> None:
         """Expand the executed blocks into ``instruction_counts``."""
@@ -297,14 +310,11 @@ class FunctionalSimulator:
         blocks = self._blocks()
         self._current_core = core
         while True:
+            if blocks is not None:
+                self._run_blocks(core, blocks, 0, n)
             pc = core.pc
             if not 0 <= pc < n:
                 raise SimulationError(f"PC out of range: {pc}")
-            if blocks is not None:
-                block = blocks[pc]
-                if (block and not block.threaded
-                        and self._run_block(core, block)):
-                    continue
             u = uops[pc]
             code = u.code
             if code not in _SERIAL_LOOP_OPS:
@@ -349,7 +359,13 @@ class FunctionalSimulator:
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.region_begin(region)
+        # with parallel calls, blocks run anywhere: the join and every
+        # PC out of range stop them all the same
+        start, stop = (0, n) if parallel_calls else (region_start,
+                                                     region_join)
         while True:
+            if blocks is not None:
+                self._run_blocks(tcu, blocks, start, stop, threads)
             pc = tcu.pc
             if not region_start <= pc < region_join:
                 if pc == REGION_DONE:  # a chkid found the ids used up
@@ -370,10 +386,6 @@ class FunctionalSimulator:
                         "Fig. 9)")
                 if not 0 <= pc < n:
                     raise SimulationError(f"TCU PC out of range: {pc}")
-            if blocks is not None:
-                block = blocks[pc]
-                if block and self._run_block(tcu, block, threads):
-                    continue
             u = uops[pc]
             if u.code not in _LOOP_OPS:
                 self._step(tcu, u, threads)

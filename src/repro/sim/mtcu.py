@@ -122,8 +122,7 @@ class MasterTCU(ProcessorBase):
             # charge the site's calibrated cycle estimate
             executor = machine.sampler_exec
             executor.instruction_counts = {}
-            executed = executor.run_spawn_region(region, low, high,
-                                                 self.core.regs)
+            executor.run_spawn_region(region, low, high, self.core.regs)
             machine.stats.merge_instruction_counts(executor.instruction_counts)
             machine.stats.inc("spawn.fast_forwarded")
             estimate_ps = sampler.estimate_ps(self.core.pc, n_threads,

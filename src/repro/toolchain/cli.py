@@ -606,8 +606,8 @@ def xmtc_fuzz_main(argv: Optional[List[str]] = None) -> int:
     """``xmtc-fuzz``: analysis soundness fuzzing over generated XMTC.
 
     Runs every seed's program through the static analyses, the dynamic
-    race sanitizer, and the functional-vs-cycle-accurate differential,
-    classifying each static verdict as TP/FP/FN/TN against the
+    race sanitizer, and the differential (plain vs sanitized functional,
+    functional vs cycle-accurate), classifying each static verdict as TP/FP/FN/TN against the
     generator's planted ground truth.
 
     Exit codes: 0 = sound and FP rate within threshold, 1 = any FN /

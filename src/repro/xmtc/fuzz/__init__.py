@@ -5,10 +5,10 @@ programs with a ground-truth label: the generator knows, by
 construction, whether it planted a race (or memory-model violation) and
 which check ids should fire.  :mod:`repro.xmtc.fuzz.harness` runs each
 program through three oracles -- the static analyses, the dynamic
-:class:`~repro.sim.plugins.RaceSanitizer`, and the
-functional-vs-cycle-accurate differential -- and classifies every
-static verdict as TP/FP/FN/TN against the planted label plus the
-dynamic witness.  The ``xmtc-fuzz`` CLI streams per-seed outcomes to
+:class:`~repro.sim.plugins.RaceSanitizer`, and the differential
+(plain vs sanitized functional, functional vs cycle-accurate) -- and
+classifies every static verdict as TP/FP/FN/TN against the planted label
+plus the dynamic witness.  The ``xmtc-fuzz`` CLI streams per-seed outcomes to
 JSONL and exits nonzero on any unsoundness.
 """
 

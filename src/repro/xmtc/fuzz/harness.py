@@ -7,9 +7,11 @@ three oracles:
 2. **dynamic** -- the functional simulator with the
    :class:`~repro.sim.plugins.RaceSanitizer` attached, giving a runtime
    race witness;
-3. **differential** -- functional vs cycle-accurate output comparison
-   (dynamically clean programs must agree; racy programs may
-   legitimately diverge between engines and are skipped).
+3. **differential** -- the plain functional run (translated blocks, no
+   sanitizer) must leave exactly the sanitized run's result, racy or
+   not; and functional vs cycle-accurate output (dynamically clean
+   programs must agree; racy programs may legitimately diverge between
+   engines and are skipped).
 
 The static verdict is then classified against the generator's planted
 label and the dynamic witness:
@@ -24,7 +26,8 @@ verdict   meaning
 ``tn``    clean by construction and statically clean
 ``bug``   the harness itself is broken for this seed: a
           clean-labeled program raced dynamically (generator bug),
-          the engines diverged on a clean program, or a stage threw
+          the plain and sanitized functional runs diverged, the
+          engines diverged on a clean program, or a stage threw
 ========  =======================================================
 
 :func:`run_campaign` streams one JSON object per seed to JSONL and
@@ -86,8 +89,9 @@ def _static_checks(program: GeneratedProgram) -> List[str]:
 
 def _dynamic_races(program: GeneratedProgram,
                    max_instructions: int) -> tuple:
-    """Run under the functional simulator with the sanitizer attached;
-    returns ``(race kinds, program output)``."""
+    """Run under the functional simulator with the sanitizer attached
+    (which steps every memory op); returns ``(race kinds, result,
+    compiled program)``."""
     from repro.sim.functional import FunctionalSimulator
     from repro.sim.plugins import RaceSanitizer
     from repro.xmtc.compiler import compile_source
@@ -98,7 +102,7 @@ def _dynamic_races(program: GeneratedProgram,
                                  max_instructions=max_instructions,
                                  sanitizer=sanitizer).run()
     kinds = sorted({r.kind for r in sanitizer.races})
-    return kinds, result.output
+    return kinds, result, compiled
 
 
 def _cycle_output(program: GeneratedProgram, max_cycles: int) -> str:
@@ -125,7 +129,7 @@ def run_seed(seed: int, differential: bool = True,
         out.error = f"static oracle failed: {exc}"
         return out
     try:
-        out.dynamic_races, functional_output = _dynamic_races(
+        out.dynamic_races, sanitized, compiled = _dynamic_races(
             program, max_instructions)
     except Exception as exc:
         out.error = f"dynamic oracle failed: {exc}"
@@ -150,15 +154,32 @@ def run_seed(seed: int, differential: bool = True,
             return out
         out.verdict = "fp" if flagged else "tn"
 
+    if not differential:
+        return out
+    # a serialized run is deterministic: its translated blocks must
+    # leave what the sanitized run's stepped memory ops left, races or not
+    from repro.sim.functional import FunctionalSimulator
+    try:
+        plain = FunctionalSimulator(
+            compiled, max_instructions=max_instructions).run()
+    except Exception as exc:
+        out.verdict = "bug"
+        out.error = f"plain functional run failed: {exc}"
+        return out
+    out.differential_ok = plain == sanitized
+    if not out.differential_ok:
+        out.verdict = "bug"
+        out.error = "plain and sanitized functional runs diverge"
+        return out
     # engines must agree whenever the program is dynamically race-free
-    if differential and not out.dynamic_races:
+    if not out.dynamic_races:
         try:
             cycle_output = _cycle_output(program, max_cycles)
         except Exception as exc:
             out.verdict = "bug"
             out.error = f"cycle-accurate oracle failed: {exc}"
             return out
-        out.differential_ok = cycle_output == functional_output
+        out.differential_ok = cycle_output == sanitized.output
         if not out.differential_ok:
             out.verdict = "bug"
             out.error = "functional and cycle-accurate outputs diverge"

@@ -74,6 +74,28 @@ class TestHarness:
         assert outcome.dynamic_races == []
         assert outcome.differential_ok is True
 
+    def test_plain_functional_run_is_held_to_the_sanitized_one(
+            self, monkeypatch):
+        """The plain functional run (translated blocks; a sanitizer's run
+        steps every memory op) must leave the sanitized run's result on
+        every seed, racy ones included; a divergence is a bug."""
+        from repro.sim.functional import FunctionalSimulator
+
+        racy = run_seed(1)
+        assert racy.dynamic_races and racy.differential_ok is True
+        run = FunctionalSimulator.run
+
+        def skewed(self):
+            result = run(self)
+            if self.sanitizer is None:
+                result.output += "!"
+            return result
+
+        monkeypatch.setattr(FunctionalSimulator, "run", skewed)
+        outcome = run_seed(0)
+        assert outcome.verdict == "bug"
+        assert outcome.error == "plain and sanitized functional runs diverge"
+
     def test_campaign_sound_over_smoke_seeds(self):
         summary = run_campaign(SMOKE_SEEDS)
         assert summary["ok"], summary

@@ -1154,20 +1154,24 @@ class TestFunctional:
 #
 # Without a callback or a sanitizer the functional engine runs *translated*
 # blocks (``DecodedProgram.blocks(memory=True)``): loads, stores,
-# prefix-sums and the thread loop inside one generated function, under two
-# rules -- one commit (every effect after the last line that can trap) and
-# one cut (a read of state after a deferred effect starts a new block).
+# prefix-sums and the thread loop inside one generated function, running on
+# through a ``j`` within its span, under two rules -- one commit (every
+# effect after the last line that can trap) and a cut per state space (a
+# read of memory, globals or the thread counter after a deferred effect on
+# the same one starts a new block).
 # The comparison is with the same engine stepping -- every instruction
 # its one-op block, which any ``on_instruction`` callback forces -- so it
 # checks the two rules between multi-op and one-op blocks; what the ops
 # themselves compute is checked against the cycle machine
 # (``test_decode_dispatch.py``'s differential) and the ``functional``
 # rows of ``tests/golden/cycles.json``.  Mutants of ``block_source`` /
-# ``BlockTable.__missing__`` / ``FunctionalSimulator`` that must each fail
+# ``BlockTable._chain`` / ``FunctionalSimulator`` that must each fail
 # this section (checked by hand when the mechanism changes): effects
 # emitted where the op stands instead of after the last check; no cut on a
-# read after a deferred effect; ``_credit_blocks`` not clearing what it
-# has expanded (the tally credited twice).
+# read after a deferred effect; one cut for all spaces; a ``j`` followed
+# out of its span or back into the block; the fall-through taken as
+# ``pc + n``; a followed ``j`` returning; ``_credit_blocks`` not clearing
+# what it has expanded (the tally credited twice).
 
 STEPPED = {"on_instruction": lambda *_: None}
 
@@ -1237,6 +1241,60 @@ def arena_op(draw):
     return kind
 
 
+JUMPY_ASM = """
+    .data
+ARENA: .space 64
+F:  .fmt "%d %d %d %d\\n"
+    .text
+main:
+    la   $s0, ARENA
+{serial}
+    li   $a0, 0
+    li   $a1, 3
+    spawn $a0, $a1
+vt:
+    getvt $k0
+    chkid $k0
+{region}
+    j    vt
+    join
+    print F, $t0, $t1, $t2, $t3
+    halt
+"""
+
+
+@st.composite
+def jumpy_program(draw):
+    """Labeled segments of :func:`arena_op` lines in serial code and in a
+    spawn region's body (there with ``getvt``/``gettcu`` too), each ended
+    now and then by a branch and by a forward or backward ``j`` within its
+    span -- and rarely by one that leaves it: serial code into the
+    region's ``getvt``, the region to serial code (the Fig. 9 error)."""
+    def segments(prefix, extra, escape, fewest):
+        count = draw(st.integers(fewest, 4))
+        labels = [f"{prefix}{k}" for k in range(count)]
+        lines = []
+        for label in labels:
+            lines.append(f"{label}:")
+            for _ in range(draw(st.integers(0, 5))):
+                lines.append(draw(st.one_of(arena_op(),
+                                            st.sampled_from(extra))))
+            branch = draw(st.sampled_from([None, None, *BRANCHES]))
+            if branch is not None:
+                rs, rt = draw(st.sampled_from(REGS)), draw(st.sampled_from(REGS))
+                operands = f"{rs}, {rt}" if branch in ("beq", "bne") else rs
+                lines.append(f"{branch} {operands}, "
+                             f"{draw(st.sampled_from(labels))}")
+            jump = draw(st.sampled_from([None] * 4 + [escape] + labels))
+            if jump is not None:
+                lines.append(f"j {jump}")
+        return "\n".join("    " + line for line in lines)
+
+    thread_ops = ["getvt $t1", "gettcu $t2", "getvt $t3"]
+    return JUMPY_ASM.format(serial=segments("S", ["nop"], "vt", 0),
+                            region=segments("P", thread_ops, "main", 1))
+
+
 class TestTranslated:
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(arena_op(), min_size=1, max_size=24))
@@ -1256,6 +1314,17 @@ class TestTranslated:
             assert not bad
         except S.TrapError:
             assert bad
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(source=jumpy_program(),
+           budget=st.one_of(st.just(3000), st.integers(0, 400)))
+    def test_random_programs_with_jumps(self, source, budget):
+        """Blocks that follow ``j`` and cut per state space: the same end
+        -- a halt, a trap or a budget tripped on the same instruction --
+        and the same state as stepping."""
+        program = assemble(source)
+        assert outcome(program, max_instructions=budget) == \
+            outcome(program, max_instructions=budget, **STEPPED)
 
     TRAP_ASM = """
         .data
@@ -1367,6 +1436,132 @@ class TestTranslated:
         assert FunctionalSimulator(program).run().output == "7 7 14\n"
         assert outcome(program) == outcome(program, **STEPPED)
 
+    @staticmethod
+    def ops_of(program, label):
+        """The mnemonics of the translated block at ``label``."""
+        table = decode_program(program).blocks(memory=True)
+        return [u.op for u in table[program.labels[label]].uops]
+
+    def test_a_read_after_a_jump_and_an_effect_still_cuts(self):
+        """``sw X; j L; L: lw X``: the block follows the ``j`` and cuts
+        before the ``lw``, which reads the stored word."""
+        program = assemble("""
+            .data
+        X:  .word 1
+        F:  .fmt "%d\\n"
+            .text
+        main:
+            la   $s0, X
+            li   $t0, 7
+        top:
+            sw   $t0, 0($s0)
+            j    L
+            nop
+        L:
+            lw   $t1, 0($s0)
+            print F, $t1
+            halt
+        """)
+        assert self.ops_of(program, "top") == ["sw", "j"]
+        assert self.ops_of(program, "L") == ["lw"]
+        assert FunctionalSimulator(program).run().output == "7\n"
+        assert outcome(program) == outcome(program, **STEPPED)
+
+    def test_an_effect_cuts_only_its_own_space(self):
+        """``sw; j vt; vt: getvt; chkid`` is one block: the store defers
+        a memory effect, ``getvt`` reads the thread counter."""
+        program = assemble("""
+            .data
+        A:  .space 32
+            .text
+        main:
+            li   $t0, 0
+            li   $t1, 7
+            spawn $t0, $t1
+        vt:
+            getvt $k0
+            chkid $k0
+        body:
+            la   $t2, A
+            slli $t3, $k0, 2
+            add  $t2, $t2, $t3
+            sw   $k0, 0($t2)
+            j    vt
+            join
+            halt
+        """)
+        assert self.ops_of(program, "body")[-4:] == \
+            ["sw", "j", "getvt", "chkid"]
+        assert outcome(program) == outcome(program, **STEPPED)
+        base = program.data_labels["A"]
+        words = FunctionalSimulator(program).run().memory
+        assert [words[base + 4 * k] for k in range(8)] == list(range(8))
+
+    def test_a_jump_out_of_a_region_is_not_followed(self):
+        """A ``j`` from a region body to serial code ends its block, so
+        the main loop raises the Fig. 9 error at stepping's index."""
+        program = assemble("""
+            .text
+        main:
+            li   $t0, 0
+            li   $t1, 3
+            spawn $t0, $t1
+        vt:
+            getvt $k0
+            chkid $k0
+            addi $t2, $k0, 1
+            j    out
+            join
+        out:
+            addi $t3, $t3, 1
+            halt
+        """)
+        assert self.ops_of(program, "vt") == ["getvt", "chkid"]
+        out = program.labels["out"]
+        translated = outcome(program)
+        assert translated == outcome(program, **STEPPED)
+        assert f"control left the spawn region to text index {out}" \
+            in translated[0]
+
+    def test_a_jump_to_its_own_block_start_is_merged_once(self):
+        program = assemble("""
+            .data
+        A:  .word 0
+            .text
+        main:
+            la   $s0, A
+        L:
+            addi $t0, $t0, 1
+            sw   $t0, 0($s0)
+            j    L
+            halt
+        """)
+        assert self.ops_of(program, "L") == ["addi", "sw", "j"]
+        for budget in (0, 7, 100, 101):
+            assert outcome(program, max_instructions=budget) == \
+                outcome(program, max_instructions=budget, **STEPPED)
+
+    def test_a_chain_stops_at_the_cap(self):
+        """Every ``j`` of a long chain is followed until the block holds
+        ``_FOLLOW_CAP`` ops; the next block starts at the last target."""
+        links = "\n".join(f"    addi $t0, $t0, 1\n    j L{k}\nL{k}:"
+                           for k in range(D._FOLLOW_CAP))
+        program = assemble(f"""
+            .text
+        main:
+        {links}
+            halt
+        """)
+        table = decode_program(program).blocks(memory=True)
+        block = table[0]
+        assert block.n == D._FOLLOW_CAP
+        assert block.uops[-1].op == "j"
+        after = block.uops[-1].target
+        assert table[after].n == D._FOLLOW_CAP
+        translated = outcome(program)
+        assert translated == outcome(program, **STEPPED)
+        assert translated[1][8] == D._FOLLOW_CAP  # $t0: every addi ran
+
     LOOP_ASM = """
         .data
     A:  .space 64
@@ -1397,15 +1592,17 @@ class TestTranslated:
     """
 
     def test_budget_trips_on_the_same_instruction_for_every_k(self):
-        """A thread is five block executions over four blocks (dispatch;
-        prelude and first iteration; the loop body, twice; tail): every
-        budget from 0 to the whole run."""
+        """A thread is four block executions over three blocks (prelude
+        and first iteration; the loop body, twice; the tail, which runs
+        through ``j vt`` into the next thread's ``getvt; chkid``), after
+        the dispatch block that starts the first: every budget from 0 to
+        the whole run."""
         program = assemble(self.LOOP_ASM)
         total = FunctionalSimulator(program).run().instructions
         table = decode_program(program).blocks(memory=True)
         vt, loop = program.labels["vt"], program.labels["loop"]
         assert [table[pc].n for pc in (vt, vt + 2, loop, loop + 6)] == \
-            [2, loop + 6 - (vt + 2), 6, 2]
+            [2, loop + 6 - (vt + 2), 6, 4]
         for budget in range(total + 2):
             assert outcome(program, max_instructions=budget) == \
                 outcome(program, max_instructions=budget, **STEPPED), budget
