@@ -133,7 +133,7 @@ class CacheModule(Component):
 
     # -- functional execution at the commit point -----------------------------
 
-    def _perform(self, pkg: P.Package) -> None:
+    def _perform(self, pkg: P.Package, now: int) -> None:
         """Apply the package's memory effect; this defines memory order."""
         memory = self.machine.memory
         stats = self.machine.stats
@@ -149,8 +149,9 @@ class CacheModule(Component):
             stats.inc("cache.psm")
         else:  # pragma: no cover - routing prevents this
             raise AssertionError(f"cache module got {pkg.kind} package")
-        if self.machine.filter_hook is not None:
-            self.machine.filter_hook(pkg)
+        obs = self.machine.obs
+        if obs is not None:
+            obs.committed(self, pkg, now)
 
     def _respond(self, now: int, pkg: P.Package, extra_cycles: int) -> None:
         period = self.domain.period
@@ -185,7 +186,7 @@ class CacheModule(Component):
             if self.array.lookup(pkg.addr, write=pkg.is_write):
                 self.hits += 1
                 stats.inc("cache.hit")
-                self._perform(pkg)
+                self._perform(pkg, now)
                 self._respond(now, pkg, self.hit_latency)
                 outcome = "hit"
             elif line in self.pending_misses:
@@ -220,7 +221,7 @@ class CacheModule(Component):
             self.machine.stats.inc("cache.writeback")
             self.machine.dram.request(self, victim[0], writeback=True)
         for pkg in waiters:
-            self._perform(pkg)
+            self._perform(pkg, now)
             self._respond(now, pkg, self.hit_latency)
         self.machine.cache_bank.activate(
             self.module_id, now + self.hit_latency * self.domain.period)

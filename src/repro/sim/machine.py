@@ -177,12 +177,6 @@ class Machine:
         #: subscriber on it; None keeps every probe site on its
         #: one-attribute-test fast path
         self.obs = observability
-        if trace is not None:
-            if self.obs is None:
-                from repro.sim.observability import Observability
-
-                self.obs = Observability()
-            self.obs.subscribe(trace)
         self.domains: Dict[str, ClockDomain] = {}
         self.listeners_changed()
         if self.obs is not None:
@@ -227,10 +221,10 @@ class Machine:
         # the network's port wake-ups arm the domain it has just joined
         self.icn.hook_ports()
 
-        # plug-ins
+        # plug-ins (a trace is a consumer like any filter plug-in)
         self.activity_plugins = []
-        self.filter_plugins = []
-        self.filter_hook = None
+        if trace is not None:
+            self.add_plugin(trace)
         for plugin in plugins:
             self.add_plugin(plugin)
 
@@ -261,8 +255,7 @@ class Machine:
         # closures.  (Package ``rec`` stamps are plain tuples and
         # stay: the restored machine just stops appending to them until
         # a recorder is subscribed again)
-        state.update(obs=None, activity_plugins=[], filter_plugins=[],
-                     filter_hook=None)
+        state.update(obs=None, activity_plugins=[])
         # the decode holds generated functions, and is derived state:
         # ``load_bytes`` rebuilds it from the program
         state.update(decoded=None, blocks=None)
@@ -308,20 +301,23 @@ class Machine:
     def add_plugin(self, plugin) -> None:
         """Register an activity or filter plug-in (Section III-B).
 
-        Plug-ins added after the machine started (e.g. re-registered on
-        a checkpoint resume) are scheduled immediately.
+        An activity plug-in (one with ``sample``) is scheduled; added
+        after the machine started (e.g. re-registered on a checkpoint
+        resume), at once.  Anything else -- a filter plug-in hearing
+        ``committed``, a trace -- is a consumer subscribed on
+        :attr:`obs`, made here if the machine had none.
         """
         if hasattr(plugin, "sample"):
             self.activity_plugins.append(plugin)
             if self._started:
                 plugin.on_start(self, self.scheduler)
-        if hasattr(plugin, "on_access"):
-            self.filter_plugins.append(plugin)
-            self.filter_hook = self._dispatch_filter
+            return
+        if self.obs is None:
+            from repro.sim.observability import Observability
 
-    def _dispatch_filter(self, pkg) -> None:
-        for plugin in self.filter_plugins:
-            plugin.on_access(pkg)
+            self.obs = Observability()
+            self.obs.attach(self)
+        self.obs.subscribe(plugin)
 
     # -- component callbacks --------------------------------------------------------
 
@@ -493,10 +489,6 @@ class Machine:
         self.settle()  # a timed-out run can end with TCUs still asleep
         for plugin in self.activity_plugins:
             plugin.finish(self)
-        for plugin in self.filter_plugins:
-            finish = getattr(plugin, "finish", None)
-            if finish is not None:
-                finish(self)
         cycles = self.halt_time // self.config.cluster_period
         self.stats.counters["cycles"] = cycles
         return CycleResult(

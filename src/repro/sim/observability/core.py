@@ -50,6 +50,9 @@ PROBES = {
                       "dram.py: a DRAM port started the transaction"),
     "dram_filled": ("module, line, now, waiters",
                     "cache.py: the line fetch completed for its waiters"),
+    "committed": ("module, pkg, now",
+                  "cache.py: the package's memory effect was performed "
+                  "(the commit point: a hit, or each waiter of a fill)"),
     "response_enqueued": ("pkg, now, depth",
                           "cache.py: the response entered the module's "
                           "output port"),

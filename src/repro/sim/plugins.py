@@ -3,8 +3,9 @@
 Two plug-in interfaces, exactly as in XMTSim:
 
 - **Filter plug-ins** post-process the instruction stream / memory
-  traffic: they see every package that commits at a cache module and
-  report at end of simulation.  The built-in
+  traffic: they are consumers on the observation spine
+  (``machine.obs``) hearing the ``committed`` probe, so they see every
+  package that commits at a cache module.  The built-in
   :class:`HotMemoryFilter` reproduces the paper's default plug-in that
   "creates a list of most frequently accessed locations in the XMT
   shared memory space", which lets a programmer find the assembly (and,
@@ -144,7 +145,7 @@ class HotMemoryFilter:
         #: XMTC source line -> memory accesses issued by it
         self.line_counts: Dict[int, int] = {}
 
-    def on_access(self, pkg) -> None:
+    def committed(self, module, pkg, now: int) -> None:
         self.counts[pkg.addr] = self.counts.get(pkg.addr, 0) + 1
         if pkg.src_line:
             self.line_counts[pkg.src_line] = \
@@ -181,9 +182,6 @@ class HotMemoryFilter:
                 lines.append(f"  line {line_no}: {count} accesses{text}")
         return "\n".join(lines)
 
-    def finish(self, machine) -> None:
-        pass
-
 
 class InstructionHistogramFilter:
     """Filter plug-in: classify committed memory packages by kind."""
@@ -191,7 +189,7 @@ class InstructionHistogramFilter:
     def __init__(self):
         self.by_kind: Dict[str, int] = {}
 
-    def on_access(self, pkg) -> None:
+    def committed(self, module, pkg, now: int) -> None:
         self.by_kind[pkg.kind] = self.by_kind.get(pkg.kind, 0) + 1
 
 

@@ -85,29 +85,14 @@ class RecoveryReport:
     """Outcome of :func:`run_resilient` -- complete or partial."""
 
     completed: bool
-    result: Optional[object] = None            # CycleResult when completed
+    #: the ``CycleResult`` when the run completed, the salvaged
+    #: :class:`PartialResult` when it did not
+    result: Optional[object] = None
     machine: Optional[object] = None           # final machine object
     retries_used: int = 0
     checkpoints_taken: int = 0
     last_checkpoint_cycle: int = 0
     failures: List[AttemptFailure] = field(default_factory=list)
-    # partial results, populated when the run could not complete
-    partial_cycles: int = 0
-    partial_instructions: int = 0
-    partial_output: str = ""
-
-    def partial(self) -> Optional[PartialResult]:
-        """The salvaged state as a :class:`PartialResult` (``None`` when
-        the run completed normally)."""
-        if self.completed:
-            return None
-        return PartialResult(
-            cycles=self.partial_cycles,
-            instructions=self.partial_instructions,
-            output=self.partial_output,
-            retries_used=self.retries_used,
-            last_checkpoint_cycle=self.last_checkpoint_cycle,
-            failures=list(self.failures))
 
     @property
     def final_failure(self) -> Optional[AttemptFailure]:
@@ -123,8 +108,8 @@ class RecoveryReport:
         else:
             lines.append(
                 f"resilient run FAILED after {self.retries_used} retries; "
-                f"partial results: {self.partial_cycles} cycles, "
-                f"{self.partial_instructions} instructions "
+                f"partial results: {self.result.cycles} cycles, "
+                f"{self.result.instructions} instructions "
                 f"(last checkpoint at cycle {self.last_checkpoint_cycle})")
         lines += ["  " + failure.format() for failure in self.failures]
         return "\n".join(lines)
@@ -143,8 +128,9 @@ def run_resilient(machine,
     ``checkpoint_every`` is in cluster cycles (0 = only the baseline
     checkpoint taken before the first event).  ``reattach(machine)`` is
     called after every rollback so callers can re-register plug-ins and
-    traces (checkpoints strip them).  Returns a :class:`RecoveryReport`;
-    when ``completed`` the report carries the normal ``CycleResult``.
+    traces (checkpoints strip them).  Returns a :class:`RecoveryReport`
+    whose ``result`` is the normal ``CycleResult`` when ``completed``, a
+    :class:`PartialResult` otherwise.
     """
     from repro.sim import checkpoint as CP
 
@@ -174,12 +160,7 @@ def run_resilient(machine,
                 dump=getattr(exc, "dump", None))
             report.failures.append(failure)
             if report.retries_used >= max_retries:
-                report.machine = machine
-                report.partial_cycles = machine.scheduler.now // period
-                report.partial_instructions = \
-                    machine.stats.instruction_total()
-                report.partial_output = "".join(machine.output)
-                return report
+                return _salvage(report, machine)
             report.retries_used += 1
             resume = baseline
             if report.retries_used == 1 and max_retries > 1:
@@ -218,8 +199,18 @@ def run_resilient(machine,
                 error_type="CycleLimit",
                 message=f"did not halt within {max_cycles} cycles",
                 time_ps=machine.scheduler.now))
-        report.machine = machine
-        report.partial_cycles = machine.scheduler.now // period
-        report.partial_instructions = machine.stats.instruction_total()
-        report.partial_output = "".join(machine.output)
-        return report
+        return _salvage(report, machine)
+
+
+def _salvage(report: RecoveryReport, machine) -> RecoveryReport:
+    """End an incomplete run: ``report.result`` becomes what ``machine``
+    got to, as a :class:`PartialResult`."""
+    report.machine = machine
+    report.result = PartialResult(
+        cycles=machine.scheduler.now // machine.config.cluster_period,
+        instructions=machine.stats.instruction_total(),
+        output="".join(machine.output),
+        retries_used=report.retries_used,
+        last_checkpoint_cycle=report.last_checkpoint_cycle,
+        failures=list(report.failures))
+    return report

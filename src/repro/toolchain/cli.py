@@ -830,7 +830,7 @@ def _simulate_cycle(args, observed, program, source, config, inputs,
             print(report.format(), file=sys.stderr)
             if report.machine is not None:
                 machine = report.machine
-            result = report.result if report.completed else report.partial()
+            result = report.result
         else:
             result = sim.run(max_cycles=args.max_cycles,
                              wall_limit_s=args.wall_limit,

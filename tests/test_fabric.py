@@ -22,6 +22,8 @@ The contract under test, per layer:
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 
 import pytest
@@ -190,17 +192,40 @@ class TestRegistry:
 
 
 class TestDefaultBitIdentity:
-    def test_shipped_baselines_at_threshold_zero(self, capsys):
+    def test_shipped_baselines_at_threshold_zero(self, tmp_path, capsys):
         """The refactor is bit-transparent: default backends reproduce
-        the committed baselines with zero tolerance."""
-        from repro.toolchain.cli import xmt_compare_main
+        the committed baselines with zero tolerance -- observed, with
+        the flight recorder and cycle accounting attached (its runs
+        explain exactly), and unobserved, where processors take runs."""
+        from repro.toolchain.cli import (
+            xmt_compare_main,
+            xmt_explain_main,
+            xmtsim_main,
+        )
 
+        ledger = str(tmp_path / "ledger")
         for workload in ("vecadd", "compact"):
             base = os.path.join(BASELINES, workload)
-            rc = xmt_compare_main(
-                ["check", os.path.join(base, "program.c"),
-                 "--baseline", base, "--threshold", "0"])
-            assert rc == 0, f"{workload}: {capsys.readouterr()}"
+            program = os.path.join(base, "program.c")
+            check = ["check", program, "--baseline", base, "--threshold", "0"]
+            assert xmt_compare_main(check) == 0, \
+                f"{workload}: {capsys.readouterr()}"
+            assert xmt_compare_main(
+                check + ["--recorder", "--ledger", ledger]) == 0, \
+                f"{workload} --recorder: {capsys.readouterr()}"
+            capsys.readouterr()
+            with open(os.path.join(base, "manifest.json")) as fh:
+                cycles = json.load(fh)["cycles"]
+            assert xmtsim_main([program, "--config", "tiny"]) == 0
+            err = capsys.readouterr().err
+            assert f"] {cycles} cycles," in err, f"{workload}: {err}"
+        runs = sorted(glob.glob(os.path.join(ledger, "runs", "*")))
+        assert len(runs) == 2
+        for run in runs:
+            assert xmt_explain_main(["report", run, "--assert-exact"]) == 0, \
+                capsys.readouterr()
+            assert "exact: " in capsys.readouterr().err
+        assert xmt_explain_main(["diff", *runs]) == 0, capsys.readouterr()
 
     def test_backend_names_are_run_identity(self):
         """Ledger manifests treat backend selections as identity: two
@@ -335,14 +360,14 @@ class TestStringSweepAxes:
         stream = str(tmp_path / "stream.jsonl")
         rc = xmt_campaign_main(
             [program, "--config", "tiny",
-             "--vary", "icn_backend=mot,crossbar,ring", "--serial",
+             "--vary", "icn_backend=mot,mot-async,crossbar,ring", "--serial",
              "--ledger", str(tmp_path / "ledger"), "--telemetry-out",
              stream])
         assert rc == 0
         assert xmt_top_main(["report", stream]) == 0
         out = capsys.readouterr().out
         # string values label the runs and the axis rows
-        for value in ("mot", "crossbar", "ring"):
+        for value in ("mot", "mot-async", "crossbar", "ring"):
             assert f"icn_backend={value} " in out
         assert "first" in out  # the first grid point anchors the deltas
 

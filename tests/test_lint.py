@@ -320,10 +320,15 @@ class TestCLI:
         assert any(c.startswith("dyn.race.") for c in checks)
 
     def test_check_shipped_mode(self, capsys):
+        litmus = os.path.join(EXAMPLES_DIR, "litmus")
         assert xmtc_lint_main(
-            ["--check-shipped", "--examples", EXAMPLES_DIR]) == 0
+            ["--check-shipped", "--examples", EXAMPLES_DIR,
+             "--litmus", litmus]) == 0
         out = capsys.readouterr().out
         assert "litmus_relaxed" in out
+        # every corpus file met its // xmtc-lint-expect: annotation
+        for name in os.listdir(litmus):
+            assert f"ok   {name}: " in out
 
     def test_xmtsim_sanitize(self, tmp_path, capsys):
         path = self._write(tmp_path, RACY_SRC)

@@ -1,5 +1,6 @@
 """Resilience layer: watchdog, fault-injection campaigns, auto-recovery."""
 
+import json
 import os
 
 import pytest
@@ -442,7 +443,7 @@ class TestRecovery:
         assert not report.completed
         assert report.retries_used == 2
         assert len(report.failures) == 3
-        assert report.partial_cycles > 0
+        assert report.result.cycles > 0
         assert "FAILED" in report.format()
 
     def test_never_halting_run_degrades_to_partial_report(self):
@@ -450,7 +451,7 @@ class TestRecovery:
         report = run_resilient(machine, max_retries=1, max_cycles=5_000)
         assert not report.completed
         assert report.failures[-1].error_type == "CycleLimit"
-        assert report.partial_instructions > 0
+        assert report.result.instructions > 0
 
     def test_success_report_format(self):
         machine = _spawn_machine()
@@ -522,18 +523,32 @@ class TestResilienceCLI:
         assert "resilient run completed" in captured.err
         assert "A = [1, 1, 1" in captured.out
 
-    def test_hang_recovered_past_periodic_checkpoints_exits_0(self, capsys):
-        # every snapshot after cycle 600 holds the hang; the watchdog
-        # notices at cycle 3000
+    @pytest.mark.parametrize("config, drop, cycles", [
+        (None, 600, 1497),
+        ({"base": "tiny", "icn_backend": "ring", "dram_backend": "banked"},
+         700, 1517),
+    ], ids=["tiny", "ring-banked"])
+    def test_hang_recovered_past_periodic_checkpoints_exits_0(
+            self, config, drop, cycles, tmp_path, capsys):
+        # every snapshot after the drop holds the hang; the watchdog
+        # notices a window later
         program = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                                "baselines", "vecadd", "program.c")
-        rc = xmtsim_main([program, "--config", "tiny", "--watchdog", "1500",
-                          "--inject", "icn.drop@600",
+        config_args = ["--config", "tiny"]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            config_args = ["--config-file", str(path)]
+        rc = xmtsim_main([program, *config_args, "--watchdog", "1500",
+                          "--inject", f"icn.drop@{drop}",
                           "--checkpoint-every", "300"])
         err = capsys.readouterr().err
         assert rc == 0
-        assert "resilient run completed after" in err
-        assert "] 1497 cycles, 1949 instructions" in err
+        # the first rollback lands on a periodic snapshot that already
+        # holds the hang; the second gets behind it, to the baseline
+        assert "resilient run completed after 2 recoveries" in err
+        assert "-> rolled back to cycle 0" in err
+        assert f"] {cycles} cycles, 1949 instructions" in err
 
     def test_masked_injection_exits_0(self, spawn_file, capsys):
         rc = xmtsim_main([spawn_file, "--config", "tiny",
