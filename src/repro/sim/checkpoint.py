@@ -5,8 +5,7 @@ simulation can be saved at a point that is given by the user ahead of
 time or determined by a command line interrupt during execution.
 Simulation can be resumed at a later time."  Among other uses this
 facilitates dynamically load balancing batches of long simulations
-across machines; the resilience layer (``repro.sim.resilience``) builds
-its rollback-and-retry recovery on the same primitives.
+across machines.  A checkpoint starts a run; it is not a retry point.
 
 Checkpointing pickles the entire :class:`~repro.sim.machine.Machine`
 (scheduler heap included -- events reference actors which are plain
@@ -19,11 +18,14 @@ and every event whose actor declares ``checkpoint_transient = True``
 live machine; the resuming driver re-registers and re-arms what it
 wants on the restored one.
 
-Checkpoints *pause* rather than unwind: the checkpoint actor stops the
-scheduler in place (``machine.pause_reason == "checkpoint"``), the
-driver snapshots the machine, clears the pause and keeps running.  This
-is what lets one run carry many checkpoints (periodic checkpointing,
-recovery) -- an exception-based unwind could fire only once.
+The checkpoint actor *pauses* the scheduler in place rather than
+unwinding it, so the machine that was checkpointed keeps running.
+
+A checkpoint file (:func:`save`) is a one-line header -- the
+``xmtsim-checkpoint/1`` magic and the saving revision -- followed by
+the pickle.  Loading one runs code, like any pickle: trust a checkpoint
+file as you would a script.  :func:`load` names the file and the
+saving revision when it cannot restore it.
 """
 
 from __future__ import annotations
@@ -47,43 +49,7 @@ class _CheckpointActor(Actor):
         if self.machine.halted:
             return
         self.due = True
-        self.machine.pause_reason = "checkpoint"
         scheduler.stopped = True
-
-
-class PeriodicCheckpointer(Actor):
-    """Pauses the scheduler every ``interval_ps`` of simulated time.
-
-    The actor reschedules itself *before* pausing, so the chain of
-    future checkpoint events is part of every saved snapshot: a machine
-    restored from any checkpoint keeps checkpointing at the same
-    cadence.  Drivers (:func:`repro.sim.resilience.run_resilient`) see
-    ``machine.pause_reason == "checkpoint"`` after ``scheduler.run``
-    returns, snapshot the machine, then call :meth:`clear_pause` and
-    run again.
-    """
-
-    def __init__(self, machine: Machine, interval_ps: int):
-        if interval_ps <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        self.machine = machine
-        self.interval_ps = interval_ps
-
-    def arm(self, scheduler) -> None:
-        scheduler.schedule(self.interval_ps, self, PRIO_PLUGIN)
-
-    def notify(self, scheduler, time, arg):
-        if self.machine.halted:
-            return
-        scheduler.schedule(self.interval_ps, self, PRIO_PLUGIN)
-        self.machine.pause_reason = "checkpoint"
-        scheduler.stopped = True
-
-
-def clear_pause(machine: Machine) -> None:
-    """Acknowledge a checkpoint pause so the machine can run again."""
-    machine.pause_reason = None
-    machine.scheduler.stopped = False
 
 
 def save_bytes(machine: Machine) -> bytes:
@@ -104,7 +70,6 @@ def load_bytes(payload: bytes) -> Machine:
         raise SimulationError("checkpoint payload is not a Machine")
     # a snapshot taken at a pause must restore to a runnable machine
     machine.scheduler.stopped = False
-    machine.pause_reason = None
     # derived state: re-decode the program (never part of the pickle)
     machine._bind_decode()
     # the subscribers stayed behind: whoever they kept out of runs may go
@@ -113,13 +78,35 @@ def load_bytes(payload: bytes) -> Machine:
 
 
 def save(machine: Machine, path: str) -> None:
+    """Write a checkpoint file: the header line, then the pickle."""
+    from repro.sim.observability.artifacts import CHECKPOINT_MAGIC
+    from repro.sim.observability.ledger import git_revision
+
+    header = f"{CHECKPOINT_MAGIC} {git_revision() or 'unknown'}\n"
+    payload = save_bytes(machine)
     with open(path, "wb") as fh:
-        fh.write(save_bytes(machine))
+        fh.write(header.encode() + payload)
 
 
 def load(path: str) -> Machine:
+    """Restore a checkpoint file; :class:`~repro.sim.observability.
+    artifacts.SchemaError` names ``path`` (and the saving revision) on
+    a foreign file, a torn payload or a pickle this code cannot load."""
+    from repro.sim.observability.artifacts import (
+        CHECKPOINT_MAGIC, SchemaError)
+
     with open(path, "rb") as fh:
-        return load_bytes(fh.read())
+        head, _, payload = fh.read().partition(b"\n")
+    magic, _, revision = head.decode("latin-1").partition(" ")
+    if magic != CHECKPOINT_MAGIC:
+        raise SchemaError(f"{path}: expected schema {CHECKPOINT_MAGIC!r}, "
+                          f"found {head[:40]!r}")
+    try:
+        return load_bytes(payload)
+    except Exception as exc:  # unpickling can raise almost anything
+        raise SchemaError(
+            f"{path}: cannot restore this checkpoint, saved at revision "
+            f"{revision}: {type(exc).__name__}: {exc}") from exc
 
 
 def run_with_checkpoint(machine: Machine, checkpoint_cycle: int,
@@ -141,6 +128,6 @@ def run_with_checkpoint(machine: Machine, checkpoint_cycle: int,
         max_cycles * machine.config.cluster_period)
     machine.scheduler.run(until=deadline)
     if actor.due and not machine.halted:
-        clear_pause(machine)
+        machine.scheduler.stopped = False
         return save_bytes(machine)
     return None

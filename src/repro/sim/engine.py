@@ -117,7 +117,7 @@ class Scheduler:
         """What a checkpoint holds of the event list."""
         state = self.__dict__.copy()
         # a run's budgets are its driver's (any callable): every
-        # ``Machine.run`` / ``run_resilient`` installs its own
+        # ``Machine.run`` installs its own
         state["check_hook"] = None
         # transient events stay behind: plug-in samplers (may close over
         # unpicklable policies, open sinks) and injected faults (a

@@ -30,7 +30,7 @@ from repro.sim.engine import (
     Scheduler,
 )
 from repro.sim.fabric import create_backend
-from repro.sim.functional import Memory
+from repro.sim.functional import Memory, SimulationError
 from repro.sim.mtcu import MasterTCU
 from repro.sim.psunit import PrefixSumUnit
 from repro.sim.spawn_unit import SpawnUnit
@@ -186,9 +186,6 @@ class Machine:
         self._started = False
         self.parallel_active = False
         self.last_progress = 0
-        #: set by pause-style actors (periodic checkpointing) when they
-        #: stop the scheduler without halting the machine
-        self.pause_reason: Optional[str] = None
         self._inbox_seq = 0
         #: phase sampling (Section III-F): set by SampledSimulator
         self.sampler = None
@@ -467,7 +464,14 @@ class Machine:
         self._arm_guards(wall_limit_s, max_events)
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         deadline = None if limit is None else limit * self.config.cluster_period
-        self.scheduler.run(until=deadline)
+        try:
+            self.scheduler.run(until=deadline)
+        except SimulationError as exc:
+            if getattr(exc, "dump", None) is not None:
+                # a guard's dump is taken inside the event loop, before
+                # the loop adds this run's events to the scheduler's count
+                exc.dump.events_processed = self.scheduler.events_processed
+            raise
         if not self.halted:
             from repro.sim.resilience.diagnostics import collect
             from repro.sim.resilience.errors import (
@@ -485,7 +489,8 @@ class Machine:
         return self._finalize()
 
     def _finalize(self) -> CycleResult:
-        """End-of-run bookkeeping shared by `run` and `run_resilient`."""
+        """End-of-run bookkeeping: settle the sleepers, finish the
+        plug-ins and fold the counters into a :class:`CycleResult`."""
         self.settle()  # a timed-out run can end with TCUs still asleep
         for plugin in self.activity_plugins:
             plugin.finish(self)

@@ -79,6 +79,10 @@ ARTIFACTS: Dict[str, Artifact] = {
     "top-report": Artifact("xmt-top-report/2"),
 }
 
+#: first word of a checkpoint file's header line (``checkpoint.save``);
+#: the one format that is not JSON -- a pickle follows the header
+CHECKPOINT_MAGIC = "xmtsim-checkpoint/1"
+
 #: the whole files a run directory holds next to its manifest, by
 #: artifact name (what a ledger entry records)
 RUN_PAYLOADS = tuple(name for name, row in ARTIFACTS.items()

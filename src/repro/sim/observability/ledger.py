@@ -41,7 +41,7 @@ import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim.observability.artifacts import (
     artifact_json,
@@ -425,7 +425,7 @@ class RunArtifacts:
     #: ``None`` when the run had no metrics registry / no profiler
     metrics: Optional[Dict[str, Any]]
     profile: Optional[Dict[str, Any]]
-    result: Any  # CycleResult (PartialResult for a salvaged run)
+    result: Any  # the CycleResult
     #: ``xmt-accounting/1`` payload when cycle accounting was enabled
     accounting: Optional[Dict[str, Any]] = None
     #: extra artifacts recorded as ``<name>.json`` (``lifecycle``,
@@ -479,30 +479,40 @@ def collect_artifacts(machine, result, wall_seconds: float,
     :func:`build_manifest`'s keywords -- source, program_path, seed,
     label, inputs, extra) plus one export per consumer subscribed on
     ``machine.obs`` -- metrics, profile, accounting, the lifecycle
-    summary.  :func:`instrumented_run` ends here and so does
-    ``xmtsim``, so a run recorded by either has the same ``run_id``.
+    summary (none of them when nobody observed the run).
+    :func:`instrumented_run` ends here.
     """
     from repro.sim.observability.lifecycle import export_accounting
     from repro.sim.observability.metrics import export_metrics
 
-    obs = machine.obs
+    metrics, profiler, accounting, lifecycle = (
+        getattr(machine.obs, name, None)
+        for name in ("metrics", "profiler", "accounting", "lifecycle"))
     return RunArtifacts(
         manifest=build_manifest(
             machine.program, machine.config, cycles=result.cycles,
             instructions=result.instructions, wall_seconds=wall_seconds,
             **manifest_fields),
-        metrics=export_metrics(machine) if obs.metrics is not None else None,
-        profile=(obs.profiler.to_data()
-                 if obs.profiler is not None else None),
+        metrics=export_metrics(machine) if metrics is not None else None,
+        profile=profiler.to_data() if profiler is not None else None,
         result=result,
-        accounting=(export_accounting(machine, obs.accounting,
+        accounting=(export_accounting(machine, accounting,
                                       cycles=result.cycles)
-                    if obs.accounting is not None else None),
-        extras=({"lifecycle": obs.lifecycle.to_data()}
-                if obs.lifecycle is not None else {}))
+                    if accounting is not None else None),
+        extras=({"lifecycle": lifecycle.to_data()}
+                if lifecycle is not None else {}))
 
 
-def instrumented_run(program, config, *, source: Optional[str] = None,
+#: what :func:`instrumented_run` can ``observe``: the artifacts of a run
+#: directory besides its manifest, except telemetry (a sampler the
+#: caller builds and passes as ``telemetry``)
+OBSERVABLE = ("metrics", "profile", "accounting", "lifecycle", "events")
+
+
+def instrumented_run(program, config, *,
+                     observe: Sequence[str] = ("metrics", "profile"),
+                     out: Optional[str] = None,
+                     source: Optional[str] = None,
                      program_path: Optional[str] = None,
                      seed: Optional[int] = None,
                      label: Optional[str] = None,
@@ -512,62 +522,99 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
                      inputs: Optional[Dict[str, Any]] = None,
                      extra: Optional[Dict[str, Any]] = None,
                      telemetry=None, accounting: bool = False,
-                     recorder=None, power=None) -> RunArtifacts:
-    """Run ``program`` under ``config`` with metrics + profiler attached
-    and fold the outcome into ledger-ready artifacts.
+                     recorder=None, power=None, plugins=(),
+                     trace=None) -> RunArtifacts:
+    """Build, run and record one cycle-accurate run of ``program``
+    under ``config``: the one way a recorded cycle run is made, behind
+    ``xmtsim``, ``xmt-compare check``, the campaign workers and the
+    benchmark.
 
-    The workhorse behind ``xmt-compare check`` and the campaign
-    engine: one call per grid point, each returning a
-    manifest/metrics/profile bundle that :meth:`Ledger.record_artifacts`
-    persists.  ``wall_limit_s``/``max_events`` are enforced by the
-    watchdog (raising ``SimulationBudgetExceeded``), giving campaign
-    workers hard per-run budgets.  ``telemetry`` takes an un-attached
+    ``observe`` names the consumers to subscribe, from
+    :data:`OBSERVABLE`; an empty one is a plain run, whose artifacts
+    are the manifest alone.  ``out`` is a run directory: the ``events``
+    and ``lifecycle`` streams are written there live (``events`` needs
+    it), and the manifest and payloads when the run ends.
+    ``wall_limit_s``/``max_events`` are enforced by the watchdog
+    (raising ``SimulationBudgetExceeded``), giving campaign workers
+    hard per-run budgets.  ``telemetry`` takes an un-attached
     :class:`~repro.sim.observability.telemetry.TelemetrySampler`: it is
     armed on the machine for the duration of the run and emits its
     final frame even when the run dies on a budget -- the caller owns
-    (and closes) its sinks.
+    (and closes) its sinks.  ``plugins`` and ``trace`` go to the
+    :class:`~repro.sim.machine.Simulator` as they are.
 
-    ``accounting=True`` arms a
-    :class:`~repro.sim.observability.lifecycle.CycleAccountant` (and a
-    default :class:`~repro.sim.observability.lifecycle.FlightRecorder`,
-    so memory stalls split by layer) and fills
-    :attr:`RunArtifacts.accounting`/``extras["lifecycle"]``.  Pass
-    ``recorder`` to control sampling, or alone for lifecycles without
-    accounting.  ``power`` takes a
-    :class:`~repro.power.dtm.PowerThermalPlugin`; its profile is
-    recorded as the non-identity ``power`` artifact.
+    ``accounting=True`` is ``"accounting"`` in ``observe``: it arms a
+    :class:`~repro.sim.observability.lifecycle.CycleAccountant` and a
+    default :class:`~repro.sim.observability.lifecycle.FlightRecorder`
+    (so memory stalls split by layer) and fills
+    :attr:`RunArtifacts.accounting`/``extras["lifecycle"]``; so does
+    ``"lifecycle"`` without the accountant.  Pass ``recorder`` to
+    control sampling, or alone for lifecycles without accounting.
+    ``power`` takes a :class:`~repro.power.dtm.PowerThermalPlugin`; its
+    profile is recorded as the non-identity ``power`` artifact.
     """
     from repro.sim.machine import Simulator
     from repro.sim.observability.core import Observability
+    from repro.sim.observability.events import EventStream
     from repro.sim.observability.lifecycle import (
         CycleAccountant, FlightRecorder)
     from repro.sim.observability.metrics import MetricsRegistry
     from repro.sim.observability.profiler import CycleProfiler
 
-    if accounting and recorder is None:
+    names = set(observe) | ({"accounting"} if accounting else set())
+    unknown = sorted(names.difference(OBSERVABLE))
+    if unknown:
+        raise ValueError(f"cannot observe {', '.join(unknown)} (choose "
+                         f"from {', '.join(OBSERVABLE)})")
+    if "events" in names and out is None:
+        raise ValueError("the events stream needs an out directory")
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+    if recorder is None and names & {"accounting", "lifecycle"}:
         recorder = FlightRecorder()
-    obs = Observability(metrics=MetricsRegistry(),
-                        profiler=CycleProfiler(program, source=source),
-                        accounting=CycleAccountant() if accounting else None,
-                        lifecycle=recorder)
-    sim = Simulator(program, config, observability=obs,
-                    plugins=(power,) if power is not None else ())
-    if telemetry is not None:
-        if telemetry.eta_cycles is None:
-            telemetry.eta_cycles = max_cycles
-        telemetry.attach(sim.machine)
-        telemetry.arm()
+    if power is not None:
+        plugins = (*plugins, power)
+    streams = []  # what this run writes live, closed however it ends
     start = time.perf_counter()
     try:
+        if "lifecycle" in names and out is not None:
+            recorder.stream_to(run_file(out, "lifecycle-stream"))
+            streams.append(recorder)
+        events = None
+        if "events" in names:
+            events = EventStream(retain=False,
+                                 stream_to=run_file(out, "events"))
+            streams.append(events)
+        obs = None
+        if names or recorder is not None:
+            obs = Observability(
+                events=events,
+                metrics=MetricsRegistry() if "metrics" in names else None,
+                profiler=(CycleProfiler(program, source=source)
+                          if "profile" in names else None),
+                accounting=(CycleAccountant() if "accounting" in names
+                            else None),
+                lifecycle=recorder)
+        sim = Simulator(program, config, plugins=plugins, trace=trace,
+                        observability=obs)
+        if telemetry is not None:
+            if telemetry.eta_cycles is None:
+                telemetry.eta_cycles = max_cycles
+            telemetry.attach(sim.machine)
+            telemetry.arm()
         result = sim.run(max_cycles=max_cycles, wall_limit_s=wall_limit_s,
                          max_events=max_events)
     finally:
         if telemetry is not None:
             telemetry.finish()
+        for stream in streams:
+            stream.close()
     artifacts = collect_artifacts(
         sim.machine, result, time.perf_counter() - start, source=source,
         program_path=program_path, seed=seed, label=label, inputs=inputs,
         extra=extra)
     if power is not None:
         artifacts.extras["power"] = power_profile_payload(power)
+    if out is not None:
+        write_run_dir(out, artifacts.manifest, artifacts.payloads())
     return artifacts

@@ -1,16 +1,17 @@
-"""Resilience layer: watchdog, fault injection, auto-recovery.
+"""Resilience layer: watchdog, budgets, fault injection.
 
-Three cooperating pieces that make long simulations fail loudly,
-recover automatically, and let users probe architectural vulnerability
-on purpose:
+Two cooperating pieces that make long simulations fail loudly and let
+users probe architectural vulnerability on purpose:
 
 - :mod:`~repro.sim.resilience.watchdog` -- deadlock detection and
   wall-clock/event budgets, raising typed exceptions that carry a
   structured :class:`~repro.sim.resilience.diagnostics.DiagnosticDump`;
 - :mod:`~repro.sim.resilience.faults` -- deterministic, seed-driven
-  fault injection at named sites, plus campaign driving and reporting;
-- :mod:`~repro.sim.resilience.recovery` -- ``run_resilient``, periodic
-  checkpoints with rollback-and-retry and graceful degradation.
+  fault injection at named sites, plus campaign driving and reporting.
+
+A failed run is not retried: in a deterministic simulator a replay only
+gets past the faults the tool injected itself.  ``xmt-campaign`` reruns
+whole worker processes, which is a different mechanism.
 """
 
 from repro.sim.resilience.diagnostics import DiagnosticDump, collect
@@ -29,24 +30,15 @@ from repro.sim.resilience.faults import (
     parse_fault_spec,
     run_campaign,
 )
-from repro.sim.resilience.recovery import (
-    AttemptFailure,
-    PartialResult,
-    RecoveryReport,
-    run_resilient,
-)
 from repro.sim.resilience.watchdog import Watchdog
 
 __all__ = [
-    "AttemptFailure",
     "CampaignReport",
     "DiagnosticDump",
     "FaultInjector",
     "FaultSpec",
     "InjectionRecord",
     "OUTCOMES",
-    "PartialResult",
-    "RecoveryReport",
     "ResilienceError",
     "SITES",
     "SimulationBudgetExceeded",
@@ -55,5 +47,4 @@ __all__ = [
     "collect",
     "parse_fault_spec",
     "run_campaign",
-    "run_resilient",
 ]

@@ -16,7 +16,7 @@ from repro.sim.functional import SimulationError
 
 
 class ResilienceError(SimulationError):
-    """Base of the watchdog/budget/recovery exception family."""
+    """Base of the watchdog/budget exception family."""
 
     def __init__(self, message: str, dump: Optional[object] = None):
         super().__init__(message)

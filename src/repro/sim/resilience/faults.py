@@ -23,8 +23,8 @@ Everything is seed-driven: a campaign with the same seed plans the same
 (site, cycle, detail) sequence and -- the simulator being deterministic
 -- produces the identical report run-to-run.  Injection events are
 marked ``checkpoint_transient``, so checkpoints never capture a planned
-fault: rolling back and replaying past the injection point recovers the
-run, which is exactly the semantics of a *transient* fault.
+fault: a run resumed from a checkpoint taken before the injection point
+never sees it, which is exactly the semantics of a *transient* fault.
 
 The injector rides the existing activity plug-in mechanism
 (:meth:`~repro.sim.machine.Machine.add_plugin`): its ``on_start``

@@ -52,21 +52,15 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
 from repro.sim.functional import FunctionalSimulator, SimulationError
-from repro.sim.machine import Machine, Simulator
+from repro.sim.machine import Machine
 from repro.sim.observability import (
     ARTIFACTS,
-    CycleAccountant,
-    CycleProfiler,
-    EventStream,
     FlightRecorder,
     JsonlTail,
     Ledger,
-    MetricsRegistry,
-    Observability,
     build_explain,
     chrome_trace,
     check_regressions,
-    collect_artifacts,
     compare_runs,
     explain_diff,
     instrumented_run,
@@ -84,6 +78,7 @@ from repro.sim.observability.aggregate import (
     render_top,
 )
 from repro.sim.observability.artifacts import run_file
+from repro.sim.observability.ledger import OBSERVABLE
 from repro.sim.observability.telemetry import JsonlSink, TelemetrySampler
 from repro.sim.plugins import RaceSanitizer
 from repro.sim.resilience import (
@@ -92,7 +87,6 @@ from repro.sim.resilience import (
     SimulationStalled,
     parse_fault_spec,
     run_campaign,
-    run_resilient,
 )
 from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.sim.stats import Stats
@@ -686,9 +680,8 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                                "manifest (shown by xmt-compare list)")
     resilience = parser.add_argument_group(
         "resilience (cycle mode)",
-        "watchdog, fault injection and checkpoint-based recovery; "
-        "exit codes: 3 = stalled/deadlocked, 4 = budget exceeded, "
-        "5 = recovery retries exhausted")
+        "watchdog, budgets and fault injection; exit codes: "
+        "3 = stalled/deadlocked, 4 = budget exceeded")
     resilience.add_argument("--watchdog", type=int, default=None,
                             metavar="CYCLES",
                             help="deadlock watchdog interval in cycles "
@@ -713,23 +706,13 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                             metavar="SEED",
                             help="campaign plan seed (same seed -> same "
                                  "report)")
-    resilience.add_argument("--checkpoint-every", type=int, default=0,
-                            metavar="CYCLES",
-                            help="run under auto-recovery, checkpointing "
-                                 "every CYCLES cycles")
-    resilience.add_argument("--max-retries", type=int, default=None,
-                            metavar="N",
-                            help="rollback-and-retry budget (default 3); "
-                                 "giving it enables auto-recovery even "
-                                 "without --checkpoint-every (rollback "
-                                 "to the start of the run)")
     return parser
 
 
 #: what ``xmtsim --observe`` can name: the artifacts of a run directory
 #: besides its manifest (``lifecycle`` is the summary and, with --out,
 #: the stream of sampled requests; the last two are streams only)
-_OBSERVABLE = "metrics,profile,accounting,lifecycle,events,telemetry"
+_OBSERVABLE = ",".join((*OBSERVABLE, "telemetry"))
 
 
 def _observed(args) -> List[str]:
@@ -751,129 +734,57 @@ def _observed(args) -> List[str]:
     return names + ["profile"] * args.profile + ["accounting"] * args.explain
 
 
-def _observability_for(args, observed, program, source):
-    """The consumers ``observed`` subscribes, with the live streams
-    opened in the ``--out`` directory, created here: new or empty, as a
-    run directory never mixes two runs (``None``: a plain run)."""
+def _simulate_cycle(args, observed, program, source, config, inputs,
+                    plugins, trace):
+    """The cycle-accurate run of ``xmtsim``, observed (``observed``:
+    :func:`_observed`) or not; returns the final memory image."""
+    telemetry = recorder = None
     if args.out:
         if os.path.isfile(args.out) or (os.path.isdir(args.out)
                                         and os.listdir(args.out)):
             raise CliError(f"--out: {args.out} is not a new or empty "
                            f"directory; a run directory holds one run")
-        os.makedirs(args.out, exist_ok=True)
-    if not (observed or args.out or args.ledger):
-        return None  # else a manifest is written: it reads machine.obs
-    recorder = None
+        with _flag("--out", OSError):
+            os.makedirs(args.out, exist_ok=True)
+            if "telemetry" in observed:
+                telemetry = TelemetrySampler(
+                    every_cycles=args.telemetry_every,
+                    sinks=[JsonlSink(run_file(args.out, "telemetry"))],
+                    meta={"label": args.run_label or None,
+                          "program": os.path.basename(args.program)})
     if "lifecycle" in observed or "accounting" in observed:
         # accounting splits memory stalls by layer with the recorder
         recorder = FlightRecorder(sample_every=max(1, args.lifecycle_sample))
-        if "lifecycle" in observed and args.out:
-            recorder.stream_to(run_file(args.out, "lifecycle-stream"))
-    return Observability(
-        events=(EventStream(retain=False,
-                            stream_to=run_file(args.out, "events"))
-                if "events" in observed else None),
-        metrics=MetricsRegistry() if "metrics" in observed else None,
-        profiler=(CycleProfiler(program, source=source)
-                  if "profile" in observed else None),
-        accounting=CycleAccountant() if "accounting" in observed else None,
-        lifecycle=recorder)
-
-
-def _simulate_cycle(args, observed, program, source, config, inputs,
-                    plugins, trace):
-    """The cycle-accurate run of ``xmtsim``: plain or under
-    auto-recovery, observed (``observed``: :func:`_observed`) or not.
-    Returns the final memory image."""
-    telemetry = None
-    with _flag("--out", OSError):
-        observability = _observability_for(args, observed, program, source)
-        if "telemetry" in observed:
-            telemetry = TelemetrySampler(
-                every_cycles=args.telemetry_every,
-                sinks=[JsonlSink(run_file(args.out, "telemetry"))],
-                eta_cycles=args.max_cycles,
-                meta={"label": args.run_label or None,
-                      "program": os.path.basename(args.program)})
-    report = None
-    started = time.perf_counter()
     try:
-        sim = Simulator(program, config, plugins=plugins, trace=trace,
-                        observability=observability)
-        machine = sim.machine
-        if telemetry is not None:
-            telemetry.attach(machine)
-            telemetry.arm()
-        if args.checkpoint_every > 0 or args.max_retries is not None:
-            # rollback builds a *new* machine from the checkpoint;
-            # checkpoints strip observability and plug-ins, so re-attach
-            # the consumers and re-arm telemetry (the fault plug-ins
-            # stay detached on purpose: planned faults are transient
-            # and must not replay)
-            obs = machine.obs  # --trace alone makes the machine build one
-
-            def reattach(restored):
-                if obs is not None:
-                    restored.obs = obs
-                    obs.attach(restored)
-                if telemetry is not None:
-                    telemetry.attach(restored)
-                    telemetry.arm()
-
-            report = run_resilient(
-                machine, checkpoint_every=args.checkpoint_every,
-                max_retries=(3 if args.max_retries is None
-                             else args.max_retries),
-                max_cycles=args.max_cycles, wall_limit_s=args.wall_limit,
-                max_events=args.event_budget,
-                reattach=reattach)
-            print(report.format(), file=sys.stderr)
-            if report.machine is not None:
-                machine = report.machine
-            result = report.result
-        else:
-            result = sim.run(max_cycles=args.max_cycles,
-                             wall_limit_s=args.wall_limit,
-                             max_events=args.event_budget)
+        artifacts = instrumented_run(
+            program, config,
+            observe=[name for name in observed if name != "telemetry"],
+            out=args.out, source=source, program_path=args.program,
+            label=args.run_label, max_cycles=args.max_cycles,
+            wall_limit_s=args.wall_limit, max_events=args.event_budget,
+            inputs=inputs or None, telemetry=telemetry, recorder=recorder,
+            plugins=plugins, trace=trace)
     finally:
-        wall = time.perf_counter() - started
         if telemetry is not None:
-            # close() emits the closing "final" frame even when the run
+            # the closing "final" frame is written even when the run
             # ended in an exception: the stream records where it died
             telemetry.close()
-        if observability is not None:
-            for live in (observability.events, observability.lifecycle):
-                if live is not None:
-                    live.close()
-    completed = report is None or report.completed
+    result = artifacts.result
     sys.stdout.write(result.output)
-    if completed:
-        print(f"[{args.config_file or args.config}] {result.cycles} cycles, "
-              f"{result.instructions} instructions", file=sys.stderr)
-        if args.stats:
-            print(result.stats.report(), file=sys.stderr)
-    artifacts = None
-    if observability is not None:
-        artifacts = collect_artifacts(
-            machine, result, wall, source=source, program_path=args.program,
-            label=args.run_label, inputs=inputs or None)
-        if args.profile:
-            print(render_profile(artifacts.profile), file=sys.stderr)
-        if args.explain:
-            payloads = artifacts.payloads()
-            print(render_explain(build_explain(
-                **{name: payloads.get(name) for name in _EXPLAINED})),
-                file=sys.stderr)
+    print(f"[{args.config_file or args.config}] {result.cycles} cycles, "
+          f"{result.instructions} instructions", file=sys.stderr)
+    if args.stats:
+        print(result.stats.report(), file=sys.stderr)
+    if args.profile:
+        print(render_profile(artifacts.profile), file=sys.stderr)
+    if args.explain:
+        payloads = artifacts.payloads()
+        print(render_explain(build_explain(
+            **{name: payloads.get(name) for name in _EXPLAINED})),
+            file=sys.stderr)
     if args.out:
-        with _flag("--out", OSError):
-            record = write_run_dir(args.out, artifacts.manifest,
-                                   artifacts.payloads())
-        print(f"xmtsim: wrote run {record.run_id} to {args.out}",
-              file=sys.stderr)
-    if not completed:
-        # a salvaged run still wrote its directory above, but is no
-        # ledger entry: its cycle count is where it died
-        raise CliError(result.format(), code=5, kind="recovery failed")
+        print(f"xmtsim: wrote run {artifacts.manifest['run_id']} to "
+              f"{args.out}", file=sys.stderr)
     if args.ledger:
         record = Ledger(args.ledger).record_artifacts(artifacts)
         print(f"xmtsim: recorded run {record.run_id} in ledger "
@@ -888,9 +799,7 @@ def _xmtsim(args) -> int:
         ("--profile", args.profile), ("--explain", args.explain),
         ("--ledger", args.ledger), ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
-        ("--event-budget", args.event_budget is not None),
-        ("--checkpoint-every", args.checkpoint_every > 0),
-        ("--max-retries", args.max_retries is not None)) if given]
+        ("--event-budget", args.event_budget is not None)) if given]
     if cycle_only and args.mode != "cycle":
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
     for flag, given in (("--trace cycle", args.trace == "cycle"),
@@ -900,8 +809,6 @@ def _xmtsim(args) -> int:
             raise CliError(f"{flag} cannot be used with --mode functional")
     if args.sanitize and args.mode != "functional":
         raise CliError("--sanitize requires --mode functional")
-    _at_least(0, "--checkpoint-every", args.checkpoint_every)
-    _at_least(0, "--max-retries", args.max_retries)
     _at_least(1, "--telemetry-every", args.telemetry_every)
     _at_least(1, "--event-budget", args.event_budget)
     _above_zero("--wall-limit", args.wall_limit)
@@ -990,8 +897,7 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
     simulator.
 
     Exit codes: 0 = ran to completion, 1 = compile or runtime error,
-    2 = bad input, 3 = stalled/deadlocked, 4 = budget exceeded,
-    5 = recovery retries exhausted (partial result).
+    2 = bad input, 3 = stalled/deadlocked, 4 = budget exceeded.
     """
     return _run(_xmtsim_parser, _xmtsim, argv, compile_error_exit=1)
 

@@ -191,7 +191,7 @@ vt:
 class TestExitCodeMatrix:
     """The documented xmtsim exit codes, end to end: 0 = ok,
     1 = compile/runtime error, 2 = bad input, 3 = stalled,
-    4 = budget exceeded, 5 = partial result (recovery exhausted)."""
+    4 = budget exceeded."""
 
     @pytest.fixture
     def spin_file(self, tmp_path):
@@ -228,42 +228,3 @@ class TestExitCodeMatrix:
                           "--max-cycles", "2000"])
         assert rc == 4
         assert "budget exceeded" in capsys.readouterr().err
-
-    def test_exit_5_partial_result(self, spin_file, capsys):
-        rc = xmtsim_main([spin_file, "--config", "tiny",
-                          "--max-cycles", "2000", "--max-retries", "1"])
-        captured = capsys.readouterr()
-        assert rc == 5
-        # the retry report names the typed failure and the salvage
-        assert "FAILED" in captured.err
-        assert "partial result" in captured.err
-        assert "CycleLimit" in captured.err
-
-    def test_exit_5_still_writes_observability(self, spin_file, tmp_path,
-                                               capsys):
-        run = tmp_path / "partial"
-        rc = xmtsim_main([spin_file, "--config", "tiny",
-                          "--max-cycles", "2000", "--max-retries", "0",
-                          "--out", str(run)])
-        assert rc == 5
-        # partial runs still write their directory (the fix this class
-        # guards: the exit-5 path used to return before the writes)
-        assert (run / "metrics.json").exists()
-        assert (run / "manifest.json").exists()
-
-    def test_resilient_completion_reattaches_observability(self, src_file,
-                                                           tmp_path, capsys):
-        metrics_path = str(tmp_path / "run" / "metrics.json")
-        rc = xmtsim_main([src_file, "--config", "tiny",
-                          "--checkpoint-every", "50",
-                          "--out", str(tmp_path / "run")])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "resilient run completed" in captured.err
-        import json
-        with open(metrics_path) as fh:
-            data = json.load(fh)
-        # the registry stayed attached across checkpoints: the memory
-        # round-trip histograms only fill while obs hooks are live
-        assert "mem.latency.all" in data["histograms"]
-        assert data["histograms"]["mem.latency.all"]["count"] > 0

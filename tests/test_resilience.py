@@ -1,4 +1,4 @@
-"""Resilience layer: watchdog, fault-injection campaigns, auto-recovery."""
+"""Resilience layer: watchdog, budgets, fault-injection campaigns."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
-from repro.sim.engine import Actor, PRIO_PLUGIN
 from repro.sim.fabric import registered
 from repro.sim.functional import SimulationError
 from repro.sim.machine import Machine, Simulator
@@ -22,7 +21,6 @@ from repro.sim.resilience import (
     SimulationStalled,
     parse_fault_spec,
     run_campaign,
-    run_resilient,
 )
 from repro.sim.resilience.faults import _InjectionActor
 from repro.toolchain.cli import xmtsim_main
@@ -138,6 +136,17 @@ class TestWatchdog:
         assert dump.pending_events == 0 and not dump.event_histogram
         assert set(dump.icn) >= {"in_flight_send", "in_flight_return"}
         assert "processors running" in dump.summary()
+        assert dump.events_processed == machine.scheduler.events_processed
+        # a watchdog trip inside the event loop counts the events of the
+        # run it cut short too (it used to report none of them)
+        machine = _spawn_machine(watchdog_cycles=500)
+        machine.add_plugin(
+            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
+        with pytest.raises(SimulationStalled) as info:
+            machine.run()
+        dump = info.value.dump
+        assert dump.events_processed == machine.scheduler.events_processed
+        assert dump.events_processed > 0
 
     @pytest.mark.parametrize("icn", registered("icn"))
     @pytest.mark.parametrize("dram", registered("dram"))
@@ -304,163 +313,6 @@ class TestCheckpointing:
         live = [e.actor for e in machine.scheduler._heap if not e.cancelled]
         assert any(isinstance(a, _InjectionActor) for a in live)
 
-    def test_periodic_checkpointer_pauses_repeatedly(self):
-        machine = _spawn_machine()
-        machine.start()
-        period = machine.config.cluster_period
-        CP.PeriodicCheckpointer(machine, 50 * period).arm(machine.scheduler)
-        pauses = []
-        while not machine.halted:
-            machine.scheduler.run(until=100_000 * period)
-            if machine.pause_reason == "checkpoint":
-                pauses.append(machine.scheduler.now // period)
-                CP.clear_pause(machine)
-            elif not machine.halted:
-                pytest.fail("run neither halted nor paused")
-        assert pauses == [50, 100, 150]
-        assert machine.memory is not None
-
-    def test_restored_periodic_chain_keeps_checkpointing(self):
-        machine = _spawn_machine()
-        machine.start()
-        period = machine.config.cluster_period
-        CP.PeriodicCheckpointer(machine, 50 * period).arm(machine.scheduler)
-        machine.scheduler.run(until=100_000 * period)
-        assert machine.pause_reason == "checkpoint"
-        CP.clear_pause(machine)
-        restored = CP.load_bytes(CP.save_bytes(machine))
-        restored.scheduler.run(until=100_000 * period)
-        # the self-rescheduling chain survived the pickle round-trip
-        assert restored.pause_reason == "checkpoint"
-        assert restored.scheduler.now // period == 100
-
-
-class _TransientBomb(Actor):
-    """A transient crash: stripped from checkpoints like a real fault."""
-
-    checkpoint_transient = True
-
-    def notify(self, scheduler, time, arg):
-        raise SimulationError("injected transient crash")
-
-
-class _PersistentBomb(Actor):
-    """A deterministic bug: captured by checkpoints, recurs on replay."""
-
-    def notify(self, scheduler, time, arg):
-        raise SimulationError("deterministic crash")
-
-
-class TestRecovery:
-    def test_recovers_injected_hang_with_correct_output(self):
-        reference = _reference()
-        machine = _spawn_machine(watchdog_cycles=500)
-        machine.add_plugin(
-            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
-        report = run_resilient(machine, max_retries=2, max_cycles=100_000)
-        assert report.completed
-        assert report.retries_used == 1
-        assert report.failures[0].error_type == "SimulationStalled"
-        assert report.result.read_global("A") == reference.read_global("A")
-
-    @pytest.mark.parametrize("watchdog", [500, 2000])
-    def test_hang_with_periodic_checkpoints_recovers(self, watchdog,
-                                                     monkeypatch):
-        """A hang is noticed a watchdog window after it began, so every
-        periodic snapshot taken in between already holds it: rollback
-        must get behind them inside the default budget, with a number
-        of snapshots in hand that does not depend on how many were
-        taken."""
-        import weakref
-
-        class Held:
-            def __init__(self, payload):
-                self.payload = payload
-
-        held, most = weakref.WeakSet(), [0]
-        save, load = CP.save_bytes, CP.load_bytes
-
-        def tracked_save(machine):
-            snapshot = Held(save(machine))
-            held.add(snapshot)
-            most[0] = max(most[0], len(held))
-            return snapshot
-
-        monkeypatch.setattr(CP, "save_bytes", tracked_save)
-        monkeypatch.setattr(CP, "load_bytes", lambda s: load(s.payload))
-        reference = _reference()
-        machine = _spawn_machine(watchdog_cycles=watchdog)
-        machine.add_plugin(
-            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
-        report = run_resilient(machine, checkpoint_every=50,
-                               max_cycles=100_000)
-        assert report.completed and 1 <= report.retries_used <= 3
-        assert report.checkpoints_taken > 2 * watchdog // 50
-        assert most[0] <= 4  # three in hand and the one being taken
-        assert report.result.cycles == reference.cycles
-        assert report.result.read_global("A") == reference.read_global("A")
-        # the first retry resumed from a snapshot that is not newer than
-        # the last retired instruction (and held the hang); the one that
-        # got through replayed from the baseline
-        resumed = [f.resumed_from_cycle for f in report.failures]
-        assert 0 < resumed[0] <= reference.cycles and resumed[-1] == 0
-        assert "rolled back to cycle 0" in report.format()
-
-    def test_the_only_retry_of_a_budget_replays_from_the_baseline(self):
-        machine = _spawn_machine(watchdog_cycles=500)
-        machine.add_plugin(
-            FaultInjector([FaultSpec("icn.drop", DROP_CYCLE, seed=1)]))
-        report = run_resilient(machine, checkpoint_every=50, max_retries=1,
-                               max_cycles=100_000)
-        assert report.completed and report.retries_used == 1
-        assert report.failures[0].resumed_from_cycle == 0
-
-    def test_recovers_transient_crash_from_checkpoint(self):
-        reference = _reference()
-        machine = _spawn_machine()
-        machine.start()
-        period = machine.config.cluster_period
-        machine.scheduler.schedule_at(75 * period, _TransientBomb(),
-                                      PRIO_PLUGIN)
-        report = run_resilient(machine, checkpoint_every=50, max_retries=2,
-                               max_cycles=100_000)
-        assert report.completed
-        assert report.retries_used == 1
-        assert report.checkpoints_taken >= 2
-        assert report.failures[0].error_type == "SimulationError"
-        assert report.failures[0].resumed_from_cycle == 50
-        assert report.result.read_global("A") == reference.read_global("A")
-        assert report.result.cycles == reference.cycles
-
-    def test_deterministic_crash_exhausts_retries(self):
-        machine = _spawn_machine()
-        machine.start()
-        period = machine.config.cluster_period
-        machine.scheduler.schedule_at(75 * period, _PersistentBomb(),
-                                      PRIO_PLUGIN)
-        report = run_resilient(machine, checkpoint_every=50, max_retries=2,
-                               max_cycles=100_000)
-        assert not report.completed
-        assert report.retries_used == 2
-        assert len(report.failures) == 3
-        assert report.result.cycles > 0
-        assert "FAILED" in report.format()
-
-    def test_never_halting_run_degrades_to_partial_report(self):
-        machine = Machine(assemble(SPIN_ASM), tiny())
-        report = run_resilient(machine, max_retries=1, max_cycles=5_000)
-        assert not report.completed
-        assert report.failures[-1].error_type == "CycleLimit"
-        assert report.result.instructions > 0
-
-    def test_success_report_format(self):
-        machine = _spawn_machine()
-        report = run_resilient(machine, checkpoint_every=50,
-                               max_cycles=100_000)
-        assert report.completed
-        assert report.retries_used == 0
-        assert "completed" in report.format()
-
 
 @pytest.fixture
 def spawn_file(tmp_path):
@@ -501,37 +353,15 @@ class TestResilienceCLI:
         assert rc == 4
         assert "event budget" in err
 
-    def test_recovery_exhausted_exits_5(self, spin_file, capsys):
-        rc = xmtsim_main([spin_file, "--config", "tiny",
-                          "--checkpoint-every", "1000", "--max-retries", "1",
-                          "--max-cycles", "5000"])
-        err = capsys.readouterr().err
-        assert rc == 5
-        assert "FAILED" in err
-
-    def test_injected_fault_recovered_exits_0(self, spawn_file, capsys):
-        # no periodic checkpoints: the fault hangs the machine long
-        # before detection, so recovery must roll back to the baseline
-        rc = xmtsim_main([spawn_file, "--config", "tiny",
-                          "--watchdog", "500",
-                          "--inject", f"icn.drop@{DROP_CYCLE}:1",
-                          "--max-retries", "2",
-                          "--max-cycles", "100000",
-                          "--print-global", "A"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "resilient run completed" in captured.err
-        assert "A = [1, 1, 1" in captured.out
-
-    @pytest.mark.parametrize("config, drop, cycles", [
-        (None, 600, 1497),
+    @pytest.mark.parametrize("config, drop", [
+        (None, 600),
         ({"base": "tiny", "icn_backend": "ring", "dram_backend": "banked"},
-         700, 1517),
+         700),
     ], ids=["tiny", "ring-banked"])
-    def test_hang_recovered_past_periodic_checkpoints_exits_0(
-            self, config, drop, cycles, tmp_path, capsys):
-        # every snapshot after the drop holds the hang; the watchdog
-        # notices a window later
+    def test_vecadd_drop_exits_3_with_dump(
+            self, config, drop, tmp_path, capsys):
+        # the dropped response parks every TCU; the watchdog notices a
+        # full window after the last retired instruction
         program = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                                "baselines", "vecadd", "program.c")
         config_args = ["--config", "tiny"]
@@ -540,15 +370,12 @@ class TestResilienceCLI:
             path.write_text(json.dumps(config))
             config_args = ["--config-file", str(path)]
         rc = xmtsim_main([program, *config_args, "--watchdog", "1500",
-                          "--inject", f"icn.drop@{drop}",
-                          "--checkpoint-every", "300"])
+                          "--inject", f"icn.drop@{drop}"])
         err = capsys.readouterr().err
-        assert rc == 0
-        # the first rollback lands on a periodic snapshot that already
-        # holds the hang; the second gets behind it, to the baseline
-        assert "resilient run completed after 2 recoveries" in err
-        assert "-> rolled back to cycle 0" in err
-        assert f"] {cycles} cycles, 1949 instructions" in err
+        assert rc == 3
+        assert "deadlock: no instruction retired for 1500 cycles" in err
+        assert "time: 3000000 ps (~cycle 3000)  instructions: 906" in err
+        assert "events processed: 0" not in err
 
     def test_masked_injection_exits_0(self, spawn_file, capsys):
         rc = xmtsim_main([spawn_file, "--config", "tiny",

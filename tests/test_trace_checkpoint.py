@@ -150,6 +150,33 @@ class TestCheckpoint:
         b = self._reference_run()
         assert a.cycles == b.cycles
 
+    @pytest.mark.parametrize("damage, found", [
+        # a headerless pickle, as files were written before the header
+        (lambda header, payload: payload, "expected schema"),
+        (lambda header, payload: header + payload[:len(payload) // 2],
+         "UnpicklingError"),
+        # a class this code no longer has (a file from an older tree)
+        (lambda header, payload: header + b"crepro.sim.machine\nGone\n(tR.",
+         "AttributeError"),
+    ], ids=["wrong-magic", "torn-payload", "unpickling-failure"])
+    def test_bad_file_fails_by_name(self, tmp_path, damage, found):
+        from repro.sim.observability.artifacts import SchemaError
+
+        path = str(tmp_path / "ckpt.bin")
+        CP.save(Machine(assemble(ASM), tiny()), path)
+        with open(path, "rb") as fh:
+            header, _, payload = fh.read().partition(b"\n")
+        assert header.startswith(b"xmtsim-checkpoint/1 ")
+        revision = header.split(b" ", 1)[1].decode()
+        with open(path, "wb") as fh:
+            fh.write(damage(header + b"\n", payload))
+        with pytest.raises(SchemaError, match=found) as info:
+            CP.load(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        if found != "expected schema":
+            assert f"saved at revision {revision}: " in message
+
     def test_plugins_detached_on_save(self):
         from repro.sim.plugins import ActivityRecorder
 
