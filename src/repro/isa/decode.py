@@ -54,10 +54,6 @@ from repro.isa.instructions import (
 from repro.isa.registers import REG_RA, REG_ZERO
 
 
-class DecodeError(Exception):
-    """A program's decode cannot be rebuilt (its ``Program`` is gone)."""
-
-
 # -- basic blocks --------------------------------------------------------------
 #
 # A *block* is a run of instructions that one generated function
@@ -381,17 +377,6 @@ class DecodedProgram:
                 and self._source is instrs
                 and len(self.uops) == len(instrs)
                 and (not instrs or self.uops[-1] is instrs[-1]))
-
-    def __reduce__(self):
-        # Derived state: snapshots that reach a DecodedProgram through a
-        # stray strong reference (e.g. a sampler's attached functional
-        # executor) re-decode on restore instead of pickling weakrefs
-        # and generated blocks.
-        owner = self._owner()
-        if owner is None:
-            raise DecodeError(
-                "cannot pickle a DecodedProgram whose Program is gone")
-        return (decode_program, (owner,))
 
 
 #: program id -> DecodedProgram; entries die with their program.

@@ -10,7 +10,6 @@ from repro.sim.machine import CycleResult, Simulator
 from repro.sim.observability import (CycleProfiler, EventStream, Ledger,
                                      MetricsRegistry, Observability,
                                      compare_runs, instrumented_run)
-from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "FunctionalSimulator",
     "CycleResult",
     "Simulator",
-    "PhaseSampler",
-    "SampledSimulator",
     "Trace",
     "Observability",
     "EventStream",

@@ -160,32 +160,6 @@ class FunctionalSimulator:
         self.on_instruction = on_instruction
         self._current_core = self.master
 
-    @classmethod
-    def attached(cls, program: Program, memory: Memory, global_regs: List[int],
-                 output: List[str], max_instructions: Optional[int] = None
-                 ) -> "FunctionalSimulator":
-        """Build a functional executor sharing another machine's state.
-
-        Used by phase sampling (Section III-F): the cycle-accurate
-        machine hands its live memory / global registers / output list
-        to a functional executor to fast-forward a parallel section.
-        The decode cache is shared too -- both modes read the same
-        instructions and blocks.
-        """
-        sim = cls(program, max_instructions=max_instructions)
-        sim.memory = memory
-        sim.global_regs = global_regs
-        sim.output = output
-        return sim
-
-    def run_spawn_region(self, region, low: int, high: int,
-                         master_regs: List[int]) -> None:
-        """Execute one spawn region functionally (serialized)."""
-        master = CoreState()
-        master.regs[:] = master_regs
-        self._run_spawn_serialized(master, region, low, high)
-        self._credit_blocks()
-
     # -- public API -----------------------------------------------------------
 
     def run(self) -> FunctionalResult:

@@ -187,9 +187,6 @@ class Machine:
         self.parallel_active = False
         self.last_progress = 0
         self._inbox_seq = 0
-        #: phase sampling (Section III-F): set by SampledSimulator
-        self.sampler = None
-        self.sampler_exec = None
 
         # components -- every Fig. 1 box is a fabric backend resolved by
         # name from the registry (config strings pick implementations)
@@ -403,9 +400,6 @@ class Machine:
         self.stats.inc("spawn.joined")
         if self.obs is not None:
             self.obs.spawn_ended(region, resume_time)
-        if self.sampler is not None:
-            self.sampler.end_measure(region.spawn_index, resume_time,
-                                     self.config.cluster_period)
 
     def halt(self, now: int) -> None:
         self.halted = True

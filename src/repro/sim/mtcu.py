@@ -114,25 +114,6 @@ class MasterTCU(ProcessorBase):
         low = to_signed(self.core.regs[u.rs])
         high = to_signed(self.core.regs[u.rt])
         self.cache.invalidate()
-        n_threads = max(0, high - low + 1)
-        sampler = machine.sampler
-        if sampler is not None and not sampler.should_sample(self.core.pc):
-            # phase sampling fast-forward: execute the region through
-            # the shared functional model (exact architectural state),
-            # charge the site's calibrated cycle estimate
-            executor = machine.sampler_exec
-            executor.instruction_counts = {}
-            executor.run_spawn_region(region, low, high, self.core.regs)
-            machine.stats.merge_instruction_counts(executor.instruction_counts)
-            machine.stats.inc("spawn.fast_forwarded")
-            estimate_ps = sampler.estimate_ps(self.core.pc, n_threads,
-                                              self.domain.period)
-            self.stall_until = now + estimate_ps
-            self.core.pc = region.join_index + 1
-            machine.note_progress()
-            return
-        if sampler is not None:
-            sampler.begin_measure(self.core.pc, now, n_threads)
         self.active = False
         machine.enter_parallel()
         machine.spawn_unit.begin_spawn(now, region, low, high, self.core.regs)
@@ -172,8 +153,8 @@ class MasterTCU(ProcessorBase):
         if not self.active or self.halted:
             key = PARKED_KEY  # until the join's resume; nothing to credit
         elif self.stall_until > now:
-            # a timed stall (MDU latency, sampling fast-forward) always
-            # ends; keep the watchdog quiet through long estimates
+            # a timed stall (ALU/branch extra latency) always ends;
+            # keep the watchdog quiet through it
             key = self._stall("latency")
             machine.note_progress()
         else:

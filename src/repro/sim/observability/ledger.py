@@ -79,24 +79,21 @@ def config_fingerprint(config) -> Dict[str, Any]:
     return {"config": d, "config_sha256": sha256_text(canonical_json(d))}
 
 
-def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """Current git commit hash, or ``None`` outside a repository.
-
-    Asked once per directory per process: every manifest carries it,
-    and each ``git rev-parse`` is a process start.
-    """
-    try:
-        cwd = os.path.realpath(cwd or os.getcwd())
-    except OSError:
-        return None
-    return _git_revision(cwd)
-
-
 @functools.lru_cache(maxsize=None)
-def _git_revision(cwd: str) -> Optional[str]:
+def git_revision() -> Optional[str]:
+    """The git commit of the checkout the ``repro`` package was
+    imported from, or ``None`` outside a repository.
+
+    Asked about the package's directory, not the working directory (a
+    run started elsewhere still names the code that ran), and once per
+    process: every manifest carries it, and each ``git rev-parse`` is a
+    process start.
+    """
+    import repro
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd, timeout=10,
+            ["git", "rev-parse", "HEAD"], timeout=10,
+            cwd=os.path.dirname(os.path.realpath(repro.__file__)),
             capture_output=True, text=True)
     except (OSError, subprocess.SubprocessError):
         return None

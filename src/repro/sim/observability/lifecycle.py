@@ -22,7 +22,7 @@ methods below are named after the probes it hears.
 processor cycle to a stall taxonomy --
 
 - ``retiring``        -- the issue slot retired an instruction
-- ``frontend``        -- multi-cycle latency / fast-forward bubbles
+- ``frontend``        -- multi-cycle latency bubbles
 - ``scoreboard_raw``  -- RAW on an in-core result (no memory in flight)
 - ``fu_busy``         -- shared FU arbitration loss
 - ``mem.<layer>``     -- stalled on memory, split by the layer the

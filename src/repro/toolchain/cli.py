@@ -88,7 +88,6 @@ from repro.sim.resilience import (
     parse_fault_spec,
     run_campaign,
 )
-from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.sim.stats import Stats
 from repro.sim.trace import Trace
 from repro.toolchain.driver import apply_inputs, load_program
@@ -624,10 +623,8 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
         set_help="write comma-separated values into a global before the "
                  "run (repeatable)")
     parser.add_argument("--mode", default="cycle",
-                        choices=("cycle", "functional", "sampled"),
-                        help="simulation mode ('sampled' = phase sampling: "
-                             "cycle-accurate warm-up per spawn site, "
-                             "functional fast-forward thereafter)")
+                        choices=("cycle", "functional"),
+                        help="simulation mode")
     parser.add_argument("--print-global", action="append", default=[],
                         metavar="GLOBAL",
                         help="print a global after the run (repeatable)")
@@ -857,19 +854,6 @@ def _xmtsim(args) -> int:
             if sanitizer is not None:
                 print(sanitizer.report(program), file=sys.stderr)
             memory = result.memory
-        elif args.mode == "sampled":
-            sampler = PhaseSampler()
-            result = SampledSimulator(program, config, sampler=sampler,
-                                      trace=trace).run(
-                                          max_cycles=args.max_cycles)
-            sys.stdout.write(result.output)
-            print(f"[{args.config_file or args.config}, sampled] "
-                  f"~{result.cycles} cycles "
-                  f"(estimated)", file=sys.stderr)
-            print(sampler.report(), file=sys.stderr)
-            if args.stats:
-                print(result.stats.report(), file=sys.stderr)
-            memory = result.memory
         else:
             memory = _simulate_cycle(args, observed, program, source,
                                      config, inputs, plugins, trace)
@@ -893,8 +877,7 @@ def _xmtsim(args) -> int:
 
 
 def xmtsim_main(argv: Optional[List[str]] = None) -> int:
-    """``xmtsim``: the cycle-accurate (or functional, or phase-sampled)
-    simulator.
+    """``xmtsim``: the cycle-accurate (or functional) simulator.
 
     Exit codes: 0 = ran to completion, 1 = compile or runtime error,
     2 = bad input, 3 = stalled/deadlocked, 4 = budget exceeded.

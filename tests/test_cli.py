@@ -125,24 +125,6 @@ int main() {
         assert rc == 0
         assert "A = [0, 2, 4, 6, 8, 10, 12, 14]" in captured.out
 
-    def test_sampled_mode(self, tmp_path, capsys):
-        prog = tmp_path / "loop.c"
-        prog.write_text("""
-int A[16];
-int main() {
-    for (int r = 0; r < 12; r++) {
-        spawn(0, 15) { A[$] = A[$] + 1; }
-    }
-    return 0;
-}
-""")
-        rc = xmtsim_main([str(prog), "--config", "tiny", "--mode", "sampled",
-                          "--print-global", "A"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "A = [12, 12" in captured.out
-        assert "fast-forwarded" in captured.err
-
     def test_hex_and_float_values(self, tmp_path, capsys):
         prog = tmp_path / "f.c"
         prog.write_text("""

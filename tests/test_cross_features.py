@@ -2,16 +2,13 @@
 
 Each extension is tested on its own elsewhere; real users combine them.
 These tests run one workload under feature *combinations* (parallel
-calls x async ICN x phase sampling x clustering x checkpointing) and
-demand exact results everywhere.
+calls x async ICN x clustering x read-only cache x prefetch x
+checkpointing) and demand exact results everywhere.
 """
-
-import pytest
 
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
 from repro.sim.machine import Machine, Simulator
-from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.xmtc.compiler import CompileOptions, compile_source
 
 SRC = """
@@ -57,26 +54,11 @@ class TestCombinations:
             max_cycles=20_000_000)
         check(res)
 
-    def test_parallel_calls_with_phase_sampling(self):
-        """Fast-forwarded spawn regions execute calls functionally."""
-        sampler = PhaseSampler(warmup=2, resample_every=100)
-        sim = SampledSimulator(make_program(), tiny(), sampler=sampler)
-        res = sim.run(max_cycles=20_000_000)
-        check(res)
-        assert res.stats.get("spawn.fast_forwarded") > 0
-
     def test_parallel_calls_with_clustering(self):
         prog = compile_source(SRC, CompileOptions(parallel_calls=True,
                                                   cluster_factor=4))
         prog.write_global("A", list(range(32)))
         res = Simulator(prog, tiny()).run(max_cycles=20_000_000)
-        check(res)
-
-    def test_sampling_on_async_icn(self):
-        sampler = PhaseSampler(warmup=2)
-        sim = SampledSimulator(make_program(),
-                               tiny(icn_backend="mot-async"), sampler=sampler)
-        res = sim.run(max_cycles=20_000_000)
         check(res)
 
     def test_checkpoint_mid_parallel_calls_run(self):
@@ -95,9 +77,7 @@ class TestCombinations:
                                                   cluster_factor=2,
                                                   ro_cache=True))
         prog.write_global("A", list(range(32)))
-        sampler = PhaseSampler(warmup=2, resample_every=3)
         cfg = tiny(icn_backend="mot-async", icn_async_jitter=0.3,
                    prefetch_policy="lru")
-        res = SampledSimulator(prog, cfg, sampler=sampler).run(
-            max_cycles=20_000_000)
+        res = Simulator(prog, cfg).run(max_cycles=20_000_000)
         check(res)

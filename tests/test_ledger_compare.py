@@ -114,8 +114,12 @@ class TestManifest:
 
     def test_git_revision_is_read_once_per_directory(self, tmp_path,
                                                      monkeypatch):
+        """Git is asked once per process, about the directory of the
+        imported package: a run started elsewhere records the same
+        revision."""
         import subprocess
 
+        import repro
         from repro.sim.observability import ledger
 
         calls = []
@@ -124,19 +128,16 @@ class TestManifest:
             calls.append(cwd)
             return subprocess.CompletedProcess(argv, 0, f"rev-{len(calls)}\n")
 
-        other = tmp_path / "other"
-        other.mkdir()
         monkeypatch.setattr(ledger.subprocess, "run", fake_run)
-        ledger._git_revision.cache_clear()
+        ledger.git_revision.cache_clear()
         try:
-            assert ledger.git_revision(str(tmp_path)) == "rev-1"
-            assert ledger.git_revision(str(tmp_path)) == "rev-1"
             monkeypatch.chdir(tmp_path)
             assert ledger.git_revision() == "rev-1"
-            assert ledger.git_revision(str(other)) == "rev-2"
+            monkeypatch.chdir(os.path.dirname(__file__))
+            assert ledger.git_revision() == "rev-1"
         finally:
-            ledger._git_revision.cache_clear()
-        assert calls == [os.path.realpath(tmp_path), os.path.realpath(other)]
+            ledger.git_revision.cache_clear()
+        assert calls == [os.path.dirname(os.path.realpath(repro.__file__))]
 
 
 class TestLedger:

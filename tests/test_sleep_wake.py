@@ -59,7 +59,6 @@ from repro.sim.mtcu import MasterTCU
 from repro.sim.observability import Observability
 from repro.sim.plugins import ActivityPlugin
 from repro.sim.resilience import FaultInjector, FaultSpec, SimulationStalled
-from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.sim.tcu import RUN_KEY, TCU
 from repro.workloads import microbench as MB
 from repro.workloads import programs as W
@@ -296,42 +295,6 @@ def functional_row(program) -> dict:
             "output_sha256": _sha256(result.output),
             "memory_sha256": _sha256(json.dumps(sorted(
                 result.memory.items())))}
-
-
-#: three spawn sites, eight executions each: phase sampling times a
-#: site's first three and fast-forwards the rest through the functional
-#: executor attached to the machine (``tests/test_sampling.py``)
-THREE_SPAWNS_SRC = """
-int A[48]; int B[48]; float F[48];
-int total = 0;
-psBaseReg int base = 0;
-int main() {
-    for (int r = 0; r < 8; r++) {
-        spawn(0, 47) { A[$] = A[$] + B[47 - $] * 3; }
-        spawn(0, 47) {
-            int inc = 1;
-            ps(inc, base);
-            int v = A[$] % 7;
-            psm(v, total);
-            B[inc % 48] = v;
-        }
-        spawn(0, 47) { F[$] = F[$] * 0.5 + A[$]; }
-    }
-    printf("%d %d\\n", total, base);
-    return 0;
-}
-"""
-
-
-def sampled_row() -> dict:
-    """What ``cycles.json`` keeps of ``xmtsim --mode sampled`` on the
-    three-spawn program: every per-mnemonic instruction counter, the
-    fast-forwarded regions' instructions merged in."""
-    result = SampledSimulator(build(THREE_SPAWNS_SRC), tiny()).run(
-        max_cycles=5_000_000)
-    return {key: count for key, count in result.stats.counters.items()
-            if key.startswith("instructions.")
-            or key == "spawn.fast_forwarded"}
 
 
 class TestKernels:
@@ -1055,41 +1018,6 @@ class TestSkippedTime:
         assert Count.n == heard_by_stats() - before > 0
         assert_same(got, expected)
 
-    def test_sampling_fast_forward(self):
-        """A fast-forwarded spawn is one long timed stall of the Master:
-        slept through, credited to ``master.stall.latency``, and the
-        watchdog stays quiet although nothing else marks progress."""
-        program = build("""
-            int A[64];
-            int rounds = 0;
-            int main() {
-                for (int r = 0; r < 12; r++) {
-                    spawn(0, 63) { A[$] = A[$] + 1; }
-                    rounds++;
-                }
-                return 0;
-            }
-        """)
-        prints = []
-        for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
-            obs = None
-            if kind == AS_IT_WAS:
-                obs = Observability()
-                obs.subscribe(NoRuns())
-            sim = SampledSimulator(program, tiny(watchdog_cycles=60),
-                                   sampler=PhaseSampler(warmup=2),
-                                   observability=obs)
-            if kind == AS_IT_WAS:
-                never_asleep(sim.machine)
-            if kind != PLAIN:
-                tick_every_edge(sim.machine)
-            prints.append(fingerprint(sim.machine,
-                                      sim.run(max_cycles=1_000_000)))
-        assert_same(*prints)
-        counters = prints[0]["counters"]
-        assert counters["spawn.fast_forwarded"] == 10
-        assert counters["master.stall.latency"] > 10 * 60
-
 
 # --------------------------------------------------------------------------- arithmetic
 
@@ -1289,7 +1217,6 @@ if __name__ == "__main__":
     for name in sorted(TABLE1_AT_SCALE):
         rows[name] = {"chip1024": table1_at_scale(name), "functional":
                       functional_row(build(*TABLE1_AT_SCALE[name]()))}
-    rows["three_spawns"] = {"sampled": sampled_row()}
     with open(GOLDEN_CYCLES, "w") as fh:
         fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_CYCLES}")

@@ -320,12 +320,12 @@ class TestSavingLeavesTheMachineAlone:
         assert _same_objects(before, _held(machine))
         # ...also when the pickle fails half-way: the error propagates,
         # and there is nothing to repair
-        machine.sampler = _RefusesToPickle()  # (not a transient attribute)
+        machine.stray_handle = _RefusesToPickle()  # (not a transient attribute)
         before = _held(machine)
         with pytest.raises(TypeError, match="live handle"):
             CP.save_bytes(machine)
         assert _same_objects(before, _held(machine))
-        machine.sampler = None
+        del machine.stray_handle
         sampler.close()
         machine.obs.events.close()
         reference = _reference()
