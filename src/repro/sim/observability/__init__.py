@@ -15,9 +15,9 @@ The cooperating pieces:
   ``Package``, ``xmt-lifecycle/1``) and top-down cycle accounting
   (every TCU cycle attributed to one stall category,
   ``xmt-accounting/1``);
-- :mod:`~repro.sim.observability.explain` -- ``xmt-explain`` reports:
-  the top-down tree, hop latency distributions, contention hot spots,
-  and the two-run layer-attribution diff; and the one report renderer
+- :mod:`~repro.sim.observability.explain` -- the ``xmt-explain``
+  report of one run: the top-down tree, hop latency distributions and
+  contention hot spots; and the one report renderer
   (:func:`render_report`, :func:`render_table`) every report below
   prints through -- a report is its JSON payload, and text and
   markdown are one layout of it;
@@ -25,9 +25,9 @@ The cooperating pieces:
   (``xmtsim-run/1``) bundled with metrics/profile exports in a
   content-addressed run ledger (``xmtsim --ledger``), and the run
   directory one run writes (``xmtsim --out``);
-- :mod:`~repro.sim.observability.compare` -- differential layer over
-  the ledger: the ``xmt-compare/1`` report of metric/profile/spawn/layer
-  deltas and the ``xmt-compare check`` perf-regression gate;
+- :mod:`~repro.sim.observability.compare` -- the one diff of two runs
+  over the ledger: the ``xmt-compare/1`` report of metric/profile/
+  spawn/layer/hop deltas and the ``xmt-compare check`` gate;
 - :mod:`~repro.sim.observability.telemetry` /
   :mod:`~repro.sim.observability.aggregate` -- live progress frames
   from a running simulation (an activity plug-in writing JSONL sinks)
@@ -60,10 +60,12 @@ from repro.sim.observability.compare import (
     GateFailure,
     check_regressions,
     compare_runs,
+    diff_accounting,
     diff_profiles,
     diff_spawn_regions,
     flatten_metrics,
     render_comparison,
+    responsible_layer,
 )
 from repro.sim.observability.aggregate import (
     TopSummary,
@@ -79,12 +81,9 @@ from repro.sim.observability.events import (
 )
 from repro.sim.observability.explain import (
     build_explain,
-    diff_accounting,
-    explain_diff,
     render_explain,
     render_report,
     render_table,
-    responsible_layer,
 )
 from repro.sim.observability.ledger import (
     Ledger,
@@ -161,7 +160,6 @@ __all__ = [
     "diff_accounting",
     "responsible_layer",
     "build_explain",
-    "explain_diff",
     "render_explain",
     "render_report",
     "render_table",

@@ -4,7 +4,7 @@ A ledger full of manifests answers "what ran"; this module answers the
 architectural question -- *what changed*.  :func:`compare_runs` takes
 two :class:`~repro.sim.observability.ledger.RunRecord` objects and
 returns the ``xmt-compare/1`` report (what ``--format json`` prints)
-with four delta layers:
+with five delta layers:
 
 - **metric deltas** over the flattened ``xmtsim-metrics/1`` scalar
   space (counters, stats, scheduler bookkeeping, gauge high-water
@@ -15,7 +15,9 @@ with four delta layers:
 - **spawn-region rollup deltas** (total cycles per spawn site);
 - **layer attribution** from the ``xmt-accounting/1`` payloads (when
   both runs recorded top-down accounting): per-category cycle deltas
-  and the memory layer named responsible for a cycle regression.
+  and the memory layer named responsible for a cycle regression;
+- **hop latency movement** from the ``xmt-lifecycle/1`` payloads (when
+  both runs ran the flight recorder): per-hop mean and p95 latency.
 
 :func:`render_comparison` prints it as text (terminal), Markdown (PRs,
 EXPERIMENTS.md) or JSON (tooling).
@@ -32,11 +34,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.observability.artifacts import check_artifact, schema_of
-from repro.sim.observability.explain import (Table, Title, diff_accounting,
-                                             fmt_num, render_report,
-                                             responsible_layer,
-                                             responsible_line)
+from repro.sim.observability.explain import (Table, Title, fmt_num,
+                                             render_report)
 from repro.sim.observability.ledger import RunRecord
+from repro.sim.observability.lifecycle import HOP_LAYER, hop_percentiles
 from repro.sim.observability.profiler import source_line
 
 # -- flattening -------------------------------------------------------------
@@ -158,6 +159,64 @@ def diff_spawn_regions(a: Dict[str, Any], b: Dict[str, Any]
     return deltas
 
 
+#: categories that are *spent well* or derived idle -- never named as
+#: the layer responsible for a regression
+_NOT_RESPONSIBLE = ("retiring",)
+
+
+def diff_accounting(a: Dict[str, Any],
+                    b: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Per-category rows (``category``, ``cycles_a``, ``cycles_b``,
+    ``delta``, ``pct`` -- the relative change, ``None`` when a is 0) of
+    two accounting exports, largest absolute movement first.  Cycles
+    are machine-wide sums over all processors."""
+    flat_a = a.get("machine", {}).get("flat", {})
+    flat_b = b.get("machine", {}).get("flat", {})
+    rows = []
+    for cat in sorted(set(flat_a) | set(flat_b)):
+        ca = flat_a.get(cat, 0)
+        cb = flat_b.get(cat, 0)
+        if not ca and not cb:
+            continue
+        rows.append({"category": cat, "cycles_a": ca, "cycles_b": cb,
+                     "delta": cb - ca,
+                     "pct": round(100.0 * (cb - ca) / ca, 2) if ca else None})
+    rows.sort(key=lambda r: -abs(r["delta"]))
+    return rows
+
+
+def responsible_layer(rows: List[Dict[str, Any]]
+                      ) -> Optional[Dict[str, Any]]:
+    """The category that grew the most -- the *layer* a regression is
+    charged to.  ``None`` when nothing grew."""
+    grew = [r for r in rows
+            if r["delta"] > 0 and r["category"] not in _NOT_RESPONSIBLE]
+    if not grew:
+        return None
+    worst = max(grew, key=lambda r: r["delta"])
+    total_growth = sum(r["delta"] for r in grew)
+    return {"category": worst["category"], "delta": worst["delta"],
+            "share": round(100.0 * worst["delta"] / total_growth, 1)
+            if total_growth else 0.0}
+
+
+def diff_hops(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One row per hop in either lifecycle export (``hop``, ``layer``,
+    ``mean_a``, ``mean_b``, ``p95_a``, ``p95_b``; ``None`` where a run
+    has no sample of the hop), in hop-name order."""
+    hops_a = hop_percentiles(a.get("hops", {}))
+    hops_b = hop_percentiles(b.get("hops", {}))
+    rows = []
+    for name in sorted(set(hops_a) | set(hops_b)):
+        ra, rb = hops_a.get(name), hops_b.get(name)
+        rows.append({"hop": name, "layer": HOP_LAYER.get(name, "?"),
+                     "mean_a": ra["mean"] if ra else None,
+                     "mean_b": rb["mean"] if rb else None,
+                     "p95_a": ra["p95"] if ra else None,
+                     "p95_b": rb["p95"] if rb else None})
+    return rows
+
+
 # -- the comparison report ---------------------------------------------------
 
 
@@ -171,9 +230,9 @@ def compare_runs(a: RunRecord, b: RunRecord,
     """Diff two run records (A is the baseline) into the
     ``xmt-compare/1`` report.
 
-    Metric, profile and accounting layers appear only when both runs
-    recorded the corresponding payload; the manifests alone still yield
-    the cycle headline and the config diff.
+    Metric, profile, accounting and hop layers appear only when both
+    runs recorded the corresponding payload; the manifests alone still
+    yield the cycle headline and the config diff.
     """
     check_artifact(a.manifest, "manifest", "manifest (run A)")
     check_artifact(b.manifest, "manifest", "manifest (run B)")
@@ -192,7 +251,7 @@ def compare_runs(a: RunRecord, b: RunRecord,
             for key in sorted(set(config_a) | set(config_b))
             if config_a.get(key) != config_b.get(key)],
         "metric_deltas": [], "line_deltas": [], "spawn_deltas": [],
-        "accounting_deltas": [], "responsible": None,
+        "accounting_deltas": [], "responsible": None, "hop_deltas": [],
     }
     metrics_a, metrics_b = a.payload("metrics"), b.payload("metrics")
     if metrics_a is not None and metrics_b is not None:
@@ -208,6 +267,9 @@ def compare_runs(a: RunRecord, b: RunRecord,
     if acct_a is not None and acct_b is not None:
         rows = report["accounting_deltas"] = diff_accounting(acct_a, acct_b)
         report["responsible"] = responsible_layer(rows)
+    life_a, life_b = a.payload("lifecycle"), b.payload("lifecycle")
+    if life_a is not None and life_b is not None:
+        report["hop_deltas"] = diff_hops(life_a, life_b)
     return report
 
 
@@ -259,11 +321,23 @@ def _comparison_parts(c: Dict[str, Any], top: int) -> List[Any]:
     moved = [d for d in c["accounting_deltas"] if d["delta"]]
     if moved:
         section("layer attribution (top-down cycles by category)",
-                ["category", "A", "B", "delta"],
+                ["category", "A", "B", "delta", "pct"],
                 [[d["category"], d["cycles_a"], d["cycles_b"],
-                  f"{d['delta']:+d}"] for d in moved])
-    if c["responsible"]:
-        parts += ["", responsible_line(c["responsible"])]
+                  f"{d['delta']:+d}",
+                  None if d["pct"] is None else f"{d['pct']:+.1f}%"]
+                 for d in moved])
+    responsible = c["responsible"]
+    if responsible:
+        parts += ["", f"layer responsible: {responsible['category']} "
+                      f"({responsible['delta']:+d} cycles, "
+                      f"{responsible['share']:.1f}% of the growth)"]
+    hops = [[d["hop"], d["layer"], d["mean_a"], d["mean_b"]]
+            for d in c["hop_deltas"]
+            if None not in (d["mean_a"], d["mean_b"])
+            and d["mean_a"] != d["mean_b"]]
+    if hops:
+        section("hop latency movement (mean cycles)",
+                ["hop", "layer", "A", "B"], hops, align=2)
     return parts
 
 

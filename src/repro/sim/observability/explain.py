@@ -1,12 +1,12 @@
-"""Bottleneck reports over accounting + lifecycle exports, and the one
-renderer every report goes through.
+"""The bottleneck report over one run's accounting + lifecycle exports,
+and the one renderer every report goes through.
 
 ``xmt-explain`` turns one run's ``xmt-accounting/1`` +
 ``xmt-lifecycle/1`` payloads into the report every architectural study
 starts from -- the top-down cycle tree, per-hop latency distributions
-and contention hot spots -- and diffs two runs into a layer-attribution
-table that names the memory layer responsible for a cycle regression.
-The same :func:`diff_accounting` rows feed ``xmt-compare diff``.
+and contention hot spots.  Two runs are diffed by ``xmt-compare diff``
+(:mod:`~repro.sim.observability.compare`), whose layer-attribution
+table names the memory layer responsible for a cycle regression.
 
 Everything here works on the exported dict payloads (not live
 simulator objects) so reports can be rebuilt from a ledger long after
@@ -22,46 +22,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.sim.observability.artifacts import artifact_json, schema_of
 from repro.sim.observability.lifecycle import HOP_LAYER, hop_percentiles
-
-#: categories that are *spent well* or derived idle -- never named as
-#: the layer responsible for a regression
-_NOT_RESPONSIBLE = ("retiring",)
-
-
-def diff_accounting(a: Dict[str, Any],
-                    b: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Per-category rows (``category``, ``cycles_a``, ``cycles_b``,
-    ``delta``, ``pct`` -- the relative change, ``None`` when a is 0) of
-    two accounting exports, largest absolute movement first.  Cycles
-    are machine-wide sums over all processors."""
-    flat_a = a.get("machine", {}).get("flat", {})
-    flat_b = b.get("machine", {}).get("flat", {})
-    rows = []
-    for cat in sorted(set(flat_a) | set(flat_b)):
-        ca = flat_a.get(cat, 0)
-        cb = flat_b.get(cat, 0)
-        if not ca and not cb:
-            continue
-        rows.append({"category": cat, "cycles_a": ca, "cycles_b": cb,
-                     "delta": cb - ca,
-                     "pct": round(100.0 * (cb - ca) / ca, 2) if ca else None})
-    rows.sort(key=lambda r: -abs(r["delta"]))
-    return rows
-
-
-def responsible_layer(rows: List[Dict[str, Any]]
-                      ) -> Optional[Dict[str, Any]]:
-    """The category that grew the most -- the *layer* a regression is
-    charged to.  ``None`` when nothing grew."""
-    grew = [r for r in rows
-            if r["delta"] > 0 and r["category"] not in _NOT_RESPONSIBLE]
-    if not grew:
-        return None
-    worst = max(grew, key=lambda r: r["delta"])
-    total_growth = sum(r["delta"] for r in grew)
-    return {"category": worst["category"], "delta": worst["delta"],
-            "share": round(100.0 * worst["delta"] / total_growth, 1)
-            if total_growth else 0.0}
 
 
 # -- single-run report -------------------------------------------------------
@@ -126,53 +86,6 @@ def _bottleneck(topdown: List[Dict[str, Any]],
             out["dominant_hop"] = {"hop": name, "mean": row["mean"],
                                    "p95": row["p95"], "count": row["count"]}
     return out
-
-
-# -- two-run diff ------------------------------------------------------------
-
-def explain_diff(bundle_a: Dict[str, Any], bundle_b: Dict[str, Any],
-                 top: int = 12) -> Dict[str, Any]:
-    """Diff two run bundles (``{"accounting", "lifecycle", "manifest"}``)
-    into the layer-attribution report."""
-    acct_a = bundle_a["accounting"]
-    acct_b = bundle_b["accounting"]
-    rows = diff_accounting(acct_a, acct_b)
-    hop_deltas: List[Dict[str, Any]] = []
-    hops_a = hop_percentiles((bundle_a.get("lifecycle") or {}).get("hops", {}))
-    hops_b = hop_percentiles((bundle_b.get("lifecycle") or {}).get("hops", {}))
-    for name in sorted(set(hops_a) | set(hops_b)):
-        ra = hops_a.get(name)
-        rb = hops_b.get(name)
-        hop_deltas.append({
-            "hop": name, "layer": HOP_LAYER.get(name, "?"),
-            "mean_a": ra["mean"] if ra else None,
-            "mean_b": rb["mean"] if rb else None,
-            "p95_a": ra["p95"] if ra else None,
-            "p95_b": rb["p95"] if rb else None,
-        })
-
-    def _run(bundle, acct):
-        run = {"cycles": acct["cycles"]}
-        manifest = bundle.get("manifest") or {}
-        for key in ("run_id", "label"):
-            if manifest.get(key) is not None:
-                run[key] = manifest[key]
-        return run
-
-    cyc_a = acct_a["cycles"]
-    cyc_b = acct_b["cycles"]
-    return {
-        "schema": schema_of("explain"),
-        "kind": "diff",
-        "run_a": _run(bundle_a, acct_a),
-        "run_b": _run(bundle_b, acct_b),
-        "cycles_delta": cyc_b - cyc_a,
-        "cycles_pct": round(100.0 * (cyc_b - cyc_a) / cyc_a, 2)
-        if cyc_a else None,
-        "layer_table": rows[:top],
-        "responsible": responsible_layer(rows),
-        "hop_deltas": hop_deltas,
-    }
 
 
 # -- the one report renderer ---------------------------------------------------
@@ -273,18 +186,9 @@ def render_report(payload: Dict[str, Any], fmt: str,
     return "\n".join(lines)
 
 
-def responsible_line(responsible: Dict[str, Any]) -> str:
-    """How every report names the layer a regression is charged to."""
-    return (f"layer responsible: {responsible['category']} "
-            f"({responsible['delta']:+d} cycles, "
-            f"{responsible['share']:.1f}% of the growth)")
-
-
 def render_explain(report: Dict[str, Any], fmt: str = "text",
                    top: int = 8) -> str:
-    """Render an :func:`build_explain` or :func:`explain_diff` report."""
-    if report.get("kind") == "diff":
-        return render_report(report, fmt, _diff_parts)
+    """Render a :func:`build_explain` report."""
     return render_report(report, fmt, lambda r: _report_parts(r, top))
 
 
@@ -333,31 +237,3 @@ def _report_parts(report: Dict[str, Any], top: int) -> List[Any]:
         parts += ["", text]
     return parts
 
-
-def _diff_parts(report: Dict[str, Any]) -> List[Any]:
-    a = report["run_a"]
-    b = report["run_b"]
-    name_a = a.get("label") or a.get("run_id", "run A")[:12]
-    name_b = b.get("label") or b.get("run_id", "run B")[:12]
-    pct = report.get("cycles_pct")
-    parts: List[Any] = [
-        Title(f"xmt-explain diff: {name_a} -> {name_b}"),
-        f"cycles: {a['cycles']} -> {b['cycles']} "
-        f"({report['cycles_delta']:+d}"
-        + (f", {pct:+.2f}%" if pct is not None else "") + ")",
-        Table(["category", name_a, name_b, "delta", "pct"],
-              [[r["category"], r["cycles_a"], r["cycles_b"],
-                f"{r['delta']:+d}",
-                "-" if r["pct"] is None else f"{r['pct']:+.1f}%"]
-               for r in report["layer_table"]],
-              "layer attribution (machine-wide cycles by category)")]
-    if report.get("responsible"):
-        parts += ["", responsible_line(report["responsible"])]
-    moved = [[h["hop"], h["layer"], h["mean_a"], h["mean_b"]]
-             for h in report.get("hop_deltas", [])
-             if h["mean_a"] is not None and h["mean_b"] is not None
-             and h["mean_a"] != h["mean_b"]]
-    if moved:
-        parts.append(Table(["hop", "layer", name_a, name_b], moved,
-                           "hop latency movement (mean cycles)"))
-    return parts

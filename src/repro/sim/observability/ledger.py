@@ -530,7 +530,11 @@ def instrumented_run(program, config, *,
     :data:`OBSERVABLE`; an empty one is a plain run, whose artifacts
     are the manifest alone.  ``out`` is a run directory: the ``events``
     and ``lifecycle`` streams are written there live (``events`` needs
-    it), and the manifest and payloads when the run ends.
+    it), and the manifest and payloads when the run ends.  A run the
+    watchdog or a budget stops leaves the manifest alone there, with
+    the cycle it stopped at and an ``ended`` identity field
+    (``"stalled"`` or ``"budget"``; a completed run has none), before
+    the exception propagates.
     ``wall_limit_s``/``max_events`` are enforced by the watchdog
     (raising ``SimulationBudgetExceeded``), giving campaign workers
     hard per-run budgets.  ``telemetry`` takes an un-attached
@@ -557,6 +561,8 @@ def instrumented_run(program, config, *,
         CycleAccountant, FlightRecorder)
     from repro.sim.observability.metrics import MetricsRegistry
     from repro.sim.observability.profiler import CycleProfiler
+    from repro.sim.resilience.errors import (SimulationBudgetExceeded,
+                                             SimulationStalled)
 
     names = set(observe) | ({"accounting"} if accounting else set())
     unknown = sorted(names.difference(OBSERVABLE))
@@ -599,8 +605,26 @@ def instrumented_run(program, config, *,
                 telemetry.eta_cycles = max_cycles
             telemetry.attach(sim.machine)
             telemetry.arm()
-        result = sim.run(max_cycles=max_cycles, wall_limit_s=wall_limit_s,
-                         max_events=max_events)
+        try:
+            result = sim.run(max_cycles=max_cycles,
+                             wall_limit_s=wall_limit_s, max_events=max_events)
+        except (SimulationStalled, SimulationBudgetExceeded) as exc:
+            if out is not None:
+                # a stopped run is still a run: its manifest says how far
+                # it got and how it ended, beside the streams it wrote
+                ended = ("stalled" if isinstance(exc, SimulationStalled)
+                         else "budget")
+                machine = sim.machine
+                machine.settle()
+                write_run_dir(out, build_manifest(
+                    machine.program, machine.config,
+                    cycles=(machine.scheduler.now
+                            // machine.config.cluster_period),
+                    instructions=machine.stats.instruction_total(),
+                    wall_seconds=time.perf_counter() - start, source=source,
+                    program_path=program_path, seed=seed, label=label,
+                    inputs=inputs, extra=dict(extra or {}, ended=ended)))
+            raise
     finally:
         if telemetry is not None:
             telemetry.finish()

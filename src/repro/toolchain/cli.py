@@ -12,7 +12,7 @@ monitor), as executables.
            [--out RUN [--observe metrics,profile,...]] [--ledger DIR]
     xmtc-lint program.c [--json] [--dynamic] [--check-shipped]
     xmt-prof {report,chrome} RUN [--top 30]
-    xmt-explain {report,diff} ... [--format text|markdown|json]
+    xmt-explain report RUN [--assert-exact] [--format text|markdown|json]
     xmt-compare {list,diff,check} ... [--ledger DIR]
     xmt-campaign program.c --vary f=v1,v2 --workers 4 --ledger DIR
     xmt-campaign --queue runs.jsonl --workers 4 --ledger DIR
@@ -62,7 +62,6 @@ from repro.sim.observability import (
     chrome_trace,
     check_regressions,
     compare_runs,
-    explain_diff,
     instrumented_run,
     load_artifact,
     load_run,
@@ -152,10 +151,14 @@ def _run(build_parser: Callable[[], argparse.ArgumentParser],
     Every layer below reports input it cannot accept as ``OSError``,
     ``ValueError`` (configurations, queue lines, schemas, fault specs)
     or ``KeyError`` (unknown globals, run ids), so those are exit 2
-    here; a ``CompileError`` exits with the command's documented code.
+    here, like an argument argparse rejects (``--help`` returns 0); a
+    ``CompileError`` exits with the command's documented code.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage and why
+        return exc.code
     try:
         return handler(args)
     except BrokenPipeError:
@@ -790,15 +793,25 @@ def _simulate_cycle(args, observed, program, source, config, inputs,
 
 
 def _xmtsim(args) -> int:
-    cycle_only = [flag for flag, given in (
-        ("--campaign", args.campaign is not None), ("--out", args.out),
-        ("--observe", args.observe is not None),
+    observed_run = [flag for flag, given in (
+        ("--out", args.out), ("--observe", args.observe is not None),
         ("--profile", args.profile), ("--explain", args.explain),
-        ("--ledger", args.ledger), ("--inject", args.inject),
+        ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
         ("--event-budget", args.event_budget is not None)) if given]
+    cycle_only = observed_run + [flag for flag, given in (
+        ("--campaign", args.campaign is not None),
+        ("--ledger", args.ledger)) if given]
     if cycle_only and args.mode != "cycle":
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
+    single_run = observed_run + [flag for flag, given in (
+        ("--trace", args.trace), ("--stats", args.stats),
+        ("--print-global", args.print_global),
+        ("--run-label", args.run_label is not None)) if given]
+    if single_run and args.campaign is not None:
+        # run_campaign builds its own machines and records its own runs
+        raise CliError(f"{'/'.join(single_run)} cannot be used with "
+                       f"--campaign")
     for flag, given in (("--trace cycle", args.trace == "cycle"),
                         ("--max-cycles", args.max_cycles is not None),
                         ("--watchdog", args.watchdog is not None)):
@@ -857,16 +870,17 @@ def _xmtsim(args) -> int:
         else:
             memory = _simulate_cycle(args, observed, program, source,
                                      config, inputs, plugins, trace)
-    except SimulationStalled as exc:
-        print(f"xmtsim: stalled: {exc}", file=sys.stderr)
+    except (SimulationStalled, SimulationBudgetExceeded) as exc:
+        stalled = isinstance(exc, SimulationStalled)
+        print(f"xmtsim: {'stalled' if stalled else 'budget exceeded'}: "
+              f"{exc}", file=sys.stderr)
         if exc.dump is not None:
-            print(exc.dump.format(), file=sys.stderr)
-        return 3
-    except SimulationBudgetExceeded as exc:
-        print(f"xmtsim: budget exceeded: {exc}", file=sys.stderr)
-        if exc.dump is not None:
-            print(exc.dump.summary(), file=sys.stderr)
-        return 4
+            print(exc.dump.format() if stalled else exc.dump.summary(),
+                  file=sys.stderr)
+        if args.out:  # instrumented_run wrote the manifest alone
+            print(f"xmtsim: wrote partial run {load_run(args.out).run_id} "
+                  f"to {args.out}", file=sys.stderr)
+        return 3 if stalled else 4
     except SimulationError as exc:
         raise CliError(str(exc), code=1, kind="runtime error") from exc
 
@@ -946,16 +960,10 @@ def _explain_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmt-explain",
         description="top-down bottleneck reports over recorded runs: "
-                    "cycle accounting tree, hop latency histograms, "
-                    "contention hot spots, and two-run layer attribution")
+                    "cycle accounting tree, hop latency histograms and "
+                    "contention hot spots (diff two runs with xmt-compare "
+                    "diff)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        _add_report_options(
-            p, format_help="report format", top=8,
-            top_help="rows per report section (default 8)",
-            ledger_help="resolve run-id operands in this ledger", out=True)
-
     p_report = sub.add_parser(
         "report", help="explain one run: top-down tree, hop latencies, "
                        "contention")
@@ -965,14 +973,10 @@ def _explain_parser() -> argparse.ArgumentParser:
                           help="CI gate: fail unless every processor "
                                "cycle is attributed exactly once and "
                                "totals match the run cycle count")
-    add_common(p_report)
-
-    p_diff = sub.add_parser(
-        "diff", help="diff two runs: layer-attribution table and the "
-                     "layer responsible for a regression")
-    p_diff.add_argument("run_a", help="baseline run (see report)")
-    p_diff.add_argument("run_b", help="fresh run (see report)")
-    add_common(p_diff)
+    _add_report_options(
+        p_report, format_help="report format", top=8,
+        top_help="rows per report section (default 8)",
+        ledger_help="resolve run-id operands in this ledger", out=True)
     return parser
 
 
@@ -1025,19 +1029,14 @@ def _check_exact(bundle: Dict[str, Any]) -> List[str]:
 
 
 def _explain(args) -> int:
-    if args.command == "report":
-        bundle = _explain_bundle(args.run, args.ledger)
-        report = build_explain(**bundle, top=args.top)
-    else:
-        report = explain_diff(_explain_bundle(args.run_a, args.ledger),
-                              _explain_bundle(args.run_b, args.ledger),
-                              top=args.top)
-    text = render_explain(report, args.format, top=args.top)
+    bundle = _explain_bundle(args.run, args.ledger)
+    text = render_explain(build_explain(**bundle, top=args.top),
+                          args.format, top=args.top)
     print(text)
     if args.out:
         _write_text("--out", args.out, text + "\n")
 
-    if args.command == "report" and args.assert_exact:
+    if args.assert_exact:
         problems = _check_exact(bundle)
         if problems:
             for problem in problems:
@@ -1057,9 +1056,7 @@ def xmt_explain_main(argv: Optional[List[str]] = None) -> int:
     ``manifest.json`` path, a bare ``accounting.json`` file, or -- with
     ``--ledger DIR`` -- a run id prefix.  ``report`` renders one
     run's top-down cycle tree, per-hop latency distributions and
-    contention hot spots; ``diff`` renders the layer-attribution table
-    between two runs and names the layer responsible for a cycle
-    regression.
+    contention hot spots; two runs are diffed by ``xmt-compare diff``.
 
     ``--assert-exact`` is the CI contract: exit nonzero unless the
     accounting is exhaustive and exclusive -- every per-TCU cycle

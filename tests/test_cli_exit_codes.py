@@ -238,6 +238,12 @@ ROWS = [
      ["{good}", *TINY, "--mode", "sampled"], 2,
      "argument --mode: invalid choice: 'sampled' "
      "(choose from 'cycle', 'functional')"),
+    # a campaign builds its own machines: these flags did nothing (exit 0)
+    ("xmtsim-2-campaign-single-run-flags-were-ignored", "xmtsim_main",
+     ["{good}", *TINY, "--campaign", "3", "--out", "{dir}/never",
+      "--inject", "icn.drop@600", "--stats", "--print-global", "B"], 2,
+     "xmtsim: error: --out/--inject/--stats/--print-global cannot be used "
+     "with --campaign"),
     ("xmtsim-2-sanitize-needs-functional", "xmtsim_main",
      ["{good}", *TINY, "--sanitize"], 2,
      "--sanitize requires --mode functional"),
@@ -409,6 +415,10 @@ ROWS = [
     ("explain-2-unwritable-out", "xmt_explain_main",
      ["report", "{accounting}", "--out", "{missing}.txt"], 2,
      "xmt-explain: error: --out: [Errno 2]"),
+    # two runs are diffed by xmt-compare diff
+    ("explain-2-diff-is-gone", "xmt_explain_main",
+     ["diff", "{run}", "{run}"], 2,
+     "argument command: invalid choice: 'diff' (choose from 'report')"),
 ]
 
 
@@ -416,10 +426,7 @@ ROWS = [
                          [row[1:] for row in ROWS],
                          ids=[row[0] for row in ROWS])
 def test_exit_code(ws, capsys, command, argv, code, needle):
-    try:
-        got = getattr(cli, command)([arg.format(**ws) for arg in argv])
-    except SystemExit as exc:  # argparse exits on an argument it rejects
-        got = exc.code
+    got = getattr(cli, command)([arg.format(**ws) for arg in argv])
     captured = capsys.readouterr()
     needle = needle.format(**ws)
     assert got == code, captured.err
@@ -455,35 +462,37 @@ CORRUPTIONS = {
     "truncated": lambda good, schema: good[:len(good) // 2],
 }
 
-#: id, command, the artifact that is damaged, argv ({damaged} = the
-#: damaged export, or the run directory whose file of that name it is)
+#: id, command, the artifact that is damaged, the run directory it is
+#: damaged in (``None``: a file read on its own), argv ({damaged} = the
+#: damaged export, or the copy of the run directory that holds it)
 READERS = [
-    ("prof-report", "xmt_prof_main", "profile", ["report", "{damaged}"]),
-    ("explain-report", "xmt_explain_main", "accounting",
+    ("prof-report", "xmt_prof_main", "profile", None, ["report", "{damaged}"]),
+    ("explain-report", "xmt_explain_main", "accounting", None,
      ["report", "{damaged}"]),
-    ("explain-diff", "xmt_explain_main", "accounting",
-     ["diff", "{accounting}", "{damaged}"]),
-    ("compare-diff", "xmt_compare_main", "manifest",
+    ("compare-diff-accounting", "xmt_compare_main", "accounting", "run",
+     ["diff", "{run}", "{damaged}"]),
+    ("compare-diff", "xmt_compare_main", "manifest", "baseline",
      ["diff", "{baseline}", "{damaged}"]),
-    ("compare-check-baseline", "xmt_compare_main", "manifest",
+    ("compare-check-baseline", "xmt_compare_main", "manifest", "baseline",
      ["check", "{good}", "--baseline", "{damaged}"]),
-    ("run-dir-metrics-alone", "xmt_compare_main", "metrics",
+    ("run-dir-metrics-alone", "xmt_compare_main", "metrics", "baseline",
      ["diff", "{damaged}", "{baseline}"]),
 ]
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
-@pytest.mark.parametrize("command,name,argv", [row[1:] for row in READERS],
+@pytest.mark.parametrize("command,name,run_dir,argv",
+                         [row[1:] for row in READERS],
                          ids=[row[0] for row in READERS])
-def test_malformed_artifact(ws, tmp_path, capsys, command, name, argv,
-                            corruption):
+def test_malformed_artifact(ws, tmp_path, capsys, command, name, run_dir,
+                            argv, corruption):
     row = ARTIFACTS[name]
-    if name in ("profile", "accounting"):   # a file read on its own
+    if run_dir is None:
         bad = path = str(tmp_path / row.file)
         shutil.copy(ws[name], path)
     else:
         bad = str(tmp_path / "run")
-        shutil.copytree(ws["baseline"], bad)
+        shutil.copytree(ws[run_dir], bad)
         path = os.path.join(bad, row.file)
     with open(path) as fh:
         good = fh.read()

@@ -225,7 +225,8 @@ class TestDefaultBitIdentity:
             assert xmt_explain_main(["report", run, "--assert-exact"]) == 0, \
                 capsys.readouterr()
             assert "exact: " in capsys.readouterr().err
-        assert xmt_explain_main(["diff", *runs]) == 0, capsys.readouterr()
+        assert xmt_compare_main(["diff", *runs]) == 0, capsys.readouterr()
+        assert "layer responsible: " in capsys.readouterr().out
 
     def test_backend_names_are_run_identity(self):
         """Ledger manifests treat backend selections as identity: two

@@ -418,6 +418,27 @@ class TestCLI:
             first = json.loads(fh.readline())
         assert {"name", "cat", "ph", "ts", "track"} <= set(first)
 
+    def test_budget_trip_leaves_a_partial_run(self, tmp_path, src_path,
+                                              capsys):
+        """A run stopped by its budget writes its manifest alone into
+        ``--out`` (cycles where it stopped, ``ended: budget``) and
+        records nothing in ``--ledger``: campaign dedup would take a
+        partial run for an answer."""
+        out, ledger_dir = str(tmp_path / "run"), str(tmp_path / "ledger")
+        assert xmtsim_main([src_path, "--config", "tiny", "--out", out,
+                            "--ledger", ledger_dir,
+                            "--max-cycles", "300"]) == 4
+        err = capsys.readouterr().err
+        record = load_run(out)
+        assert record.manifest["ended"] == "budget"
+        assert f"(~cycle {record.cycles}):" in err
+        assert f"{record.manifest['instructions']} instructions," in err
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        assert Ledger(ledger_dir).list_runs() == []
+        assert "ended" not in instrumented_run(
+            compile_source(SRC), tiny(), out=str(tmp_path / "whole")
+        ).manifest
+
     def test_xmt_prof_chrome_exports_the_event_stream(self, tmp_path,
                                                       src_path, capsys):
         out = tmp_path / "run"

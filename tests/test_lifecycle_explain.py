@@ -27,7 +27,6 @@ from repro.sim.observability import (
     build_explain,
     compare_runs,
     diff_accounting,
-    explain_diff,
     export_accounting,
     instrumented_run,
     read_jsonl,
@@ -296,14 +295,6 @@ class TestExplain:
         assert responsible is not None
         assert responsible["category"].startswith(("mem.",
                                                    "scoreboard_raw"))
-        bundle = lambda a: {"accounting": a.accounting,  # noqa: E731
-                            "lifecycle": a.extras["lifecycle"],
-                            "manifest": a.manifest}
-        diff = explain_diff(bundle(fast), bundle(slow))
-        assert diff["cycles_delta"] > 0
-        assert diff["responsible"]["category"] == responsible["category"]
-        text = render_explain(diff, "text")
-        assert "layer responsible" in text
 
     def test_compare_runs_gains_layer_table(self, tmp_path):
         ledger = Ledger(str(tmp_path / "ledger"))
@@ -318,13 +309,19 @@ class TestExplain:
         text = render_comparison(comparison, "text")
         assert "layer attribution" in text
         assert "layer responsible" in text
+        # the flight recorder's hops, one row per hop of either run
+        hops = {row["hop"]: row for row in comparison["hop_deltas"]}
+        assert hops["dram_service"]["layer"] == "dram"
+        assert hops["dram_service"]["mean_b"] > hops["dram_service"]["mean_a"]
+        assert "hop latency movement (mean cycles)" in text
         payload = json.loads(render_comparison(comparison, "json"))
         assert payload["accounting_deltas"]
+        assert payload["hop_deltas"] == comparison["hop_deltas"]
         assert payload["responsible"]["category"] == \
             comparison["responsible"]["category"]
 
     def test_explain_cli_report_and_diff(self, tmp_path, capsys):
-        from repro.toolchain.cli import xmt_explain_main
+        from repro.toolchain.cli import xmt_compare_main, xmt_explain_main
 
         ledger = Ledger(str(tmp_path / "ledger"))
         rec = ledger.record_artifacts(self._artifacts(label="cli"))
@@ -334,12 +331,15 @@ class TestExplain:
         assert "top-down cycle accounting" in out.out
         assert "exact" in out.err
 
-        rec2 = ledger.record_artifacts(self._artifacts(label="cli2"))
-        rc = xmt_explain_main(["diff", rec.path, rec2.path,
+        rec2 = ledger.record_artifacts(
+            self._artifacts(label="cli2", config=tiny(dram_latency=24)))
+        rc = xmt_compare_main(["diff", rec.path, rec2.path,
                                "--format", "markdown"])
         out = capsys.readouterr()
         assert rc == 0
-        assert "layer attribution" in out.out
+        assert "### layer attribution" in out.out
+        assert "layer responsible: " in out.out
+        assert "### hop latency movement (mean cycles)" in out.out
 
     def test_explain_cli_rejects_junk(self, tmp_path, capsys):
         from repro.toolchain.cli import xmt_explain_main

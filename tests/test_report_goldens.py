@@ -1,9 +1,9 @@
 """Every report renderer, byte for byte.
 
 The files under ``tests/golden/reports/`` pin what the report renderers
-print -- ``render_profile``, ``render_explain`` (report and diff),
-``render_comparison`` and ``render_top`` -- in each format they have
-(text, markdown, json).  All but the profile go through
+print -- ``render_profile``, ``render_explain``, ``render_comparison``
+and ``render_top`` -- in each format they have (text, markdown,
+json).  All but the profile go through
 ``render_report``: the json is the report's payload, and text and
 markdown are one layout of it, so both show the same tables with the
 same rows (checked for every report below).  The inputs are the two
@@ -31,7 +31,6 @@ from repro.sim.observability import (
     build_explain,
     compare_runs,
     explain,
-    explain_diff,
     fold_stream,
     instrumented_run,
     render_comparison,
@@ -94,8 +93,6 @@ def program_renderers(fast, slow) -> dict:
     return {
         "explain": lambda fmt: render_explain(
             build_explain(**_bundle(fast)), fmt),
-        "explain-diff": lambda fmt: render_explain(
-            explain_diff(_bundle(fast), _bundle(slow)), fmt),
         "compare": lambda fmt: render_comparison(comparison, fmt),
         "sweep": lambda fmt: render_top(grid, fmt),
     }
@@ -131,7 +128,7 @@ def test_reports_match_golden_bytes(build):
 
 @pytest.fixture(scope="module")
 def every_report():
-    """Report kind -> fmt -> text, for all six reports."""
+    """Report kind -> fmt -> text, for all five reports."""
     return {**program_renderers(*program_runs("vecadd")), **STREAM_REPORTS}
 
 
@@ -153,8 +150,8 @@ def _tables(monkeypatch, render, fmt: str):
 
 
 @pytest.mark.parametrize("fmt", ["text", "markdown", "json", "html"])
-@pytest.mark.parametrize("kind", ["compare", "sweep", "explain",
-                                  "explain-diff", "top", "campaign-report"])
+@pytest.mark.parametrize("kind", ["compare", "sweep", "explain", "top",
+                                  "campaign-report"])
 def test_every_report_in_every_format(every_report, monkeypatch, kind, fmt):
     render = every_report[kind]
     if fmt == "html":

@@ -35,6 +35,7 @@ from repro.sim.observability import (
     Ledger,
     Observability,
     load_artifact,
+    load_run,
     read_jsonl,
     schema_of,
 )
@@ -220,21 +221,28 @@ class TestXmtsimCli:
 
     def test_stream_ends_at_the_stall(self, tmp_path, capsys):
         """A run the watchdog stops still closes its stream: one
-        ``final`` frame, at the cycle where the dump says it died."""
-        out = str(tmp_path / "run" / "telemetry.jsonl")
+        ``final`` frame, at the cycle where the dump says it died; and
+        its directory is still a run, whose manifest alone says so."""
+        run = str(tmp_path / "run")
         code = xmtsim_main(
-            [VECADD, "--config", "tiny", "--out", str(tmp_path / "run"),
-             "--observe", "telemetry",
+            [VECADD, "--config", "tiny", "--out", run,
+             "--observe", "telemetry,lifecycle",
              "--watchdog", "1500", "--inject", "icn.drop@600",
              "--telemetry-every", "200"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "(~cycle 3000)" in err
-        frames = read_frames(out)
+        assert "(~cycle 3000)  instructions: 906" in err
+        frames = read_frames(os.path.join(run, "telemetry.jsonl"))
         assert [f["seq"] for f in frames] == list(range(len(frames)))
         assert [f["kind"] for f in frames].count("final") == 1
         assert frames[-1]["kind"] == "final"
         assert frames[-1]["cycle"] == 3000
+        record = load_run(run)
+        assert record.manifest["ended"] == "stalled"
+        assert (record.cycles, record.manifest["instructions"]) == (3000, 906)
+        assert f"xmtsim: wrote partial run {record.run_id} to {run}" in err
+        assert sorted(os.listdir(run)) == [
+            "lifecycle.jsonl", "manifest.json", "telemetry.jsonl"]
 
     def test_telemetry_requires_cycle_mode(self, src_file, tmp_path,
                                            capsys):
