@@ -64,6 +64,7 @@ from repro.sim.observability.artifacts import (
 from repro.sim.observability.ledger import (
     Ledger,
     RunRecord,
+    fingerprint_of_manifest,
     load_run,
     sha256_text,
 )
@@ -322,8 +323,10 @@ class CampaignEngine:
         The ledger's ``index.jsonl`` maps fingerprints to run ids
         directly (:meth:`Ledger.load_index` builds it first for a
         ledger that has none), so resume loads only the manifests it
-        will actually cache-hit (O(requests), not O(runs)).  Unreadable
-        entries simply never produce cache hits.
+        will actually cache-hit (O(requests), not O(runs)).  An entry
+        whose run is unreadable, or whose manifest reduces to another
+        fingerprint (a stale index line, an older ledger's injected
+        run), never produces a cache hit.
         """
         index: Dict[str, RunRecord] = {}
         if self.ledger is None:
@@ -337,9 +340,9 @@ class CampaignEngine:
             try:
                 record = load_run(run_dir)
             except (OSError, ValueError):
-                continue  # stale index entry: no cache hit
-            if record.manifest.get("fault"):
-                continue  # injected runs never answer clean requests
+                continue
+            if fingerprint_of_manifest(record.manifest) != fingerprint:
+                continue
             index[fingerprint] = record
         return index
 

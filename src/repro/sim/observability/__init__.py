@@ -66,6 +66,7 @@ from repro.sim.observability.compare import (
     flatten_metrics,
     render_comparison,
     responsible_layer,
+    run_marks,
 )
 from repro.sim.observability.aggregate import (
     TopSummary,
@@ -147,6 +148,7 @@ __all__ = [
     "diff_spawn_regions",
     "flatten_metrics",
     "render_comparison",
+    "run_marks",
     "TelemetrySampler",
     "JsonlSink",
     "TopSummary",

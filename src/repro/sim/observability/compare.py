@@ -221,8 +221,30 @@ def diff_hops(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def _run(manifest: Dict[str, Any]) -> Dict[str, Any]:
-    return {"run_id": manifest.get("run_id"), "label": manifest.get("label"),
-            "cycles": manifest["cycles"]}
+    run = {"run_id": manifest.get("run_id"), "label": manifest.get("label"),
+           "cycles": manifest["cycles"]}
+    run.update({key: manifest[key] for key in ("ended", "fault")
+                if manifest.get(key)})
+    return run
+
+
+def run_marks(run: Dict[str, Any]) -> str:
+    """What sets a run apart from a completed clean one, as the text
+    after its name: `` [stalled]`` or `` [budget]`` for a run the
+    watchdog or a budget stopped (``ended``), `` [injected SPEC, ...]``
+    for one that ran with planted faults (``fault``); empty for a
+    completed clean run.  ``run`` is a manifest or a :func:`_run`."""
+    marks = [run["ended"]] if run.get("ended") else []
+    fault = run.get("fault")
+    if fault:
+        # a list of site@cycle:seed texts; an older ledger's campaign
+        # recorded one dict per run
+        specs = fault if isinstance(fault, list) else [fault]
+        marks.append("injected " + ", ".join(
+            spec if isinstance(spec, str)
+            else f"{spec['site']}@{spec['cycle']}:{spec.get('seed', 0)}"
+            for spec in specs))
+    return "".join(f" [{mark}]" for mark in marks)
 
 
 def compare_runs(a: RunRecord, b: RunRecord,
@@ -282,7 +304,8 @@ def render_comparison(comparison: Dict[str, Any], fmt: str = "text",
 
 def _name(run: Dict[str, Any]) -> str:
     label = run.get("label")
-    return f"{run.get('run_id') or '?'}" + (f" ({label})" if label else "")
+    return (f"{run.get('run_id') or '?'}" + (f" ({label})" if label else "")
+            + run_marks(run))
 
 
 def _comparison_parts(c: Dict[str, Any], top: int) -> List[Any]:

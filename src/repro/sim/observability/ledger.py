@@ -11,8 +11,9 @@ exactly was simulated --
   on the fly),
 - the fully resolved :class:`~repro.sim.config.XMTConfig` as a dict and
   its content hash,
-- the seed (when a seeded component such as a fault campaign is
-  involved), the repository git revision, the toolchain version,
+- the seed (when a seeded component is involved), the faults an
+  ``xmtsim --inject`` run planted (``fault``), the repository git
+  revision, the toolchain version,
 - the outcome: cycle count, instruction count, host wall seconds
 
 -- and the manifest is bundled with the run's metrics
@@ -167,12 +168,15 @@ def manifest_run_id(manifest: Dict[str, Any]) -> str:
 def request_fingerprint(*, program_sha: str, source_sha: Optional[str],
                         config_sha: str, seed: Optional[int],
                         label: Optional[str],
-                        inputs: Dict[str, Any]) -> str:
+                        inputs: Dict[str, Any], fault: Any = None) -> str:
     """The dedup key both run requests and manifests reduce to.
 
     Unlike ``run_id`` it excludes the outcome (cycle counts), so it is
     computable *before* a run -- which is what campaign dedup/resume
-    needs.  Re-exported by :mod:`repro.sim.campaign.requests`.
+    needs.  ``fault`` (an injected run's manifest field) joins the
+    identity only when given, so an injected run never answers a clean
+    request and every clean fingerprint stays what it was.
+    Re-exported by :mod:`repro.sim.campaign.requests`.
     """
     identity = {
         "program_sha256": program_sha,
@@ -182,6 +186,8 @@ def request_fingerprint(*, program_sha: str, source_sha: Optional[str],
         "label": label or None,
         "inputs": inputs or {},
     }
+    if fault:
+        identity["fault"] = fault
     return sha256_text(canonical_json(identity))[:16]
 
 
@@ -194,7 +200,8 @@ def fingerprint_of_manifest(manifest: Dict[str, Any]) -> str:
         config_sha=manifest.get("config_sha256") or "",
         seed=manifest.get("seed"),
         label=manifest.get("label"),
-        inputs=manifest.get("inputs") or {})
+        inputs=manifest.get("inputs") or {},
+        fault=manifest.get("fault"))
 
 
 @dataclass
@@ -320,15 +327,8 @@ class Ledger:
 
     @staticmethod
     def _index_line(manifest: Dict[str, Any]) -> Dict[str, Any]:
-        line: Dict[str, Any] = {
-            "fingerprint": fingerprint_of_manifest(manifest),
-            "run_id": manifest.get("run_id") or manifest_run_id(manifest),
-        }
-        if manifest.get("fault"):
-            # injected runs never answer clean requests; mark them so
-            # index readers can skip without loading the manifest
-            line["fault"] = True
-        return line
+        return {"fingerprint": fingerprint_of_manifest(manifest),
+                "run_id": manifest.get("run_id") or manifest_run_id(manifest)}
 
     def _index_add(self, manifest: Dict[str, Any]) -> None:
         if not os.path.exists(self.index_path):
@@ -359,16 +359,14 @@ class Ledger:
         return len(lines)
 
     def load_index(self) -> Dict[str, str]:
-        """``fingerprint -> run_id`` from ``index.jsonl``, skipping
-        fault-injected entries, which never answer clean requests (last
-        entry wins on duplicates).  A ledger without an index -- one
-        written before the index existed -- gets it rebuilt first."""
+        """``fingerprint -> run_id`` from ``index.jsonl`` (last entry
+        wins on duplicates).  A ledger without an index -- one written
+        before the index existed -- gets it rebuilt first."""
         if not os.path.exists(self.index_path):
             self.rebuild_index()
         return {entry["fingerprint"]: entry["run_id"]
                 for entry in read_jsonl(self.index_path)
-                if entry.get("fingerprint") and entry.get("run_id")
-                and not entry.get("fault")}
+                if entry.get("fingerprint") and entry.get("run_id")}
 
     def record_artifacts(self, artifacts: "RunArtifacts") -> RunRecord:
         return self.record(artifacts.manifest, artifacts.payloads())

@@ -7,7 +7,7 @@ users probe architectural vulnerability on purpose:
   wall-clock/event budgets, raising typed exceptions that carry a
   structured :class:`~repro.sim.resilience.diagnostics.DiagnosticDump`;
 - :mod:`~repro.sim.resilience.faults` -- deterministic, seed-driven
-  fault injection at named sites, plus campaign driving and reporting.
+  fault injection at named sites (``xmtsim --inject``).
 
 A failed run is not retried: in a deterministic simulator a replay only
 gets past the faults the tool injected itself.  ``xmt-campaign`` reruns
@@ -21,24 +21,17 @@ from repro.sim.resilience.errors import (
     SimulationStalled,
 )
 from repro.sim.resilience.faults import (
-    CampaignReport,
     FaultInjector,
     FaultSpec,
-    InjectionRecord,
-    OUTCOMES,
     SITES,
     parse_fault_spec,
-    run_campaign,
 )
 from repro.sim.resilience.watchdog import Watchdog
 
 __all__ = [
-    "CampaignReport",
     "DiagnosticDump",
     "FaultInjector",
     "FaultSpec",
-    "InjectionRecord",
-    "OUTCOMES",
     "ResilienceError",
     "SITES",
     "SimulationBudgetExceeded",
@@ -46,5 +39,4 @@ __all__ = [
     "Watchdog",
     "collect",
     "parse_fault_spec",
-    "run_campaign",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic fault injection: single faults and seeded campaigns.
+"""Deterministic fault injection: planned transient faults at named sites.
 
 Transient faults are injected at named **sites** -- the hooks live on
 the components themselves (``inject_register_flip`` on the processors,
@@ -19,9 +19,11 @@ site            effect
 ``dram.stall``  a DRAM port ignores all traffic for a while (timeout)
 ==============  ========================================================
 
-Everything is seed-driven: a campaign with the same seed plans the same
-(site, cycle, detail) sequence and -- the simulator being deterministic
--- produces the identical report run-to-run.  Injection events are
+Everything is seed-driven: a fault ``site@cycle:seed`` picks the same
+victim (TCU, register, bit, package, port) every time, and -- the
+simulator being deterministic -- the run ends the same way run-to-run,
+which is why ``xmtsim --inject`` records its faults in the run's
+manifest as part of the run's identity.  Injection events are
 marked ``checkpoint_transient``, so checkpoints never capture a planned
 fault: a run resumed from a checkpoint taken before the injection point
 never sees it, which is exactly the semantics of a *transient* fault.
@@ -35,23 +37,15 @@ interval sample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sim.engine import Actor, PRIO_PLUGIN
-from repro.sim.functional import SimulationError
 from repro.sim.plugins import ActivityPlugin
-from repro.sim.resilience.errors import (
-    SimulationBudgetExceeded,
-    SimulationStalled,
-)
 
 #: all injection-site names, in canonical order
 SITES = ("tcu.reg", "cache.line", "icn.drop", "icn.dup", "icn.delay",
          "dram.stall")
-
-#: campaign outcome classes, in report order
-OUTCOMES = ("masked", "wrong-output", "crashed", "hung")
 
 
 @dataclass
@@ -71,6 +65,11 @@ class FaultSpec:
         if self.cycle < 0:
             raise ValueError("injection cycle must be >= 0")
 
+    def __str__(self) -> str:
+        """The canonical ``site@cycle:seed`` text, which
+        :func:`parse_fault_spec` reads back."""
+        return f"{self.site}@{self.cycle}:{self.seed}"
+
 
 def parse_fault_spec(text: str) -> FaultSpec:
     """Parse the CLI syntax ``site@cycle[:seed]``."""
@@ -88,8 +87,8 @@ def parse_fault_spec(text: str) -> FaultSpec:
 class _InjectionActor(Actor):
     """Fires one planned fault at its exact simulated time.
 
-    Transient by design: stripped from checkpoints, so a rolled-back
-    run does not replay the fault.
+    Transient by design: stripped from checkpoints, so a run resumed
+    from a checkpoint does not replay the fault.
     """
 
     checkpoint_transient = True
@@ -205,162 +204,3 @@ _DISPATCH: Dict[str, Callable] = {
     "icn.delay": _inject_icn_delay,
     "dram.stall": _inject_dram_stall,
 }
-
-# -- campaigns ----------------------------------------------------------------
-
-
-@dataclass
-class InjectionRecord:
-    """Outcome of one injection run."""
-
-    index: int
-    site: str
-    cycle: int
-    outcome: str          # one of OUTCOMES
-    detail: str = ""      # what was actually corrupted
-    error: str = ""       # first line of the error, for crashed/hung
-
-    def format(self) -> str:
-        line = (f"#{self.index:03d} {self.site}@{self.cycle}: "
-                f"{self.outcome}")
-        if self.detail:
-            line += f"  [{self.detail}]"
-        if self.error:
-            line += f"  ({self.error})"
-        return line
-
-
-@dataclass
-class CampaignReport:
-    """Aggregated, deterministic campaign result."""
-
-    seed: int
-    injections: int
-    golden_cycles: int
-    counts: Dict[str, int] = field(default_factory=dict)
-    records: List[InjectionRecord] = field(default_factory=list)
-
-    def format(self, verbose: bool = True) -> str:
-        lines = [f"fault-injection campaign: {self.injections} injections, "
-                 f"seed {self.seed}, golden run {self.golden_cycles} cycles"]
-        lines.append("  " + "  ".join(
-            f"{name}: {self.counts.get(name, 0)}" for name in OUTCOMES))
-        if verbose:
-            lines += ["  " + record.format() for record in self.records]
-        return "\n".join(lines)
-
-
-def _normalized(memory: Dict[int, int]) -> Dict[int, int]:
-    """Memory comparison ignores explicit zero stores (absent == 0)."""
-    return {addr: value for addr, value in memory.items() if value}
-
-
-def _record_injected_run(ledger, machine, *, seed: int, wall: float,
-                         fault: Optional[Dict[str, object]],
-                         cycles: int, instructions: int,
-                         label: str) -> None:
-    """Ledger entry for one campaign run, fault spec in the manifest.
-
-    The fault spec is an *identity* field: an injected run never
-    collides with (or cache-hits as) a clean run of the same program,
-    and ``xmt-compare list`` can tell the two apart.
-    """
-    from repro.sim.observability.ledger import build_manifest
-
-    extra = {"fault": fault} if fault is not None else None
-    manifest = build_manifest(
-        machine.program, machine.config, cycles=cycles,
-        instructions=instructions, wall_seconds=wall,
-        seed=seed, label=label, extra=extra)
-    ledger.record(manifest)
-
-
-def run_campaign(machine_factory: Callable[[], "object"],
-                 n_injections: int,
-                 seed: int,
-                 sites: Sequence[str] = SITES,
-                 max_cycles: Optional[int] = None,
-                 ledger: Optional[object] = None) -> CampaignReport:
-    """Run a seeded fault-injection campaign.
-
-    ``machine_factory`` must build a *fresh, identical* machine on every
-    call (same program, same configuration).  The first build runs clean
-    to produce the golden reference; each subsequent build gets exactly
-    one planned fault and is classified as ``masked`` (completed, output
-    and memory match the golden run), ``wrong-output`` (completed,
-    diverged), ``crashed`` (raised a simulation error) or ``hung``
-    (watchdog or budget trip).
-
-    Identical ``seed`` -> identical plan -> identical report, because
-    the simulator itself is deterministic.
-
-    When a :class:`~repro.sim.observability.ledger.Ledger` is given,
-    the golden run and every injected run are recorded with the fault
-    spec and outcome embedded in the manifest.
-    """
-    import time as _time
-
-    for site in sites:
-        if site not in SITES:
-            raise ValueError(f"unknown injection site {site!r}")
-    golden_machine = machine_factory()
-    start = _time.perf_counter()
-    golden = golden_machine.run(max_cycles=max_cycles)
-    if ledger is not None:
-        _record_injected_run(
-            ledger, golden_machine, seed=seed,
-            wall=_time.perf_counter() - start, fault=None,
-            cycles=golden.cycles, instructions=golden.instructions,
-            label=f"campaign-golden seed={seed}")
-    golden_memory = _normalized(golden.memory)
-
-    limit = max_cycles
-    if limit is None:
-        # leave room for delay faults, but bound hung runs
-        limit = max(golden.cycles * 4, golden.cycles + 20_000)
-
-    rng = random.Random(seed)
-    records: List[InjectionRecord] = []
-    counts = {name: 0 for name in OUTCOMES}
-    for index in range(n_injections):
-        site = sites[rng.randrange(len(sites))]
-        cycle = rng.randrange(1, max(2, golden.cycles))
-        detail_seed = rng.getrandbits(31)
-        machine = machine_factory()
-        injector = FaultInjector([FaultSpec(site, cycle, detail_seed)])
-        machine.add_plugin(injector)
-        detail = ""
-        error = ""
-        start = _time.perf_counter()
-        result = None
-        try:
-            result = machine.run(max_cycles=limit)
-        except (SimulationStalled, SimulationBudgetExceeded) as exc:
-            outcome = "hung"
-            error = str(exc).splitlines()[0]
-        except SimulationError as exc:
-            outcome = "crashed"
-            error = str(exc).splitlines()[0]
-        else:
-            same = (result.output == golden.output
-                    and _normalized(result.memory) == golden_memory)
-            outcome = "masked" if same else "wrong-output"
-        if injector.log:
-            detail = injector.log[0][2]
-        counts[outcome] += 1
-        records.append(InjectionRecord(index, site, cycle, outcome,
-                                       detail, error))
-        if ledger is not None:
-            period = machine.config.cluster_period
-            _record_injected_run(
-                ledger, machine, seed=seed,
-                wall=_time.perf_counter() - start,
-                fault={"site": site, "cycle": cycle, "seed": detail_seed,
-                       "outcome": outcome, "detail": detail},
-                cycles=(result.cycles if result is not None
-                        else machine.scheduler.now // period),
-                instructions=machine.stats.instruction_total(),
-                label=f"fault #{index:03d} {site}@{cycle}")
-    return CampaignReport(seed=seed, injections=n_injections,
-                          golden_cycles=golden.cycles,
-                          counts=counts, records=records)

@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.config import BUILTIN_CONFIGS, XMTConfig, fpga64, from_file
 from repro.sim.functional import FunctionalSimulator, SimulationError
-from repro.sim.machine import Machine
 from repro.sim.observability import (
     ARTIFACTS,
     FlightRecorder,
@@ -69,6 +68,7 @@ from repro.sim.observability import (
     render_comparison,
     render_explain,
     render_profile,
+    run_marks,
     write_run_dir,
 )
 from repro.sim.observability.aggregate import (
@@ -85,7 +85,6 @@ from repro.sim.resilience import (
     SimulationBudgetExceeded,
     SimulationStalled,
     parse_fault_spec,
-    run_campaign,
 )
 from repro.sim.stats import Stats
 from repro.sim.trace import Trace
@@ -698,14 +697,6 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                             help="inject one transient fault (repeatable); "
                                  "sites: tcu.reg cache.line icn.drop "
                                  "icn.dup icn.delay dram.stall")
-    resilience.add_argument("--campaign", type=int, default=None,
-                            metavar="N",
-                            help="run a seeded campaign of N single-fault "
-                                 "injection runs and print the report")
-    resilience.add_argument("--campaign-seed", type=int, default=12345,
-                            metavar="SEED",
-                            help="campaign plan seed (same seed -> same "
-                                 "report)")
     return parser
 
 
@@ -735,10 +726,17 @@ def _observed(args) -> List[str]:
 
 
 def _simulate_cycle(args, observed, program, source, config, inputs,
-                    plugins, trace):
+                    injector, trace):
     """The cycle-accurate run of ``xmtsim``, observed (``observed``:
-    :func:`_observed`) or not; returns the final memory image."""
+    :func:`_observed`) or not; returns the final memory image.  An
+    ``injector`` (``--inject``) rides the run as a plug-in, and its
+    faults are recorded in the manifest as the ``fault`` identity
+    field."""
     telemetry = recorder = None
+    plugins, extra = [], None
+    if injector is not None:
+        plugins = [injector]
+        extra = {"fault": [str(spec) for spec in injector.faults]}
     if args.out:
         if os.path.isfile(args.out) or (os.path.isdir(args.out)
                                         and os.listdir(args.out)):
@@ -762,8 +760,8 @@ def _simulate_cycle(args, observed, program, source, config, inputs,
             out=args.out, source=source, program_path=args.program,
             label=args.run_label, max_cycles=args.max_cycles,
             wall_limit_s=args.wall_limit, max_events=args.event_budget,
-            inputs=inputs or None, telemetry=telemetry, recorder=recorder,
-            plugins=plugins, trace=trace)
+            inputs=inputs or None, extra=extra, telemetry=telemetry,
+            recorder=recorder, plugins=plugins, trace=trace)
     finally:
         if telemetry is not None:
             # the closing "final" frame is written even when the run
@@ -793,25 +791,15 @@ def _simulate_cycle(args, observed, program, source, config, inputs,
 
 
 def _xmtsim(args) -> int:
-    observed_run = [flag for flag, given in (
+    cycle_only = [flag for flag, given in (
         ("--out", args.out), ("--observe", args.observe is not None),
         ("--profile", args.profile), ("--explain", args.explain),
         ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
-        ("--event-budget", args.event_budget is not None)) if given]
-    cycle_only = observed_run + [flag for flag, given in (
-        ("--campaign", args.campaign is not None),
+        ("--event-budget", args.event_budget is not None),
         ("--ledger", args.ledger)) if given]
     if cycle_only and args.mode != "cycle":
         raise CliError(f"{'/'.join(cycle_only)} require --mode cycle")
-    single_run = observed_run + [flag for flag, given in (
-        ("--trace", args.trace), ("--stats", args.stats),
-        ("--print-global", args.print_global),
-        ("--run-label", args.run_label is not None)) if given]
-    if single_run and args.campaign is not None:
-        # run_campaign builds its own machines and records its own runs
-        raise CliError(f"{'/'.join(single_run)} cannot be used with "
-                       f"--campaign")
     for flag, given in (("--trace cycle", args.trace == "cycle"),
                         ("--max-cycles", args.max_cycles is not None),
                         ("--watchdog", args.watchdog is not None)):
@@ -827,22 +815,11 @@ def _xmtsim(args) -> int:
     program, source, config, inputs = _load_run(args)
     if args.watchdog is not None:
         config.watchdog_cycles = args.watchdog
-    plugins = []
+    injector = None
     if args.inject:
         with _flag("--inject"):
-            plugins.append(FaultInjector(
-                [parse_fault_spec(text) for text in args.inject]))
-
-    if args.campaign is not None:
-        ledger = Ledger(args.ledger) if args.ledger else None
-        report = run_campaign(lambda: Machine(program, config),
-                              args.campaign, seed=args.campaign_seed,
-                              max_cycles=args.max_cycles, ledger=ledger)
-        print(report.format())
-        if ledger is not None:
-            print(f"xmtsim: recorded golden + {args.campaign} injected "
-                  f"run(s) in ledger {args.ledger}", file=sys.stderr)
-        return 0
+            injector = FaultInjector(
+                [parse_fault_spec(text) for text in args.inject])
 
     trace = None
     if args.trace:
@@ -869,7 +846,7 @@ def _xmtsim(args) -> int:
             memory = result.memory
         else:
             memory = _simulate_cycle(args, observed, program, source,
-                                     config, inputs, plugins, trace)
+                                     config, inputs, injector, trace)
     except (SimulationStalled, SimulationBudgetExceeded) as exc:
         stalled = isinstance(exc, SimulationStalled)
         print(f"xmtsim: {'stalled' if stalled else 'budget exceeded'}: "
@@ -1136,14 +1113,11 @@ def _compare_list(args) -> int:
     print(f"{'run id':<14} {'config':<10} {'cycles':>10}  "
           f"{'program':<12} label")
     for r in records:
-        fault = r.manifest.get("fault")
-        marker = (f"  [injected {fault['site']}@{fault['cycle']}"
-                  f" -> {fault.get('outcome', '?')}]" if fault else "")
         print(f"{r.run_id:<14} "
               f"{str(r.config_value('name')):<10} "
               f"{r.cycles:>10}  "
               f"{r.manifest['program']['sha256'][:10]:<12} "
-              f"{r.manifest.get('label') or ''}{marker}")
+              f"{r.manifest.get('label') or ''}{run_marks(r.manifest)}")
     return 0
 
 
@@ -1169,6 +1143,12 @@ def _compare_check(args) -> int:
     baseline = None
     if os.path.exists(manifest_path) or not args.update_baseline:
         baseline = load_run(args.baseline)
+        marks = run_marks(baseline.manifest)
+        if marks and not args.update_baseline:
+            # a stopped or injected run's cycles gate nothing
+            raise CliError(f"--baseline: {args.baseline} is run "
+                           f"{baseline.run_id}{marks}, not a completed "
+                           f"clean run; rewrite it with --update-baseline")
 
     def recorded_config() -> XMTConfig:
         # without --config/--config-file, rerun under the baseline's

@@ -224,6 +224,32 @@ class TestSerialEngine:
                                 ledger=Ledger(ledger_dir)).run()
         assert result.counts["cached"] == 1
 
+    def test_injected_xmtsim_run_never_answers_a_clean_request(
+            self, src_file, tmp_path, capsys):
+        """An ``xmtsim --inject`` run records its faults in the
+        manifest, and they are part of its fingerprint: the clean
+        request of the same program runs fresh instead of being
+        answered with the injected run's cycles."""
+        from repro.toolchain.cli import xmtsim_main
+
+        ledger_dir = str(tmp_path / "ledger")
+        assert xmtsim_main([src_file, "--config", "tiny",
+                            "--inject", "dram.stall@20:5",
+                            "--ledger", ledger_dir]) == 0
+        (injected,) = Ledger(ledger_dir).list_runs()
+        assert injected.manifest["fault"] == ["dram.stall@20:5"]
+        clean = CampaignEngine([RunRequest(program=src_file,
+                                           config="tiny")]).run()
+        assert injected.cycles > clean.outcomes[0].cycles
+        capsys.readouterr()
+
+        assert xmt_campaign_main([src_file, "--config", "tiny",
+                                  "--ledger", ledger_dir, "--serial"]) == 0
+        captured = capsys.readouterr()
+        progress = f"xmt-campaign: 0: {clean.outcomes[0].cycles} cycles ("
+        assert progress in captured.err and "(cached)" not in captured.err
+        assert "ok: 1  cached: 0" in captured.out
+
 
 class TestPoolEngine:
     def test_killed_campaign_bit_identical_to_serial(self, src_file,

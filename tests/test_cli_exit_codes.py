@@ -114,7 +114,9 @@ def ws(tmp_path_factory):
                  stream=str(run / "telemetry.jsonl"),
                  baseline=str(root / "base"),
                  accounting=str(run / "accounting.json"),
-                 inexact=str(root / "inexact.json"))
+                 inexact=str(root / "inexact.json"),
+                 partial=str(root / "partial"),
+                 injected=str(root / "injected"))
     assert cli.xmtsim_main(
         [paths["good"], "--config", "tiny", "--ledger", paths["ledger"],
          "--out", paths["run"], "--observe",
@@ -123,6 +125,13 @@ def ws(tmp_path_factory):
     assert cli.xmt_compare_main(
         ["check", paths["good"], "--config", "tiny", "--baseline",
          paths["baseline"], "--update-baseline"]) == 0
+    # a run the watchdog stopped, and a completed run with a fault
+    assert cli.xmtsim_main(
+        [paths["spawn"], "--config", "tiny", "--watchdog", "500",
+         "--inject", "icn.drop@38", "--out", paths["partial"]]) == 3
+    assert cli.xmtsim_main(
+        [paths["good"], "--config", "tiny", "--inject", "dram.stall@20:5",
+         "--out", paths["injected"]]) == 0
     with open(paths["accounting"]) as fh:
         accounting = json.load(fh)
     with open(paths["inexact"], "w") as fh:
@@ -238,12 +247,9 @@ ROWS = [
      ["{good}", *TINY, "--mode", "sampled"], 2,
      "argument --mode: invalid choice: 'sampled' "
      "(choose from 'cycle', 'functional')"),
-    # a campaign builds its own machines: these flags did nothing (exit 0)
-    ("xmtsim-2-campaign-single-run-flags-were-ignored", "xmtsim_main",
-     ["{good}", *TINY, "--campaign", "3", "--out", "{dir}/never",
-      "--inject", "icn.drop@600", "--stats", "--print-global", "B"], 2,
-     "xmtsim: error: --out/--inject/--stats/--print-global cannot be used "
-     "with --campaign"),
+    ("xmtsim-2-campaign-is-gone", "xmtsim_main",
+     ["{good}", *TINY, "--campaign", "3"], 2,
+     "error: unrecognized arguments: --campaign 3"),
     ("xmtsim-2-sanitize-needs-functional", "xmtsim_main",
      ["{good}", *TINY, "--sanitize"], 2,
      "--sanitize requires --mode functional"),
@@ -341,6 +347,16 @@ ROWS = [
     ("compare-2-max-cycles-0-was-a-budget-trip", "xmt_compare_main",
      ["check", "{good}", "--baseline", "{baseline}", "--max-cycles", "0"],
      2, "xmt-compare: error: --max-cycles: must be at least 1, got 0"),
+    # a stopped or injected baseline's cycles gated the fresh run
+    # ("OK within", exit 0)
+    ("compare-2-partial-baseline", "xmt_compare_main",
+     ["check", "{spawn}", "--baseline", "{partial}"], 2,
+     "[stalled] [injected icn.drop@38:0], not a completed clean run; "
+     "rewrite it with --update-baseline"),
+    ("compare-2-injected-baseline", "xmt_compare_main",
+     ["check", "{good}", "--baseline", "{injected}"], 2,
+     "[injected dram.stall@20:5], not a completed clean run; rewrite it "
+     "with --update-baseline"),
     # a misspelled gate metric used to gate nothing ("OK", exit 0)
     ("compare-2-unknown-metric-was-ignored", "xmt_compare_main",
      ["check", "{good}", "--baseline", "{baseline}", "--threshold", "0",

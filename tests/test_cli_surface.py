@@ -129,7 +129,7 @@ def test_golden_covers_all_nine_console_scripts():
         for sub in node["subcommands"].values():
             found += options(sub)
         return found
-    assert sum(len(options(node)) for node in golden.values()) == 126
+    assert sum(len(options(node)) for node in golden.values()) == 124
 
 
 if __name__ == "__main__":

@@ -498,6 +498,30 @@ class TestCLI:
         assert payload["metric_deltas"]
         assert payload["line_deltas"]
 
+    def test_stopped_and_injected_runs_are_named(self, tmp_path, src_path,
+                                                 capsys):
+        """``list`` and ``diff`` name a run that did not complete clean:
+        its ``fault`` and its ``ended`` follow its id; a completed clean
+        run prints as it always did."""
+        ledger_dir, clean, stopped = (str(tmp_path / name)
+                                      for name in ("ledger", "A", "R"))
+        assert xmtsim_main([src_path, "--config", "tiny", "--out", clean,
+                            "--ledger", ledger_dir]) == 0
+        assert xmtsim_main([src_path, "--config", "tiny", "--inject",
+                            "dram.stall@20:5", "--ledger", ledger_dir]) == 0
+        assert xmtsim_main([src_path, "--config", "tiny", "--event-budget",
+                            "100", "--out", stopped]) == 4
+        capsys.readouterr()
+        assert xmt_compare_main(["list", "--ledger", ledger_dir]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(row.endswith(" [injected dram.stall@20:5]")
+                      for row in rows) == [False, True]
+        assert xmt_compare_main(["diff", stopped, clean]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert re.search(r" \[budget\] -> \w+$", title), title
+        manifest = json.loads(Path(stopped, "manifest.json").read_text())
+        assert manifest["ended"] == "budget" and "fault" not in manifest
+
     def test_compare_diff_unknown_run(self, two_runs, capsys):
         ledger_dir, _ = two_runs
         rc = xmt_compare_main(["diff", "nope", "alsonope",
