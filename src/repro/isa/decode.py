@@ -63,25 +63,27 @@ from repro.isa.registers import REG_RA, REG_ZERO
 # :func:`decode_program`, and the function is generated from the spec
 # strings of :data:`~repro.isa.instructions.TABLE`, the same text each
 # row's callable (``Instruction.fn``) is built from.  The cycle
-# machine's table holds straight-line runs of what takes exactly one
-# issue slot and touches nothing but the issuing core's registers (its
-# functions are called ``fn(regs)``): private-ALU value ops, ``li`` and
-# ``nop``, optionally closed by one branch or ``j``.  The functional
+# machine's table holds runs of what takes exactly one issue slot and
+# touches nothing but the issuing core's registers (its functions are
+# called ``fn(regs)``): private-ALU value ops, ``li`` and ``nop``,
+# optionally closed by one branch or ``j``.  The functional
 # engine's (``memory=True``) has no timing to respect and admits all but
 # ``print``/``spawn``/``join``/``halt``: loads, stores and prefix-sums
 # on ``m`` (``Memory.words``) and ``g`` (the global registers), the
 # thread ops of a spawn region (``c``: ``[next id, last id]``), closed
-# by any branch or jump or by ``chkid``.  It also follows an
+# by any branch or jump or by ``chkid``.  Both tables follow an
 # unconditional ``j`` into its target when both lie in the same span (one
 # spawn-region body, or serial code), the target is not yet in the
 # block and the block is shorter than ``_FOLLOW_CAP`` -- so a ``j`` that
-# leaves a region still returns to the main loop and its checks.  Two
-# rules hold.  *One commit*: values, loaded words and checked addresses
-# live in locals and every effect comes at the end, in program order, so
-# a trap leaves nothing behind.  *A cut per state space*: a read of
-# memory (``lw``/``lwro``/``psm``), of the global registers
-# (``ps``/``getg``) or of the thread counter (``getvt``) after a deferred
-# effect on the same space starts a new block, so nothing is forwarded.
+# leaves a region still returns to the main loop and its checks, and a
+# loop body, its ``j`` and the loop's test up to its branch are one
+# cycle block that branches back to its own start.  Two rules hold.
+# *One commit*: values, loaded words and checked addresses live in
+# locals and every effect comes at the end, in program order, so a trap
+# leaves nothing behind.  *A cut per state space*: a read of memory
+# (``lw``/``lwro``/``psm``), of the global registers (``ps``/``getg``)
+# or of the thread counter (``getvt``) after a deferred effect on the
+# same space starts a new block, so nothing is forwarded.
 # A functional *step* is the same function for a block of one op.
 
 _UNARY = (OP_UNARY, OP_UNARY_SHARED)
@@ -96,7 +98,7 @@ _EFFECTS = {OP_STORE: "m", OP_STORE_NB: "m", OP_PSM: "m", OP_PS: "g",
 _TRANSLATED = frozenset(_STATE_READS) | frozenset(_EFFECTS) | frozenset(
     _VALUE_OPS + (OP_LI, OP_NOP, OP_PREFETCH, OP_FENCE, OP_GETTCU))
 _CLOSERS = frozenset((OP_BRANCH, OP_JUMP, OP_JAL, OP_JR, OP_CHKID))
-#: a functional block follows a ``j`` only while it has fewer ops
+#: a block follows a ``j`` only while it has fewer ops
 _FOLLOW_CAP = 64
 #: what a block returns whose ``chkid`` finds the spawn's ids used up
 REGION_DONE = -1
@@ -107,6 +109,22 @@ def _fusable(u: Instruction) -> bool:
     return u.code in (OP_LI, OP_NOP) or (
         u.code in (OP_ALU, OP_ALU_IMM, OP_UNARY)
         and TABLE[u.op].spec is not None)
+
+
+def _translatable() -> Callable[[Instruction], bool]:
+    """What may sit inside one block of the functional engine: ``admits(u)``
+    for the ops of one block in order (a read of a state space after a
+    deferred effect on it is not admitted)."""
+    dirty = set()  # the spaces with a deferred effect
+
+    def admits(u: Instruction) -> bool:
+        code = u.code
+        if code not in _TRANSLATED or _STATE_READS.get(code) in dirty:
+            return False
+        if code in _EFFECTS:
+            dirty.add(_EFFECTS[code])
+        return True
+    return admits
 
 
 def _value_text(u: Instruction, a: str, b: str) -> str:
@@ -234,8 +252,7 @@ _BLOCK_NAMES = dict(vars(S), TABLE=TABLE)
 
 class Block:
     """One formed block: ``n`` instructions starting at ``pc``, in the
-    order they execute (a functional block goes on at a followed ``j``'s
-    target).
+    order they execute (a block goes on at a followed ``j``'s target).
 
     ``regs`` is every register the block reads or writes (what a
     scoreboard must find clear before the block can run unattended);
@@ -283,53 +300,42 @@ class BlockTable(dict):
         self.uops = uops
         #: the functional engine's table (see the section comment)
         self.memory = memory
-        #: what may close a register-only block; a branch that costs
-        #: more than one issue slot (not ``branches``) ends the run
+        #: what may close a block; a branch that costs more than one
+        #: issue slot (not ``branches``) ends a register-only block
         #: before it instead
-        self.closers = (OP_JUMP, OP_BRANCH) if branches else (OP_JUMP,)
+        self.closers = (_CLOSERS if memory else (OP_JUMP, OP_BRANCH)
+                        if branches else (OP_JUMP,))
         #: per PC, the ``spawn`` whose region body holds it (-1: serial)
         self.spans: List[int] = []
-        if memory:
-            span = -1
-            for i, u in enumerate(uops):
-                if u.code == OP_JOIN:
-                    span = -1
-                self.spans.append(span)
-                if u.code == OP_SPAWN:
-                    span = i
+        span = -1
+        for i, u in enumerate(uops):
+            if u.code == OP_JOIN:
+                span = -1
+            self.spans.append(span)
+            if u.code == OP_SPAWN:
+                span = i
 
     def __missing__(self, pc: int):
-        uops = self._chain(pc) if self.memory else self._run(pc)
+        uops = self._follow(pc, _translatable() if self.memory else _fusable)
         block = self[pc] = Block(uops, pc) if uops else False
         return block
 
-    def _run(self, pc: int) -> List[Instruction]:
-        """The register-only block at ``pc``: a straight-line run."""
-        uops = self.uops
-        end = pc
-        while end < len(uops) and _fusable(uops[end]):
-            end += 1
-        if end < len(uops) and uops[end].code in self.closers:
-            end += 1
-        return uops[pc:end]
-
-    def _chain(self, pc: int) -> List[Instruction]:
-        """The functional block at ``pc``: straight-line runs joined
-        where a ``j`` is followed (see the section comment)."""
+    def _follow(self, pc: int, admits: Callable[[Instruction], bool]
+                ) -> List[Instruction]:
+        """The block at ``pc``: straight-line runs of what ``admits``,
+        each closed by one of ``closers``, joined where a ``j`` is
+        followed (see the section comment)."""
         uops = self.uops
         n = len(uops)
         spans = self.spans
+        closers = self.closers
         ops: List[Instruction] = []
-        dirty = set()  # the spaces with a deferred effect: a read cuts
         end = pc
         while True:
-            while end < n and uops[end].code in _TRANSLATED and (
-                    _STATE_READS.get(uops[end].code) not in dirty):
-                if uops[end].code in _EFFECTS:
-                    dirty.add(_EFFECTS[uops[end].code])
+            while end < n and admits(uops[end]):
                 ops.append(uops[end])
                 end += 1
-            if end == n or uops[end].code not in _CLOSERS:
+            if end == n or uops[end].code not in closers:
                 return ops
             u = uops[end]
             ops.append(u)

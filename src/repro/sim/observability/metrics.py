@@ -18,7 +18,7 @@ studies diff runs without scraping text reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.observability.artifacts import schema_of
 
@@ -129,6 +129,14 @@ class MetricsRegistry:
         self._spawn_begin: Dict[int, int] = {}
         self._program = None
         self._period = 1
+        #: what a probe updates, resolved by name on its first event
+        #: (the gauges and histograms are still made then, not before):
+        #: the ICN's two gauges, and per cache module, DRAM port or reply
+        #: module (-1: none) its gauges or latency histograms
+        self._icn: Optional[Tuple[Gauge, Gauge]] = None
+        self._cache: Dict[int, Tuple[Gauge, Gauge]] = {}
+        self._dram: Dict[int, Tuple[Gauge, Gauge]] = {}
+        self._latency: Dict[int, Tuple[Histogram, ...]] = {}
 
     # -- accessors (get-or-create) ------------------------------------------
 
@@ -144,36 +152,50 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge()
         return g
 
-    def set_gauge(self, name: str, value) -> None:
-        self.gauge(name).set(value)
-
     # -- probes (see repro.sim.observability.core.PROBES) --------------------
 
     def attached(self, machine) -> None:
         self._program = machine.program
         self._period = machine.config.cluster_period
 
+    def _gauges(self, prefix: str, *names: str) -> Tuple[Gauge, ...]:
+        return tuple(self.gauge(prefix + name) for name in names)
+
     def icn_ticked(self, in_flight_send: int, in_flight_return: int) -> None:
-        self.set_gauge("icn.in_flight_send", in_flight_send)
-        self.set_gauge("icn.in_flight_return", in_flight_return)
+        gauges = self._icn
+        if gauges is None:
+            gauges = self._icn = self._gauges(
+                "icn.in_flight_", "send", "return")
+        gauges[0].set(in_flight_send)
+        gauges[1].set(in_flight_return)
 
     def cache_dequeued(self, module, pkg, now: int, outcome: str) -> None:
-        prefix = "cache.m%02d" % module.module_id
-        self.set_gauge(prefix + ".in_queue", len(module.in_queue))
-        self.set_gauge(prefix + ".out_queue", len(module.out_queue))
+        gauges = self._cache.get(module.module_id)
+        if gauges is None:
+            gauges = self._cache[module.module_id] = self._gauges(
+                "cache.m%02d." % module.module_id, "in_queue", "out_queue")
+        gauges[0].set(len(module.in_queue))
+        gauges[1].set(len(module.out_queue))
 
     def dram_accepted(self, port, module, line: int, now: int, ready: int,
                       writeback: bool) -> None:
-        prefix = "dram.p%d" % port.port_id
-        self.set_gauge(prefix + ".queued", len(port.queue))
-        self.set_gauge(prefix + ".in_flight", len(port._in_flight))
+        gauges = self._dram.get(port.port_id)
+        if gauges is None:
+            gauges = self._dram[port.port_id] = self._gauges(
+                "dram.p%d." % port.port_id, "queued", "in_flight")
+        gauges[0].set(len(port.queue))
+        gauges[1].set(len(port._in_flight))
 
     def replied(self, pkg, now: int) -> None:
         latency_cycles = (now - pkg.issue_time) // self._period
-        self.histogram("mem.latency.all").observe(latency_cycles)
-        if pkg.module >= 0:
-            self.histogram(
-                "mem.latency.m%02d" % pkg.module).observe(latency_cycles)
+        histograms = self._latency.get(pkg.module)
+        if histograms is None:
+            histograms = self._latency[pkg.module] = (
+                self.histogram("mem.latency.all"),
+                *([self.histogram("mem.latency.m%02d" % pkg.module)]
+                  if pkg.module >= 0 else []))
+        for histogram in histograms:
+            histogram.observe(latency_cycles)
 
     def spawn_began(self, region, now: int, n_threads: int) -> None:
         self._spawn_begin[region.spawn_index] = now

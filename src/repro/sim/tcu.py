@@ -118,6 +118,9 @@ CHAIN_CAP = 1024
 #: about what issuing four ops one by one does, and most runs between
 #: two memory ops are two or three (``kernels_fpga64``: 7 in 10)
 RUN_MIN = 4
+#: the packages whose delivery writes no register (acks of the two
+#: stores, the end of a ``setg``): they need not end a run
+REGISTER_FREE = frozenset((P.STORE, P.STORE_NB, P.PS_SET))
 
 
 class ProcessorBase:
@@ -184,10 +187,12 @@ class ProcessorBase:
         #: ticked.  ``run_end`` is the cycle of its next real tick; the
         #: last ``run_left`` ops of the chain, the ones issued on the
         #: cycles up to there, are not executed yet (``core.pc`` is the
-        #: first of them)
+        #: first of them).  The first ``run_tail`` of those finish a
+        #: block an earlier settle began one instruction at a time
         self.run_pc = 0
         self.run_end = 0
         self.run_left = 0
+        self.run_tail = 0
         # hot-path caches: the counter dict and scheduler live as long as
         # the machine (checkpoints preserve identity through the pickle
         # memo); the latencies are fixed once the config validates
@@ -203,12 +208,17 @@ class ProcessorBase:
 
     def deliver(self, time: int, item: object) -> None:
         """The one way anything reaches a processor -- replies, shared-FU
-        results, ``getvt``/``ps`` answers, prefetch fills -- and so the
-        wake signal of a sleeping one."""
+        results, ``getvt``/``ps`` answers, prefetch fills, store acks --
+        and so the wake signal of a sleeping one.  One inside a run is
+        not woken by a package that writes no register: nothing the run
+        does can tell it from one that arrives at the run's end, where
+        the resume tick drains it before the next issue."""
         machine = self.machine
         machine._inbox_seq += 1
         heapq.heappush(self.inbox, (time, machine._inbox_seq, item))
-        if self.asleep_on is not None:
+        key = self.asleep_on
+        if key is not None and (key != RUN_KEY or getattr(
+                item, "kind", None) not in REGISTER_FREE):
             self.wake_at(time)
 
     def _drain_inbox(self, now: int) -> None:
@@ -412,12 +422,25 @@ class ProcessorBase:
         ops = 0
         while (block and unready.isdisjoint(block.regs)
                and (ops + block.n <= CHAIN_CAP or not ops)):
+            fn = block.fn or block.compile()
+            n = block.n
+            times = 0
             try:
-                target = (block.fn or block.compile())(regs)
+                target = fn(regs)
+                times = 1
+                # a block that leads back to itself is a loop: it goes
+                # round in place, the scoreboard test above holding for
+                # every pass (nothing clears a register inside this call)
+                while target == at and ops + (times + 1) * n <= CHAIN_CAP:
+                    target = fn(regs)
+                    times += 1
             except TrapError:
-                break  # (``regs`` untouched: the chain ends before it)
-            chain[at] = chain.get(at, 0) + 1
-            ops += block.n
+                target = None  # (``regs`` untouched: the chain ends before it)
+            if times:
+                chain[at] = chain.get(at, 0) + times
+                ops += times * n
+            if target is None:
+                break
             at = target
             if not start <= at < join:
                 break
@@ -426,6 +449,7 @@ class ProcessorBase:
             return False
         self.run_pc = pc
         self.run_left = ops
+        self.run_tail = 0
         self.run_end = cycle + ops
         self._run_ahead = (regs, at, chain)
         return True
@@ -458,7 +482,10 @@ class ProcessorBase:
         prefix -- the run was cut short by a delivery, a checkpoint, a
         timeout, a fault, an ``issued`` listener -- is redone on the
         real file: whole blocks through their functions, less than one
-        through the one-instruction handlers."""
+        through the one-instruction handlers.  The rest of that block is
+        owed as the block formed where it starts if that is the rest --
+        it begins with it, but may go on through a ``j`` the other did
+        not follow -- else as ``run_tail``, stepped the same way."""
         left = self.run_left
         due = left - (self.run_end - cycle)
         if due <= 0:
@@ -468,6 +495,12 @@ class ProcessorBase:
         blocks = machine.blocks
         regs, next_pc, chain = self._run_ahead
         machine.last_progress = now = self._sched.now
+        tail = min(due, self.run_tail)
+        if tail:
+            self._step_ops(now, tail)
+            self.run_tail -= tail
+            left -= tail
+            due -= tail
         if due >= left:
             core.regs = regs  # (the copy made at entry: nobody shares it)
             core.pc = next_pc
@@ -487,16 +520,23 @@ class ProcessorBase:
                     self.instructions_issued += block.n
                     done[pc] = done.get(pc, 0) + 1
                 else:
-                    uops = machine.decoded.uops
-                    for _ in range(due + block.n):
-                        u = uops[core.pc]
-                        self._handlers[u.code](self, now, u)
-                    # the rest is still owed: a block forms at any PC
-                    chain[core.pc] = chain.get(core.pc, 0) + 1
+                    self._step_ops(now, due + block.n)
+                    if blocks[core.pc].n == -due:
+                        chain[core.pc] = chain.get(core.pc, 0) + 1
+                    else:
+                        self.run_tail = -due
         counters = self._counters
         for pc, times in done.items():
             for key, count in blocks[pc].tally:
                 counters[key] += count * times
+
+    def _step_ops(self, now: int, n: int) -> None:
+        """Issue the next ``n`` ops of a run through their handlers."""
+        uops = self.machine.decoded.uops
+        core = self.core
+        for _ in range(n):
+            u = uops[core.pc]
+            self._handlers[u.code](self, now, u)
 
     def _count_issue(self, u: Instruction) -> None:
         self.instructions_issued += 1

@@ -20,7 +20,9 @@ Mutants of ``ProcessorBase._enter_run`` / ``settle_run`` that must each
 fail this file (checked by hand when the mechanism changes): no
 scoreboard test on the second block of a chain; tallies credited at
 entry instead of at settle; the final settle re-executing the blocks
-instead of installing the registers computed at entry; no op bound.
+instead of installing the registers computed at entry; no op bound; a
+one-block loop's trapping pass counted; the rest of a block begun one
+instruction at a time always owed as the block formed at its PC.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import random
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,7 +68,7 @@ from repro.sim.resilience import (
     FaultSpec,
     SimulationBudgetExceeded,
 )
-from repro.sim.tcu import CHAIN_CAP, RUN_MIN
+from repro.sim.tcu import CHAIN_CAP, RUN_KEY, RUN_MIN
 from repro.workloads import microbench as MB
 
 from test_sleep_wake import (
@@ -334,8 +337,9 @@ class TestSpecs:
 
 def compute(threads: int = 24, iterations: int = 6):
     """The Table I compute microbenchmark: a thread's register work is
-    one chain -- a 7-op prelude, then a 3-op and an 11-op block per
-    loop iteration -- up to the ``swnb`` of its result."""
+    one chain -- a 7-op prelude, one 14-op block per loop iteration (the
+    body, its ``j`` and the loop's test up to the ``bnez`` back to the
+    body), a 4-op exit -- up to the ``swnb`` of its result."""
     return build(MB.parallel_compute(threads, iterations)[0])
 
 
@@ -387,6 +391,39 @@ vt:
 """
 
 
+#: a ``swnb`` whose ack comes back while its thread goes round a counted
+#: loop of register ops (one block, iterated in place), then a second
+#: ``swnb`` of the loop's result
+ACK_ASM = """
+    .data
+OUT: .space 384
+    .text
+main:
+    li   $t0, 0
+    li   $t1, 47
+    spawn $t0, $t1
+vt:
+    getvt $k0
+    chkid $k0
+    la   $t2, OUT
+    slli $t3, $k0, 2
+    add  $t2, $t2, $t3
+    swnb $k0, 0($t2)
+    li   $s0, 6
+    li   $t5, 1
+loop:
+    slli $t6, $t5, 1
+    xor  $t5, $t5, $t6
+    addi $t5, $t5, 7
+    addi $s0, $s0, -1
+    bne  $s0, $zero, loop
+    swnb $t5, 192($t2)
+    j    vt
+    join
+    halt
+"""
+
+
 def interrupted():
     program = assemble(INTERRUPTED_ASM)
     program.write_global("A", list(range(100, 164)))
@@ -422,11 +459,13 @@ def spy_on_runs(machine: Machine) -> dict:
     """Watch the runs of every processor of ``machine``: how many were
     settled whole (in one go, at their end) and how many cut short, the
     most ops and the most blocks chained into one, every
-    ``(processor, entry cycle, ops)`` -- and, asserted on the spot, that
+    ``(processor, entry cycle, ops)`` and, in the same order, every
+    chain's ``{block pc: times}`` -- and, asserted on the spot, that
     no chain is longer than the bound (or than its one block) and that
     no settle steps a whole block's worth of ops through the
     one-instruction handlers."""
-    seen = {"whole": 0, "cut": 0, "longest": 0, "blocks": 0, "entered": []}
+    seen = {"whole": 0, "cut": 0, "longest": 0, "blocks": 0, "entered": [],
+            "chains": []}
     blocks = machine.blocks
     for proc in [machine.master, *machine.tcus]:
         enter, settle = proc._enter_run, proc.settle_run
@@ -449,6 +488,7 @@ def spy_on_runs(machine: Machine) -> dict:
                 seen["blocks"] = max(seen["blocks"],
                                      sum(proc._run_ahead[2].values()))
                 seen["entered"].append((proc, cycle, ops))
+                seen["chains"].append(dict(proc._run_ahead[2]))
             return taken
 
         def spied_settle(cycle, proc=proc, settle=settle, stepped=stepped):
@@ -464,6 +504,20 @@ def spy_on_runs(machine: Machine) -> dict:
                 seen["whole" if whole else "cut"] += 1
         proc._enter_run, proc.settle_run = spied_enter, spied_settle
     return seen
+
+
+def spy_on_deliveries(machine: Machine) -> Counter:
+    """Count, by kind (a package's, or ``"reg"`` for a shared-FU
+    result), the deliveries that reach a TCU of ``machine`` while it is
+    inside a run."""
+    landed = Counter()
+    for tcu in machine.tcus:
+        def deliver(time, item, tcu=tcu, deliver=tcu.deliver):
+            if tcu.asleep_on == RUN_KEY:
+                landed[getattr(item, "kind", None) or item[0]] += 1
+            return deliver(time, item)
+        tcu.deliver = deliver
+    return landed
 
 
 @contextlib.contextmanager
@@ -511,23 +565,47 @@ class TestOracle:
         oracle = machine_for(program, config(), awake=True)
         assert_same(plain, fingerprint(oracle,
                                        oracle.run(max_cycles=1_000_000)))
-        # a thread's eight iterations are one chain of 2 * 8 + 1 blocks,
-        # and every TCU settles at least its first thread's whole
-        assert seen["longest"] > 8 * ITERATION and seen["blocks"] > 2 * 8
+        # a thread's eight iterations are one chain of three blocks: the
+        # loop's one block is credited once per iteration (it goes round
+        # in place), and every TCU settles at least its first thread's
+        # whole
+        chain = seen["chains"][next(
+            i for i, (proc, _cycle, _ops) in enumerate(seen["entered"])
+            if proc is machine.tcus[0])]
+        assert sorted((machine.blocks[pc].n, times)
+                      for pc, times in chain.items()) == [
+            (4, 1), (7, 1), (ITERATION, 8)]
+        assert seen["longest"] == 7 + 8 * ITERATION + 4
         assert seen["whole"] >= len(machine.tcus)
 
     @pytest.mark.parametrize("blocking", [True, False],
                              ids=["blocking-loads", "scoreboard"])
     def test_run_interrupted_by_deliveries(self, blocking):
-        """A load reply, a ``swnb`` ack and a shared-MDU result land
-        inside a run: it is settled up to that edge, the TCU is ticked,
-        and the rest of the chain is another run."""
+        """The run after the load and the ``mul`` reads what they
+        deliver, so it begins once both have landed; the ``swnb`` ack
+        lands inside it and, writing no register, leaves it whole."""
         self._interrupted(interrupted, blocking)
 
     @pytest.mark.parametrize("blocking", [True, False],
                              ids=["blocking-loads", "scoreboard"])
     def test_chain_interrupted_by_deliveries(self, blocking):
         self._interrupted(chained_interrupted, blocking)
+
+    def test_store_ack_inside_a_run_leaves_it_whole(self):
+        """Each thread's ``swnb`` is acked while the TCU goes round a
+        counted loop of register ops: the ack writes no register, waits
+        in the inbox and is drained by the run's own resume tick, so the
+        run is settled whole, on the cycle the oracle issues past it."""
+        program = assemble(ACK_ASM)
+        machine = machine_for(program, tiny(), awake=False)
+        seen = spy_on_runs(machine)
+        landed = spy_on_deliveries(machine)
+        plain = fingerprint(machine, machine.run(max_cycles=1_000_000))
+        oracle = machine_for(program, tiny(), awake=True)
+        assert_same(plain, fingerprint(oracle,
+                                       oracle.run(max_cycles=1_000_000)))
+        assert set(landed) == {"store_nb"} and landed["store_nb"] >= 24
+        assert seen["cut"] == 0 and seen["whole"] == 48
 
     @staticmethod
     def _interrupted(program, blocking):
@@ -536,14 +614,19 @@ class TestOracle:
 
         machine = machine_for(program(), config(), awake=False)
         seen = spy_on_runs(machine)
+        landed = spy_on_deliveries(machine)
         plain = fingerprint(machine, machine.run(max_cycles=1_000_000))
         oracle = machine_for(program(), config(), awake=True)
         assert_same(plain, fingerprint(oracle,
                                        oracle.run(max_cycles=1_000_000)))
-        assert seen["cut"] > 0 and seen["whole"] > 0
+        assert seen["whole"] > 0
         assert plain["counters"]["cluster.mdu_ops"] == 48
         if program is chained_interrupted:
+            # the reply and the product land inside the loop's chain
+            assert seen["cut"] > 0
             assert seen["blocks"] >= 8  # (the loop, most of the way round)
+        else:
+            assert seen["cut"] == 0 and landed["store_nb"] > 0
 
     @pytest.mark.parametrize("overrides", [
         {"alu_latency": 2}, {"branch_latency": 2},
@@ -562,9 +645,12 @@ class TestOracle:
             formed = [block for block in machine.blocks.values() if block]
             assert formed and all(block.uops[-1].code != OP_BRANCH
                                   for block in formed)
-            # ... and chain through ``j`` only: the loop body, its
-            # ``j`` and the two ops up to the branch, never an iteration
-            assert 1 < seen["blocks"] and seen["longest"] < ITERATION
+            # ... and go on through ``j`` only: the loop body, its ``j``
+            # and the two ops up to the branch are one block, never an
+            # iteration, and nothing chains to it
+            assert any(u.code == OP_JUMP for block in formed
+                       for u in block.uops[:-1])
+            assert seen["blocks"] == 1 and seen["longest"] == ITERATION - 1
 
     def test_parallel_calls_merge_sort(self):
         assert_same(*run_both(kernel("merge_sort"), fpga64))
@@ -850,6 +936,20 @@ second:
     halt
 """
 
+#: the Master's loop is one block that leads back to itself; its fourth
+#: pass divides by zero
+TRAP_ON_A_PASS_ASM = """
+    .text
+main:
+    li   $t0, 5
+    li   $t2, 7
+loop:
+    addi $t0, $t0, -1
+    xor  $t3, $t3, $t2
+    so_trap $t4, $t2, $t0
+    j    loop
+"""
+
 #: a block ends in a ``j`` out of the spawn region, to code that jumps
 #: back in: legal under the parallel-calls convention only
 LEAVING_ASM = """
@@ -1033,6 +1133,56 @@ class TestChainEnds:
                             CHAIN_CAP - 4 < seen["longest"] <= CHAIN_CAP
             assert_same(*prints)
             assert prints[0]["instructions"] > stop - 100
+
+    def test_one_block_loop_at_the_op_bound(self):
+        """``while (1)`` is one block that leads back to itself: a chain
+        goes round it in place up to :data:`CHAIN_CAP`, and settling it
+        on every cycle -- mid-block, where the block formed at the PC
+        follows the ``j`` the loop's block does not -- reads as the
+        machine as it was."""
+        program = build("int main() { spawn(0, 7) "
+                        "{ int a = $; while (1) a += 3; } return 0; }")
+        stop = 2 * CHAIN_CAP + 77
+        prints, plugins, machines = [], [], []
+        with deadline(120):
+            for awake in (False, True):
+                plugins.append(_EveryCycle())
+                machine = machine_for(program, tiny(), awake,
+                                      plugins=[plugins[-1]])
+                machines.append(machine)
+                result = machine.run(max_cycles=stop, allow_timeout=True)
+                prints.append(dict(fingerprint(machine, result),
+                                   pcs=[t.core.pc for t in machine.tcus]))
+        assert_same(*prints)
+        assert plugins[0].samples == plugins[1].samples
+        seen = plugins[0].seen
+        loop = [pc for pc, block in machines[0].blocks.items()
+                if block and block.n == 3 and block.uops[-1].target == pc]
+        assert len(loop) == 1
+        # the first chain of a TCU: the 4-op prelude, then the loop to
+        # the bound; the next: the loop alone
+        assert {(len(chain), chain.get(loop[0])) for chain in seen["chains"]
+                if loop[0] in chain} == {(2, (CHAIN_CAP - 4) // 3),
+                                         (1, CHAIN_CAP // 3)}
+
+    def test_trap_on_the_kth_pass_of_a_one_block_loop(self):
+        """A one-block loop whose fourth pass traps: the chain takes the
+        three passes before it, and the one-instruction path raises at
+        the op, on the op's own cycle."""
+        register_so_trap()
+        program = assemble(TRAP_ON_A_PASS_ASM)
+        errors, chains = [], []
+        for awake in (False, True):
+            machine = machine_for(program, tiny(), awake)
+            seen = spy_on_runs(machine)
+            with pytest.raises(SimulationError, match="so_trap") as info:
+                machine.run(max_cycles=10_000)
+            errors.append((str(info.value), machine.scheduler.now,
+                           machine.stats.get("instructions.so_trap")))
+            chains.append(seen["chains"])
+        assert errors[0] == errors[1] and errors[0][2] == 5
+        assert "master" in errors[0][0]
+        assert chains == [[{0: 1, 2: 3}], []]
 
     def test_every_block_of_a_chain_is_executed_once(self, monkeypatch):
         """... at entry, on the copy; the settle at the chain's end
