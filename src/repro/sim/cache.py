@@ -27,6 +27,9 @@ from repro.sim import packages as P
 from repro.sim.engine import NEVER
 from repro.sim.fabric import Component, Port, register_backend
 
+#: the package kinds that dirty the line they hit
+_WRITES = (P.STORE, P.STORE_NB)
+
 
 class CacheArray:
     """Set-associative tag array with true-LRU replacement (tags only)."""
@@ -43,12 +46,12 @@ class CacheArray:
         # machine are never touched
         self._lines: List[Optional[OrderedDict]] = [None] * sets
 
-    def line_addr(self, addr: int) -> int:
-        return addr >> self._line_shift
-
     def lookup(self, addr: int, write: bool = False) -> bool:
         """Probe (and on hit, touch) the line containing ``addr``."""
-        line = self.line_addr(addr)
+        return self.lookup_line(addr >> self._line_shift, write)
+
+    def lookup_line(self, line: int, write: bool = False) -> bool:
+        """:meth:`lookup` by line address (``addr >> _line_shift``)."""
         entries = self._lines[line & (self.sets - 1)]
         if entries is not None and line in entries:
             entries.move_to_end(line)
@@ -62,7 +65,7 @@ class CacheArray:
 
         Returns ``(victim_line, victim_dirty)`` if an eviction occurred.
         """
-        line = self.line_addr(addr)
+        line = addr >> self._line_shift
         index = line & (self.sets - 1)
         entries = self._lines[index]
         if entries is None:
@@ -153,11 +156,6 @@ class CacheModule(Component):
         if obs is not None:
             obs.committed(self, pkg, now)
 
-    def _respond(self, now: int, pkg: P.Package, extra_cycles: int) -> None:
-        period = self.domain.period
-        ready = now + extra_cycles * period
-        heapq.heappush(self._delayed, (ready, pkg.seq, pkg))
-
     def wake(self, time: int) -> None:
         """Consumer-side wake-up, :attr:`in_queue`'s ``on_push`` hook: a
         package entering the port at ``time`` puts this module in the
@@ -166,44 +164,62 @@ class CacheModule(Component):
 
     # -- per-cycle behaviour ----------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        now = self.machine.scheduler.now
-        stats = self.machine.stats
-        obs = self.machine.obs
+    def tick(self, cycle: int) -> int:
+        """Release the responses whose latency elapsed, accept up to
+        ``cache_ports`` requests, and return when a tick can next do
+        something (the bank's ``next_work`` is the earliest over its
+        active set): a queued request, or a response whose latency
+        elapses; :data:`NEVER` for a module waiting only for DRAM,
+        which :meth:`dram_fill` wakes."""
+        machine = self.machine
+        now = machine.scheduler.now
+        obs = machine.obs
         # release responses whose latency elapsed
-        while self._delayed and self._delayed[0][0] <= now:
-            _, _, pkg = heapq.heappop(self._delayed)
+        delayed = self._delayed
+        while delayed and delayed[0][0] <= now:
+            pkg = heapq.heappop(delayed)[2]
             if obs is not None:
                 obs.response_enqueued(pkg, now, len(self.out_queue))
             self.out_queue.push(now, pkg)
         # accept new requests
-        for _ in range(self.ports):
-            pkg = self.in_queue.pop_ready(now)
-            if pkg is None:
-                break
-            self.machine.note_progress()
-            line = self.array.line_addr(pkg.addr)
-            if self.array.lookup(pkg.addr, write=pkg.is_write):
-                self.hits += 1
-                stats.inc("cache.hit")
-                self._perform(pkg, now)
-                self._respond(now, pkg, self.hit_latency)
-                outcome = "hit"
-            elif line in self.pending_misses:
-                # merge with the in-flight fill (buffered concurrent requests)
-                self.misses += 1
-                stats.inc("cache.miss")
-                stats.inc("cache.mshr_merge")
-                self.pending_misses[line].append(pkg)
-                outcome = "mshr"
-            else:
-                self.misses += 1
-                stats.inc("cache.miss")
-                self.pending_misses[line] = [pkg]
-                self.machine.dram.request(self, line)
-                outcome = "miss"
-            if obs is not None:
-                obs.cache_dequeued(self, pkg, now, outcome)
+        items = self.in_queue._items
+        if items and items[0][0] < now:
+            machine.last_progress = now
+            counters = machine.stats.counters
+            array = self.array
+            shift = array._line_shift
+            pending = self.pending_misses
+            ready = now + self.hit_latency * self.domain.period
+            taken = 0
+            while items and items[0][0] < now and taken < self.ports:
+                pkg = items.popleft()[1]
+                taken += 1
+                line = pkg.addr >> shift
+                if array.lookup_line(line, pkg.kind in _WRITES):
+                    self.hits += 1
+                    counters["cache.hit"] += 1
+                    self._perform(pkg, now)
+                    heapq.heappush(delayed, (ready, pkg.seq, pkg))
+                    outcome = "hit"
+                elif line in pending:
+                    # merge with the in-flight fill (buffered requests)
+                    self.misses += 1
+                    counters["cache.miss"] += 1
+                    counters["cache.mshr_merge"] += 1
+                    pending[line].append(pkg)
+                    outcome = "mshr"
+                else:
+                    self.misses += 1
+                    counters["cache.miss"] += 1
+                    pending[line] = [pkg]
+                    machine.dram.request(self, line)
+                    outcome = "miss"
+                if obs is not None:
+                    obs.cache_dequeued(self, pkg, now, outcome)
+        work = items[0][0] + 1 if items else NEVER
+        if delayed and delayed[0][0] < work:
+            work = delayed[0][0]
+        return work
 
     # -- DRAM fill callback -------------------------------------------------------
 
@@ -220,22 +236,11 @@ class CacheModule(Component):
             self.writebacks += 1
             self.machine.stats.inc("cache.writeback")
             self.machine.dram.request(self, victim[0], writeback=True)
+        ready = now + self.hit_latency * self.domain.period
         for pkg in waiters:
             self._perform(pkg, now)
-            self._respond(now, pkg, self.hit_latency)
-        self.machine.cache_bank.activate(
-            self.module_id, now + self.hit_latency * self.domain.period)
-
-    def ready_at(self) -> int:
-        """When a tick can next do something (the bank's ``next_work``
-        is the earliest over its active set): a queued request, or a
-        response whose latency elapses; :data:`NEVER` for a module
-        waiting only for DRAM, which :meth:`dram_fill` wakes."""
-        items = self.in_queue._items
-        work = items[0][0] + 1 if items else NEVER
-        if self._delayed and self._delayed[0][0] < work:
-            work = self._delayed[0][0]
-        return work
+            heapq.heappush(self._delayed, (ready, pkg.seq, pkg))
+        self.machine.cache_bank.activate(self.module_id, ready)
 
     # -- resilience hooks ---------------------------------------------------------
 

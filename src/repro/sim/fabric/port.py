@@ -33,12 +33,14 @@ class Port(TimedQueue):
         self.on_push = None
 
     def push(self, time: int, item: Any) -> bool:
-        if TimedQueue.push(self, time, item):
-            hook = self.on_push
-            if hook is not None:
-                hook(time)
-            return True
-        return False
+        items = self._items
+        if self.capacity and len(items) >= self.capacity:
+            return False
+        items.append((time, item))
+        hook = self.on_push
+        if hook is not None:
+            hook(time)
+        return True
 
 
 class Component:

@@ -23,17 +23,17 @@ name)``) behind the same :class:`~repro.sim.fabric.Component` surface:
   latency is the hop distance, so placement matters.
 
 All four share the injection/drain engine of :class:`Interconnect` and
-differ only in the arrival-time law (``traversal_latency`` /
-``_arrival``), which is exactly the seam the port abstraction
-promises: the observation probes, fault hooks and telemetry gauges
-live in the shared engine and hold for every backend.
+differ only in the arrival-time law (``_arrival``), which is exactly
+the seam the port abstraction promises: the observation probes, fault
+hooks and telemetry gauges live in the shared engine and hold for
+every backend.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.sim import packages as P
 from repro.sim.engine import NEVER
@@ -70,30 +70,30 @@ class _OccupiedPorts:
             self._indices.append(index)
             self._arm(time + 1)  # visible on the network's edge after
 
-    def __bool__(self) -> bool:
-        return bool(self._indices)
-
-    def drain(self, now: int, width: int) -> Iterator[P.Package]:
-        """Pop up to ``width`` ready packages from each occupied port."""
+    def drain(self, now: int, width: int) -> List[P.Package]:
+        """Pop up to ``width`` ready packages from each occupied port, in
+        port order."""
         indices = self._indices
         indices.sort()
         ports = self.ports
         listed = self._listed
+        on_empty = self.on_empty
+        out = []
         still = []
         for index in indices:
-            port = ports[index]
-            for _ in range(width):
-                pkg = port.pop_ready(now)
-                if pkg is None:
-                    break
-                yield pkg
-            if len(port):
+            items = ports[index]._items
+            taken = 0
+            while items and items[0][0] < now and taken < width:
+                out.append(items.popleft()[1])
+                taken += 1
+            if items:
                 still.append(index)
             else:
                 listed[index] = False
-                if self.on_empty is not None:
-                    self.on_empty(index, now)
+                if on_empty is not None:
+                    on_empty(index, now)
         indices[:] = still
+        return out
 
 
 @register_backend("icn", "mot")
@@ -135,58 +135,69 @@ class Interconnect(Component):
     # -- per-cycle behaviour -------------------------------------------------
 
     def tick(self, cycle: int) -> None:
-        machine = self.machine
-        if not (self._to_cache or self._to_cluster
-                or self._send_side or self._return_side):
+        to_cache = self._to_cache
+        to_cluster = self._to_cluster
+        send_side = self._send_side
+        return_side = self._return_side
+        if not (to_cache or to_cluster
+                or send_side._indices or return_side._indices):
             return  # quiet cycle: nothing queued anywhere on the network
+        machine = self.machine
         now = machine.scheduler.now
-        stats = machine.stats
         obs = machine.obs
 
         # 1. deliver packages that finished the send traversal
-        to_cache = self._to_cache
-        while to_cache and to_cache[0][0] <= now:
-            _, _, pkg = heapq.heappop(to_cache)
-            in_queue = machine.cache_modules[pkg.module].in_queue
-            if obs is not None:
-                obs.cache_enqueued(pkg, now, len(in_queue))
-            # the port's on_push wake-up activates the module in the
-            # cache bank; no backend names the bank directly
-            in_queue.push(now, pkg)
-            machine.note_progress()
+        if to_cache and to_cache[0][0] <= now:
+            modules = machine.cache_modules
+            while to_cache and to_cache[0][0] <= now:
+                pkg = heapq.heappop(to_cache)[2]
+                in_queue = modules[pkg.module].in_queue
+                if obs is not None:
+                    obs.cache_enqueued(pkg, now, len(in_queue))
+                # the port's on_push wake-up activates the module in the
+                # cache bank; no backend names the bank directly
+                in_queue.push(now, pkg)
+            machine.last_progress = now
 
         # 2. deliver responses that finished the return traversal
-        to_cluster = self._to_cluster
-        while to_cluster and to_cluster[0][0] <= now:
-            _, _, pkg = heapq.heappop(to_cluster)
-            machine.deliver_response(now, pkg)
-            machine.note_progress()
+        if to_cluster and to_cluster[0][0] <= now:
+            deliver = machine.deliver_response
+            while to_cluster and to_cluster[0][0] <= now:
+                deliver(now, heapq.heappop(to_cluster)[2])
+            machine.last_progress = now
 
         # 3. inject new requests from the cluster (and master) send ports
-        if self._send_side:
-            for pkg in self._send_side.drain(now, self.width_per_cluster):
-                pkg.module = self._route(pkg.addr)
+        counters = machine.stats.counters
+        arrival_of = self._arrival
+        if send_side._indices:
+            sent = send_side.drain(now, self.width_per_cluster)
+            route = self._route
+            for pkg in sent:
+                pkg.module = route(pkg.addr)
                 self.packages_sent += 1
-                stats.inc("icn.send")
-                arrival = self._arrival(now, pkg, "send")
+                arrival = arrival_of(now, pkg, "send")
                 heapq.heappush(to_cache, (arrival, pkg.seq, pkg))
                 if obs is not None:
                     obs.icn_injected(pkg, now, arrival, len(to_cache))
+            if sent:
+                counters["icn.send"] += len(sent)
 
         # 4. drain cache-module responses into the return network
-        if self._return_side:
-            for pkg in self._return_side.drain(now, self.return_width):
+        if return_side._indices:
+            returned = return_side.drain(now, self.return_width)
+            for pkg in returned:
                 self.packages_returned += 1
-                stats.inc("icn.return")
-                arrival = self._arrival(now, pkg, "return")
+                arrival = arrival_of(now, pkg, "return")
                 heapq.heappush(to_cluster, (arrival, pkg.seq, pkg))
                 if obs is not None:
                     obs.icn_returned(pkg, now, arrival, len(to_cluster))
+            if returned:
+                counters["icn.return"] += len(returned)
         if obs is not None:
             obs.icn_ticked(len(to_cache), len(to_cluster))
 
     def next_work(self, now: int) -> int:
-        if self._send_side or self._return_side:
+        if self._send_side._indices or self._return_side._indices:
             return now
         work = self._to_cache[0][0] if self._to_cache else NEVER
         if self._to_cluster and self._to_cluster[0][0] < work:
@@ -233,15 +244,11 @@ class Interconnect(Component):
                 return pkg
         return None
 
-    def traversal_latency(self, pkg: P.Package) -> int:
-        """Picoseconds for one traversal; synchronous ICN quantizes to
-        its clock (depth cycles of the ICN domain)."""
-        return self.depth * self.domain.period
-
     def _arrival(self, now: int, pkg: P.Package, direction: str) -> int:
-        """Arrival time of a package.  Fixed-latency (synchronous)
-        traversal preserves per-channel FIFO order by construction."""
-        return now + self.traversal_latency(pkg)
+        """Arrival time of a package: ``depth`` cycles of the ICN clock.
+        Fixed-latency (synchronous) traversal preserves per-channel
+        FIFO order by construction."""
+        return now + self.depth * self.domain.period
 
 
 @register_backend("icn", "mot-async")
@@ -330,15 +337,12 @@ class CrossbarInterconnect(Interconnect):
         # (direction, output port) -> time its last package lands
         self._out_busy: dict = {}
 
-    def traversal_latency(self, pkg: P.Package) -> int:
-        return self.xbar_latency * self.domain.period
-
     def _arrival(self, now: int, pkg: P.Package, direction: str) -> int:
         if direction == "send":
             dest = pkg.module
         else:  # one return port per cluster; the master owns its own
             dest = pkg.cluster_id if pkg.tcu_id >= 0 else -1
-        arrival = now + self.traversal_latency(pkg)
+        arrival = now + self.xbar_latency * self.domain.period
         key = (direction, dest)
         busy = self._out_busy.get(key, 0)
         if arrival <= busy:
@@ -374,10 +378,6 @@ class RingInterconnect(Interconnect):
 
     def _hops(self, src: int, dst: int) -> int:
         return (dst - src) % self.n_stops or self.n_stops
-
-    def traversal_latency(self, pkg: P.Package) -> int:
-        # mean-distance estimate for callers without a direction context
-        return (self.n_stops // 2) * self.domain.period
 
     def _arrival(self, now: int, pkg: P.Package, direction: str) -> int:
         module_stop = self.n_cluster_stops + pkg.module

@@ -11,7 +11,9 @@ and activity counters, and the plug-in interfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import zip_longest
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.decode import decode_program
@@ -35,6 +37,9 @@ from repro.sim.mtcu import MasterTCU
 from repro.sim.psunit import PrefixSumUnit
 from repro.sim.spawn_unit import SpawnUnit
 from repro.sim.stats import Stats
+from repro.sim.tcu import RUN_KEY
+
+_TCU_ID = attrgetter("tcu_id")
 
 
 class CacheBank:
@@ -58,7 +63,7 @@ class CacheBank:
         self._active = []
         self._in_active = [False] * len(modules)
         #: per module, the earliest time its tick can do something
-        #: (``ready_at`` after its last tick, lowered by ``activate``)
+        #: (what its last tick returned, lowered by ``activate``)
         self._due = [NEVER] * len(modules)
         self._work = NEVER  # earliest due time over the active set
 
@@ -74,23 +79,26 @@ class CacheBank:
             self.domain.arm(time)
 
     def tick(self, cycle: int) -> None:
-        survivors = []
         work = NEVER
         now = self._sched.now
         due = self._due
-        for module_id in self._active:
-            module = self.modules[module_id]
+        modules = self.modules
+        active = self._active
+        in_active = self._in_active
+        left = False
+        for module_id in active:
             at = due[module_id]
             if at <= now:
-                module.tick(cycle)
-                at = due[module_id] = module.ready_at()
+                at = due[module_id] = modules[module_id].tick(cycle)
             if at < work:
                 work = at
-            if at < NEVER or module.pending_misses or module.out_queue._items:
-                survivors.append(module_id)
-            else:
-                self._in_active[module_id] = False
-        self._active = survivors
+            elif at >= NEVER:  # holds nothing else either: it leaves
+                module = modules[module_id]
+                if not (module.pending_misses or module.out_queue._items):
+                    in_active[module_id] = False
+                    left = True
+        if left:
+            self._active = [m for m in active if in_active[m]]
         self._work = work
 
     def next_work(self, now: int) -> int:
@@ -99,37 +107,124 @@ class CacheBank:
 
 class ClusterBank:
     """Macro-actor over all clusters: the same rule as :class:`CacheBank`
-    one level up -- nothing is visited while it has nothing to do.
+    one level up -- nothing is visited while it has nothing to do -- as
+    one tick list for every TCU of the machine.
 
-    Inside a spawn only clusters with an awake TCU, a booked wake-up or
-    a run to resume are ticked, in cluster order (``getvt``/``ps`` queue
-    order, package sequence numbers and inbox tie-breaks all follow it).
+    :attr:`awake` holds the TCUs ticked on the next edge, in ``tcu_id``
+    order: cluster order, then ``local_id`` (send-port back-pressure,
+    MDU/FPU arbitration, ``getvt``/``ps`` queue order, package sequence
+    numbers and inbox tie-breaks all follow it).  Everyone else sleeps
+    until one of two heaps names it.  :attr:`wakes` holds booked
+    wake-ups ``(delivery time, tcu_id)`` (:meth:`TCU.wake_at`).
+    :attr:`resumes` holds ``(domain cycle, tcu_id)``, the next real
+    tick of every TCU inside a run -- cycles, not picoseconds, so a run
+    spans retiming and gating exactly.  An entry whose TCU is awake by
+    then, or whose run ended earlier (``run_end`` no longer matches), is
+    stale and ignored.  Due entries are settled at the top of an edge
+    and merged into :attr:`awake` by one sort, so :meth:`next_work` is
+    a look at three heads.
     """
 
     def __init__(self, machine, clusters):
         self.machine = machine
-        self.clusters = clusters
+        self.tcus = [tcu for cluster in clusters for tcu in cluster.tcus]
+        for tcu in self.tcus:
+            tcu.bank = self
+        self.awake = []
+        self.wakes = []
+        self.resumes = []
+        self._sched = machine.scheduler
 
     def tick(self, cycle: int) -> None:
+        """One clock edge for the TCUs that have something to do.
+
+        A TCU whose tick says "nothing but this stall until a delivery
+        arrives" leaves the tick list; a delivery books its wake-up.  So
+        does a TCU whose tick says "nothing but this chain of blocks'
+        issue slots" (a *run*), until the cycle after the chain or a
+        delivery, whichever is first.
+        """
         machine = self.machine
         if not machine.parallel_active:
             return
-        for cluster in self.clusters:
-            if cluster.awake or cluster.wakes or cluster.resumes:
-                cluster.tick(cycle)
+        wakes = self.wakes
+        resumes = self.resumes
+        if resumes and not machine.runs_ok:
+            self._end_runs(cycle)
+        if (wakes and wakes[0][0] <= self._sched.now
+                or resumes and resumes[0][0] <= cycle):
+            self._wake_due(cycle)
+        awake = self.awake
+        slept = False
+        for tcu in awake:
+            key = tcu.tick(cycle)
+            if key is not None:
+                tcu.asleep_on = key
+                tcu.slept_at = cycle
+                if key == RUN_KEY:
+                    heappush(resumes, (tcu.run_end, tcu.tcu_id))
+                if tcu.inbox:  # a future-dated delivery already waits
+                    heappush(wakes, (tcu.inbox[0][0], tcu.tcu_id))
+                slept = True
+        if slept:
+            self.awake = [tcu for tcu in awake if tcu.asleep_on is None]
+
+    def _wake_due(self, cycle: int) -> None:
+        wakes = self.wakes
+        resumes = self.resumes
+        now = self._sched.now
+        tcus = self.tcus
+        woken = []
+        while wakes and wakes[0][0] <= now:
+            tcu = tcus[heappop(wakes)[1]]
+            if tcu.asleep_on is not None:
+                tcu.settle(cycle)
+                tcu.asleep_on = None
+                woken.append(tcu)
+        while resumes and resumes[0][0] <= cycle:
+            end, tcu_id = heappop(resumes)
+            tcu = tcus[tcu_id]
+            if tcu.asleep_on == RUN_KEY and tcu.run_end == end:
+                tcu.settle_run(cycle)
+                tcu.asleep_on = None
+                woken.append(tcu)
+        if woken:
+            awake = self.awake
+            awake += woken
+            awake.sort(key=_TCU_ID)
+
+    def _end_runs(self, cycle: int) -> None:
+        """Runs are off (an ``issued`` listener showed up and must hear
+        every instruction from this edge on): settle and wake every TCU
+        inside one."""
+        for tcu in self.tcus:
+            if tcu.asleep_on == RUN_KEY:
+                tcu.settle_run(cycle)
+                tcu.asleep_on = None
+        self.resumes.clear()
+        self.awake = [tcu for tcu in self.tcus if tcu.asleep_on is None]
 
     def next_work(self, now: int) -> int:
-        work = NEVER
-        if self.machine.parallel_active:
-            for cluster in self.clusters:
-                if cluster.awake:
-                    return now
-                if cluster.wakes:
-                    work = min(work, cluster.wakes[0][0])
-                if cluster.resumes:
-                    work = min(work,
-                               self.domain.time_of(cluster.resumes[0][0]))
+        if not self.machine.parallel_active:
+            return NEVER
+        if self.awake:
+            return now
+        work = self.wakes[0][0] if self.wakes else NEVER
+        if self.resumes:
+            at = self.domain.time_of(self.resumes[0][0])
+            if at < work:
+                work = at
         return work
+
+    def start_region(self, region, master_regs) -> None:
+        """Broadcast arrival: every TCU starts the region awake, with
+        an empty inbox and no wake-up booked."""
+        self.wakes.clear()
+        self.resumes.clear()
+        for tcu in self.tcus:
+            tcu.inbox.clear()
+            tcu.start_region(region, master_regs)
+        self.awake = list(self.tcus)
 
 
 @dataclass
@@ -193,7 +288,7 @@ class Machine:
         self.master = MasterTCU(self)
         self.clusters = [Cluster(self, i) for i in range(cfg.n_clusters)]
         self.cluster_bank = ClusterBank(self, self.clusters)
-        self.tcus = [tcu for cluster in self.clusters for tcu in cluster.tcus]
+        self.tcus = self.cluster_bank.tcus
         self.cache_modules = [CacheModule(self, i) for i in range(cfg.n_cache_modules)]
         self.cache_bank = CacheBank(self, self.cache_modules)
         #: address -> cache-module placement backend
@@ -342,8 +437,7 @@ class Machine:
         self.parallel_active = True
 
     def release_tcus(self, region, master_regs) -> None:
-        for cluster in self.clusters:
-            cluster.start_region(region, master_regs)
+        self.cluster_bank.start_region(region, master_regs)
 
     def listeners_changed(self) -> None:
         """Re-read the listener rule (DESIGN 1.2 invariant 4) -- nobody
@@ -365,8 +459,8 @@ class Machine:
         gates a domain, or starts listening calls this first."""
         cycle = self.domains["clusters"].cycle
         self.master.settle(cycle)
-        for cluster in self.clusters:
-            cluster.settle(cycle)
+        for tcu in self.tcus:
+            tcu.settle(cycle)
 
     def occupancy(self) -> Tuple[dict, dict, dict]:
         """Queue occupancy per layer, ``(icn, caches, dram)``: the

@@ -40,11 +40,8 @@ class MasterTCU(ProcessorBase):
         self.send_port = self.send_queue
         self.active = True
         self.halted = False
-        #: load packages sent and not yet answered, oldest first
+        self.cluster_id = -1  # the master has its own ICN port
         self._loads_in_flight: List[P.Package] = []
-
-    def cluster_id(self) -> int:
-        return -1  # the master has its own ICN port
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return True  # the Master owns private MDU/FPU units (Fig. 1)
@@ -73,11 +70,6 @@ class MasterTCU(ProcessorBase):
             self.pending_regs.add(u.rd)
             self.deliver(now + latency * self._period(), ("reg", u.rd, value))
         return True
-
-    def _apply_mem_issue(self, now: int, pkg: P.Package, u: Instruction) -> None:
-        super()._apply_mem_issue(now, pkg, u)
-        if pkg.kind == P.LOAD:
-            self._loads_in_flight.append(pkg)
 
     def _on_load_reply(self, pkg: P.Package) -> None:
         if pkg in self._loads_in_flight:  # (not an ``icn.dup`` clone)
@@ -132,8 +124,8 @@ class MasterTCU(ProcessorBase):
     # -- the clock edge --------------------------------------------------------------
 
     def tick(self, cycle: int) -> None:
-        """``Cluster.tick`` + ``TCU.tick`` for the one processor without
-        a cluster: asleep, it returns until :meth:`next_work` is due
+        """``ClusterBank.tick`` + ``TCU.tick`` for the one processor
+        outside the bank: asleep, it returns until :meth:`next_work` is due
         (or runs are off); awake, it issues, and sleeps on what the slot
         says it may sleep on."""
         now = self._sched.now

@@ -59,7 +59,8 @@ from repro.isa.instructions import (
     Instruction,
 )
 from repro.isa.registers import REG_RA, REG_ZERO
-from repro.isa.semantics import TrapError, format_print, to_signed, to_unsigned
+from repro.isa.semantics import (
+    MASK32, TrapError, format_print, to_signed, to_unsigned)
 from repro.sim import packages as P
 from repro.sim.functional import CoreState, SimulationError
 
@@ -121,6 +122,8 @@ RUN_MIN = 4
 #: the packages whose delivery writes no register (acks of the two
 #: stores, the end of a ``setg``): they need not end a run
 REGISTER_FREE = frozenset((P.STORE, P.STORE_NB, P.PS_SET))
+#: the packages whose reply writes a register from memory
+_LOAD_KINDS = (P.LOAD, P.RO_FILL, P.PSM)
 
 
 class ProcessorBase:
@@ -134,6 +137,11 @@ class ProcessorBase:
     #: active spawn region (TCUs set an instance attribute; the Master
     #: always runs the serial section) -- cycle accounting reads this
     region = None
+    #: a TCU configured with blocking loads sets ``wait_load`` on issue
+    _blocking_loads = False
+    #: load packages sent and not yet answered, oldest first: a list
+    #: only where a store must overtake them (the Master's write buffer)
+    _loads_in_flight: Optional[List[P.Package]] = None
     #: None while the processor is ticked.  Else its tick said that
     #: every further tick could only repeat one stall until a delivery
     #: arrives (or a booked wake-up: a busy shared FU's release), and
@@ -351,17 +359,6 @@ class ProcessorBase:
 
     # -- memory path --------------------------------------------------------------
 
-    def _push_package(self, now: int, pkg: P.Package) -> bool:
-        """Enqueue on ``self.send_port`` (the cluster's ICN send port
-        for a TCU, the Master's own); False when it is full."""
-        port = self.send_port
-        if port.push(now, pkg):
-            obs = self.machine.obs
-            if obs is not None:
-                obs.send_enqueued(pkg, now, len(port))
-            return True
-        return False
-
     def _try_local_load(self, now: int, u: Instruction, addr: int) -> bool:
         """Service a load locally (prefetch buffer / master cache).
         Returns True if handled."""
@@ -379,11 +376,8 @@ class ProcessorBase:
         (``TCU.tick`` inlines this.)"""
         if self._retry is not None:
             pkg, u = self._retry
-            if not self._push_package(now, pkg):
-                self._stall("send_queue")
-                return None
             self._retry = None
-            self._apply_mem_issue(now, pkg, u)
+            self._send_mem(now, pkg, u)  # (which books the retry again)
             return None
 
         pc = self.core.pc
@@ -658,7 +652,7 @@ class ProcessorBase:
     def _ps_common(self, now: int, u: Instruction, kind: str) -> None:
         core = self.core
         self._count_issue(u)
-        pkg = P.Package(kind, self.tcu_id, self.cluster_id(),
+        pkg = P.Package(kind, self.tcu_id, self.cluster_id,
                         addr=u.imm, value=core.regs[u.rd],
                         rd=u.rd, issue_time=now)
         self.machine.ps_unit.in_queue.push(now, pkg)
@@ -704,64 +698,76 @@ class ProcessorBase:
 
     def _h_load(self, now: int, u: Instruction) -> None:
         core = self.core
-        addr = to_unsigned(core.regs[u.rs] + u.imm)
+        addr = (core.regs[u.rs] + u.imm) & MASK32
         if self._try_local_load(now, u, addr):
             self._count_issue(u)
             core.pc += 1
             return
         pkg = P.Package(P.RO_FILL if u.code == OP_LOAD_RO else P.LOAD,
-                        self.tcu_id, self.cluster_id(), addr=addr, rd=u.rd,
+                        self.tcu_id, self.cluster_id, addr=addr, rd=u.rd,
                         issue_time=now)
         self._send_mem(now, pkg, u)
 
     def _h_store(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
-        pkg = P.Package(self._store_kind, self.tcu_id, self.cluster_id(),
-                        addr=to_unsigned(regs[u.rs] + u.imm),
+        pkg = P.Package(self._store_kind, self.tcu_id, self.cluster_id,
+                        addr=(regs[u.rs] + u.imm) & MASK32,
                         value=regs[u.rt], issue_time=now)
         self._send_mem(now, pkg, u)
 
     def _h_store_nb(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
-        pkg = P.Package(P.STORE_NB, self.tcu_id, self.cluster_id(),
-                        addr=to_unsigned(regs[u.rs] + u.imm),
+        pkg = P.Package(P.STORE_NB, self.tcu_id, self.cluster_id,
+                        addr=(regs[u.rs] + u.imm) & MASK32,
                         value=regs[u.rt], issue_time=now)
         self._send_mem(now, pkg, u)
 
     def _h_psm(self, now: int, u: Instruction) -> None:
         regs = self.core.regs
-        pkg = P.Package(P.PSM, self.tcu_id, self.cluster_id(),
-                        addr=to_unsigned(regs[u.rs] + u.imm),
+        pkg = P.Package(P.PSM, self.tcu_id, self.cluster_id,
+                        addr=(regs[u.rs] + u.imm) & MASK32,
                         value=regs[u.rd], rd=u.rd, issue_time=now)
         self._send_mem(now, pkg, u)
 
     def _h_prefetch(self, now: int, u: Instruction) -> None:
         core = self.core
-        addr = to_unsigned(core.regs[u.rs] + u.imm)
+        addr = (core.regs[u.rs] + u.imm) & MASK32
         if not self._want_prefetch(addr):
             self._count_issue(u)
             core.pc += 1
             return
-        pkg = P.Package(P.PREFETCH, self.tcu_id, self.cluster_id(), addr=addr,
+        pkg = P.Package(P.PREFETCH, self.tcu_id, self.cluster_id, addr=addr,
                         issue_time=now)
         self._send_mem(now, pkg, u)
 
     def _send_mem(self, now: int, pkg: P.Package, u: Instruction) -> None:
+        """Enqueue on ``self.send_port`` (the cluster's ICN send port
+        for a TCU, the Master's own); when it is full, stall and retry
+        on the next tick."""
         pkg.src_line = u.src_line
-        if not self._push_package(now, pkg):
+        port = self.send_port
+        if not port.push(now, pkg):
             self._retry = (pkg, u)
             self._stall("send_queue")
             return
+        obs = self.machine.obs
+        if obs is not None:
+            obs.send_enqueued(pkg, now, len(port))
         self._apply_mem_issue(now, pkg, u)
 
     def _apply_mem_issue(self, now: int, pkg: P.Package, u: Instruction) -> None:
         """Bookkeeping once the package is accepted by the send port."""
         self._count_issue(u)
         kind = pkg.kind
-        if kind in (P.LOAD, P.RO_FILL, P.PSM):
+        if kind in _LOAD_KINDS:
             if pkg.rd != REG_ZERO:
                 self.pending_regs.add(pkg.rd)
             self.outstanding_loads += 1
+            # a TCU with blocking loads stalls until the reply returns
+            if self._blocking_loads:
+                self.wait_load = True
+            if kind == P.LOAD and self._loads_in_flight is not None:
+                self._loads_in_flight.append(pkg)
         elif kind == P.STORE:
             self.outstanding_stores += 1
             self.wait_store_ack = True
@@ -791,9 +797,6 @@ class ProcessorBase:
         pass
 
     # -- hooks the subclasses specialize ------------------------------------------------
-
-    def cluster_id(self) -> int:
-        raise NotImplementedError
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         raise NotImplementedError
@@ -831,8 +834,11 @@ class TCU(ProcessorBase):
     def __init__(self, machine, cluster, tcu_id: int, local_id: int):
         super().__init__(machine, tcu_id)
         self.cluster = cluster
+        self.cluster_id = cluster.cluster_id
         self.send_port = cluster.send_queue
         self.local_id = local_id
+        #: the machine's tick list (set by :class:`ClusterBank`)
+        self.bank = None
         self.park_state = TCU.PARKED
         self.region = None
         # region bounds, cached by start_region so the per-tick
@@ -857,17 +863,14 @@ class TCU(ProcessorBase):
         self.last_fence_time = -1
         self.asleep_on = PARKED_KEY
 
-    def cluster_id(self) -> int:
-        return self.cluster.cluster_id
-
     def wake_at(self, time: int) -> None:
-        """Book a wake-up (deliveries may be future-dated: shared-FU
-        results, ``getvt`` answers).  An entry for a TCU that is awake
-        by then is stale and ignored."""
-        wakes = self.cluster.wakes
+        """Book a wake-up on the cluster bank's heap (deliveries may be
+        future-dated: shared-FU results, ``getvt`` answers).  An entry
+        for a TCU that is awake by then is stale and ignored."""
+        wakes = self.bank.wakes
         if not wakes or time < wakes[0][0]:  # (else an edge is booked)
             self.domain.arm(time)
-        heapq.heappush(wakes, (time, self.local_id))
+        heapq.heappush(wakes, (time, self.tcu_id))
 
     def _try_issue_fu(self, fu: str, now: int, latency: int) -> bool:
         return self.cluster.try_issue_fu(fu, now, latency)
@@ -945,12 +948,6 @@ class TCU(ProcessorBase):
         self._pf_waiters.clear()
         self._pf_cancelled.clear()
 
-    def _apply_mem_issue(self, now, pkg, u) -> None:
-        super()._apply_mem_issue(now, pkg, u)
-        if self._blocking_loads and pkg.kind in (P.LOAD, P.RO_FILL, P.PSM):
-            # lightweight in-order core: stall until the reply returns
-            self.wait_load = True
-
     def describe_state(self) -> dict:
         d = super().describe_state()
         d["state"] = ("running", "draining", "parked")[self.park_state]
@@ -959,7 +956,7 @@ class TCU(ProcessorBase):
 
     def _issue_getvt(self, now: int, u: Instruction) -> None:
         self._count_issue(u)
-        pkg = P.Package(P.GETVT, self.tcu_id, self.cluster_id(), rd=u.rd,
+        pkg = P.Package(P.GETVT, self.tcu_id, self.cluster_id, rd=u.rd,
                         issue_time=now)
         self.machine.spawn_unit.in_queue.push(now, pkg)
         if u.rd != REG_ZERO:

@@ -28,6 +28,7 @@ import pytest
 from repro.sim.config import chip1024, fpga64
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.machine import Simulator
+from repro.sim.tcu import TCU
 from repro.workloads import microbench as MB
 from repro.workloads import programs as W
 from repro.xmtc.compiler import compile_source
@@ -110,6 +111,38 @@ def test_host_work_per_layer(name):
         pytest.skip(f"no host-work golden for Python {PYTHON}; regenerate "
                     "with `PYTHONPATH=src python tests/test_hostwork.py`")
     assert hostwork(RUNS[name]) == golden[PYTHON][name]
+
+
+def test_host_work_golden_sees_one_more_call_per_tcu_tick(monkeypatch):
+    """The golden bites: a ``TCU.tick`` that makes one more call into
+    ``sim/tcu`` per tick moves the count by exactly the ticks made."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    if PYTHON not in golden:
+        pytest.skip(f"no host-work golden for Python {PYTHON}")
+    ticks = [0]
+    tick = TCU.tick
+
+    def tick_and_call(self, cycle):
+        ticks[0] += 1
+        self._period()
+        return tick(self, cycle)
+
+    monkeypatch.setattr(TCU, "tick", tick_and_call)
+
+    def make():
+        run = RUNS["memory_fpga64"]()
+
+        def counted():  # only the counted (second) run's ticks
+            ticks[0] = 0
+            return run()
+        return counted
+
+    row = hostwork(make)
+    want = golden[PYTHON]["memory_fpga64"]
+    assert row != want
+    assert ticks[0] > 0
+    assert row["calls"]["sim/tcu"] - want["calls"]["sim/tcu"] == ticks[0]
 
 
 if __name__ == "__main__":
