@@ -293,7 +293,7 @@ class BlockTable(dict):
     """``pc -> Block`` (``False`` where no block starts), filled in on
     demand: looking up a PC for the first time forms its block."""
 
-    __slots__ = ("uops", "memory", "closers", "spans")
+    __slots__ = ("uops", "memory", "closers", "spans", "_starts")
 
     def __init__(self, uops: List[Instruction], branches: bool, memory: bool):
         super().__init__()
@@ -307,6 +307,7 @@ class BlockTable(dict):
                         if branches else (OP_JUMP,))
         #: per PC, the ``spawn`` whose region body holds it (-1: serial)
         self.spans: List[int] = []
+        self._starts: Optional[RunStarts] = None
         span = -1
         for i, u in enumerate(uops):
             if u.code == OP_JOIN:
@@ -319,6 +320,14 @@ class BlockTable(dict):
         uops = self._follow(pc, _translatable() if self.memory else _fusable)
         block = self[pc] = Block(uops, pc) if uops else False
         return block
+
+    def run_starts(self, run_min: int) -> "RunStarts":
+        """The (initially empty) table of the blocks a chain of
+        ``run_min`` ops or more may start at, shared like this one."""
+        starts = self._starts
+        if starts is None or starts.run_min != run_min:
+            starts = self._starts = RunStarts(self, run_min)
+        return starts
 
     def _follow(self, pc: int, admits: Callable[[Instruction], bool]
                 ) -> List[Instruction]:
@@ -345,6 +354,32 @@ class BlockTable(dict):
                     or any(op.index == target for op in ops)):
                 return ops
             end = target
+
+
+class RunStarts(dict):
+    """``pc -> Block`` where a chain of ``run_min`` ops or more may start
+    (``False`` elsewhere), filled in on demand.  A block of ``run_min``
+    ops or more may; a shorter one only if it is closed by a branch or
+    ``j`` whose target starts a block (the chain might go on there) --
+    a fact of the block, so the cycle machine asks it once per PC, not
+    on every tick there."""
+
+    __slots__ = ("blocks", "run_min")
+
+    def __init__(self, blocks: BlockTable, run_min: int):
+        super().__init__()
+        self.blocks = blocks
+        self.run_min = run_min
+
+    def __missing__(self, pc: int):
+        blocks = self.blocks
+        block = blocks[pc]
+        if block and block.n < self.run_min:
+            target = block.uops[-1].target
+            if target < 0 or not blocks[target]:
+                block = False
+        self[pc] = block
+        return block
 
 
 class DecodedProgram:

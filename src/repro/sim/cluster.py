@@ -36,6 +36,11 @@ class Cluster:
         self._mdu_issued_at = -1
         self._fpu_busy_until = -1
         self._mdu_busy_until = -1
+        #: per shared unit, the ``local_id`` of every TCU asleep until
+        #: it frees, in ``local_id`` order: the first is the one the
+        #: release edge would let win, so only it is woken there
+        #: (:meth:`TCU._lost_fu`, :meth:`TCU._won_fu`)
+        self.fu_waiters = {FU_FPU: [], FU_MDU: []}
         self.fpu_ops = 0
         self.mdu_ops = 0
         self._counters = machine.stats.counters

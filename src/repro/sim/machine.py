@@ -37,7 +37,7 @@ from repro.sim.mtcu import MasterTCU
 from repro.sim.psunit import PrefixSumUnit
 from repro.sim.spawn_unit import SpawnUnit
 from repro.sim.stats import Stats
-from repro.sim.tcu import RUN_KEY
+from repro.sim.tcu import RUN_KEY, RUN_MIN
 
 _TCU_ID = attrgetter("tcu_id")
 
@@ -335,6 +335,9 @@ class Machine:
         #: op costs more than one issue slot (then nothing is a block)
         self.blocks = (self.decoded.blocks(cfg.branch_latency == 1)
                        if cfg.alu_latency == 1 else None)
+        #: the blocks a run may start at (the rest are only chained into)
+        self.run_starts = (self.blocks.run_starts(RUN_MIN)
+                           if self.blocks is not None else None)
 
     def __getstate__(self):
         """What a checkpoint holds: everything but what only a live
@@ -347,7 +350,7 @@ class Machine:
         state.update(obs=None, activity_plugins=[])
         # the decode holds generated functions, and is derived state:
         # ``load_bytes`` rebuilds it from the program
-        state.update(decoded=None, blocks=None)
+        state.update(decoded=None, blocks=None, run_starts=None)
         return state
 
     def _build_domains(self) -> None:

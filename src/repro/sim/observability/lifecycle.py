@@ -21,7 +21,9 @@ methods below are named after the probes it hears.
 **Cycle accounting** (:class:`CycleAccountant`): attributes every
 processor cycle to a stall taxonomy --
 
-- ``retiring``        -- the issue slot retired an instruction
+- ``retiring``        -- the issue slot retired an instruction (read
+  off the processor's ``instructions_issued``, not heard per
+  instruction: the accountant keeps nobody out of runs)
 - ``frontend``        -- multi-cycle latency bubbles
 - ``scoreboard_raw``  -- RAW on an in-core result (no memory in flight)
 - ``fu_busy``         -- shared FU arbitration loss
@@ -31,6 +33,10 @@ processor cycle to a stall taxonomy --
   ``unknown`` without one)
 - ``sync_join.*``     -- drain before join (observed), parked TCUs and
   the master's wait-at-join (derived at export)
+
+Both cost per request, not per instruction: the recorder folds a reply
+in one pass into value tallies, and the accountant hears only
+``stalled`` (one ranged call per sleep) and ``spawn_ended``.
 
 Every ticking processor attributes exactly one cycle per cycle, so the
 exported tree is exhaustive and exclusive: attributed + derived idle
@@ -95,6 +101,27 @@ HOP_LAYER = {
 _OUTCOME_STAGE = {"hit": ST_CACHE_HIT, "miss": ST_CACHE_MISS,
                   "mshr": ST_CACHE_MSHR}
 
+#: the hop histograms, in the order :meth:`FlightRecorder.replied`
+#: unpacks their tallies
+_HOPS = ("issue_wait", "sq_wait", "icn_send", "cache_wait", "dram_wait",
+         "dram_service", "mshr_wait", "cache_service", "ret_wait",
+         "icn_return", "total")
+
+
+def _sample(entry) -> Dict[str, Any]:
+    """One kept lifecycle as the reservoir and the stream give it."""
+    (seq, kind, tcu, addr, module, outcome, issue_c, reply_c, rec,
+     hops) = entry
+    return {
+        "seq": seq, "kind": kind, "tcu": tcu, "addr": addr,
+        "module": module, "outcome": outcome,
+        "issue_cycle": issue_c, "reply_cycle": reply_c,
+        "latency": reply_c - issue_c,
+        "hops": {name: v for name, v in zip(_HOPS, hops) if v is not None},
+        "depths": {STAGE_NAMES[stage]: depth
+                   for stage, _t, depth in rec[:-1]},
+    }
+
 
 class FlightRecorder:
     """Per-hop lifecycle tracking for memory packages.
@@ -119,14 +146,18 @@ class FlightRecorder:
         self._period = 1
         self._stream = stream
         self._owns_stream = False
-        # aggregates (bounded)
-        self.hops: Dict[str, Histogram] = {}
+        # aggregates (bounded); a hop never observed is not exported
+        self.hops: Dict[str, Histogram] = {
+            name: Histogram() for name in _HOPS}
+        self._tallies = tuple(self.hops[name].tally for name in _HOPS)
         self.module_wait: Dict[int, List[int]] = {}   # module -> [count, cyc]
         self.port_wait: Dict[int, List[int]] = {}     # cluster -> [count, cyc]
         self.completed = 0
         self.sampled = 0
         self.dropped = 0          # records missing their initial stage
-        self.reservoir: List[Dict[str, Any]] = []
+        #: the reservoir's lifecycles: as :meth:`replied` keeps them (a
+        #: tuple), or as :attr:`reservoir` has built them since (a dict)
+        self._kept: List[Any] = []
         self._rng = 0x2545F491
         # transient in-flight state (bounded by outstanding requests)
         self._outstanding: Dict[int, List[list]] = {}
@@ -222,7 +253,10 @@ class FlightRecorder:
         """The response reached its TCU: decompose and retire the
         record.  Tolerates partial records (recorder attached mid-run,
         checkpoint restores): missing boundaries drop the affected hop,
-        never raise."""
+        never raise.  One pass: the stamps land in one slot per stage,
+        the hops are locals, each counted by one increment on its
+        histogram's tally; a sample the reservoir keeps is a tuple,
+        whose dicts are built when it is read (the stream's at once)."""
         rec = pkg.rec
         if rec is None:
             return
@@ -230,105 +264,133 @@ class FlightRecorder:
         period = self._period
         # hop boundaries in whole cycles: differences of floored cycle
         # numbers telescope exactly to the end-to-end latency
-        cyc = {stage: t // period for stage, t, _depth in rec}
+        cyc = [None] * ST_DONE
+        for stage, t, _depth in rec:
+            cyc[stage] = t // period
         # retired, yet still what ticks up to now were waiting for (a
         # sleeper's are heard later): the processor's next send prunes it
         rec.append((ST_DONE, now, 0))
-        if ST_SQ not in cyc:
+        sq, send, cache_q, hit, miss, mshr, acc, fill, out_q, ret = cyc
+        if sq is None:
             self.dropped += 1
             return
+        (t_issue, t_sq, t_icn, t_cache, t_dram, t_dram_service, t_mshr,
+         t_service, t_ret, t_return, t_total) = self._tallies
         issue_c = pkg.issue_time // period
         reply_c = now // period
-        cdeq = (ST_CACHE_HIT if ST_CACHE_HIT in cyc else
-                ST_CACHE_MISS if ST_CACHE_MISS in cyc else
-                ST_CACHE_MSHR if ST_CACHE_MSHR in cyc else None)
-        outcome = STAGE_NAMES[cdeq] if cdeq is not None else "?"
-        hops: Dict[str, int] = {"issue_wait": cyc[ST_SQ] - issue_c}
-        if ST_ICN_SEND in cyc:
-            hops["sq_wait"] = cyc[ST_ICN_SEND] - cyc[ST_SQ]
-        if ST_CACHE_Q in cyc and ST_ICN_SEND in cyc:
-            hops["icn_send"] = cyc[ST_CACHE_Q] - cyc[ST_ICN_SEND]
-        if cdeq is not None and ST_CACHE_Q in cyc:
-            hops["cache_wait"] = cyc[cdeq] - cyc[ST_CACHE_Q]
-        if ST_DRAM_ACC in cyc and cdeq == ST_CACHE_MISS:
-            hops["dram_wait"] = cyc[ST_DRAM_ACC] - cyc[cdeq]
-            if ST_FILL in cyc:
-                hops["dram_service"] = cyc[ST_FILL] - cyc[ST_DRAM_ACC]
-        elif cdeq == ST_CACHE_MSHR and ST_FILL in cyc:
-            hops["mshr_wait"] = cyc[ST_FILL] - cyc[cdeq]
-        if ST_OUT_Q in cyc:
-            served_from = cyc.get(ST_FILL, cyc.get(cdeq, cyc[ST_SQ]))
-            hops["cache_service"] = cyc[ST_OUT_Q] - served_from
-            if ST_ICN_RET in cyc:
-                hops["ret_wait"] = cyc[ST_ICN_RET] - cyc[ST_OUT_Q]
-                hops["icn_return"] = reply_c - cyc[ST_ICN_RET]
+        issue_wait = sq - issue_c
+        t_issue[issue_wait] = t_issue.get(issue_wait, 0) + 1
+        sq_wait = icn_send = cache_wait = dram_wait = dram_service = None
+        mshr_wait = None
+        # a queue wait also goes to its layer's buffer for the live
+        # telemetry interval (capped)
+        interval = self._interval
+        cap = self._interval_cap
+        if send is not None:
+            sq_wait = send - sq
+            t_sq[sq_wait] = t_sq.get(sq_wait, 0) + 1
+            buf = interval["cluster"]
+            if len(buf) < cap:
+                buf.append(sq_wait)
+            if cache_q is not None:
+                icn_send = cache_q - send
+                t_icn[icn_send] = t_icn.get(icn_send, 0) + 1
+                buf = interval["icn"]
+                if len(buf) < cap:
+                    buf.append(icn_send)
+        deq = (hit if hit is not None else miss if miss is not None
+               else mshr)
+        if deq is not None and cache_q is not None:
+            cache_wait = deq - cache_q
+            t_cache[cache_wait] = t_cache.get(cache_wait, 0) + 1
+            buf = interval["cache"]
+            if len(buf) < cap:
+                buf.append(cache_wait)
+        if hit is None and miss is not None:
+            if acc is not None:
+                dram_wait = acc - miss
+                t_dram[dram_wait] = t_dram.get(dram_wait, 0) + 1
+                buf = interval["dram"]
+                if len(buf) < cap:
+                    buf.append(dram_wait)
+                if fill is not None:
+                    dram_service = fill - acc
+                    t_dram_service[dram_service] = \
+                        t_dram_service.get(dram_service, 0) + 1
+        elif hit is None and mshr is not None and fill is not None:
+            mshr_wait = fill - mshr
+            t_mshr[mshr_wait] = t_mshr.get(mshr_wait, 0) + 1
+            buf = interval["dram"]
+            if len(buf) < cap:
+                buf.append(mshr_wait)
+        cache_service = ret_wait = icn_return = None
+        if out_q is not None:
+            cache_service = out_q - (fill if fill is not None else
+                                     deq if deq is not None else sq)
+            t_service[cache_service] = t_service.get(cache_service, 0) + 1
+            if ret is not None:
+                ret_wait = ret - out_q
+                t_ret[ret_wait] = t_ret.get(ret_wait, 0) + 1
+                buf = interval["return"]
+                if len(buf) < cap:
+                    buf.append(ret_wait)
+                icn_return = reply_c - ret
+                t_return[icn_return] = t_return.get(icn_return, 0) + 1
         total = reply_c - issue_c
-        hop_hists = self.hops
-        for name, v in hops.items():
-            h = hop_hists.get(name)
-            if h is None:
-                h = hop_hists[name] = Histogram()
-            h.observe(v)
-        h = hop_hists.get("total")
-        if h is None:
-            h = hop_hists["total"] = Histogram()
-        h.observe(total)
+        t_total[total] = t_total.get(total, 0) + 1
         # contention totals: which cache module / ICN send port soaked
         # up the waiting
-        if pkg.module >= 0 and "cache_wait" in hops:
+        if cache_wait is not None and pkg.module >= 0:
             cell = self.module_wait.get(pkg.module)
             if cell is None:
                 cell = self.module_wait[pkg.module] = [0, 0]
             cell[0] += 1
-            cell[1] += hops["cache_wait"] + hops.get("dram_wait", 0)
-        if "sq_wait" in hops:
+            cell[1] += cache_wait + (dram_wait or 0)
+        if sq_wait is not None:
             port = pkg.cluster_id if pkg.tcu_id >= 0 else -1
             cell = self.port_wait.get(port)
             if cell is None:
                 cell = self.port_wait[port] = [0, 0]
             cell[0] += 1
-            cell[1] += hops["sq_wait"]
-        # per-layer queue-wait buffers for the live telemetry interval
-        interval = self._interval
-        cap = self._interval_cap
-        for name, layer in (("sq_wait", "cluster"), ("icn_send", "icn"),
-                            ("cache_wait", "cache"),
-                            ("ret_wait", "return")):
-            v = hops.get(name)
-            if v is not None and len(interval[layer]) < cap:
-                interval[layer].append(v)
-        v = hops.get("dram_wait", hops.get("mshr_wait"))
-        if v is not None and len(interval["dram"]) < cap:
-            interval["dram"].append(v)
+            cell[1] += sq_wait
         self.completed += 1
         if self.completed % self.sample_every:
             return
         self.sampled += 1
-        reservoir = self.reservoir
-        slot = len(reservoir)
+        kept = self._kept
+        slot = len(kept)
         if slot == self.capacity:  # full: the LCG picks who is replaced
             self._rng = (self._rng * 1103515245 + 12345) & 0x7FFFFFFF
             slot = self._rng % self.sampled
         stream = self._stream
         if slot >= self.capacity and stream is None:
-            return  # nobody keeps this one: do not build it
-        sample = {
-            "seq": pkg.seq, "kind": pkg.kind, "tcu": pkg.tcu_id,
-            "addr": pkg.addr, "module": pkg.module, "outcome": outcome,
-            "issue_cycle": issue_c, "reply_cycle": reply_c,
-            "latency": total, "hops": hops,
-            "depths": {STAGE_NAMES[stage]: depth
-                       for stage, _t, depth in rec[:-1]},
-        }
-        if slot < len(reservoir):
-            reservoir[slot] = sample
+            return  # nobody keeps this one
+        entry = (pkg.seq, pkg.kind, pkg.tcu_id, pkg.addr, pkg.module,
+                 ("hit" if hit is not None else "miss" if miss is not None
+                  else "mshr" if mshr is not None else "?"),
+                 issue_c, reply_c, rec,
+                 (issue_wait, sq_wait, icn_send, cache_wait, dram_wait,
+                  dram_service, mshr_wait, cache_service, ret_wait,
+                  icn_return))
+        if slot < len(kept):
+            kept[slot] = entry
         elif slot < self.capacity:
-            reservoir.append(sample)
+            kept.append(entry)
         if stream is not None:
-            sample = dict(sample)
+            sample = _sample(entry)
             sample["schema"] = schema_of("lifecycle-stream")
             json.dump(sample, stream, separators=(",", ":"))
             stream.write("\n")
+
+    @property
+    def reservoir(self) -> List[Dict[str, Any]]:
+        """The kept lifecycles, one dict each, in slot order (each built
+        in its slot when first read: an export does not hold both)."""
+        kept = self._kept
+        for slot, entry in enumerate(kept):
+            if type(entry) is tuple:
+                kept[slot] = _sample(entry)
+        return list(kept)
 
     # -- queries -------------------------------------------------------------
 
@@ -344,19 +406,23 @@ class FlightRecorder:
         That makes the answer a function of the arguments alone, the
         same asked on the tick or any time later.  (Stamps are in time
         order; the one retro-dated, ``ST_DRAM_ACC``, names its
-        predecessor's layer.)"""
+        predecessor's layer and is followed by the later ``ST_FILL``, so
+        a record's last stamp is its latest: a record stamped wholly
+        before the span is answered from that stamp alone.)"""
         out = []
         for rec in self._outstanding.get(tcu_id, ()):
-            seen = None  # the last stage stamped before the tick at ``time``
-            for stage, at, _depth in rec:
-                if at >= time:  # ticks up to ``at`` do not see this stamp
-                    k = (at - time) // period + 1
-                    if k >= n:
-                        break
-                    out.append((_LAYER_OF.get(seen, "unknown"), k))
-                    n -= k
-                    time += k * period
-                seen = stage
+            seen, at, _depth = rec[-1]  # (the latest stamp: see above)
+            if at >= time:  # some stamp is made during the span: walk it
+                seen = None  # the last stage stamped before the tick
+                for stage, at, _depth in rec:
+                    if at >= time:  # ticks up to ``at`` do not see it
+                        k = (at - time) // period + 1
+                        if k >= n:
+                            break
+                        out.append((_LAYER_OF.get(seen, "unknown"), k))
+                        n -= k
+                        time += k * period
+                    seen = stage
             if seen != ST_DONE:  # still in flight: the answer from here on
                 break
         else:  # (every record was retired before ``time``)
@@ -404,10 +470,10 @@ class FlightRecorder:
             "capacity": self.capacity,
             "sample_every": self.sample_every,
             "hops": {name: h.to_dict()
-                     for name, h in sorted(self.hops.items())},
+                     for name, h in sorted(self.hops.items()) if h.tally},
             "hot_modules": self._hot(self.module_wait, "module"),
             "hot_ports": self._hot(self.port_wait, "cluster"),
-            "samples": list(self.reservoir),
+            "samples": self.reservoir,
         }
 
 
@@ -431,9 +497,25 @@ _CAUSE_STATIC = {
 }
 
 
+def _processors(machine) -> list:
+    """The Master and the TCUs; none yet while ``Machine.__init__``
+    attaches its observers (they start at zero instructions)."""
+    master = getattr(machine, "master", None)
+    return [] if master is None else [master, *machine.tcus]
+
+
 class CycleAccountant:
     """One cell per ``(processor, spawn_region, category)``; a consumer
-    of the ``issued``/``stalled`` probes."""
+    of the ``stalled`` and ``spawn_ended`` probes.
+
+    Retirements are not heard one by one: a processor's ``retiring``
+    cell is the growth of its ``instructions_issued`` counter, taken
+    from a baseline read when the accountant is attached and *folded*
+    under the processor's spawn region -- the TCUs at ``spawn_ended``
+    (every TCU is parked then, so its counter is exact, and its region
+    is the one ending), every processor before
+    :func:`export_accounting` reads :attr:`cells`.  So the accountant
+    does not keep anyone out of runs (DESIGN 1.2 invariant 4)."""
 
     def __init__(self):
         #: (tcu_id, spawn_index, category) -> cycles; spawn_index -1 is
@@ -442,16 +524,40 @@ class CycleAccountant:
         #: the flight recorder subscribed next to us, if any: it knows
         #: which layer a stalled TCU's oldest request is in
         self.recorder = None
+        self._machine = None
+        #: tcu_id -> the ``instructions_issued`` already in ``cells``
+        self._folded: Dict[int, int] = {}
 
     def attached(self, machine) -> None:
+        if self._machine is not None:
+            self._fold(self._machine)  # what the machine we leave retired
+        self._machine = machine
         self.recorder = machine.obs.lifecycle
+        self._folded = {proc.tcu_id: proc.instructions_issued
+                        for proc in _processors(machine)}
 
-    def issued(self, proc, uop) -> None:
-        region = proc.region
-        key = (proc.tcu_id,
-               -1 if region is None else region.spawn_index, CAT_RETIRING)
+    def _fold(self, machine) -> None:
+        """Move every processor's retirements since the last fold into
+        its ``retiring`` cell under its current region."""
+        machine.settle()  # a processor inside a run has not counted it yet
+        self._fold_procs(_processors(machine))
+
+    def _fold_procs(self, procs) -> None:
         cells = self.cells
-        cells[key] = cells.get(key, 0) + 1
+        folded = self._folded
+        for proc in procs:
+            issued = proc.instructions_issued
+            pid = proc.tcu_id
+            done = folded.get(pid, 0)
+            if issued != done:
+                folded[pid] = issued
+                region = proc.region
+                key = (pid, -1 if region is None else region.spawn_index,
+                       CAT_RETIRING)
+                cells[key] = cells.get(key, 0) + issued - done
+
+    def spawn_ended(self, region, now: int) -> None:
+        self._fold_procs(self._machine.tcus)
 
     def stalled(self, proc, cause: str, first: int, last: int) -> None:
         cells = self.cells
@@ -505,6 +611,7 @@ def export_accounting(machine, accountant: CycleAccountant,
     ``exact`` flag asserts the exhaustive-and-exclusive invariant:
     attributed + derived == cycles x n_processors.
     """
+    accountant._fold(machine)
     period = machine.config.cluster_period
     if cycles is None:
         cycles = machine.halt_time // period

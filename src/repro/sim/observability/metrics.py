@@ -30,36 +30,56 @@ class Histogram:
     """Bucketed distribution with count/sum/min/max.
 
     ``bounds`` are inclusive upper bucket edges; one implicit overflow
-    bucket catches everything beyond the last edge.
+    bucket catches everything beyond the last edge.  An observation is
+    one increment on a value -> count ``tally`` (the hot probes bump it
+    in place); the buckets, ``count``, ``sum``, ``min`` and ``max`` are
+    derived from it when read, so memory is bounded by the number of
+    distinct values observed (latencies in cycles: a few hundred).
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
+    __slots__ = ("bounds", "tally")
 
     def __init__(self, bounds=DEFAULT_BOUNDS):
         if list(bounds) != sorted(bounds) or not bounds:
             raise ValueError("histogram bounds must be non-empty and sorted")
         self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+        self.tally: Dict[Any, int] = {}
 
     def observe(self, value) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        tally = self.tally
+        tally[value] = tally.get(value, 0) + 1
+
+    @property
+    def counts(self) -> List[int]:
+        bounds = self.bounds
+        counts = [0] * (len(bounds) + 1)
+        for value, n in self.tally.items():
+            counts[bisect_left(bounds, value)] += n
+        return counts
+
+    @property
+    def count(self) -> int:
+        return sum(self.tally.values())
+
+    @property
+    def sum(self):
+        return sum(value * n for value, n in self.tally.items())
+
+    @property
+    def min(self):
+        return min(self.tally) if self.tally else None
+
+    @property
+    def max(self):
+        return max(self.tally) if self.tally else None
 
     @property
     def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
+        count = self.count
+        return self.sum / count if count else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"bounds": list(self.bounds), "counts": list(self.counts),
+        return {"bounds": list(self.bounds), "counts": self.counts,
                 "count": self.count, "sum": self.sum,
                 "min": self.min, "max": self.max,
                 "mean": round(self.mean, 3)}
@@ -132,11 +152,11 @@ class MetricsRegistry:
         #: what a probe updates, resolved by name on its first event
         #: (the gauges and histograms are still made then, not before):
         #: the ICN's two gauges, and per cache module, DRAM port or reply
-        #: module (-1: none) its gauges or latency histograms
+        #: module (-1: none) its gauges or its latency histograms' tallies
         self._icn: Optional[Tuple[Gauge, Gauge]] = None
         self._cache: Dict[int, Tuple[Gauge, Gauge]] = {}
         self._dram: Dict[int, Tuple[Gauge, Gauge]] = {}
-        self._latency: Dict[int, Tuple[Histogram, ...]] = {}
+        self._latency: Dict[int, Tuple[Dict[int, int], ...]] = {}
 
     # -- accessors (get-or-create) ------------------------------------------
 
@@ -188,14 +208,14 @@ class MetricsRegistry:
 
     def replied(self, pkg, now: int) -> None:
         latency_cycles = (now - pkg.issue_time) // self._period
-        histograms = self._latency.get(pkg.module)
-        if histograms is None:
-            histograms = self._latency[pkg.module] = (
-                self.histogram("mem.latency.all"),
-                *([self.histogram("mem.latency.m%02d" % pkg.module)]
+        tallies = self._latency.get(pkg.module)
+        if tallies is None:
+            tallies = self._latency[pkg.module] = (
+                self.histogram("mem.latency.all").tally,
+                *([self.histogram("mem.latency.m%02d" % pkg.module).tally]
                   if pkg.module >= 0 else []))
-        for histogram in histograms:
-            histogram.observe(latency_cycles)
+        for tally in tallies:
+            tally[latency_cycles] = tally.get(latency_cycles, 0) + 1
 
     def spawn_began(self, region, now: int, n_threads: int) -> None:
         self._spawn_begin[region.spawn_index] = now

@@ -22,6 +22,7 @@ mode.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -384,7 +385,7 @@ class ProcessorBase:
         u = self._check_fetch(pc)
         machine = self.machine
         if machine.runs_ok:
-            block = machine.blocks[pc]
+            block = machine.run_starts[pc]
             if block and self._enter_run(block, cycle):
                 return RUN_KEY
         if not self._sources_ready(u):
@@ -392,7 +393,8 @@ class ProcessorBase:
         return self._handlers[u.code](self, now, u)
 
     def _enter_run(self, block, cycle: int) -> bool:
-        """Chain the blocks from ``block``, the one at the PC, on: each
+        """Chain the blocks from ``block``, the one at the PC (where
+        ``machine.run_starts`` says a run may start), on: each
         is executed now, on a copy of the register file (``core.regs``
         never runs ahead of the settled cycle), and says where the next
         one starts -- through taken and untaken branches and ``j`` --
@@ -405,10 +407,6 @@ class ProcessorBase:
         them unattended and True is returned."""
         blocks = self.machine.blocks
         pc = at = block.pc
-        if block.n < RUN_MIN:  # too short alone: does it lead anywhere?
-            target = block.uops[-1].target
-            if target < 0 or not blocks[target]:
-                return False
         unready = self.pending_regs
         start, join = self._region_start, self._region_join
         regs = self.core.regs[:]
@@ -878,9 +876,11 @@ class TCU(ProcessorBase):
     def _lost_fu(self, now: int, fu: str) -> Optional[str]:
         """Count a lost arbitration for ``fu``.  Until a non-pipelined
         unit frees, every tick could only lose again: if that is after
-        the next edge, book a wake-up there and sleep on the stall (on
-        the release edge every waiter re-arbitrates in ``local_id``
-        order, as if all had been ticked)."""
+        the next edge, join the unit's waiters and sleep on the stall.
+        The release edge lets the waiter of lowest ``local_id`` win (the
+        rest would lose again), so only that one, the head, books a
+        wake-up there; a head that wins wakes the next
+        (:meth:`_won_fu`)."""
         self._counters[self._k_fu] += 1
         obs = self.machine.obs
         if obs is not None:
@@ -889,9 +889,25 @@ class TCU(ProcessorBase):
         cluster = self.cluster
         free = cluster.fu_free_at(fu)
         if free > now + cluster.domain.period:
-            self.wake_at(free)
+            waiters = cluster.fu_waiters[fu]
+            local = self.local_id
+            if local not in waiters:
+                insort(waiters, local)
+            if waiters[0] == local:
+                self.wake_at(free)
             return self._k_fu
         return None
+
+    def _won_fu(self, waiters: List[int], free: int) -> None:
+        """Won the unit whose waiters are ``waiters``: leave them, and
+        if this was their head, wake the next one at ``free``, the
+        unit's new release."""
+        local = self.local_id
+        if local in waiters:
+            head = waiters[0] == local
+            waiters.remove(local)
+            if head and waiters:
+                self.cluster.tcus[waiters[0]].wake_at(free)
 
     def _h_alu_shared(self, now: int, u: Instruction) -> Optional[str]:
         # contention-heavy: most attempts lose the arbitration, so the
@@ -909,9 +925,13 @@ class TCU(ProcessorBase):
         rd = u.rd
         if rd != REG_ZERO:
             self.pending_regs.add(rd)
-        self.deliver(now + latency * self.cluster.domain.period,
-                     ("reg", rd, value))
+        cluster = self.cluster
+        done = now + latency * cluster.domain.period
+        self.deliver(done, ("reg", rd, value))
         self.core.pc += 1
+        waiters = cluster.fu_waiters[u.fu]
+        if waiters:
+            self._won_fu(waiters, done)
 
     def _h_unary_shared(self, now: int, u: Instruction) -> Optional[str]:
         latency = self._mdu_latency if u.fu == FU_MDU else self._fpu_latency
@@ -925,9 +945,13 @@ class TCU(ProcessorBase):
         rd = u.rd
         if rd != REG_ZERO:
             self.pending_regs.add(rd)
-        self.deliver(now + latency * self.cluster.domain.period,
-                     ("reg", rd, value))
+        cluster = self.cluster
+        done = now + latency * cluster.domain.period
+        self.deliver(done, ("reg", rd, value))
         self.core.pc += 1
+        waiters = cluster.fu_waiters[u.fu]
+        if waiters:
+            self._won_fu(waiters, done)
 
     # -- region / virtual-thread life cycle -----------------------------------------
 
@@ -1130,7 +1154,7 @@ class TCU(ProcessorBase):
         if not self._region_start <= pc < self._region_join:
             self._check_escape(pc)
         if machine.runs_ok:
-            block = machine.blocks[pc]
+            block = machine.run_starts[pc]
             if block and self._enter_run(block, cycle):
                 return RUN_KEY
         u = machine.decoded.uops[pc]
