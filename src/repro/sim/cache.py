@@ -88,13 +88,6 @@ class CacheArray:
             entries.clear()
         return dirty
 
-    def cached_lines(self) -> List[int]:
-        """All resident line addresses, in deterministic set/LRU order."""
-        out: List[int] = []
-        for entries in filter(None, self._lines):
-            out.extend(entries.keys())
-        return out
-
     def occupancy(self) -> int:
         return sum(len(e) for e in filter(None, self._lines))
 
@@ -253,23 +246,6 @@ class CacheModule(Component):
             "pending_misses": sum(len(w) for w in
                                   self.pending_misses.values()),
         }
-
-    def corrupt_line(self, rng) -> Optional[Tuple[int, int]]:
-        """Fault-injection hook: flip one bit of one word of a resident
-        line (data lives in the functional memory -- the tag array only
-        selects *which* word a transient upset hits).  Returns
-        ``(word_addr, bit)`` or ``None`` if the module caches nothing.
-        """
-        lines = self.array.cached_lines()
-        if not lines:
-            return None
-        line = lines[rng.randrange(len(lines))]
-        word = rng.randrange(self.array.line_words)
-        addr = (line << self.array._line_shift) + 4 * word
-        bit = rng.randrange(32)
-        memory = self.machine.memory
-        memory.store(addr, memory.load(addr) ^ (1 << bit))
-        return addr, bit
 
 
 @register_backend("cache_layout", "hashed")

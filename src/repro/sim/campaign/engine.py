@@ -324,9 +324,10 @@ class CampaignEngine:
         directly (:meth:`Ledger.load_index` builds it first for a
         ledger that has none), so resume loads only the manifests it
         will actually cache-hit (O(requests), not O(runs)).  An entry
-        whose run is unreadable, or whose manifest reduces to another
-        fingerprint (a stale index line, an older ledger's injected
-        run), never produces a cache hit.
+        whose run is unreadable, whose manifest reduces to another
+        fingerprint (a stale index line), or whose run an older xmtsim
+        recorded with planted faults, never produces a cache hit --
+        under an old index or a rebuilt one.
         """
         index: Dict[str, RunRecord] = {}
         if self.ledger is None:
@@ -341,7 +342,11 @@ class CampaignEngine:
                 record = load_run(run_dir)
             except (OSError, ValueError):
                 continue
-            if fingerprint_of_manifest(record.manifest) != fingerprint:
+            manifest = record.manifest
+            if ("fault" in manifest
+                    or fingerprint_of_manifest(manifest) != fingerprint):
+                # a stale index line, or an older xmtsim's run with planted
+                # faults: without them it reduces to a clean request
                 continue
             index[fingerprint] = record
         return index

@@ -14,7 +14,7 @@ the same pickle).  What a snapshot leaves behind is said by the two
 objects that hold it: ``Machine.__getstate__`` (observation consumers,
 plug-ins, the decode) and ``Scheduler.__getstate__`` (the budget hook
 and every event whose actor declares ``checkpoint_transient = True``
--- plug-in samplers, injected faults).  Saving assigns nothing on the
+-- plug-in samplers).  Saving assigns nothing on the
 live machine; the resuming driver re-registers and re-arms what it
 wants on the restored one.
 

@@ -13,8 +13,8 @@ accept slot per cycle, so bank-level parallelism multiplies per-port
 bandwidth while the per-transaction latency stays the same.  Both are
 fabric backends (``@register_backend("dram", name)``) selected by
 ``XMTConfig.dram_backend``; the machine exposes whichever port list the
-backend built as ``machine.dram_ports`` so fault injection, telemetry
-and the power model keep reading one surface.
+backend built as ``machine.dram_ports`` so telemetry and the power
+model keep reading one surface.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class DRAMPort(Component):
         self.domain = None  # set by the machine
         self.reads = 0
         self.writes = 0
-        #: fault injection: the port ignores all traffic before this time
-        self.stall_until = 0
 
     def request(self, module, line: int, writeback: bool = False) -> None:
         """Enqueue a transaction (cache modules never see a full DRAM
@@ -85,8 +83,6 @@ class DRAMPort(Component):
 
     def tick(self, cycle: int) -> None:
         now = self.machine.scheduler.now
-        if now < self.stall_until:
-            return  # injected timeout: no completions, no accepts
         self._complete(now)
         # accept one transaction per cycle (bandwidth limit)
         if self.queue:
@@ -95,12 +91,10 @@ class DRAMPort(Component):
 
     def next_work(self, now: int) -> int:
         if self.queue_depth():
-            work = now
-        elif self._in_flight:
-            work = self._in_flight[0][0]
-        else:
-            return NEVER
-        return max(work, self.stall_until)
+            return now
+        if self._in_flight:
+            return self._in_flight[0][0]
+        return NEVER
 
     # -- resilience hooks ---------------------------------------------------
 
@@ -113,11 +107,6 @@ class DRAMPort(Component):
     def occupancy(self) -> dict:
         """Queue occupancy snapshot for diagnostic dumps."""
         return {"queued": len(self.queue), "in_flight": len(self._in_flight)}
-
-    def inject_stall(self, now: int, duration_ps: int) -> None:
-        """Fault-injection hook: the port times out -- ignores queued and
-        in-flight traffic -- until ``now + duration_ps``."""
-        self.stall_until = max(self.stall_until, now + duration_ps)
 
 
 class BankedDRAMPort(DRAMPort):
@@ -147,8 +136,6 @@ class BankedDRAMPort(DRAMPort):
 
     def tick(self, cycle: int) -> None:
         now = self.machine.scheduler.now
-        if now < self.stall_until:
-            return
         self._complete(now)
         # each bank owns an accept slot: bank-level parallelism
         for bank in self.banks:

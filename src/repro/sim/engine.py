@@ -120,9 +120,8 @@ class Scheduler:
         # ``Machine.run`` installs its own
         state["check_hook"] = None
         # transient events stay behind: plug-in samplers (may close over
-        # unpicklable policies, open sinks) and injected faults (a
-        # restored run must not replay the fault -- that is what makes
-        # transients transient); whoever resumes re-arms what it wants
+        # unpicklable policies, open sinks); whoever resumes re-arms
+        # what it wants
         keep = [e for e in self._heap
                 if not getattr(e.actor, "checkpoint_transient", False)]
         heapq.heapify(keep)

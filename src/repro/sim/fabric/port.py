@@ -58,11 +58,7 @@ class Component:
       is skipped; ``occupancy()`` for watchdog diagnostics and
       telemetry gauges;
     - ``hook_ports()``, once, after the component joined its clock
-      domain: set the ``on_push`` wake-ups of the ports it drains;
-    - the fault-injection hooks ``drop_in_flight`` /
-      ``duplicate_in_flight`` / ``delay_in_flight``, which a backend
-      without in-flight state may leave as the no-op defaults (the
-      campaign engine treats ``None`` as "site not applicable").
+      domain: set the ``on_push`` wake-ups of the ports it drains.
     """
 
     #: False = no clock of its own; ticks with the cluster domain
@@ -85,13 +81,3 @@ class Component:
     def occupancy(self) -> Dict[str, Any]:
         return {}
 
-    # -- fault-injection hooks (optional per backend) ------------------------
-
-    def drop_in_flight(self, rng):
-        return None
-
-    def duplicate_in_flight(self, rng):
-        return None
-
-    def delay_in_flight(self, rng, extra_ps: int):
-        return None

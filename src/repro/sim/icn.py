@@ -24,9 +24,8 @@ name)``) behind the same :class:`~repro.sim.fabric.Component` surface:
 
 All four share the injection/drain engine of :class:`Interconnect` and
 differ only in the arrival-time law (``_arrival``), which is exactly
-the seam the port abstraction promises: the observation probes, fault
-hooks and telemetry gauges live in the shared engine and hold for
-every backend.
+the seam the port abstraction promises: the observation probes and
+telemetry gauges live in the shared engine and hold for every backend.
 """
 
 from __future__ import annotations
@@ -210,39 +209,6 @@ class Interconnect(Component):
         """In-flight package counts for diagnostic dumps."""
         return {"in_flight_send": len(self._to_cache),
                 "in_flight_return": len(self._to_cluster)}
-
-    def drop_in_flight(self, rng) -> "P.Package | None":
-        """Fault-injection hook: lose one in-flight package.  Responses
-        are preferred -- a lost reply is the classic silent-hang fault.
-        Returns the dropped package, or None if the network is idle."""
-        for heap_ in (self._to_cluster, self._to_cache):
-            if heap_:
-                entry = heap_.pop(rng.randrange(len(heap_)))
-                heapq.heapify(heap_)
-                return entry[2]
-        return None
-
-    def duplicate_in_flight(self, rng) -> "P.Package | None":
-        """Fault-injection hook: re-deliver a copy of an in-flight
-        package one picosecond after the original."""
-        for heap_ in (self._to_cache, self._to_cluster):
-            if heap_:
-                arrival, _, pkg = heap_[rng.randrange(len(heap_))]
-                clone = pkg.clone()
-                heapq.heappush(heap_, (arrival + 1, clone.seq, clone))
-                return pkg
-        return None
-
-    def delay_in_flight(self, rng, extra_ps: int) -> "P.Package | None":
-        """Fault-injection hook: push one in-flight package's arrival
-        time out by ``extra_ps``."""
-        for heap_ in (self._to_cache, self._to_cluster):
-            if heap_:
-                arrival, seq, pkg = heap_.pop(rng.randrange(len(heap_)))
-                heapq.heapify(heap_)
-                heapq.heappush(heap_, (arrival + extra_ps, seq, pkg))
-                return pkg
-        return None
 
     def _arrival(self, now: int, pkg: P.Package, direction: str) -> int:
         """Arrival time of a package: ``depth`` cycles of the ICN clock.

@@ -294,7 +294,7 @@ class Machine:
         #: address -> cache-module placement backend
         self.cache_router = create_backend("cache_layout", cfg.cache_layout, self)
         #: DRAM subsystem backend; its port list is re-exposed as
-        #: ``dram_ports`` (fault injection / telemetry / power read it)
+        #: ``dram_ports`` (telemetry / power read it)
         self.dram = create_backend("dram", cfg.dram_backend, self)
         self.dram_ports = self.dram.ports
         self.send_ports = [c.send_queue for c in self.clusters] + [self.master.send_queue]

@@ -72,7 +72,9 @@ class MasterTCU(ProcessorBase):
         return True
 
     def _on_load_reply(self, pkg: P.Package) -> None:
-        if pkg in self._loads_in_flight:  # (not an ``icn.dup`` clone)
+        # RO_FILL and PSM replies arrive here too, but only a P.LOAD
+        # was appended when it was sent
+        if pkg in self._loads_in_flight:
             self._loads_in_flight.remove(pkg)
         self.cache.fill(pkg.addr)
 

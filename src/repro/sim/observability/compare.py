@@ -223,28 +223,17 @@ def diff_hops(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
 def _run(manifest: Dict[str, Any]) -> Dict[str, Any]:
     run = {"run_id": manifest.get("run_id"), "label": manifest.get("label"),
            "cycles": manifest["cycles"]}
-    run.update({key: manifest[key] for key in ("ended", "fault")
-                if manifest.get(key)})
+    if manifest.get("ended"):
+        run["ended"] = manifest["ended"]
     return run
 
 
 def run_marks(run: Dict[str, Any]) -> str:
-    """What sets a run apart from a completed clean one, as the text
-    after its name: `` [stalled]`` or `` [budget]`` for a run the
-    watchdog or a budget stopped (``ended``), `` [injected SPEC, ...]``
-    for one that ran with planted faults (``fault``); empty for a
-    completed clean run.  ``run`` is a manifest or a :func:`_run`."""
-    marks = [run["ended"]] if run.get("ended") else []
-    fault = run.get("fault")
-    if fault:
-        # a list of site@cycle:seed texts; an older ledger's campaign
-        # recorded one dict per run
-        specs = fault if isinstance(fault, list) else [fault]
-        marks.append("injected " + ", ".join(
-            spec if isinstance(spec, str)
-            else f"{spec['site']}@{spec['cycle']}:{spec.get('seed', 0)}"
-            for spec in specs))
-    return "".join(f" [{mark}]" for mark in marks)
+    """What sets a run apart from a completed one, as the text after
+    its name: `` [stalled]`` or `` [budget]`` for a run the watchdog or
+    a budget stopped (``ended``); empty for a completed run.  ``run`` is
+    a manifest or a :func:`_run`."""
+    return f" [{run['ended']}]" if run.get("ended") else ""
 
 
 def compare_runs(a: RunRecord, b: RunRecord,

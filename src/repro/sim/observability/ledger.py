@@ -11,8 +11,7 @@ exactly was simulated --
   on the fly),
 - the fully resolved :class:`~repro.sim.config.XMTConfig` as a dict and
   its content hash,
-- the seed (when a seeded component is involved), the faults an
-  ``xmtsim --inject`` run planted (``fault``), the repository git
+- the seed (when a seeded component is involved), the repository git
   revision, the toolchain version,
 - the outcome: cycle count, instruction count, host wall seconds
 
@@ -128,8 +127,8 @@ def build_manifest(program, config, *, cycles: int, instructions: int,
     ``inputs`` records global-memory initialisation (``--set`` values);
     it is part of the run identity because the assembly hash does not
     cover the data image.  ``extra`` merges additional identity fields
-    into the manifest (e.g. the fault spec of an injected run) -- both
-    are omitted when empty so pre-existing run ids stay stable.
+    into the manifest -- both are omitted when empty so pre-existing
+    run ids stay stable.
     """
     manifest: Dict[str, Any] = {
         "schema": schema_of("manifest"),
@@ -168,15 +167,12 @@ def manifest_run_id(manifest: Dict[str, Any]) -> str:
 def request_fingerprint(*, program_sha: str, source_sha: Optional[str],
                         config_sha: str, seed: Optional[int],
                         label: Optional[str],
-                        inputs: Dict[str, Any], fault: Any = None) -> str:
+                        inputs: Dict[str, Any]) -> str:
     """The dedup key both run requests and manifests reduce to.
 
     Unlike ``run_id`` it excludes the outcome (cycle counts), so it is
     computable *before* a run -- which is what campaign dedup/resume
-    needs.  ``fault`` (an injected run's manifest field) joins the
-    identity only when given, so an injected run never answers a clean
-    request and every clean fingerprint stays what it was.
-    Re-exported by :mod:`repro.sim.campaign.requests`.
+    needs.  Re-exported by :mod:`repro.sim.campaign.requests`.
     """
     identity = {
         "program_sha256": program_sha,
@@ -186,8 +182,6 @@ def request_fingerprint(*, program_sha: str, source_sha: Optional[str],
         "label": label or None,
         "inputs": inputs or {},
     }
-    if fault:
-        identity["fault"] = fault
     return sha256_text(canonical_json(identity))[:16]
 
 
@@ -200,8 +194,7 @@ def fingerprint_of_manifest(manifest: Dict[str, Any]) -> str:
         config_sha=manifest.get("config_sha256") or "",
         seed=manifest.get("seed"),
         label=manifest.get("label"),
-        inputs=manifest.get("inputs") or {},
-        fault=manifest.get("fault"))
+        inputs=manifest.get("inputs") or {})
 
 
 @dataclass
@@ -515,7 +508,6 @@ def instrumented_run(program, config, *,
                      wall_limit_s: Optional[float] = None,
                      max_events: Optional[int] = None,
                      inputs: Optional[Dict[str, Any]] = None,
-                     extra: Optional[Dict[str, Any]] = None,
                      telemetry=None, accounting: bool = False,
                      recorder=None, power=None, plugins=(),
                      trace=None) -> RunArtifacts:
@@ -621,7 +613,7 @@ def instrumented_run(program, config, *,
                     instructions=machine.stats.instruction_total(),
                     wall_seconds=time.perf_counter() - start, source=source,
                     program_path=program_path, seed=seed, label=label,
-                    inputs=inputs, extra=dict(extra or {}, ended=ended)))
+                    inputs=inputs, extra={"ended": ended}))
             raise
     finally:
         if telemetry is not None:
@@ -630,8 +622,7 @@ def instrumented_run(program, config, *,
             stream.close()
     artifacts = collect_artifacts(
         sim.machine, result, time.perf_counter() - start, source=source,
-        program_path=program_path, seed=seed, label=label, inputs=inputs,
-        extra=extra)
+        program_path=program_path, seed=seed, label=label, inputs=inputs)
     if power is not None:
         artifacts.extras["power"] = power_profile_payload(power)
     if out is not None:

@@ -58,20 +58,6 @@ class Package:
         #: queue_depth) stamps, or None when no recorder is armed
         self.rec = None
 
-    def clone(self) -> "Package":
-        """Duplicate this package under a fresh sequence number (the
-        fault-injection ``icn.dup`` site re-delivers the copy)."""
-        dup = Package(self.kind, self.tcu_id, self.cluster_id,
-                      addr=self.addr, value=self.value, rd=self.rd,
-                      issue_time=self.issue_time)
-        dup.reply = self.reply
-        dup.module = self.module
-        dup.performed = self.performed
-        dup.src_line = self.src_line
-        # rec stays None: the original owns the lifecycle record and a
-        # duplicate reply must not complete it twice
-        return dup
-
     @property
     def is_write(self) -> bool:
         return self.kind in (STORE, STORE_NB)

@@ -35,9 +35,9 @@ class ActivityPlugin(Actor):
     counters include what sleepers and runs have not yet credited),
     samples and books the next one.  It rides the non-perturbing
     ``PRIO_PLUGIN`` slot, so sampling never changes cycle counts.  A
-    plug-in that needs finer control than interval sampling (e.g. the
-    resilience layer's fault injector, which fires at exact simulated
-    times) overrides :meth:`on_start` to schedule its own events.
+    plug-in that needs finer control than interval sampling (one that
+    acts at exact simulated times) overrides :meth:`on_start` to
+    schedule its own events.
     """
 
     #: plug-ins may hold unpicklable state (policy closures, open

@@ -338,26 +338,6 @@ class ProcessorBase:
             "issued": self.instructions_issued,
         }
 
-    def inject_register_flip(self, reg: int, bit: int) -> Tuple[int, int]:
-        """Fault-injection hook: flip one bit of an architectural
-        register; returns ``(old, new)``.  Flipping ``$zero`` is a no-op
-        (the fault is architecturally masked)."""
-        # inside a run the ops issued so far are not executed yet: do
-        # that first, so the flip lands between the same two
-        # instructions as on a machine issuing them one by one
-        self.machine.settle()
-        if self.asleep_on == RUN_KEY:
-            # where the rest of the chain leads was computed from the
-            # registers as they were: the run ends here, and the next
-            # edge's tick enters another from the flipped state
-            self.run_end -= self.run_left
-            self.run_left = 0
-            self.wake_at(self._sched.now)
-        old = self.core.regs[reg]
-        new = old if reg == REG_ZERO else (old ^ (1 << bit)) & 0xFFFFFFFF
-        self.core.regs[reg] = new
-        return old, new
-
     # -- memory path --------------------------------------------------------------
 
     def _try_local_load(self, now: int, u: Instruction, addr: int) -> bool:
@@ -472,7 +452,7 @@ class ProcessorBase:
         it had been ticked on every edge so far.  All that is left of
         the chain: the registers computed at entry are installed.  A
         prefix -- the run was cut short by a delivery, a checkpoint, a
-        timeout, a fault, an ``issued`` listener -- is redone on the
+        timeout, an ``issued`` listener -- is redone on the
         real file: whole blocks through their functions, less than one
         through the one-instruction handlers.  The rest of that block is
         owed as the block formed where it starts if that is the rest --

@@ -80,12 +80,7 @@ from repro.sim.observability.artifacts import run_file
 from repro.sim.observability.ledger import OBSERVABLE
 from repro.sim.observability.telemetry import JsonlSink, TelemetrySampler
 from repro.sim.plugins import RaceSanitizer
-from repro.sim.resilience import (
-    FaultInjector,
-    SimulationBudgetExceeded,
-    SimulationStalled,
-    parse_fault_spec,
-)
+from repro.sim.resilience import SimulationBudgetExceeded, SimulationStalled
 from repro.sim.stats import Stats
 from repro.sim.trace import Trace
 from repro.toolchain.driver import apply_inputs, load_program
@@ -148,7 +143,7 @@ def _run(build_parser: Callable[[], argparse.ArgumentParser],
     """Parse, call the handler, turn rejected input into one stderr line.
 
     Every layer below reports input it cannot accept as ``OSError``,
-    ``ValueError`` (configurations, queue lines, schemas, fault specs)
+    ``ValueError`` (configurations, queue lines, schemas)
     or ``KeyError`` (unknown globals, run ids), so those are exit 2
     here, like an argument argparse rejects (``--help`` returns 0); a
     ``CompileError`` exits with the command's documented code.
@@ -679,7 +674,7 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
                                "manifest (shown by xmt-compare list)")
     resilience = parser.add_argument_group(
         "resilience (cycle mode)",
-        "watchdog, budgets and fault injection; exit codes: "
+        "watchdog and budgets; exit codes: "
         "3 = stalled/deadlocked, 4 = budget exceeded")
     resilience.add_argument("--watchdog", type=int, default=None,
                             metavar="CYCLES",
@@ -692,11 +687,6 @@ def _xmtsim_parser() -> argparse.ArgumentParser:
     resilience.add_argument("--event-budget", type=int, default=None,
                             metavar="N",
                             help="abort after N scheduler events")
-    resilience.add_argument("--inject", action="append", default=[],
-                            metavar="SITE@CYCLE[:SEED]",
-                            help="inject one transient fault (repeatable); "
-                                 "sites: tcu.reg cache.line icn.drop "
-                                 "icn.dup icn.delay dram.stall")
     return parser
 
 
@@ -725,18 +715,10 @@ def _observed(args) -> List[str]:
     return names + ["profile"] * args.profile + ["accounting"] * args.explain
 
 
-def _simulate_cycle(args, observed, program, source, config, inputs,
-                    injector, trace):
+def _simulate_cycle(args, observed, program, source, config, inputs, trace):
     """The cycle-accurate run of ``xmtsim``, observed (``observed``:
-    :func:`_observed`) or not; returns the final memory image.  An
-    ``injector`` (``--inject``) rides the run as a plug-in, and its
-    faults are recorded in the manifest as the ``fault`` identity
-    field."""
+    :func:`_observed`) or not; returns the final memory image."""
     telemetry = recorder = None
-    plugins, extra = [], None
-    if injector is not None:
-        plugins = [injector]
-        extra = {"fault": [str(spec) for spec in injector.faults]}
     if args.out:
         if os.path.isfile(args.out) or (os.path.isdir(args.out)
                                         and os.listdir(args.out)):
@@ -760,8 +742,8 @@ def _simulate_cycle(args, observed, program, source, config, inputs,
             out=args.out, source=source, program_path=args.program,
             label=args.run_label, max_cycles=args.max_cycles,
             wall_limit_s=args.wall_limit, max_events=args.event_budget,
-            inputs=inputs or None, extra=extra, telemetry=telemetry,
-            recorder=recorder, plugins=plugins, trace=trace)
+            inputs=inputs or None, telemetry=telemetry,
+            recorder=recorder, trace=trace)
     finally:
         if telemetry is not None:
             # the closing "final" frame is written even when the run
@@ -794,7 +776,6 @@ def _xmtsim(args) -> int:
     cycle_only = [flag for flag, given in (
         ("--out", args.out), ("--observe", args.observe is not None),
         ("--profile", args.profile), ("--explain", args.explain),
-        ("--inject", args.inject),
         ("--wall-limit", args.wall_limit is not None),
         ("--event-budget", args.event_budget is not None),
         ("--ledger", args.ledger)) if given]
@@ -815,11 +796,6 @@ def _xmtsim(args) -> int:
     program, source, config, inputs = _load_run(args)
     if args.watchdog is not None:
         config.watchdog_cycles = args.watchdog
-    injector = None
-    if args.inject:
-        with _flag("--inject"):
-            injector = FaultInjector(
-                [parse_fault_spec(text) for text in args.inject])
 
     trace = None
     if args.trace:
@@ -846,7 +822,7 @@ def _xmtsim(args) -> int:
             memory = result.memory
         else:
             memory = _simulate_cycle(args, observed, program, source,
-                                     config, inputs, injector, trace)
+                                     config, inputs, trace)
     except (SimulationStalled, SimulationBudgetExceeded) as exc:
         stalled = isinstance(exc, SimulationStalled)
         print(f"xmtsim: {'stalled' if stalled else 'budget exceeded'}: "
@@ -1145,7 +1121,7 @@ def _compare_check(args) -> int:
         baseline = load_run(args.baseline)
         marks = run_marks(baseline.manifest)
         if marks and not args.update_baseline:
-            # a stopped or injected run's cycles gate nothing
+            # a stopped run's cycles gate nothing
             raise CliError(f"--baseline: {args.baseline} is run "
                            f"{baseline.run_id}{marks}, not a completed "
                            f"clean run; rewrite it with --update-baseline")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from repro.isa.assembler import assemble
 from repro.sim.config import fpga64, tiny
+from repro.sim.engine import PRIO_PLUGIN
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.machine import Simulator
+from repro.sim.plugins import ActivityPlugin
 from repro.xmtc.compiler import CompileOptions, compile_source
 
 
@@ -59,6 +63,25 @@ def fabric_ports(machine):
     return machine.send_ports + [
         port for module in machine.cache_modules
         for port in (module.in_queue, module.out_queue)]
+
+
+class LoseReply(ActivityPlugin):
+    """Plants a hang: at cluster cycle ``cycle`` the reply in flight on
+    the ICN return network that would arrive first is lost, so the
+    processor waiting for it never wakes and only the watchdog can end
+    the run."""
+
+    def __init__(self, cycle: int):
+        super().__init__()
+        self.cycle = cycle
+
+    def on_start(self, machine, scheduler) -> None:
+        self.machine = machine
+        scheduler.schedule_at(self.cycle * machine.config.cluster_period,
+                              self, PRIO_PLUGIN)
+
+    def notify(self, scheduler, time, arg):
+        heapq.heappop(self.machine.icn._to_cluster)
 
 
 def _apply(program, inputs):

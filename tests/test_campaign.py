@@ -226,29 +226,70 @@ class TestSerialEngine:
 
     def test_injected_xmtsim_run_never_answers_a_clean_request(
             self, src_file, tmp_path, capsys):
-        """An ``xmtsim --inject`` run records its faults in the
-        manifest, and they are part of its fingerprint: the clean
-        request of the same program runs fresh instead of being
-        answered with the injected run's cycles."""
+        """An older ``xmtsim --inject`` recorded its faults in the
+        manifest (``fault``).  Without ``fault`` that manifest reduces
+        to the clean request of the same program, which must still run
+        fresh: under the ledger's old index, and under one rebuilt from
+        the run directories.  Two old index shapes: the fingerprint
+        with ``fault`` in the identity, and (before that) the clean
+        fingerprint with a ``"fault": true`` mark on the line."""
+        from repro.sim.observability.artifacts import canonical_json
+        from repro.sim.observability.ledger import (
+            manifest_run_id,
+            sha256_text,
+            write_run_dir,
+        )
         from repro.toolchain.cli import xmtsim_main
 
-        ledger_dir = str(tmp_path / "ledger")
+        clean_dir = str(tmp_path / "clean")
         assert xmtsim_main([src_file, "--config", "tiny",
-                            "--inject", "dram.stall@20:5",
-                            "--ledger", ledger_dir]) == 0
-        (injected,) = Ledger(ledger_dir).list_runs()
-        assert injected.manifest["fault"] == ["dram.stall@20:5"]
-        clean = CampaignEngine([RunRequest(program=src_file,
-                                           config="tiny")]).run()
-        assert injected.cycles > clean.outcomes[0].cycles
-        capsys.readouterr()
+                            "--out", clean_dir]) == 0
+        with open(os.path.join(clean_dir, "manifest.json")) as fh:
+            clean = json.load(fh)
 
-        assert xmt_campaign_main([src_file, "--config", "tiny",
-                                  "--ledger", ledger_dir, "--serial"]) == 0
-        captured = capsys.readouterr()
-        progress = f"xmt-campaign: 0: {clean.outcomes[0].cycles} cycles ("
-        assert progress in captured.err and "(cached)" not in captured.err
-        assert "ok: 1  cached: 0" in captured.out
+        def legacy_run(fault):
+            # the run as an older xmtsim recorded it: the fault cost cycles
+            legacy = dict(clean, fault=fault, cycles=clean["cycles"] + 1000)
+            del legacy["run_id"]
+            legacy["run_id"] = manifest_run_id(legacy)
+            return legacy
+
+        spec = ["dram.stall@20:5"]
+        with_fault = legacy_run(spec)
+        marked = legacy_run({"site": "dram.stall", "cycle": 20,
+                             "duration": 5})
+        cases = {
+            "fault-in-fingerprint": (with_fault, {
+                "fingerprint": sha256_text(canonical_json({
+                    "program_sha256": clean["program"]["sha256"],
+                    "source_sha256": clean["program"]["source_sha256"],
+                    "config_sha256": clean["config_sha256"],
+                    "seed": clean["seed"], "label": clean["label"] or None,
+                    "inputs": clean.get("inputs") or {},
+                    "fault": spec}))[:16],
+                "run_id": with_fault["run_id"]}),
+            "fault-marked-line": (marked, {
+                "fingerprint": fingerprint_of_manifest(clean),
+                "run_id": marked["run_id"], "fault": True}),
+        }
+        for name, (legacy, line) in cases.items():
+            for old_index in (True, False):
+                ledger = Ledger(str(tmp_path / f"{name}-{old_index}"))
+                write_run_dir(os.path.join(ledger.runs_dir,
+                                           legacy["run_id"]), legacy)
+                if old_index:
+                    with open(ledger.index_path, "w") as fh:
+                        fh.write(canonical_json(line) + "\n")
+                # (without index.jsonl the ledger rebuilds it from its runs)
+                capsys.readouterr()
+                assert xmt_campaign_main([src_file, "--config", "tiny",
+                                          "--ledger", ledger.root,
+                                          "--serial"]) == 0
+                captured = capsys.readouterr()
+                progress = f"xmt-campaign: 0: {clean['cycles']} cycles ("
+                assert progress in captured.err, (name, captured.err)
+                assert "(cached)" not in captured.err, name
+                assert "ok: 1  cached: 0" in captured.out, name
 
 
 class TestPoolEngine:

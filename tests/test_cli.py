@@ -200,8 +200,7 @@ class TestExitCodeMatrix:
         prog = tmp_path / "spawn.s"
         prog.write_text(SPAWN_ASM)
         rc = xmtsim_main([str(prog), "--config", "tiny",
-                          "--watchdog", "500",
-                          "--inject", "icn.drop@38"])
+                          "--watchdog", "5"])
         assert rc == 3
         assert "stalled" in capsys.readouterr().err
 

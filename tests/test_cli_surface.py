@@ -10,7 +10,8 @@ help text was dropped or changed -- and, unlike ``--help`` output, the
 dump does not depend on the Python version's help formatter.
 
 Regenerate only for an intended surface change:
-``PYTHONPATH=src python tests/test_cli_surface.py``.
+``PYTHONPATH=src python tests/test_cli_surface.py``; ``--count`` prints
+the golden's option-string count instead.
 """
 
 from __future__ import annotations
@@ -123,16 +124,23 @@ def test_golden_covers_all_nine_console_scripts():
     progs = {p.split()[0] for p in golden}
     assert progs == {"xmtcc", "xmtsim", "xmtc-lint", "xmtc-fuzz", "xmt-prof",
                      "xmt-compare", "xmt-campaign", "xmt-top", "xmt-explain"}
-    # every option string of every parser, sub-parsers included
+    assert option_count(golden) == 123
+
+
+def option_count(surface: dict) -> int:
+    """Every option string of every parser, sub-parsers included."""
     def options(node):
-        found = [s for a in node["actions"] for s in a["option_strings"]]
-        for sub in node["subcommands"].values():
-            found += options(sub)
-        return found
-    assert sum(len(options(node)) for node in golden.values()) == 124
+        return (sum(len(a["option_strings"]) for a in node["actions"])
+                + sum(map(options, node["subcommands"].values())))
+    return sum(map(options, surface.values()))
 
 
 if __name__ == "__main__":
+    import sys
+    if sys.argv[1:] == ["--count"]:
+        with open(GOLDEN) as fh:
+            print(f"CLI option strings: {option_count(json.load(fh))}")
+        sys.exit(0)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as fh:
         fh.write(render(build_surface()))

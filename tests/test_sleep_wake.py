@@ -49,6 +49,7 @@ import random
 
 import pytest
 
+from conftest import LoseReply
 from repro.isa.assembler import assemble
 from repro.sim import checkpoint as CP
 from repro.sim.config import chip1024, fpga64, tiny
@@ -58,7 +59,7 @@ from repro.sim.machine import Machine
 from repro.sim.mtcu import MasterTCU
 from repro.sim.observability import Observability
 from repro.sim.plugins import ActivityPlugin
-from repro.sim.resilience import FaultInjector, FaultSpec, SimulationStalled
+from repro.sim.resilience import SimulationStalled
 from repro.sim.tcu import RUN_KEY, TCU
 from repro.workloads import microbench as MB
 from repro.workloads import programs as W
@@ -924,31 +925,8 @@ class TestSkippedTime:
                                         machine.run(max_cycles=100_000)),
                             expected)
 
-    @pytest.mark.parametrize("site", ["dram.stall", "icn.delay"])
-    def test_masked_fault_injected_mid_skip(self, site):
-        program = serial_program()
-        in_flight = {
-            "dram.stall": lambda m: (skipping(m) and any(
-                port._in_flight for port in m.dram_ports)),
-            "icn.delay": lambda m: bool(m.icn._to_cluster or m.icn._to_cache),
-        }[site]
-        cycle = cycles_where(
-            program, slow_dram,
-            lambda m: m.master.asleep_on is not None and in_flight(m), n=1)[0]
-        injectors = []
-
-        def make_plugins():
-            injectors.append(FaultInjector([FaultSpec(site, cycle, seed=3)]))
-            return [injectors[-1]]
-
-        plain, *oracles = run_both(program, slow_dram, make_plugins)
-        assert_same(plain, *oracles)
-        assert all(i.log and "no-op" not in i.log[0][2] for i in injectors)
-        undisturbed = run_both(program, slow_dram)[0]
-        assert plain["cycles"] > undisturbed["cycles"]  # it did delay
-
     def test_lost_reply_stalls_at_the_same_time(self):
-        """``icn.drop`` while everything sleeps: nothing is booked any
+        """A reply lost while everything sleeps: nothing is booked any
         more, and the watchdog -- not a domain -- finds the hang, at the
         window the always-ticking machine finds it at."""
         program = serial_program()
@@ -960,7 +938,7 @@ class TestSkippedTime:
         for kind in (PLAIN, EVERY_EDGE, AS_IT_WAS):
             machine = machine_for(
                 program, slow_dram(watchdog_cycles=700), kind,
-                plugins=[FaultInjector([FaultSpec("icn.drop", cycle)])])
+                plugins=[LoseReply(cycle)])
             with pytest.raises(SimulationStalled, match="deadlock") as info:
                 machine.run(max_cycles=100_000)
             dumps.append((str(info.value).splitlines()[0], info.value.dump))
@@ -1138,7 +1116,7 @@ class TestClosedForm:
 
 
 # at cycle 38 of this program on tiny(), several load responses are in
-# flight on the return network: dropping one hangs a TCU forever
+# flight on the return network: losing one hangs a TCU forever
 DROP_ASM = """
     .data
 A:  .space 64
@@ -1166,7 +1144,7 @@ class TestDiagnostics:
     def _hang(self, awake: bool):
         machine = machine_for(
             assemble(DROP_ASM), tiny(watchdog_cycles=500), awake,
-            plugins=[FaultInjector([FaultSpec("icn.drop", 38, seed=1)])])
+            plugins=[LoseReply(38)])
         with pytest.raises(SimulationStalled, match="deadlock") as info:
             machine.run(max_cycles=100_000)
         return machine, info.value

@@ -28,7 +28,6 @@ instruction at a time always owed as the block formed at its PC.
 from __future__ import annotations
 
 import contextlib
-import random
 import signal
 from collections import Counter
 
@@ -63,11 +62,7 @@ from repro.sim.functional import (
 from repro.sim.machine import Machine
 from repro.sim.observability import Observability
 from repro.sim.plugins import ActivityPlugin
-from repro.sim.resilience import (
-    FaultInjector,
-    FaultSpec,
-    SimulationBudgetExceeded,
-)
+from repro.sim.resilience import SimulationBudgetExceeded
 from repro.sim.tcu import CHAIN_CAP, RUN_KEY, RUN_MIN
 from repro.workloads import microbench as MB
 
@@ -768,62 +763,6 @@ class TestEveryOffset:
         # spy), and the machine as it was takes none
         assert plain.seen["cut"] > 200 > 0 == plain.seen["whole"]
         assert not oracles[-1].seen["entered"]
-
-    @staticmethod
-    def _flipped(program, cycle, seed):
-        """Fingerprints of the plain and the as-it-was run with one
-        register flipped at ``cycle``, and what the flipped processor of
-        the plain machine was asleep on."""
-        prints, asleep_on = [], []
-        for awake in (False, True):
-            machine = machine_for(
-                program, tiny(), awake,
-                plugins=[FaultInjector([FaultSpec("tcu.reg", cycle,
-                                                  seed=seed)])])
-            for proc in [machine.master, *machine.tcus]:
-                def flip(reg, bit, proc=proc, flip=proc.inject_register_flip):
-                    asleep_on.append(proc.asleep_on)
-                    return flip(reg, bit)
-                proc.inject_register_flip = flip
-            try:
-                prints.append(fingerprint(
-                    machine, machine.run(max_cycles=50_000)))
-            except SimulationError as exc:  # the flip derailed the run
-                prints.append({"error": str(exc).splitlines()[0]})
-        return prints, asleep_on[0]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_register_flip_lands_between_the_same_instructions(self, seed):
-        """``inject_register_flip`` settles the TCU first, so the bit
-        flips after the same instruction as on the oracle."""
-        program = compute()
-        first, last = spawn_window(program, tiny())
-        cycle = random.Random(seed).randrange(first, last)
-        assert_same(*self._flipped(program, cycle, seed)[0])
-
-    def test_flipped_loop_counter_ends_the_chain(self):
-        """Seed 4 of the test above flips a bit of the loop counter of
-        a TCU inside a run: the loop now exits early, so the chain
-        entered before the flip is shorter than it was computed to be.
-        A register written from outside ends the run; the next tick
-        enters another from the registers as they are."""
-        program = compute()
-        first, last = spawn_window(program, tiny())
-        prints, asleep_on = self._flipped(
-            program, random.Random(4).randrange(first, last), seed=4)
-        assert asleep_on == "run"
-        assert_same(*prints)
-
-    def test_register_flip_inside_a_run_of_the_master(self):
-        """In a serial section the fault lands on the Master."""
-        program = build(MB.serial_compute(30)[0])
-        inside = 0
-        for seed in range(8):
-            cycle = 40 + 37 * seed
-            prints, asleep_on = self._flipped(program, cycle, seed)
-            assert_same(*prints)
-            inside += asleep_on == "run"
-        assert inside >= 4
 
 
 # --------------------------------------------------------------------------- (d) domain cycles

@@ -227,19 +227,19 @@ class TestXmtsimCli:
         code = xmtsim_main(
             [VECADD, "--config", "tiny", "--out", run,
              "--observe", "telemetry,lifecycle",
-             "--watchdog", "1500", "--inject", "icn.drop@600",
+             "--watchdog", "5",
              "--telemetry-every", "200"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "(~cycle 3000)  instructions: 906" in err
+        assert "(~cycle 1445)  instructions: 1939" in err
         frames = read_frames(os.path.join(run, "telemetry.jsonl"))
         assert [f["seq"] for f in frames] == list(range(len(frames)))
         assert [f["kind"] for f in frames].count("final") == 1
         assert frames[-1]["kind"] == "final"
-        assert frames[-1]["cycle"] == 3000
+        assert frames[-1]["cycle"] == 1445
         record = load_run(run)
         assert record.manifest["ended"] == "stalled"
-        assert (record.cycles, record.manifest["instructions"]) == (3000, 906)
+        assert (record.cycles, record.manifest["instructions"]) == (1445, 1939)
         assert f"xmtsim: wrote partial run {record.run_id} to {run}" in err
         assert sorted(os.listdir(run)) == [
             "lifecycle.jsonl", "manifest.json", "telemetry.jsonl"]

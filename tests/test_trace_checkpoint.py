@@ -290,14 +290,12 @@ class TestSavingLeavesTheMachineAlone:
             TelemetrySampler,
         )
         from repro.sim.plugins import FrequencyController, HotMemoryFilter
-        from repro.sim.resilience import FaultInjector, FaultSpec
 
         obs = Observability(events=EventStream(
             retain=False, stream_to=str(tmp_path / "events.jsonl")))
         machine = Machine(assemble(ASM), tiny(), observability=obs, plugins=[
             FrequencyController(lambda m, t, d: {}, interval_cycles=70),
-            HotMemoryFilter(),
-            FaultInjector([FaultSpec("icn.drop", 100_000, seed=1)])])
+            HotMemoryFilter()])
         sampler = TelemetrySampler(
             every_cycles=90, sinks=[JsonlSink(str(tmp_path / "frames.jsonl"))])
         sampler.attach(machine)
@@ -337,8 +335,8 @@ class TestSavingLeavesTheMachineAlone:
         machine, sampler = self._carrying_everything(tmp_path)
         transient = [e for e in machine.scheduler._heap
                      if getattr(e.actor, "checkpoint_transient", False)]
-        # the DVFS sampler, the telemetry sampler, the planned fault
-        assert len(transient) == 3
+        # the DVFS sampler and the telemetry sampler
+        assert len(transient) == 2
         assert sampler in [e.actor for e in transient]
         # (a cancelled event that stays behind is not counted any more)
         machine.scheduler.cancel(transient[0])
